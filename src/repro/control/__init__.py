@@ -30,7 +30,12 @@ nodes — or whole phase buckets — per tick as numpy kernels, bit-equal to
 the scalar controllers.
 """
 
-from repro.control.adapter import BufferLike, PELike, SystemAdapter
+from repro.control.adapter import (
+    BufferLike,
+    MembershipOps,
+    PELike,
+    SystemAdapter,
+)
 from repro.control.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -39,6 +44,7 @@ from repro.control.admission import (
     LadderTransition,
 )
 from repro.control.elastic import (
+    ElasticDriver,
     ElasticityConfig,
     MigrationRecord,
     PlacementBook,
@@ -82,12 +88,14 @@ __all__ = [
     "ControlPlane",
     "ControlRecord",
     "DegradationLadder",
+    "ElasticDriver",
     "ElasticityConfig",
     "EwmaForecaster",
     "ForecastConfig",
     "ForecastController",
     "HoltWintersForecaster",
     "LadderTransition",
+    "MembershipOps",
     "MigrationRecord",
     "NodeController",
     "NodeGroup",

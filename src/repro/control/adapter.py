@@ -1,7 +1,7 @@
 """Protocols between the control core and an execution substrate.
 
-The controller never imports a substrate.  It sees the world through two
-structural protocols:
+The controller never imports a substrate.  It sees the world through
+three structural protocols:
 
 * :class:`PELike` — the narrow per-PE surface every substrate's PE object
   already exposes (the simulator's :class:`~repro.model.pe.PERuntime` and
@@ -12,10 +12,15 @@ structural protocols:
   needs: a clock, an occupancy snapshot, grant application (which reports
   CPU actually used back through the scheduler's ``settle``), gate
   installation, and trace emission.
+* :class:`MembershipOps` — the three physical membership operations the
+  elastic and forecasting tiers actuate through
+  (:class:`~repro.control.elastic.ElasticDriver`): join a node, remove
+  an empty node, live-migrate PEs.
 
-Keeping the adapter this narrow is what makes new substrates cheap: a
-sharded or multi-process node implements these five methods and inherits
-the whole controller, including every policy and fault-injection hook.
+Keeping the surface this narrow is what makes new substrates cheap: a
+sharded or multi-process node implements these five plus three methods,
+schedules the periodic tier ticks, and inherits all five control tiers,
+including every policy and fault-injection hook.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import typing as _t
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.control.elastic import PlacementVersion
     from repro.control.node import ControlRecord
     from repro.model.params import PEProfile
 
@@ -137,4 +143,34 @@ class SystemAdapter(_t.Protocol):
 
     def emit_trace(self, kind: str, **fields: _t.Any) -> None:
         """Publish one trace event on the substrate's recorder."""
+        ...
+
+
+class MembershipOps(_t.Protocol):
+    """The physical membership operations one substrate exposes.
+
+    :class:`~repro.control.elastic.ElasticDriver` decides *when* and
+    *what*; these three methods do what only the substrate can — create
+    or retire the node's execution resources and control loop, hand
+    buffered SDOs across, re-wire transport — and call back into the
+    driver's ``join`` / ``leave`` / ``migrate`` for the bookkeeping all
+    substrates share.  The node count is ``len(plane.groups)``.
+    """
+
+    def add_node(self, cpu_capacity: float = 1.0) -> _t.Any:
+        """Join a fresh empty node and start its control loop."""
+        ...
+
+    def remove_node(self, node_index: int) -> str:
+        """Remove an *empty* node; returns its node_id."""
+        ...
+
+    def migrate_pes(
+        self,
+        moves: _t.Sequence[_t.Tuple[str, int]],
+        reason: str = "migration",
+    ) -> _t.Optional["PlacementVersion"]:
+        """Live-migrate ``(pe_id, target_node_index)`` moves in one
+        epoch; returns the new placement version, or None when every
+        move was a no-op."""
         ...

@@ -1,0 +1,76 @@
+"""The configuration every substrate shares.
+
+``SystemConfig`` (simulator) and ``RuntimeConfig`` (threaded runtime)
+inherit :class:`ControlConfig`, so what parameterizes the shared control
+stack is declared, documented and validated once.
+"""
+
+from __future__ import annotations
+
+import typing as _t
+from dataclasses import dataclass
+
+from repro.control.admission import AdmissionConfig
+from repro.control.elastic import ElasticityConfig
+from repro.control.forecast import ForecastConfig
+
+
+@dataclass
+class ControlConfig:
+    """Substrate-independent knobs of one system."""
+
+    #: Input-buffer capacity B of every PE (SDOs).
+    buffer_size: int = 50
+    #: b0 as a fraction of the buffer size (paper: 1/2).
+    b0_fraction: float = 0.5
+    seed: int = 0
+    #: Staleness TTL for feedback values (seconds; typically a few Δt).
+    #: A value unheard-from for longer decays to the conservative
+    #: ``feedback_stale_bound`` instead of being trusted forever.  None
+    #: (default) preserves the original trust-forever behavior.
+    feedback_staleness_ttl: _t.Optional[float] = None
+    #: Conservative r_max substituted for stale feedback values.
+    feedback_stale_bound: float = 0.0
+    #: Tier-2 step implementation: "scalar" (per-PE Python loops) or
+    #: "vector" (the array-backed engine in repro.control.vector, with
+    #: automatic scalar fallback when numpy is unavailable or the
+    #: policy uses unsupported scheduler types).
+    control_impl: str = "scalar"
+    #: When set, arm the SLO-aware admission front end
+    #: (:class:`repro.control.admission.AdmissionController`) in front
+    #: of the ingress PEs; None (default) admits everything.
+    admission: _t.Optional[AdmissionConfig] = None
+    #: When set, arm the Tier-3 elastic tier
+    #: (:class:`repro.control.elastic.ElasticDriver`): dynamic node
+    #: membership (``add_node`` / ``remove_node`` / ``migrate_pes``),
+    #: autoscaling, and live PE migration; control loops follow nodes
+    #: by identity across epoch rebuilds.  None (default) keeps
+    #: membership frozen and every output byte-identical to the
+    #: pre-elasticity system.
+    elasticity: _t.Optional[ElasticityConfig] = None
+    #: When set, arm the forecasting tier
+    #: (:class:`repro.control.forecast.ForecastController`): streaming
+    #: per-source rate forecasts sampled at the configured cadence,
+    #: with proactive Tier-1 re-solves (and, when the elastic tier is
+    #: also armed, proactive scale-out requests through the shared
+    #: cooldown) ahead of predicted load shifts.  None (default) keeps
+    #: the system purely reactive.
+    forecast: _t.Optional[ForecastConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.buffer_size <= 0:
+            raise ValueError("buffer_size must be positive")
+        if not 0.0 <= self.b0_fraction <= 1.0:
+            raise ValueError("b0_fraction must lie in [0, 1]")
+        if (
+            self.feedback_staleness_ttl is not None
+            and self.feedback_staleness_ttl <= 0
+        ):
+            raise ValueError("feedback_staleness_ttl must be positive")
+        if self.feedback_stale_bound < 0:
+            raise ValueError("feedback_stale_bound must be >= 0")
+        if self.control_impl not in ("scalar", "vector"):
+            raise ValueError(
+                f"control_impl must be 'scalar' or 'vector', "
+                f"got {self.control_impl!r}"
+            )

@@ -7,18 +7,33 @@ runtime object* (:class:`PlacementBook` holding a chain of
 (:meth:`~repro.control.plane.ControlPlane.add_node` /
 ``remove_node`` / ``migrate_pes`` rebuild the Tier-2 state at an epoch
 boundary), and a :class:`ScalingPolicy` decides *when* to scale from a
-utilization/queue pressure signal using the admission ladder's
+buffer-fill pressure signal using the admission ladder's
 hysteresis-plus-dwell pattern.
 
+:class:`ElasticDriver` is the single home of everything Tier 3 (and the
+actuation half of the forecasting tier) does that is not physical: it
+is written against the :class:`~repro.control.plane.ControlPlane` and
+the three-method :class:`~repro.control.adapter.MembershipOps` protocol,
+so every substrate runs the same scaling, evacuation, migration
+bookkeeping and proactive hooks by construction.
+
 The tier is strictly additive: systems built without an
-:class:`ElasticityConfig` never construct any of this and their outputs
-stay byte-identical to the pre-elasticity code.
+:class:`ElasticityConfig` construct a disarmed driver (seed placement
+epoch, frozen membership timeline, no policy) and their outputs stay
+byte-identical to the pre-elasticity code.
 """
 
 from __future__ import annotations
 
 import typing as _t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.graph.placement_opt import optimize_placement
+
+if _t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.control.adapter import MembershipOps, PELike
+    from repro.control.plane import ControlPlane
+    from repro.graph.topology import Topology
 
 #: A scaling decision: what the policy wants the system to do now.
 ScalingDecision = str  # "scale_out" | "scale_in" | "hold"
@@ -180,12 +195,14 @@ class MigrationRecord:
 class ElasticityConfig:
     """Arming switch and tuning knobs for the elastic tier.
 
-    Pressure is the max over nodes of a blended utilization/queue
-    signal in [0, 1] (see the substrate's pressure probe).  The policy
-    scales out when pressure dwells above ``scale_out_pressure`` and in
-    when it dwells below ``scale_in_pressure`` — a hysteresis band, the
-    same shape as the admission ladder's enter/exit thresholds, so the
-    two never chatter against each other.
+    Pressure is the (hot-spot, slack) pair of mean input-buffer fill
+    in [0, 1] that :meth:`ElasticDriver.pressure` probes: the max over
+    nodes drives scale-out, the mean over all nodes drives scale-in.
+    The policy scales out when the hot-spot dwells above
+    ``scale_out_pressure`` and in when the slack dwells below
+    ``scale_in_pressure`` — a hysteresis band, the same shape as the
+    admission ladder's enter/exit thresholds, so the two never chatter
+    against each other.
     """
 
     #: Pressure at or above which the policy wants another node.
@@ -433,3 +450,319 @@ def plan_scale_in_placement(
             node = target
         result[pe_id] = node if node < victim else node - 1
     return result
+
+
+class ElasticDriver:
+    """Tier 3 (and the forecasting tier's actuation) for any substrate.
+
+    One driver per system, armed or not.  It owns the placement book,
+    node ordinals, the membership timeline and :attr:`migration_log`,
+    plans scale-out / scale-in, and runs the shared skeleton of a live
+    migration.  What is physical stays behind the substrate's
+    :class:`~repro.control.adapter.MembershipOps`, whose three methods
+    call back into :meth:`join`, :meth:`leave` and :meth:`migrate`.
+
+    Construction emits no trace event and draws no RNG, so a disarmed
+    driver (``config=None``: no policy, :meth:`tick` never scheduled)
+    leaves a system byte-identical to one without the tier.
+    """
+
+    def __init__(
+        self,
+        plane: "ControlPlane",
+        ops: "MembershipOps",
+        topology: "Topology",
+        config: _t.Optional[ElasticityConfig] = None,
+        active_after: float = 0.0,
+    ) -> None:
+        self.plane = plane
+        self.ops = ops
+        self.topology = topology
+        self.config = config
+        self.scaling_policy: _t.Optional[ScalingPolicy] = (
+            ScalingPolicy(config) if config is not None else None
+        )
+        #: Epoch 0 mirrors the topology's initial placement; every
+        #: placement consumer reads ``book.placement``.
+        self.book = PlacementBook(topology.placement, topology.num_nodes)
+        #: (t, num_nodes) step function for node-seconds accounting.
+        self.timeline: _t.List[_t.Tuple[float, int]] = [
+            (0.0, topology.num_nodes)
+        ]
+        #: One record per live PE migration (route + observed downtime).
+        self.migration_log: _t.List[MigrationRecord] = []
+        #: Cold buffers read as slack; scaling decisions start with the
+        #: measured window.
+        self._active_after = active_after
+        #: Next join gets node-<ordinal>; ordinals are never reused so
+        #: node identity stays unique across join/leave churn.
+        self._node_ordinal = topology.num_nodes
+
+    # -- membership bookkeeping (called by the substrate's ops) ---------------
+
+    def next_node_id(self) -> str:
+        """Allocate the identity of the next node to join."""
+        node_id = f"node-{self._node_ordinal}"
+        self._node_ordinal += 1
+        return node_id
+
+    def join(
+        self,
+        node_id: str,
+        cpu_capacity: float,
+        now: float,
+        pes: _t.Optional[_t.List["PELike"]] = None,
+    ) -> int:
+        """Join an empty node to the plane; returns its node index."""
+        index = self.plane.add_node(node_id, cpu_capacity, now=now, pes=pes)
+        self.timeline.append((now, len(self.plane.groups)))
+        return index
+
+    def leave(self, node_index: int, now: float) -> str:
+        """Remove an empty node from the plane (it refuses non-empty
+        ones: migrate first); returns its node_id."""
+        node_id = self.plane.remove_node(node_index, now=now)
+        self.timeline.append((now, len(self.plane.groups)))
+        return node_id
+
+    def migrate(
+        self,
+        moves: _t.Sequence[_t.Tuple[str, int]],
+        reason: str,
+        now: float,
+        pes: _t.Mapping[str, "PELike"],
+        lift: _t.Optional[
+            _t.Callable[[str], _t.Mapping[str, _t.Any]]
+        ] = None,
+        land: _t.Optional[
+            _t.Callable[[_t.Sequence[MigrationRecord]], None]
+        ] = None,
+    ) -> _t.Optional[PlacementVersion]:
+        """The substrate-independent skeleton of a live migration.
+
+        Validates and filters ``moves``, then applies the whole set at
+        one instant and one epoch boundary: ``drain`` events, plane
+        re-home, book advance, one :class:`MigrationRecord` per PE,
+        ``resume`` events.  ``lift(pe_id)`` is the substrate's per-PE
+        drain step (returning extra ``drain`` trace fields);
+        ``land(records)`` its resume step, run once between the book
+        advance and the ``resume`` events.  Returns the new placement
+        version, or None when every move was a no-op.
+        """
+        groups = self.plane.groups
+        current = self.book.placement
+        num_nodes = len(groups)
+        actual: _t.List[_t.Tuple[str, int]] = []
+        for pe_id, target in moves:
+            if pe_id not in pes:
+                raise KeyError(f"unknown PE {pe_id!r}")
+            if not (0 <= target < num_nodes):
+                raise ValueError(
+                    f"target node {target} outside [0, {num_nodes})"
+                )
+            if current[pe_id] != target:
+                actual.append((pe_id, target))
+        if not actual:
+            return None
+        recorder = self.plane.recorder
+        recording = recorder.enabled
+        drained: _t.List[_t.Tuple[str, str, str, int]] = []
+        for pe_id, target in actual:
+            from_id = groups[current[pe_id]].node_id
+            to_id = groups[target].node_id
+            occupancy = pes[pe_id].buffer.occupancy
+            extra = lift(pe_id) if lift is not None else {}
+            if recording:
+                recorder.emit(
+                    "migration",
+                    pe=pe_id,
+                    node=from_id,
+                    phase="drain",
+                    to=to_id,
+                    occupancy=occupancy,
+                    **extra,
+                )
+            drained.append((pe_id, from_id, to_id, occupancy))
+        self.plane.migrate_pes(actual, now=now, reason=reason)
+        placement = dict(current)
+        placement.update(actual)
+        version = self.book.advance(placement, num_nodes, reason)
+        records = [
+            MigrationRecord(
+                pe_id=pe_id,
+                t=now,
+                from_node=from_id,
+                to_node=to_id,
+                epoch=version.epoch,
+                handoff_occupancy=occupancy,
+            )
+            for pe_id, from_id, to_id, occupancy in drained
+        ]
+        if land is not None:
+            land(records)
+        self.migration_log.extend(records)
+        if recording:
+            for record in records:
+                recorder.emit(
+                    "migration",
+                    pe=record.pe_id,
+                    node=record.to_node,
+                    phase="resume",
+                    occupancy=pes[record.pe_id].buffer.occupancy,
+                    epoch=version.epoch,
+                )
+        return version
+
+    # -- Tier-3 cadence --------------------------------------------------------
+
+    def pressure(self) -> _t.Tuple[float, float]:
+        """(hot-spot, slack) scaling signals, both normalized to [0, 1].
+
+        Hot-spot is the max over nodes of mean resident buffer fill and
+        drives scale-out; slack is the mean over *all* nodes — empty
+        nodes count as zero fill, they are reclaimable capacity — and
+        drives scale-in.
+        """
+        worst = 0.0
+        total = 0.0
+        groups = self.plane.groups
+        for group in groups:
+            if not group.pes:
+                continue
+            fill = sum(
+                pe.buffer.occupancy / pe.buffer.capacity for pe in group.pes
+            ) / len(group.pes)
+            if fill > worst:
+                worst = fill
+            total += fill
+        return worst, (total / len(groups) if groups else 0.0)
+
+    def tick(self, now: float) -> None:
+        """Observe pressure and act on the scaling policy's decision."""
+        assert self.scaling_policy is not None
+        if now < self._active_after:
+            return
+        hot, slack = self.pressure()
+        decision = self.scaling_policy.observe(
+            hot, now, len(self.plane.groups), slack_pressure=slack
+        )
+        if decision == "scale_out":
+            self.scale_out()
+        elif decision == "scale_in":
+            self.scale_in()
+
+    def _reoptimize(
+        self, rates: _t.Mapping[str, float], reason: str
+    ) -> None:
+        self.plane.reoptimize(
+            self.topology.graph, self.book.placement, rates, reason=reason
+        )
+
+    def scale_out(self) -> None:
+        """Join a node, re-solve placement, migrate a bounded move set."""
+        assert self.config is not None
+        config = self.config
+        topology = self.topology
+        self.ops.add_node()
+        num_nodes = len(self.plane.groups)
+        current = self.book.placement
+        seed = plan_scale_out_placement(
+            current,
+            num_nodes,
+            self.plane.targets.cpu,
+            config.max_migrations_per_epoch,
+        )
+        refined = optimize_placement(
+            topology.graph,
+            seed,
+            topology.source_rates,
+            num_nodes,
+            max_evaluations=config.placement_evaluations,
+        ).placement
+        moves = [
+            (pe_id, refined[pe_id])
+            for pe_id in current
+            if refined[pe_id] != current[pe_id]
+        ][: config.max_migrations_per_epoch]
+        self.ops.migrate_pes(moves, reason="scale_out")
+        self._reoptimize(topology.source_rates, "elastic")
+
+    def scale_in(self) -> None:
+        """Evacuate and remove the least-loaded evictable node."""
+        assert self.config is not None
+        num_nodes = len(self.plane.groups)
+        load = self.plane.targets.cpu
+        node_load = [0.0] * num_nodes
+        node_count = [0] * num_nodes
+        for pe_id, node in self.book.placement.items():
+            node_load[node] += load.get(pe_id, 0.0)
+            node_count[node] += 1
+        # Only nodes whose evacuation fits the per-epoch migration cap
+        # are evictable; when none qualify the decision becomes a hold.
+        candidates = [
+            n
+            for n in range(num_nodes)
+            if node_count[n] <= self.config.max_migrations_per_epoch
+        ]
+        if not candidates:
+            return
+        victim = min(candidates, key=lambda n: (node_load[n], -n))
+        if self.evacuate_and_remove(victim, "scale_in"):
+            self._reoptimize(self.topology.source_rates, "elastic")
+
+    def evacuate_and_remove(self, node_index: int, reason: str) -> bool:
+        """Live-migrate everything off a node, then remove it.
+
+        Shared by :meth:`scale_in` and the fault injector's membership
+        faults.  Returns False (and does nothing) when the node is the
+        last one standing.
+        """
+        num_nodes = len(self.plane.groups)
+        if num_nodes <= 1:
+            return False
+        current = self.book.placement
+        renumbered = plan_scale_in_placement(
+            current, num_nodes, node_index, self.plane.targets.cpu
+        )
+        # plan_scale_in returns post-removal indices; the physical moves
+        # happen before removal, so map targets back to current indices.
+        moves = [
+            (pe_id, post if post < node_index else post + 1)
+            for pe_id, post in renumbered.items()
+            if current[pe_id] == node_index
+        ]
+        self.ops.migrate_pes(moves, reason=reason)
+        self.ops.remove_node(node_index)
+        self.book.advance(renumbered, len(self.plane.groups), reason)
+        return True
+
+    def node_seconds(self, t0: float, t1: float) -> float:
+        """Integrate the membership step function over [t0, t1]."""
+        timeline = self.timeline
+        total = 0.0
+        for i, (t, count) in enumerate(timeline):
+            seg_start = max(t, t0)
+            seg_end = timeline[i + 1][0] if i + 1 < len(timeline) else t1
+            seg_end = min(seg_end, t1)
+            if seg_end > seg_start:
+                total += (seg_end - seg_start) * count
+        return total
+
+    # -- forecasting-tier hooks (ForecastController.bind takes these) ---------
+
+    def proactive_reoptimize(self, rates: _t.Mapping[str, float]) -> None:
+        """Forecast-triggered Tier-1 re-solve from *predicted* rates."""
+        self._reoptimize(rates, "proactive")
+
+    def proactive_scale_out(self, now: float) -> bool:
+        """Forecast-triggered scale-out, routed through the elastic
+        policy so the reactive and proactive tiers share one cooldown.
+        Returns False when no elastic tier is armed or the request was
+        vetoed (cooldown / node bounds)."""
+        policy = self.scaling_policy
+        if policy is None or not policy.request_external(
+            "scale_out", now, len(self.plane.groups)
+        ):
+            return False
+        self.scale_out()
+        return True

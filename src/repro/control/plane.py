@@ -764,6 +764,15 @@ class ControlPlane:
             self.groups[target].pes.append(pe_obj)
         self._apply_membership(carry, now, reason=reason)
 
+    def node_index(self, node_id: str) -> _t.Optional[int]:
+        """Current index of ``node_id`` in :attr:`groups`, or None when
+        the node has left (indices shift with membership; identity-keyed
+        callers re-resolve through here)."""
+        for index, group in enumerate(self.groups):
+            if group.node_id == node_id:
+                return index
+        return None
+
     def token_level(self, pe_id: str) -> float:
         """The PE's current token level via its *current* scheduler.
 

@@ -215,7 +215,7 @@ def run_elasticity_cell(
         if system.scaling_policy is not None
         else []
     )
-    timeline = system._membership_timeline
+    timeline = system.elastic.timeline
     window = duration if report is not None else 0.0
     return ElasticityCellResult(
         policy=policy_name,
@@ -247,7 +247,7 @@ def run_elasticity_cell(
         peak_nodes=max(count for _, count in timeline),
         final_nodes=len(system.nodes),
         node_seconds=round(
-            system._node_seconds(warmup, warmup + window), 6
+            system.elastic.node_seconds(warmup, warmup + window), 6
         ),
         stranded_sdos=stranded,
         violations=[violation.as_dict() for violation in violations],

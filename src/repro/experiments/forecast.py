@@ -224,7 +224,7 @@ def run_forecast_cell(
         if system.scaling_policy is not None
         else []
     )
-    timeline = system._membership_timeline
+    timeline = system.elastic.timeline
     proactive_reopts = sum(
         1
         for record in (forecast.triggers if forecast is not None else [])

@@ -9,7 +9,6 @@ runs the transient period, resets, and the measured window starts clean.
 from __future__ import annotations
 
 import typing as _t
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.utility import LogUtility, UtilityFunction
@@ -138,16 +137,6 @@ class EgressCollector:
             pe_id: self._records[pe_id].hist.percentiles(LATENCY_QUANTILES)
             for pe_id in sorted(self._records)
         }
-
-
-def _merge_moments(into: StreamingMoments, other: StreamingMoments) -> None:
-    """Deprecated shim: use :meth:`StreamingMoments.merge` instead."""
-    warnings.warn(
-        "_merge_moments is deprecated; use StreamingMoments.merge",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    into.merge(other)
 
 
 @dataclass

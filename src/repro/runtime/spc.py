@@ -15,6 +15,7 @@ measures and ``tests/test_control_parity.py`` asserts tick-by-tick.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 import typing as _t
@@ -22,18 +23,14 @@ from dataclasses import dataclass, field
 
 from repro.control import ControlPlane, NodeGroup, resolve_initial_targets
 from repro.control.adapter import GateFn, SettleFn
-from repro.control.admission import AdmissionConfig, AdmissionController
+from repro.control.admission import AdmissionController
+from repro.control.config import ControlConfig
 from repro.control.elastic import (
-    ElasticityConfig,
+    ElasticDriver,
     MigrationRecord,
-    PlacementBook,
     PlacementVersion,
-    ScalingPolicy,
-    plan_scale_in_placement,
-    plan_scale_out_placement,
 )
-from repro.control.forecast import ForecastConfig, ForecastController
-from repro.graph.placement_opt import optimize_placement
+from repro.control.forecast import ForecastController
 from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import AcesPolicy, LockStepPolicy, Policy, UdpPolicy
 from repro.core.resilience import ResilientTier1
@@ -46,24 +43,30 @@ from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.runtime.worker import RuntimePE
 from repro.sim.rng import RandomStreams, exponential
 
+# Not called here any more (ElasticDriver plans and re-solves): kept as
+# globals of this module because the perf observatory's trace targets
+# resolve them by name here (benchmarks/observatory/spec.py).
+from repro.control.elastic import plan_scale_in_placement  # noqa: F401
+from repro.control.elastic import plan_scale_out_placement  # noqa: F401
+from repro.graph.placement_opt import optimize_placement  # noqa: F401
+
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.node import ControlRecord
     from repro.obs.spans import SpanTracker
 
 
 @dataclass
-class RuntimeConfig:
-    """Configuration of a threaded runtime experiment."""
+class RuntimeConfig(ControlConfig):
+    """Configuration of a threaded runtime experiment: the shared
+    :class:`~repro.control.config.ControlConfig` plus wall-clock timing
+    and worker supervision."""
 
-    buffer_size: int = 50
-    b0_fraction: float = 0.5
     dt: float = 0.05
     #: Wall-seconds per model-second (< 1 runs faster than real time is not
     #: possible here because work is emulated with sleeps; 1.0 = real time).
     dilation: float = 1.0
     warmup: float = 1.0
     source_kind: str = "poisson"
-    seed: int = 0
     #: Run the worker supervisor (detects dead worker threads and
     #: restarts them with bounded exponential backoff).
     supervise: bool = True
@@ -76,30 +79,6 @@ class RuntimeConfig:
     #: (model seconds): base * factor**restarts_so_far.
     restart_backoff_base: float = 0.05
     restart_backoff_factor: float = 2.0
-    #: Staleness TTL for feedback values (model seconds; None = trust
-    #: forever), mirroring ``SystemConfig.feedback_staleness_ttl``.
-    feedback_staleness_ttl: _t.Optional[float] = None
-    feedback_stale_bound: float = 0.0
-    #: Tier-2 step implementation ("scalar" | "vector"), mirroring
-    #: ``SystemConfig.control_impl``; vector falls back to scalar when
-    #: numpy is unavailable.
-    control_impl: str = "scalar"
-    #: When set, arm the SLO-aware admission front end in front of the
-    #: ingress channels, mirroring ``SystemConfig.admission``.
-    admission: _t.Optional[AdmissionConfig] = None
-    #: When set, arm the Tier-3 elastic tier, mirroring
-    #: ``SystemConfig.elasticity``: node membership becomes mutable
-    #: (``add_node`` / ``remove_node`` / ``migrate_pes``), control loops
-    #: follow nodes by identity across epoch rebuilds, and a scaling
-    #: thread observes channel pressure at the configured cadence.
-    #: Disarmed runtimes build and behave exactly as before.
-    elasticity: _t.Optional[ElasticityConfig] = None
-    #: When set, arm the anticipatory forecasting tier, mirroring
-    #: ``SystemConfig.forecast``: per-source rate forecasters sampled at
-    #: the configured cadence, triggering a proactive Tier-1 re-solve
-    #: (and, when the elastic tier is also armed, a proactive scale-out
-    #: through the shared cooldown) before a predicted load shift.
-    forecast: _t.Optional[ForecastConfig] = None
 
 
 @dataclass
@@ -247,22 +226,6 @@ class SPCRuntime:
         self.worker_restarts = 0
         self.workers_abandoned = 0
 
-        #: Tier-3 state.  The placement book always carries the seed
-        #: epoch (uniform introspection); it only advances when armed.
-        self.elasticity = self.config.elasticity
-        self.scaling_policy = (
-            ScalingPolicy(self.elasticity)
-            if self.elasticity is not None
-            else None
-        )
-        self.placement_book = PlacementBook(
-            dict(topology.placement), topology.num_nodes
-        )
-        self.migration_log: _t.List[MigrationRecord] = []
-        self._node_ordinal = topology.num_nodes
-        self._membership_timeline: _t.List[_t.Tuple[float, int]] = [
-            (0.0, topology.num_nodes)
-        ]
         #: Serializes membership mutations (the scaling thread, a fault
         #: injector, and test code may all call them); control threads
         #: deliberately do not take it — a tick against the outgoing
@@ -330,7 +293,8 @@ class SPCRuntime:
         for src, dst in graph.edges():
             self.pes[src].link_downstream(self.pes[dst])
 
-        for pe_id in egress:
+        # The list, not the set: see build_runtimes.
+        for pe_id in graph.egress_ids:
             self._collector.register(pe_id, graph.profile(pe_id).weight)
         if self.spans is not None:
             self._collector.attach_spans(self.spans)
@@ -382,13 +346,6 @@ class SPCRuntime:
                 clock=self.now,
                 lock=self._collector_lock,
             )
-            self._threads.append(
-                threading.Thread(
-                    target=self._admission_loop,
-                    name="admission",
-                    daemon=True,
-                )
-            )
 
         #: Anticipatory forecasting tier, armed exactly as in the
         #: simulator: same controller class, same config, fed from the
@@ -396,13 +353,6 @@ class SPCRuntime:
         self.forecast: _t.Optional[ForecastController] = None
         if config.forecast is not None:
             self.forecast = ForecastController(config.forecast)
-            self._threads.append(
-                threading.Thread(
-                    target=self._forecast_loop,
-                    name="forecast",
-                    daemon=True,
-                )
-            )
 
         self.adapter = ThreadAdapter(self.now, self.recorder)
         self.plane = ControlPlane(
@@ -421,31 +371,51 @@ class SPCRuntime:
             admission=self.admission,
             forecast=self.forecast,
         )
+        # Armed loops are identity-keyed: membership rebuilds replace
+        # controller objects and shift node indices, so the loop
+        # re-resolves its controller by node_id each tick.
+        armed = config.elasticity is not None
         for controller in self.plane.node_controllers:
-            if config.elasticity is not None:
-                # Identity-keyed: membership rebuilds replace controller
-                # objects and shift node indices, so the loop re-resolves
-                # its controller by node_id each tick.
-                thread = threading.Thread(
-                    target=self._elastic_control_loop,
-                    args=(controller.node_id,),
-                    name=f"ctl-{controller.node_id}",
-                    daemon=True,
-                )
-            else:
-                thread = threading.Thread(
-                    target=self._control_loop,
-                    args=(controller,),
-                    name=f"ctl-{controller.node_id}",
-                    daemon=True,
-                )
-            self._threads.append(thread)
-        if config.elasticity is not None:
             self._threads.append(
-                threading.Thread(
-                    target=self._elastic_loop, name="elastic", daemon=True
+                self._thread(
+                    f"ctl-{controller.node_id}",
+                    self._elastic_control_loop if armed else self._control_loop,
+                    controller.node_id if armed else controller,
                 )
             )
+
+        #: Tier 3 lives in the driver (disarmed without an elasticity
+        #: config); this runtime is its MembershipOps.
+        self.elasticity = config.elasticity
+        self.elastic = ElasticDriver(
+            self.plane, self, self.topology, config.elasticity,
+            active_after=config.warmup,
+        )
+        self.placement_book = self.elastic.book
+        self.scaling_policy = self.elastic.scaling_policy
+        self.migration_log = self.elastic.migration_log
+
+        # The periodic tiers.  The forecast and elastic ticks may mutate
+        # membership, so they run under the membership lock.
+        lock = self._membership_lock
+        if config.admission is not None:
+            self._threads.append(self._thread(
+                "admission", self._periodic,
+                config.admission.tick_interval or config.dt,
+                self.plane.tick_admission,
+            ))
+        if config.forecast is not None:
+            self._threads.append(self._thread(
+                "forecast", self._periodic,
+                config.forecast.sample_interval,
+                self.plane.tick_forecast, lock,
+            ))
+        if config.elasticity is not None:
+            self._threads.append(self._thread(
+                "elastic", self._periodic,
+                config.elasticity.check_interval,
+                self.elastic.tick, lock,
+            ))
 
         # Source threads.  ``source_generated`` mirrors the simulator
         # sources' ``stats.generated`` counters (offered load, counted
@@ -456,12 +426,7 @@ class SPCRuntime:
         }
         for pe_id, rate in sorted(self.topology.source_rates.items()):
             self._threads.append(
-                threading.Thread(
-                    target=self._source_loop,
-                    args=(pe_id, rate),
-                    name=f"src-{pe_id}",
-                    daemon=True,
-                )
+                self._thread(f"src-{pe_id}", self._source_loop, pe_id, rate)
             )
 
         if self.forecast is not None:
@@ -471,12 +436,20 @@ class SPCRuntime:
                     for pe_id in sorted(self.topology.source_rates)
                 },
                 baseline=dict(self.topology.source_rates),
-                reoptimize_fn=self._proactive_reoptimize,
-                scale_out_fn=self._proactive_scale_out,
+                reoptimize_fn=self.elastic.proactive_reoptimize,
+                scale_out_fn=self.elastic.proactive_scale_out,
                 active_after=config.warmup,
             )
 
     # -- threads ------------------------------------------------------------
+
+    @staticmethod
+    def _thread(
+        name: str, target: _t.Callable[..., None], *args: _t.Any
+    ) -> threading.Thread:
+        return threading.Thread(
+            target=target, args=args, name=name, daemon=True
+        )
 
     def _control_loop(self, controller: _t.Any) -> None:
         """Pump one node's controller at the dilated control cadence."""
@@ -491,69 +464,38 @@ class SPCRuntime:
 
     # -- elastic tier (armed runtimes only) ----------------------------------
 
-    def _node_index(self, node_id: str) -> _t.Optional[int]:
-        for index, group in enumerate(self.plane.groups):
-            if group.node_id == node_id:
-                return index
-        return None
-
     def _elastic_control_loop(self, node_id: str) -> None:
         """Identity-keyed control pump; retires when its node leaves."""
         config = self.config
         period_wall = config.dt * config.dilation
         while not self._stop.is_set():
-            index = self._node_index(node_id)
+            plane = self.plane
+            index = plane.node_index(node_id)
             if index is None:
                 return
-            plane = self.plane
             if index < len(plane.paused) and not plane.paused[index]:
                 plane.node_controllers[index].tick(self.now())
             time.sleep(period_wall)
 
-    def _elastic_loop(self) -> None:
-        """Tier-3 cadence thread: observe pressure, act on the decision."""
-        assert self.elasticity is not None and self.scaling_policy is not None
-        period_wall = self.elasticity.check_interval * self.config.dilation
+    def _periodic(
+        self,
+        interval: float,
+        tick: _t.Callable[[float], None],
+        lock: _t.Optional[threading.Lock] = None,
+    ) -> None:
+        """The one ticker of the periodic tiers (admission, forecast,
+        elastic): ``tick(now)`` every ``interval`` model seconds at the
+        dilated wall cadence, optionally under ``lock``."""
+        period_wall = interval * self.config.dilation
+        guard = lock if lock is not None else contextlib.nullcontext()
         while not self._stop.is_set():
             time.sleep(period_wall)
             if self._stop.is_set():
                 return
-            if self.now() < self.config.warmup:
-                # Cold channels read as slack; scaling decisions start
-                # with the measured window.
-                continue
-            with self._membership_lock:
-                hot, slack = self._pressure()
-                decision = self.scaling_policy.observe(
-                    hot, self.now(), len(self.plane.groups),
-                    slack_pressure=slack,
-                )
-                if decision == "scale_out":
-                    self._scale_out()
-                elif decision == "scale_in":
-                    self._scale_in()
+            with guard:
+                tick(self.now())
 
-    def _pressure(self) -> _t.Tuple[float, float]:
-        """(hot-spot, slack) scaling signals, both normalized to [0, 1].
-
-        The same pair as the simulator's pressure probe, read from the
-        live channels: hot-spot is the max over nodes of mean resident
-        fill (drives scale-out); slack is the mean over *all* nodes,
-        empty nodes counting as zero (drives scale-in).
-        """
-        worst = 0.0
-        total = 0.0
-        groups = self.plane.groups
-        for group in groups:
-            if not group.pes:
-                continue
-            fill = sum(
-                pe.buffer.occupancy / pe.buffer.capacity for pe in group.pes
-            ) / len(group.pes)
-            if fill > worst:
-                worst = fill
-            total += fill
-        return worst, (total / len(groups) if groups else 0.0)
+    # -- MembershipOps (armed runtimes only; ElasticDriver keeps the books) ---
 
     def _require_elastic(self, operation: str) -> None:
         if self.elasticity is None:
@@ -566,16 +508,10 @@ class SPCRuntime:
     def add_node(self, cpu_capacity: float = 1.0) -> str:
         """Join a fresh empty node: plane group, gauges, control thread."""
         self._require_elastic("add_node")
-        node_id = f"node-{self._node_ordinal}"
-        self._node_ordinal += 1
-        now = self.now()
-        self.plane.add_node(node_id, cpu_capacity, now=now)
-        self._membership_timeline.append((now, len(self.plane.groups)))
-        thread = threading.Thread(
-            target=self._elastic_control_loop,
-            args=(node_id,),
-            name=f"ctl-{node_id}",
-            daemon=True,
+        node_id = self.elastic.next_node_id()
+        self.elastic.join(node_id, cpu_capacity, self.now())
+        thread = self._thread(
+            f"ctl-{node_id}", self._elastic_control_loop, node_id
         )
         if self._start_wall is None:
             self._threads.append(thread)
@@ -584,16 +520,11 @@ class SPCRuntime:
         return node_id
 
     def remove_node(self, node_index: int) -> str:
-        """Leave: the plane refuses non-empty nodes (the same safety
-        interlock as the simulator — buffered work and ingress channels
-        can never be stranded); the node's control thread retires on its
-        next tick."""
+        """Leave: the plane refuses non-empty nodes (buffered work and
+        ingress channels can never be stranded); the node's control
+        thread retires on its next tick."""
         self._require_elastic("remove_node")
-        node_id = self.plane.remove_node(node_index, now=self.now())
-        self._membership_timeline.append(
-            (self.now(), len(self.plane.groups))
-        )
-        return node_id
+        return self.elastic.leave(node_index, self.now())
 
     def migrate_pes(
         self,
@@ -603,159 +534,19 @@ class SPCRuntime:
         """Live-migrate PEs between nodes — control-plane re-homing.
 
         Worker threads own their input channels and never stop draining
-        them, so the threaded migration is pure Tier-2/Tier-3 surgery:
-        the plane re-homes control state at one epoch boundary and the
-        placement book advances.  Downtime is zero by construction; the
-        ``migration`` trace family still brackets the epoch so traces
-        from both substrates read the same.
+        them, so the threaded migration is :meth:`ElasticDriver.migrate`
+        with nothing to lift: pure Tier-2/Tier-3 surgery, downtime zero
+        by construction, the same ``migration`` trace events.
         """
         self._require_elastic("migrate_pes")
-        now = self.now()
-        current = self.placement_book.placement
-        num_nodes = len(self.plane.groups)
-        actual: _t.List[_t.Tuple[str, int]] = []
-        for pe_id, target in moves:
-            if pe_id not in self.pes:
-                raise KeyError(f"unknown PE {pe_id!r}")
-            if not (0 <= target < num_nodes):
-                raise ValueError(
-                    f"target node {target} outside [0, {num_nodes})"
-                )
-            if current[pe_id] != target:
-                actual.append((pe_id, target))
-        if not actual:
-            return None
-        recording = self.recorder.enabled
-        routes: _t.Dict[str, _t.Tuple[str, str]] = {}
-        for pe_id, target in actual:
-            from_id = self.plane.groups[current[pe_id]].node_id
-            to_id = self.plane.groups[target].node_id
-            routes[pe_id] = (from_id, to_id)
-            if recording:
-                self.recorder.emit(
-                    "migration",
-                    pe=pe_id,
-                    node=from_id,
-                    phase="drain",
-                    to=to_id,
-                    occupancy=self.pes[pe_id].buffer.occupancy,
-                )
-        self.plane.migrate_pes(actual, now=now, reason=reason)
-        placement = dict(current)
-        for pe_id, target in actual:
-            placement[pe_id] = target
-        version = self.placement_book.advance(placement, num_nodes, reason)
-        for pe_id, target in actual:
-            from_id, to_id = routes[pe_id]
-            self.migration_log.append(
-                MigrationRecord(
-                    pe_id=pe_id,
-                    t=now,
-                    from_node=from_id,
-                    to_node=to_id,
-                    epoch=version.epoch,
-                    handoff_occupancy=self.pes[pe_id].buffer.occupancy,
-                    downtime=0.0,
-                )
-            )
-            if recording:
-                self.recorder.emit(
-                    "migration",
-                    pe=pe_id,
-                    node=to_id,
-                    phase="resume",
-                    occupancy=self.pes[pe_id].buffer.occupancy,
-                    epoch=version.epoch,
-                )
-        return version
 
-    def _scale_out(self) -> None:
-        """Join a node, re-solve placement, migrate a bounded move set."""
-        assert self.elasticity is not None
-        config = self.elasticity
-        self.add_node()
-        num_nodes = len(self.plane.groups)
-        load = dict(self.plane.targets.cpu)
-        seed = plan_scale_out_placement(
-            self.placement_book.placement,
-            num_nodes,
-            load,
-            config.max_migrations_per_epoch,
-        )
-        refined = optimize_placement(
-            self.topology.graph,
-            seed,
-            self.topology.source_rates,
-            num_nodes,
-            max_evaluations=config.placement_evaluations,
-        ).placement
-        current = self.placement_book.placement
-        moves = [
-            (pe_id, refined[pe_id])
-            for pe_id in current
-            if refined[pe_id] != current[pe_id]
-        ][: config.max_migrations_per_epoch]
-        self.migrate_pes(moves, reason="scale_out")
-        self.plane.reoptimize(
-            self.topology.graph,
-            self.placement_book.placement,
-            self.topology.source_rates,
-            reason="elastic",
-        )
+        def land(records: _t.Sequence[MigrationRecord]) -> None:
+            for record in records:
+                record.downtime = 0.0
 
-    def _scale_in(self) -> None:
-        """Evacuate and remove the least-loaded evictable node."""
-        assert self.elasticity is not None
-        config = self.elasticity
-        current = self.placement_book.placement
-        num_nodes = len(self.plane.groups)
-        load = dict(self.plane.targets.cpu)
-        node_load = [0.0] * num_nodes
-        node_count = [0] * num_nodes
-        for pe_id, node in current.items():
-            node_load[node] += load.get(pe_id, 0.0)
-            node_count[node] += 1
-        candidates = [
-            n
-            for n in range(num_nodes)
-            if node_count[n] <= config.max_migrations_per_epoch
-        ]
-        if not candidates:
-            return
-        victim = min(candidates, key=lambda n: (node_load[n], -n))
-        renumbered = plan_scale_in_placement(
-            current, num_nodes, victim, load
+        return self.elastic.migrate(
+            moves, reason, self.now(), self.pes, land=land
         )
-        # plan_scale_in returns post-removal indices; the physical moves
-        # happen before removal, so map targets back to current indices.
-        moves = [
-            (pe_id, post if post < victim else post + 1)
-            for pe_id, post in renumbered.items()
-            if current[pe_id] == victim
-        ]
-        self.migrate_pes(moves, reason="scale_in")
-        self.remove_node(victim)
-        self.placement_book.advance(
-            renumbered, len(self.plane.groups), "scale_in"
-        )
-        self.plane.reoptimize(
-            self.topology.graph,
-            self.placement_book.placement,
-            self.topology.source_rates,
-            reason="elastic",
-        )
-
-    def _node_seconds(self, t0: float, t1: float) -> float:
-        """Integrate the membership step function over [t0, t1]."""
-        timeline = self._membership_timeline
-        total = 0.0
-        for i, (t, count) in enumerate(timeline):
-            seg_start = max(t, t0)
-            seg_end = timeline[i + 1][0] if i + 1 < len(timeline) else t1
-            seg_end = min(seg_end, t1)
-            if seg_end > seg_start:
-                total += (seg_end - seg_start) * count
-        return total
 
     def _supervisor_loop(self) -> None:
         """Detect dead workers and revive them with bounded backoff.
@@ -810,60 +601,6 @@ class SPCRuntime:
                         restarts=restarts[pe_id],
                         generation=pe.generation,
                     )
-
-    def _admission_loop(self) -> None:
-        """Tick the admission front end at the dilated control cadence."""
-        assert self.admission is not None
-        config = self.config
-        interval = self.admission.config.tick_interval or config.dt
-        period_wall = interval * config.dilation
-        tick = self.plane.tick_admission
-        while not self._stop.is_set():
-            time.sleep(period_wall)
-            tick(self.now())
-
-    def _forecast_loop(self) -> None:
-        """Tick the forecasting tier at its dilated sample cadence.
-
-        Runs under the membership lock: a fired trigger may scale out,
-        and membership mutations are serialized with the elastic loop.
-        """
-        assert self.forecast is not None
-        config = self.config
-        period_wall = self.forecast.config.sample_interval * config.dilation
-        tick = self.plane.tick_forecast
-        while not self._stop.is_set():
-            time.sleep(period_wall)
-            if self._stop.is_set():
-                return
-            with self._membership_lock:
-                tick(self.now())
-
-    def _proactive_reoptimize(
-        self, rates: _t.Mapping[str, float]
-    ) -> None:
-        """Forecast-triggered Tier-1 re-solve from *predicted* rates."""
-        self.plane.reoptimize(
-            self.topology.graph,
-            self.placement_book.placement,
-            rates,
-            reason="proactive",
-        )
-
-    def _proactive_scale_out(self, now: float) -> bool:
-        """Forecast-triggered scale-out through the shared elastic
-        cooldown; False when no elastic tier is armed or the request
-        was vetoed.  Caller (the forecast tick) already holds the
-        membership lock."""
-        policy = self.scaling_policy
-        if policy is None:
-            return False
-        if not policy.request_external(
-            "scale_out", now, len(self.plane.groups)
-        ):
-            return False
-        self._scale_out()
-        return True
 
     def _source_loop(self, pe_id: str, rate: float) -> None:
         config = self.config
@@ -925,9 +662,7 @@ class SPCRuntime:
         for thread in self._threads:
             thread.start()
         if config.supervise:
-            threading.Thread(
-                target=self._supervisor_loop, name="supervisor", daemon=True
-            ).start()
+            self._thread("supervisor", self._supervisor_loop).start()
 
         time.sleep(config.warmup * config.dilation)
         with self._collector_lock:
@@ -982,7 +717,7 @@ class SPCRuntime:
         if self.elasticity is not None:
             # Membership varied during the window: normalize CPU use by
             # integrated node-seconds, not a fixed node count.
-            cpu_denominator = self._node_seconds(started, ended)
+            cpu_denominator = self.elastic.node_seconds(started, ended)
         else:
             cpu_denominator = window * max(1, self.topology.num_nodes)
         channel_drops = (

@@ -13,6 +13,7 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
+from repro.control.config import ControlConfig
 from repro.graph.topology import Topology
 from repro.metrics.collectors import EgressCollector
 from repro.model.links import Link
@@ -36,9 +37,7 @@ from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.control.admission import AdmissionConfig, AdmissionController
-    from repro.control.elastic import ElasticityConfig
-    from repro.control.forecast import ForecastConfig
+    from repro.control.admission import AdmissionController
     from repro.obs.spans import SpanTracker
 
 #: admit(runtime, sdo, now) -> accepted?  Provided by the data plane.
@@ -61,23 +60,15 @@ SOURCE_KINDS = (
 
 
 @dataclass
-class SystemConfig:
-    """Run-time configuration of a simulated system."""
+class SystemConfig(ControlConfig):
+    """Run-time configuration of a simulated system: the shared
+    :class:`~repro.control.config.ControlConfig` plus the simulator's
+    own timing, source and link models."""
 
-    buffer_size: int = 50
-    #: b0 as a fraction of the buffer size (paper: 1/2).
-    b0_fraction: float = 0.5
     #: Control interval Delta-t (seconds).
     dt: float = 0.01
     #: Feedback propagation delay; None means one control interval.
     feedback_delay: _t.Optional[float] = None
-    #: Staleness TTL for feedback values (seconds; typically a few Δt).
-    #: A value unheard-from for longer decays to the conservative
-    #: ``feedback_stale_bound`` instead of being trusted forever.  None
-    #: (default) preserves the original trust-forever behavior.
-    feedback_staleness_ttl: _t.Optional[float] = None
-    #: Conservative r_max substituted for stale feedback values.
-    feedback_stale_bound: float = 0.0
     #: Source model: 'onoff' (bursty), 'poisson', 'constant',
     #: 'squarewave' (deterministic adversarial on/off), 'flashcrowd'
     #: (Poisson with one surge window), or one of the scenario-library
@@ -119,11 +110,6 @@ class SystemConfig:
     #: targets are pushed into the running schedulers (the paper's
     #: periodic global optimization "to support changing workload").
     reoptimize_interval: _t.Optional[float] = None
-    #: Tier-2 step implementation: "scalar" (per-PE Python loops) or
-    #: "vector" (the array-backed engine in repro.control.vector, with
-    #: automatic scalar fallback when numpy is unavailable or the
-    #: policy uses unsupported scheduler types).
-    control_impl: str = "scalar"
     #: When set, node control loops are grouped into this many shared
     #: phase buckets instead of one loop per node: every node in a
     #: bucket ticks at the same instant (decide-all-then-apply-all via
@@ -134,30 +120,9 @@ class SystemConfig:
     #: (same-instant publication plus per-node offsets would otherwise
     #: differ).  None (default) keeps per-node staggered loops.
     control_phase_buckets: _t.Optional[int] = None
-    #: When set, arm the SLO-aware admission front end
-    #: (:class:`repro.control.admission.AdmissionController`) in front
-    #: of the ingress PEs; None (default) admits everything.
-    admission: _t.Optional["AdmissionConfig"] = None
-    #: When set, arm the Tier-3 elastic tier
-    #: (:class:`repro.control.elastic.ElasticityConfig`): dynamic node
-    #: membership, autoscaling, and live PE migration.  None (default)
-    #: keeps membership frozen and every output byte-identical to the
-    #: pre-elasticity system.
-    elasticity: _t.Optional["ElasticityConfig"] = None
-    #: When set, arm the forecasting tier
-    #: (:class:`repro.control.forecast.ForecastController`): streaming
-    #: per-source rate forecasts sampled at the configured cadence,
-    #: with proactive Tier-1 re-solves (and, when the elastic tier is
-    #: also armed, proactive scale-out requests) ahead of predicted
-    #: load shifts.  None (default) keeps the system purely reactive.
-    forecast: _t.Optional["ForecastConfig"] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.buffer_size <= 0:
-            raise ValueError("buffer_size must be positive")
-        if not 0.0 <= self.b0_fraction <= 1.0:
-            raise ValueError("b0_fraction must lie in [0, 1]")
+        super().__post_init__()
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.source_kind not in SOURCE_KINDS:
@@ -186,22 +151,10 @@ class SystemConfig:
             raise ValueError("warmup must be >= 0")
         if self.reoptimize_interval is not None and self.reoptimize_interval <= 0:
             raise ValueError("reoptimize_interval must be positive")
-        if (
-            self.feedback_staleness_ttl is not None
-            and self.feedback_staleness_ttl <= 0
-        ):
-            raise ValueError("feedback_staleness_ttl must be positive")
-        if self.feedback_stale_bound < 0:
-            raise ValueError("feedback_stale_bound must be >= 0")
         if self.link_bandwidth is not None and self.link_bandwidth <= 0:
             raise ValueError("link_bandwidth must be positive")
         if self.link_latency < 0:
             raise ValueError("link_latency must be >= 0")
-        if self.control_impl not in ("scalar", "vector"):
-            raise ValueError(
-                f"control_impl must be 'scalar' or 'vector', "
-                f"got {self.control_impl!r}"
-            )
         if (
             self.control_phase_buckets is not None
             and self.control_phase_buckets < 1
@@ -249,7 +202,9 @@ def build_runtimes(
         runtimes[src].link_downstream(runtimes[dst])
 
     collector = EgressCollector()
-    for pe_id in egress:
+    # The list, not the set: registration order fixes float summation
+    # order in the reports, which must not move with PYTHONHASHSEED.
+    for pe_id in graph.egress_ids:
         collector.register(pe_id, graph.profile(pe_id).weight)
     if spans is not None:
         collector.attach_spans(spans)

@@ -56,7 +56,6 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass, field
 
-from repro.control.elastic import plan_scale_in_placement
 from repro.core.resilience import LossyFeedbackBus
 from repro.model.workload import (
     ConstantRateSource,
@@ -400,12 +399,9 @@ class FaultInjector:
             # and may shift node indices, so re-resolve the live
             # scheduler by node identity; a node that left mid-window
             # has nothing left to revert.
-            for idx, group in enumerate(system.plane.groups):
-                if group.node_id == node_id:
-                    system.plane.schedulers[idx].capacity = (
-                        original_scheduler
-                    )
-                    break
+            idx = system.plane.node_index(node_id)
+            if idx is not None:
+                system.plane.schedulers[idx].capacity = original_scheduler
 
         return revert
 
@@ -416,10 +412,10 @@ class FaultInjector:
         def stalled_gate(pe: object) -> bool:
             return False
 
-        self.system.set_gate(fault.target, stalled_gate)
+        self.system.plane.set_gate(fault.target, stalled_gate)
 
         def revert() -> None:
-            self.system.set_gate(fault.target, previous_gate)
+            self.system.plane.set_gate(fault.target, previous_gate)
             runtime.blocked_last_interval = False
 
         return revert
@@ -500,15 +496,14 @@ class FaultInjector:
             # window opened; there is no controller to suspend.
             return lambda: None
         node_id = system.plane.groups[index].node_id
-        system.suspend_node(index)
+        system.plane.suspend_node(index)
 
         def revert() -> None:
             # Pause flags are carried by node_id across membership
             # rebuilds, but resume_node takes an index — re-resolve it.
-            for idx, group in enumerate(system.plane.groups):
-                if group.node_id == node_id:
-                    system.resume_node(idx)
-                    break
+            idx = system.plane.node_index(node_id)
+            if idx is not None:
+                system.plane.resume_node(idx)
 
         return revert
 
@@ -521,48 +516,13 @@ class FaultInjector:
         def crashed_gate(pe: object) -> bool:
             return False
 
-        system.set_gate(fault.target, crashed_gate)
+        system.plane.set_gate(fault.target, crashed_gate)
 
         def revert() -> None:
-            system.set_gate(fault.target, previous_gate)
+            system.plane.set_gate(fault.target, previous_gate)
             runtime.blocked_last_interval = False
 
         return revert
-
-    def _evacuate_and_remove(self, node_id: str, reason: str) -> bool:
-        """Live-migrate everything off ``node_id``, then remove it.
-
-        Resolves the node by identity (the elastic tier may have moved
-        or already removed it); returns False when there is nothing to
-        do (node gone, or it is the last one standing).
-        """
-        system = self.system
-        index = next(
-            (
-                idx
-                for idx, group in enumerate(system.plane.groups)
-                if group.node_id == node_id
-            ),
-            None,
-        )
-        if index is None or len(system.nodes) <= 1:
-            return False
-        current = system.placement_book.placement
-        load = dict(system.plane.targets.cpu)
-        renumbered = plan_scale_in_placement(
-            current, len(system.nodes), index, load
-        )
-        moves = [
-            (pe_id, post if post < index else post + 1)
-            for pe_id, post in renumbered.items()
-            if current[pe_id] == index
-        ]
-        system.migrate_pes(moves, reason=reason)
-        system.remove_node(index)
-        system.placement_book.advance(
-            renumbered, len(system.nodes), reason
-        )
-        return True
 
     def _apply_node_join(self, fault: Fault) -> _t.Callable[[], None]:
         system = self.system
@@ -572,7 +532,9 @@ class FaultInjector:
         def revert() -> None:
             # Evacuate whatever the scaler placed on the guest node and
             # remove it; a no-op when the elastic tier already did.
-            self._evacuate_and_remove(node_id, reason="fault_node_join")
+            idx = system.plane.node_index(node_id)
+            if idx is not None:
+                system.elastic.evacuate_and_remove(idx, "fault_node_join")
 
         return revert
 
@@ -583,9 +545,8 @@ class FaultInjector:
             # The elastic tier shrank below the planned index; nothing
             # to take away.
             return lambda: None
-        node_id = system.nodes[index].node_id
         capacity = system.nodes[index].cpu_capacity
-        left = self._evacuate_and_remove(node_id, reason="fault_node_leave")
+        left = system.elastic.evacuate_and_remove(index, "fault_node_leave")
 
         def revert() -> None:
             if left:

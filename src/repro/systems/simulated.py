@@ -26,12 +26,9 @@ from dataclasses import dataclass, field
 from repro.control import ControlPlane, NodeGroup, resolve_initial_targets
 from repro.control.admission import AdmissionController
 from repro.control.elastic import (
+    ElasticDriver,
     MigrationRecord,
-    PlacementBook,
     PlacementVersion,
-    ScalingPolicy,
-    plan_scale_in_placement,
-    plan_scale_out_placement,
 )
 from repro.control.forecast import ForecastController
 from repro.control.node import NodeController
@@ -39,7 +36,6 @@ from repro.core.policies import Policy
 from repro.core.resilience import ResilientTier1
 from repro.core.targets import AllocationTargets
 from repro.core.utility import LogUtility
-from repro.graph.placement_opt import optimize_placement
 from repro.graph.topology import Topology
 from repro.metrics.collectors import MetricsReport
 from repro.model.links import Link
@@ -57,6 +53,13 @@ from repro.systems.build import (
     build_sources,
 )
 from repro.systems.dataplane import SimAdapter, SimDataPlane
+
+# Not called here any more (ElasticDriver plans and re-solves): kept as
+# globals of this module because the perf observatory's trace targets
+# resolve them by name here (benchmarks/observatory/spec.py).
+from repro.control.elastic import plan_scale_in_placement  # noqa: F401
+from repro.control.elastic import plan_scale_out_placement  # noqa: F401
+from repro.graph.placement_opt import optimize_placement  # noqa: F401
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.spans import SpanTracker
@@ -207,28 +210,16 @@ class SimulatedSystem:
             collector=self.collector,
         )
 
-        #: Versioned placement spine.  Epoch 0 mirrors the topology's
-        #: initial placement (same content and key order); the elastic
-        #: tier appends epochs, and every placement consumer reads
-        #: ``placement_book.placement`` instead of the frozen dict.
-        self.placement_book = PlacementBook(
-            dict(topology.placement), topology.num_nodes
-        )
+        #: Tier 3 lives in the driver (disarmed without an elasticity
+        #: config); this system is its MembershipOps.
         self.elasticity = config.elasticity
-        self.scaling_policy: _t.Optional[ScalingPolicy] = (
-            ScalingPolicy(config.elasticity)
-            if config.elasticity is not None
-            else None
+        self.elastic = ElasticDriver(
+            self.plane, self, topology, config.elasticity,
+            active_after=config.warmup,
         )
-        #: Next join gets node-<ordinal>; ordinals are never reused so
-        #: node identity stays unique across join/leave churn.
-        self._node_ordinal = topology.num_nodes
-        #: (t, num_nodes) step function for node-seconds accounting.
-        self._membership_timeline: _t.List[_t.Tuple[float, int]] = [
-            (0.0, len(self.nodes))
-        ]
-        #: One record per live PE migration (route + observed downtime).
-        self.migration_log: _t.List[MigrationRecord] = []
+        self.placement_book = self.elastic.book
+        self.scaling_policy = self.elastic.scaling_policy
+        self.migration_log = self.elastic.migration_log
 
         if self.forecast is not None:
             # Source-rate probes: each source's cumulative generated
@@ -242,16 +233,29 @@ class SimulatedSystem:
                     for source in self.sources
                 },
                 baseline=dict(topology.source_rates),
-                reoptimize_fn=self._proactive_reoptimize,
-                scale_out_fn=self._proactive_scale_out,
+                reoptimize_fn=self.elastic.proactive_reoptimize,
+                scale_out_fn=self.elastic.proactive_scale_out,
                 active_after=config.warmup,
             )
 
+        # Process creation order is part of the determinism contract
+        # (same-timestamp tie-breaks): node loops, elastic, admission,
+        # forecast, reoptimize.  First ticks land one full interval in.
         self._start_node_loops()
         if self.admission is not None:
-            self.env.process(self._admission_loop())
+            self.env.process(
+                self._periodic(
+                    self.admission.config.tick_interval or config.dt,
+                    self.plane.tick_admission,
+                )
+            )
         if self.forecast is not None:
-            self.env.process(self._forecast_loop())
+            self.env.process(
+                self._periodic(
+                    self.forecast.config.sample_interval,
+                    self.plane.tick_forecast,
+                )
+            )
 
         if config.reoptimize_interval is not None:
             self.env.process(self._reoptimize_loop())
@@ -294,32 +298,8 @@ class SimulatedSystem:
         return self.plane.reoptimizations
 
     @property
-    def _node_paused(self) -> _t.List[bool]:
-        return self.plane.paused
-
-    @property
     def _delivery_batches(self) -> _t.Dict[float, _t.List]:
         return self.dataplane.delivery_batches
-
-    def set_gate(
-        self,
-        pe_id: str,
-        gate: _t.Optional[_t.Callable[..., bool]],
-    ) -> None:
-        """Replace a PE's processing gate at runtime.
-
-        Deprecated alias for ``system.plane.set_gate`` kept for the chaos
-        harness and operational tooling; forwards unchanged.
-        """
-        self.plane.set_gate(pe_id, gate)
-
-    def suspend_node(self, node_index: int) -> None:
-        """Deprecated alias for ``system.plane.suspend_node``."""
-        self.plane.suspend_node(node_index)
-
-    def resume_node(self, node_index: int) -> None:
-        """Deprecated alias for ``system.plane.resume_node``."""
-        self.plane.resume_node(node_index)
 
     # -- control loop --------------------------------------------------------
 
@@ -333,7 +313,11 @@ class SimulatedSystem:
                 self.env.process(
                     self._elastic_node_loop(node.node_id, offset)
                 )
-            self.env.process(self._elastic_loop())
+            self.env.process(
+                self._periodic(
+                    self.elasticity.check_interval, self.elastic.tick
+                )
+            )
             return
         buckets = self.config.control_phase_buckets
         if buckets is not None and num_nodes > 0:
@@ -385,13 +369,6 @@ class SimulatedSystem:
 
     # -- elasticity (Tier 3) -------------------------------------------------
 
-    def _node_index(self, node_id: str) -> _t.Optional[int]:
-        """Current index of ``node_id`` in the plane, or None when gone."""
-        for index, group in enumerate(self.plane.groups):
-            if group.node_id == node_id:
-                return index
-        return None
-
     def _elastic_node_loop(self, node_id: str, offset: float) -> _t.Generator:
         # Identity-keyed variant of _node_loop: membership changes shift
         # node indices and rebuild the controller list, so both are
@@ -401,83 +378,44 @@ class SimulatedSystem:
         plane = self.plane
         yield env.timeout(offset)
         while True:
-            index = self._node_index(node_id)
+            index = plane.node_index(node_id)
             if index is None:
                 return
             if not plane.paused[index]:
                 plane.node_controllers[index].tick(env.now)
             yield env.timeout(dt)
 
-    def _elastic_loop(self) -> _t.Generator:
-        """Tier-3 cadence: observe pressure, act on the policy's decision."""
-        assert self.elasticity is not None and self.scaling_policy is not None
+    def _periodic(
+        self, interval: float, tick: _t.Callable[[float], None]
+    ) -> _t.Generator:
+        """The one ticker of the periodic tiers (elastic, admission,
+        forecast): ``tick(now)`` every ``interval`` simulated seconds."""
         env = self.env
-        interval = self.elasticity.check_interval
         while True:
             yield env.timeout(interval)
-            if env.now < self.config.warmup:
-                # Cold buffers read as slack; scaling decisions start
-                # with the measured window.
-                continue
-            hot, slack = self._pressure()
-            decision = self.scaling_policy.observe(
-                hot, env.now, len(self.nodes), slack_pressure=slack
-            )
-            if decision == "scale_out":
-                self._scale_out()
-            elif decision == "scale_in":
-                self._scale_in()
+            tick(env.now)
 
-    def _pressure(self) -> _t.Tuple[float, float]:
-        """(hot-spot, slack) scaling signals, both normalized to [0, 1].
-
-        Hot-spot is the max over nodes of mean resident buffer fill and
-        drives scale-out; slack is the mean over *all* nodes — empty
-        nodes count as zero fill, they are reclaimable capacity — and
-        drives scale-in.
-        """
-        worst = 0.0
-        total = 0.0
-        groups = self.plane.groups
-        for group in groups:
-            if not group.pes:
-                continue
-            fill = sum(
-                pe.buffer.occupancy / pe.buffer.capacity for pe in group.pes
-            ) / len(group.pes)
-            if fill > worst:
-                worst = fill
-            total += fill
-        return worst, (total / len(groups) if groups else 0.0)
+    # -- MembershipOps (the physical half; ElasticDriver keeps the books) -----
 
     def add_node(self, cpu_capacity: float = 1.0) -> ProcessingNode:
         """Join a fresh empty node: substrate object, plane group, loop."""
-        node_id = f"node-{self._node_ordinal}"
-        self._node_ordinal += 1
-        node = ProcessingNode(node_id=node_id, cpu_capacity=cpu_capacity)
+        node = ProcessingNode(
+            node_id=self.elastic.next_node_id(), cpu_capacity=cpu_capacity
+        )
         self.nodes.append(node)
-        now = self.env.now
         # Hand the plane the node's own resident list so group surgery
         # moves PEs physically too (the constructor-path aliasing).
-        index = self.plane.add_node(
-            node_id, cpu_capacity, now=now, pes=node.pes
+        index = self.elastic.join(
+            node.node_id, cpu_capacity, self.env.now, pes=node.pes
         )
-        self._membership_timeline.append((now, len(self.nodes)))
         offset = (index + 1) / (index + 2) * self.config.dt
-        self.env.process(self._elastic_node_loop(node_id, offset))
+        self.env.process(self._elastic_node_loop(node.node_id, offset))
         return node
 
     def remove_node(self, node_index: int) -> str:
-        """Leave: plane first (it refuses non-empty nodes), then substrate.
-
-        The plane's emptiness check is the safety interlock — a node
-        still hosting PEs (including a source's ingress PE) must have
-        them migrated off first, so removal can never strand buffered
-        work or orphan an ingress channel.
-        """
-        node_id = self.plane.remove_node(node_index, now=self.env.now)
+        """Leave: plane first (it refuses non-empty nodes), then substrate."""
+        node_id = self.elastic.leave(node_index, self.env.now)
         self.nodes.pop(node_index)
-        self._membership_timeline.append((self.env.now, len(self.nodes)))
         return node_id
 
     def migrate_pes(
@@ -487,83 +425,32 @@ class SimulatedSystem:
     ) -> _t.Optional[PlacementVersion]:
         """Live-migrate PEs: drain -> buffer handoff -> re-wire -> resume.
 
-        The whole set is applied at one instant and one epoch boundary:
-        each PE's buffered SDOs are lifted out telemetry-neutrally
-        (:meth:`~repro.model.buffers.InputBuffer.handoff`), the plane
-        re-homes control state, inter-node links are re-wired to the new
-        placement, and the SDOs are restored — conservation holds
-        exactly across the handoff.  Returns the new placement version,
-        or None when every move was a no-op.
+        The physical half of :meth:`ElasticDriver.migrate`: each PE's
+        buffered SDOs are lifted out telemetry-neutrally
+        (:meth:`~repro.model.buffers.InputBuffer.handoff`), inter-node
+        links are re-wired to the new placement, and the SDOs are
+        restored — conservation holds exactly across the handoff.
         """
         now = self.env.now
-        current = self.placement_book.placement
-        actual: _t.List[_t.Tuple[str, int]] = []
-        for pe_id, target in moves:
-            if pe_id not in self.runtimes:
-                raise KeyError(f"unknown PE {pe_id!r}")
-            if not (0 <= target < len(self.nodes)):
-                raise ValueError(
-                    f"target node {target} outside [0, {len(self.nodes)})"
-                )
-            if current[pe_id] != target:
-                actual.append((pe_id, target))
-        if not actual:
-            return None
-        recording = self.recorder.enabled
-        held: _t.Dict[str, _t.List] = {}
-        watermarks: _t.Dict[str, int] = {}
-        routes: _t.Dict[str, _t.Tuple[str, str]] = {}
-        for pe_id, target in actual:
-            runtime = self.runtimes[pe_id]
-            from_id = self.plane.groups[current[pe_id]].node_id
-            to_id = self.plane.groups[target].node_id
-            routes[pe_id] = (from_id, to_id)
-            if recording:
-                self.recorder.emit(
-                    "migration",
-                    pe=pe_id,
-                    node=from_id,
-                    phase="drain",
-                    to=to_id,
-                    occupancy=runtime.buffer.occupancy,
-                    in_progress_work=runtime._work_remaining,
-                )
-            held[pe_id] = runtime.buffer.handoff(now)
-            watermarks[pe_id] = runtime.counters.consumed
-        self.plane.migrate_pes(actual, now=now, reason=reason)
-        placement = dict(current)
-        for pe_id, target in actual:
-            placement[pe_id] = target
-        version = self.placement_book.advance(
-            placement, len(self.nodes), reason
-        )
-        self._rewire_links()
-        for pe_id, target in actual:
-            runtime = self.runtimes[pe_id]
-            runtime.buffer.restore(held[pe_id])
-            from_id, to_id = routes[pe_id]
-            record = MigrationRecord(
-                pe_id=pe_id,
-                t=now,
-                from_node=from_id,
-                to_node=to_id,
-                epoch=version.epoch,
-                handoff_occupancy=len(held[pe_id]),
+        runtimes = self.runtimes
+        held: _t.Dict[str, _t.Tuple[_t.List, int]] = {}
+
+        def lift(pe_id: str) -> _t.Dict[str, float]:
+            runtime = runtimes[pe_id]
+            in_progress = runtime._work_remaining
+            held[pe_id] = (
+                runtime.buffer.handoff(now), runtime.counters.consumed
             )
-            self.migration_log.append(record)
-            if recording:
-                self.recorder.emit(
-                    "migration",
-                    pe=pe_id,
-                    node=to_id,
-                    phase="resume",
-                    occupancy=runtime.buffer.occupancy,
-                    epoch=version.epoch,
-                )
-            self.env.process(
-                self._watch_downtime(record, watermarks[pe_id])
-            )
-        return version
+            return {"in_progress_work": in_progress}
+
+        def land(records: _t.Sequence[MigrationRecord]) -> None:
+            self._rewire_links()
+            for record in records:
+                sdos, watermark = held[record.pe_id]
+                runtimes[record.pe_id].buffer.restore(sdos)
+                self.env.process(self._watch_downtime(record, watermark))
+
+        return self.elastic.migrate(moves, reason, now, runtimes, lift, land)
 
     def _watch_downtime(
         self, record: MigrationRecord, watermark: int
@@ -604,152 +491,6 @@ class SimulatedSystem:
                 self.links[(src, dst)] = link
         for key in [k for k in self.links if k not in live]:
             del self.links[key]
-
-    def _scale_out(self) -> None:
-        """Join a node, re-solve placement, migrate a bounded move set."""
-        assert self.elasticity is not None
-        config = self.elasticity
-        self.add_node()
-        num_nodes = len(self.nodes)
-        load = dict(self.plane.targets.cpu)
-        seed = plan_scale_out_placement(
-            self.placement_book.placement,
-            num_nodes,
-            load,
-            config.max_migrations_per_epoch,
-        )
-        refined = optimize_placement(
-            self.topology.graph,
-            seed,
-            self.topology.source_rates,
-            num_nodes,
-            max_evaluations=config.placement_evaluations,
-        ).placement
-        current = self.placement_book.placement
-        moves = [
-            (pe_id, refined[pe_id])
-            for pe_id in current
-            if refined[pe_id] != current[pe_id]
-        ][: config.max_migrations_per_epoch]
-        self.migrate_pes(moves, reason="scale_out")
-        self.plane.reoptimize(
-            self.topology.graph,
-            self.placement_book.placement,
-            self.topology.source_rates,
-            reason="elastic",
-        )
-
-    def _scale_in(self) -> None:
-        """Evacuate and remove the least-loaded evictable node."""
-        assert self.elasticity is not None
-        config = self.elasticity
-        current = self.placement_book.placement
-        num_nodes = len(self.nodes)
-        load = dict(self.plane.targets.cpu)
-        node_load = [0.0] * num_nodes
-        node_count = [0] * num_nodes
-        for pe_id, node in current.items():
-            node_load[node] += load.get(pe_id, 0.0)
-            node_count[node] += 1
-        # Only nodes whose evacuation fits the per-epoch migration cap
-        # are evictable; when none qualify the decision becomes a hold.
-        candidates = [
-            n
-            for n in range(num_nodes)
-            if node_count[n] <= config.max_migrations_per_epoch
-        ]
-        if not candidates:
-            return
-        victim = min(candidates, key=lambda n: (node_load[n], -n))
-        renumbered = plan_scale_in_placement(
-            current, num_nodes, victim, load
-        )
-        # plan_scale_in returns post-removal indices; the physical moves
-        # happen before removal, so map targets back to current indices.
-        moves = [
-            (pe_id, post if post < victim else post + 1)
-            for pe_id, post in renumbered.items()
-            if current[pe_id] == victim
-        ]
-        self.migrate_pes(moves, reason="scale_in")
-        self.remove_node(victim)
-        self.placement_book.advance(
-            renumbered, len(self.nodes), "scale_in"
-        )
-        self.plane.reoptimize(
-            self.topology.graph,
-            self.placement_book.placement,
-            self.topology.source_rates,
-            reason="elastic",
-        )
-
-    def _node_seconds(self, t0: float, t1: float) -> float:
-        """Integrate the membership step function over [t0, t1]."""
-        timeline = self._membership_timeline
-        total = 0.0
-        for i, (t, count) in enumerate(timeline):
-            seg_start = max(t, t0)
-            seg_end = timeline[i + 1][0] if i + 1 < len(timeline) else t1
-            seg_end = min(seg_end, t1)
-            if seg_end > seg_start:
-                total += (seg_end - seg_start) * count
-        return total
-
-    def _admission_loop(self) -> _t.Generator:
-        """Tick the admission front end once per control interval.
-
-        The tick interval follows the admission config when set, else
-        the plane's control ``dt`` — the same cadence every node
-        controller runs at.  The first tick lands one full interval in
-        (histograms are empty at t=0, so an immediate tick is noise).
-        """
-        assert self.admission is not None
-        interval = self.admission.config.tick_interval or self.config.dt
-        env = self.env
-        tick = self.plane.tick_admission
-        while True:
-            yield env.timeout(interval)
-            tick(env.now)
-
-    def _forecast_loop(self) -> _t.Generator:
-        """Tick the forecasting tier at its sample cadence.
-
-        The first tick lands one full interval in (rate extraction
-        needs two counter readings; an immediate tick is noise).
-        """
-        assert self.forecast is not None
-        interval = self.forecast.config.sample_interval
-        env = self.env
-        tick = self.plane.tick_forecast
-        while True:
-            yield env.timeout(interval)
-            tick(env.now)
-
-    def _proactive_reoptimize(
-        self, rates: _t.Mapping[str, float]
-    ) -> None:
-        """Forecast-triggered Tier-1 re-solve from *predicted* rates."""
-        self.plane.reoptimize(
-            self.topology.graph,
-            self.placement_book.placement,
-            rates,
-            reason="proactive",
-        )
-
-    def _proactive_scale_out(self, now: float) -> bool:
-        """Forecast-triggered scale-out, routed through the elastic
-        policy so the reactive and proactive tiers share one cooldown.
-        Returns False when no elastic tier is armed or the request was
-        vetoed (cooldown / node bounds)."""
-        policy = self.scaling_policy
-        if policy is None:
-            return False
-        if not policy.request_external(
-            "scale_out", now, len(self.nodes)
-        ):
-            return False
-        self._scale_out()
-        return True
 
     def _reoptimize_loop(self) -> _t.Generator:
         """Periodic Tier-1 refresh from measured input rates (Section V)."""
@@ -830,7 +571,7 @@ class SimulatedSystem:
             # frozen, so node-seconds is exactly duration * num_nodes.
             cpu_denominator = duration * len(self.nodes)
         else:
-            cpu_denominator = self._node_seconds(
+            cpu_denominator = self.elastic.node_seconds(
                 measure_start, self.env.now
             )
 

@@ -8,6 +8,9 @@ between runs.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 from benchmarks.conftest import experiment_scale
 from repro.experiments.admission import run_admission_matrix, write_admission_bench
@@ -153,3 +156,46 @@ def test_experiment_scale_is_stable():
     assert first.system == second.system
     assert first.duration == second.duration
     assert first.replications == second.replications
+
+
+_HASHSEED_PROBE = """
+import numpy as np
+from repro.core.policies import policy_by_name
+from repro.graph.topology import TopologySpec, generate_topology
+from repro.systems.simulated import SystemConfig, run_system
+
+topology = generate_topology(
+    TopologySpec(num_nodes=3, num_ingress=3, num_egress=6,
+                 num_intermediate=6),
+    np.random.default_rng(4),
+)
+report = run_system(
+    topology, policy_by_name("aces"), duration=1.5,
+    config=SystemConfig(seed=4, warmup=0.5),
+)
+print(repr(report.latency.mean))
+print(repr(report.weighted_throughput))
+print(repr(report.weighted_utility))
+print(list(report.egress_detail))
+"""
+
+
+def test_report_independent_of_hash_seed():
+    # Egress records are registered in graph order, not set order: the
+    # float sums over them (and egress_detail's key order) must not
+    # move with PYTHONHASHSEED from one process to the next.
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [path for path in sys.path if path]
+        )
+        outputs.append(
+            subprocess.run(
+                [sys.executable, "-c", _HASHSEED_PROBE],
+                env=env, capture_output=True, text=True, check=True,
+                timeout=120,
+            ).stdout
+        )
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 4

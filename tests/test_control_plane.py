@@ -6,9 +6,9 @@ Covers the satellite guarantees of the control-plane extraction:
   :class:`~repro.control.plane.ControlPlane` hook points and behave;
 * feedback aggregation (Eq. 8 max vs min ablation) is resolved exactly
   once, in the plane — never re-derived per tick;
-* the deprecated ``SimulatedSystem.set_gate / suspend_node /
-  resume_node`` surface forwards to the plane unchanged (the chaos
-  harness depends on it);
+* the plane's operational surface (``set_gate`` / ``suspend_node`` /
+  ``resume_node``) reaches the live control records and tick loops (the
+  chaos harness depends on it);
 * ``run_system`` / ``run_runtime`` keep their public signatures.
 """
 
@@ -181,13 +181,12 @@ class TestAdmissionHookPoint:
         assert report.total_output_sdos > 0
 
 
-class TestDeprecatedShims:
-    def test_set_gate_forwards_to_plane(self):
+class TestOperationalSurface:
+    def test_set_gate_reaches_live_record(self):
         system = build_system(AcesPolicy())
         pe_id = next(iter(system.runtimes))
         sentinel = lambda pe: False  # noqa: E731
-        system.set_gate(pe_id, sentinel)
-        assert system.plane.gates[pe_id] is sentinel
+        system.plane.set_gate(pe_id, sentinel)
         assert system.gates[pe_id] is sentinel
         # ...and into the live control record the tick loop reads.
         record = next(
@@ -197,21 +196,20 @@ class TestDeprecatedShims:
             if r.pe_id == pe_id
         )
         assert record.gate is sentinel
-        system.set_gate(pe_id, None)
+        system.plane.set_gate(pe_id, None)
         assert record.gate is None
 
-    def test_suspend_resume_forward_to_plane(self):
+    def test_suspend_resume_flip_pause_flags(self):
         system = build_system(AcesPolicy())
-        assert system._node_paused == [False] * len(system.nodes)
-        system.suspend_node(1)
+        assert system.plane.paused == [False] * len(system.nodes)
+        system.plane.suspend_node(1)
         assert system.plane.paused[1] is True
-        assert system._node_paused[1] is True
-        system.resume_node(1)
+        system.plane.resume_node(1)
         assert system.plane.paused[1] is False
 
     def test_suspended_node_skips_ticks(self):
         system = build_system(AcesPolicy())
-        system.suspend_node(0)
+        system.plane.suspend_node(0)
         system.run(0.3)
         assert system.plane.node_controllers[0].ticks == 0
         assert system.plane.node_controllers[1].ticks > 0

@@ -313,7 +313,7 @@ class TestAutoscaledRun:
         report = system.run(6.0)
         assert system.placement_book.epoch > 0
         assert system.migration_log
-        peak = max(count for _, count in system._membership_timeline)
+        peak = max(count for _, count in system.elastic.timeline)
         assert peak > 2
         assert report.total_output_sdos > 0
         violations = list(recorder.finalize())
@@ -322,7 +322,7 @@ class TestAutoscaledRun:
         # Membership timeline integration, not a frozen node count,
         # normalizes utilization.
         window = report.duration
-        assert system._node_seconds(0.5, 0.5 + window) > 2 * window
+        assert system.elastic.node_seconds(0.5, 0.5 + window) > 2 * window
 
     def test_no_sdo_is_stranded_outside_the_plane(self):
         system = armed_system()

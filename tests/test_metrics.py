@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.policies import AcesPolicy
 from repro.core.utility import LinearUtility
 from repro.graph.topology import TopologySpec, generate_topology
-from repro.metrics.collectors import EgressCollector, MetricsReport, _merge_moments
+from repro.metrics.collectors import EgressCollector, MetricsReport
 from repro.metrics.stats import (
     StreamingMoments,
     SummaryStats,
@@ -108,13 +108,6 @@ class TestStreamingMomentsMerge:
         before = other.summary()
         self.filled([2.0]).merge(other)
         assert other.summary() == before
-
-    def test_deprecated_shim_warns_and_merges(self):
-        into = self.filled([1.0])
-        with pytest.warns(DeprecationWarning):
-            _merge_moments(into, self.filled([3.0]))
-        assert into.count == 2
-        assert into.mean == pytest.approx(2.0)
 
 
 class TestEgressCollector:

@@ -349,7 +349,7 @@ class TestControlPlaneFaultsEndToEnd:
         )
         assert report.weighted_throughput > 0
         assert recorder.counts.get("fault") == 2
-        assert not any(system._node_paused)  # resumed
+        assert not any(system.plane.paused)  # resumed
 
     def test_pe_crash_loses_buffer_and_recovers(self):
         picked = {}
