@@ -42,9 +42,16 @@ import numpy as np
 from repro.check import OracleRecorder, check_conservation
 from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import policy_by_name
-from repro.experiments import figures
+from repro.experiments import (
+    admission,
+    elasticity,
+    figures,
+    forecast,
+    resilience,
+)
 from repro.experiments.calibration import calibration_spec, run_calibration
 from repro.experiments.config import calibration_experiment, main_experiment
+from repro.experiments.matrix import MatrixVerb, write_bench
 from repro.experiments.reporting import print_table
 from repro.graph.topology import Topology, TopologySpec, generate_topology
 from repro.obs.export import write_events_csv, write_gauges_csv
@@ -65,10 +72,10 @@ from repro.obs.surface import (
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
 
-def _topology_from_args(args: argparse.Namespace) -> Topology:
+def _spec_from_args(args: argparse.Namespace) -> TopologySpec:
     ingress = max(1, args.pes // 5)
     egress = max(1, args.pes // 5)
-    spec = TopologySpec(
+    return TopologySpec(
         num_nodes=args.nodes,
         num_ingress=ingress,
         num_egress=egress,
@@ -76,7 +83,12 @@ def _topology_from_args(args: argparse.Namespace) -> Topology:
         lambda_s=args.lambda_s,
         load_factor=args.load,
     )
-    return generate_topology(spec, np.random.default_rng(args.seed))
+
+
+def _topology_from_args(args: argparse.Namespace) -> Topology:
+    return generate_topology(
+        _spec_from_args(args), np.random.default_rng(args.seed)
+    )
 
 
 def _add_topology_arguments(parser: argparse.ArgumentParser) -> None:
@@ -501,287 +513,39 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.resilience import (
-        SCENARIOS,
-        run_chaos_matrix,
-        write_resilience_bench,
-    )
+#: The tier-matrix verbs, in ``--help`` order.  Each suite describes its
+#: own flags, smoke matrix, table and summary line; one handler runs them.
+MATRIX_VERBS: _t.Dict[str, MatrixVerb] = {
+    "chaos": resilience.VERB,
+    "admit": admission.VERB,
+    "elastic": elasticity.VERB,
+    "forecast": forecast.VERB,
+}
 
+
+def cmd_matrix(args: argparse.Namespace) -> int:
+    """Run one tier matrix, write its BENCH file, print table + summary."""
+    verb: MatrixVerb = args.verb
     if args.smoke:
-        spec = TopologySpec(
-            num_nodes=4, num_ingress=4, num_egress=4, num_intermediate=12,
-            lambda_s=args.lambda_s, load_factor=args.load,
-        )
-        duration, warmup = 6.0, 1.5
-        policies = ["aces"]
-    else:
-        ingress = max(1, args.pes // 5)
-        egress = max(1, args.pes // 5)
-        spec = TopologySpec(
-            num_nodes=args.nodes,
-            num_ingress=ingress,
-            num_egress=egress,
-            num_intermediate=max(0, args.pes - ingress - egress),
-            lambda_s=args.lambda_s,
-            load_factor=args.load,
-        )
-        duration, warmup = args.duration, args.warmup
-        policies = [name.strip() for name in args.policies.split(",")]
+        vars(args).update(verb.smoke)
+    if verb.topology_flags:
+        args.spec = _spec_from_args(args)
+    results = verb.run(args)
+    write_bench(results, args.output)
 
-    scenarios = (
-        [name.strip() for name in args.scenarios.split(",")]
-        if args.scenarios
-        else None
-    )
-    results = run_chaos_matrix(
-        spec,
-        policies=policies,
-        scenarios=scenarios,
-        duration=duration,
-        warmup=warmup,
-        seed=args.seed,
-        jobs=args.jobs or 1,
-        admission=args.admission,
-    )
-    write_resilience_bench(results, args.output)
-
-    rows = [
-        {
-            "scenario": cell["scenario"],
-            "policy": cell["policy"],
-            "admission": "on" if cell["admission"] else "off",
-            "retention": cell["utility_retention"],
-            "mttr": cell["mttr"],
-            "drops": cell["drops"],
-            "stale": cell["events"]["feedback_stale"],
-            "fallback": cell["events"]["tier1_fallback"],
-            "ladder": len(cell["ladder_timeline"]),
-            "error": cell["error"] or "-",
-        }
-        for cell in results["cells"]
-    ]
+    cells = results["cells"]
     print_table(
-        rows,
-        title=(
-            f"resilience matrix ({len(SCENARIOS)} scenarios available, "
-            f"{len(results['cells'])} cells run)"
-        ),
+        [{name: pick(cell) for name, pick in verb.columns} for cell in cells],
+        title=verb.title(results),
         precision=3,
     )
-    errors = [cell for cell in results["cells"] if cell["error"]]
-    unrecovered = [
-        cell for cell in results["cells"] if not cell["recovered"]
-    ]
-    print(
-        f"cells={len(results['cells'])} errors={len(errors)} "
-        f"unrecovered={len(unrecovered)} -> {args.output}"
+    stats = verb.stats(results)
+    counts = " ".join(
+        f"{label}={'-' if stats[key] is None else stats[key]}"
+        for label, key in verb.summary
     )
-    return 1 if errors else 0
-
-
-def cmd_admit(args: argparse.Namespace) -> int:
-    from repro.experiments.admission import (
-        run_admission_matrix,
-        write_admission_bench,
-    )
-
-    if args.smoke:
-        workloads = ["squarewave"]
-        lambdas: _t.List[float] = [10.0]
-        duration, warmup = 10.0, 2.0
-    else:
-        workloads = [name.strip() for name in args.workloads.split(",")]
-        lambdas = [float(value) for value in args.lambdas.split(",")]
-        duration, warmup = args.duration, args.warmup
-
-    results = run_admission_matrix(
-        workloads=workloads,
-        lambdas=lambdas,
-        duration=duration,
-        warmup=warmup,
-        seed=args.seed,
-        slo_p95=args.slo,
-    )
-    write_admission_bench(results, args.output)
-
-    rows = [
-        {
-            "workload": cell["workload"],
-            "lambda_s": cell["lambda_s"],
-            "mode": cell["mode"],
-            "worst_p95_ms": cell["worst_stream_p95"] * 1000.0,
-            "slo_met": cell["slo_met"],
-            "wutil": cell["weighted_utility"],
-            "retention": (
-                cell["utility_retention"]
-                if cell["utility_retention"] is not None
-                else "-"
-            ),
-            "shed": cell["admission_shed"],
-            "rejected": cell["admission_rejected"],
-            "trans": cell["ladder_transitions"],
-            "osc": cell["ladder_oscillations"],
-            "violations": len(cell["violations"]),
-            "error": cell["error"] or "-",
-        }
-        for cell in results["cells"]
-    ]
-    print_table(
-        rows,
-        title=(
-            f"admission burst matrix (SLO p95 <= "
-            f"{results['slo_p95'] * 1000:.0f}ms)"
-        ),
-        precision=3,
-    )
-    summary = results["summary"]
-    print(
-        f"cells={len(results['cells'])} "
-        f"plain_slo_violations={summary['plain_slo_violations']} "
-        f"held={summary['admission_cells_held']} "
-        f"oscillations={summary['total_oscillations']} "
-        f"violations={summary['total_violations']} "
-        f"errors={summary['errors']} -> {args.output}"
-    )
-    return 0 if summary["clean"] else 1
-
-
-def cmd_elastic(args: argparse.Namespace) -> int:
-    from repro.experiments.elasticity import (
-        run_elasticity_matrix,
-        write_elasticity_bench,
-    )
-
-    if args.smoke:
-        policies = ["udp"]
-        duration, warmup = 12.0, 1.0
-    else:
-        policies = [name.strip() for name in args.policies.split(",")]
-        duration, warmup = args.duration, args.warmup
-    for name in policies:
-        policy_by_name(name)  # fail fast on unknown policy names
-
-    results = run_elasticity_matrix(
-        policies=policies,
-        duration=duration,
-        warmup=warmup,
-        seed=args.seed,
-        max_nodes=args.max_nodes,
-    )
-    write_elasticity_bench(results, args.output)
-
-    rows = [
-        {
-            "policy": cell["policy"],
-            "mode": cell["mode"],
-            "wutil": cell["weighted_utility"],
-            "retention": (
-                cell["utility_retention"]
-                if cell["utility_retention"] is not None
-                else "-"
-            ),
-            "out/in": f"{cell['scale_outs']}/{cell['scale_ins']}",
-            "peak": cell["peak_nodes"],
-            "final": cell["final_nodes"],
-            "migrations": cell["migrations"],
-            "downtime_max_ms": cell["downtime_max"] * 1000.0,
-            "node_seconds": cell["node_seconds"],
-            "stranded": cell["stranded_sdos"],
-            "violations": len(cell["violations"]),
-            "error": cell["error"] or "-",
-        }
-        for cell in results["cells"]
-    ]
-    print_table(
-        rows,
-        title=(
-            f"elasticity ramp matrix (downtime bound "
-            f"{results['downtime_bound']:.1f}s)"
-        ),
-        precision=3,
-    )
-    summary = results["summary"]
-    print(
-        f"cells={len(results['cells'])} "
-        f"scale_outs={summary['total_scale_outs']} "
-        f"scale_ins={summary['total_scale_ins']} "
-        f"migrations={summary['total_migrations']} "
-        f"stranded={summary['total_stranded_sdos']} "
-        f"violations={summary['total_violations']} "
-        f"errors={summary['errors']} -> {args.output}"
-    )
-    return 0 if summary["clean"] else 1
-
-
-def cmd_forecast(args: argparse.Namespace) -> int:
-    from repro.experiments.forecast import (
-        SCENARIOS,
-        run_forecast_matrix,
-        write_forecast_bench,
-    )
-
-    if args.smoke:
-        scenarios = ["flashcrowd"]
-        duration, warmup = 12.0, 1.0
-    else:
-        scenarios = (
-            [name.strip() for name in args.scenarios.split(",")]
-            if args.scenarios
-            else list(SCENARIOS)
-        )
-        duration, warmup = args.duration, args.warmup
-    for name in scenarios:  # fail fast on unknown scenario names
-        if name not in SCENARIOS:
-            raise ValueError(
-                f"unknown scenario {name!r} (library: {', '.join(SCENARIOS)})"
-            )
-
-    results = run_forecast_matrix(
-        scenarios=scenarios,
-        duration=duration,
-        warmup=warmup,
-        seed=args.seed,
-        max_nodes=args.max_nodes,
-    )
-    write_forecast_bench(results, args.output)
-
-    rows = [
-        {
-            "scenario": cell["scenario"],
-            "mode": cell["mode"],
-            "wutil": cell["weighted_utility"],
-            "retention": (
-                cell["utility_retention"]
-                if cell["utility_retention"] is not None
-                else "-"
-            ),
-            "triggers": cell["forecast_triggers"],
-            "mae": cell["forecast_mae"],
-            "out/in": f"{cell['scale_outs']}/{cell['scale_ins']}",
-            "peak": cell["peak_nodes"],
-            "drops": cell["buffer_drops"],
-            "violations": len(cell["violations"]),
-            "error": cell["error"] or "-",
-        }
-        for cell in results["cells"]
-    ]
-    print_table(
-        rows,
-        title="forecast matrix (reactive vs proactive control)",
-        precision=3,
-    )
-    summary = results["summary"]
-    retention = summary["utility_retention_min"]
-    print(
-        f"cells={len(results['cells'])} "
-        f"triggers={summary['total_triggers']} "
-        f"retention_min="
-        f"{retention if retention is not None else '-'} "
-        f"violations={summary['total_violations']} "
-        f"errors={summary['errors']} -> {args.output}"
-    )
-    return 0 if summary["clean"] else 1
+    print(f"cells={len(cells)} {counts} -> {args.output}")
+    return 0 if stats["clean"] else 1
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -1027,171 +791,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.set_defaults(handler=cmd_figure)
 
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="resilience fault matrix (MTTR, utility retention, drops)",
-        description=(
-            "Inject each fault scenario (data-plane and control-plane) "
-            "into a mid-run window for every requested policy, measure "
-            "utility retention during the fault and MTTR afterwards, and "
-            "write the matrix to a JSON benchmark file."
-        ),
-    )
-    _add_topology_arguments(chaos)
-    chaos.add_argument(
-        "--policies", default="aces,udp,lockstep",
-        help="comma-separated policy names",
-    )
-    chaos.add_argument(
-        "--scenarios", default=None,
-        help="comma-separated scenario names (default: all)",
-    )
-    chaos.add_argument(
-        "--duration", type=float, default=10.0, help="measured seconds"
-    )
-    chaos.add_argument(
-        "--warmup", type=float, default=2.0, help="warm-up seconds"
-    )
-    chaos.add_argument(
-        "--output", default="BENCH_resilience.json", metavar="PATH",
-        help="benchmark JSON output file",
-    )
-    chaos.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="fan matrix cells across N worker processes",
-    )
-    chaos.add_argument(
-        "--smoke", action="store_true",
-        help="reduced CI matrix: small topology, short run, ACES only",
-    )
-    chaos.add_argument(
-        "--admission", action="store_true",
-        help=(
-            "double the matrix: run every cell plain AND with the "
-            "SLO-aware admission front end armed (admission cells carry "
-            "the degradation-ladder timeline)"
-        ),
-    )
-    chaos.set_defaults(handler=cmd_chaos)
-
-    admit = subparsers.add_parser(
-        "admit",
-        help="admission burst matrix (plain ACES vs ACES + admission)",
-        description=(
-            "Run burst workloads (square-wave and flash-crowd sources) at "
-            "several Fig. 5 burstiness scales, plain and with the "
-            "SLO-aware admission front end armed, with strict invariant "
-            "oracles watching every cell, and write the matrix to a JSON "
-            "benchmark file.  Exits nonzero on any SLO defense failure, "
-            "ladder oscillation, or invariant violation."
-        ),
-    )
-    admit.add_argument(
-        "--workloads", default="squarewave,flashcrowd",
-        help="comma-separated burst workload kinds",
-    )
-    admit.add_argument(
-        "--lambdas", default="5,10,25",
-        help="comma-separated lambda_s burstiness scales",
-    )
-    admit.add_argument(
-        "--duration", type=float, default=15.0, help="measured seconds"
-    )
-    admit.add_argument(
-        "--warmup", type=float, default=2.0, help="warm-up seconds"
-    )
-    admit.add_argument(
-        "--slo", type=float, default=2.5, metavar="SECONDS",
-        help="end-to-end p95 SLO the front end defends (default 2.5)",
-    )
-    admit.add_argument("--seed", type=int, default=0, help="matrix seed")
-    admit.add_argument(
-        "--output", default="BENCH_admission.json", metavar="PATH",
-        help="benchmark JSON output file",
-    )
-    admit.add_argument(
-        "--smoke", action="store_true",
-        help="reduced CI matrix: one workload, one lambda_s, short run",
-    )
-    admit.set_defaults(handler=cmd_admit)
-
-    elastic = subparsers.add_parser(
-        "elastic",
-        help="elasticity ramp matrix (static vs autoscaled cluster)",
-        description=(
-            "Run flash-crowd scale-out/in ramps per policy, with the "
-            "cluster membership frozen (static) and with the Tier-3 "
-            "elastic tier armed (autoscaling + live PE migration), strict "
-            "invariant oracles watching every cell, and write the matrix "
-            "to a JSON benchmark file.  Exits nonzero if any elastic cell "
-            "fails to scale, exceeds the migration downtime bound, "
-            "strands SDOs, or violates an invariant."
-        ),
-    )
-    elastic.add_argument(
-        "--policies", default="aces,udp",
-        help="comma-separated policy names (default aces,udp)",
-    )
-    elastic.add_argument(
-        "--duration", type=float, default=18.0, help="measured seconds"
-    )
-    elastic.add_argument(
-        "--warmup", type=float, default=1.0, help="warm-up seconds"
-    )
-    elastic.add_argument(
-        "--max-nodes", dest="max_nodes", type=int, default=5,
-        help="autoscaler node ceiling (default 5)",
-    )
-    elastic.add_argument("--seed", type=int, default=0, help="matrix seed")
-    elastic.add_argument(
-        "--output", default="BENCH_elasticity.json", metavar="PATH",
-        help="benchmark JSON output file",
-    )
-    elastic.add_argument(
-        "--smoke", action="store_true",
-        help="reduced CI matrix: UDP only, short run",
-    )
-    elastic.set_defaults(handler=cmd_elastic)
-
-    forecast = subparsers.add_parser(
-        "forecast",
-        help="forecasting matrix (reactive vs proactive control)",
-        description=(
-            "Run every scenario-library workload twice — purely reactive "
-            "(elastic tier only) and proactive (the forecasting tier "
-            "additionally armed: Holt-Winters rate forecasts triggering "
-            "Tier-1 re-solves and early scale-out ahead of predicted "
-            "load shifts) — with strict invariant oracles watching every "
-            "cell, and write the matrix to a JSON benchmark file.  Exits "
-            "nonzero if any proactive cell loses utility against its "
-            "reactive twin, no cell triggers, or an invariant is "
-            "violated."
-        ),
-    )
-    forecast.add_argument(
-        "--scenarios", default="",
-        help="comma-separated scenario names (default: the full library)",
-    )
-    forecast.add_argument(
-        "--duration", type=float, default=16.0, help="measured seconds"
-    )
-    forecast.add_argument(
-        "--warmup", type=float, default=1.0, help="warm-up seconds"
-    )
-    forecast.add_argument(
-        "--max-nodes", dest="max_nodes", type=int, default=5,
-        help="autoscaler node ceiling (default 5)",
-    )
-    forecast.add_argument("--seed", type=int, default=0, help="matrix seed")
-    forecast.add_argument(
-        "--output", default="BENCH_forecast.json", metavar="PATH",
-        help="benchmark JSON output file",
-    )
-    forecast.add_argument(
-        "--smoke", action="store_true",
-        help="reduced CI matrix: flash-crowd scenario only, short run",
-    )
-    forecast.set_defaults(handler=cmd_forecast)
+    for name, verb in MATRIX_VERBS.items():
+        matrix = subparsers.add_parser(
+            name, help=verb.help, description=verb.description
+        )
+        if verb.topology_flags:
+            _add_topology_arguments(matrix)
+        for flag, options in verb.flags:
+            matrix.add_argument(flag, **options)
+        matrix.set_defaults(handler=cmd_matrix, verb=verb)
 
     calibrate = subparsers.add_parser(
         "calibrate", help="simulator vs threaded runtime"

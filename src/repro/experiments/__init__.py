@@ -10,6 +10,8 @@
   returning the table of numbers behind it;
 * :mod:`repro.experiments.calibration` — the SPC-runtime-vs-simulator
   calibration experiment (Section VI-C);
+* :mod:`repro.experiments.matrix` — the one harness behind the tier
+  matrices: observed cells, baseline-vs-armed twins, the BENCH writer;
 * :mod:`repro.experiments.resilience` — the chaos/fault matrix measuring
   utility retention, MTTR, and drops under injected faults;
 * :mod:`repro.experiments.admission` — the burst matrix comparing plain
@@ -17,16 +19,9 @@
 * :mod:`repro.experiments.reporting` — plain-text rendering of results.
 """
 
-from repro.experiments.admission import (
-    run_admission_matrix,
-    write_admission_bench,
-)
+from repro.experiments.admission import run_admission_matrix
 from repro.experiments.calibration import run_calibration
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.resilience import (
-    run_chaos_matrix,
-    write_resilience_bench,
-)
 from repro.experiments.figures import (
     buffer_sweep,
     figure3_latency,
@@ -34,6 +29,8 @@ from repro.experiments.figures import (
     figure5_burstiness,
     robustness,
 )
+from repro.experiments.matrix import write_bench
+from repro.experiments.resilience import run_chaos_matrix
 from repro.experiments.runner import CellResult, run_cell
 from repro.experiments.sweeps import sweep
 
@@ -50,6 +47,5 @@ __all__ = [
     "run_cell",
     "run_chaos_matrix",
     "sweep",
-    "write_admission_bench",
-    "write_resilience_bench",
+    "write_bench",
 ]

@@ -18,26 +18,33 @@ and measures:
 * **violations** — online oracle findings plus the closed conservation
   ledger (must be empty in every cell).
 
-The matrix is written to ``BENCH_admission.json`` by ``repro admit``
-(see :func:`write_admission_bench`); ``--smoke`` runs a reduced matrix
-sized for CI.  The headline acceptance check is
-:func:`summarize_matrix`: in every cell where plain ACES violates the
-SLO, ACES + admission must hold it.
+The matrix is written to ``BENCH_admission.json`` by ``repro admit``;
+``--smoke`` runs a reduced matrix sized for CI.  The headline acceptance
+check: in every cell where plain ACES violates the SLO, ACES + admission
+must hold it.  Pairing, the shared cell fields and the file envelope
+live in :mod:`repro.experiments.matrix`.
 """
 
 from __future__ import annotations
 
-import json
 import typing as _t
-from dataclasses import asdict, dataclass
+from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 
-from repro.check import OracleRecorder, check_conservation
 from repro.control.admission import AdmissionConfig
 from repro.core.policies import policy_by_name
-from repro.graph.topology import TopologySpec, generate_topology, paper_calibration_spec
-from repro.systems.simulated import SimulatedSystem, SystemConfig
+from repro.experiments import matrix
+from repro.graph.topology import (
+    TopologySpec,
+    generate_topology,
+    paper_calibration_spec,
+)
+from repro.systems.simulated import SystemConfig
+
+#: The (baseline, armed) twin every (workload, lambda_s) key runs as.
+MODES = ("plain", "admission")
 
 #: Burst workloads of the matrix (both defined in repro.model.workload).
 DEFAULT_WORKLOADS: _t.Tuple[str, ...] = ("squarewave", "flashcrowd")
@@ -72,181 +79,74 @@ def bench_admission_config(slo_p95: float = DEFAULT_SLO_P95) -> AdmissionConfig:
     )
 
 
-@dataclass
-class AdmissionCellResult:
-    """Outcome of one (workload, lambda_s, mode) cell."""
-
-    workload: str
-    lambda_s: float
-    mode: str  # "plain" | "admission"
-    slo_p95: float
-    worst_stream_p95: float
-    slo_met: bool
-    stream_p95: _t.Dict[str, float]
-    stream_p99: _t.Dict[str, float]
-    weighted_throughput: float
-    weighted_utility: float
-    total_output: int
-    buffer_drops: int
-    source_rejections: int
-    drops_by_kind: _t.Dict[str, int]
-    admission_shed: int
-    admission_rejected: int
-    ladder_transitions: int
-    ladder_oscillations: int
-    final_level: _t.Optional[str]
-    violations: _t.List[_t.Dict[str, object]]
-    #: Filled at the matrix level for admission cells: weighted utility
-    #: relative to the plain twin cell.
-    utility_retention: _t.Optional[float] = None
-    error: _t.Optional[str] = None
-
-
 def run_admission_cell(
     spec: TopologySpec,
     workload: str,
     lambda_s: float,
     mode: str,
-    duration: float = 15.0,
-    warmup: float = 2.0,
-    seed: int = 0,
-    slo_p95: float = DEFAULT_SLO_P95,
-) -> AdmissionCellResult:
-    """Run one burst cell with strict oracles armed and the ledger closed.
-
-    ``mode`` is ``"plain"`` (no front end) or ``"admission"`` (the tuned
-    :func:`bench_admission_config` armed).  The topology is regenerated
-    per cell from ``spec`` with ``lambda_s`` overridden, so cells are
-    independent and fully seeded.
-    """
-    if mode not in ("plain", "admission"):
-        raise ValueError(f"mode must be 'plain' or 'admission', got {mode!r}")
-    spec.lambda_s = lambda_s
-    topology = generate_topology(spec, np.random.default_rng(seed))
-    admission = bench_admission_config(slo_p95) if mode == "admission" else None
-    recorder = OracleRecorder(strict=True)
-    system = SimulatedSystem(
+    duration: float,
+    warmup: float,
+    seed: int,
+    slo_p95: float,
+) -> matrix.Cell:
+    """One burst cell.  The topology is regenerated per cell from
+    ``spec`` with ``lambda_s`` overridden (the caller's spec is left
+    alone), so cells are independent and fully seeded."""
+    topology = generate_topology(
+        replace(spec, lambda_s=lambda_s), np.random.default_rng(seed)
+    )
+    run = matrix.run_observed(
         topology,
         policy_by_name("aces"),
-        config=SystemConfig(
+        SystemConfig(
             seed=seed + 1,
             warmup=warmup,
             source_kind=workload,
-            admission=admission,
+            admission=(
+                bench_admission_config(slo_p95) if mode == "admission" else None
+            ),
         ),
-        recorder=recorder,
+        duration,
     )
-    recorder.attach_plane(system.plane)
-
-    error: _t.Optional[str] = None
-    try:
-        report = system.run(duration)
-    except Exception as exc:  # noqa: BLE001 — a cell must never kill the matrix
-        error = f"{type(exc).__name__}: {exc}"
-        report = None
-
-    violations = list(recorder.finalize())
-    violations.extend(check_conservation(system))
-
-    percentiles = system.collector.stream_percentiles()
-    worst = max(
-        (row["p95"] for row in percentiles.values()), default=0.0
-    )
-    controller = system.admission
-    return AdmissionCellResult(
+    percentiles = sorted(run.system.collector.stream_percentiles().items())
+    worst = max((row["p95"] for _, row in percentiles), default=0.0)
+    controller = run.system.admission
+    return run.cell(
         workload=workload,
         lambda_s=lambda_s,
         mode=mode,
         slo_p95=slo_p95,
         worst_stream_p95=worst,
         slo_met=worst <= slo_p95,
-        stream_p95={
-            pe_id: round(row["p95"], 6)
-            for pe_id, row in sorted(percentiles.items())
-        },
-        stream_p99={
-            pe_id: round(row["p99"], 6)
-            for pe_id, row in sorted(percentiles.items())
-        },
-        weighted_throughput=(
-            report.weighted_throughput if report is not None else 0.0
-        ),
-        weighted_utility=(
-            report.weighted_utility if report is not None else 0.0
-        ),
-        total_output=report.total_output_sdos if report is not None else 0,
-        buffer_drops=report.buffer_drops if report is not None else 0,
-        source_rejections=(
-            report.source_rejections if report is not None else 0
-        ),
-        drops_by_kind=dict(report.drops_by_kind) if report is not None else {},
+        stream_p95={pe: round(row["p95"], 6) for pe, row in percentiles},
+        stream_p99={pe: round(row["p99"], 6) for pe, row in percentiles},
+        source_rejections=run.reported("source_rejections", 0),
+        drops_by_kind=dict(run.reported("drops_by_kind", {})),
         admission_shed=controller.total_shed if controller else 0,
         admission_rejected=controller.total_rejected if controller else 0,
-        ladder_transitions=(
-            controller.ladder.transitions if controller else 0
-        ),
+        ladder_transitions=controller.ladder.transitions if controller else 0,
         ladder_oscillations=(
             controller.ladder.oscillations if controller else 0
         ),
-        final_level=(
-            controller.effective_level.name if controller else None
-        ),
-        violations=[violation.as_dict() for violation in violations],
-        error=error,
+        final_level=controller.effective_level.name if controller else None,
     )
 
 
-def summarize_matrix(
-    cells: _t.Sequence[AdmissionCellResult],
-) -> _t.Dict[str, _t.Any]:
-    """The headline acceptance summary of one matrix.
-
-    ``slo_defended`` is True when, in every (workload, lambda_s) pair
-    where the plain cell violates the SLO, the admission cell holds it.
-    ``clean`` additionally requires zero oracle/conservation violations,
-    zero ladder oscillations, and zero cell errors anywhere.
-    """
-    plain = {
-        (cell.workload, cell.lambda_s): cell
-        for cell in cells
-        if cell.mode == "plain"
-    }
-    defended = True
-    plain_violations = 0
-    held = 0
-    for cell in cells:
-        if cell.mode != "admission":
-            continue
-        twin = plain.get((cell.workload, cell.lambda_s))
-        if twin is None:
-            continue
-        if twin.weighted_utility > 0:
-            cell.utility_retention = (
-                cell.weighted_utility / twin.weighted_utility
-            )
-        if not twin.slo_met:
-            plain_violations += 1
-            if cell.slo_met:
-                held += 1
-            else:
-                defended = False
-    oscillations = sum(cell.ladder_oscillations for cell in cells)
-    violations = sum(len(cell.violations) for cell in cells)
-    errors = sum(1 for cell in cells if cell.error is not None)
-    return {
-        "slo_defended": defended,
-        "plain_slo_violations": plain_violations,
+def _verdict(pairs: matrix.Pairs) -> matrix.Verdict:
+    """``slo_defended``: wherever the plain cell violates the SLO, its
+    admission twin holds it.  The ladder must also never oscillate."""
+    breached = [armed for plain, armed in pairs if not plain["slo_met"]]
+    held = sum(1 for armed in breached if armed["slo_met"])
+    oscillations = sum(
+        cell["ladder_oscillations"] for pair in pairs for cell in pair
+    )
+    terms = {
+        "slo_defended": held == len(breached),
+        "plain_slo_violations": len(breached),
         "admission_cells_held": held,
         "total_oscillations": oscillations,
-        "total_violations": violations,
-        "errors": errors,
-        "clean": (
-            defended
-            and oscillations == 0
-            and violations == 0
-            and errors == 0
-        ),
     }
+    return terms, held == len(breached) and oscillations == 0
 
 
 def run_admission_matrix(
@@ -257,63 +157,97 @@ def run_admission_matrix(
     seed: int = 0,
     slo_p95: float = DEFAULT_SLO_P95,
     spec: _t.Optional[TopologySpec] = None,
-) -> _t.Dict[str, _t.Any]:
+) -> matrix.Results:
     """Run the (workload x lambda_s x {plain, admission}) burst matrix."""
-    if not workloads or not lambdas:
-        raise ValueError("at least one workload and one lambda_s required")
-    cells: _t.List[AdmissionCellResult] = []
-    for workload in workloads:
-        for lambda_s in lambdas:
-            for mode in ("plain", "admission"):
-                cells.append(
-                    run_admission_cell(
-                        spec if spec is not None else paper_calibration_spec(),
-                        workload,
-                        float(lambda_s),
-                        mode,
-                        duration=duration,
-                        warmup=warmup,
-                        seed=seed,
-                        slo_p95=slo_p95,
-                    )
-                )
-    summary = summarize_matrix(cells)
-    config = bench_admission_config(slo_p95)
-    return {
-        "suite": "admission",
-        "seed": seed,
-        "duration": duration,
-        "warmup": warmup,
-        "slo_p95": slo_p95,
-        "workloads": list(workloads),
-        "lambdas": [float(value) for value in lambdas],
-        "admission_config": {
-            "queue_slo_fraction": config.queue_slo_fraction,
-            "pressure_window": config.pressure_window,
-            "min_dwell": config.min_dwell,
-            "enter": list(config.enter),
-            "exit": list(config.exit),
-            "shed_low_fraction": config.shed_low_fraction,
-            "shed_high_fraction": config.shed_high_fraction,
-            "retry_after": config.retry_after,
+    base = spec if spec is not None else paper_calibration_spec()
+    lambdas = [float(value) for value in lambdas]
+    return matrix.run_twin_matrix(
+        "admission",
+        MODES,
+        [(workload, value) for workload in workloads for value in lambdas],
+        lambda key, mode: run_admission_cell(
+            base, *key, mode, duration, warmup, seed, slo_p95
+        ),
+        _verdict,
+        {
+            "slo_p95": slo_p95,
+            "workloads": list(workloads),
+            "lambdas": lambdas,
+            "admission_config": matrix.config_block(
+                bench_admission_config(slo_p95),
+                "queue_slo_fraction", "pressure_window", "min_dwell",
+                "enter", "exit", "shed_low_fraction", "shed_high_fraction",
+                "retry_after",
+            ),
         },
-        "summary": summary,
-        "cells": [asdict(cell) for cell in cells],
-    }
+        duration,
+        warmup,
+        seed,
+    )
 
 
-def write_admission_bench(results: _t.Dict[str, _t.Any], path: str) -> None:
-    """Write the matrix to disk (non-finite floats serialize as null)."""
-
-    def _clean(value: _t.Any) -> _t.Any:
-        if isinstance(value, float) and not np.isfinite(value):
-            return None
-        if isinstance(value, dict):
-            return {key: _clean(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [_clean(item) for item in value]
-        return value
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_clean(results), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+VERB = matrix.MatrixVerb(
+    help="admission burst matrix (plain ACES vs ACES + admission)",
+    description=(
+        "Run burst workloads (square-wave and flash-crowd sources) at "
+        "several Fig. 5 burstiness scales, plain and with the "
+        "SLO-aware admission front end armed, with strict invariant "
+        "oracles watching every cell, and write the matrix to a JSON "
+        "benchmark file.  Exits nonzero on any SLO defense failure, "
+        "ladder oscillation, or invariant violation."
+    ),
+    flags=(
+        matrix.flag(
+            "--workloads", "comma-separated burst workload kinds",
+            default=",".join(DEFAULT_WORKLOADS),
+        ),
+        matrix.flag(
+            "--lambdas", "comma-separated lambda_s burstiness scales",
+            default="5,10,25",
+        ),
+        *matrix.window_flags(15.0, 2.0),
+        matrix.flag(
+            "--slo", "end-to-end p95 SLO the front end defends (default 2.5)",
+            type=float, default=DEFAULT_SLO_P95, metavar="SECONDS",
+        ),
+        matrix.SEED_FLAG,
+        matrix.output_flag("BENCH_admission.json"),
+        matrix.smoke_flag(
+            "reduced CI matrix: one workload, one lambda_s, short run"
+        ),
+    ),
+    smoke=dict(workloads="squarewave", lambdas="10", duration=10.0, warmup=2.0),
+    run=lambda args: run_admission_matrix(
+        workloads=matrix.csv(args.workloads),
+        lambdas=[float(value) for value in matrix.csv(args.lambdas)],
+        duration=args.duration,
+        warmup=args.warmup,
+        seed=args.seed,
+        slo_p95=args.slo,
+    ),
+    title=lambda results: (
+        f"admission burst matrix (SLO p95 <= {results['slo_p95'] * 1000:.0f}ms)"
+    ),
+    columns=(
+        ("workload", itemgetter("workload")),
+        ("lambda_s", itemgetter("lambda_s")),
+        ("mode", itemgetter("mode")),
+        ("worst_p95_ms", matrix.in_ms("worst_stream_p95")),
+        ("slo_met", itemgetter("slo_met")),
+        ("wutil", itemgetter("weighted_utility")),
+        matrix.RETENTION,
+        ("shed", itemgetter("admission_shed")),
+        ("rejected", itemgetter("admission_rejected")),
+        ("trans", itemgetter("ladder_transitions")),
+        ("osc", itemgetter("ladder_oscillations")),
+        matrix.VIOLATIONS,
+        matrix.ERROR,
+    ),
+    summary=(
+        ("plain_slo_violations", "plain_slo_violations"),
+        ("held", "admission_cells_held"),
+        ("oscillations", "total_oscillations"),
+        ("violations", "total_violations"),
+        ("errors", "errors"),
+    ),
+)

@@ -20,24 +20,26 @@ measures:
 * **violations** — online oracle findings plus the closed conservation
   ledger (must be empty in every cell).
 
-The matrix is written to ``BENCH_elasticity.json`` by ``repro elastic``
-(see :func:`write_elasticity_bench`); ``--smoke`` runs a reduced matrix
-sized for CI.  The headline acceptance check is :func:`summarize_cells`.
+The matrix is written to ``BENCH_elasticity.json`` by ``repro elastic``;
+``--smoke`` runs a reduced matrix sized for CI.  Pairing, the shared
+cell fields and the file envelope live in :mod:`repro.experiments.matrix`.
 """
 
 from __future__ import annotations
 
-import json
 import typing as _t
-from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from repro.check import OracleRecorder, check_conservation
 from repro.control.elastic import ElasticityConfig
 from repro.core.policies import policy_by_name
+from repro.experiments import matrix
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.systems.simulated import SimulatedSystem, SystemConfig
+
+#: The (baseline, armed) twin every policy runs as.
+MODES = ("static", "elastic")
 
 #: Policies the matrix exercises by default.  UDP drains buffers toward
 #: empty off-peak (exercising the scale-in edge); ACES pins occupancy at
@@ -104,53 +106,32 @@ def bench_spec(load_factor: float = 1.0) -> TopologySpec:
     )
 
 
-@dataclass
-class ElasticityCellResult:
-    """Outcome of one (policy, mode) ramp cell."""
-
-    policy: str
-    mode: str  # "static" | "elastic"
-    weighted_throughput: float
-    weighted_utility: float
-    total_output: int
-    buffer_drops: int
-    cpu_utilization: float
-    #: Final placement-book epoch (0 for static cells).
-    epochs: int
-    migrations: int
-    #: Max / mean observed migration downtime in seconds over the
-    #: migrations whose PE consumed again before the run ended.
-    downtime_max: float
-    downtime_mean: float
-    downtime_bounded: bool
-    scale_outs: int
-    scale_ins: int
-    peak_nodes: int
-    final_nodes: int
-    #: Integrated node-seconds over the measured window (the elastic
-    #: cell's capacity bill; static cells pay num_nodes * duration).
-    node_seconds: float
-    #: Occupancy resident in PEs outside every control-plane group
-    #: (structurally zero; a nonzero value means the buffer handoff or
-    #: the removal interlock broke).
-    stranded_sdos: int
-    violations: _t.List[_t.Dict[str, object]]
-    #: Filled at the matrix level for elastic cells: weighted utility
-    #: relative to the static twin.
-    utility_retention: _t.Optional[float] = None
-    error: _t.Optional[str] = None
+def scaling_fields(system: SimulatedSystem) -> matrix.Cell:
+    """How much the membership moved: the fields every suite that arms
+    the elastic tier reports."""
+    policy = system.scaling_policy
+    decisions = [
+        record.decision
+        for record in (policy.decisions if policy is not None else [])
+    ]
+    return {
+        "scale_outs": decisions.count("scale_out"),
+        "scale_ins": decisions.count("scale_in"),
+        "migrations": len(system.migration_log),
+        "peak_nodes": max(count for _, count in system.elastic.timeline),
+        "final_nodes": len(system.nodes),
+    }
 
 
 def run_elasticity_cell(
     policy_name: str,
     mode: str,
-    duration: float = 18.0,
-    warmup: float = 1.0,
-    seed: int = 0,
-    spec: _t.Optional[TopologySpec] = None,
-    max_nodes: int = 5,
-) -> ElasticityCellResult:
-    """Run one ramp cell with strict oracles armed and the ledger closed.
+    duration: float,
+    warmup: float,
+    seed: int,
+    max_nodes: int,
+) -> matrix.Cell:
+    """One ramp cell.
 
     The flash-crowd surge occupies the second quarter of the measured
     window: rates ramp up at ``warmup + duration/4`` (the scale-out
@@ -158,19 +139,12 @@ def run_elasticity_cell(
     half the window as the quiet tail where the slack signal can call
     capacity back in.
     """
-    if mode not in ("static", "elastic"):
-        raise ValueError(f"mode must be 'static' or 'elastic', got {mode!r}")
     load_factor, surge_factor = WORKLOAD_PROFILES.get(
         policy_name, DEFAULT_PROFILE
     )
     topology = generate_topology(
-        spec if spec is not None else bench_spec(load_factor),
-        np.random.default_rng(seed),
+        bench_spec(load_factor), np.random.default_rng(seed)
     )
-    elasticity = (
-        bench_elasticity_config(max_nodes) if mode == "elastic" else None
-    )
-    recorder = OracleRecorder(strict=True)
     config = SystemConfig(
         dt=0.02,
         seed=seed + 1,
@@ -179,135 +153,72 @@ def run_elasticity_cell(
         source_surge_start=round(warmup + duration / 4.0, 3),
         source_surge_duration=round(duration / 4.0, 3),
         source_surge_factor=surge_factor,
-        elasticity=elasticity,
+        elasticity=(
+            bench_elasticity_config(max_nodes) if mode == "elastic" else None
+        ),
     )
-    system = SimulatedSystem(
-        topology, policy_by_name(policy_name), config=config,
-        recorder=recorder,
+    run = matrix.run_observed(
+        topology, policy_by_name(policy_name), config, duration
     )
-    recorder.attach_plane(system.plane)
-
-    error: _t.Optional[str] = None
-    try:
-        report = system.run(duration)
-    except Exception as exc:  # noqa: BLE001 — a cell must never kill the matrix
-        error = f"{type(exc).__name__}: {exc}"
-        report = None
-
-    violations = list(recorder.finalize())
-    violations.extend(check_conservation(system))
-
+    system = run.system
     grouped = {
         pe.pe_id for group in system.plane.groups for pe in group.pes
     }
-    stranded = sum(
-        runtime.buffer.occupancy
-        for pe_id, runtime in system.runtimes.items()
-        if pe_id not in grouped
-    )
     downtimes = [
         record.downtime
         for record in system.migration_log
         if record.downtime is not None
     ]
-    decisions = (
-        system.scaling_policy.decisions
-        if system.scaling_policy is not None
-        else []
-    )
-    timeline = system.elastic.timeline
-    window = duration if report is not None else 0.0
-    return ElasticityCellResult(
+    window = duration if run.report is not None else 0.0
+    return run.cell(
         policy=policy_name,
         mode=mode,
-        weighted_throughput=(
-            report.weighted_throughput if report is not None else 0.0
-        ),
-        weighted_utility=(
-            report.weighted_utility if report is not None else 0.0
-        ),
-        total_output=report.total_output_sdos if report is not None else 0,
-        buffer_drops=report.buffer_drops if report is not None else 0,
-        cpu_utilization=(
-            report.cpu_utilization if report is not None else 0.0
-        ),
+        cpu_utilization=run.reported("cpu_utilization", 0.0),
+        # Final placement-book epoch (0 for static cells).
         epochs=system.placement_book.epoch,
-        migrations=len(system.migration_log),
+        # Max / mean observed migration downtime in seconds over the
+        # migrations whose PE consumed again before the run ended.
         downtime_max=max(downtimes, default=0.0),
-        downtime_mean=(
-            sum(downtimes) / len(downtimes) if downtimes else 0.0
-        ),
+        downtime_mean=sum(downtimes) / len(downtimes) if downtimes else 0.0,
         downtime_bounded=max(downtimes, default=0.0) <= DOWNTIME_BOUND,
-        scale_outs=sum(
-            1 for record in decisions if record.decision == "scale_out"
-        ),
-        scale_ins=sum(
-            1 for record in decisions if record.decision == "scale_in"
-        ),
-        peak_nodes=max(count for _, count in timeline),
-        final_nodes=len(system.nodes),
+        # Integrated node-seconds over the measured window (the elastic
+        # cell's capacity bill; static cells pay num_nodes * duration).
         node_seconds=round(
             system.elastic.node_seconds(warmup, warmup + window), 6
         ),
-        stranded_sdos=stranded,
-        violations=[violation.as_dict() for violation in violations],
-        error=error,
+        # Occupancy resident in PEs outside every control-plane group
+        # (structurally zero; a nonzero value means the buffer handoff
+        # or the removal interlock broke).
+        stranded_sdos=sum(
+            runtime.buffer.occupancy
+            for pe_id, runtime in system.runtimes.items()
+            if pe_id not in grouped
+        ),
+        **scaling_fields(system),
     )
 
 
-def summarize_cells(
-    cells: _t.Sequence[ElasticityCellResult],
-) -> _t.Dict[str, _t.Any]:
-    """The headline acceptance summary of one matrix.
-
-    ``clean`` requires: zero oracle/conservation violations, zero
-    stranded SDOs, zero cell errors, every elastic cell's migrations
-    within the downtime bound, and every elastic cell actually scaling
-    (a ramp that never fires the policy is a configuration bug, not a
-    pass).
-    """
-    static = {cell.policy: cell for cell in cells if cell.mode == "static"}
-    scaled = True
-    retention_floor: _t.Optional[float] = None
-    for cell in cells:
-        if cell.mode != "elastic":
-            continue
-        twin = static.get(cell.policy)
-        if twin is not None and twin.weighted_utility > 0:
-            cell.utility_retention = (
-                cell.weighted_utility / twin.weighted_utility
-            )
-            retention_floor = (
-                cell.utility_retention
-                if retention_floor is None
-                else min(retention_floor, cell.utility_retention)
-            )
-        if cell.scale_outs == 0 or cell.migrations == 0:
-            scaled = False
-    violations = sum(len(cell.violations) for cell in cells)
-    stranded = sum(cell.stranded_sdos for cell in cells)
-    errors = sum(1 for cell in cells if cell.error is not None)
-    bounded = all(
-        cell.downtime_bounded for cell in cells if cell.mode == "elastic"
+def _verdict(pairs: matrix.Pairs) -> matrix.Verdict:
+    """Every elastic cell actually scales (a ramp that never fires the
+    policy is a configuration bug, not a pass) with every migration
+    inside the downtime bound, and nothing is stranded anywhere."""
+    cells = [cell for pair in pairs for cell in pair]
+    scaled = all(
+        armed["scale_outs"] > 0 and armed["migrations"] > 0
+        for _, armed in pairs
     )
-    return {
+    bounded = all(armed["downtime_bounded"] for _, armed in pairs)
+    stranded = sum(cell["stranded_sdos"] for cell in cells)
+    terms = {
         "elastic_cells_scaled": scaled,
         "downtime_bounded": bounded,
-        "utility_retention_min": retention_floor,
-        "total_scale_outs": sum(cell.scale_outs for cell in cells),
-        "total_scale_ins": sum(cell.scale_ins for cell in cells),
-        "total_migrations": sum(cell.migrations for cell in cells),
-        "total_violations": violations,
+        "utility_retention_min": matrix.retention_min(pairs),
+        "total_scale_outs": sum(cell["scale_outs"] for cell in cells),
+        "total_scale_ins": sum(cell["scale_ins"] for cell in cells),
+        "total_migrations": sum(cell["migrations"] for cell in cells),
         "total_stranded_sdos": stranded,
-        "errors": errors,
-        "clean": (
-            scaled
-            and bounded
-            and violations == 0
-            and stranded == 0
-            and errors == 0
-        ),
     }
+    return terms, scaled and bounded and stranded == 0
 
 
 def run_elasticity_matrix(
@@ -315,67 +226,94 @@ def run_elasticity_matrix(
     duration: float = 18.0,
     warmup: float = 1.0,
     seed: int = 0,
-    spec: _t.Optional[TopologySpec] = None,
     max_nodes: int = 5,
-) -> _t.Dict[str, _t.Any]:
+) -> matrix.Results:
     """Run the (policy x {static, elastic}) ramp matrix."""
-    if not policies:
-        raise ValueError("at least one policy required")
-    cells: _t.List[ElasticityCellResult] = []
-    for policy_name in policies:
-        for mode in ("static", "elastic"):
-            cells.append(
-                run_elasticity_cell(
-                    policy_name,
-                    mode,
-                    duration=duration,
-                    warmup=warmup,
-                    seed=seed,
-                    spec=spec,
-                    max_nodes=max_nodes,
-                )
-            )
-    summary = summarize_cells(cells)
-    config = bench_elasticity_config(max_nodes)
-    return {
-        "suite": "elasticity",
-        "seed": seed,
-        "duration": duration,
-        "warmup": warmup,
-        "policies": list(policies),
-        "workload_profiles": {
-            policy: WORKLOAD_PROFILES.get(policy, DEFAULT_PROFILE)
-            for policy in policies
+    for name in policies:
+        policy_by_name(name)  # fail fast on unknown policy names
+    return matrix.run_twin_matrix(
+        "elasticity",
+        MODES,
+        list(policies),
+        lambda policy, mode: run_elasticity_cell(
+            policy, mode, duration, warmup, seed, max_nodes
+        ),
+        _verdict,
+        {
+            "policies": list(policies),
+            "workload_profiles": {
+                policy: WORKLOAD_PROFILES.get(policy, DEFAULT_PROFILE)
+                for policy in policies
+            },
+            "downtime_bound": DOWNTIME_BOUND,
+            "elasticity_config": matrix.config_block(
+                bench_elasticity_config(max_nodes),
+                "scale_out_pressure", "scale_in_pressure", "min_nodes",
+                "max_nodes", "check_interval", "dwell_intervals", "cooldown",
+                "max_migrations_per_epoch", "placement_evaluations",
+            ),
         },
-        "downtime_bound": DOWNTIME_BOUND,
-        "elasticity_config": {
-            "scale_out_pressure": config.scale_out_pressure,
-            "scale_in_pressure": config.scale_in_pressure,
-            "min_nodes": config.min_nodes,
-            "max_nodes": config.max_nodes,
-            "check_interval": config.check_interval,
-            "dwell_intervals": config.dwell_intervals,
-            "cooldown": config.cooldown,
-            "max_migrations_per_epoch": config.max_migrations_per_epoch,
-            "placement_evaluations": config.placement_evaluations,
-        },
-        "summary": summary,
-        "cells": [asdict(cell) for cell in cells],
-    }
+        duration,
+        warmup,
+        seed,
+    )
 
 
-def write_elasticity_bench(results: _t.Dict[str, _t.Any], path: str) -> None:
-    """Write the matrix to disk (non-finite floats serialize as null)."""
-
-    def _clean(value: _t.Any) -> _t.Any:
-        if isinstance(value, float) and not np.isfinite(value):
-            return None
-        if isinstance(value, dict):
-            return {key: _clean(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [_clean(item) for item in value]
-        return value
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_clean(results), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+VERB = matrix.MatrixVerb(
+    help="elasticity ramp matrix (static vs autoscaled cluster)",
+    description=(
+        "Run flash-crowd scale-out/in ramps per policy, with the "
+        "cluster membership frozen (static) and with the Tier-3 "
+        "elastic tier armed (autoscaling + live PE migration), strict "
+        "invariant oracles watching every cell, and write the matrix "
+        "to a JSON benchmark file.  Exits nonzero if any elastic cell "
+        "fails to scale, exceeds the migration downtime bound, "
+        "strands SDOs, or violates an invariant."
+    ),
+    flags=(
+        matrix.flag(
+            "--policies", "comma-separated policy names (default aces,udp)",
+            default=",".join(DEFAULT_POLICIES),
+        ),
+        *matrix.window_flags(18.0, 1.0),
+        matrix.MAX_NODES_FLAG,
+        matrix.SEED_FLAG,
+        matrix.output_flag("BENCH_elasticity.json"),
+        matrix.smoke_flag("reduced CI matrix: UDP only, short run"),
+    ),
+    smoke=dict(policies="udp", duration=12.0, warmup=1.0),
+    run=lambda args: run_elasticity_matrix(
+        policies=matrix.csv(args.policies),
+        duration=args.duration,
+        warmup=args.warmup,
+        seed=args.seed,
+        max_nodes=args.max_nodes,
+    ),
+    title=lambda results: (
+        f"elasticity ramp matrix (downtime bound "
+        f"{results['downtime_bound']:.1f}s)"
+    ),
+    columns=(
+        ("policy", itemgetter("policy")),
+        ("mode", itemgetter("mode")),
+        ("wutil", itemgetter("weighted_utility")),
+        matrix.RETENTION,
+        matrix.OUT_IN,
+        ("peak", itemgetter("peak_nodes")),
+        ("final", itemgetter("final_nodes")),
+        ("migrations", itemgetter("migrations")),
+        ("downtime_max_ms", matrix.in_ms("downtime_max")),
+        ("node_seconds", itemgetter("node_seconds")),
+        ("stranded", itemgetter("stranded_sdos")),
+        matrix.VIOLATIONS,
+        matrix.ERROR,
+    ),
+    summary=(
+        ("scale_outs", "total_scale_outs"),
+        ("scale_ins", "total_scale_ins"),
+        ("migrations", "total_migrations"),
+        ("stranded", "total_stranded_sdos"),
+        ("violations", "total_violations"),
+        ("errors", "errors"),
+    ),
+)

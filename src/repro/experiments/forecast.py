@@ -21,27 +21,34 @@ shared elastic cooldown *before* the shift lands), and measures:
   oracles: signal ranges, headroom citations, trigger cooldown) plus
   the closed conservation ledger (must be empty in every cell).
 
-The matrix is written to ``BENCH_forecast.json`` by ``repro forecast``
-(see :func:`write_forecast_bench`); ``--smoke`` runs the flash-crowd
-scenario only, sized for CI.  The headline acceptance check is
-:func:`summarize_cells`: every proactive cell retains at least its
+The matrix is written to ``BENCH_forecast.json`` by ``repro forecast``;
+``--smoke`` runs the flash-crowd scenario only, sized for CI.  The
+headline acceptance check: every proactive cell retains at least its
 reactive twin's utility and at least one cell actually triggers.
+Pairing, the shared cell fields and the file envelope live in
+:mod:`repro.experiments.matrix`.
 """
 
 from __future__ import annotations
 
-import json
 import typing as _t
-from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from repro.check import OracleRecorder, check_conservation
 from repro.control.forecast import ForecastConfig
 from repro.core.policies import policy_by_name
-from repro.experiments.elasticity import bench_elasticity_config, bench_spec
-from repro.graph.topology import TopologySpec, generate_topology
-from repro.systems.simulated import SimulatedSystem, SystemConfig
+from repro.experiments import matrix
+from repro.experiments.elasticity import (
+    bench_elasticity_config,
+    bench_spec,
+    scaling_fields,
+)
+from repro.graph.topology import generate_topology
+from repro.systems.simulated import SystemConfig
+
+#: The (baseline, armed) twin every scenario runs as.
+MODES = ("reactive", "proactive")
 
 #: The scenario library the matrix sweeps, in report order.  Each entry
 #: maps to one workload generator in :mod:`repro.model.workload`.
@@ -109,7 +116,7 @@ def scenario_config(
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    if mode not in ("reactive", "proactive"):
+    if mode not in MODES:
         raise ValueError(
             f"mode must be 'reactive' or 'proactive', got {mode!r}"
         )
@@ -156,167 +163,58 @@ def scenario_config(
     )
 
 
-@dataclass
-class ForecastCellResult:
-    """Outcome of one (scenario, mode) cell."""
-
-    scenario: str
-    mode: str  # "reactive" | "proactive"
-    weighted_throughput: float
-    weighted_utility: float
-    total_output: int
-    buffer_drops: int
-    #: Forecast tier activity (zero in reactive cells).
-    forecast_ticks: int
-    forecast_triggers: int
-    #: Mean absolute one-step forecast error (aggregate rate units).
-    forecast_mae: float
-    proactive_reoptimizations: int
-    scale_outs: int
-    scale_ins: int
-    migrations: int
-    peak_nodes: int
-    final_nodes: int
-    violations: _t.List[_t.Dict[str, object]]
-    #: Filled at the matrix level for proactive cells: weighted utility
-    #: relative to the reactive twin.
-    utility_retention: _t.Optional[float] = None
-    error: _t.Optional[str] = None
-
-
 def run_forecast_cell(
     scenario: str,
     mode: str,
-    duration: float = 16.0,
-    warmup: float = 1.0,
-    seed: int = 0,
-    spec: _t.Optional[TopologySpec] = None,
-    max_nodes: int = 5,
-) -> ForecastCellResult:
-    """Run one cell with strict oracles armed and the ledger closed."""
-    topology = generate_topology(
-        spec if spec is not None else bench_spec(1.0),
-        np.random.default_rng(seed),
+    duration: float,
+    warmup: float,
+    seed: int,
+    max_nodes: int,
+) -> matrix.Cell:
+    """One scenario cell under :func:`scenario_config`."""
+    config = scenario_config(scenario, mode, duration, warmup, seed, max_nodes)
+    topology = generate_topology(bench_spec(1.0), np.random.default_rng(seed))
+    run = matrix.run_observed(
+        topology, policy_by_name(BENCH_POLICY), config, duration
     )
-    recorder = OracleRecorder(strict=True)
-    config = scenario_config(
-        scenario, mode, duration, warmup, seed, max_nodes
-    )
-    system = SimulatedSystem(
-        topology, policy_by_name(BENCH_POLICY), config=config,
-        recorder=recorder,
-    )
-    recorder.attach_plane(system.plane)
-
-    error: _t.Optional[str] = None
-    try:
-        report = system.run(duration)
-    except Exception as exc:  # noqa: BLE001 — a cell must never kill the matrix
-        error = f"{type(exc).__name__}: {exc}"
-        report = None
-
-    violations = list(recorder.finalize())
-    violations.extend(check_conservation(system))
-
-    forecast = system.forecast
-    decisions = (
-        system.scaling_policy.decisions
-        if system.scaling_policy is not None
-        else []
-    )
-    timeline = system.elastic.timeline
-    proactive_reopts = sum(
-        1
-        for record in (forecast.triggers if forecast is not None else [])
-        if record.reoptimized
-    )
-    return ForecastCellResult(
+    forecast = run.system.forecast
+    triggers = forecast.triggers if forecast is not None else []
+    return run.cell(
         scenario=scenario,
         mode=mode,
-        weighted_throughput=(
-            report.weighted_throughput if report is not None else 0.0
-        ),
-        weighted_utility=(
-            report.weighted_utility if report is not None else 0.0
-        ),
-        total_output=report.total_output_sdos if report is not None else 0,
-        buffer_drops=report.buffer_drops if report is not None else 0,
+        # Forecast tier activity (zero in reactive cells).
         forecast_ticks=forecast.ticks if forecast is not None else 0,
-        forecast_triggers=(
-            len(forecast.triggers) if forecast is not None else 0
-        ),
+        forecast_triggers=len(triggers),
+        # Mean absolute one-step forecast error (aggregate rate units).
         forecast_mae=(
-            round(forecast.mean_abs_error, 9)
-            if forecast is not None
-            else 0.0
+            round(forecast.mean_abs_error, 9) if forecast is not None else 0.0
         ),
-        proactive_reoptimizations=proactive_reopts,
-        scale_outs=sum(
-            1 for record in decisions if record.decision == "scale_out"
+        proactive_reoptimizations=sum(
+            1 for record in triggers if record.reoptimized
         ),
-        scale_ins=sum(
-            1 for record in decisions if record.decision == "scale_in"
-        ),
-        migrations=len(system.migration_log),
-        peak_nodes=max(count for _, count in timeline),
-        final_nodes=len(system.nodes),
-        violations=[violation.as_dict() for violation in violations],
-        error=error,
+        **scaling_fields(run.system),
     )
 
 
-def summarize_cells(
-    cells: _t.Sequence[ForecastCellResult],
-) -> _t.Dict[str, _t.Any]:
-    """The headline acceptance summary of one matrix.
-
-    ``clean`` requires: zero oracle/conservation violations, zero cell
-    errors, every proactive cell retaining at least its reactive twin's
-    utility (:data:`RETENTION_FLOOR`), and at least one proactive cell
-    actually triggering (a library that never exercises the tier is a
-    configuration bug, not a pass).
-    """
-    reactive = {
-        cell.scenario: cell for cell in cells if cell.mode == "reactive"
-    }
-    retention_floor: _t.Optional[float] = None
-    non_regressing = True
-    triggers = 0
-    for cell in cells:
-        if cell.mode != "proactive":
-            continue
-        triggers += cell.forecast_triggers
-        twin = reactive.get(cell.scenario)
-        if twin is not None and twin.weighted_utility > 0:
-            cell.utility_retention = (
-                cell.weighted_utility / twin.weighted_utility
-            )
-            retention_floor = (
-                cell.utility_retention
-                if retention_floor is None
-                else min(retention_floor, cell.utility_retention)
-            )
-            if cell.utility_retention < RETENTION_FLOOR:
-                non_regressing = False
-    violations = sum(len(cell.violations) for cell in cells)
-    errors = sum(1 for cell in cells if cell.error is not None)
-    return {
+def _verdict(pairs: matrix.Pairs) -> matrix.Verdict:
+    """Every proactive cell retains at least its reactive twin's utility
+    (:data:`RETENTION_FLOOR`) and at least one actually triggers (a
+    library that never exercises the tier is a configuration bug, not a
+    pass)."""
+    cells = [cell for pair in pairs for cell in pair]
+    floor = matrix.retention_min(pairs)
+    non_regressing = floor is None or floor >= RETENTION_FLOOR
+    triggers = sum(armed["forecast_triggers"] for _, armed in pairs)
+    terms = {
         "proactive_non_regressing": non_regressing,
-        "utility_retention_min": retention_floor,
+        "utility_retention_min": floor,
         "total_triggers": triggers,
         "total_proactive_reoptimizations": sum(
-            cell.proactive_reoptimizations for cell in cells
+            cell["proactive_reoptimizations"] for cell in cells
         ),
-        "total_scale_outs": sum(cell.scale_outs for cell in cells),
-        "total_violations": violations,
-        "errors": errors,
-        "clean": (
-            non_regressing
-            and triggers > 0
-            and violations == 0
-            and errors == 0
-        ),
+        "total_scale_outs": sum(cell["scale_outs"] for cell in cells),
     }
+    return terms, non_regressing and triggers > 0
 
 
 def run_forecast_matrix(
@@ -324,66 +222,92 @@ def run_forecast_matrix(
     duration: float = 16.0,
     warmup: float = 1.0,
     seed: int = 0,
-    spec: _t.Optional[TopologySpec] = None,
     max_nodes: int = 5,
-) -> _t.Dict[str, _t.Any]:
+) -> matrix.Results:
     """Run the (scenario x {reactive, proactive}) matrix."""
-    if not scenarios:
-        raise ValueError("at least one scenario required")
-    cells: _t.List[ForecastCellResult] = []
-    for scenario in scenarios:
-        for mode in ("reactive", "proactive"):
-            cells.append(
-                run_forecast_cell(
-                    scenario,
-                    mode,
-                    duration=duration,
-                    warmup=warmup,
-                    seed=seed,
-                    spec=spec,
-                    max_nodes=max_nodes,
-                )
+    for name in scenarios:  # fail fast on unknown scenario names
+        if name not in SCENARIOS:
+            raise ValueError(
+                f"unknown scenario {name!r} (library: {', '.join(SCENARIOS)})"
             )
-    summary = summarize_cells(cells)
-    config = bench_forecast_config()
-    return {
-        "suite": "forecast",
-        "seed": seed,
-        "duration": duration,
-        "warmup": warmup,
-        "policy": BENCH_POLICY,
-        "scenarios": list(scenarios),
-        "retention_floor": RETENTION_FLOOR,
-        "forecast_config": {
-            "kind": config.kind,
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "gamma": config.gamma,
-            "season_length": config.season_length,
-            "sample_interval": config.sample_interval,
-            "horizon": config.horizon,
-            "headroom": config.headroom,
-            "dwell_ticks": config.dwell_ticks,
-            "cooldown": config.cooldown,
-            "scale_out": config.scale_out,
+    return matrix.run_twin_matrix(
+        "forecast",
+        MODES,
+        list(scenarios),
+        lambda scenario, mode: run_forecast_cell(
+            scenario, mode, duration, warmup, seed, max_nodes
+        ),
+        _verdict,
+        {
+            "policy": BENCH_POLICY,
+            "scenarios": list(scenarios),
+            "retention_floor": RETENTION_FLOOR,
+            "forecast_config": matrix.config_block(
+                bench_forecast_config(),
+                "kind", "alpha", "beta", "gamma", "season_length",
+                "sample_interval", "horizon", "headroom", "dwell_ticks",
+                "cooldown", "scale_out",
+            ),
         },
-        "summary": summary,
-        "cells": [asdict(cell) for cell in cells],
-    }
+        duration,
+        warmup,
+        seed,
+    )
 
 
-def write_forecast_bench(results: _t.Dict[str, _t.Any], path: str) -> None:
-    """Write the matrix to disk (non-finite floats serialize as null)."""
-
-    def _clean(value: _t.Any) -> _t.Any:
-        if isinstance(value, float) and not np.isfinite(value):
-            return None
-        if isinstance(value, dict):
-            return {key: _clean(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [_clean(item) for item in value]
-        return value
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_clean(results), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+VERB = matrix.MatrixVerb(
+    help="forecasting matrix (reactive vs proactive control)",
+    description=(
+        "Run every scenario-library workload twice — purely reactive "
+        "(elastic tier only) and proactive (the forecasting tier "
+        "additionally armed: Holt-Winters rate forecasts triggering "
+        "Tier-1 re-solves and early scale-out ahead of predicted "
+        "load shifts) — with strict invariant oracles watching every "
+        "cell, and write the matrix to a JSON benchmark file.  Exits "
+        "nonzero if any proactive cell loses utility against its "
+        "reactive twin, no cell triggers, or an invariant is "
+        "violated."
+    ),
+    flags=(
+        matrix.flag(
+            "--scenarios",
+            "comma-separated scenario names (default: the full library)",
+            default="",
+        ),
+        *matrix.window_flags(16.0, 1.0),
+        matrix.MAX_NODES_FLAG,
+        matrix.SEED_FLAG,
+        matrix.output_flag("BENCH_forecast.json"),
+        matrix.smoke_flag(
+            "reduced CI matrix: flash-crowd scenario only, short run"
+        ),
+    ),
+    smoke=dict(scenarios="flashcrowd", duration=12.0, warmup=1.0),
+    run=lambda args: run_forecast_matrix(
+        scenarios=matrix.csv(args.scenarios, SCENARIOS),
+        duration=args.duration,
+        warmup=args.warmup,
+        seed=args.seed,
+        max_nodes=args.max_nodes,
+    ),
+    title=lambda results: "forecast matrix (reactive vs proactive control)",
+    columns=(
+        ("scenario", itemgetter("scenario")),
+        ("mode", itemgetter("mode")),
+        ("wutil", itemgetter("weighted_utility")),
+        matrix.RETENTION,
+        ("triggers", itemgetter("forecast_triggers")),
+        ("mae", itemgetter("forecast_mae")),
+        matrix.OUT_IN,
+        ("peak", itemgetter("peak_nodes")),
+        ("drops", itemgetter("buffer_drops")),
+        matrix.VIOLATIONS,
+        matrix.ERROR,
+    ),
+    summary=(
+        ("triggers", "total_triggers"),
+        ("retention_min", "utility_retention_min"),
+        ("violations", "total_violations"),
+        ("errors", "errors"),
+    ),
+)

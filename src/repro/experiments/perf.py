@@ -1,28 +1,14 @@
-"""Perf-microbenchmark engine behind ``benchmarks/perf/`` and ``repro perf``.
+"""Extreme-scale curve engine behind ``benchmarks/perf/bench_scale.py``.
 
-Two measurements anchor the repo's performance trajectory:
-
-* **Kernel throughput** (:func:`measure_kernel`) — engine events per
-  wall-clock second while simulating the paper's calibration topology.
-  A separate *counting* pass (with a :class:`~repro.obs.profiler.
-  PhaseProfiler` attached) determines the deterministic event count and
-  phase breakdown; the *timed* passes run uninstrumented so the number
-  reflects the kernel alone.
-
-* **Runner scaling** (:func:`measure_runner_scaling`) — wall-clock time
-  of one full experiment cell at increasing ``--jobs`` levels, with a
-  bit-exact parity check of every parallel result against the serial
-  one.
-
-Results are merged into ``BENCH_perf.json`` at the repo root by
-:func:`update_bench_json`; the ``kernel.baseline`` block records the
-pre-optimization kernel (captured once, preserved across refreshes) so
-every future PR has a fixed reference point.
+:func:`measure_scale_curve` runs the paper's main topology scaled x1 to
+x100 under both Tier-2 implementations and reports events/sec and the
+controller tick in isolation; the result is ``BENCH_scale.json`` at the
+repo root.  Kernel throughput and the cost of observation are measured
+by the perf observatory (``benchmarks/observatory/``), not here.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
@@ -32,130 +18,13 @@ import typing as _t
 
 import numpy as np
 
-from repro.core.global_opt import solve_global_allocation
-from repro.core.policies import Policy, policy_by_name
-from repro.experiments.config import (
-    ExperimentConfig,
-    calibration_experiment,
-    main_experiment,
-    smoke_experiment,
-)
-from repro.experiments.runner import CellResult, PolicySummary, run_cell
+from repro.core.policies import policy_by_name
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.obs.profiler import PhaseProfiler
 from repro.systems.simulated import SimulatedSystem, SystemConfig
 
-#: Version of the BENCH_perf.json schema this module writes.
+#: Version of the BENCH_scale.json schema this module writes.
 BENCH_SCHEMA = 1
-
-#: Default location of the perf-trajectory file (repo root).
-BENCH_PATH = pathlib.Path(__file__).resolve().parents[3] / "BENCH_perf.json"
-
-#: Named experiment scales usable from the CLI / CI.
-SCALES: _t.Dict[str, _t.Callable[..., ExperimentConfig]] = {
-    "smoke": smoke_experiment,
-    "calibration": calibration_experiment,
-    "full": main_experiment,
-}
-
-
-def scale_config(scale: str, **overrides: object) -> ExperimentConfig:
-    """Resolve a named scale ('smoke', 'calibration', 'full') to a config."""
-    try:
-        factory = SCALES[scale]
-    except KeyError:
-        raise ValueError(
-            f"unknown scale {scale!r}; choose from {sorted(SCALES)}"
-        ) from None
-    return factory(**overrides)
-
-
-# -- kernel microbenchmark --------------------------------------------------
-
-
-def measure_kernel(
-    scale: str = "calibration",
-    policy: str = "aces",
-    duration: float = 2.0,
-    warmup: float = 0.5,
-    repeats: int = 3,
-    seed: int = 0,
-    control_impl: str = "scalar",
-    control_phase_buckets: _t.Optional[int] = None,
-) -> _t.Dict[str, object]:
-    """Events-per-second of the simulation kernel on one fixed workload.
-
-    The topology and Tier-1 targets are built once (outside the timed
-    region) so the measurement isolates the event kernel + control loops.
-    Returns a JSON-ready dict; ``wall_seconds`` is the best of
-    ``repeats`` uninstrumented runs.  ``control_impl`` selects the
-    Tier-2 step implementation being measured and is recorded alongside
-    the numbers so the trajectory file stays self-describing.
-    """
-    config_factory = SCALES.get(scale, calibration_experiment)
-    experiment = config_factory()
-    topology = generate_topology(
-        experiment.spec, np.random.default_rng(seed)
-    )
-    targets = solve_global_allocation(
-        topology.graph, topology.placement, topology.source_rates
-    ).targets
-    system_config = SystemConfig(
-        seed=seed + 1,
-        warmup=warmup,
-        control_impl=control_impl,
-        control_phase_buckets=control_phase_buckets,
-    )
-    policy_obj = policy_by_name(policy)
-
-    def build() -> SimulatedSystem:
-        return SimulatedSystem(
-            topology,
-            policy_by_name(policy),
-            targets=targets,
-            config=system_config,
-        )
-
-    # Counting pass: deterministic event total + phase breakdown.
-    profiler = PhaseProfiler()
-    counted = SimulatedSystem(
-        topology,
-        policy_obj,
-        targets=targets,
-        config=system_config,
-        profiler=profiler,
-    )
-    counted.run(duration)
-    events = profiler.counts.get("event_dispatch", 0)
-    phases = {
-        name: round(fraction, 4)
-        for name, fraction in sorted(profiler.fractions().items())
-    }
-
-    # Timed passes: no instrumentation at all.
-    walls = []
-    for _ in range(max(1, repeats)):
-        system = build()
-        start = time.perf_counter()
-        system.run(duration)
-        walls.append(time.perf_counter() - start)
-    wall = min(walls)
-
-    return {
-        "scale": scale,
-        "policy": policy,
-        "control_impl": control_impl,
-        "control_phase_buckets": control_phase_buckets,
-        "sim_seconds": duration + warmup,
-        "events": events,
-        "wall_seconds": round(wall, 4),
-        "events_per_sec": round(events / wall, 1),
-        "phase_fractions": phases,
-        "repeats": repeats,
-    }
-
-
-# -- extreme-scale curve ----------------------------------------------------
 
 #: Default location of the scale-curve file (repo root).
 BENCH_SCALE_PATH = (
@@ -333,154 +202,9 @@ def measure_scale_curve(
     }
 
 
-# -- runner-scaling benchmark -----------------------------------------------
-
-
-def _summary_numbers(summary: PolicySummary) -> _t.Tuple[float, ...]:
-    """Flatten a PolicySummary into its comparable numeric fields."""
-    values: _t.List[float] = []
-    for name in (
-        "weighted_throughput",
-        "latency_mean",
-        "latency_std",
-        "buffer_drops",
-        "cpu_utilization",
-        "wasted_work",
-        "normalized_throughput",
-    ):
-        stats = getattr(summary, name)
-        values.extend((stats.mean, stats.std, stats.minimum, stats.maximum))
-    return tuple(values)
-
-
-def cells_identical(a: CellResult, b: CellResult) -> bool:
-    """True when two cell results carry bit-identical summary numbers."""
-    if set(a.policies) != set(b.policies):
-        return False
-    return all(
-        _summary_numbers(a.policies[name]) == _summary_numbers(b.policies[name])
-        for name in a.policies
-    )
-
-
-def measure_runner_scaling(
-    scale: str = "calibration",
-    policies: _t.Sequence[str] = ("aces",),
-    jobs_levels: _t.Sequence[int] = (1, 2, 4, 8),
-    replications: int = 4,
-    duration: float = 8.0,
-    warmup: float = 4.0,
-    seed: int = 0,
-) -> _t.Dict[str, object]:
-    """Wall-clock of one cell at each jobs level, plus parity vs serial."""
-    config = scale_config(
-        scale, replications=replications, duration=duration, base_seed=seed
-    ).with_system(warmup=warmup)
-    policy_objects: _t.List[Policy] = [
-        policy_by_name(name) for name in policies
-    ]
-
-    walls: _t.Dict[str, float] = {}
-    serial_result: _t.Optional[CellResult] = None
-    parity = True
-    for jobs in jobs_levels:
-        start = time.perf_counter()
-        result = run_cell(config, policy_objects, jobs=jobs)
-        walls[str(jobs)] = round(time.perf_counter() - start, 4)
-        if jobs == 1 or serial_result is None:
-            serial_result = result
-        elif not cells_identical(serial_result, result):
-            parity = False
-
-    base = walls.get("1", min(walls.values()))
-    speedups = {
-        jobs: round(base / wall, 3)
-        for jobs, wall in walls.items()
-        if jobs != "1" and wall > 0
-    }
-    return {
-        "scale": scale,
-        "cell": config.name,
-        "policies": list(policies),
-        "replications": replications,
-        "sim_seconds": duration + warmup,
-        "wall_seconds": walls,
-        "speedup_vs_serial": speedups,
-        "parity_with_serial": parity,
-    }
-
-
-# -- BENCH_perf.json management ---------------------------------------------
-
-
 def _environment_block() -> _t.Dict[str, object]:
     return {
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "platform": sys.platform,
     }
-
-
-def load_bench_json(
-    path: _t.Union[str, pathlib.Path] = BENCH_PATH,
-) -> _t.Dict[str, object]:
-    """Read the current perf trajectory (empty dict when absent)."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return {}
-    with path.open() as handle:
-        return _t.cast(_t.Dict[str, object], json.load(handle))
-
-
-def update_bench_json(
-    kernel: _t.Optional[_t.Dict[str, object]] = None,
-    scaling: _t.Optional[_t.Dict[str, object]] = None,
-    path: _t.Union[str, pathlib.Path] = BENCH_PATH,
-    rebaseline: bool = False,
-) -> _t.Dict[str, object]:
-    """Merge fresh measurements into ``BENCH_perf.json``.
-
-    The ``kernel.baseline`` block (the pre-optimization kernel this PR
-    series regresses against) is preserved unless ``rebaseline`` is set
-    or no baseline exists yet, in which case the fresh kernel numbers
-    become the baseline.
-    """
-    data = load_bench_json(path)
-    data["schema"] = BENCH_SCHEMA
-    data["environment"] = _environment_block()
-
-    if kernel is not None:
-        existing = _t.cast(_t.Dict[str, object], data.get("kernel", {}))
-        baseline = existing.get("baseline")
-        if rebaseline or not baseline:
-            baseline = dict(kernel)
-        block: _t.Dict[str, object] = {
-            "baseline": baseline,
-            "current": kernel,
-        }
-        base_eps = _t.cast(_t.Dict[str, object], baseline).get(
-            "events_per_sec"
-        )
-        cur_eps = kernel.get("events_per_sec")
-        if isinstance(base_eps, (int, float)) and base_eps > 0:
-            block["events_per_sec_vs_baseline"] = round(
-                _t.cast(float, cur_eps) / base_eps, 3
-            )
-        base_wall = _t.cast(_t.Dict[str, object], baseline).get(
-            "wall_seconds"
-        )
-        cur_wall = kernel.get("wall_seconds")
-        if isinstance(base_wall, (int, float)) and _t.cast(
-            float, cur_wall
-        ) > 0:
-            block["wall_speedup_vs_baseline"] = round(
-                base_wall / _t.cast(float, cur_wall), 3
-            )
-        data["kernel"] = block
-
-    if scaling is not None:
-        data["runner_scaling"] = scaling
-
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return data

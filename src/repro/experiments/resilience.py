@@ -15,21 +15,24 @@ measures how the closed loop degrades and recovers:
   (``feedback_stale``, ``tier1_fallback``) plus the injected ``fault``
   markers, taken from the trace recorder.
 
-The matrix is written to ``BENCH_resilience.json`` by ``repro chaos``
-(see :func:`write_resilience_bench`); ``--smoke`` runs a reduced matrix
-sized for CI.
+The matrix is written to ``BENCH_resilience.json`` by ``repro chaos``;
+``--smoke`` runs a reduced matrix sized for CI.  Chaos cells are not
+twins and carry no oracles, so of :mod:`repro.experiments.matrix` this
+suite uses the run guard, the writer and the CLI flow only.
 """
 
 from __future__ import annotations
 
-import json
 import typing as _t
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from repro.core.policies import Policy, policy_by_name
+from repro.experiments import matrix
+from repro.experiments.admission import bench_admission_config
 from repro.graph.topology import Topology, TopologySpec, generate_topology
 from repro.obs.recorder import MemoryRecorder, TraceFilter
 from repro.systems.faults import FaultPlan
@@ -248,8 +251,6 @@ def chaos_system_config(
     (staleness TTL of 10 control intervals, conservative bound 0) and
     periodic Tier-1 re-solves so solver outages are actually exercised.
     With ``admission`` the tuned SLO-aware front end is armed too."""
-    from repro.experiments.admission import bench_admission_config
-
     return SystemConfig(
         seed=seed,
         dt=dt,
@@ -289,12 +290,7 @@ def run_chaos_cell(
     scenario.build(plan, topology, absolute_start, fault_duration)
     plan.attach(system)
 
-    error: _t.Optional[str] = None
-    try:
-        report = system.run(duration)
-    except Exception as exc:  # noqa: BLE001 — a cell must never kill the matrix
-        error = f"{type(exc).__name__}: {exc}"
-        report = None
+    report, error = matrix.guarded_run(system, duration)
 
     rates = probe.rates()
     fault_end = absolute_start + fault_duration
@@ -437,20 +433,79 @@ def run_chaos_matrix(
     }
 
 
-def write_resilience_bench(
-    results: _t.Dict[str, _t.Any], path: str
-) -> None:
-    """Write the matrix to disk (``inf`` MTTRs serialize as null)."""
+def _stats(results: matrix.Results) -> _t.Dict[str, _t.Any]:
+    """The summary-line counts; the file itself carries no summary block."""
+    cells = results["cells"]
+    errors = sum(1 for cell in cells if cell["error"])
+    return {
+        "errors": errors,
+        "unrecovered": sum(1 for cell in cells if not cell["recovered"]),
+        "clean": errors == 0,
+    }
 
-    def _clean(value: _t.Any) -> _t.Any:
-        if isinstance(value, float) and not np.isfinite(value):
-            return None
-        if isinstance(value, dict):
-            return {key: _clean(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [_clean(item) for item in value]
-        return value
 
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_clean(results), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+VERB = matrix.MatrixVerb(
+    help="resilience fault matrix (MTTR, utility retention, drops)",
+    description=(
+        "Inject each fault scenario (data-plane and control-plane) "
+        "into a mid-run window for every requested policy, measure "
+        "utility retention during the fault and MTTR afterwards, and "
+        "write the matrix to a JSON benchmark file."
+    ),
+    topology_flags=True,
+    flags=(
+        matrix.flag(
+            "--policies", "comma-separated policy names",
+            default="aces,udp,lockstep",
+        ),
+        matrix.flag(
+            "--scenarios", "comma-separated scenario names (default: all)"
+        ),
+        *matrix.window_flags(10.0, 2.0),
+        matrix.output_flag("BENCH_resilience.json"),
+        matrix.flag(
+            "--jobs", "fan matrix cells across N worker processes",
+            type=int, metavar="N",
+        ),
+        matrix.smoke_flag(
+            "reduced CI matrix: small topology, short run, ACES only"
+        ),
+        matrix.flag(
+            "--admission",
+            "double the matrix: run every cell plain AND with the "
+            "SLO-aware admission front end armed (admission cells carry "
+            "the degradation-ladder timeline)",
+            action="store_true",
+        ),
+    ),
+    # 20 PEs split 4 ingress / 4 egress / 12 intermediate on 4 nodes.
+    smoke=dict(pes=20, nodes=4, duration=6.0, warmup=1.5, policies="aces"),
+    run=lambda args: run_chaos_matrix(
+        args.spec,
+        policies=matrix.csv(args.policies),
+        scenarios=matrix.csv(args.scenarios, sorted(SCENARIOS)),
+        duration=args.duration,
+        warmup=args.warmup,
+        seed=args.seed,
+        jobs=args.jobs or 1,
+        admission=args.admission,
+    ),
+    title=lambda results: (
+        f"resilience matrix ({len(SCENARIOS)} scenarios available, "
+        f"{len(results['cells'])} cells run)"
+    ),
+    columns=(
+        ("scenario", itemgetter("scenario")),
+        ("policy", itemgetter("policy")),
+        ("admission", lambda cell: "on" if cell["admission"] else "off"),
+        ("retention", itemgetter("utility_retention")),
+        ("mttr", itemgetter("mttr")),
+        ("drops", itemgetter("drops")),
+        ("stale", lambda cell: cell["events"]["feedback_stale"]),
+        ("fallback", lambda cell: cell["events"]["tier1_fallback"]),
+        ("ladder", matrix.count("ladder_timeline")),
+        matrix.ERROR,
+    ),
+    summary=(("errors", "errors"), ("unrecovered", "unrecovered")),
+    stats=_stats,
+)

@@ -9,24 +9,22 @@ between runs.
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from benchmarks.conftest import experiment_scale
-from repro.experiments.admission import run_admission_matrix, write_admission_bench
+from repro.experiments import admission, elasticity, forecast
 from repro.experiments.config import smoke_experiment
-from repro.experiments.elasticity import (
-    run_elasticity_matrix,
-    write_elasticity_bench,
-)
 from repro.experiments.figures import figure3_latency
-from repro.experiments.forecast import (
-    run_forecast_matrix,
-    write_forecast_bench,
-)
+from repro.experiments.matrix import write_bench
 from repro.experiments.reporting import format_table
-from repro.experiments.resilience import run_chaos_matrix, write_resilience_bench
+from repro.experiments.resilience import run_chaos_matrix
 from repro.graph.topology import TopologySpec
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def small_spec():
@@ -38,88 +36,91 @@ def small_spec():
     )
 
 
-def test_resilience_bench_bytes_identical(tmp_path):
-    paths = []
-    for name in ("first.json", "second.json"):
-        results = run_chaos_matrix(
-            small_spec(),
+#: suite -> (tiny matrix run on a caller-owned spec, expected cell modes).
+TINY_MATRICES = {
+    "resilience": (
+        lambda spec: run_chaos_matrix(
+            spec,
             policies=["udp"],
             scenarios=["node-slowdown"],
             duration=2.0,
             warmup=0.5,
             seed=11,
-        )
-        path = tmp_path / name
-        write_resilience_bench(results, str(path))
-        paths.append(path)
-    first, second = (path.read_bytes() for path in paths)
-    assert first == second
-    # Sanity: the file actually carries measurements.
-    payload = json.loads(first)
-    assert payload["cells"][0]["policy"] == "udp"
-
-
-def test_admission_bench_bytes_identical(tmp_path):
-    paths = []
-    for name in ("first.json", "second.json"):
-        results = run_admission_matrix(
+        ),
+        None,
+    ),
+    "admission": (
+        lambda spec: admission.run_admission_matrix(
             workloads=("squarewave",),
             lambdas=(8.0,),
             duration=3.0,
             warmup=0.5,
             seed=11,
-            spec=small_spec(),
-        )
-        path = tmp_path / name
-        write_admission_bench(results, str(path))
-        paths.append(path)
-    first, second = (path.read_bytes() for path in paths)
-    assert first == second
-    payload = json.loads(first)
-    # One plain and one admission-armed cell per (workload, lambda) pair.
-    assert [c["mode"] for c in payload["cells"]] == ["plain", "admission"]
-    assert payload["summary"]["errors"] == 0
+            spec=spec,
+        ),
+        admission.MODES,
+    ),
+    "elasticity": (
+        lambda spec: elasticity.run_elasticity_matrix(
+            policies=("udp",), duration=6.0, warmup=0.5, seed=11
+        ),
+        elasticity.MODES,
+    ),
+    "forecast": (
+        lambda spec: forecast.run_forecast_matrix(
+            scenarios=("flashcrowd",), duration=6.0, warmup=0.5, seed=11
+        ),
+        forecast.MODES,
+    ),
+}
 
 
-def test_elasticity_bench_bytes_identical(tmp_path):
+def schema(payload):
+    """Every key name a BENCH file carries, independent of matrix size."""
+    return {
+        "header": set(payload),
+        "summary": set(payload.get("summary", ())),
+        "cell": {frozenset(cell) for cell in payload["cells"]},
+        "config": {
+            key: set(block)
+            for key, block in payload.items()
+            if key.endswith("_config")
+        },
+    }
+
+
+@pytest.mark.parametrize("suite", sorted(TINY_MATRICES))
+def test_matrix_bench_bytes_identical_and_schema_pinned(suite, tmp_path):
+    run, modes = TINY_MATRICES[suite]
+    spec = small_spec()
     paths = []
     for name in ("first.json", "second.json"):
-        results = run_elasticity_matrix(
-            policies=("udp",),
-            duration=6.0,
-            warmup=0.5,
-            seed=11,
-        )
         path = tmp_path / name
-        write_elasticity_bench(results, str(path))
+        write_bench(run(spec), str(path))
         paths.append(path)
     first, second = (path.read_bytes() for path in paths)
     assert first == second
-    payload = json.loads(first)
-    # One static and one elastic cell for the single policy.
-    assert [c["mode"] for c in payload["cells"]] == ["static", "elastic"]
-    assert payload["summary"]["errors"] == 0
+    # A matrix never mutates the spec it was handed (the admission suite
+    # once wrote each cell's lambda_s into it).
+    assert spec == small_spec()
 
-
-def test_forecast_bench_bytes_identical(tmp_path):
-    paths = []
-    for name in ("first.json", "second.json"):
-        results = run_forecast_matrix(
-            scenarios=("flashcrowd",),
-            duration=6.0,
-            warmup=0.5,
-            seed=11,
-        )
-        path = tmp_path / name
-        write_forecast_bench(results, str(path))
-        paths.append(path)
-    first, second = (path.read_bytes() for path in paths)
-    assert first == second
+    # Sanity: the file actually carries measurements.
     payload = json.loads(first)
-    # One reactive and one proactive cell for the single scenario.
-    assert [c["mode"] for c in payload["cells"]] == ["reactive", "proactive"]
-    assert payload["summary"]["errors"] == 0
-    assert payload["summary"]["total_violations"] == 0
+    assert payload["suite"] == suite
+    if modes is None:
+        assert payload["cells"][0]["policy"] == "udp"
+    else:
+        # One baseline and one armed cell per key.
+        assert [c["mode"] for c in payload["cells"]] == list(modes)
+        assert payload["summary"]["errors"] == 0
+        assert payload["summary"]["total_violations"] == 0
+
+    # A dropped or renamed field fails here, in seconds, not only when
+    # the full matrix is regenerated against the checked-in file.
+    checked_in = json.loads(
+        (REPO_ROOT / f"BENCH_{suite}.json").read_text()
+    )
+    assert schema(payload) == schema(checked_in)
 
 
 def test_fig3_percentile_table_bytes_identical():

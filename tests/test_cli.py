@@ -120,12 +120,27 @@ class TestFailureModes:
         assert main(["trace", "--trace-filter", "kind=warp"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_chaos_rejects_unknown_scenario(self, capsys):
-        code = main(
-            ["chaos", "--smoke", "--scenarios", "meteor-strike"]
-        )
-        assert code == 2
-        assert "unknown scenarios" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chaos", "--smoke", "--scenarios", "meteor-strike"],
+             "unknown scenarios"),
+            (["admit", "--workloads", "warp"], "unknown source_kind"),
+            (["elastic", "--policies", "teleport"], "unknown policy"),
+            (["forecast", "--scenarios", "meteor-strike"],
+             "unknown scenario"),
+        ],
+    )
+    def test_matrix_verb_rejects_bad_input(
+        self, argv, message, tmp_path, capsys
+    ):
+        # One table-driven handler serves the four verbs: each rejects
+        # a bad axis value before running or writing anything.
+        output = tmp_path / "bench.json"
+        assert main([*argv, "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not output.exists()
 
     @pytest.mark.parametrize("substrate", ["sim", "threaded"])
     def test_trace_format_validation(self, substrate):

@@ -21,13 +21,13 @@ from repro.core.resilience import (
     validate_targets,
 )
 from repro.core.targets import AllocationTargets
+from repro.experiments.matrix import write_bench
 from repro.experiments.resilience import (
     SCENARIOS,
     chaos_system_config,
     mean_rate,
     measure_mttr,
     run_chaos_cell,
-    write_resilience_bench,
 )
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.obs.recorder import MemoryRecorder, TraceFilter
@@ -482,7 +482,7 @@ class TestChaosCells:
 
     def test_bench_serialization_maps_inf_to_null(self, tmp_path):
         path = tmp_path / "bench.json"
-        write_resilience_bench(
+        write_bench(
             {"cells": [{"mttr": float("inf"), "retention": 0.5}]},
             str(path),
         )
