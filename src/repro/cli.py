@@ -69,6 +69,7 @@ from repro.obs.surface import (
     snapshot_runtime,
     snapshot_system,
 )
+from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
 
@@ -105,7 +106,9 @@ def _add_topology_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_run_arguments(
+    parser: argparse.ArgumentParser, policy: bool = True
+) -> None:
     parser.add_argument("--buffer", type=int, default=50, help="buffer size B")
     parser.add_argument(
         "--duration", type=float, default=20.0, help="measured seconds"
@@ -120,6 +123,43 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--link-bandwidth", dest="link_bandwidth", type=float, default=None,
         help="finite inter-node link bandwidth (SDO sizes / second)",
+    )
+    if policy:
+        parser.add_argument(
+            "--policy", default="aces",
+            choices=("aces", "udp", "lockstep", "shedding"),
+        )
+
+
+def _system_config(args: argparse.Namespace) -> SystemConfig:
+    return SystemConfig(
+        buffer_size=args.buffer,
+        warmup=args.warmup,
+        seed=args.seed + 1,
+        reoptimize_interval=args.reoptimize,
+        link_bandwidth=args.link_bandwidth,
+    )
+
+
+def _build_system(
+    args: argparse.Namespace,
+    topology: Topology,
+    policy: _t.Any,
+    recorder: _t.Optional[TraceRecorder] = None,
+    spans: _t.Optional[SpanTracker] = None,
+    **sim_only: _t.Any,
+) -> _t.Any:
+    """The system under ``--substrate`` (profiler and gauges: sim only)."""
+    if args.substrate == "threaded":
+        config = RuntimeConfig(
+            buffer_size=args.buffer, warmup=args.warmup, seed=args.seed + 1
+        )
+        return SPCRuntime(
+            topology, policy, config=config, recorder=recorder, spans=spans
+        )
+    return SimulatedSystem(
+        topology, policy, config=_system_config(args),
+        recorder=recorder, spans=spans, **sim_only,
     )
 
 
@@ -179,16 +219,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     topology = _topology_from_args(args)
     policy = policy_by_name(args.policy)
     report = run_system(
-        topology,
-        policy,
-        duration=args.duration,
-        config=SystemConfig(
-            buffer_size=args.buffer,
-            warmup=args.warmup,
-            seed=args.seed + 1,
-            reoptimize_interval=args.reoptimize,
-            link_bandwidth=args.link_bandwidth,
-        ),
+        topology, policy, duration=args.duration, config=_system_config(args)
     )
     print(report.one_line())
     print(
@@ -213,13 +244,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             policy,
             duration=args.duration,
             targets=targets,
-            config=SystemConfig(
-                buffer_size=args.buffer,
-                warmup=args.warmup,
-                seed=args.seed + 1,
-                reoptimize_interval=args.reoptimize,
-                link_bandwidth=args.link_bandwidth,
-            ),
+            config=_system_config(args),
         )
         pct = report.latency_percentiles
         rows.append(
@@ -244,6 +269,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     topology = _topology_from_args(args)
     policy = policy_by_name(args.policy)
     trace_filter = TraceFilter.parse(args.trace_filter)
+    threaded = args.substrate == "threaded"
 
     # With --check, the oracle sits in front and applies the keep-filter
     # itself; the file recorder then stores whatever the oracle admits.
@@ -260,34 +286,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
         # Live threaded runs interleave worker state with checking, so
         # only the substrate-safe subset of the oracles runs there.
         oracle = OracleRecorder(
-            strict=args.substrate == "sim",
+            strict=not threaded,
             trace_filter=trace_filter,
             sink=file_recorder,
         )
         recorder = oracle
-    profiler = PhaseProfiler() if args.profile else None
-    gauge_cadence = args.gauge_cadence if args.gauge_cadence > 0 else None
     spans = SpanTracker(recorder=recorder) if args.spans else None
+    profiler = PhaseProfiler() if args.profile and not threaded else None
 
-    if args.substrate == "threaded":
-        return _trace_threaded(
-            args, topology, policy, recorder, file_recorder, oracle, spans
-        )
-
-    system = SimulatedSystem(
-        topology,
-        policy,
-        config=SystemConfig(
-            buffer_size=args.buffer,
-            warmup=args.warmup,
-            seed=args.seed + 1,
-            reoptimize_interval=args.reoptimize,
-            link_bandwidth=args.link_bandwidth,
-        ),
-        recorder=recorder,
-        profiler=profiler,
-        gauge_cadence=gauge_cadence,
-        spans=spans,
+    system = _build_system(
+        args, topology, policy, recorder, spans, profiler=profiler,
+        gauge_cadence=args.gauge_cadence if args.gauge_cadence > 0 else None,
     )
     if oracle is not None:
         oracle.attach_plane(system.plane)
@@ -304,9 +313,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
         f"{kind}={count}" for kind, count in sorted(recorder.counts.items())
     )
     print(f"trace: {total} events -> {args.trace} ({breakdown})")
-    if args.gauges is not None and system.gauges is None:
+    # Gauges, the phase profile and the conservation ledger are the
+    # simulator's; everything else is the same on both substrates.
+    if threaded:
+        if args.gauges is not None:
+            print("gauges: not available on the threaded substrate")
+        if args.profile:
+            print("profile: not available on the threaded substrate")
+    elif args.gauges is not None and system.gauges is None:
         print("gauges: not written (sampling disabled by --gauge-cadence 0)")
-    elif system.gauges is not None and args.gauges is not None:
+    elif args.gauges is not None:
         count = write_gauges_csv(system.gauges, args.gauges)
         print(
             f"gauges: {count} samples from {len(system.gauges)} gauges "
@@ -315,11 +331,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if profiler is not None:
         print(profiler.one_line())
     if spans is not None:
-        _print_span_rows(spans)
+        rows = spans.hop_rows()
+        if rows:
+            print_table(rows, title="latency spans (per hop)", precision=3)
+        print(
+            f"spans: {spans.egress_spans} egress spans, "
+            f"{len(spans.violations)} closure violation(s)"
+        )
+        for closure in spans.violations[:5]:
+            print(f"  span_closure t={closure['t']:.3f} "
+                  f"pe={closure['pe']}: {closure['detail']}")
     if oracle is not None:
         oracle.finalize()
         violations = list(oracle.violations)
-        violations.extend(check_conservation(system))
+        if not threaded:
+            violations.extend(check_conservation(system))
         print(oracle.summary())
         for violation in violations[:10]:
             print(
@@ -331,148 +357,26 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_span_rows(spans: "SpanTracker") -> None:
-    """Print the per-hop span decomposition (the --spans view)."""
-    rows = spans.hop_rows()
-    if rows:
-        print_table(rows, title="latency spans (per hop)", precision=3)
-    print(
-        f"spans: {spans.egress_spans} egress spans, "
-        f"{len(spans.violations)} closure violation(s)"
-    )
-    for violation in spans.violations[:5]:
-        print(f"  span_closure t={violation['t']:.3f} "
-              f"pe={violation['pe']}: {violation['detail']}")
-
-
-def _trace_threaded(
-    args: argparse.Namespace,
-    topology: Topology,
-    policy: _t.Any,
-    recorder: TraceRecorder,
-    file_recorder: TraceRecorder,
-    oracle: _t.Optional["OracleRecorder"],
-    spans: _t.Optional["SpanTracker"] = None,
-) -> int:
-    """Trace the same control plane on the threaded runtime substrate."""
-    from repro.runtime.spc import RuntimeConfig, SPCRuntime
-
-    runtime = SPCRuntime(
-        topology,
-        policy,
-        config=RuntimeConfig(
-            buffer_size=args.buffer,
-            warmup=args.warmup,
-            seed=args.seed + 1,
-        ),
-        recorder=recorder,
-        spans=spans,
-    )
-    if oracle is not None:
-        oracle.attach_plane(runtime.plane)
-    report = runtime.run(args.duration)
-
-    if args.format == "csv":
-        assert isinstance(file_recorder, MemoryRecorder)
-        write_events_csv(file_recorder.events, args.trace)
-    recorder.close()
-
-    pct = report.latency_percentiles
-    print(
-        f"{report.policy} [threaded]: "
-        f"throughput={report.weighted_throughput:.2f} "
-        f"output={report.total_output_sdos} "
-        f"latency_mean={report.latency.mean:.4f} "
-        f"p50/p95/p99={pct.get('p50', 0.0) * 1000:.1f}/"
-        f"{pct.get('p95', 0.0) * 1000:.1f}/"
-        f"{pct.get('p99', 0.0) * 1000:.1f}ms "
-        f"drops={report.buffer_drops}"
-    )
-    if spans is not None:
-        _print_span_rows(spans)
-    total = sum(recorder.counts.values())
-    breakdown = " ".join(
-        f"{kind}={count}" for kind, count in sorted(recorder.counts.items())
-    )
-    print(f"trace: {total} events -> {args.trace} ({breakdown})")
-    if args.gauges is not None:
-        print("gauges: not available on the threaded substrate")
-    if args.profile:
-        print("profile: not available on the threaded substrate")
-    if oracle is not None:
-        oracle.finalize()
-        print(oracle.summary())
-        for violation in oracle.violations[:10]:
-            print(
-                f"  {violation.invariant} ({violation.equation}) "
-                f"pe={violation.pe}: {violation.detail}"
-            )
-        if oracle.violations:
-            return 1
-    return 0
-
-
 def cmd_top(args: argparse.Namespace) -> int:
     """Live metrics surface: per-stream percentiles, PEs, span hops."""
     topology = _topology_from_args(args)
     policy = policy_by_name(args.policy)
-    spans = SpanTracker(locking=args.substrate == "threaded") \
-        if args.spans else None
+    threaded = args.substrate == "threaded"
+    spans = SpanTracker(locking=threaded) if args.spans else None
     watch = args.watch and not args.once
 
-    if args.substrate == "threaded":
-        from repro.runtime.spc import RuntimeConfig, SPCRuntime
+    system = _build_system(args, topology, policy, spans=spans)
+    take_snapshot = snapshot_runtime if threaded else snapshot_system
 
-        runtime = SPCRuntime(
-            topology,
-            policy,
-            config=RuntimeConfig(
-                buffer_size=args.buffer,
-                warmup=args.warmup,
-                seed=args.seed + 1,
-            ),
-            spans=spans,
-        )
-        observer = None
-        if watch:
-            def observer(live: SPCRuntime) -> None:
-                print(render_top(snapshot_runtime(live)))
+    def observer(live: _t.Any) -> None:
+        print(render_top(take_snapshot(live)))
 
-        runtime.run(
-            args.duration, observer=observer, observe_interval=args.interval
-        )
-        snapshot = snapshot_runtime(runtime)
-    else:
-        system = SimulatedSystem(
-            topology,
-            policy,
-            config=SystemConfig(
-                buffer_size=args.buffer,
-                warmup=args.warmup,
-                seed=args.seed + 1,
-                reoptimize_interval=args.reoptimize,
-                link_bandwidth=args.link_bandwidth,
-            ),
-            spans=spans,
-        )
-        if watch:
-            # Virtual-time watch: step the engine one interval at a time
-            # and render between steps (same warmup/reset protocol as
-            # SimulatedSystem.run).
-            env = system.env
-            if system.config.warmup > 0:
-                env.run(until=system.config.warmup)
-            system.collector.reset(env.now)
-            if spans is not None:
-                spans.reset()
-            end = env.now + args.duration
-            while env.now < end:
-                env.run(until=min(env.now + args.interval, end))
-                print(render_top(snapshot_system(system)))
-        else:
-            system.run(args.duration)
-        snapshot = snapshot_system(system)
-
+    system.run(
+        args.duration,
+        observer=observer if watch else None,
+        observe_interval=args.interval,
+    )
+    snapshot = take_snapshot(system)
     if not watch:
         print(render_top(snapshot), end="")
     if args.prometheus is not None:
@@ -645,17 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="simulate one policy")
     _add_topology_arguments(run)
     _add_run_arguments(run)
-    run.add_argument(
-        "--policy", default="aces",
-        choices=("aces", "udp", "lockstep", "shedding"),
-    )
     run.set_defaults(handler=cmd_run)
 
     compare = subparsers.add_parser(
         "compare", help="simulate several policies on one topology"
     )
     _add_topology_arguments(compare)
-    _add_run_arguments(compare)
+    _add_run_arguments(compare, policy=False)
     compare.add_argument(
         "--policies", default="aces,udp,lockstep",
         help="comma-separated policy names",
@@ -673,10 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_topology_arguments(trace)
     _add_run_arguments(trace)
-    trace.add_argument(
-        "--policy", default="aces",
-        choices=("aces", "udp", "lockstep", "shedding"),
-    )
     trace.add_argument(
         "--trace", default="trace.jsonl", metavar="PATH",
         help="trace event output file (default trace.jsonl)",
@@ -744,10 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_topology_arguments(top)
     _add_run_arguments(top)
-    top.add_argument(
-        "--policy", default="aces",
-        choices=("aces", "udp", "lockstep", "shedding"),
-    )
     top.add_argument(
         "--substrate", choices=("sim", "threaded"), default="sim",
         help="execution substrate (default: discrete-event simulator)",

@@ -62,12 +62,7 @@ from repro.control.forecast import (
     make_forecaster,
 )
 from repro.control.node import ControlRecord, NodeController
-from repro.control.plane import (
-    ControlPlane,
-    NodeGroup,
-    PlaneInspection,
-    resolve_initial_targets,
-)
+from repro.control.plane import ControlPlane, NodeGroup, PlaneInspection
 from repro.control.vector import (
     PEIndexRegistry,
     VectorEngine,
@@ -118,5 +113,4 @@ __all__ = [
     "numpy_enabled",
     "plan_scale_in_placement",
     "plan_scale_out_placement",
-    "resolve_initial_targets",
 ]

@@ -8,19 +8,20 @@ three structural protocols:
   the threaded runtime's :class:`~repro.runtime.worker.RuntimePE` both
   satisfy it).  The CPU schedulers in :mod:`repro.core.cpu_control` are
   written against the same protocol.
-* :class:`SystemAdapter` — the five substrate operations the Tier-2 step
-  needs: a clock, an occupancy snapshot, grant application (which reports
-  CPU actually used back through the scheduler's ``settle``), gate
-  installation, and trace emission.
+* :class:`SystemAdapter` — the three substrate operations the Tier-2
+  step needs: an occupancy snapshot (as a mapping and as a list) and
+  grant application, which reports CPU actually used back through the
+  scheduler's ``settle``.
 * :class:`MembershipOps` — the three physical membership operations the
   elastic and forecasting tiers actuate through
   (:class:`~repro.control.elastic.ElasticDriver`): join a node, remove
   an empty node, live-migrate PEs.
 
 Keeping the surface this narrow is what makes new substrates cheap: a
-sharded or multi-process node implements these five plus three methods,
-schedules the periodic tier ticks, and inherits all five control tiers,
-including every policy and fault-injection hook.
+sharded or multi-process node implements these three plus three
+methods, hands them to :class:`~repro.control.wiring.ControlStack`,
+pumps the ticks it lists, and inherits all five control tiers, including
+every policy and fault-injection hook.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ class PELike(_t.Protocol):
     profile: "PEProfile"
     downstream: _t.Sequence["PELike"]
     blocked_last_interval: bool
+    #: Fed by a workload source (the admission front end sits here).
+    is_ingress: bool
 
     @property
     def buffer(self) -> BufferLike: ...
@@ -91,10 +94,6 @@ class SystemAdapter(_t.Protocol):
     adapter does not need per-node state of its own.
     """
 
-    def clock(self) -> float:
-        """Current substrate time (simulated or dilated wall clock)."""
-        ...
-
     def snapshot(
         self,
         node_index: int,
@@ -107,12 +106,17 @@ class SystemAdapter(_t.Protocol):
         between substrates (the simulator folds the read into its
         occupancy-integral telemetry; the threaded runtime reads the
         live channel depth).
-
-        Adapters may additionally expose ``snapshot_list(node_index,
-        records, now) -> Sequence[float]`` returning the same values in
-        record order; the vector engine probes for it with ``getattr``
-        and uses it to skip the dict round-trip on wide nodes.
         """
+        ...
+
+    def snapshot_list(
+        self,
+        node_index: int,
+        records: _t.Sequence["ControlRecord"],
+        now: float,
+    ) -> _t.Sequence[float]:
+        """:meth:`snapshot` in record order, without the dict round-trip
+        (the vector engine's occupancy read on wide nodes)."""
         ...
 
     def apply_grants(
@@ -130,19 +134,6 @@ class SystemAdapter(_t.Protocol):
         report the CPU-seconds each PE actually consumed back through
         ``settle`` so token balances reflect reality.
         """
-        ...
-
-    def apply_gates(self, pe_id: str, gate: _t.Optional[GateFn]) -> None:
-        """React to a gate replacement (fault injection, operator pause).
-
-        The control plane keeps the authoritative gate in its records;
-        substrates that enforce gates outside the control step (the
-        threaded runtime's in-worker Lock-Step check) hook here.
-        """
-        ...
-
-    def emit_trace(self, kind: str, **fields: _t.Any) -> None:
-        """Publish one trace event on the substrate's recorder."""
         ...
 
 

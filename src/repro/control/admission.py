@@ -49,7 +49,7 @@ from __future__ import annotations
 import enum
 import math
 import typing as _t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 

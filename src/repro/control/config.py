@@ -24,6 +24,12 @@ class ControlConfig:
     #: b0 as a fraction of the buffer size (paper: 1/2).
     b0_fraction: float = 0.5
     seed: int = 0
+    #: Control interval Delta-t (model seconds); each substrate sets its
+    #: own default.
+    dt: float = 0.01
+    #: Warm-up (model seconds) excluded from all metrics; the elastic
+    #: and forecasting tiers hold their decisions until it has passed.
+    warmup: float = 0.0
     #: Staleness TTL for feedback values (seconds; typically a few Δt).
     #: A value unheard-from for longer decays to the conservative
     #: ``feedback_stale_bound`` instead of being trusted forever.  None
@@ -62,6 +68,10 @@ class ControlConfig:
             raise ValueError("buffer_size must be positive")
         if not 0.0 <= self.b0_fraction <= 1.0:
             raise ValueError("b0_fraction must lie in [0, 1]")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
         if (
             self.feedback_staleness_ttl is not None
             and self.feedback_staleness_ttl <= 0

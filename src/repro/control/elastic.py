@@ -651,9 +651,10 @@ class ElasticDriver:
         elif decision == "scale_in":
             self.scale_in()
 
-    def _reoptimize(
+    def reoptimize(
         self, rates: _t.Mapping[str, float], reason: str
     ) -> None:
+        """Re-solve Tier 1 for ``rates`` on the current placement epoch."""
         self.plane.reoptimize(
             self.topology.graph, self.book.placement, rates, reason=reason
         )
@@ -685,7 +686,7 @@ class ElasticDriver:
             if refined[pe_id] != current[pe_id]
         ][: config.max_migrations_per_epoch]
         self.ops.migrate_pes(moves, reason="scale_out")
-        self._reoptimize(topology.source_rates, "elastic")
+        self.reoptimize(topology.source_rates, "elastic")
 
     def scale_in(self) -> None:
         """Evacuate and remove the least-loaded evictable node."""
@@ -708,7 +709,7 @@ class ElasticDriver:
             return
         victim = min(candidates, key=lambda n: (node_load[n], -n))
         if self.evacuate_and_remove(victim, "scale_in"):
-            self._reoptimize(self.topology.source_rates, "elastic")
+            self.reoptimize(self.topology.source_rates, "elastic")
 
     def evacuate_and_remove(self, node_index: int, reason: str) -> bool:
         """Live-migrate everything off a node, then remove it.
@@ -752,7 +753,7 @@ class ElasticDriver:
 
     def proactive_reoptimize(self, rates: _t.Mapping[str, float]) -> None:
         """Forecast-triggered Tier-1 re-solve from *predicted* rates."""
-        self._reoptimize(rates, "proactive")
+        self.reoptimize(rates, "proactive")
 
     def proactive_scale_out(self, now: float) -> bool:
         """Forecast-triggered scale-out, routed through the elastic

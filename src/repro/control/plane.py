@@ -47,7 +47,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.policies import Policy
     from repro.graph.dag import ProcessingGraph
     from repro.graph.placement import Placement
-    from repro.graph.topology import Topology
     from repro.obs.gauges import GaugeRegistry
 
 #: Admission filter: admit(pe, sdo) -> bool, or None for admit-everything.
@@ -126,28 +125,6 @@ class _EpochCarry:
     #: Vector bus contents (None when the scalar bus is in use — the
     #: scalar bus is pe_id-keyed and survives rebuilds untouched).
     bus: _t.Optional[_t.Dict[str, _t.Any]]
-
-
-def resolve_initial_targets(
-    tier1: ResilientTier1,
-    topology: "Topology",
-    targets: _t.Optional[AllocationTargets] = None,
-) -> AllocationTargets:
-    """Tier-1 bootstrap: solve when no targets given, else seed the guard.
-
-    Either way the :class:`ResilientTier1` ends up holding a
-    last-known-good result, so later re-solves can fall back instead of
-    crashing the run.
-    """
-    if targets is None:
-        return tier1.solve(
-            topology.graph,
-            topology.placement,
-            topology.source_rates,
-            reason="initial",
-        ).targets
-    tier1.seed(targets)
-    return targets
 
 
 class ControlPlane:
@@ -315,6 +292,9 @@ class ControlPlane:
                 registry = PEIndexRegistry(self.groups)
                 self._engine = VectorEngine(self, registry, donors, gains)
         self.control_impl = "vector" if self._engine is not None else "scalar"
+        self._index_of = {
+            group.node_id: index for index, group in enumerate(self.groups)
+        }
 
         prev_bus = getattr(self, "bus", None)
         if self._engine is not None and self._feedback_staleness_ttl is None:
@@ -664,7 +644,7 @@ class ControlPlane:
             raise ValueError(
                 f"cpu_capacity must be positive, got {cpu_capacity}"
             )
-        if any(group.node_id == node_id for group in self.groups):
+        if node_id in self._index_of:
             raise ValueError(f"node {node_id!r} already in the plane")
         if pes:
             raise ValueError(
@@ -767,11 +747,8 @@ class ControlPlane:
     def node_index(self, node_id: str) -> _t.Optional[int]:
         """Current index of ``node_id`` in :attr:`groups`, or None when
         the node has left (indices shift with membership; identity-keyed
-        callers re-resolve through here)."""
-        for index, group in enumerate(self.groups):
-            if group.node_id == node_id:
-                return index
-        return None
+        callers re-resolve through here every tick)."""
+        return self._index_of.get(node_id)
 
     def token_level(self, pe_id: str) -> float:
         """The PE's current token level via its *current* scheduler.
@@ -795,7 +772,6 @@ class ControlPlane:
         for controller in self.node_controllers:
             if controller.set_gate(pe_id, gate):
                 break
-        self.adapter.apply_gates(pe_id, gate)
 
     def suspend_node(self, node_index: int) -> None:
         """Make a node's control loop miss its ticks (controller outage).

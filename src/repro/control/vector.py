@@ -1041,23 +1041,11 @@ class VectorEngine:
         carry exactly what the scalar path emits.
         """
         raw: _t.List[_t.Any] = []
-        adapter = self.adapter
-        snap_list = getattr(adapter, "snapshot_list", None)
-        if snap_list is not None:
-            for controller in group.controllers:
-                raw.extend(
-                    snap_list(
-                        controller.node_index, controller.records, now
-                    )
-                )
-        else:
-            for controller in group.controllers:
-                snap = adapter.snapshot(
-                    controller.node_index, controller.records, now
-                )
-                raw.extend(
-                    snap[record.pe_id] for record in controller.records
-                )
+        snap_list = self.adapter.snapshot_list
+        for controller in group.controllers:
+            raw.extend(
+                snap_list(controller.node_index, controller.records, now)
+            )
         occ_f = np.array(raw, dtype=np.float64)
         if np.any(occ_f < 0.0):
             bad = occ_f.min()

@@ -445,10 +445,6 @@ def _drive_plane(
                 else:
                     pe.ingest(sdo, now)
         for controller in plane.node_controllers:
-            if not controller.records:
-                # The substrates differ in whether a PE-less node gets a
-                # controller at all; its (empty) decisions are noise.
-                continue
             grants = controller.control(now)
             r_max = {
                 record.pe_id: record.controller.last_r_max

@@ -19,6 +19,7 @@ Two renderers consume it:
 
 from __future__ import annotations
 
+import contextlib
 import typing as _t
 from dataclasses import dataclass, field
 
@@ -162,85 +163,83 @@ def _admission_state(admission: _t.Optional[_t.Any]) -> _t.Dict[str, _t.Any]:
     }
 
 
-def snapshot_system(system: "SimulatedSystem") -> MetricsSnapshot:
-    """Snapshot a (paused or finished) simulated system."""
-    now = system.env.now
+def _snapshot(
+    system: _t.Any,
+    substrate: str,
+    now: float,
+    lock: _t.ContextManager[_t.Any],
+    buffer_drops: int,
+    source_rejections: int,
+) -> MetricsSnapshot:
+    """The view both substrates share: the collector (read under
+    ``lock``), the plane's PEs and flow controllers, spans, admission."""
     collector = system.collector
+    with lock:
+        window = now - collector.window_start
+        throughput = collector.weighted_throughput(now)
+        total = collector.total_output()
+        streams = _stream_rows(collector.records())
     controllers = system.plane.controllers
-    pes = [
-        PERow(
-            pe_id=pe_id,
-            occupancy=runtime.buffer.occupancy,
-            capacity=runtime.buffer.capacity,
-            r_max=(
-                controllers[pe_id].last_r_max
-                if pe_id in controllers
-                else None
-            ),
-        )
-        for pe_id, runtime in sorted(system.runtimes.items())
-    ]
+    pes = sorted(
+        (pe for group in system.plane.groups for pe in group.pes),
+        key=lambda pe: pe.pe_id,
+    )
     span_rows, span_violations = _span_state(system.spans)
     return MetricsSnapshot(
-        substrate="sim",
+        substrate=substrate,
         policy=system.policy.name,
         t=now,
-        window=now - collector.window_start,
-        weighted_throughput=collector.weighted_throughput(now),
-        total_output=collector.total_output(),
+        window=window,
+        weighted_throughput=throughput,
+        total_output=total,
+        buffer_drops=buffer_drops,
+        source_rejections=source_rejections,
+        streams=streams,
+        pes=[
+            PERow(
+                pe_id=pe.pe_id,
+                occupancy=pe.buffer.occupancy,
+                capacity=pe.buffer.capacity,
+                r_max=(
+                    controllers[pe.pe_id].last_r_max
+                    if pe.pe_id in controllers
+                    else None
+                ),
+            )
+            for pe in pes
+        ],
+        span_rows=span_rows,
+        span_violations=span_violations,
+        **_admission_state(system.admission),
+    )
+
+
+def snapshot_system(system: "SimulatedSystem") -> MetricsSnapshot:
+    """Snapshot a (paused or finished) simulated system."""
+    return _snapshot(
+        system,
+        "sim",
+        system.env.now,
+        contextlib.nullcontext(),
         buffer_drops=(
             sum(r.buffer.telemetry.dropped for r in system.runtimes.values())
             + system.dataplane.shed_drops
         ),
         source_rejections=sum(s.stats.rejected for s in system.sources),
-        streams=_stream_rows(collector.records()),
-        pes=pes,
-        span_rows=span_rows,
-        span_violations=span_violations,
-        **_admission_state(getattr(system, "admission", None)),
     )
 
 
 def snapshot_runtime(runtime: "SPCRuntime") -> MetricsSnapshot:
     """Snapshot a live threaded runtime (collector read under its lock)."""
-    now = runtime.now()
-    controllers = runtime.plane.controllers
-    with runtime.collector_lock:
-        collector = runtime.collector
-        window = now - collector.window_start
-        throughput = collector.weighted_throughput(now)
-        total = collector.total_output()
-        streams = _stream_rows(collector.records())
-    pes = [
-        PERow(
-            pe_id=pe_id,
-            occupancy=pe.channel.occupancy,
-            capacity=pe.channel.capacity,
-            r_max=(
-                controllers[pe_id].last_r_max
-                if pe_id in controllers
-                else None
-            ),
-        )
-        for pe_id, pe in sorted(runtime.pes.items())
-    ]
-    span_rows, span_violations = _span_state(runtime.spans)
-    return MetricsSnapshot(
-        substrate="threaded",
-        policy=runtime.policy.name,
-        t=now,
-        window=window,
-        weighted_throughput=throughput,
-        total_output=total,
+    return _snapshot(
+        runtime,
+        "threaded",
+        runtime.now(),
+        runtime.collector_lock,
         buffer_drops=sum(
             pe.channel.stats.dropped for pe in runtime.pes.values()
         ),
         source_rejections=0,  # threaded sources drop at the channel
-        streams=streams,
-        pes=pes,
-        span_rows=span_rows,
-        span_violations=span_violations,
-        **_admission_state(getattr(runtime, "admission", None)),
     )
 
 

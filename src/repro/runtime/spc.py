@@ -21,19 +21,12 @@ import time
 import typing as _t
 from dataclasses import dataclass, field
 
-from repro.control import ControlPlane, NodeGroup, resolve_initial_targets
-from repro.control.adapter import GateFn, SettleFn
-from repro.control.admission import AdmissionController
+from repro.control import NodeGroup
+from repro.control.adapter import SettleFn
 from repro.control.config import ControlConfig
-from repro.control.elastic import (
-    ElasticDriver,
-    MigrationRecord,
-    PlacementVersion,
-)
-from repro.control.forecast import ForecastController
-from repro.core.global_opt import solve_global_allocation
-from repro.core.policies import AcesPolicy, LockStepPolicy, Policy, UdpPolicy
-from repro.core.resilience import ResilientTier1
+from repro.control.elastic import MigrationRecord, PlacementVersion
+from repro.control.wiring import ControlStack
+from repro.core.policies import LockStepPolicy, Policy, policy_by_name
 from repro.core.targets import AllocationTargets
 from repro.graph.topology import Topology
 from repro.metrics.collectors import EgressCollector
@@ -80,6 +73,24 @@ class RuntimeConfig(ControlConfig):
     restart_backoff_base: float = 0.05
     restart_backoff_factor: float = 2.0
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.dilation <= 0:
+            raise ValueError("dilation must be positive")
+        if self.source_kind not in ("poisson", "constant"):
+            raise ValueError(
+                f"unknown source_kind {self.source_kind!r}: the threaded "
+                "runtime generates 'poisson' or 'constant' arrivals"
+            )
+        if self.supervisor_poll <= 0:
+            raise ValueError("supervisor_poll must be positive")
+        if self.max_worker_restarts < 0:
+            raise ValueError("max_worker_restarts must be >= 0")
+        if self.restart_backoff_base < 0:
+            raise ValueError("restart_backoff_base must be >= 0")
+        if self.restart_backoff_factor < 1:
+            raise ValueError("restart_backoff_factor must be >= 1")
+
 
 @dataclass
 class RuntimeReport:
@@ -107,6 +118,19 @@ class RuntimeReport:
     #: ``admission_rejected`` count front-end refusals).
     drops_by_kind: _t.Dict[str, int] = field(default_factory=dict)
 
+    def one_line(self) -> str:
+        pct = self.latency_percentiles
+        return (
+            f"{self.policy} [threaded]: "
+            f"throughput={self.weighted_throughput:.2f} "
+            f"output={self.total_output_sdos} "
+            f"latency_mean={self.latency.mean:.4f} "
+            f"p50/p95/p99={pct.get('p50', 0.0) * 1000:.1f}/"
+            f"{pct.get('p95', 0.0) * 1000:.1f}/"
+            f"{pct.get('p99', 0.0) * 1000:.1f}ms "
+            f"drops={self.buffer_drops}"
+        )
+
 
 class ThreadAdapter:
     """:class:`~repro.control.adapter.SystemAdapter` over worker threads.
@@ -116,14 +140,9 @@ class ThreadAdapter:
     workers' monotonically growing ``cpu_used`` counters.
     """
 
-    def __init__(self, clock: _t.Callable[[], float], recorder: TraceRecorder):
-        self._clock = clock
-        self.recorder = recorder
+    def __init__(self) -> None:
         #: Per-PE cpu_used watermark at the previous settle.
         self._last_used: _t.Dict[str, float] = {}
-
-    def clock(self) -> float:
-        return self._clock()
 
     def snapshot(
         self,
@@ -167,14 +186,6 @@ class ThreadAdapter:
             )
             last_used[pe_id] = used_total
 
-    def apply_gates(self, pe_id: str, gate: _t.Optional[GateFn]) -> None:
-        """No-op: the threaded runtime enforces Lock-Step gating inside
-        the worker (``RuntimePE.min_flow_gate``), not in the control step."""
-
-    def emit_trace(self, kind: str, **fields: _t.Any) -> None:
-        if self.recorder.enabled:
-            self.recorder.emit(kind, **fields)
-
 
 class SPCRuntime:
     """A running threaded stream-processing system."""
@@ -191,6 +202,9 @@ class SPCRuntime:
         self.topology = topology
         self.policy = policy
         self.config = config or RuntimeConfig()
+        #: Set by :meth:`run`; until then the model clock reads 0 (the
+        #: Tier-1 bootstrap emits its trace event during construction).
+        self._start_wall: _t.Optional[float] = None
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         if self.recorder.enabled:
             self.recorder.bind_clock(self.now)
@@ -199,28 +213,11 @@ class SPCRuntime:
         self.spans = spans
         if spans is not None:
             spans.ensure_locked()
-        #: Set before the Tier-1 bootstrap: the solver emits trace
-        #: events, and the bound clock reads ``_start_wall``.
-        self._start_wall: _t.Optional[float] = None
-        #: Degradation-guarded Tier-1 solver; only armed runtimes carry
-        #: one (scale-out/in and proactive re-solves go through it),
-        #: keeping disarmed construction byte-identical.
-        self.tier1: _t.Optional[ResilientTier1] = None
-        if (
-            self.config.elasticity is not None
-            or self.config.forecast is not None
-        ):
-            self.tier1 = ResilientTier1(recorder=self.recorder)
-            targets = resolve_initial_targets(self.tier1, topology, targets)
-        elif targets is None:
-            targets = solve_global_allocation(
-                topology.graph, topology.placement, topology.source_rates
-            ).targets
-        self.targets = targets
         self.streams = RandomStreams(seed=self.config.seed)
 
-        self._collector = EgressCollector()
-        self._collector_lock = threading.Lock()
+        #: The live egress collector; read it under :attr:`collector_lock`.
+        self.collector = EgressCollector()
+        self.collector_lock = threading.Lock()
         self._stop = threading.Event()
         self._threads: _t.List[threading.Thread] = []
         self.worker_restarts = 0
@@ -233,7 +230,7 @@ class SPCRuntime:
         #: re-resolve their controller on the next tick.
         self._membership_lock = threading.Lock()
 
-        self._build()
+        self._build(targets)
 
     # -- model clock --------------------------------------------------------
 
@@ -243,38 +240,18 @@ class SPCRuntime:
             return 0.0
         return (time.monotonic() - self._start_wall) / self.config.dilation
 
-    # -- control-plane delegation --------------------------------------------
-
-    @property
-    def _bus(self) -> _t.Any:
-        """The feedback bus (swappable: fault injection wraps it)."""
-        return self.plane.bus
-
-    @_bus.setter
-    def _bus(self, value: _t.Any) -> None:
-        self.plane.bus = value
-
-    # -- observation ---------------------------------------------------------
-
-    @property
-    def collector(self) -> EgressCollector:
-        """The live egress collector; read under :attr:`collector_lock`."""
-        return self._collector
-
-    @property
-    def collector_lock(self) -> threading.Lock:
-        return self._collector_lock
-
     # -- construction --------------------------------------------------------
 
-    def _build(self) -> None:
-        graph = self.topology.graph
+    def _build(self, targets: _t.Optional[AllocationTargets]) -> None:
+        topology = self.topology
+        graph = topology.graph
         config = self.config
+        order = graph.topological_order()
         ingress = set(graph.ingress_ids)
         egress = set(graph.egress_ids)
 
         self.pes: _t.Dict[str, RuntimePE] = {}
-        for pe_id in graph.topological_order():
+        for pe_id in order:
             pe = RuntimePE(
                 profile=graph.profile(pe_id),
                 channel_capacity=config.buffer_size,
@@ -295,14 +272,14 @@ class SPCRuntime:
 
         # The list, not the set: see build_runtimes.
         for pe_id in graph.egress_ids:
-            self._collector.register(pe_id, graph.profile(pe_id).weight)
+            self.collector.register(pe_id, graph.profile(pe_id).weight)
         if self.spans is not None:
-            self._collector.attach_spans(self.spans)
+            self.collector.attach_spans(self.spans)
 
         def make_sink(pe_id: str) -> _t.Callable[[SDO], None]:
             def sink(sdo: SDO) -> None:
-                with self._collector_lock:
-                    self._collector.record(pe_id, sdo, self.now())
+                with self.collector_lock:
+                    self.collector.record(pe_id, sdo, self.now())
 
             return sink
 
@@ -312,133 +289,75 @@ class SPCRuntime:
                 egress_sink=make_sink(pe_id) if pe.is_egress else None,
             )
 
-        # Node control threads: the simulator's NodeController, pumped at
-        # dilated wall cadence through the thread adapter.
-        groups: _t.List[NodeGroup] = []
-        for node_index in range(self.topology.num_nodes):
-            members = [
-                self.pes[pe_id]
-                for pe_id in graph.topological_order()
-                if self.topology.placement[pe_id] == node_index
-            ]
-            if not members and config.elasticity is None:
-                # Disarmed: a PE-less node gets no controller (legacy
-                # behaviour, kept byte-identical).  Armed, empty nodes
-                # keep their group so group indices track node indices
-                # across membership operations.
-                continue
-            groups.append(NodeGroup(f"node-{node_index}", members))
-
-        #: SLO-aware admission front end, armed exactly as in the
-        #: simulator: same controller class, same config, bound to the
-        #: live channel views and the collector's histogram records
-        #: (reads under the collector lock).
-        self.admission: _t.Optional[AdmissionController] = None
-        if config.admission is not None:
-            self.admission = AdmissionController(config.admission)
-            self.admission.bind(
-                ingress={
-                    pe_id: pe.buffer
-                    for pe_id, pe in self.pes.items()
-                    if pe.is_ingress
-                },
-                egress=self._collector.records(),
-                clock=self.now,
-                lock=self._collector_lock,
-            )
-
-        #: Anticipatory forecasting tier, armed exactly as in the
-        #: simulator: same controller class, same config, fed from the
-        #: per-source cumulative offered-SDO counters below.
-        self.forecast: _t.Optional[ForecastController] = None
-        if config.forecast is not None:
-            self.forecast = ForecastController(config.forecast)
-
-        self.adapter = ThreadAdapter(self.now, self.recorder)
-        self.plane = ControlPlane(
+        #: The five control tiers, wired as on every substrate; this
+        #: runtime is their MembershipOps and their ticker.  One group
+        #: per topology node, PE-less ones included, so group indices
+        #: are node indices.
+        self.adapter = ThreadAdapter()
+        stack = ControlStack(
             self.policy,
-            self.adapter,
-            groups=groups,
-            targets=self.targets,
-            dt=config.dt,
-            b0=config.b0_fraction * config.buffer_size,
-            feedback_delay=0.0,
-            feedback_staleness_ttl=config.feedback_staleness_ttl,
-            feedback_stale_bound=config.feedback_stale_bound,
-            recorder=self.recorder,
-            tier1=self.tier1,
-            control_impl=config.control_impl,
-            admission=self.admission,
-            forecast=self.forecast,
-        )
-        # Armed loops are identity-keyed: membership rebuilds replace
-        # controller objects and shift node indices, so the loop
-        # re-resolves its controller by node_id each tick.
-        armed = config.elasticity is not None
-        for controller in self.plane.node_controllers:
-            self._threads.append(
-                self._thread(
-                    f"ctl-{controller.node_id}",
-                    self._elastic_control_loop if armed else self._control_loop,
-                    controller.node_id if armed else controller,
+            topology,
+            config,
+            adapter=self.adapter,
+            ops=self,
+            groups=[
+                NodeGroup(
+                    f"node-{node_index}",
+                    [
+                        self.pes[pe_id]
+                        for pe_id in order
+                        if topology.placement[pe_id] == node_index
+                    ],
                 )
-            )
-
-        #: Tier 3 lives in the driver (disarmed without an elasticity
-        #: config); this runtime is its MembershipOps.
-        self.elasticity = config.elasticity
-        self.elastic = ElasticDriver(
-            self.plane, self, self.topology, config.elasticity,
-            active_after=config.warmup,
+                for node_index in range(topology.num_nodes)
+            ],
+            pes=self.pes,
+            collector=self.collector,
+            clock=self.now,
+            targets=targets,
+            recorder=self.recorder,
+            lock=self.collector_lock,
         )
+        self.tier1 = stack.tier1
+        self.admission = stack.admission
+        self.forecast = stack.forecast
+        self.plane = stack.plane
+        self.elasticity = config.elasticity
+        self.elastic = stack.elastic
         self.placement_book = self.elastic.book
         self.scaling_policy = self.elastic.scaling_policy
         self.migration_log = self.elastic.migration_log
 
-        # The periodic tiers.  The forecast and elastic ticks may mutate
-        # membership, so they run under the membership lock.
-        lock = self._membership_lock
-        if config.admission is not None:
-            self._threads.append(self._thread(
-                "admission", self._periodic,
-                config.admission.tick_interval or config.dt,
-                self.plane.tick_admission,
-            ))
-        if config.forecast is not None:
-            self._threads.append(self._thread(
-                "forecast", self._periodic,
-                config.forecast.sample_interval,
-                self.plane.tick_forecast, lock,
-            ))
-        if config.elasticity is not None:
-            self._threads.append(self._thread(
-                "elastic", self._periodic,
-                config.elasticity.check_interval,
-                self.elastic.tick, lock,
-            ))
-
-        # Source threads.  ``source_generated`` mirrors the simulator
-        # sources' ``stats.generated`` counters (offered load, counted
-        # before the admission verdict); single-writer per key, so the
-        # forecast tick can read it lock-free.
+        # ``source_generated`` mirrors the simulator sources'
+        # ``stats.generated`` counters (offered load, counted before the
+        # admission verdict); single-writer per key, so the forecast
+        # tick can read it lock-free.
+        rates = sorted(topology.source_rates.items())
         self.source_generated: _t.Dict[str, int] = {
-            pe_id: 0 for pe_id in self.topology.source_rates
+            pe_id: 0 for pe_id in topology.source_rates
         }
-        for pe_id, rate in sorted(self.topology.source_rates.items()):
+        stack.bind_sources({
+            pe_id: (lambda p=pe_id: self.source_generated[p])
+            for pe_id, _rate in rates
+        })
+
+        # One control pump per node (the simulator's NodeController at
+        # dilated wall cadence), the armed periodic tiers — under the
+        # membership lock when their tick may mutate membership — and
+        # one open-loop generator per source.
+        for group in self.plane.groups:
+            self._threads.append(self._thread(
+                f"ctl-{group.node_id}", self._node_ticker, group.node_id
+            ))
+        for periodic in stack.periodic():
+            self._threads.append(self._thread(
+                periodic.name, self._periodic, periodic.interval,
+                periodic.tick,
+                self._membership_lock if periodic.mutates else None,
+            ))
+        for pe_id, rate in rates:
             self._threads.append(
                 self._thread(f"src-{pe_id}", self._source_loop, pe_id, rate)
-            )
-
-        if self.forecast is not None:
-            self.forecast.bind(
-                counters={
-                    pe_id: (lambda p=pe_id: self.source_generated[p])
-                    for pe_id in sorted(self.topology.source_rates)
-                },
-                baseline=dict(self.topology.source_rates),
-                reoptimize_fn=self.elastic.proactive_reoptimize,
-                scale_out_fn=self.elastic.proactive_scale_out,
-                active_after=config.warmup,
             )
 
     # -- threads ------------------------------------------------------------
@@ -451,25 +370,17 @@ class SPCRuntime:
             target=target, args=args, name=name, daemon=True
         )
 
-    def _control_loop(self, controller: _t.Any) -> None:
-        """Pump one node's controller at the dilated control cadence."""
+    def _node_ticker(self, node_id: str) -> None:
+        """Pump one node's controller at the dilated control cadence.
+
+        Keyed by node identity: membership rebuilds replace controller
+        objects and shift node indices, so both are resolved fresh each
+        tick.  Retires when its node leaves.
+        """
         config = self.config
         period_wall = config.dt * config.dilation
-        paused = self.plane.paused
-        node_index = controller.node_index
+        plane = self.plane
         while not self._stop.is_set():
-            if not paused[node_index]:
-                controller.tick(self.now())
-            time.sleep(period_wall)
-
-    # -- elastic tier (armed runtimes only) ----------------------------------
-
-    def _elastic_control_loop(self, node_id: str) -> None:
-        """Identity-keyed control pump; retires when its node leaves."""
-        config = self.config
-        period_wall = config.dt * config.dilation
-        while not self._stop.is_set():
-            plane = self.plane
             index = plane.node_index(node_id)
             if index is None:
                 return
@@ -495,24 +406,13 @@ class SPCRuntime:
             with guard:
                 tick(self.now())
 
-    # -- MembershipOps (armed runtimes only; ElasticDriver keeps the books) ---
-
-    def _require_elastic(self, operation: str) -> None:
-        if self.elasticity is None:
-            raise RuntimeError(
-                f"{operation} requires an elasticity-armed runtime "
-                "(RuntimeConfig.elasticity): disarmed control loops are "
-                "object-bound and cannot follow membership churn"
-            )
+    # -- MembershipOps (the physical half; ElasticDriver keeps the books) -----
 
     def add_node(self, cpu_capacity: float = 1.0) -> str:
         """Join a fresh empty node: plane group, gauges, control thread."""
-        self._require_elastic("add_node")
         node_id = self.elastic.next_node_id()
         self.elastic.join(node_id, cpu_capacity, self.now())
-        thread = self._thread(
-            f"ctl-{node_id}", self._elastic_control_loop, node_id
-        )
+        thread = self._thread(f"ctl-{node_id}", self._node_ticker, node_id)
         if self._start_wall is None:
             self._threads.append(thread)
         else:
@@ -523,7 +423,6 @@ class SPCRuntime:
         """Leave: the plane refuses non-empty nodes (buffered work and
         ingress channels can never be stranded); the node's control
         thread retires on its next tick."""
-        self._require_elastic("remove_node")
         return self.elastic.leave(node_index, self.now())
 
     def migrate_pes(
@@ -538,8 +437,6 @@ class SPCRuntime:
         with nothing to lift: pure Tier-2/Tier-3 surgery, downtime zero
         by construction, the same ``migration`` trace events.
         """
-        self._require_elastic("migrate_pes")
-
         def land(records: _t.Sequence[MigrationRecord]) -> None:
             for record in records:
                 record.downtime = 0.0
@@ -656,36 +553,38 @@ class SPCRuntime:
         if duration <= 0:
             raise ValueError("duration must be positive")
         config = self.config
+        pes = self.pes.values()
+        admission = self.admission
+
+        def counters() -> _t.Tuple[int, int, int, float]:
+            return (
+                sum(pe.channel.stats.dropped for pe in pes),
+                admission.total_shed if admission is not None else 0,
+                admission.total_rejected if admission is not None else 0,
+                sum(pe.cpu_used for pe in pes),
+            )
+
         self._start_wall = time.monotonic()
-        for pe in self.pes.values():
+        for pe in pes:
             pe.start()
         for thread in self._threads:
             thread.start()
         if config.supervise:
             self._thread("supervisor", self._supervisor_loop).start()
+        try:
+            time.sleep(config.warmup * config.dilation)
+            with self.collector_lock:
+                started = self.now()
+                self.collector.reset(started)
+            if self.spans is not None:
+                self.spans.reset()
+            drops0, shed0, rejected0, cpu0 = counters()
 
-        time.sleep(config.warmup * config.dilation)
-        with self._collector_lock:
-            self._collector.reset(self.now())
-        if self.spans is not None:
-            self.spans.reset()
-        drops_at_start = sum(
-            pe.channel.stats.dropped for pe in self.pes.values()
-        )
-        admission = self.admission
-        shed_at_start = admission.total_shed if admission is not None else 0
-        rejected_at_start = (
-            admission.total_rejected if admission is not None else 0
-        )
-        cpu_at_start = sum(pe.cpu_used for pe in self.pes.values())
-        started = self.now()
-
-        if observer is None:
-            time.sleep(duration * config.dilation)
-        else:
-            deadline = started + duration
-            step_wall = max(0.01, observe_interval * config.dilation)
-            try:
+            if observer is None:
+                time.sleep(duration * config.dilation)
+            else:
+                deadline = started + duration
+                step_wall = max(0.01, observe_interval * config.dilation)
                 while True:
                     remaining_wall = (deadline - self.now()) * config.dilation
                     if remaining_wall <= 0:
@@ -693,70 +592,55 @@ class SPCRuntime:
                     time.sleep(min(step_wall, remaining_wall))
                     if self.now() < deadline:
                         observer(self)
-            except BaseException:
-                self._stop.set()
-                for pe in self.pes.values():
-                    pe.stop()
-                raise
-        ended = self.now()
 
-        self._stop.set()
-        for pe in self.pes.values():
-            pe.stop()
+            # The window closes here, under the lock the egress sinks
+            # record under: what they deliver during teardown is not
+            # part of the report.
+            with self.collector_lock:
+                ended = self.now()
+                collector = self.collector
+                throughput = collector.weighted_throughput(ended)
+                latency = collector.latency_summary()
+                total = collector.total_output()
+                percentiles = collector.latency_percentiles()
+                per_egress = {
+                    pe_id: record.count
+                    for pe_id, record in collector.records().items()
+                }
+            drops1, shed1, rejected1, cpu1 = counters()
+        finally:
+            # Tell everyone at once, then wait: a worker can take up to
+            # one emulated service time to notice, and those overlap.
+            self._stop.set()
+            for pe in pes:
+                pe.request_stop()
+            for pe in pes:
+                pe.stop()
 
-        with self._collector_lock:
-            throughput = self._collector.weighted_throughput(ended)
-            latency = self._collector.latency_summary()
-            total = self._collector.total_output()
-            percentiles = self._collector.latency_percentiles()
-            per_egress = {
-                pe_id: record.count
-                for pe_id, record in self._collector.records().items()
-            }
-        window = ended - started
-        if self.elasticity is not None:
-            # Membership varied during the window: normalize CPU use by
-            # integrated node-seconds, not a fixed node count.
-            cpu_denominator = self.elastic.node_seconds(started, ended)
-        else:
-            cpu_denominator = window * max(1, self.topology.num_nodes)
-        channel_drops = (
-            sum(pe.channel.stats.dropped for pe in self.pes.values())
-            - drops_at_start
-        )
-        drops_by_kind = {
-            "buffer_overflow": channel_drops,
-            "flushed": 0,
-            "shed": 0,
-            "admission_shed": (
-                (admission.total_shed - shed_at_start)
-                if admission is not None
-                else 0
-            ),
-            "admission_rejected": (
-                (admission.total_rejected - rejected_at_start)
-                if admission is not None
-                else 0
-            ),
-        }
+        # Membership may have varied during the window: normalize CPU
+        # use by integrated node-seconds, not a fixed node count.
+        cpu_denominator = self.elastic.node_seconds(started, ended)
         return RuntimeReport(
             policy=self.policy.name,
-            duration=window,
+            duration=ended - started,
             weighted_throughput=throughput,
             total_output_sdos=total,
             latency=latency,
-            buffer_drops=channel_drops,
+            buffer_drops=drops1 - drops0,
             cpu_utilization=(
-                (sum(pe.cpu_used for pe in self.pes.values()) - cpu_at_start)
-                / cpu_denominator
-                if cpu_denominator
-                else 0.0
+                (cpu1 - cpu0) / cpu_denominator if cpu_denominator else 0.0
             ),
             per_egress_counts=per_egress,
             worker_restarts=self.worker_restarts,
             workers_abandoned=self.workers_abandoned,
             latency_percentiles=percentiles,
-            drops_by_kind=drops_by_kind,
+            drops_by_kind={
+                "buffer_overflow": drops1 - drops0,
+                "flushed": 0,
+                "shed": 0,
+                "admission_shed": shed1 - shed0,
+                "admission_rejected": rejected1 - rejected0,
+            },
         )
 
 
@@ -770,14 +654,9 @@ def run_runtime(
     spans: _t.Optional["SpanTracker"] = None,
 ) -> RuntimeReport:
     """One-call entry point mirroring :func:`repro.systems.run_system`."""
-    policies: _t.Dict[str, Policy] = {
-        "aces": AcesPolicy(),
-        "udp": UdpPolicy(),
-        "lockstep": LockStepPolicy(),
-    }
     runtime = SPCRuntime(
         topology,
-        policies[policy_name],
+        policy_by_name(policy_name),
         targets=targets,
         config=config,
         recorder=recorder,

@@ -150,8 +150,12 @@ class RuntimePE:
         self.started = True
         self._thread.start()
 
-    def stop(self, timeout: float = 2.0) -> None:
+    def request_stop(self) -> None:
+        """Tell the worker to exit without waiting for it."""
         self._stop.set()
+
+    def stop(self, timeout: float = 2.0) -> None:
+        self.request_stop()
         self._thread.join(timeout=timeout)
 
     @property

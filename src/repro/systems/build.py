@@ -65,8 +65,7 @@ class SystemConfig(ControlConfig):
     :class:`~repro.control.config.ControlConfig` plus the simulator's
     own timing, source and link models."""
 
-    #: Control interval Delta-t (seconds).
-    dt: float = 0.01
+    warmup: float = 5.0
     #: Feedback propagation delay; None means one control interval.
     feedback_delay: _t.Optional[float] = None
     #: Source model: 'onoff' (bursty), 'poisson', 'constant',
@@ -96,8 +95,6 @@ class SystemConfig(ControlConfig):
     #: Relative rate slope per second for the 'drift' and 'driftsquare'
     #: sources (0.05 = +5% load per simulated second).
     source_drift: float = 0.05
-    #: Simulated warm-up excluded from all metrics.
-    warmup: float = 5.0
     #: Finite bandwidth (size units / second) for links between PEs on
     #: *different* nodes; None models the paper's instantaneous
     #: intra-cluster transport.  Co-located PEs always communicate
@@ -123,8 +120,6 @@ class SystemConfig(ControlConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if self.source_kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source_kind {self.source_kind!r}")
         if not 0.0 < self.source_duty <= 1.0:
@@ -147,8 +142,6 @@ class SystemConfig(ControlConfig):
                 "correlatedburst needs source_surge_duration <= "
                 "source_period (the burst window repeats every period)"
             )
-        if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
         if self.reoptimize_interval is not None and self.reoptimize_interval <= 0:
             raise ValueError("reoptimize_interval must be positive")
         if self.link_bandwidth is not None and self.link_bandwidth <= 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.control.adapter import GateFn, SettleFn
+from repro.control.adapter import SettleFn
 from repro.metrics.collectors import EgressCollector
 from repro.model.links import Link
 from repro.model.pe import PERuntime
@@ -175,23 +175,13 @@ class SimAdapter:
     admission filters) — hence the late :meth:`bind`.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        recorder: TraceRecorder,
-        profiler: _t.Optional["PhaseProfiler"] = None,
-    ):
-        self.env = env
-        self.recorder = recorder
+    def __init__(self, profiler: _t.Optional["PhaseProfiler"] = None):
         self.profiler = profiler
         self.dataplane: _t.Optional[SimDataPlane] = None
 
     def bind(self, dataplane: SimDataPlane) -> None:
         """Attach the data plane PE execution emits through."""
         self.dataplane = dataplane
-
-    def clock(self) -> float:
-        return self.env.now
 
     def snapshot(
         self,
@@ -244,11 +234,3 @@ class SimAdapter:
         finally:
             if profiler is not None:
                 profiler.pop()
-
-    def apply_gates(self, pe_id: str, gate: _t.Optional[GateFn]) -> None:
-        """No substrate-side gate state: the simulator enforces gates
-        inside :meth:`apply_grants` via the shared control records."""
-
-    def emit_trace(self, kind: str, **fields: _t.Any) -> None:
-        if self.recorder.enabled:
-            self.recorder.emit(kind, **fields)

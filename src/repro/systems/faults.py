@@ -29,9 +29,9 @@ Control-plane faults (the *controller itself* misbehaving):
 * :meth:`FaultPlan.pe_crash` — a PE crashes, *losing its input buffer*,
   and restarts after the window.
 
-Membership faults (the cluster itself churning; requires a system built
-with an :class:`~repro.control.elastic.ElasticityConfig`, whose control
-loops follow nodes by identity across epoch rebuilds):
+Membership faults (the cluster itself churning; any system with
+per-node control loops, which follow nodes by identity across epoch
+rebuilds — not one built with ``control_phase_buckets``):
 
 * :meth:`FaultPlan.node_join` — a node joins at ``start`` and is
   evacuated and removed again when the window ends;
@@ -123,6 +123,32 @@ def _check_magnitude(kind: str, magnitude: float) -> None:
         raise ValueError(
             f"joined-node cpu capacity must be positive, got {magnitude}"
         )
+
+
+def _apply_feedback_fault(
+    system: _t.Any, fault: Fault
+) -> _t.Callable[[], None]:
+    """Wrap the plane's feedback bus in a lossy/congested one (either
+    substrate: both expose ``plane`` and ``streams``); returns the revert."""
+    plane = system.plane
+    rng = system.streams.stream("fault:feedback")
+    if fault.kind == "feedback_loss":
+        wrapper = LossyFeedbackBus(
+            plane.bus, rng, loss_probability=fault.magnitude
+        )
+    else:
+        wrapper = LossyFeedbackBus(
+            plane.bus,
+            rng,
+            delay_multiplier=fault.magnitude,
+            jitter=fault.jitter,
+        )
+    plane.bus = wrapper
+
+    def revert() -> None:
+        plane.bus = wrapper.inner
+
+    return revert
 
 
 def _resource_key(fault: Fault) -> _t.Tuple[str, str]:
@@ -254,7 +280,7 @@ class FaultPlan:
         self.faults.append(Fault("pe_crash", pe_id, start, duration, 0.0))
         return self
 
-    # -- membership faults (elasticity-armed systems only) ------------------
+    # -- membership faults (per-node control loops only) --------------------
 
     def node_join(
         self, start: float, duration: float, cpu_capacity: float = 1.0
@@ -321,12 +347,7 @@ class FaultInjector:
         ):
             pass  # bus-wide / solver-wide: no target to resolve
         elif fault.kind in ("node_join", "node_leave"):
-            if getattr(self.system, "elasticity", None) is None:
-                raise ValueError(
-                    f"{fault.kind} requires an elasticity-armed system "
-                    "(SystemConfig.elasticity): disarmed control loops "
-                    "are index-bound and cannot follow membership churn"
-                )
+            self.system.require_node_tickers(fault.kind)
             if fault.kind == "node_leave":
                 index = int(fault.target)
                 if not 0 <= index < len(self.system.nodes):
@@ -455,25 +476,7 @@ class FaultInjector:
         return revert
 
     def _apply_feedback_fault(self, fault: Fault) -> _t.Callable[[], None]:
-        system = self.system
-        rng = system.streams.stream("fault:feedback")
-        if fault.kind == "feedback_loss":
-            wrapper = LossyFeedbackBus(
-                system.bus, rng, loss_probability=fault.magnitude
-            )
-        else:
-            wrapper = LossyFeedbackBus(
-                system.bus,
-                rng,
-                delay_multiplier=fault.magnitude,
-                jitter=fault.jitter,
-            )
-        system.bus = wrapper
-
-        def revert() -> None:
-            system.bus = wrapper.inner
-
-        return revert
+        return _apply_feedback_fault(self.system, fault)
 
     def _apply_tier1_outage(self, fault: Fault) -> _t.Callable[[], None]:
         tier1 = self.system.tier1
@@ -612,25 +615,7 @@ class RuntimeFaultInjector:
         self.applied.append((runtime.now(), fault, "reverted"))
 
     def _apply(self, fault: Fault) -> _t.Callable[[], None]:
-        runtime = self.runtime
         if fault.kind == "pe_crash":
-            runtime.pes[fault.target].kill()
+            self.runtime.pes[fault.target].kill()
             return lambda: None
-        rng = runtime.streams.stream("fault:feedback")
-        if fault.kind == "feedback_loss":
-            wrapper = LossyFeedbackBus(
-                runtime._bus, rng, loss_probability=fault.magnitude
-            )
-        else:
-            wrapper = LossyFeedbackBus(
-                runtime._bus,
-                rng,
-                delay_multiplier=fault.magnitude,
-                jitter=fault.jitter,
-            )
-        runtime._bus = wrapper
-
-        def revert() -> None:
-            runtime._bus = wrapper.inner
-
-        return revert
+        return _apply_feedback_fault(self.runtime, fault)

@@ -23,17 +23,10 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass, field
 
-from repro.control import ControlPlane, NodeGroup, resolve_initial_targets
-from repro.control.admission import AdmissionController
-from repro.control.elastic import (
-    ElasticDriver,
-    MigrationRecord,
-    PlacementVersion,
-)
-from repro.control.forecast import ForecastController
-from repro.control.node import NodeController
+from repro.control import NodeGroup
+from repro.control.elastic import MigrationRecord, PlacementVersion
+from repro.control.wiring import ControlStack
 from repro.core.policies import Policy
-from repro.core.resilience import ResilientTier1
 from repro.core.targets import AllocationTargets
 from repro.core.utility import LogUtility
 from repro.graph.topology import Topology
@@ -114,12 +107,6 @@ class SimulatedSystem:
         #: Armed latency-span tracker (None keeps every hop disarmed).
         self.spans = spans
 
-        #: Degradation-guarded Tier-1 solver: retries, validates, and
-        #: falls back to last-known-good targets when a re-solve fails
-        #: (fault injection hooks into it via ``inject_failure``).
-        self.tier1 = ResilientTier1(recorder=self.recorder)
-        targets = resolve_initial_targets(self.tier1, topology, targets)
-
         self.runtimes, self.collector = build_runtimes(
             topology, self.config, self.streams, self.recorder, spans=spans
         )
@@ -134,50 +121,38 @@ class SimulatedSystem:
             config.dt if config.feedback_delay is None
             else config.feedback_delay
         )
-        #: SLO-aware admission front end (None unless configured).  Built
-        #: before the plane so the plane owns its tick; bound to the
-        #: ingress buffers and the live egress histogram records below.
-        self.admission: _t.Optional[AdmissionController] = None
-        if config.admission is not None:
-            self.admission = AdmissionController(config.admission)
-            self.admission.bind(
-                ingress={
-                    pe_id: runtime.buffer
-                    for pe_id, runtime in self.runtimes.items()
-                    if runtime.is_ingress
-                },
-                egress=self.collector.records(),
-                clock=lambda: self.env.now,
-            )
-
-        #: Forecasting tier (None unless configured).  Built before the
-        #: plane so the plane owns its tick; bound to the source
-        #: counters (which exist only after ``build_sources``) below.
-        self.forecast: _t.Optional[ForecastController] = None
-        if config.forecast is not None:
-            self.forecast = ForecastController(config.forecast)
-
-        self.adapter = SimAdapter(self.env, self.recorder, self.profiler)
-        self.plane = ControlPlane(
+        self.adapter = SimAdapter(self.profiler)
+        #: The five control tiers, wired as on every substrate; this
+        #: system is their MembershipOps and their ticker.
+        stack = ControlStack(
             policy,
-            self.adapter,
+            topology,
+            config,
+            adapter=self.adapter,
+            ops=self,
+            # The node's own resident list, so plane group surgery moves
+            # PEs physically too.
             groups=[
                 NodeGroup(node.node_id, node.pes, node.cpu_capacity)
                 for node in self.nodes
             ],
+            pes=self.runtimes,
+            collector=self.collector,
+            clock=lambda: self.env.now,
             targets=targets,
-            dt=config.dt,
-            b0=config.b0_fraction * config.buffer_size,
-            feedback_delay=delay,
-            feedback_staleness_ttl=config.feedback_staleness_ttl,
-            feedback_stale_bound=config.feedback_stale_bound,
             recorder=self.recorder,
-            tier1=self.tier1,
             profiler=self.profiler,
-            control_impl=config.control_impl,
-            admission=self.admission,
-            forecast=self.forecast,
+            feedback_delay=delay,
         )
+        self.tier1 = stack.tier1
+        self.admission = stack.admission
+        self.forecast = stack.forecast
+        self.plane = stack.plane
+        self.elasticity = config.elasticity
+        self.elastic = stack.elastic
+        self.placement_book = self.elastic.book
+        self.scaling_policy = self.elastic.scaling_policy
+        self.migration_log = self.elastic.migration_log
         if (
             config.control_phase_buckets is not None
             and self.plane.uses_feedback
@@ -209,56 +184,23 @@ class SimulatedSystem:
             self.env, gauge_cadence, self.recorder, self.runtimes, self.plane,
             collector=self.collector,
         )
-
-        #: Tier 3 lives in the driver (disarmed without an elasticity
-        #: config); this system is its MembershipOps.
-        self.elasticity = config.elasticity
-        self.elastic = ElasticDriver(
-            self.plane, self, topology, config.elasticity,
-            active_after=config.warmup,
+        # Each source's cumulative generated counter, by ingress pe_id.
+        stack.bind_sources(
+            {
+                source.stream_id.split(":", 1)[1]: (
+                    lambda s=source: s.stats.generated
+                )
+                for source in self.sources
+            },
+            config.reoptimize_interval,
         )
-        self.placement_book = self.elastic.book
-        self.scaling_policy = self.elastic.scaling_policy
-        self.migration_log = self.elastic.migration_log
-
-        if self.forecast is not None:
-            # Source-rate probes: each source's cumulative generated
-            # counter, keyed by its ingress pe_id.  The baseline is the
-            # provisioned load Tier-1 bootstrapped against.
-            self.forecast.bind(
-                counters={
-                    source.stream_id.split(":", 1)[1]: (
-                        lambda s=source: s.stats.generated
-                    )
-                    for source in self.sources
-                },
-                baseline=dict(topology.source_rates),
-                reoptimize_fn=self.elastic.proactive_reoptimize,
-                scale_out_fn=self.elastic.proactive_scale_out,
-                active_after=config.warmup,
-            )
 
         # Process creation order is part of the determinism contract
-        # (same-timestamp tie-breaks): node loops, elastic, admission,
-        # forecast, reoptimize.  First ticks land one full interval in.
-        self._start_node_loops()
-        if self.admission is not None:
-            self.env.process(
-                self._periodic(
-                    self.admission.config.tick_interval or config.dt,
-                    self.plane.tick_admission,
-                )
-            )
-        if self.forecast is not None:
-            self.env.process(
-                self._periodic(
-                    self.forecast.config.sample_interval,
-                    self.plane.tick_forecast,
-                )
-            )
-
-        if config.reoptimize_interval is not None:
-            self.env.process(self._reoptimize_loop())
+        # (same-timestamp tie-breaks): node loops, then the periodic
+        # tiers.  First ticks land one full interval in.
+        self._start_node_tickers()
+        for periodic in stack.periodic():
+            self.env.process(self._periodic(periodic.interval, periodic.tick))
 
     # -- control-plane delegation (stable operational surface) ---------------
 
@@ -289,10 +231,6 @@ class SimulatedSystem:
         return self.plane.gates
 
     @property
-    def admission_filters(self) -> _t.Dict[str, _t.Any]:
-        return self.plane.admission_filters
-
-    @property
     def reoptimizations(self) -> int:
         """Number of Tier-1 refreshes adopted during the run."""
         return self.plane.reoptimizations
@@ -303,22 +241,8 @@ class SimulatedSystem:
 
     # -- control loop --------------------------------------------------------
 
-    def _start_node_loops(self) -> None:
+    def _start_node_tickers(self) -> None:
         num_nodes = len(self.nodes)
-        if self.elasticity is not None:
-            # Elastic runs key every loop by node_id (indices shift when
-            # membership changes); a loop returns when its node leaves.
-            for index, node in enumerate(self.nodes):
-                offset = (index + 1) / (num_nodes + 1) * self.config.dt
-                self.env.process(
-                    self._elastic_node_loop(node.node_id, offset)
-                )
-            self.env.process(
-                self._periodic(
-                    self.elasticity.check_interval, self.elastic.tick
-                )
-            )
-            return
         buckets = self.config.control_phase_buckets
         if buckets is not None and num_nodes > 0:
             count = min(buckets, num_nodes)
@@ -331,9 +255,9 @@ class SimulatedSystem:
                     self._bucket_loop(bucket, count, list(range(start, stop)))
                 )
             return
-        for index, controller in enumerate(self.plane.node_controllers):
+        for index, node in enumerate(self.nodes):
             offset = (index + 1) / (num_nodes + 1) * self.config.dt
-            self.env.process(self._node_loop(controller, offset, index))
+            self.env.process(self._node_ticker(node.node_id, offset))
 
     def _bucket_loop(
         self, bucket: int, count: int, node_indices: _t.List[int]
@@ -341,6 +265,7 @@ class SimulatedSystem:
         # Phase buckets: contiguous node runs share one tick instant
         # (decide-all-then-apply-all inside the plane), with the same
         # staggered-offset idea as per-node loops but between buckets.
+        # Index-bound, so membership operations refuse bucketed systems.
         env = self.env
         dt = self.config.dt
         tick_nodes = self.plane.tick_nodes
@@ -350,29 +275,11 @@ class SimulatedSystem:
             tick_nodes(node_indices, env.now)
             yield env.timeout(dt)
 
-    def _node_loop(
-        self,
-        controller: NodeController,
-        offset: float,
-        node_index: int,
-    ) -> _t.Generator:
+    def _node_ticker(self, node_id: str, offset: float) -> _t.Generator:
         # Unsynchronized phase offsets: no global tick (Section V-E).
-        env = self.env
-        dt = self.config.dt
-        tick = controller.tick
-        paused = self.plane.paused
-        yield env.timeout(offset)
-        while True:
-            if not paused[node_index]:
-                tick(env.now)
-            yield env.timeout(dt)
-
-    # -- elasticity (Tier 3) -------------------------------------------------
-
-    def _elastic_node_loop(self, node_id: str, offset: float) -> _t.Generator:
-        # Identity-keyed variant of _node_loop: membership changes shift
-        # node indices and rebuild the controller list, so both are
-        # resolved fresh each tick.  Returns when the node leaves.
+        # Keyed by node identity: membership changes shift node indices
+        # and rebuild the controller list, so both are resolved fresh
+        # each tick.  Returns when the node leaves.
         env = self.env
         dt = self.config.dt
         plane = self.plane
@@ -389,7 +296,8 @@ class SimulatedSystem:
         self, interval: float, tick: _t.Callable[[float], None]
     ) -> _t.Generator:
         """The one ticker of the periodic tiers (elastic, admission,
-        forecast): ``tick(now)`` every ``interval`` simulated seconds."""
+        forecast, Tier-1 refresh): ``tick(now)`` every ``interval``
+        simulated seconds."""
         env = self.env
         while True:
             yield env.timeout(interval)
@@ -397,8 +305,18 @@ class SimulatedSystem:
 
     # -- MembershipOps (the physical half; ElasticDriver keeps the books) -----
 
+    def require_node_tickers(self, operation: str) -> None:
+        """Refuse a membership operation on a bucketed system."""
+        if self.config.control_phase_buckets is not None:
+            raise RuntimeError(
+                f"{operation} requires per-node control loops: this system "
+                "was built with control_phase_buckets, whose shared-phase "
+                "loops are index-bound and cannot follow membership churn"
+            )
+
     def add_node(self, cpu_capacity: float = 1.0) -> ProcessingNode:
         """Join a fresh empty node: substrate object, plane group, loop."""
+        self.require_node_tickers("add_node")
         node = ProcessingNode(
             node_id=self.elastic.next_node_id(), cpu_capacity=cpu_capacity
         )
@@ -409,11 +327,12 @@ class SimulatedSystem:
             node.node_id, cpu_capacity, self.env.now, pes=node.pes
         )
         offset = (index + 1) / (index + 2) * self.config.dt
-        self.env.process(self._elastic_node_loop(node.node_id, offset))
+        self.env.process(self._node_ticker(node.node_id, offset))
         return node
 
     def remove_node(self, node_index: int) -> str:
         """Leave: plane first (it refuses non-empty nodes), then substrate."""
+        self.require_node_tickers("remove_node")
         node_id = self.elastic.leave(node_index, self.env.now)
         self.nodes.pop(node_index)
         return node_id
@@ -431,6 +350,7 @@ class SimulatedSystem:
         links are re-wired to the new placement, and the SDOs are
         restored — conservation holds exactly across the handoff.
         """
+        self.require_node_tickers("migrate_pes")
         now = self.env.now
         runtimes = self.runtimes
         held: _t.Dict[str, _t.Tuple[_t.List, int]] = {}
@@ -492,30 +412,6 @@ class SimulatedSystem:
         for key in [k for k in self.links if k not in live]:
             del self.links[key]
 
-    def _reoptimize_loop(self) -> _t.Generator:
-        """Periodic Tier-1 refresh from measured input rates (Section V)."""
-        interval = self.config.reoptimize_interval
-        assert interval is not None
-        last_generated = {
-            source.stream_id: source.stats.generated
-            for source in self.sources
-        }
-        while True:
-            yield self.env.timeout(interval)
-            measured_rates: _t.Dict[str, float] = {}
-            for source in self.sources:
-                generated = source.stats.generated
-                delta = generated - last_generated[source.stream_id]
-                last_generated[source.stream_id] = generated
-                pe_id = source.stream_id.split(":", 1)[1]
-                measured_rates[pe_id] = delta / interval
-            self.plane.reoptimize(
-                self.topology.graph,
-                self.placement_book.placement,
-                measured_rates,
-                reason="reoptimize",
-            )
-
     # -- measurement ---------------------------------------------------------
 
     def _snapshot(self, now: float) -> _Snapshot:
@@ -550,8 +446,20 @@ class SimulatedSystem:
             },
         )
 
-    def run(self, duration: float) -> MetricsReport:
-        """Warm up, then simulate ``duration`` seconds and report metrics."""
+    def run(
+        self,
+        duration: float,
+        observer: _t.Optional[_t.Callable[["SimulatedSystem"], None]] = None,
+        observe_interval: float = 1.0,
+    ) -> MetricsReport:
+        """Warm up, then simulate ``duration`` seconds and report metrics.
+
+        When ``observer`` is given the measured window is simulated in
+        steps of ``observe_interval`` seconds and the observer is called
+        with the paused system after each (the ``repro top --watch``
+        hook, as on :meth:`SPCRuntime.run`); stepping only adds
+        until-events, so the report is the unobserved run's.
+        """
         if duration <= 0:
             raise ValueError("duration must be positive")
         config = self.config
@@ -563,12 +471,20 @@ class SimulatedSystem:
         measure_start = self.env.now
         start = self._snapshot(self.env.now)
 
-        self.env.run(until=self.env.now + duration)
+        stop = self.env.now + duration
+        if observer is None:
+            self.env.run(until=stop)
+        else:
+            while self.env.now < stop:
+                self.env.run(
+                    until=min(self.env.now + observe_interval, stop)
+                )
+                observer(self)
         end = self._snapshot(self.env.now)
 
-        if self.elasticity is None:
-            # The pre-elasticity expression, verbatim: membership is
-            # frozen, so node-seconds is exactly duration * num_nodes.
+        if self.elasticity is None and len(self.elastic.timeline) == 1:
+            # The pre-elasticity expression, verbatim: membership never
+            # moved, so node-seconds is exactly duration * num_nodes.
             cpu_denominator = duration * len(self.nodes)
         else:
             cpu_denominator = self.elastic.node_seconds(

@@ -298,15 +298,22 @@ class TestPlaneState:
                 assert record.cpu_target == 0.123
 
     def test_plane_without_tier1_refuses_reoptimize(self):
-        runtime = SPCRuntime(
-            small_topology(), AcesPolicy(), config=RuntimeConfig(seed=1)
+        # Both substrates wire a ResilientTier1 in (ControlStack); a
+        # plane built bare, without one, must refuse instead of crash.
+        system = build_system(AcesPolicy())
+        assert system.plane.tier1 is system.tier1
+        bare = ControlPlane(
+            AcesPolicy(),
+            system.adapter,
+            groups=system.plane.groups,
+            targets=system.targets,
+            dt=0.02,
+            b0=25.0,
         )
-        assert runtime.plane.tier1 is None
-        with pytest.raises(RuntimeError):
-            runtime.plane.reoptimize(
-                runtime.topology.graph,
-                runtime.topology.placement,
-                {},
+        assert bare.tier1 is None
+        with pytest.raises(RuntimeError, match="without a Tier-1 solver"):
+            bare.reoptimize(
+                system.topology.graph, system.topology.placement, {}
             )
 
     def test_repr(self):
@@ -316,3 +323,42 @@ class TestPlaneState:
         assert repr(system.plane.node_controllers[0]).startswith(
             "NodeController("
         )
+
+
+SHARED_FIELD_CASES = [
+    ({"dt": 0.0}, "dt must be positive"),
+    ({"dt": -0.01}, "dt must be positive"),
+    ({"warmup": -1.0}, "warmup must be >= 0"),
+    ({"buffer_size": 0}, "buffer_size must be positive"),
+    ({"b0_fraction": 1.5}, "b0_fraction"),
+    ({"feedback_staleness_ttl": 0.0}, "feedback_staleness_ttl"),
+    ({"control_impl": "simd"}, "control_impl"),
+]
+RUNTIME_FIELD_CASES = [
+    ({"dilation": 0.0}, "dilation must be positive"),
+    ({"source_kind": "onoff"}, "unknown source_kind 'onoff'"),
+    ({"supervisor_poll": 0.0}, "supervisor_poll must be positive"),
+    ({"max_worker_restarts": -1}, "max_worker_restarts must be >= 0"),
+    ({"restart_backoff_base": -0.1}, "restart_backoff_base must be >= 0"),
+    ({"restart_backoff_factor": 0.5}, "restart_backoff_factor must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "config_cls, kwargs, match",
+    [
+        (cls, kwargs, match)
+        for cls in (SystemConfig, RuntimeConfig)
+        for kwargs, match in SHARED_FIELD_CASES
+    ]
+    + [(RuntimeConfig, kwargs, match) for kwargs, match in RUNTIME_FIELD_CASES],
+)
+def test_config_validation_is_shared_and_complete(config_cls, kwargs, match):
+    # dt and warmup are ControlConfig's: declared, documented and
+    # validated once, with each substrate keeping its own default.
+    assert (SystemConfig().dt, SystemConfig().warmup) == (0.01, 5.0)
+    assert (RuntimeConfig().dt, RuntimeConfig().warmup) == (0.05, 1.0)
+    with pytest.raises(ValueError, match=match):
+        config_cls(**kwargs)
+    for source_kind in ("poisson", "constant"):
+        assert RuntimeConfig(source_kind=source_kind).source_kind == source_kind

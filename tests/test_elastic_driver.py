@@ -1,46 +1,66 @@
-"""A third substrate in 40 lines: ``ElasticDriver`` over a fake
+"""A third substrate in 50 lines: ``ControlStack`` over a fake
 ``MembershipOps``.
 
 The machine check behind ``docs/architecture.md``'s claim that a
 substrate is a ``SystemAdapter``, three membership operations and a
 ticker: :class:`FakeSubstrate` has no simulation kernel and starts no
-thread — its PEs are un-started ``RuntimePE`` objects and its "ticker"
-is the test calling ``driver.tick(now)`` — yet the whole elastic tier
-and the forecasting tier's actuation run on it unchanged.
+thread — its PEs are un-started ``RuntimePE`` objects, its clock is a
+float and its "ticker" is the test calling the ticks
+``ControlStack.periodic`` lists — yet all five tiers are wired through
+the one entry point both real substrates use, and the whole elastic
+tier and the forecasting tier's actuation run on it unchanged.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.control import ControlPlane, ElasticDriver, NodeGroup
+from repro.control import NodeGroup, SystemAdapter
+from repro.control.admission import AdmissionConfig
+from repro.control.config import ControlConfig
 from repro.control.elastic import ElasticityConfig
-from repro.control.plane import resolve_initial_targets
-from repro.core.policies import UdpPolicy
-from repro.core.resilience import ResilientTier1
+from repro.control.forecast import ForecastConfig
+from repro.control.wiring import ControlStack
+from repro.core.policies import UdpPolicy, policy_by_name
 from repro.graph.topology import TopologySpec, generate_topology
+from repro.metrics.collectors import EgressCollector
 from repro.model.sdo import SDO
-from repro.obs.recorder import NULL_RECORDER
-from repro.runtime.spc import ThreadAdapter
+from repro.runtime.spc import RuntimeConfig, SPCRuntime, ThreadAdapter
 from repro.runtime.worker import RuntimePE
+from repro.systems.dataplane import SimAdapter
+from repro.systems.simulated import SimulatedSystem, SystemConfig
 
 CAPACITY = 10
 
 
 class FakeSubstrate:
-    """In-memory MembershipOps: node "loops" are two lists of names."""
+    """An adapter, a clock and three membership operations; node "loops"
+    are two lists of names."""
 
-    def __init__(self, topology, elasticity):
+    def __init__(self, topology, config):
         graph = topology.graph
         rng = np.random.default_rng(0)
+        ingress = set(graph.ingress_ids)
         self.now = 0.0
         self.pes = {
-            pe_id: RuntimePE(graph.profile(pe_id), CAPACITY, rng, 1.0)
+            pe_id: RuntimePE(
+                graph.profile(pe_id), config.buffer_size, rng, 1.0,
+                is_ingress=pe_id in ingress,
+            )
             for pe_id in graph.topological_order()
         }
-        tier1 = ResilientTier1()
-        self.plane = ControlPlane(
+        collector = EgressCollector()
+        for pe_id in graph.egress_ids:
+            collector.register(pe_id, graph.profile(pe_id).weight)
+        #: Offered SDOs per source, scripted by the tests.
+        self.generated = {pe_id: 0 for pe_id in sorted(topology.source_rates)}
+        self.stack = ControlStack(
             UdpPolicy(),
-            ThreadAdapter(lambda: self.now, NULL_RECORDER),
+            topology,
+            config,
+            adapter=ThreadAdapter(),
+            ops=self,
             groups=[
                 NodeGroup(
                     f"node-{n}",
@@ -51,12 +71,16 @@ class FakeSubstrate:
                 )
                 for n in range(topology.num_nodes)
             ],
-            targets=resolve_initial_targets(tier1, topology),
-            dt=0.05,
-            b0=CAPACITY / 2,
-            tier1=tier1,
+            pes=self.pes,
+            collector=collector,
+            clock=lambda: self.now,
         )
-        self.driver = ElasticDriver(self.plane, self, topology, elasticity)
+        self.stack.bind_sources({
+            pe_id: (lambda p=pe_id: self.generated[p])
+            for pe_id in self.generated
+        })
+        self.plane = self.stack.plane
+        self.driver = self.stack.elastic
         self.started, self.retired = [], []
 
     def add_node(self, cpu_capacity=1.0):
@@ -73,26 +97,40 @@ class FakeSubstrate:
         return self.driver.migrate(moves, reason, self.now, self.pes)
 
 
-@pytest.fixture
-def fake():
-    topology = generate_topology(
+def small_topology():
+    return generate_topology(
         TopologySpec(
             num_nodes=2, num_ingress=2, num_egress=1, num_intermediate=5
         ),
         np.random.default_rng(0),
     )
+
+
+@pytest.fixture
+def fake():
+    # All five tiers armed: the stack must wire every one of them on a
+    # substrate that is nothing but the three protocol pieces.
     return FakeSubstrate(
-        topology,
-        ElasticityConfig(
-            scale_out_pressure=0.8,
-            scale_in_pressure=0.2,
-            min_nodes=2,
-            max_nodes=4,
-            check_interval=0.5,
-            dwell_intervals=2,
-            cooldown=2.0,
-            max_migrations_per_epoch=4,
-            placement_evaluations=4,
+        small_topology(),
+        ControlConfig(
+            buffer_size=CAPACITY,
+            dt=0.05,
+            admission=AdmissionConfig(),
+            forecast=ForecastConfig(
+                kind="ewma", alpha=1.0, sample_interval=0.5,
+                dwell_ticks=1, cooldown=2.0,
+            ),
+            elasticity=ElasticityConfig(
+                scale_out_pressure=0.8,
+                scale_in_pressure=0.2,
+                min_nodes=2,
+                max_nodes=4,
+                check_interval=0.5,
+                dwell_intervals=2,
+                cooldown=2.0,
+                max_migrations_per_epoch=4,
+                placement_evaluations=4,
+            ),
         ),
     )
 
@@ -209,3 +247,142 @@ def test_migrate_validates_and_filters(fake):
         fake.migrate_pes([(mover, 2)])
     assert fake.migrate_pes([(mover, home)]) is None
     assert driver.book.epoch == 0 and driver.migration_log == []
+
+
+# -- the wiring and the adapter, machine-checked ---------------------------
+
+
+def test_stack_wires_and_lists_every_armed_tier(fake):
+    stack, plane, driver = fake.stack, fake.plane, fake.driver
+    assert plane.tier1 is stack.tier1 and stack.tier1.last_good is not None
+    assert plane.admission is stack.admission is not None
+    assert plane.forecast is stack.forecast is not None
+    assert sorted(stack.admission.streams) == sorted(
+        pe_id for pe_id, pe in fake.pes.items() if pe.is_ingress
+    )
+    ticks = stack.periodic()
+    assert [(t.name, t.interval, t.mutates) for t in ticks] == [
+        ("elastic", 0.5, True),
+        ("admission", 0.05, False),  # tick_interval None -> config.dt
+        ("forecast", 0.5, True),
+    ]
+
+    # The test is the ticker: a scripted 3x surge on every source, fed
+    # through the listed ticks, fires the forecasting tier, whose
+    # re-solve and scale-out go through the elastic driver and spend
+    # the autoscaler's own cooldown.
+    rates = fake.stack.topology.source_rates
+    for step in range(1, 4):
+        fake.now = 0.5 * step
+        for pe_id, rate in rates.items():
+            fake.generated[pe_id] += int(3 * rate * 0.5) + 1
+        for periodic in ticks:
+            periodic.tick(fake.now)
+    assert stack.admission.ticks == 3 and stack.forecast.ticks == 2
+    assert [t.scaled_out for t in stack.forecast.triggers] == [True]
+    assert fake.started == ["node-2"] and len(plane.groups) == 3
+    assert [d.decision for d in driver.scaling_policy.decisions] == [
+        "scale_out"
+    ]
+    assert plane.reoptimizations == 2  # proactive + post-scale-out
+    assert grouped(plane) == dict(driver.book.placement)
+
+
+def test_disarmed_stack_is_inert():
+    fake = FakeSubstrate(
+        small_topology(), ControlConfig(buffer_size=CAPACITY, dt=0.05)
+    )
+    assert fake.stack.periodic() == []
+    assert fake.stack.admission is None and fake.stack.forecast is None
+    assert fake.driver.scaling_policy is None
+
+
+@pytest.mark.parametrize("adapter", [SimAdapter, ThreadAdapter])
+def test_adapters_define_exactly_the_protocol(adapter):
+    def public(cls):
+        return {
+            name for name, member in vars(cls).items()
+            if inspect.isfunction(member) and not name.startswith("_")
+        }
+
+    protocol = public(SystemAdapter)
+    assert protocol == {"snapshot", "snapshot_list", "apply_grants"}
+    # ``bind`` is SimAdapter's own late-construction step, not an
+    # operation the controller calls.
+    assert public(adapter) - {"bind"} == protocol
+
+
+def _membership_script(system, pes):
+    """add_node -> migrate_pes -> remove_node (through the driver's
+    evacuation, so surviving node indices shift)."""
+    system.add_node()
+    mover = sorted(pes)[0]
+    assert system.migrate_pes([(mover, 2)], reason="test") is not None
+    assert system.elastic.evacuate_and_remove(0, "test") is True
+    plane, book = system.plane, system.placement_book
+    assert [g.node_id for g in plane.groups] == ["node-1", "node-2"]
+    assert plane.node_index("node-0") is None
+    assert plane.node_index("node-2") == 1
+    assert book.num_nodes == 2 and grouped(plane) == dict(book.placement)
+    assert set(grouped(plane)) == set(pes)
+
+
+def test_disarmed_simulator_follows_membership():
+    from repro.check import check_conservation
+
+    system = SimulatedSystem(
+        small_topology(), policy_by_name("udp"),
+        config=SystemConfig(seed=3, warmup=0.0, dt=0.05),
+    )
+    assert system.elasticity is None
+    system.env.run(until=1.0)
+    _membership_script(system, system.runtimes)
+    assert [n.node_id for n in system.nodes] == ["node-1", "node-2"]
+    assert all(
+        node.pes is group.pes
+        for node, group in zip(system.nodes, system.plane.groups)
+    )
+    # The node tickers followed: each survivor keeps ticking under its
+    # new index, and the departed node's loop has returned.
+    before = [c.ticks for c in system.plane.node_controllers]
+    system.env.run(until=2.0)
+    after = [c.ticks for c in system.plane.node_controllers]
+    assert [b - a for a, b in zip(before, after)] == [20, 20]
+    assert check_conservation(system) == []
+
+
+def test_disarmed_runtime_follows_membership():
+    runtime = SPCRuntime(
+        small_topology(), policy_by_name("udp"),
+        config=RuntimeConfig(seed=3, warmup=0.2, dt=0.05, dilation=0.5),
+    )
+    assert runtime.elasticity is None
+    _membership_script(runtime, runtime.pes)
+    pumps = [t.name for t in runtime._threads if t.name.startswith("ctl-")]
+    assert pumps == ["ctl-node-0", "ctl-node-1", "ctl-node-2"]
+    runtime.run(0.4)
+    # node-0's pump retired on its first tick; the survivors' ticked.
+    assert all(c.ticks > 0 for c in runtime.plane.node_controllers)
+    assert not any(
+        t.is_alive() for t in runtime._threads if t.name == "ctl-node-0"
+    )
+
+
+def test_bucketed_system_refuses_membership():
+    from repro.systems.faults import FaultPlan
+
+    system = SimulatedSystem(
+        small_topology(), policy_by_name("udp"),
+        config=SystemConfig(seed=3, dt=0.05, control_phase_buckets=2),
+    )
+    for operation in (
+        system.add_node,
+        lambda: system.migrate_pes([(sorted(system.runtimes)[0], 1)]),
+        lambda: system.remove_node(1),
+    ):
+        with pytest.raises(RuntimeError, match="control_phase_buckets"):
+            operation()
+    assert len(system.plane.groups) == 2 and system.placement_book.epoch == 0
+    # ...and a membership fault is refused at attach, by the same rule.
+    with pytest.raises(RuntimeError, match="node_join requires per-node"):
+        FaultPlan().node_join(start=0.5, duration=0.5).attach(system)

@@ -3,8 +3,9 @@ and live PE migration on both substrates.
 
 The scripted tests arm the elastic tier with thresholds that can never
 fire (dwell far beyond the run length) so membership changes only when
-the test drives them — armed runtimes use identity-keyed control loops
-that follow epoch rebuilds, which scripted surgery requires.
+the test drives them.  Control loops are identity-keyed on every system,
+armed or not, so they follow epoch rebuilds
+(``tests/test_elastic_driver.py`` drives the disarmed substrates).
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.control.elastic import (
 from repro.core.policies import policy_by_name
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
+from repro.systems.faults import FaultPlan
 from repro.systems.simulated import SimulatedSystem, SystemConfig
 
 
@@ -338,6 +340,43 @@ class TestAutoscaledRun:
         assert set(system.runtimes) == grouped
 
 
+class TestMembershipFaults:
+    def test_disarmed_system_rides_out_join_and_leave(self):
+        # No elastic tier: the node tickers still follow the churn, the
+        # ledger still closes, and CPU use is normalized by integrated
+        # node-seconds because membership moved.
+        recorder = OracleRecorder(strict=True)
+        system = SimulatedSystem(
+            small_topology(), policy_by_name("udp"),
+            config=SystemConfig(dt=0.02, seed=1, warmup=0.5),
+            recorder=recorder,
+        )
+        recorder.attach_plane(system.plane)
+        injector = (
+            FaultPlan()
+            .node_join(start=0.6, duration=0.4)
+            .node_leave(0, start=1.2, duration=0.4)
+            .attach(system)
+        )
+        report = system.run(2.0)
+        assert [(f.kind, phase) for _, f, phase in injector.applied] == [
+            ("node_join", "applied"), ("node_join", "reverted"),
+            ("node_leave", "applied"), ("node_leave", "reverted"),
+        ]
+        assert [g.node_id for g in system.plane.groups] == [
+            "node-1", "node-3",
+        ]
+        assert system.elastic.timeline == [
+            (0.0, 2), (0.6, 3), (1.0, 2), (1.2, 1), (1.6, 2),
+        ]
+        assert len(system.migration_log) > 0
+        violations = list(recorder.finalize())
+        violations.extend(check_conservation(system))
+        assert violations == []
+        assert report.total_output_sdos > 0
+        assert 0.0 < report.cpu_utilization <= 1.0
+
+
 class TestThreadedMembership:
     def make_runtime(self, elasticity):
         topology = small_topology()
@@ -348,15 +387,6 @@ class TestThreadedMembership:
                 seed=3, warmup=0.3, dt=0.05, elasticity=elasticity
             ),
         )
-
-    def test_disarmed_runtime_refuses_membership_ops(self):
-        runtime = self.make_runtime(None)
-        with pytest.raises(RuntimeError, match="elasticity-armed"):
-            runtime.add_node()
-        with pytest.raises(RuntimeError, match="elasticity-armed"):
-            runtime.remove_node(0)
-        with pytest.raises(RuntimeError, match="elasticity-armed"):
-            runtime.migrate_pes([("pe-0", 1)])
 
     def test_scripted_join_migrate_leave(self):
         runtime = self.make_runtime(quiet_elasticity())

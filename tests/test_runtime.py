@@ -194,13 +194,45 @@ class TestSPCRuntime:
         runtime = SPCRuntime(
             topology,
             policy_cls(),
-            config=RuntimeConfig(seed=3, warmup=0.5, dt=0.05),
+            config=RuntimeConfig(seed=3, warmup=0.5, dt=0.05, dilation=0.5),
         )
-        report = runtime.run(duration=1.5)
+        # The first SDO needs ~3.2 model-s to cross this graph, and the
+        # report counts nothing delivered after the window closes.
+        report = runtime.run(duration=4.0)
         assert report.total_output_sdos > 0
         assert report.weighted_throughput > 0
         assert report.policy == policy_cls().name
-        assert report.duration == pytest.approx(1.5, abs=0.3)
+        assert report.duration == pytest.approx(4.0, abs=0.3)
+
+    def test_report_closes_at_the_window_edge(self, topology):
+        # A tap installed the way the perf observatory installs its own:
+        # through RuntimePE.attach, recording under the collector lock.
+        runtime = SPCRuntime(
+            topology, AcesPolicy(),
+            config=RuntimeConfig(seed=3, warmup=0.5, dt=0.05, dilation=0.5),
+        )
+        stamps = []
+
+        def make_sink(pe_id):
+            def sink(sdo):
+                with runtime.collector_lock:
+                    now = runtime.now()
+                    runtime.collector.record(pe_id, sdo, now)
+                    stamps.append(now)
+
+            return sink
+
+        for pe_id, pe in runtime.pes.items():
+            if pe.is_egress:
+                pe.attach(clock=runtime.now, egress_sink=make_sink(pe_id))
+        report = runtime.run(duration=4.0)
+        # Teardown is one signal to every worker, then the joins.
+        assert not any(pe.is_alive for pe in runtime.pes.values())
+        opened = runtime.collector.window_start
+        closed = opened + report.duration
+        delivered = [t for t in stamps if opened <= t <= closed]
+        assert report.total_output_sdos == len(delivered) > 0
+        assert sum(report.per_egress_counts.values()) == len(delivered)
 
     def test_invalid_duration(self, topology):
         runtime = SPCRuntime(topology, UdpPolicy())
@@ -210,8 +242,8 @@ class TestSPCRuntime:
     def test_latency_measured(self, topology):
         runtime = SPCRuntime(
             topology, AcesPolicy(),
-            config=RuntimeConfig(seed=4, warmup=0.5, dt=0.05),
+            config=RuntimeConfig(seed=4, warmup=0.5, dt=0.05, dilation=0.5),
         )
-        report = runtime.run(duration=1.5)
+        report = runtime.run(duration=4.0)
         assert report.latency.count > 0
         assert report.latency.mean > 0

@@ -220,11 +220,12 @@ class TestThreaded:
         runtime = SPCRuntime(
             topology,
             AcesPolicy(),
-            config=RuntimeConfig(seed=3, warmup=0.3, dt=0.05),
+            config=RuntimeConfig(seed=3, warmup=0.3, dt=0.05, dilation=0.5),
             recorder=recorder,
             spans=spans,
         )
-        report = runtime.run(duration=1.5)
+        # ~2.7 model-s until the first SDO crosses this graph.
+        report = runtime.run(duration=4.0)
         assert report.total_output_sdos > 0
         # Real wall clocks: segments are stamped from the same monotonic
         # reading at hand-offs, so the identity still telescopes exactly.

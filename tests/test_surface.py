@@ -167,10 +167,11 @@ class TestSnapshotRuntime:
         runtime = SPCRuntime(
             topology,
             AcesPolicy(),
-            config=RuntimeConfig(seed=3, warmup=0.3, dt=0.05),
+            config=RuntimeConfig(seed=3, warmup=0.3, dt=0.05, dilation=0.5),
             spans=spans,
         )
-        runtime.run(duration=1.2)
+        # ~2.7 model-s until the first SDO crosses this graph.
+        runtime.run(duration=4.0)
         snapshot = snapshot_runtime(runtime)
         assert snapshot.substrate == "threaded"
         assert snapshot.total_output > 0

@@ -116,6 +116,38 @@ class TestRun:
         with pytest.raises(ValueError):
             system.run(0.0)
 
+    @pytest.mark.parametrize("interval", [0.5, 0.7])
+    def test_observation_does_not_perturb_the_run(
+        self, shared_topology, interval
+    ):
+        # One interval divides the window, one does not.
+        def build():
+            return SimulatedSystem(
+                shared_topology, AcesPolicy(), config=quick_config(seed=7)
+            )
+
+        plain = build()
+        baseline = plain.run(3.0)
+        observed = build()
+        seen = []
+        report = observed.run(
+            3.0,
+            observer=lambda live: seen.append(
+                (live.env.now, live.collector.total_output())
+            ),
+            observe_interval=interval,
+        )
+        # Field for field: throughput, latency, drops_by_kind, ...
+        assert report == baseline
+        assert [t for t, _ in seen][-1] == observed.env.now == 4.0
+        assert len(seen) == -(-3.0 // interval)
+        assert seen[-1][1] == report.total_output_sdos
+        # Stepping only adds until-events: one per observer call
+        # against the single one of an unobserved window.
+        assert observed.env.events_processed == (
+            plain.env.events_processed + len(seen) - 1
+        )
+
     @pytest.mark.parametrize(
         "policy_cls", [AcesPolicy, UdpPolicy, LockStepPolicy]
     )
