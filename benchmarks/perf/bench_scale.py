@@ -11,8 +11,10 @@ repo root.
 checked-in curve instead of rewriting it: the vector engine must stay
 within ``--allowed-factor`` of its recorded controller-tick throughput
 and must not fall behind the freshly measured scalar path.  CI runs this
-mode so a regression in the array kernels fails the build without a
-full (minutes-long) curve refresh.
+mode at x1 and x10 so a regression in the array kernels fails the build
+without a full curve refresh.  A refresh takes about 80 s, nearly all
+of it the measured runs at x30 and x100: generating and constructing a
+topology is linear in its size (``docs/performance.md``, "Set-up cost").
 
 Usage::
 

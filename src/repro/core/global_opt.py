@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.targets import AllocationTargets
 from repro.core.utility import LogUtility, UtilityFunction
 from repro.graph.dag import ProcessingGraph
-from repro.graph.placement import Placement
+from repro.graph.placement import Placement, residents_by_node
 from repro.obs.recorder import TraceRecorder
 
 
@@ -77,14 +77,14 @@ class _Program:
         self.mult = np.array([pr.lambda_m for pr in profiles])
         self.weight = np.array([pr.weight for pr in profiles])
 
-        # Node membership.
-        self.nodes = sorted(set(placement[p] for p in self.pe_ids))
+        # Node membership: one index array per node that hosts a PE.
+        num_nodes = 1 + max((placement[p] for p in self.pe_ids), default=-1)
         self.node_members: _t.List[np.ndarray] = [
-            np.array(
-                [self.index[p] for p in self.pe_ids if placement[p] == node],
-                dtype=int,
+            np.array([self.index[p] for p in residents], dtype=int)
+            for residents in residents_by_node(
+                self.pe_ids, placement, num_nodes
             )
-            for node in self.nodes
+            if residents
         ]
 
         # Flow edges as index pairs (producer, consumer).

@@ -38,7 +38,16 @@ class ProcessingGraph:
         self._graph.add_node(profile.pe_id)
 
     def add_edge(self, producer: str, consumer: str) -> None:
-        """Connect ``producer``'s output stream to ``consumer``'s input."""
+        """Connect ``producer``'s output stream to ``consumer``'s input.
+
+        Rejects an unknown id, a self-loop, a duplicate edge and an edge
+        that would close a cycle, each with :class:`GraphValidationError`
+        and without touching the graph.  The graph is acyclic before
+        every call, so the new edge closes a cycle exactly when
+        ``consumer`` already reaches ``producer``: the check searches
+        ``consumer``'s descendants only, and the whole-graph acyclicity
+        check is left to :meth:`validate`.
+        """
         for pe_id in (producer, consumer):
             if pe_id not in self._profiles:
                 raise GraphValidationError(f"unknown PE id {pe_id!r}")
@@ -48,12 +57,25 @@ class ProcessingGraph:
             raise GraphValidationError(
                 f"duplicate edge {producer!r} -> {consumer!r}"
             )
-        self._graph.add_edge(producer, consumer)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(producer, consumer)
+        if self._reaches(consumer, producer):
             raise GraphValidationError(
                 f"edge {producer!r} -> {consumer!r} would create a cycle"
             )
+        self._graph.add_edge(producer, consumer)
+
+    def _reaches(self, start: str, goal: str) -> bool:
+        """Whether a directed path leads from ``start`` to ``goal``."""
+        successors = self._graph.successors
+        seen = {start}
+        stack = [start]
+        while stack:
+            for pe_id in successors(stack.pop()):
+                if pe_id == goal:
+                    return True
+                if pe_id not in seen:
+                    seen.add(pe_id)
+                    stack.append(pe_id)
+        return False
 
     # -- lookup ------------------------------------------------------------
 
@@ -149,8 +171,9 @@ class ProcessingGraph:
     ) -> None:
         """Check structural invariants; raises GraphValidationError.
 
-        * the graph is a non-empty DAG (acyclicity is also enforced on
-          every ``add_edge``);
+        * the graph is a non-empty DAG — one whole-graph pass,
+          independent of the per-edge reachability check in
+          :meth:`add_edge`;
         * optional fan-in / fan-out caps (the paper uses 3 / 4);
         * when the intended ingress/egress roles are given (e.g. by the
           topology generator's layering), every intended ingress PE must
@@ -160,6 +183,8 @@ class ProcessingGraph:
         """
         if not self._profiles:
             raise GraphValidationError("graph has no PEs")
+        if not nx.is_directed_acyclic_graph(self._graph):
+            raise GraphValidationError("graph has a cycle")
         for pe_id in self._profiles:
             if max_fan_in is not None and self.fan_in(pe_id) > max_fan_in:
                 raise GraphValidationError(

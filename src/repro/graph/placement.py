@@ -7,6 +7,7 @@ and are deterministic given their RNG.
 
 from __future__ import annotations
 
+import heapq
 import typing as _t
 
 import numpy as np
@@ -53,17 +54,36 @@ def load_balanced_placement(graph: ProcessingGraph, num_nodes: int) -> Placement
     PE to the least-loaded node.
     """
     _check(graph, num_nodes)
-    loads = [0.0] * num_nodes
     placement: Placement = {}
     by_weight = sorted(
         graph.pe_ids,
         key=lambda pe_id: (-graph.profile(pe_id).mean_service_time, pe_id),
     )
+    # (load, node) pairs: the heap's root is the least-loaded node, ties
+    # going to the lowest index.
+    loads = [(0.0, node) for node in range(num_nodes)]
     for pe_id in by_weight:
-        target = min(range(num_nodes), key=lambda n: (loads[n], n))
+        load, target = loads[0]
         placement[pe_id] = target
-        loads[target] += graph.profile(pe_id).mean_service_time
+        heapq.heapreplace(
+            loads, (load + graph.profile(pe_id).mean_service_time, target)
+        )
     return placement
+
+
+def residents_by_node(
+    order: _t.Iterable[str], placement: _t.Mapping[str, int], num_nodes: int
+) -> _t.List[_t.List[str]]:
+    """The PEs of ``order`` resident on each node, in ``order``'s order.
+
+    Fed the topological order it yields each node's intra-node execution
+    order (producers before consumers), which is also the layout of the
+    control plane's index registry and of the Tier-1 variables.
+    """
+    residents: _t.List[_t.List[str]] = [[] for _ in range(num_nodes)]
+    for pe_id in order:
+        residents[placement[pe_id]].append(pe_id)
+    return residents
 
 
 def placement_load(

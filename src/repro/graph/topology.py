@@ -18,6 +18,7 @@ fan-out <= 4 caps.
 
 from __future__ import annotations
 
+import bisect
 import typing as _t
 from dataclasses import dataclass, field
 
@@ -83,6 +84,16 @@ class TopologySpec:
             raise ValueError("multi_io_fraction must lie in [0, 1]")
         if self.load_factor <= 0:
             raise ValueError("load_factor must be positive")
+        if self.avg_degree is not None and self.avg_degree < 0:
+            raise ValueError("avg_degree must be >= 0")
+        if self.weight_range[0] > self.weight_range[1]:
+            raise ValueError("weight_range must be (low, high), low <= high")
+        if self.service_heterogeneity < 1.0:
+            raise ValueError("service_heterogeneity must be >= 1")
+        if self.placement_strategy not in ("load_balanced", "random"):
+            raise ValueError(
+                f"unknown placement strategy {self.placement_strategy!r}"
+            )
 
     @property
     def num_pes(self) -> int:
@@ -130,19 +141,101 @@ def _build_layers(spec: TopologySpec) -> _t.List[_t.List[str]]:
     return layers
 
 
-def _eligible(
-    candidates: _t.Sequence[str],
-    predicate: _t.Callable[[str], bool],
-) -> _t.List[str]:
-    return [c for c in candidates if predicate(c)]
+class _Wiring:
+    """The generator's edge bookkeeping, kept as edges are added.
+
+    Fan-in and fan-out only grow, so eligibility only lapses: each layer
+    keeps three pools that only shrink — PEs with no consumer yet, with
+    fan-out below the cap, with fan-in below the cap — beside plain
+    degree counters and the edge and multi-io counts.  :meth:`connect`
+    is the one place an edge is added and all of them are updated.
+
+    A PE is handled as its position in the concatenated layers, which
+    grows along and across layers, so every pool stays sorted in layer
+    order and a concatenation of pools reads in that order too.
+    """
+
+    def __init__(
+        self,
+        graph: ProcessingGraph,
+        layers: _t.Sequence[_t.Sequence[str]],
+        spec: TopologySpec,
+    ):
+        self.graph = graph
+        self.max_fan_in = spec.max_fan_in
+        self.max_fan_out = spec.max_fan_out
+        self.ids: _t.List[str] = []
+        self.layer_of: _t.List[int] = []
+        #: The PEs of each layer, as a range of positions.
+        self.positions: _t.List[range] = []
+        for depth, layer in enumerate(layers):
+            start = len(self.ids)
+            self.ids.extend(layer)
+            self.layer_of.extend([depth] * len(layer))
+            self.positions.append(range(start, len(self.ids)))
+        self.fan_in = [0] * len(self.ids)
+        self.fan_out = [0] * len(self.ids)
+        self.no_consumer = [list(layer) for layer in self.positions]
+        self.fan_out_open = [list(layer) for layer in self.positions]
+        self.fan_in_open = [list(layer) for layer in self.positions]
+        self.edges = 0
+        #: PEs with fan-in or fan-out above 1.
+        self.multi_io = 0
+
+    def connect(self, producer: int, consumer: int) -> None:
+        """Add the edge — the graph may reject it — then account for it."""
+        self.graph.add_edge(self.ids[producer], self.ids[consumer])
+        self.edges += 1
+        self.fan_out[producer] = fan_out = self.fan_out[producer] + 1
+        self.fan_in[consumer] = fan_in = self.fan_in[consumer] + 1
+        if fan_out == 1:
+            _discard(self.no_consumer[self.layer_of[producer]], producer)
+        if fan_out == self.max_fan_out:
+            _discard(self.fan_out_open[self.layer_of[producer]], producer)
+        if fan_in == self.max_fan_in:
+            _discard(self.fan_in_open[self.layer_of[consumer]], consumer)
+        if fan_out == 2 and self.fan_in[producer] < 2:
+            self.multi_io += 1
+        if fan_in == 2 and self.fan_out[consumer] < 2:
+            self.multi_io += 1
+
+
+def _discard(pool: _t.List[int], pe: int) -> None:
+    """Remove ``pe`` from a sorted pool that holds it."""
+    del pool[bisect.bisect_left(pool, pe)]
+
+
+def _draw(
+    rng: np.random.Generator, *choices: _t.Sequence[_t.Sequence[int]]
+) -> _t.Optional[int]:
+    """Draw uniformly from the first non-empty choice.
+
+    A choice is a run of per-layer pools read as their concatenation,
+    which is never built: the drawn index is resolved by cumulative
+    length.  Returns ``None``, without drawing, when every choice is
+    empty; the caller's fallback is then a single PE, which needs no
+    draw (``integers(0, 1)`` consumes no generator state).
+    """
+    for pools in choices:
+        total = sum(map(len, pools))
+        if total:
+            index = int(rng.integers(0, total))
+            for pool in pools:
+                if index < len(pool):
+                    return pool[index]
+                index -= len(pool)
+    return None
 
 
 def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> Topology:
     """Generate a random topology satisfying ``spec``.
 
     Deterministic for a given ``rng`` state.  The produced graph always
-    validates against the spec's fan caps and full ingress/egress
-    reachability.
+    validates as a DAG with full ingress/egress reachability.  The fan
+    caps hold on the paper's specs and their scaled versions, but are
+    not guaranteed: where a layer is much wider than everything before
+    (or after) it, the backbone runs out of open slots and relaxes the
+    cap on the least-loaded PE, because reachability comes first.
     """
     layers = _build_layers(spec)
     graph = ProcessingGraph()
@@ -160,8 +253,6 @@ def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> Topology:
                 # matter solely through the flow constraints.
                 weight = 0.0
             h = spec.service_heterogeneity
-            if h < 1.0:
-                raise ValueError("service_heterogeneity must be >= 1")
             if h > 1.0:
                 log_scale = rng.uniform(-np.log(h), np.log(h))
                 scale = float(np.exp(log_scale))
@@ -180,83 +271,72 @@ def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> Topology:
                 profile = calibrate_profile(profile)
             graph.add_pe(profile)
 
+    wiring = _Wiring(graph, layers, spec)
+    no_consumer = wiring.no_consumer
+    fan_out_open = wiring.fan_out_open
+    fan_in_open = wiring.fan_in_open
+
     # -- backbone: every non-ingress PE gets one upstream ------------------
-    def fan_out_ok(pe_id: str) -> bool:
-        return graph.fan_out(pe_id) < spec.max_fan_out
-
-    def fan_in_ok(pe_id: str) -> bool:
-        return graph.fan_in(pe_id) < spec.max_fan_in
-
     for depth in range(1, len(layers)):
-        earlier = [pe for layer in layers[:depth] for pe in layer]
-        previous = layers[depth - 1]
-        for pe_id in layers[depth]:
+        for consumer in wiring.positions[depth]:
             # Prefer producers that do not yet have a consumer: this keeps
             # the backbone close to a matching, so the multi-input/output
             # fraction is controlled by the enrichment pass below rather
             # than by backbone randomness.
-            pool = (
-                _eligible(previous, lambda p: graph.fan_out(p) == 0)
-                or _eligible(previous, fan_out_ok)
-                or _eligible(earlier, fan_out_ok)
+            producer = _draw(
+                rng,
+                no_consumer[depth - 1 : depth],
+                fan_out_open[depth - 1 : depth],
+                fan_out_open[:depth],
             )
-            if not pool:
+            if producer is None:
                 # All earlier PEs saturated: relax the cap minimally by
                 # picking the least-loaded producer.
-                pool = [min(earlier, key=lambda p: (graph.fan_out(p), p))]
-            producer = pool[int(rng.integers(0, len(pool)))]
-            graph.add_edge(producer, pe_id)
+                producer = min(
+                    range(wiring.positions[depth].start),
+                    key=lambda p: (wiring.fan_out[p], wiring.ids[p]),
+                )
+            wiring.connect(producer, consumer)
 
     # -- backbone: every non-egress PE gets one downstream ------------------
     for depth in range(len(layers) - 1):
-        later = [pe for layer in layers[depth + 1 :] for pe in layer]
-        following = layers[depth + 1]
-        for pe_id in layers[depth]:
-            if graph.fan_out(pe_id) > 0:
-                continue
-            pool = _eligible(following, fan_in_ok) or _eligible(
-                later, fan_in_ok
+        # Copied: connecting a PE takes it out of the pool.
+        for producer in list(no_consumer[depth]):
+            consumer = _draw(
+                rng,
+                fan_in_open[depth + 1 : depth + 2],
+                fan_in_open[depth + 1 :],
             )
-            if not pool:
-                pool = [min(later, key=lambda p: (graph.fan_in(p), p))]
-            consumer = pool[int(rng.integers(0, len(pool)))]
-            graph.add_edge(pe_id, consumer)
+            if consumer is None:
+                consumer = min(
+                    range(wiring.positions[depth].stop, len(wiring.ids)),
+                    key=lambda p: (wiring.fan_in[p], wiring.ids[p]),
+                )
+            wiring.connect(producer, consumer)
 
     # -- enrichment: extra edges for multi-io fraction / average degree -----
-    all_ids = graph.pe_ids
-    if spec.avg_degree is None:
-        target_edges = len(graph.edges())
-    else:
+    target_edges = wiring.edges
+    if spec.avg_degree is not None:
         target_edges = max(
-            len(graph.edges()),
-            int(round(spec.avg_degree * spec.num_pes)),
+            target_edges, int(round(spec.avg_degree * spec.num_pes))
         )
     target_multi = int(round(spec.multi_io_fraction * spec.num_pes))
-
-    def multi_io_count() -> int:
-        return sum(
-            1
-            for pe in all_ids
-            if graph.fan_in(pe) > 1 or graph.fan_out(pe) > 1
-        )
 
     attempts = 0
     max_attempts = 50 * spec.num_pes
     while (
-        len(graph.edges()) < target_edges or multi_io_count() < target_multi
+        wiring.edges < target_edges or wiring.multi_io < target_multi
     ) and attempts < max_attempts:
         attempts += 1
         layer_index = int(rng.integers(0, len(layers) - 1))
-        producer_layer = layers[layer_index]
-        later = [pe for layer in layers[layer_index + 1 :] for pe in layer]
-        producers = _eligible(producer_layer, fan_out_ok)
-        consumers = _eligible(later, fan_in_ok)
-        if not producers or not consumers:
+        producers = fan_out_open[layer_index : layer_index + 1]
+        consumers = fan_in_open[layer_index + 1 :]
+        if not any(producers) or not any(consumers):
             continue
-        producer = producers[int(rng.integers(0, len(producers)))]
-        consumer = consumers[int(rng.integers(0, len(consumers)))]
+        producer = _draw(rng, producers)
+        consumer = _draw(rng, consumers)
         try:
-            graph.add_edge(producer, consumer)
+            wiring.connect(producer, consumer)
         except GraphValidationError:
             continue
 
@@ -266,14 +346,10 @@ def generate_topology(spec: TopologySpec, rng: np.random.Generator) -> Topology:
     )
 
     # -- placement ---------------------------------------------------------
-    if spec.placement_strategy == "load_balanced":
-        placement = load_balanced_placement(graph, spec.num_nodes)
-    elif spec.placement_strategy == "random":
+    if spec.placement_strategy == "random":
         placement = random_placement(graph, spec.num_nodes, rng)
     else:
-        raise ValueError(
-            f"unknown placement strategy {spec.placement_strategy!r}"
-        )
+        placement = load_balanced_placement(graph, spec.num_nodes)
 
     # -- offered source rates ------------------------------------------------
     # A PE's fair CPU share is its node capacity divided by the resident PE

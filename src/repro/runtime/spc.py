@@ -28,6 +28,7 @@ from repro.control.elastic import MigrationRecord, PlacementVersion
 from repro.control.wiring import ControlStack
 from repro.core.policies import LockStepPolicy, Policy, policy_by_name
 from repro.core.targets import AllocationTargets
+from repro.graph.placement import residents_by_node
 from repro.graph.topology import Topology
 from repro.metrics.collectors import EgressCollector
 from repro.metrics.stats import SummaryStats
@@ -303,13 +304,13 @@ class SPCRuntime:
             groups=[
                 NodeGroup(
                     f"node-{node_index}",
-                    [
-                        self.pes[pe_id]
-                        for pe_id in order
-                        if topology.placement[pe_id] == node_index
-                    ],
+                    [self.pes[pe_id] for pe_id in pe_ids],
                 )
-                for node_index in range(topology.num_nodes)
+                for node_index, pe_ids in enumerate(
+                    residents_by_node(
+                        order, topology.placement, topology.num_nodes
+                    )
+                )
             ],
             pes=self.pes,
             collector=self.collector,

@@ -14,6 +14,7 @@ import typing as _t
 from dataclasses import dataclass
 
 from repro.control.config import ControlConfig
+from repro.graph.placement import residents_by_node
 from repro.graph.topology import Topology
 from repro.metrics.collectors import EgressCollector
 from repro.model.links import Link
@@ -209,15 +210,17 @@ def build_nodes(
 ) -> _t.List[ProcessingNode]:
     """Group PE runtimes into processing nodes according to placement."""
     nodes: _t.List[ProcessingNode] = []
-    placement = topology.placement
-    order = topology.graph.topological_order()
-    for node_index in range(topology.num_nodes):
+    # Residents in topological order, so intra-node execution flows
+    # producer -> consumer within a single tick.
+    residents = residents_by_node(
+        topology.graph.topological_order(),
+        topology.placement,
+        topology.num_nodes,
+    )
+    for node_index, pe_ids in enumerate(residents):
         node = ProcessingNode(node_id=f"node-{node_index}")
-        # Place PEs in topological order so intra-node execution flows
-        # producer -> consumer within a single tick.
-        for pe_id in order:
-            if placement[pe_id] == node_index:
-                node.place(runtimes[pe_id])
+        for pe_id in pe_ids:
+            node.place(runtimes[pe_id])
         nodes.append(node)
     return nodes
 

@@ -88,10 +88,12 @@ class TestCalibration:
             topology=topology,
             policies=[UdpPolicy()],
             sim_duration=3.0,
-            # End-to-end latency is ~2.8 s here: a shorter window sees no
-            # egress SDO now that the report stops at the window edge.
-            runtime_duration=3.0,
-            runtime_config=RuntimeConfig(seed=1, warmup=0.5, dt=0.05),
+            # The first egress SDO needs ~2.8 model-s to cross, and the
+            # report counts nothing delivered after the window closes.
+            runtime_duration=4.0,
+            runtime_config=RuntimeConfig(
+                seed=1, warmup=0.5, dt=0.05, dilation=0.5
+            ),
         )
         assert len(rows) == 1
         row = rows[0]

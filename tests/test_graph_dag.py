@@ -1,6 +1,9 @@
 """Tests for the processing-graph DAG structure."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.dag import GraphValidationError, ProcessingGraph
 from repro.model.params import PEProfile
@@ -47,6 +50,49 @@ class TestConstruction:
         with pytest.raises(GraphValidationError):
             graph.add_edge("sink", "src")
         assert ("sink", "src") not in graph.edges()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60
+        )
+    )
+    def test_add_edge_agrees_with_whole_graph_check(self, pairs):
+        """``add_edge`` searches only the consumer's descendants; the
+        reference inserts into a copy and checks the whole graph.  Edges
+        run forward, backward and repeat, so every rejection is drawn."""
+        graph = ProcessingGraph()
+        for i in range(12):
+            graph.add_pe(PEProfile(pe_id=f"pe-{i}"))
+        reference = nx.DiGraph()
+        reference.add_nodes_from(graph.pe_ids)
+        for producer, consumer in (
+            (f"pe-{a}", f"pe-{b}") for a, b in pairs
+        ):
+            if producer == consumer:
+                expected = f"self-loop on {producer!r}"
+            elif reference.has_edge(producer, consumer):
+                expected = f"duplicate edge {producer!r} -> {consumer!r}"
+            else:
+                trial = reference.copy()
+                trial.add_edge(producer, consumer)
+                if nx.is_directed_acyclic_graph(trial):
+                    expected = None
+                    reference = trial
+                else:
+                    expected = (
+                        f"edge {producer!r} -> {consumer!r} "
+                        "would create a cycle"
+                    )
+            if expected is None:
+                graph.add_edge(producer, consumer)
+            else:
+                with pytest.raises(GraphValidationError) as raised:
+                    graph.add_edge(producer, consumer)
+                assert str(raised.value) == expected
+            # Accepted edges are in; a rejected call left no trace.
+            assert graph.edges() == list(reference.edges())
+        graph.validate()
 
     def test_len_and_contains(self):
         graph = build_diamond()
@@ -119,6 +165,14 @@ class TestValidation:
     def test_empty_graph_fails(self):
         with pytest.raises(GraphValidationError):
             ProcessingGraph().validate()
+
+    def test_cycle_fails(self):
+        """``validate`` checks acyclicity itself — on a cycle slipped in
+        behind ``add_edge`` — rather than trusting the per-edge check."""
+        graph = build_diamond()
+        graph._graph.add_edge("sink", "src")
+        with pytest.raises(GraphValidationError, match="cycle"):
+            graph.validate()
 
     def test_unexpected_role_fails(self):
         graph = build_diamond()

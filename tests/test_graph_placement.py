@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.dag import ProcessingGraph
 from repro.graph.placement import (
     load_balanced_placement,
     placement_load,
     random_placement,
+    residents_by_node,
     round_robin_placement,
 )
 from repro.model.params import PEProfile
@@ -76,6 +79,55 @@ class TestLoadBalanced:
         graph = chain_graph(2)
         placement = load_balanced_placement(graph, 10)
         assert len(set(placement.values())) == 2
+
+
+def scan_load_balanced_placement(graph, num_nodes):
+    """Reference: the least-loaded node found by scanning every node
+    for every PE."""
+    loads = [0.0] * num_nodes
+    placement = {}
+    by_weight = sorted(
+        graph.pe_ids,
+        key=lambda pe_id: (-graph.profile(pe_id).mean_service_time, pe_id),
+    )
+    for pe_id in by_weight:
+        target = min(range(num_nodes), key=lambda n: (loads[n], n))
+        placement[pe_id] = target
+        loads[target] += graph.profile(pe_id).mean_service_time
+    return placement
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # Few distinct costs, so node loads tie and the tie-break matters.
+    scales=st.lists(
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=40
+    ),
+    num_nodes=st.integers(min_value=1, max_value=12),
+)
+def test_load_balanced_matches_the_scan(scales, num_nodes):
+    graph = ProcessingGraph()
+    for i, scale in enumerate(scales):
+        graph.add_pe(
+            PEProfile(pe_id=f"pe-{i}", t0=0.002 * scale, t1=0.020 * scale)
+        )
+    placement = load_balanced_placement(graph, num_nodes)
+    reference = scan_load_balanced_placement(graph, num_nodes)
+    assert list(placement.items()) == list(reference.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nodes=st.lists(st.integers(min_value=0, max_value=5), max_size=30),
+    data=st.data(),
+)
+def test_residents_by_node_matches_the_per_node_scan(nodes, data):
+    placement = {f"pe-{i}": node for i, node in enumerate(nodes)}
+    order = data.draw(st.permutations(list(placement)))
+    assert residents_by_node(order, placement, 6) == [
+        [pe_id for pe_id in order if placement[pe_id] == node]
+        for node in range(6)
+    ]
 
 
 def test_placement_load_sums_service_times():

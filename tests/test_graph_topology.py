@@ -1,10 +1,13 @@
 """Tests for the random topology generator (the paper's tool)."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.perf import scaled_main_spec
 from repro.graph.topology import (
     TopologySpec,
     generate_topology,
@@ -45,6 +48,21 @@ class TestSpecValidation:
     def test_load_factor_positive(self):
         with pytest.raises(ValueError):
             small_spec(load_factor=0.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("placement_strategy", "round_robin"),
+            ("service_heterogeneity", 0.5),
+            ("weight_range", (2.0, 0.5)),
+            ("avg_degree", -1.0),
+        ],
+    )
+    def test_rejected_before_any_work(self, field, value):
+        """Each of these used to surface only inside (or after)
+        ``generate_topology`` — or never."""
+        with pytest.raises(ValueError, match=field.replace("_", ".")):
+            small_spec(**{field: value})
 
     def test_num_pes(self):
         assert small_spec().num_pes == 14
@@ -140,9 +158,8 @@ class TestGeneratedStructure:
         assert degree == pytest.approx(1.6, abs=0.2)
 
     def test_unknown_placement_strategy_rejected(self):
-        spec = small_spec(placement_strategy="nope")
-        with pytest.raises(ValueError):
-            generate_topology(spec, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="placement strategy"):
+            small_spec(placement_strategy="nope")
 
     def test_calibrated_profiles_have_slopes(self):
         spec = small_spec(calibrate_rates=True)
@@ -155,6 +172,43 @@ class TestGeneratedStructure:
         for node in range(topo.num_nodes):
             for pe_id in topo.pes_on_node(node):
                 assert topo.placement[pe_id] == node
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        paper_calibration_spec(calibrate_rates=False),
+        paper_main_spec(calibrate_rates=False),
+        scaled_main_spec(10),
+    ],
+    ids=["calibration", "main", "x10"],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_fan_caps_hold_on_the_paper_specs(spec, seed):
+    """``generate_topology`` may relax a cap to keep every PE reachable
+    (see its docstring); on the specs the experiments use it never has
+    to."""
+    graph = generate_topology(spec, np.random.default_rng(seed)).graph
+    graph.validate(
+        max_fan_in=spec.max_fan_in, max_fan_out=spec.max_fan_out
+    )
+
+
+def test_generation_time_grows_linearly():
+    """Growth, not speed: 4x the PEs must cost well under 16x the time,
+    so a per-element scan of the whole graph cannot come back unnoticed
+    (linear reads ~4; one quadratic scan reads > 16)."""
+
+    def best_of_three(multiplier):
+        spec = scaled_main_spec(multiplier)
+        walls = []
+        for seed in range(3):
+            start = time.perf_counter()
+            generate_topology(spec, np.random.default_rng(seed))
+            walls.append(time.perf_counter() - start)
+        return min(walls)
+
+    assert best_of_three(8) / best_of_three(2) < 8
 
 
 @settings(max_examples=15, deadline=None)
