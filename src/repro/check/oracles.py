@@ -63,7 +63,14 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from repro.control.admission import ADAPTIVE_LEVELS, AdmissionLevel
-from repro.obs.recorder import TraceFilter, TraceRecorder
+from repro.obs.recorder import (
+    BUFFER_OCCUPANCY,
+    R_MAX,
+    TOKEN_GRANT,
+    RowFamily,
+    TraceFilter,
+    TraceRecorder,
+)
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.admission import AdmissionController
@@ -109,8 +116,8 @@ def _make_shadow(controller: _t.Any) -> _t.Tuple[_t.Any, ...]:
     controller's *actual* published ``r_max`` — so each event is judged
     on its own step given the state the real controller was in, and one
     wrong step does not cascade into false positives on later steps.
-    The law itself is evaluated inline in :meth:`OracleRecorder._write`
-    (the per-event hot path).
+    The law itself is evaluated inline in
+    :meth:`OracleRecorder._check_r_max_rows` (the per-row hot path).
     """
     lambdas = tuple(controller.gains.lambdas)
     mus = tuple(controller.gains.mus)
@@ -168,14 +175,18 @@ class OracleRecorder(TraceRecorder):
         self._inspection: _t.Optional["PlaneInspection"] = None
         #: pe_id -> reference Eq. 7 state (see :func:`_make_shadow`).
         self._shadows: _t.Dict[str, _t.Tuple[_t.Any, ...]] = {}
-        #: pe_id -> (node_id, scheduler, node_controller, machine-or-None,
-        #: t0/lambda_m, t1/lambda_m, group_size, node_index) — flattened
-        #: at attach time so the per-event cpu_grant check is a single
-        #: dict lookup, with the Eq. 8 g^-1 slope precomputed per state.
+        #: pe_id -> ((node_id, scheduler, node_controller, group_size,
+        #: node_index), machine-or-None, t0/lambda_m, t1/lambda_m) —
+        #: flattened at attach time so the per-row cpu_grant check is a
+        #: single dict lookup, with the Eq. 8 g^-1 slope precomputed per
+        #: state.
         self._grant_info: _t.Dict[str, _t.Tuple[_t.Any, ...]] = {}
-        #: node_id -> [running grant-fraction sum, events in this group],
-        #: mutated in place per event.
+        #: node_id -> [running grant-fraction sum, grants in this round],
+        #: mutated in place per grant.
         self._grant_groups: _t.Dict[str, _t.List[float]] = {}
+        #: ``t`` of the batch under check; None until something needs it
+        #: (see :meth:`_stamp`).
+        self._batch_t: _t.Optional[float] = None
         self._paused: _t.Sequence[bool] = ()
         #: The plane's admission front end, when armed.
         self._admission: _t.Optional["AdmissionController"] = None
@@ -278,15 +289,20 @@ class OracleRecorder(TraceRecorder):
                 profile.t1 / profile.lambda_m,
             )
 
-        self._grant_info = {
-            pe_id: (
+        # One shared tuple per node, so a batch's rows can tell by
+        # identity that the node-level part has not changed.
+        per_node = {
+            node_id: (
                 node_id,
                 inspection.schedulers[node_id],
                 inspection.node_controllers.get(node_id),
-                *_eq8_terms(pe_id),
                 inspection.group_sizes.get(node_id, 0),
                 inspection.node_index[node_id],
             )
+            for node_id in set(inspection.node_of.values())
+        }
+        self._grant_info = {
+            pe_id: (per_node[node_id], *_eq8_terms(pe_id))
             for pe_id, node_id in inspection.node_of.items()
         }
 
@@ -338,202 +354,308 @@ class OracleRecorder(TraceRecorder):
 
     # -- the checking sink ---------------------------------------------------
 
-    def _write(self, event: _t.Dict[str, _t.Any]) -> None:
-        """Check one admitted event, then forward it to the sink.
+    def _stamp(self) -> float:
+        """The ``t`` of the batch being checked, read on first need.
 
-        This is the per-event hot path — it runs under the emit lock on
-        every trace event of both substrates, so all four per-kind checks
-        are inlined here (no per-event dispatch or helper calls) and the
-        happy path is a handful of dict lookups and float compares, with
-        violation formatting kept on the cold path.
+        One clock read per batch at most: the happy path of a sinkless
+        run never asks.  Call only under the emit lock.
         """
-        kind = event["kind"]
-        tolerance = self.tolerance
+        t = self._batch_t
+        if t is None:
+            clock = self._clock
+            t = self._batch_t = clock() if clock is not None else 0.0
+        return t
 
-        if kind == "buffer_occupancy":
-            # Section IV: occupancy within [0, capacity].
-            occupancy = event["occupancy"]
-            if not 0 <= occupancy <= event["capacity"]:
+    def emit_rows(
+        self,
+        family: RowFamily,
+        node: _t.Optional[str],
+        rows: _t.Sequence[_t.Sequence[_t.Any]],
+    ) -> None:
+        """Check one tick's batch in place; build events only for a sink.
+
+        Same counts, violations and forwarded events as the per-event
+        calls the rows stand for (the base implementation, which a
+        keep-filter still goes through: it decides event by event).
+        """
+        if self._admits is not None:
+            super().emit_rows(family, node, rows)
+            return
+        if not rows:
+            return
+        with self._emit_lock:
+            counts = self.counts
+            for kind in family.kinds:
+                counts[kind] += len(rows)
+            self._batch_t = None
+            if family is R_MAX:
+                self._check_r_max_rows(rows)
+            elif family is BUFFER_OCCUPANCY:
+                self._check_occupancy_rows(rows)
+            else:
+                self._check_grant_rows(node, rows, family is TOKEN_GRANT)
+            sink = self.sink
+            if sink is not None:
+                t = self._stamp()
+                for kind, pe, payload in family.expand(rows):
+                    sink.forward(
+                        {"t": t, "kind": kind, "pe": pe, "node": node,
+                         **payload}
+                    )
+
+    def _check_occupancy_rows(
+        self, rows: _t.Iterable[_t.Sequence[_t.Any]]
+    ) -> None:
+        """Section IV over ``(pe, occupancy, capacity)`` rows."""
+        for pe, occupancy, capacity in rows:
+            if not 0 <= occupancy <= capacity:
                 self.record_violation(
                     "buffer_bounds", "Section IV",
-                    f"occupancy {occupancy} outside "
-                    f"[0, {event['capacity']}]",
-                    t=event["t"], pe=event["pe"],
+                    f"occupancy {occupancy} outside [0, {capacity}]",
+                    t=self._stamp(), pe=pe,
                 )
 
-        elif kind == "token_bucket":
-            # Section V-D: token level within [0, depth].
-            level = event["level"]
-            depth = event["depth"]
-            slack = tolerance * depth if depth > 1.0 else tolerance
-            if not -slack <= level <= depth + slack:
-                if level < -slack:
+    def _check_r_max_rows(
+        self, rows: _t.Iterable[_t.Sequence[_t.Any]]
+    ) -> None:
+        """Eq. 7 over ``(pe, r_max, occupancy, rho)`` rows: finite,
+        clipped at zero, and equal to the reference LQR law evaluated on
+        the row's own measurements."""
+        tolerance = self.tolerance
+        shadows_get = self._shadows.get
+        for pe, r_max, occupancy, rho in rows:
+            if not 0.0 <= r_max < _INF:
+                if not _isfinite(r_max):
                     self.record_violation(
-                        "token_nonnegative", "Section V-D",
-                        f"token level {level} < 0",
-                        t=event["t"], pe=event["pe"],
-                        node=event.get("node"),
+                        "r_max_finite", "Eq. 7",
+                        f"r_max={r_max!r} is not finite",
+                        t=self._stamp(), pe=pe,
                     )
-                else:
-                    self.record_violation(
-                        "token_cap", "Section V-D",
-                        f"token level {level} exceeds bucket depth {depth}",
-                        t=event["t"], pe=event["pe"],
-                        node=event.get("node"),
-                    )
-
-        elif kind == "r_max":
-            # Eq. 7: finite, clipped at zero, and equal to the reference
-            # LQR law evaluated on the event's own measurements.
-            r_max = event["r_max"]
-            occupancy = event["occupancy"]
-            rho = event["rho"]
-            if not _isfinite(r_max):
+                    continue  # skip the law
                 self.record_violation(
-                    "r_max_finite", "Eq. 7",
-                    f"r_max={r_max!r} is not finite",
-                    t=event["t"], pe=event["pe"],
+                    "r_max_nonnegative", "Eq. 7",
+                    f"r_max={r_max} < 0 (the [.]+ clip was not applied)",
+                    t=self._stamp(), pe=pe,
                 )
-                shadow = None  # skip the law; still forward to the sink
+            shadow = shadows_get(pe)
+            if shadow is None:
+                continue
+            lambdas, mus, b0, capacity, inv_dt, deviations, surpluses \
+                = shadow
+            deviations.appendleft(occupancy - b0)
+            # Designed gains carry one or two lags; unroll those so
+            # the per-row law is loop- and allocation-free.
+            n = len(lambdas)
+            if n == 2:
+                reference = (
+                    rho
+                    - lambdas[0] * deviations[0]
+                    - lambdas[1] * deviations[1]
+                )
+            elif n == 1:
+                reference = rho - lambdas[0] * deviations[0]
             else:
-                if r_max < 0.0:
-                    self.record_violation(
-                        "r_max_nonnegative", "Eq. 7",
-                        f"r_max={r_max} < 0 (the [.]+ clip was not "
-                        f"applied)",
-                        t=event["t"], pe=event["pe"],
-                    )
-                shadow = self._shadows.get(event["pe"])
-            if shadow is not None:
-                lambdas, mus, b0, capacity, inv_dt, deviations, surpluses \
-                    = shadow
-                deviations.appendleft(occupancy - b0)
-                # Designed gains carry one or two lags; unroll those so
-                # the per-event law is loop- and allocation-free.
-                n = len(lambdas)
-                if n == 2:
-                    reference = (
-                        rho
-                        - lambdas[0] * deviations[0]
-                        - lambdas[1] * deviations[1]
-                    )
-                elif n == 1:
-                    reference = rho - lambdas[0] * deviations[0]
-                else:
-                    reference = rho
-                    for i in range(n):
-                        reference -= lambdas[i] * deviations[i]
-                n = len(mus)
-                if n == 1:
-                    reference -= mus[0] * surpluses[0]
-                elif n:
-                    for i in range(n):
-                        reference -= mus[i] * surpluses[i]
-                if reference < 0.0:
-                    reference = 0.0
-                free = capacity - occupancy
-                ceiling = (free if free > 0.0 else 0.0) * inv_dt + rho
-                if reference > ceiling:
-                    reference = ceiling
-                delta = r_max - reference
-                slack = tolerance * reference if reference > 1.0 \
-                    else tolerance
-                if delta > slack or -delta > slack:
-                    self.record_violation(
-                        "r_max_law", "Eq. 7",
-                        f"r_max={r_max} but the LQR law with the same "
-                        f"(occupancy={occupancy}, rho={rho}) and history "
-                        f"gives {reference}",
-                        t=event["t"], pe=event["pe"],
-                    )
-                # Mirror the real controller's post-update surplus
-                # history from its *actual* published value.
-                surpluses.appendleft(r_max - rho)
+                reference = rho
+                for i in range(n):
+                    reference -= lambdas[i] * deviations[i]
+            n = len(mus)
+            if n == 1:
+                reference -= mus[0] * surpluses[0]
+            elif n:
+                for i in range(n):
+                    reference -= mus[i] * surpluses[i]
+            if reference < 0.0:
+                reference = 0.0
+            free = capacity - occupancy
+            ceiling = (free if free > 0.0 else 0.0) * inv_dt + rho
+            if reference > ceiling:
+                reference = ceiling
+            delta = r_max - reference
+            # Same arithmetic, same result: exact on a correct step.
+            if delta and abs(delta) > (
+                tolerance * reference if reference > 1.0 else tolerance
+            ):
+                self.record_violation(
+                    "r_max_law", "Eq. 7",
+                    f"r_max={r_max} but the LQR law with the same "
+                    f"(occupancy={occupancy}, rho={rho}) and history "
+                    f"gives {reference}",
+                    t=self._stamp(), pe=pe,
+                )
+            # Mirror the real controller's post-update surplus
+            # history from its *actual* published value.
+            surpluses.appendleft(r_max - rho)
 
-        elif kind == "cpu_grant":
-            grant = event["cpu"]
-            pe = event["pe"]
-            if grant < -tolerance or not _isfinite(grant):
+    def _check_grant_rows(
+        self,
+        node: _t.Optional[str],
+        rows: _t.Iterable[_t.Sequence[_t.Any]],
+        tokens: bool,
+    ) -> None:
+        """Section V-D / V-E / Eq. 8 / Eq. 4 over one scheduler's rows.
+
+        ``tokens`` rows are ``(pe, level, rate, depth, cpu, dt,
+        cap_rate)``, checked bucket first then grant, PE by PE; a lone
+        event leaves the other half None.  Otherwise rows are ``(pe,
+        cpu, dt)``.  ``cap_rate`` is the Eq. 8 bound the grant was capped
+        under (None when downstream left the PE unconstrained).
+        """
+        tolerance = self.tolerance
+        strict = self.strict
+        info_get = self._grant_info.get
+        # What is per node in _grant_info is read once per run of rows
+        # from the same node (one scheduler's batch is a single run).
+        current = None
+        node_id = scheduler = group = None
+        group_size = 0
+        paused = False
+        blocked: _t.Collection[str] = ()
+        level = cap_rate = None
+        for row in rows:
+            if tokens:
+                pe, level, _, depth, grant, _, cap_rate = row
+            else:
+                pe, grant, _ = row
+            # Exact bounds first; the slack only matters at the edges.
+            if level is not None and not 0.0 <= level <= depth:
+                # Section V-D: token level within [0, depth].
+                slack = tolerance * depth if depth > 1.0 else tolerance
+                if not -slack <= level <= depth + slack:
+                    if level < -slack:
+                        self.record_violation(
+                            "token_nonnegative", "Section V-D",
+                            f"token level {level} < 0",
+                            t=self._stamp(), pe=pe, node=node,
+                        )
+                    else:
+                        self.record_violation(
+                            "token_cap", "Section V-D",
+                            f"token level {level} exceeds bucket depth "
+                            f"{depth}",
+                            t=self._stamp(), pe=pe, node=node,
+                        )
+            if grant is None:
+                continue
+            if not 0.0 <= grant < _INF and (
+                grant < -tolerance or not _isfinite(grant)
+            ):
                 self.record_violation(
                     "cpu_grant_nonnegative", "Section V-D",
                     f"cpu grant {grant!r} is negative or non-finite",
-                    t=event["t"], pe=pe, node=event.get("node"),
+                    t=self._stamp(), pe=pe, node=node,
                 )
-            info = self._grant_info.get(pe)
-            if info is not None:
-                (node_id, scheduler, controller, machine,
-                 t0_slope, t1_slope, group_size, index) = info
+            info = info_get(pe)
+            if info is None:
+                continue
+            per_node, machine, t0_slope, t1_slope = info
+            if per_node is not current:
+                current = per_node
+                node_id, scheduler, controller, group_size, index = per_node
+                paused = strict and self._paused[index]
+                blocked = (
+                    controller.last_blocked
+                    if strict and controller is not None
+                    else ()
+                )
+                group = self._grant_groups.get(node_id)
+                if group is None:
+                    group = self._grant_groups[node_id] = [0.0, 0]
 
-                strict = self.strict
-                if strict:
-                    if self._paused[index]:
-                        self.record_violation(
-                            "paused_node_silent", "Section V-E",
-                            "a suspended node's controller emitted a "
-                            "CPU grant",
-                            t=event["t"], pe=pe, node=node_id,
-                        )
-                    if (
-                        grant > tolerance
-                        and controller is not None
-                        and pe in controller.last_blocked
-                    ):
-                        self.record_violation(
-                            "gate_blocked_zero_grant",
-                            "Section VI (Lock-Step)",
-                            f"gate-blocked PE granted cpu={grant}",
-                            t=event["t"], pe=pe, node=node_id,
-                        )
+            if paused:
+                self.record_violation(
+                    "paused_node_silent", "Section V-E",
+                    "a suspended node's controller emitted a CPU grant",
+                    t=self._stamp(), pe=pe, node=node_id,
+                )
+            if grant > tolerance and pe in blocked:
+                self.record_violation(
+                    "gate_blocked_zero_grant", "Section VI (Lock-Step)",
+                    f"gate-blocked PE granted cpu={grant}",
+                    t=self._stamp(), pe=pe, node=node_id,
+                )
 
-                # Eq. 8: the grant never exceeds g^{-1} of the advertised
-                # bound.  ACES events carry the bound they were capped
-                # under (None when downstream left the PE unconstrained).
-                cap_rate = event.get("cap_rate", _INF)
-                if cap_rate is not _INF and cap_rate is not None:
-                    cap_cpu = scheduler.capacity
-                    if strict and machine is not None:
-                        if cap_rate <= 0.0:
-                            derived = 0.0
-                        elif machine.state == 1:
-                            derived = cap_rate * t1_slope
-                        else:
-                            derived = cap_rate * t0_slope
-                        if derived < cap_cpu:
-                            cap_cpu = derived
-                    slack = tolerance * cap_cpu if cap_cpu > 1.0 \
+            # Eq. 8: the grant never exceeds g^{-1} of the advertised
+            # bound, re-derived through the PE's current-state rate model.
+            if cap_rate is not None:
+                cap_cpu = scheduler.capacity
+                if strict and machine is not None:
+                    if cap_rate <= 0.0:
+                        derived = 0.0
+                    elif machine.state == 1:
+                        derived = cap_rate * t1_slope
+                    else:
+                        derived = cap_rate * t0_slope
+                    if derived < cap_cpu:
+                        cap_cpu = derived
+                if grant > cap_cpu and grant > cap_cpu + (
+                    tolerance * cap_cpu if cap_cpu > 1.0 else tolerance
+                ):
+                    self.record_violation(
+                        "feedback_cap", "Eq. 8",
+                        f"cpu grant {grant} exceeds the feedback cap "
+                        f"g^-1({cap_rate}) = {cap_cpu}",
+                        t=self._stamp(), pe=pe, node=node_id,
+                    )
+
+            # Eq. 4 / V-D: grants of one allocation round sum to
+            # <= capacity.  Rounds are delimited by grant count (one
+            # per resident PE per round), which is substrate- and
+            # clock-agnostic.
+            if group_size > 0:
+                group[0] += grant
+                group[1] += 1
+                if group[1] >= group_size:
+                    total = group[0]
+                    capacity = scheduler.capacity
+                    slack = tolerance * capacity if capacity > 1.0 \
                         else tolerance
-                    if grant > cap_cpu + slack:
+                    if total > capacity + slack:
                         self.record_violation(
-                            "feedback_cap", "Eq. 8",
-                            f"cpu grant {grant} exceeds the feedback cap "
-                            f"g^-1({cap_rate}) = {cap_cpu}",
-                            t=event["t"], pe=pe, node=node_id,
+                            "node_capacity", "Eq. 4",
+                            f"granted CPU fractions sum to {total} "
+                            f"on a node with capacity {capacity}",
+                            t=self._stamp(), node=node_id,
                         )
+                    group[0] = 0.0
+                    group[1] = 0
 
-                # Eq. 4 / V-D: grants of one allocation round sum to
-                # <= capacity.  Rounds are delimited by event count (one
-                # cpu_grant per resident PE per round), which is
-                # substrate- and clock-agnostic.
-                if group_size > 0:
-                    group = self._grant_groups.get(node_id)
-                    if group is None:
-                        group = self._grant_groups[node_id] = [0.0, 0]
-                    group[0] += grant
-                    group[1] += 1
-                    if group[1] >= group_size:
-                        total = group[0]
-                        capacity = scheduler.capacity
-                        slack = tolerance * capacity if capacity > 1.0 \
-                            else tolerance
-                        if total > capacity + slack:
-                            self.record_violation(
-                                "node_capacity", "Eq. 4",
-                                f"granted CPU fractions sum to {total} "
-                                f"on a node with capacity {capacity}",
-                                t=event["t"], node=node_id,
-                            )
-                        group[0] = 0.0
-                        group[1] = 0
+    def _write(self, event: _t.Dict[str, _t.Any]) -> None:
+        """Check one admitted event, then forward it to the sink.
+
+        The four per-PE kinds go through their row checkers as a one-row
+        batch, so each law is written once whichever way it arrives; the
+        low-rate kinds are checked inline below.
+        """
+        kind = event["kind"]
+        tolerance = self.tolerance
+        self._batch_t = event["t"]
+
+        if kind == "buffer_occupancy":
+            self._check_occupancy_rows(
+                ((event["pe"], event["occupancy"], event["capacity"]),)
+            )
+
+        elif kind == "token_bucket":
+            self._check_grant_rows(
+                event.get("node"),
+                ((event["pe"], event["level"], None, event["depth"],
+                  None, None, None),),
+                True,
+            )
+
+        elif kind == "r_max":
+            self._check_r_max_rows(
+                ((event["pe"], event["r_max"], event["occupancy"],
+                  event["rho"]),)
+            )
+
+        elif kind == "cpu_grant":
+            self._check_grant_rows(
+                event.get("node"),
+                ((event["pe"], None, None, None, event["cpu"], None,
+                  event.get("cap_rate")),),
+                True,
+            )
 
         elif kind == "tier1_resolve":
             # Eq. 4 on the targets in effect whenever Tier 1 (re-)solves.
@@ -742,7 +864,7 @@ class OracleRecorder(TraceRecorder):
 
         sink = self.sink
         if sink is not None:
-            sink._write(event)
+            sink.forward(event)
 
     def close(self) -> None:
         if self.sink is not None:

@@ -271,25 +271,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
     trace_filter = TraceFilter.parse(args.trace_filter)
     threaded = args.substrate == "threaded"
 
-    # With --check, the oracle sits in front and applies the keep-filter
-    # itself; the file recorder then stores whatever the oracle admits.
+    # The keep-filter narrows what is *stored*.  With --check the oracle
+    # sits in front unfiltered — every law is checked on every event —
+    # and forwards to the file recorder, whose filter then applies.
     file_recorder: TraceRecorder
-    sink_filter = None if args.check else trace_filter
     if args.format == "csv":
         # CSV needs the column union up front, so buffer in memory.
-        file_recorder = MemoryRecorder(trace_filter=sink_filter)
+        file_recorder = MemoryRecorder(trace_filter=trace_filter)
     else:
-        file_recorder = JsonlRecorder(args.trace, trace_filter=sink_filter)
+        file_recorder = JsonlRecorder(args.trace, trace_filter=trace_filter)
     oracle: _t.Optional[OracleRecorder] = None
     recorder: TraceRecorder = file_recorder
     if args.check:
         # Live threaded runs interleave worker state with checking, so
         # only the substrate-safe subset of the oracles runs there.
-        oracle = OracleRecorder(
-            strict=not threaded,
-            trace_filter=trace_filter,
-            sink=file_recorder,
-        )
+        oracle = OracleRecorder(strict=not threaded, sink=file_recorder)
         recorder = oracle
     spans = SpanTracker(recorder=recorder) if args.spans else None
     profiler = PhaseProfiler() if args.profile and not threaded else None
@@ -308,11 +304,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     recorder.close()
 
     print(report.one_line())
-    total = sum(recorder.counts.values())
+    stored = file_recorder.counts
     breakdown = " ".join(
-        f"{kind}={count}" for kind, count in sorted(recorder.counts.items())
+        f"{kind}={count}" for kind, count in sorted(stored.items())
     )
-    print(f"trace: {total} events -> {args.trace} ({breakdown})")
+    print(
+        f"trace: {sum(stored.values())} events -> {args.trace} ({breakdown})"
+    )
     # Gauges, the phase profile and the conservation ledger are the
     # simulator's; everything else is the same on both substrates.
     if threaded:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.control.adapter import GateFn, PELike, SystemAdapter
+from repro.obs.recorder import R_MAX
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.plane import ControlPlane
@@ -128,6 +129,27 @@ class NodeController:
             occupancies = self.adapter.snapshot(self.node_index, records, now)
             allocations_get = allocations.get
             publish = bus.publish
+            recorder = self.plane.recorder
+            if recorder.enabled:
+                # Every update first, then the batch, then publication:
+                # the oracles see a bad r_max before the bus rejects it.
+                rows = []
+                for record in records:
+                    cpu_effective = allocations_get(record.pe_id, 0.0)
+                    if cpu_effective < record.cpu_target:
+                        cpu_effective = record.cpu_target
+                    rho = record.pe.processing_rate(cpu_effective)
+                    occupancy = occupancies[record.pe_id]
+                    rows.append((
+                        record.pe_id,
+                        record.controller.update(occupancy, rho),
+                        occupancy,
+                        rho,
+                    ))
+                recorder.emit_rows(R_MAX, None, rows)
+                for pe_id, r_max, _, _ in rows:
+                    publish(pe_id, r_max, now)
+                return allocations
             for record in records:
                 # rho_j(n) is the rate the PE can *sustain*: when the PE is
                 # momentarily unallocated (e.g. empty buffer) it still earns

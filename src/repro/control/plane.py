@@ -356,7 +356,6 @@ class ControlPlane:
                                 target_occupancy=self.b0,
                                 buffer_capacity=pe.buffer.capacity,
                                 pe_id=pe.pe_id,
-                                recorder=self.recorder,
                             )
 
         for group in self.groups:

@@ -55,7 +55,13 @@ from repro.core.cpu_control import (
     AcesCpuScheduler,
     StrictProportionalScheduler,
 )
-from repro.obs.recorder import NULL_RECORDER, TraceRecorder
+from repro.obs.recorder import (
+    CPU_GRANT,
+    NULL_RECORDER,
+    R_MAX,
+    TOKEN_GRANT,
+    TraceRecorder,
+)
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.adapter import GateFn, SystemAdapter
@@ -567,6 +573,7 @@ class _TickGroup:
         self.records: _t.List[ControlRecord] = []
         for controller in self.controllers:
             self.records.extend(controller.records)
+        self.pe_ids = [record.pe_id for record in self.records]
 
         slices = [registry.node_slices[i] for i in indices]
         contiguous = all(
@@ -832,15 +839,11 @@ class VectorEngine:
         rho = cpu_eff / st
         r = self._flow_update(group, occ_f, rho)
         if self.plane.recorder.enabled:
-            recorder = self.plane.recorder
-            for k, record in enumerate(group.records):
-                recorder.emit(
-                    "r_max",
-                    pe=record.pe_id,
-                    r_max=float(r[k]),
-                    occupancy=occ_raw[k],
-                    rho=float(rho[k]),
-                )
+            self.plane.recorder.emit_rows(
+                R_MAX,
+                None,
+                list(zip(group.pe_ids, r.tolist(), occ_raw, rho.tolist())),
+            )
         if fast:
             assert self.bus is not None
             self.bus.publish_block(sel, r, now, group.total)
@@ -1096,40 +1099,32 @@ class VectorEngine:
         for view, controller in zip(group.views, group.controllers):
             records = controller.records
             if view._recording:
-                recorder = view.recorder
-                node_id = view.node_id
+                stop = base + len(records)
+                ids = group.pe_ids[base:stop]
+                cpus = fractions[base:stop].tolist()
+                dts = (dt,) * len(records)
                 if self.is_aces and caps is not None:
-                    for k, record in enumerate(records):
-                        i = base + k
-                        gi = self.registry.index[record.pe_id]
-                        recorder.emit(
-                            "token_bucket",
-                            pe=record.pe_id,
-                            node=node_id,
-                            level=float(self.tok_level[gi]),
-                            rate=float(self.tok_rate[gi]),
-                            depth=float(self.tok_depth[gi]),
-                        )
-                        cap_rate = float(caps[i])
-                        recorder.emit(
-                            "cpu_grant",
-                            pe=record.pe_id,
-                            node=node_id,
-                            cpu=float(fractions[i]),
-                            dt=dt,
-                            cap_rate=(
+                    gi = self.registry.node_slices[controller.node_index]
+                    view.recorder.emit_rows(
+                        TOKEN_GRANT,
+                        view.node_id,
+                        list(zip(
+                            ids,
+                            self.tok_level[gi].tolist(),
+                            self.tok_rate[gi].tolist(),
+                            self.tok_depth[gi].tolist(),
+                            cpus,
+                            dts,
+                            [
                                 None if cap_rate == _INF else cap_rate
-                            ),
-                        )
+                                for cap_rate in caps[base:stop].tolist()
+                            ],
+                        )),
+                    )
                 else:
-                    for k, record in enumerate(records):
-                        recorder.emit(
-                            "cpu_grant",
-                            pe=record.pe_id,
-                            node=node_id,
-                            cpu=float(fractions[base + k]),
-                            dt=dt,
-                        )
+                    view.recorder.emit_rows(
+                        CPU_GRANT, view.node_id, list(zip(ids, cpus, dts))
+                    )
             base += len(records)
 
 

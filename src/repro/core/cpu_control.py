@@ -23,7 +23,12 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.obs.recorder import NULL_RECORDER, TraceRecorder
+from repro.obs.recorder import (
+    CPU_GRANT,
+    NULL_RECORDER,
+    TOKEN_GRANT,
+    TraceRecorder,
+)
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.adapter import PELike
@@ -125,7 +130,8 @@ class AcesCpuScheduler:
         Control interval length (needed to size the bucket depth).
 
     Tracing: after :meth:`attach_tracing`, every :meth:`allocate` publishes
-    one ``token_bucket`` and one ``cpu_grant`` event per resident PE.
+    one ``token_bucket`` and one ``cpu_grant`` event per resident PE, as
+    one :data:`~repro.obs.recorder.TOKEN_GRANT` row batch.
     """
 
     #: Trace bus + node identity; overridden by :meth:`attach_tracing`.
@@ -199,8 +205,8 @@ class AcesCpuScheduler:
         # The Eq. 8 bound each PE was capped under, kept only while
         # recording so invariant oracles can re-derive g^{-1}(r_o,j)
         # independently; the disarmed hot path never builds it.
-        caps_trace: _t.Optional[_t.Dict[str, _t.Optional[float]]] = (
-            {} if self._recording else None
+        caps_trace: _t.Optional[_t.List[_t.Optional[float]]] = (
+            [] if self._recording else None
         )
         for pe, bucket in self._pairs:
             # Inlined bucket.fill(dt): this is the per-tick fast path.
@@ -212,7 +218,7 @@ class AcesCpuScheduler:
             pe_id = pe.pe_id
             cap_rate = caps_get(pe_id, _INF)
             if caps_trace is not None:
-                caps_trace[pe_id] = None if cap_rate == _INF else cap_rate
+                caps_trace.append(None if cap_rate == _INF else cap_rate)
             if cap_rate == _INF:
                 cpu_cap = capacity
             else:
@@ -249,25 +255,15 @@ class AcesCpuScheduler:
 
         fractions = {pe_id: grant / dt for pe_id, grant in grants.items()}
         if caps_trace is not None:
-            recorder = self.recorder
-            for pe in self.pes:
-                bucket = self.buckets[pe.pe_id]
-                recorder.emit(
-                    "token_bucket",
-                    pe=pe.pe_id,
-                    node=self.node_id,
-                    level=bucket.level,
-                    rate=bucket.rate,
-                    depth=bucket.depth,
-                )
-                recorder.emit(
-                    "cpu_grant",
-                    pe=pe.pe_id,
-                    node=self.node_id,
-                    cpu=fractions[pe.pe_id],
-                    dt=dt,
-                    cap_rate=caps_trace[pe.pe_id],
-                )
+            self.recorder.emit_rows(
+                TOKEN_GRANT,
+                self.node_id,
+                [
+                    (pe.pe_id, bucket.level, bucket.rate, bucket.depth,
+                     fractions[pe.pe_id], dt, cap_rate)
+                    for (pe, bucket), cap_rate in zip(self._pairs, caps_trace)
+                ],
+            )
         return fractions
 
     def attach_tracing(
@@ -369,15 +365,11 @@ class StrictProportionalScheduler:
         grants = _proportional_fill(demands, weights, self.capacity * dt)
         fractions = {pe_id: grant / dt for pe_id, grant in grants.items()}
         if self._recording:
-            recorder = self.recorder
-            for pe in self.pes:
-                recorder.emit(
-                    "cpu_grant",
-                    pe=pe.pe_id,
-                    node=self.node_id,
-                    cpu=fractions[pe.pe_id],
-                    dt=dt,
-                )
+            self.recorder.emit_rows(
+                CPU_GRANT,
+                self.node_id,
+                [(pe.pe_id, fractions[pe.pe_id], dt) for pe in self.pes],
+            )
         return fractions
 
     def attach_tracing(

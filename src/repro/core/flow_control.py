@@ -20,7 +20,6 @@ import typing as _t
 from collections import deque
 
 from repro.core.lqr import LQRGains
-from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 
 
 class FlowController:
@@ -35,10 +34,8 @@ class FlowController:
     buffer_capacity:
         Total buffer size ``B`` (for the safety clamp).
     pe_id:
-        Identity used in published trace events.
-    recorder:
-        Trace bus receiving one ``r_max`` event per update; the default
-        null recorder reduces publication to a single branch.
+        Identity the owning node controller publishes this PE's
+        ``r_max`` trace rows under (:meth:`update` itself is silent).
     """
 
     def __init__(
@@ -47,7 +44,6 @@ class FlowController:
         target_occupancy: float,
         buffer_capacity: float,
         pe_id: str = "",
-        recorder: TraceRecorder = NULL_RECORDER,
     ):
         if target_occupancy < 0 or target_occupancy > buffer_capacity:
             raise ValueError(
@@ -57,13 +53,11 @@ class FlowController:
         self.b0 = float(target_occupancy)
         self.capacity = float(buffer_capacity)
         self.pe_id = pe_id
-        self.recorder = recorder
         #: Hot-path caches: gains are immutable once designed, and update()
         #: runs once per PE per control interval.
         self._lambdas = tuple(gains.lambdas)
         self._mus = tuple(gains.mus)
         self._dt = float(gains.dt)
-        self._recording = recorder.enabled
 
         history = gains.buffer_lags + 1
         self._deviations: _t.Deque[float] = deque(
@@ -121,14 +115,6 @@ class FlowController:
         surpluses.appendleft(r_max - rho)
         self.last_r_max = r_max
         self.updates += 1
-        if self._recording:
-            self.recorder.emit(
-                "r_max",
-                pe=self.pe_id,
-                r_max=r_max,
-                occupancy=occupancy,
-                rho=rho,
-            )
         return r_max
 
     def coefficient_arrays(

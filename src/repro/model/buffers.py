@@ -77,8 +77,8 @@ class InputBuffer:
     #: Trace bus + owning-PE identity; see :meth:`attach_recorder`.
     recorder: TraceRecorder = NULL_RECORDER
     pe_id: _t.Optional[str] = None
-    #: Cached ``recorder.enabled`` so the offer/sample fast paths pay a
-    #: single attribute load (set by :meth:`attach_recorder`).
+    #: Cached ``recorder.enabled`` so the offer fast path pays a single
+    #: attribute load (set by :meth:`attach_recorder`).
     _recording: bool = False
     #: Armed span tracker; None (the default) keeps the offer fast path
     #: at one attribute load + branch (see :meth:`attach_spans`).
@@ -95,8 +95,9 @@ class InputBuffer:
     def attach_recorder(
         self, recorder: TraceRecorder, pe_id: _t.Optional[str] = None
     ) -> None:
-        """Publish ``drop`` and (on :meth:`sample`) ``buffer_occupancy``
-        events for this buffer under the given PE identity."""
+        """Publish ``drop`` events for this buffer under the given PE
+        identity.  (``buffer_occupancy`` samples are published in
+        batches by whoever calls :meth:`sample`.)"""
         self.recorder = recorder
         self.pe_id = pe_id if pe_id is not None else self.name
         self._recording = recorder.enabled
@@ -255,13 +256,6 @@ class InputBuffer:
     def sample(self, now: float) -> int:
         """Update the occupancy integral and return current occupancy."""
         self._integrate(now)
-        if self._recording:
-            self.recorder.emit(
-                "buffer_occupancy",
-                pe=self.pe_id,
-                occupancy=len(self._items),
-                capacity=self.capacity,
-            )
         return len(self._items)
 
     def __len__(self) -> int:

@@ -22,6 +22,8 @@ import typing as _t
 
 __all__ = ["LogHistogram"]
 
+_log = math.log
+
 
 class LogHistogram:
     """Streaming log-bucketed histogram with percentile queries.
@@ -74,7 +76,7 @@ class LogHistogram:
         if value < self.min_value:
             index = -1
         else:
-            index = int(math.log(value * self._inv_min) * self._inv_log_growth)
+            index = int(_log(value * self._inv_min) * self._inv_log_growth)
         counts = self._counts
         counts[index] = counts.get(index, 0) + count
         self.count += count

@@ -47,11 +47,74 @@ EVENT_KINDS = frozenset(
         "membership",  # a node joined or left the control plane
         "migration",  # one PE migration phase (drain/resume)
         "epoch",  # a new placement version was installed
+        "forecast",  # one forecasting-tier tick: predicted vs baseline load
+        "proactive_trigger",  # the forecast tier acted ahead of the load
     }
 )
 
 #: Envelope keys shared by every event; payload keys may not shadow them.
 ENVELOPE_KEYS = ("t", "kind", "pe", "node")
+
+
+class RowFamily:
+    """A high-rate event family that travels as one row batch per tick.
+
+    The four per-PE kinds are published once per PE per control interval,
+    from loops that already hold every PE's values; a family names the
+    event kind(s) and payload fields one row of such a batch expands to.
+    A row is ``(pe_id, *values)`` with the values of each part in turn,
+    and expands to one event per part, in part order — so a two-part
+    family interleaves its kinds per PE.  See
+    :meth:`TraceRecorder.emit_rows`.
+    """
+
+    __slots__ = ("kinds", "parts")
+
+    def __init__(self, *parts: _t.Tuple[str, _t.Tuple[str, ...]]):
+        #: Event kinds one row expands to, in emission order.
+        self.kinds = tuple(kind for kind, _ in parts)
+        layout = []
+        start = 1
+        for kind, fields in parts:
+            if kind not in EVENT_KINDS:
+                raise ValueError(f"unknown event kind {kind!r}")
+            shadowed = set(fields) & set(ENVELOPE_KEYS)
+            if shadowed:
+                raise ValueError(
+                    f"{kind}: payload fields {sorted(shadowed)} shadow "
+                    f"the event envelope"
+                )
+            layout.append((kind, fields, start, start + len(fields)))
+            start += len(fields)
+        #: ``(kind, fields, start, stop)``: the row slice each part reads.
+        self.parts = tuple(layout)
+
+    def expand(
+        self, rows: _t.Iterable[_t.Sequence[_t.Any]]
+    ) -> _t.Iterator[_t.Tuple[str, _t.Any, _t.Dict[str, _t.Any]]]:
+        """``(kind, pe, payload)`` per event, in per-event emission order."""
+        parts = self.parts
+        for row in rows:
+            pe = row[0]
+            for kind, fields, start, stop in parts:
+                yield kind, pe, dict(zip(fields, row[start:stop]))
+
+    def __repr__(self) -> str:
+        return f"RowFamily({'+'.join(self.kinds)})"
+
+
+#: Sampled input-buffer occupancy; rows ``(pe, occupancy, capacity)``.
+BUFFER_OCCUPANCY = RowFamily(("buffer_occupancy", ("occupancy", "capacity")))
+#: Eq. 7 outputs; rows ``(pe, r_max, occupancy, rho)``.
+R_MAX = RowFamily(("r_max", ("r_max", "occupancy", "rho")))
+#: The ACES scheduler's per-PE pair, interleaved per PE; rows
+#: ``(pe, level, rate, depth, cpu, dt, cap_rate)``.
+TOKEN_GRANT = RowFamily(
+    ("token_bucket", ("level", "rate", "depth")),
+    ("cpu_grant", ("cpu", "dt", "cap_rate")),
+)
+#: Grants of a scheduler without token buckets; rows ``(pe, cpu, dt)``.
+CPU_GRANT = RowFamily(("cpu_grant", ("cpu", "dt")))
 
 
 class TraceFilter:
@@ -112,6 +175,11 @@ class TraceFilter:
             nodes=fields.get("node"),
         )
 
+    @property
+    def admits_all(self) -> bool:
+        """True for the empty expression (nothing to test per event)."""
+        return self.kinds is None and self.pes is None and self.nodes is None
+
     def admits(
         self,
         kind: str,
@@ -156,6 +224,11 @@ class TraceRecorder:
     ):
         self._clock = clock
         self.filter = trace_filter or TraceFilter()
+        #: The filter's predicate, or None when it admits everything (the
+        #: usual case, resolved once so ``emit`` skips the call).
+        self._admits: _t.Optional[
+            _t.Callable[[str, _t.Optional[str], _t.Optional[str]], bool]
+        ] = None if self.filter.admits_all else self.filter.admits
         self.counts: Counter = Counter()
         # The threaded runtime emits from one control thread per node;
         # serializing count+sink keeps JSONL lines whole.  Uncontended
@@ -175,17 +248,51 @@ class TraceRecorder:
         **data: object,
     ) -> None:
         """Publish one event; filtered events cost one predicate call."""
-        if not self.filter.admits(kind, pe, node):
+        admits = self._admits
+        if admits is not None and not admits(kind, pe, node):
             return
         event: _t.Dict[str, object] = {
             "t": self._clock() if self._clock is not None else 0.0,
             "kind": kind,
             "pe": pe,
             "node": node,
+            **data,
         }
-        event.update(data)
         with self._emit_lock:
             self.counts[kind] += 1
+            self._write(event)
+
+    def emit_rows(
+        self,
+        family: RowFamily,
+        node: _t.Optional[str],
+        rows: _t.Sequence[_t.Sequence[_t.Any]],
+    ) -> None:
+        """Publish one tick's batch of a :class:`RowFamily`.
+
+        Equivalent to the per-event :meth:`emit` calls the rows stand
+        for, in the same order — which is exactly what this base
+        implementation does, so storing recorders, filters and exporters
+        see no difference.  Recorders that only *inspect* events
+        override it to skip the per-event envelope.
+        """
+        emit = self.emit
+        for kind, pe, payload in family.expand(rows):
+            emit(kind, pe, node, **payload)
+
+    def forward(self, event: _t.Dict[str, _t.Any]) -> None:
+        """Accept an event another recorder already stamped.
+
+        The downstream half of :meth:`emit`: this recorder's own
+        keep-filter and counts apply, the upstream ``t`` is kept.
+        """
+        admits = self._admits
+        if admits is not None and not admits(
+            event["kind"], event["pe"], event["node"]
+        ):
+            return
+        with self._emit_lock:
+            self.counts[event["kind"]] += 1
             self._write(event)
 
     def _write(self, event: _t.Dict[str, object]) -> None:
@@ -215,6 +322,9 @@ class NullRecorder(TraceRecorder):
         super().__init__()
 
     def emit(self, kind: str, pe=None, node=None, **data: object) -> None:
+        return None
+
+    def emit_rows(self, family, node, rows) -> None:
         return None
 
     def _write(self, event: _t.Dict[str, object]) -> None:

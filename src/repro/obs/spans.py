@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import typing as _t
+from collections import defaultdict
 
 from repro.obs.hist import LogHistogram
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
@@ -91,13 +92,15 @@ class SpanTracker:
             threading.Lock() if locking else None
         )
 
+        # Tables create a key's histogram on first touch, so the hot
+        # hooks below are one subscript and one ``add`` each.
         #: pe_id -> queue-wait / service histograms (seconds).
-        self.queue_wait: _t.Dict[str, LogHistogram] = {}
-        self.service: _t.Dict[str, LogHistogram] = {}
+        self.queue_wait: _t.Dict[str, LogHistogram] = defaultdict(self._hist)
+        self.service: _t.Dict[str, LogHistogram] = defaultdict(self._hist)
         #: stream_id -> transit histogram (seconds, per delivery hop).
-        self.transit: _t.Dict[str, LogHistogram] = {}
+        self.transit: _t.Dict[str, LogHistogram] = defaultdict(self._hist)
         #: link name -> full link delay histogram (queue+serialize+propagate).
-        self.link: _t.Dict[str, LogHistogram] = {}
+        self.link: _t.Dict[str, LogHistogram] = defaultdict(self._hist)
         #: Egress SDOs whose closure identity failed (plain dicts so the
         #: conservation checker can lift them into InvariantViolations
         #: without an import cycle).
@@ -116,14 +119,6 @@ class SpanTracker:
             min_value=self.min_value,
             buckets_per_decade=self.buckets_per_decade,
         )
-
-    def _add(
-        self, table: _t.Dict[str, LogHistogram], key: str, value: float
-    ) -> None:
-        hist = table.get(key)
-        if hist is None:
-            hist = table[key] = self._hist()
-        hist.add(value)
 
     # -- hot observation hooks ---------------------------------------------
 
@@ -144,7 +139,7 @@ class SpanTracker:
         segment = now - span[SPAN_EMITTED]
         span[SPAN_TRANSIT] += segment
         span[SPAN_ENQUEUED] = now
-        self._add(self.transit, sdo.stream_id, segment)
+        self.transit[sdo.stream_id].add(segment)
 
     def observe_queue(self, pe_id: str, sdo: "SDO", wall: float) -> None:
         """PE dequeued the SDO at (interpolated) ``wall``."""
@@ -161,7 +156,7 @@ class SpanTracker:
             span = sdo.span = [0.0, 0.0, 0.0, wall, sdo.origin_time]
         segment = wall - span[SPAN_ENQUEUED]
         span[SPAN_QUEUE] += segment
-        self._add(self.queue_wait, pe_id, segment)
+        self.queue_wait[pe_id].add(segment)
 
     def observe_service(self, pe_id: str, sdo: "SDO", segment: float) -> None:
         """SDO completed after ``segment`` seconds of (dequeue->done) time."""
@@ -177,16 +172,16 @@ class SpanTracker:
         if span is None:
             span = sdo.span = [0.0, 0.0, 0.0, 0.0, sdo.origin_time]
         span[SPAN_SERVICE] += segment
-        self._add(self.service, pe_id, segment)
+        self.service[pe_id].add(segment)
 
     def observe_link(self, name: str, delay: float) -> None:
         """A link transfer was scheduled with total ``delay`` seconds."""
         lock = self._lock
         if lock is None:
-            self._add(self.link, name, delay)
+            self.link[name].add(delay)
         else:
             with lock:
-                self._add(self.link, name, delay)
+                self.link[name].add(delay)
 
     def observe_egress(self, pe_id: str, sdo: "SDO", now: float) -> None:
         """SDO left the system: close the span and check the identity."""
@@ -202,7 +197,7 @@ class SpanTracker:
         if span is None:
             return  # lineage predates arming (e.g. buffered pre-reset)
         final_transit = now - span[SPAN_EMITTED]
-        self._add(self.transit, sdo.stream_id, final_transit)
+        self.transit[sdo.stream_id].add(final_transit)
         queue = span[SPAN_QUEUE]
         service = span[SPAN_SERVICE]
         transit = span[SPAN_TRANSIT] + final_transit

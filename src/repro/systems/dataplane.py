@@ -19,7 +19,11 @@ from repro.metrics.collectors import EgressCollector
 from repro.model.links import Link
 from repro.model.pe import PERuntime
 from repro.model.sdo import SDO
-from repro.obs.recorder import TraceRecorder
+from repro.obs.recorder import (
+    BUFFER_OCCUPANCY,
+    NULL_RECORDER,
+    TraceRecorder,
+)
 from repro.sim.engine import Environment
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -166,6 +170,20 @@ class SimDataPlane:
         return runtime.ingest(sdo, now)
 
 
+def sample_buffers(
+    pes: _t.Iterable[PERuntime], now: float, recorder: TraceRecorder
+) -> _t.List[_t.Tuple[str, int, int]]:
+    """Sample every PE's input buffer; returns ``(pe_id, occupancy,
+    capacity)`` rows in ``pes`` order, published as one
+    ``buffer_occupancy`` batch when tracing."""
+    rows = [
+        (pe.pe_id, pe.buffer.sample(now), pe.buffer.capacity) for pe in pes
+    ]
+    if recorder.enabled:
+        recorder.emit_rows(BUFFER_OCCUPANCY, None, rows)
+    return rows
+
+
 class SimAdapter:
     """:class:`SystemAdapter` implementation for the discrete-event
     simulator.
@@ -178,10 +196,13 @@ class SimAdapter:
     def __init__(self, profiler: _t.Optional["PhaseProfiler"] = None):
         self.profiler = profiler
         self.dataplane: _t.Optional[SimDataPlane] = None
+        #: The data plane's trace bus (occupancy samples go out on it).
+        self.recorder: TraceRecorder = NULL_RECORDER
 
     def bind(self, dataplane: SimDataPlane) -> None:
         """Attach the data plane PE execution emits through."""
         self.dataplane = dataplane
+        self.recorder = dataplane.recorder
 
     def snapshot(
         self,
@@ -191,6 +212,12 @@ class SimAdapter:
     ) -> _t.Dict[str, float]:
         """Sampled occupancies (folds the read into the simulator's
         occupancy-integral telemetry; idempotent at a fixed ``now``)."""
+        recorder = self.recorder
+        if recorder.enabled:
+            rows = sample_buffers(
+                [record.pe for record in records], now, recorder
+            )
+            return {pe_id: occupancy for pe_id, occupancy, _ in rows}
         return {
             record.pe_id: record.pe.buffer.sample(now) for record in records
         }
@@ -203,6 +230,12 @@ class SimAdapter:
     ) -> _t.List[int]:
         """:meth:`snapshot` in record order, skipping the dict round-trip
         (the vector engine's occupancy read)."""
+        recorder = self.recorder
+        if recorder.enabled:
+            rows = sample_buffers(
+                [record.pe for record in records], now, recorder
+            )
+            return [occupancy for _, occupancy, _ in rows]
         return [record.pe.buffer.sample(now) for record in records]
 
     def apply_grants(

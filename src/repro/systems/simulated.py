@@ -45,7 +45,11 @@ from repro.systems.build import (
     build_runtimes,
     build_sources,
 )
-from repro.systems.dataplane import SimAdapter, SimDataPlane
+from repro.systems.dataplane import (
+    SimAdapter,
+    SimDataPlane,
+    sample_buffers,
+)
 
 # Not called here any more (ElasticDriver plans and re-solves): kept as
 # globals of this module because the perf observatory's trace targets
@@ -415,8 +419,7 @@ class SimulatedSystem:
     # -- measurement ---------------------------------------------------------
 
     def _snapshot(self, now: float) -> _Snapshot:
-        for runtime in self.runtimes.values():
-            runtime.buffer.sample(now)
+        sample_buffers(self.runtimes.values(), now, self.recorder)
         dataplane = self.dataplane
         admission = self.admission
         return _Snapshot(

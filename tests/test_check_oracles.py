@@ -102,10 +102,6 @@ def _update_without_clip(self, occupancy, rho):
     self._surpluses.appendleft(r_max - rho)
     self.last_r_max = r_max
     self.updates += 1
-    if self._recording:
-        self.recorder.emit(
-            "r_max", pe=self.pe_id, r_max=r_max, occupancy=occupancy, rho=rho
-        )
     return r_max
 
 
@@ -124,10 +120,6 @@ def _update_without_surplus_terms(self, occupancy, rho):
     self._surpluses.appendleft(r_max - rho)
     self.last_r_max = r_max
     self.updates += 1
-    if self._recording:
-        self.recorder.emit(
-            "r_max", pe=self.pe_id, r_max=r_max, occupancy=occupancy, rho=rho
-        )
     return r_max
 
 

@@ -100,6 +100,31 @@ class TestTraceCheck:
         assert main(self._trace_args(tmp_path, "sim")) == 0
         assert (tmp_path / "out.jsonl").stat().st_size > 0
 
+    def test_filter_narrows_the_file_not_the_oracles(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # An Eq. 7 bug, and a keep-filter that stores only drops: the
+        # r_max law must still be checked, and the run must still fail.
+        from repro.core import flow_control
+        from repro.obs import read_events_jsonl
+        from tests.test_check_oracles import _update_without_surplus_terms
+
+        monkeypatch.setattr(
+            flow_control.FlowController,
+            "update",
+            _update_without_surplus_terms,
+        )
+        args = self._trace_args(
+            tmp_path, "sim", "--trace-filter", "kind=drop",
+            "--load", "3", "--buffer", "5",
+        )
+        assert main(args) != 0
+        out = capsys.readouterr().out
+        assert "r_max_law" in out
+        events = read_events_jsonl(str(tmp_path / "out.jsonl"))
+        assert events and {e["kind"] for e in events} == {"drop"}
+        assert f"trace: {len(events)} events" in out
+
 
 class TestFailureModes:
     """Bad arguments exit non-zero with a message, never a traceback."""
