@@ -8,17 +8,17 @@ three structural protocols:
   the threaded runtime's :class:`~repro.runtime.worker.RuntimePE` both
   satisfy it).  The CPU schedulers in :mod:`repro.core.cpu_control` are
   written against the same protocol.
-* :class:`SystemAdapter` — the three substrate operations the Tier-2
-  step needs: an occupancy snapshot (as a mapping and as a list) and
-  grant application, which reports CPU actually used back through the
-  scheduler's ``settle``.
+* :class:`SystemAdapter` — the two substrate operations the Tier-2
+  step needs: an occupancy snapshot and grant application, lists in
+  record order in and out; the CPU actually used comes back as the
+  return value, for the scheduler's ``settle``.
 * :class:`MembershipOps` — the three physical membership operations the
   elastic and forecasting tiers actuate through
   (:class:`~repro.control.elastic.ElasticDriver`): join a node, remove
   an empty node, live-migrate PEs.
 
 Keeping the surface this narrow is what makes new substrates cheap: a
-sharded or multi-process node implements these three plus three
+sharded or multi-process node implements these two plus three
 methods, hands them to :class:`~repro.control.wiring.ControlStack`,
 pumps the ticks it lists, and inherits all five control tiers, including
 every policy and fault-injection hook.
@@ -32,14 +32,11 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.elastic import PlacementVersion
     from repro.control.node import ControlRecord
     from repro.model.params import PEProfile
+    from repro.obs.recorder import TraceRecorder
 
 #: gate(pe) -> bool.  Checked before a PE may process; Lock-Step uses it
 #: to refuse work while any downstream buffer lacks room.
 GateFn = _t.Callable[["PELike"], bool]
-
-#: settle(pe_id, cpu_seconds_used, dt) — the scheduler's token-accounting
-#: callback an adapter invokes after measuring real CPU usage.
-SettleFn = _t.Callable[[str, float, float], None]
 
 
 class BufferLike(_t.Protocol):
@@ -61,8 +58,13 @@ class PELike(_t.Protocol):
     Attribute semantics (all already documented on the concrete classes):
     ``processing_rate(cpu)`` is the short-horizon rate ``rho_j`` at
     fractional allocation ``cpu``; ``cpu_for_output_rate_now(rate)`` is
-    the state-aware inverse ``g^{-1}`` used by the Eq. 8 CPU cap;
-    ``backlog_work`` estimates queued CPU-seconds; and
+    the state-aware inverse ``g^{-1}`` used by the Eq. 8 CPU cap, and
+    ``current_service_time`` the per-SDO cost both are built on (the
+    Tier-2 step reads it once per PE per tick and derives the two
+    itself); ``backlog_work`` estimates queued CPU-seconds, as
+    ``work_in_service`` (CPU-seconds left on the SDO being worked on;
+    0.0 where the substrate cannot see it) plus occupancy times
+    ``mean_work``, the mean per-SDO work ``1 / profile.rate_slope``; and
     ``blocked_last_interval`` reports reactive Lock-Step blocking (a
     substrate that blocks inside the worker, like the threaded runtime,
     simply always returns False).
@@ -74,12 +76,17 @@ class PELike(_t.Protocol):
     blocked_last_interval: bool
     #: Fed by a workload source (the admission front end sits here).
     is_ingress: bool
+    work_in_service: float
+    mean_work: float
 
     @property
     def buffer(self) -> BufferLike: ...
 
     @property
     def backlog_work(self) -> float: ...
+
+    @property
+    def current_service_time(self) -> float: ...
 
     def processing_rate(self, cpu: float) -> float: ...
 
@@ -94,45 +101,46 @@ class SystemAdapter(_t.Protocol):
     adapter does not need per-node state of its own.
     """
 
+    #: Trace bus the controller publishes one ``buffer_occupancy`` row
+    #: per PE per snapshot on; the null recorder on a substrate whose
+    #: snapshot is not a telemetry sample.
+    recorder: "TraceRecorder"
+
     def snapshot(
         self,
         node_index: int,
         records: _t.Sequence["ControlRecord"],
         now: float,
-    ) -> _t.Mapping[str, float]:
-        """Per-PE input-buffer occupancy ``b(n)`` at ``now``.
+    ) -> _t.Sequence[float]:
+        """Per-PE input-buffer occupancy ``b(n)`` at ``now``, in record
+        order.
 
         This is the one controller observable whose measurement differs
         between substrates (the simulator folds the read into its
         occupancy-integral telemetry; the threaded runtime reads the
-        live channel depth).
+        live channel depth).  Taking it twice at one ``now`` must change
+        nothing: the step reads it once, before allocation.
         """
         ...
 
-    def snapshot_list(
-        self,
-        node_index: int,
-        records: _t.Sequence["ControlRecord"],
-        now: float,
-    ) -> _t.Sequence[float]:
-        """:meth:`snapshot` in record order, without the dict round-trip
-        (the vector engine's occupancy read on wide nodes)."""
-        ...
+    #: The name the observatory's frozen trace targets patch; ROADMAP
+    #: item 1d drops them and this alias with them.
+    snapshot_list = snapshot
 
     def apply_grants(
         self,
         node_index: int,
         records: _t.Sequence["ControlRecord"],
-        grants: _t.Mapping[str, float],
+        fractions: _t.Sequence[float],
         now: float,
         dt: float,
-        settle: SettleFn,
-    ) -> None:
-        """Put this interval's CPU fractions into effect.
+    ) -> _t.Sequence[float]:
+        """Put this interval's CPU fractions (record order) into effect.
 
-        The substrate executes (or schedules) the granted work and must
-        report the CPU-seconds each PE actually consumed back through
-        ``settle`` so token balances reflect reality.
+        The substrate executes (or schedules) the granted work and
+        returns the CPU-seconds each PE actually consumed, in record
+        order, which the caller hands to the scheduler's ``settle`` so
+        token balances reflect reality.
         """
         ...
 

@@ -12,16 +12,31 @@ from __future__ import annotations
 import typing as _t
 
 from repro.control.adapter import GateFn, PELike, SystemAdapter
-from repro.obs.recorder import R_MAX
+from repro.core.flow_control import update_rows
+from repro.obs.recorder import BUFFER_OCCUPANCY, R_MAX
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.plane import ControlPlane
 
-#: Scheduler protocol: .allocate(...) -> {pe_id: cpu}, .settle(pe_id, used, dt)
+#: Scheduler protocol: .allocate(dt, ...) -> [cpu fraction per resident
+#: PE], .settle([cpu-seconds used per resident PE]), both in the order of
+#: the scheduler's ``pes`` (the node's records).
 Scheduler = _t.Any
-#: Flow-controller protocol: FlowController or the vector engine's
-#: per-PE view (same .update-consuming surface, see repro.control.vector).
+#: Flow-controller protocol: FlowController (NodeController's Eq. 7
+#: pass reads its ``row``) or the vector engine's per-PE view (the same
+#: inspection surface over array state, see repro.control.vector).
 FlowControllerLike = _t.Any
+
+
+def occupancy_rows(
+    records: _t.Sequence["ControlRecord"], occupancies: _t.Sequence[float]
+) -> _t.List[_t.Tuple[str, float, int]]:
+    """One snapshot as :data:`~repro.obs.recorder.BUFFER_OCCUPANCY`
+    rows, for the adapter's ``recorder``."""
+    return [
+        (record.pe_id, occupancy, record.pe.buffer.capacity)
+        for record, occupancy in zip(records, occupancies)
+    ]
 
 
 class ControlRecord:
@@ -98,14 +113,25 @@ class NodeController:
         #: empty.  Exposed for diagnostics and the parity test.
         self.last_blocked: _t.FrozenSet[str] = frozenset()
         self.ticks = 0
+        #: What the step reads of the records, as parallel lists in
+        #: record order, resolved once: a tick passes lists between the
+        #: layers and looks nothing up by pe_id.
+        self._pe_ids = [record.pe_id for record in self.records]
+        self._downstream = [record.downstream_ids for record in self.records]
+        self._flow_rows = (
+            [record.controller.row for record in self.records]
+            if uses_feedback
+            else []
+        )
 
     # -- the Tier-2 step -----------------------------------------------------
 
-    def control(self, now: float) -> _t.Dict[str, float]:
+    def control(self, now: float) -> _t.List[float]:
         """Feedback aggregation, CPU allocation, and Eq. 7 updates.
 
-        Returns this interval's CPU grants (``pe_id -> fraction``)
-        without touching the substrate; :meth:`tick` applies them.
+        Returns this interval's CPU grants (one fraction per record, in
+        record order) without touching the substrate; :meth:`tick`
+        applies them.
         """
         dt = self.dt
         records = self.records
@@ -113,59 +139,52 @@ class NodeController:
 
         if self.uses_feedback:
             bus = self.plane.bus
-            read_bound = (
-                bus.max_downstream_rate
-                if self.aggregate_max
-                else bus.min_downstream_rate
-            )
-            caps: _t.Dict[str, float] = {
-                record.pe_id: read_bound(record.downstream_ids, now)
-                for record in records
-            }
-            if self.is_aces:
-                allocations = scheduler.allocate(dt, caps)
-            else:
-                allocations = scheduler.allocate(dt)
+            caps = bus.read_bounds(self._downstream, now, self.aggregate_max)
+            # Before allocation: V-D and Eq. 7 work from one occupancy
+            # read.  Nothing runs in between and a snapshot at a fixed
+            # ``now`` is idempotent.
             occupancies = self.adapter.snapshot(self.node_index, records, now)
-            allocations_get = allocations.get
-            publish = bus.publish
+            # One state read per PE serves both g^{-1} and rho below.
+            service_times = [
+                record.pe.current_service_time for record in records
+            ]
+            if self.is_aces:
+                fractions = scheduler.allocate(
+                    dt, caps, occupancies, service_times
+                )
+            else:
+                fractions = scheduler.allocate(dt)
+            # rho_j(n) is the rate the PE can *sustain*: when the PE is
+            # momentarily unallocated (e.g. empty buffer) it still earns
+            # tokens at its long-term target, so advertising the target
+            # rate upstream is what keeps the pipeline from converging
+            # to a self-throttled equilibrium.
+            rhos = []
+            for record, cpu, service_time in zip(
+                records, fractions, service_times
+            ):
+                target = record.cpu_target
+                rhos.append((target if cpu < target else cpu) / service_time)
+            # records always carry a controller when uses_feedback.
+            r_maxes = update_rows(self._flow_rows, occupancies, rhos)
+            pe_ids = self._pe_ids
+            # Trace rows from the same lists, in the order grant rows
+            # (inside allocate), occupancy samples, r_max — after every
+            # update and before publication, so the oracles see a bad
+            # r_max before the bus rejects it.
+            samples = self.adapter.recorder
+            if samples.enabled:
+                samples.emit_rows(
+                    BUFFER_OCCUPANCY, None,
+                    occupancy_rows(records, occupancies),
+                )
             recorder = self.plane.recorder
             if recorder.enabled:
-                # Every update first, then the batch, then publication:
-                # the oracles see a bad r_max before the bus rejects it.
-                rows = []
-                for record in records:
-                    cpu_effective = allocations_get(record.pe_id, 0.0)
-                    if cpu_effective < record.cpu_target:
-                        cpu_effective = record.cpu_target
-                    rho = record.pe.processing_rate(cpu_effective)
-                    occupancy = occupancies[record.pe_id]
-                    rows.append((
-                        record.pe_id,
-                        record.controller.update(occupancy, rho),
-                        occupancy,
-                        rho,
-                    ))
-                recorder.emit_rows(R_MAX, None, rows)
-                for pe_id, r_max, _, _ in rows:
-                    publish(pe_id, r_max, now)
-                return allocations
-            for record in records:
-                # rho_j(n) is the rate the PE can *sustain*: when the PE is
-                # momentarily unallocated (e.g. empty buffer) it still earns
-                # tokens at its long-term target, so advertising the target
-                # rate upstream is what keeps the pipeline from converging
-                # to a self-throttled equilibrium.
-                cpu_effective = allocations_get(record.pe_id, 0.0)
-                if cpu_effective < record.cpu_target:
-                    cpu_effective = record.cpu_target
-                rho = record.pe.processing_rate(cpu_effective)
-                controller = record.controller
-                # records always carry a controller when uses_feedback.
-                assert controller is not None
-                r_max = controller.update(occupancies[record.pe_id], rho)
-                publish(record.pe_id, r_max, now)
-            return allocations
+                recorder.emit_rows(
+                    R_MAX, None, list(zip(pe_ids, r_maxes, occupancies, rhos))
+                )
+            bus.publish_rows(pe_ids, r_maxes, now)
+            return fractions
 
         # Redistribution reacts to *observed* blocking (last interval):
         # the scheduler has no clairvoyant knowledge of which PEs will
@@ -175,9 +194,10 @@ class NodeController:
         # at tick granularity, like the wake-up notification it would
         # receive), so one stop costs at least one interval.  A substrate
         # that blocks inside the worker (threaded runtime) never reports
-        # blocked_last_interval, leaving the set empty.
-        blocked: _t.Set[str] = set()
-        for record in records:
+        # blocked_last_interval, leaving every flag clear.
+        blocked: _t.Optional[_t.List[bool]] = None
+        blocked_ids = []
+        for k, record in enumerate(records):
             pe = record.pe
             if not pe.blocked_last_interval:
                 continue
@@ -185,9 +205,12 @@ class NodeController:
             if gate is None or gate(pe):
                 pe.blocked_last_interval = False
             else:
-                blocked.add(record.pe_id)
-        self.last_blocked = frozenset(blocked)
-        return scheduler.allocate(dt, blocked=blocked)
+                if blocked is None:
+                    blocked = [False] * len(records)
+                blocked[k] = True
+                blocked_ids.append(record.pe_id)
+        self.last_blocked = frozenset(blocked_ids)
+        return scheduler.allocate(dt, blocked)
 
     def tick(self, now: float) -> None:
         """One full control interval: decide, then act on the substrate."""
@@ -195,14 +218,15 @@ class NodeController:
         if profiler is not None:
             profiler.push("controller_tick")
         try:
-            grants = self.control(now)
+            fractions = self.control(now)
         finally:
             if profiler is not None:
                 profiler.pop()
         self.ticks += 1
-        self.adapter.apply_grants(
-            self.node_index, self.records, grants, now, self.dt,
-            self.scheduler.settle,
+        self.scheduler.settle(
+            self.adapter.apply_grants(
+                self.node_index, self.records, fractions, now, self.dt
+            )
         )
 
     # -- operational surface -------------------------------------------------

@@ -810,22 +810,28 @@ class ControlPlane:
         profiler = self.profiler
         if self._engine is not None:
             engine = self._engine
+            group = engine.group_for(tuple(live))
             if profiler is not None:
                 profiler.push("controller_tick")
             try:
-                grants_list = engine.control_group(
-                    engine.group_for(tuple(live)), now
-                )
+                decided = engine.control_group(group, now)
             finally:
                 if profiler is not None:
                     profiler.pop()
-            for index, grants in zip(live, grants_list):
+            # One settle for the whole group: execution never reads
+            # token levels, so charging after the last node has run is
+            # charging node by node.
+            used: _t.List[float] = []
+            for index, fractions in zip(live, decided):
                 controller = controllers[index]
                 controller.ticks += 1
-                adapter.apply_grants(
-                    index, controller.records, grants, now,
-                    controller.dt, controller.scheduler.settle,
+                used.extend(
+                    adapter.apply_grants(
+                        index, controller.records, fractions, now,
+                        controller.dt,
+                    )
                 )
+            engine.settle(group.sel, used)
             return
         decided = []
         for index in live:
@@ -833,16 +839,18 @@ class ControlPlane:
             if profiler is not None:
                 profiler.push("controller_tick")
             try:
-                grants = controller.control(now)
+                fractions = controller.control(now)
             finally:
                 if profiler is not None:
                     profiler.pop()
             controller.ticks += 1
-            decided.append((controller, grants))
-        for controller, grants in decided:
-            adapter.apply_grants(
-                controller.node_index, controller.records, grants, now,
-                controller.dt, controller.scheduler.settle,
+            decided.append((controller, fractions))
+        for controller, fractions in decided:
+            controller.scheduler.settle(
+                adapter.apply_grants(
+                    controller.node_index, controller.records, fractions,
+                    now, controller.dt,
+                )
             )
 
     def tick_admission(self, now: float) -> None:

@@ -50,12 +50,13 @@ try:  # pragma: no cover - exercised via REPRO_FORCE_SCALAR in CI
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-from repro.control.node import ControlRecord
+from repro.control.node import ControlRecord, occupancy_rows
 from repro.core.cpu_control import (
     AcesCpuScheduler,
     StrictProportionalScheduler,
 )
 from repro.obs.recorder import (
+    BUFFER_OCCUPANCY,
     CPU_GRANT,
     NULL_RECORDER,
     R_MAX,
@@ -365,11 +366,13 @@ def _fill_rounds(
 
 
 def vector_proportional_fill(
-    demands: _t.Mapping[str, float],
-    weights: _t.Mapping[str, float],
+    demands: _t.Sequence[float],
+    weights: _t.Sequence[float],
     budget: float,
-) -> _t.Dict[str, float]:
-    """Single-node dict-shaped wrapper over the vector water-fill.
+    order: _t.Sequence[int],
+) -> _t.List[float]:
+    """Single-node wrapper over the vector water-fill, with the
+    positional signature of the scalar ``_proportional_fill``.
 
     Exists for the property tests: drives the same `_fill_rounds`
     kernel the engine uses and must agree bit-exactly with the scalar
@@ -377,14 +380,16 @@ def vector_proportional_fill(
     """
     if np is None:
         raise RuntimeError("vector_proportional_fill requires numpy")
-    keys = sorted(demands)
-    if not keys:
-        return {}
-    d2 = np.array([[float(demands[k]) for k in keys]], dtype=np.float64)
-    w2 = np.array([[float(weights[k]) for k in keys]], dtype=np.float64)
-    mask = np.ones((1, len(keys)), dtype=bool)
+    if not order:
+        return []
+    d2 = np.array([[float(demands[k]) for k in order]], dtype=np.float64)
+    w2 = np.array([[float(weights[k]) for k in order]], dtype=np.float64)
+    mask = np.ones((1, len(order)), dtype=bool)
     g2 = _fill_rounds(d2, w2, np.array([float(budget)]), mask)
-    return {key: float(g2[0, j]) for j, key in enumerate(keys)}
+    grants = [0.0] * len(order)
+    for j, k in enumerate(order):
+        grants[k] = float(g2[0, j])
+    return grants
 
 
 class VectorFlowView:
@@ -471,17 +476,13 @@ class VectorTokenScheduler:
         self.node_id = node_id
         self._recording = recorder.enabled
 
-    def settle(self, pe_id: str, cpu_seconds_used: float, dt: float) -> None:
-        """Charge tokens for work actually performed (CPU-seconds).
-
-        Bit-equal to ``bucket.spend(min(bucket.level, used))``.
-        """
+    def settle(self, cpu_seconds_used: _t.Sequence[float]) -> None:
+        """Charge tokens for work actually performed (CPU-seconds per
+        resident PE, in placement order)."""
         engine = self._engine
-        i = engine.registry.index[pe_id]
-        level = float(engine.tok_level[i])
-        amount = level if level <= cpu_seconds_used else cpu_seconds_used
-        new_level = level - amount
-        engine.tok_level[i] = new_level if new_level > 0.0 else 0.0
+        engine.settle(
+            engine.registry.node_slices[self._node_index], cpu_seconds_used
+        )
 
     def token_level(self, pe_id: str) -> float:
         return float(self._engine.tok_level[self._engine.registry.index[pe_id]])
@@ -541,7 +542,7 @@ class VectorStrictScheduler:
         self.node_id = node_id
         self._recording = recorder.enabled
 
-    def settle(self, pe_id: str, cpu_seconds_used: float, dt: float) -> None:
+    def settle(self, cpu_seconds_used: _t.Sequence[float]) -> None:
         """No token accounting in the strict scheduler."""
 
     def update_targets(self, cpu_targets: _t.Mapping[str, float]) -> None:
@@ -589,9 +590,9 @@ class _TickGroup:
                 [np.arange(s.start, s.stop, dtype=np.int64) for s in slices]
             ) if slices else np.zeros(0, dtype=np.int64)
 
-        counts = np.array(
-            [len(c.records) for c in self.controllers], dtype=np.int64
-        )
+        #: PEs per node, for cutting a flat per-PE list back into nodes.
+        self.sizes = [len(c.records) for c in self.controllers]
+        counts = np.array(self.sizes, dtype=np.int64)
         self.counts = counts
         self.rows = len(indices)
         self.total = int(counts.sum())
@@ -677,16 +678,11 @@ class VectorEngine:
             [float(pe.buffer.capacity) for pe in flat_pes], dtype=np.float64
         )
         # Per-SDO mean work, precomputed so backlog_work can be rebuilt
-        # from the raw ``_work_remaining`` attribute as array math
+        # from the raw ``work_in_service`` attribute as array math
         # (bit-equal: same 1/slope constant, same mul-then-add order).
         self.mean_work = np.array(
             [1.0 / pe.profile.rate_slope for pe in flat_pes],
             dtype=np.float64,
-        )
-        # Simulator PEs carry partially-consumed work; the threaded
-        # runtime's RuntimePE defines backlog purely from occupancy.
-        self.track_work_remaining = bool(flat_pes) and hasattr(
-            flat_pes[0], "_work_remaining"
         )
         self.cpu_target = np.array(
             [plane.targets.cpu.get(pe.pe_id, 0.0) for pe in flat_pes],
@@ -789,32 +785,45 @@ class VectorEngine:
 
     def control_group(
         self, group: _TickGroup, now: float
-    ) -> _t.List[_t.Dict[str, float]]:
+    ) -> _t.List[_t.List[float]]:
         """Run the Tier-2 decision step for every node in the group.
 
-        Returns one ``pe_id -> cpu fraction`` dict per node (what the
-        scalar :meth:`NodeController.control` returns); grant
+        Returns one list of CPU fractions per node, in record order
+        (what the scalar :meth:`NodeController.control` returns); grant
         application stays with the callers so decide-then-apply
         ordering is identical in both implementations.
         """
         if group.total == 0:
-            return [{} for _ in group.controllers]
+            return [[] for _ in group.controllers]
         if self.uses_feedback:
             fractions = self._control_feedback(group, now)
         else:
             fractions = self._control_gated(group, now)
-        out: _t.List[_t.Dict[str, float]] = []
+        flat = fractions.tolist()
+        out = []
         base = 0
-        for controller in group.controllers:
-            records = controller.records
-            out.append(
-                {
-                    record.pe_id: float(fractions[base + k])
-                    for k, record in enumerate(records)
-                }
-            )
-            base += len(records)
+        for size in group.sizes:
+            out.append(flat[base:base + size])
+            base += size
         return out
+
+    def settle(
+        self,
+        sel: _t.Union[slice, _t.Any],
+        cpu_seconds_used: _t.Sequence[float],
+    ) -> None:
+        """Charge the selected PEs' tokens for work actually performed.
+
+        ``sel`` is a node's slice or a tick group's selection, with
+        ``cpu_seconds_used`` in the same order.  Bit-equal to
+        ``bucket.spend(min(bucket.level, used))`` per PE.
+        """
+        if not self.is_aces:
+            return
+        level = self.tok_level[sel]
+        used = np.asarray(cpu_seconds_used, dtype=np.float64)
+        left = level - np.where(used < level, used, level)
+        self.tok_level[sel] = np.where(left > 0.0, left, 0.0)
 
     # -- feedback policies (ACES + ablations) ------------------------------
 
@@ -991,7 +1000,7 @@ class VectorEngine:
     def _backlog_occ(self, group: _TickGroup) -> _t.Tuple[_t.Any, _t.Any]:
         """``backlog_work`` and occupancy for the group, one pass each.
 
-        Rebuilds the ``backlog_work`` property (``_work_remaining +
+        Rebuilds the ``backlog_work`` property (``work_in_service +
         occupancy / rate_slope``) from raw attribute reads plus the
         precomputed ``mean_work`` array — same constant, same
         mul-then-add order, so the result is bit-equal to the scalar
@@ -1002,15 +1011,12 @@ class VectorEngine:
             dtype=np.float64,
             count=group.total,
         )
-        scaled = occ * self.mean_work[group.sel]
-        if not self.track_work_remaining:
-            return scaled, occ
-        wr = np.fromiter(
-            (record.pe._work_remaining for record in group.records),
+        in_service = np.fromiter(
+            (record.pe.work_in_service for record in group.records),
             dtype=np.float64,
             count=group.total,
         )
-        return wr + scaled, occ
+        return in_service + occ * self.mean_work[group.sel], occ
 
     def _fill_flat(
         self,
@@ -1044,11 +1050,17 @@ class VectorEngine:
         carry exactly what the scalar path emits.
         """
         raw: _t.List[_t.Any] = []
-        snap_list = self.adapter.snapshot_list
+        snapshot = self.adapter.snapshot
+        samples = self.adapter.recorder
         for controller in group.controllers:
-            raw.extend(
-                snap_list(controller.node_index, controller.records, now)
-            )
+            records = controller.records
+            occupancies = snapshot(controller.node_index, records, now)
+            if samples.enabled:
+                samples.emit_rows(
+                    BUFFER_OCCUPANCY, None,
+                    occupancy_rows(records, occupancies),
+                )
+            raw.extend(occupancies)
         occ_f = np.array(raw, dtype=np.float64)
         if np.any(occ_f < 0.0):
             bad = occ_f.min()
@@ -1171,7 +1183,7 @@ class VectorNodeController:
         engine.register_controller(self)
         self._solo = (node_index,)
 
-    def control(self, now: float) -> _t.Dict[str, float]:
+    def control(self, now: float) -> _t.List[float]:
         """One node's decision step (engine group of one)."""
         engine = self.engine
         return engine.control_group(engine.group_for(self._solo), now)[0]
@@ -1182,14 +1194,15 @@ class VectorNodeController:
         if profiler is not None:
             profiler.push("controller_tick")
         try:
-            grants = self.control(now)
+            fractions = self.control(now)
         finally:
             if profiler is not None:
                 profiler.pop()
         self.ticks += 1
-        self.adapter.apply_grants(
-            self.node_index, self.records, grants, now, self.dt,
-            self.scheduler.settle,
+        self.scheduler.settle(
+            self.adapter.apply_grants(
+                self.node_index, self.records, fractions, now, self.dt
+            )
         )
 
     def set_gate(self, pe_id: str, gate: _t.Optional["GateFn"]) -> bool:

@@ -16,12 +16,16 @@ Two schedulers share one interface (:meth:`allocate` / :meth:`settle`):
 
 Allocations are CPU *fractions*; a PE granted ``c`` may perform ``c * dt``
 CPU-seconds of work in the interval.  ``settle`` reports back the work
-actually performed so token balances reflect reality.
+actually performed so token balances reflect reality.  Both travel as
+lists in the scheduler's placement (``pes``) order, as do the per-tick
+inputs of ``allocate``: a node tick builds no pe_id-keyed mapping.
 """
 
 from __future__ import annotations
 
 import typing as _t
+from functools import cached_property
+from operator import sub
 
 from repro.obs.recorder import (
     CPU_GRANT,
@@ -67,48 +71,57 @@ class TokenBucket:
         )
 
 
+def _fill_order(pes: _t.Sequence["PELike"]) -> _t.List[int]:
+    """Positions of ``pes`` in sorted-id order: the visiting order of
+    :func:`_proportional_fill`, resolved once per scheduler."""
+    return sorted(range(len(pes)), key=lambda k: pes[k].pe_id)
+
+
 def _proportional_fill(
-    demands: _t.Dict[str, float],
-    weights: _t.Dict[str, float],
+    demands: _t.Sequence[float],
+    weights: _t.Sequence[float],
     budget: float,
-) -> _t.Dict[str, float]:
+    order: _t.Sequence[int],
+) -> _t.List[float]:
     """Distribute ``budget`` proportionally to weights, capped by demands.
 
     Iterative water-filling: saturated consumers drop out and their share
     is re-divided among the rest.  Work-conserving with respect to the
-    demand vector.  Consumers are visited in sorted-id order so the
-    floating-point accumulation (and therefore every downstream result)
-    is deterministic.
+    demand vector.  Demands, weights and the returned grants are
+    positional; consumers are visited in ``order`` (:func:`_fill_order`,
+    sorted ids) so the floating-point accumulation (and therefore every
+    downstream result) is deterministic.
     """
-    grants = {pe_id: 0.0 for pe_id in demands}
-    # Stable iteration order once, instead of re-sorting every round.
-    active = sorted(
-        pe_id for pe_id, demand in demands.items() if demand > 1e-12
-    )
-    floors = {pe_id: max(weights[pe_id], 1e-12) for pe_id in active}
+    grants = [0.0] * len(demands)
+    # (position, weight floored at 1e-12) of every consumer with demand.
+    active = [
+        (k, 1e-12 if weights[k] < 1e-12 else weights[k])
+        for k in order
+        if demands[k] > 1e-12
+    ]
     remaining = budget
     while active and remaining > 1e-12:
         total_weight = 0.0
-        for pe_id in active:
-            total_weight += floors[pe_id]
+        for _, floor in active:
+            total_weight += floor
         scale = remaining / total_weight
-        saturated = 0
         distributed = 0.0
-        for index, pe_id in enumerate(active):
-            share = scale * floors[pe_id]
-            headroom = demands[pe_id] - grants[pe_id]
+        unsaturated = []
+        for entry in active:
+            k, floor = entry
+            share = scale * floor
+            headroom = demands[k] - grants[k]
             if share < headroom:
-                grants[pe_id] += share
+                grants[k] += share
                 distributed += share
+                unsaturated.append(entry)
             else:
-                grants[pe_id] += headroom
+                grants[k] += headroom
                 distributed += headroom
-                active[index] = None  # type: ignore[call-overload]
-                saturated += 1
         remaining -= distributed
-        if not saturated:
+        if len(unsaturated) == len(active):
             break
-        active = [pe_id for pe_id in active if pe_id is not None]
+        active = unsaturated
     return grants
 
 
@@ -170,18 +183,32 @@ class AcesCpuScheduler:
             self.buckets[pe.pe_id] = TokenBucket(
                 rate=target, depth=depth, level=depth * 0.5
             )
-        #: (pe, bucket) pairs resolved once; :meth:`allocate` runs every
-        #: control interval and must not pay per-tick dict lookups.
-        self._pairs: _t.List[_t.Tuple["PELike", TokenBucket]] = [
-            (pe, self.buckets[pe.pe_id]) for pe in self.pes
-        ]
+
+    # Resolved at the first tick, not at construction: a vector plane
+    # builds these schedulers only as parameter donors, and never ticks
+    # them.
+
+    @cached_property
+    def _buckets(self) -> _t.List[TokenBucket]:
+        """The buckets in placement (``pes``) order, the order
+        :meth:`allocate` and :meth:`settle` take their inputs in."""
+        return [self.buckets[pe.pe_id] for pe in self.pes]
+
+    @cached_property
+    def _order(self) -> _t.List[int]:
+        return _fill_order(self.pes)
 
     def allocate(
         self,
         dt: float,
-        output_rate_caps: _t.Mapping[str, float],
-    ) -> _t.Dict[str, float]:
+        output_rate_caps: _t.Sequence[float],
+        occupancies: _t.Sequence[float],
+        service_times: _t.Sequence[float],
+    ) -> _t.List[float]:
         """Compute this interval's CPU fractions.
+
+        Every sequence, and the returned list, is in placement
+        (``pes``) order.
 
         Parameters
         ----------
@@ -189,79 +216,94 @@ class AcesCpuScheduler:
             Interval length.
         output_rate_caps:
             Per-PE output-rate bound from downstream feedback (Eq. 8);
-            missing or +inf entries mean unconstrained.
+            +inf means unconstrained.
+        occupancies:
+            Per-PE input-buffer occupancy ``b(n)``, as snapshotted for
+            this interval.
+        service_times:
+            Per-PE cost of one SDO in the PE's current state
+            (``current_service_time``), the ``T_S`` of ``g^{-1}``.
 
         Returns
         -------
-        dict
-            ``pe_id -> cpu fraction`` with ``sum <= capacity``.
+        list
+            CPU fractions with ``sum <= capacity``.
         """
         capacity = self.capacity
         budget = capacity * dt
-        caps_get = output_rate_caps.get
-        demands: _t.Dict[str, float] = {}
-        capped_work: _t.Dict[str, float] = {}
-        weights: _t.Dict[str, float] = {}
-        # The Eq. 8 bound each PE was capped under, kept only while
-        # recording so invariant oracles can re-derive g^{-1}(r_o,j)
-        # independently; the disarmed hot path never builds it.
-        caps_trace: _t.Optional[_t.List[_t.Optional[float]]] = (
-            [] if self._recording else None
-        )
-        for pe, bucket in self._pairs:
+        demands = []
+        capped_work = []
+        weights = []
+        for pe, bucket, cap_rate, occupancy, service_time in zip(
+            self.pes, self._buckets, output_rate_caps, occupancies,
+            service_times,
+        ):
             # Inlined bucket.fill(dt): this is the per-tick fast path.
             level = bucket.level + bucket.rate * dt
             if level > bucket.depth:
                 level = bucket.depth
             bucket.level = level
 
-            pe_id = pe.pe_id
-            cap_rate = caps_get(pe_id, _INF)
-            if caps_trace is not None:
-                caps_trace.append(None if cap_rate == _INF else cap_rate)
             if cap_rate == _INF:
                 cpu_cap = capacity
             else:
-                # State-aware inverse g^{-1}: a slow-state PE gets enough
-                # CPU to still deliver the rate its consumers advertised.
-                cpu_cap = min(
-                    capacity, pe.cpu_for_output_rate_now(cap_rate)
+                # State-aware inverse g^{-1} (cpu_for_output_rate_now):
+                # a slow-state PE gets enough CPU to still deliver the
+                # rate its consumers advertised.
+                cpu_cap = (
+                    0.0 if cap_rate <= 0
+                    else (cap_rate / pe.profile.lambda_m) * service_time
                 )
+                if not cpu_cap < capacity:
+                    cpu_cap = capacity
 
             # Bucket levels are CPU-seconds; demand is CPU-seconds too.
-            backlog = pe.backlog_work
-            work_needed = min(backlog, cpu_cap * dt)
-            capped_work[pe_id] = max(0.0, work_needed)
-            demands[pe_id] = max(0.0, min(work_needed, level))
+            backlog = pe.work_in_service + occupancy * pe.mean_work
+            work_needed = cpu_cap * dt
+            if not work_needed < backlog:
+                work_needed = backlog
+            capped_work.append(work_needed if work_needed > 0.0 else 0.0)
+            demand = level if level < work_needed else work_needed
+            demands.append(demand if demand > 0.0 else 0.0)
             # Occupancy-proportional spending (Section V-D); the +partial
             # term keeps a PE with in-flight work schedulable at occupancy 0.
-            occupancy = pe.buffer.occupancy
-            weights[pe_id] = occupancy + (
-                1.0 if backlog > 0 and occupancy == 0 else 0.0
+            weights.append(
+                occupancy + (1.0 if backlog > 0 and occupancy == 0 else 0.0)
             )
 
-        grants = _proportional_fill(demands, weights, budget)
+        order = self._order
+        grants = _proportional_fill(demands, weights, budget, order)
 
         if self.work_conserving:
-            leftover = budget - sum(grants.values())
+            leftover = budget - sum(grants)
             if leftover > 1e-12:
-                extra_demands = {
-                    pe_id: max(0.0, capped_work[pe_id] - grants[pe_id])
-                    for pe_id in grants
-                }
-                extra = _proportional_fill(extra_demands, weights, leftover)
-                for pe_id, grant in extra.items():
-                    grants[pe_id] += grant
+                extra = _proportional_fill(
+                    [
+                        unmet if unmet > 0.0 else 0.0
+                        for unmet in map(sub, capped_work, grants)
+                    ],
+                    weights,
+                    leftover,
+                    order,
+                )
+                grants = [
+                    grant + more for grant, more in zip(grants, extra)
+                ]
 
-        fractions = {pe_id: grant / dt for pe_id, grant in grants.items()}
-        if caps_trace is not None:
+        fractions = [grant / dt for grant in grants]
+        if self._recording:
+            # The Eq. 8 bound each PE was capped under rides along so
+            # invariant oracles can re-derive g^{-1}(r_o,j) independently.
             self.recorder.emit_rows(
                 TOKEN_GRANT,
                 self.node_id,
                 [
                     (pe.pe_id, bucket.level, bucket.rate, bucket.depth,
-                     fractions[pe.pe_id], dt, cap_rate)
-                    for (pe, bucket), cap_rate in zip(self._pairs, caps_trace)
+                     cpu, dt, None if cap_rate == _INF else cap_rate)
+                    for pe, bucket, cpu, cap_rate in zip(
+                        self.pes, self._buckets, fractions,
+                        output_rate_caps,
+                    )
                 ],
             )
         return fractions
@@ -274,10 +316,19 @@ class AcesCpuScheduler:
         self.node_id = node_id
         self._recording = recorder.enabled
 
-    def settle(self, pe_id: str, cpu_seconds_used: float, dt: float) -> None:
-        """Charge tokens for work actually performed (CPU-seconds)."""
-        bucket = self.buckets[pe_id]
-        bucket.spend(min(bucket.level, cpu_seconds_used))
+    def settle(self, cpu_seconds_used: _t.Sequence[float]) -> None:
+        """Charge tokens for work actually performed (CPU-seconds per
+        PE, in placement order)."""
+        for bucket, used in zip(self._buckets, cpu_seconds_used):
+            # bucket.spend(min(level, used)), inlined: the min makes
+            # spend's overspend check unreachable, and spending the
+            # whole level leaves exactly 0.0.
+            level = bucket.level
+            if used < level:
+                level -= used
+                bucket.level = level if level > 0.0 else 0.0
+            else:
+                bucket.level = 0.0
 
     def token_level(self, pe_id: str) -> float:
         return self.buckets[pe_id].level
@@ -339,36 +390,45 @@ class StrictProportionalScheduler:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.pes = list(pes)
         self.capacity = capacity
-        self.targets = {
-            pe.pe_id: float(cpu_targets.get(pe.pe_id, 0.0)) for pe in pes
-        }
+        self.update_targets(cpu_targets)
+
+    @cached_property
+    def _order(self) -> _t.List[int]:
+        # At the first tick: see AcesCpuScheduler._buckets.
+        return _fill_order(self.pes)
 
     def allocate(
         self,
         dt: float,
-        blocked: _t.Optional[_t.Set[str]] = None,
-    ) -> _t.Dict[str, float]:
+        blocked: _t.Optional[_t.Sequence[bool]] = None,
+    ) -> _t.List[float]:
         """Grant targets to runnable PEs; redistribute the rest.
 
-        ``blocked`` marks PEs that cannot run this interval (Lock-Step
-        sleepers); their share is redistributed among runnable busy PEs in
-        proportion to the targets, matching the paper's System 3.
+        ``blocked`` flags, in placement (``pes``) order like the
+        returned fractions, the PEs that cannot run this interval
+        (Lock-Step sleepers); their share is redistributed among runnable
+        busy PEs in proportion to the targets, matching the paper's
+        System 3.
         """
-        blocked = blocked or set()
-        demands: _t.Dict[str, float] = {}
-        weights: _t.Dict[str, float] = {}
-        for pe in self.pes:
-            runnable = pe.pe_id not in blocked and pe.backlog_work > 0
-            demands[pe.pe_id] = pe.backlog_work if runnable else 0.0
-            weights[pe.pe_id] = self.targets[pe.pe_id]
+        demands = []
+        for k, pe in enumerate(self.pes):
+            if blocked is not None and blocked[k]:
+                demands.append(0.0)
+                continue
+            # Read once: on the threaded runtime the channel can drain
+            # between two reads.
+            backlog = pe.backlog_work
+            demands.append(backlog if backlog > 0 else 0.0)
 
-        grants = _proportional_fill(demands, weights, self.capacity * dt)
-        fractions = {pe_id: grant / dt for pe_id, grant in grants.items()}
+        grants = _proportional_fill(
+            demands, self._weights, self.capacity * dt, self._order
+        )
+        fractions = [grant / dt for grant in grants]
         if self._recording:
             self.recorder.emit_rows(
                 CPU_GRANT,
                 self.node_id,
-                [(pe.pe_id, fractions[pe.pe_id], dt) for pe in self.pes],
+                [(pe.pe_id, cpu, dt) for pe, cpu in zip(self.pes, fractions)],
             )
         return fractions
 
@@ -380,7 +440,7 @@ class StrictProportionalScheduler:
         self.node_id = node_id
         self._recording = recorder.enabled
 
-    def settle(self, pe_id: str, cpu_seconds_used: float, dt: float) -> None:
+    def settle(self, cpu_seconds_used: _t.Sequence[float]) -> None:
         """No token accounting in the strict scheduler."""
 
     def coefficient_arrays(
@@ -391,10 +451,9 @@ class StrictProportionalScheduler:
         Counterpart of :meth:`AcesCpuScheduler.coefficient_arrays` for
         the array-backed control engine.
         """
-        ids = [pe.pe_id for pe in self.pes]
         return {
-            "pe_ids": ids,
-            "targets": [self.targets[pe_id] for pe_id in ids],
+            "pe_ids": [pe.pe_id for pe in self.pes],
+            "targets": list(self._weights),
         }
 
     def update_targets(self, cpu_targets: _t.Mapping[str, float]) -> None:
@@ -403,3 +462,5 @@ class StrictProportionalScheduler:
             pe.pe_id: float(cpu_targets.get(pe.pe_id, 0.0))
             for pe in self.pes
         }
+        #: The targets in placement order: the water-fill weights.
+        self._weights = list(self.targets.values())

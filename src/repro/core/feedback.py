@@ -116,6 +116,36 @@ class FeedbackBus:
         else:
             pending.append((visible_at, r_max))
 
+    def publish_rows(
+        self,
+        pe_ids: _t.Sequence[str],
+        r_maxes: _t.Sequence[float],
+        now: float,
+    ) -> None:
+        """One node tick's publications: :meth:`publish` for each PE in
+        order, without per-message extra delay."""
+        immediate = self.delay == 0.0
+        visible_at = now + self.delay
+        pending_of = self._pending
+        stale = self._stale
+        for pe_id, r_max in zip(pe_ids, r_maxes):
+            if r_max < 0:
+                raise ValueError(f"{pe_id}: r_max must be >= 0, got {r_max}")
+            self.publishes += 1
+            if immediate:
+                self._current[pe_id] = r_max
+                self._freshened_at[pe_id] = now
+                if stale:
+                    stale.discard(pe_id)
+                continue
+            pending = pending_of.get(pe_id)
+            if pending is None:
+                pending_of[pe_id] = [(visible_at, r_max)]
+            elif pending and pending[-1][0] > visible_at:
+                insort(pending, (visible_at, r_max))
+            else:
+                pending.append((visible_at, r_max))
+
     def _settle(self, pe_id: str, now: float) -> None:
         pending = self._pending.get(pe_id)
         if not pending:
@@ -179,24 +209,63 @@ class FeedbackBus:
         are unconstrained (+inf) — before the first feedback arrives the
         system behaves optimistically, and the controller reins it in.
         """
-        bound = -_INF
-        for pe_id in downstream_ids:
-            value = self.latest(pe_id, now)
-            if value is None:
-                return _INF
-            if value > bound:
-                bound = value
-        return bound if downstream_ids else _INF
+        return self.read_bounds((downstream_ids,), now, True)[0]
+
+    def read_bounds(
+        self,
+        groups: _t.Sequence[_t.Sequence[str]],
+        now: float,
+        aggregate_max: bool,
+    ) -> _t.List[float]:
+        """Eq. 8 for all of a node's producers in one call: the bound
+        of each downstream-id group, :meth:`max_downstream_rate`'s with
+        ``aggregate_max`` and :meth:`min_downstream_rate`'s without.
+
+        Every consumer is read as :meth:`latest` reads it (ripe
+        publications folded in, staleness decay applied), up to the
+        max-flow early exit on a consumer never heard from.
+        """
+        current_get = self._current.get
+        pending_get = self._pending.get
+        stale = self._stale
+        check = (
+            None if self.staleness_ttl is None else self._check_staleness
+        )
+        bounds = []
+        for downstream_ids in groups:
+            bound = -_INF if aggregate_max and downstream_ids else _INF
+            for pe_id in downstream_ids:
+                pending = pending_get(pe_id)
+                if pending and pending[0][0] <= now:
+                    # _settle's ripe-prefix fold.
+                    ripe = 1
+                    while ripe < len(pending) and pending[ripe][0] <= now:
+                        ripe += 1
+                    visible_at, value = pending[ripe - 1]
+                    self._current[pe_id] = value
+                    self._freshened_at[pe_id] = visible_at
+                    if stale:
+                        stale.discard(pe_id)
+                    del pending[:ripe]
+                else:
+                    value = current_get(pe_id)
+                    if value is None:
+                        if aggregate_max:
+                            bound = _INF
+                            break
+                        continue
+                if check is not None:
+                    value = check(pe_id, value, now)
+                if aggregate_max:
+                    if value > bound:
+                        bound = value
+                elif value < bound:
+                    bound = value
+            bounds.append(bound)
+        return bounds
 
     def min_downstream_rate(
         self, downstream_ids: _t.Sequence[str], now: float
     ) -> float:
         """The min-flow variant (ablation: ACES control + min-flow policy)."""
-        bound = _INF
-        for pe_id in downstream_ids:
-            value = self.latest(pe_id, now)
-            if value is None:
-                continue
-            if value < bound:
-                bound = value
-        return bound
+        return self.read_bounds((downstream_ids,), now, False)[0]

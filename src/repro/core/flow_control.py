@@ -69,6 +69,15 @@ class FlowController:
         )
         self.last_r_max = 0.0
         self.updates = 0
+        #: This controller as :func:`update_rows` reads it.  The deques
+        #: are only ever mutated in place, so the row stays current.  The
+        #: last field marks the designed default (one buffer lag, one
+        #: rate lag), which the batch evaluates unrolled.
+        self.row = (
+            self, self._deviations, self._surpluses, self._lambdas,
+            self._mus, self.b0, self.capacity, self._dt,
+            len(self._lambdas) == 2 and len(self._mus) == 1,
+        )
 
     def update(self, occupancy: float, rho: float) -> float:
         """Compute r_max(n) from current occupancy and processing rate.
@@ -86,36 +95,7 @@ class FlowController:
         float
             The maximum sustainable input rate (SDO/s), >= 0.
         """
-        if occupancy < 0:
-            raise ValueError(f"occupancy must be >= 0, got {occupancy}")
-
-        # Newest-first histories: _deviations[0] is b(n) - b0.
-        deviations = self._deviations
-        surpluses = self._surpluses
-        deviations.appendleft(occupancy - self.b0)
-
-        r_max = rho
-        for lam, deviation in zip(self._lambdas, deviations):
-            r_max -= lam * deviation
-        for mu, surplus in zip(self._mus, surpluses):
-            r_max -= mu * surplus
-
-        if r_max < 0.0:
-            r_max = 0.0
-
-        # Physical clamp: in one interval the buffer cannot accept more
-        # than its free space plus what processing will drain.
-        free = self.capacity - occupancy
-        if free < 0.0:
-            free = 0.0
-        ceiling = free / self._dt + rho
-        if r_max > ceiling:
-            r_max = ceiling
-
-        surpluses.appendleft(r_max - rho)
-        self.last_r_max = r_max
-        self.updates += 1
-        return r_max
+        return update_rows((self.row,), (occupancy,), (rho,))[0]
 
     def coefficient_arrays(
         self,
@@ -141,3 +121,55 @@ class FlowController:
         return (
             f"FlowController(b0={self.b0}, last_r_max={self.last_r_max:.2f})"
         )
+
+
+def update_rows(
+    rows: _t.Sequence[_t.Tuple[_t.Any, ...]],
+    occupancies: _t.Sequence[float],
+    rhos: _t.Sequence[float],
+) -> _t.List[float]:
+    """Eq. 7 for many PEs in one pass (a node tick's worth).
+
+    ``rows[k]`` is a controller's :attr:`FlowController.row` (resolved
+    once at wiring); the controller is updated with ``(occupancies[k],
+    rhos[k])`` and its ``r_max(n)`` returned at position ``k``.
+    """
+    r_maxes = []
+    for (
+        controller, deviations, surpluses, lambdas, mus, b0, capacity, dt,
+        unrolled,
+    ), occupancy, rho in zip(rows, occupancies, rhos):
+        if occupancy < 0:
+            raise ValueError(f"occupancy must be >= 0, got {occupancy}")
+        # Newest-first histories: deviations[0] is b(n) - b0.
+        deviation = occupancy - b0
+        deviations.appendleft(deviation)
+        if unrolled:
+            # Two lambdas, one mu: no iterator per PE.
+            r_max = (
+                rho
+                - lambdas[0] * deviation
+                - lambdas[1] * deviations[1]
+                - mus[0] * surpluses[0]
+            )
+        else:
+            r_max = rho
+            for lam, deviation in zip(lambdas, deviations):
+                r_max -= lam * deviation
+            for mu, surplus in zip(mus, surpluses):
+                r_max -= mu * surplus
+        if r_max < 0.0:
+            r_max = 0.0
+        # Physical clamp: in one interval the buffer cannot accept more
+        # than its free space plus what processing will drain.
+        free = capacity - occupancy
+        if free < 0.0:
+            free = 0.0
+        ceiling = free / dt + rho
+        if r_max > ceiling:
+            r_max = ceiling
+        surpluses.appendleft(r_max - rho)
+        controller.last_r_max = r_max
+        controller.updates += 1
+        r_maxes.append(r_max)
+    return r_maxes

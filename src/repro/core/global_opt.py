@@ -375,7 +375,7 @@ def _feasibility_sweep(program: _Program, c: np.ndarray) -> np.ndarray:
 def _solve_slsqp(
     program: _Program,
 ) -> _t.Tuple[np.ndarray, int, bool, _t.List[str]]:
-    from scipy.optimize import NonlinearConstraint, minimize
+    from scipy.optimize import minimize
 
     def negative_objective(c: np.ndarray) -> float:
         return -program.objective(c)

@@ -31,7 +31,8 @@ from repro.core.lqr import LQRGains, design_gains, proportional_gains
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.adapter import PELike
 
-#: Scheduler protocol: .allocate(...) -> {pe_id: cpu}, .settle(pe_id, used, dt)
+#: Scheduler protocol: .allocate(dt, ...) -> [cpu fraction per PE],
+#: .settle([cpu-seconds used per PE]), both in the order of ``pes``.
 Scheduler = _t.Any
 
 

@@ -267,6 +267,19 @@ class LossyFeedbackBus:
             extra += float(self.rng.random()) * self.jitter
         self.inner.publish(pe_id, r_max, now, extra_delay=extra)
 
+    def publish_rows(
+        self,
+        pe_ids: _t.Sequence[str],
+        r_maxes: _t.Sequence[float],
+        now: float,
+    ) -> None:
+        # Message by message through :meth:`publish`, in order, so loss
+        # and jitter draws are those of per-PE publication.  Defined
+        # here because __getattr__ would hand the batch to the wrapped
+        # bus and skip the fault.
+        for pe_id, r_max in zip(pe_ids, r_maxes):
+            self.publish(pe_id, r_max, now)
+
     # -- read API: straight delegation ----------------------------------
 
     def latest(self, pe_id: str, now: float) -> _t.Optional[float]:
@@ -281,6 +294,14 @@ class LossyFeedbackBus:
         self, downstream_ids: _t.Sequence[str], now: float
     ) -> float:
         return self.inner.min_downstream_rate(downstream_ids, now)
+
+    def read_bounds(
+        self,
+        groups: _t.Sequence[_t.Sequence[str]],
+        now: float,
+        aggregate_max: bool,
+    ) -> _t.List[float]:
+        return self.inner.read_bounds(groups, now, aggregate_max)
 
     def __getattr__(self, name: str) -> _t.Any:
         # Counters/config (publishes, delay, staleness_ttl, ...) fall

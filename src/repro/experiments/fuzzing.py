@@ -445,14 +445,17 @@ def _drive_plane(
                 else:
                     pe.ingest(sdo, now)
         for controller in plane.node_controllers:
-            grants = controller.control(now)
+            grants = dict(zip(
+                (record.pe_id for record in controller.records),
+                controller.control(now),
+            ))
             r_max = {
                 record.pe_id: record.controller.last_r_max
                 for record in controller.records
                 if record.controller is not None
             }
             decisions.append(
-                (controller.node_id, dict(grants), r_max,
+                (controller.node_id, grants, r_max,
                  controller.last_blocked)
             )
     return decisions

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import typing as _t
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.model.sdo import SDO
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder

@@ -16,7 +16,7 @@ Poisson with mean ``lambda_m``) through a policy-supplied emission callback.
 from __future__ import annotations
 
 import typing as _t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,6 +63,9 @@ class PERuntime:
     ):
         self.profile = profile
         self.pe_id = profile.pe_id
+        #: Mean CPU-seconds per SDO: what one buffered SDO adds to
+        #: :attr:`backlog_work`.
+        self.mean_work = 1.0 / profile.rate_slope
         self.buffer = InputBuffer(buffer_capacity, name=f"{profile.pe_id}:in")
         self.machine = TwoStateMachine(profile, rng)
         self._rng = rng
@@ -76,7 +79,7 @@ class PERuntime:
         self._span_started = 0.0
 
         #: Remaining CPU-seconds of the SDO currently being worked on.
-        self._work_remaining = 0.0
+        self.work_in_service = 0.0
         #: The SDO currently being worked on (already popped from buffer).
         self._current: _t.Optional[SDO] = None
         #: Fractional-emission accumulator for deterministic M.
@@ -130,8 +133,7 @@ class PERuntime:
     @property
     def backlog_work(self) -> float:
         """Estimated CPU-seconds queued (buffer + in-progress work)."""
-        mean = 1.0 / self.profile.rate_slope
-        return self._work_remaining + self.buffer.occupancy * mean
+        return self.work_in_service + self.buffer.occupancy * self.mean_work
 
     def execute(
         self,
@@ -190,16 +192,16 @@ class PERuntime:
                     # next SDO starts where the previous grant left off.
                     wall = self.machine.now
                 self._current = self.buffer.pop(now)
-                self._work_remaining = self.machine.service_time_at(wall)
+                self.work_in_service = self.machine.service_time_at(wall)
                 if spans is not None:
                     self._span_started = wall
                     spans.observe_queue(self.pe_id, self._current, wall)
 
-            step = min(self._work_remaining, budget - used)
+            step = min(self.work_in_service, budget - used)
             used += step
-            self._work_remaining -= step
+            self.work_in_service -= step
 
-            if self._work_remaining <= 1e-12:
+            if self.work_in_service <= 1e-12:
                 completion = now + used / cpu
                 if completion < self.machine.now:
                     # Keep completions at or after the SDO's (possibly
@@ -207,7 +209,7 @@ class PERuntime:
                     completion = self.machine.now
                 self._complete(self._current, completion, emit)
                 self._current = None
-                self._work_remaining = 0.0
+                self.work_in_service = 0.0
 
         self.blocked_last_interval = blocked
         if blocked:

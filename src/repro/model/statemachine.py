@@ -13,8 +13,6 @@ transitions) regardless of how often it is queried.
 
 from __future__ import annotations
 
-import typing as _t
-
 import numpy as np
 
 from repro.model.params import PEProfile

@@ -22,7 +22,6 @@ import typing as _t
 from dataclasses import dataclass, field
 
 from repro.control import NodeGroup
-from repro.control.adapter import SettleFn
 from repro.control.config import ControlConfig
 from repro.control.elastic import MigrationRecord, PlacementVersion
 from repro.control.wiring import ControlStack
@@ -141,6 +140,10 @@ class ThreadAdapter:
     workers' monotonically growing ``cpu_used`` counters.
     """
 
+    #: No occupancy samples in the trace: a channel depth read is not a
+    #: telemetry sample.
+    recorder: TraceRecorder = NULL_RECORDER
+
     def __init__(self) -> None:
         #: Per-PE cpu_used watermark at the previous settle.
         self._last_used: _t.Dict[str, float] = {}
@@ -150,42 +153,33 @@ class ThreadAdapter:
         node_index: int,
         records: _t.Sequence["ControlRecord"],
         now: float,
-    ) -> _t.Dict[str, float]:
-        """Live channel depths (the threaded runtime's only observable)."""
-        return {
-            record.pe_id: record.pe.buffer.occupancy for record in records
-        }
-
-    def snapshot_list(
-        self,
-        node_index: int,
-        records: _t.Sequence["ControlRecord"],
-        now: float,
     ) -> _t.List[int]:
-        """:meth:`snapshot` in record order, without the dict round-trip."""
+        """Live channel depths (the threaded runtime's only observable)."""
         return [record.pe.buffer.occupancy for record in records]
+
+    #: The name the observatory's frozen trace targets patch.
+    snapshot_list = snapshot
 
     def apply_grants(
         self,
         node_index: int,
         records: _t.Sequence["ControlRecord"],
-        grants: _t.Mapping[str, float],
+        fractions: _t.Sequence[float],
         now: float,
         dt: float,
-        settle: SettleFn,
-    ) -> None:
-        """Publish allocations to the workers and settle real CPU usage."""
+    ) -> _t.List[float]:
+        """Publish allocations to the workers; returns the CPU-seconds
+        each consumed since the previous call."""
         last_used = self._last_used
-        grants_get = grants.get
-        for record in records:
+        used = []
+        for record, cpu in zip(records, fractions):
             pe = record.pe
             pe_id = record.pe_id
-            pe.allocation = grants_get(pe_id, 0.0)
+            pe.allocation = cpu
             used_total = pe.cpu_used
-            settle(
-                pe_id, max(0.0, used_total - last_used.get(pe_id, 0.0)), dt
-            )
+            used.append(max(0.0, used_total - last_used.get(pe_id, 0.0)))
             last_used[pe_id] = used_total
+        return used
 
 
 class SPCRuntime:

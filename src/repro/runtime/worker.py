@@ -69,6 +69,8 @@ class RuntimePE:
     ):
         self.profile = profile
         self.pe_id = profile.pe_id
+        #: Mean CPU-seconds per SDO (see PERuntime.mean_work).
+        self.mean_work = 1.0 / profile.rate_slope
         self.channel = Channel(channel_capacity, name=f"{profile.pe_id}:in")
         self.buffer = _ChannelView(self.channel)
         self.machine = TwoStateMachine(profile, rng)
@@ -106,11 +108,15 @@ class RuntimePE:
 
     # -- scheduler protocol --------------------------------------------------
 
+    #: The worker's in-progress SDO is invisible to the controller:
+    #: backlog is channel occupancy alone (0.0 + x == x, bit for bit).
+    work_in_service = 0.0
+
     @property
     def backlog_work(self) -> float:
         # Same float-op order as PERuntime.backlog_work (occupancy times
         # reciprocal slope), so the substrate parity test stays bit-exact.
-        return self.channel.occupancy * (1.0 / self.profile.rate_slope)
+        return self.channel.occupancy * self.mean_work
 
     @property
     def current_service_time(self) -> float:

@@ -111,7 +111,7 @@ class Environment:
         event = Event(self)
         event._ok = True
         event._value = value
-        _t.cast(_t.List, event.callbacks).append(callback)
+        event.callbacks = [callback]
         delay = at - self._now
         self.schedule(event, priority=priority, delay=delay if delay > 0.0 else 0.0)
         return event
@@ -193,7 +193,7 @@ class Environment:
                 if profiler is None:
                     callbacks = event.callbacks
                     event.callbacks = None
-                    for callback in _t.cast(_t.List, callbacks):
+                    for callback in callbacks:  # type: ignore[union-attr]
                         callback(event)
                 else:
                     profiler.push("event_dispatch")

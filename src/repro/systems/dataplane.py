@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.control.adapter import SettleFn
 from repro.metrics.collectors import EgressCollector
 from repro.model.links import Link
 from repro.model.pe import PERuntime
@@ -196,7 +195,8 @@ class SimAdapter:
     def __init__(self, profiler: _t.Optional["PhaseProfiler"] = None):
         self.profiler = profiler
         self.dataplane: _t.Optional[SimDataPlane] = None
-        #: The data plane's trace bus (occupancy samples go out on it).
+        #: The data plane's trace bus (the controller publishes this
+        #: adapter's occupancy samples on it).
         self.recorder: TraceRecorder = NULL_RECORDER
 
     def bind(self, dataplane: SimDataPlane) -> None:
@@ -209,61 +209,33 @@ class SimAdapter:
         node_index: int,
         records: _t.Sequence["ControlRecord"],
         now: float,
-    ) -> _t.Dict[str, float]:
+    ) -> _t.List[int]:
         """Sampled occupancies (folds the read into the simulator's
         occupancy-integral telemetry; idempotent at a fixed ``now``)."""
-        recorder = self.recorder
-        if recorder.enabled:
-            rows = sample_buffers(
-                [record.pe for record in records], now, recorder
-            )
-            return {pe_id: occupancy for pe_id, occupancy, _ in rows}
-        return {
-            record.pe_id: record.pe.buffer.sample(now) for record in records
-        }
-
-    def snapshot_list(
-        self,
-        node_index: int,
-        records: _t.Sequence["ControlRecord"],
-        now: float,
-    ) -> _t.List[int]:
-        """:meth:`snapshot` in record order, skipping the dict round-trip
-        (the vector engine's occupancy read)."""
-        recorder = self.recorder
-        if recorder.enabled:
-            rows = sample_buffers(
-                [record.pe for record in records], now, recorder
-            )
-            return [occupancy for _, occupancy, _ in rows]
         return [record.pe.buffer.sample(now) for record in records]
+
+    #: The name the observatory's frozen trace targets patch.
+    snapshot_list = snapshot
 
     def apply_grants(
         self,
         node_index: int,
         records: _t.Sequence["ControlRecord"],
-        grants: _t.Mapping[str, float],
+        fractions: _t.Sequence[float],
         now: float,
         dt: float,
-        settle: SettleFn,
-    ) -> None:
-        """Execute every resident PE for one interval under its grant."""
+    ) -> _t.List[float]:
+        """Execute every resident PE for one interval under its grant;
+        returns the CPU-seconds each consumed."""
         profiler = self.profiler
         if profiler is not None:
             profiler.push("pe_execute")
         try:
             emit = self.dataplane.emit
-            grants_get = grants.get
-            for record in records:
-                pe = record.pe
-                used = pe.execute(
-                    now,
-                    dt,
-                    grants_get(record.pe_id, 0.0),
-                    emit=emit,
-                    gate=record.gate,
-                )
-                settle(record.pe_id, used, dt)
+            return [
+                record.pe.execute(now, dt, cpu, emit, record.gate)
+                for record, cpu in zip(records, fractions)
+            ]
         finally:
             if profiler is not None:
                 profiler.pop()

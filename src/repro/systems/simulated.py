@@ -35,7 +35,8 @@ from repro.model.links import Link
 from repro.model.node import ProcessingNode
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
-from repro.sim.engine import Environment
+from repro.sim.engine import URGENT, Environment
+from repro.sim.events import Event
 from repro.sim.rng import RandomStreams
 from repro.systems.build import (
     SystemConfig,
@@ -261,7 +262,7 @@ class SimulatedSystem:
             return
         for index, node in enumerate(self.nodes):
             offset = (index + 1) / (num_nodes + 1) * self.config.dt
-            self.env.process(self._node_ticker(node.node_id, offset))
+            self._start_node_ticker(node.node_id, offset)
 
     def _bucket_loop(
         self, bucket: int, count: int, node_indices: _t.List[int]
@@ -279,22 +280,43 @@ class SimulatedSystem:
             tick_nodes(node_indices, env.now)
             yield env.timeout(dt)
 
-    def _node_ticker(self, node_id: str, offset: float) -> _t.Generator:
-        # Unsynchronized phase offsets: no global tick (Section V-E).
-        # Keyed by node identity: membership changes shift node indices
-        # and rebuild the controller list, so both are resolved fresh
-        # each tick.  Returns when the node leaves.
+    def _start_node_ticker(self, node_id: str, offset: float) -> None:
+        """One node's control loop: a tick every ``dt`` from ``offset``
+        on, until the node leaves.
+
+        Unsynchronized phase offsets: no global tick (Section V-E).
+        Keyed by node identity: membership changes shift node indices
+        and rebuild the controller list, so both are resolved fresh each
+        tick.
+
+        One event re-armed after each tick: the hottest loop of a run
+        pays no fresh :class:`Timeout` and no generator resume.  It
+        schedules exactly the events of the equivalent process (start
+        now, ``yield timeout(offset)``, ``yield timeout(dt)`` per tick,
+        completion when the loop ends), because the pinned run digests
+        count events; ``delay=dt`` and not ``call_at(now + dt)``, whose
+        ``at - now`` is not ``dt`` in floating point.
+        """
         env = self.env
         dt = self.config.dt
         plane = self.plane
-        yield env.timeout(offset)
-        while True:
+        stopped = env.event()
+
+        def tick(event: Event) -> None:
             index = plane.node_index(node_id)
             if index is None:
+                stopped.succeed()
                 return
             if not plane.paused[index]:
                 plane.node_controllers[index].tick(env.now)
-            yield env.timeout(dt)
+            event.callbacks = [tick]
+            env.schedule(event, delay=dt)
+
+        def start(event: Event) -> None:
+            event.callbacks = [tick]
+            env.schedule(event, delay=offset)
+
+        env.call_at(env.now, start, priority=URGENT)
 
     def _periodic(
         self, interval: float, tick: _t.Callable[[float], None]
@@ -331,7 +353,7 @@ class SimulatedSystem:
             node.node_id, cpu_capacity, self.env.now, pes=node.pes
         )
         offset = (index + 1) / (index + 2) * self.config.dt
-        self.env.process(self._node_ticker(node.node_id, offset))
+        self._start_node_ticker(node.node_id, offset)
         return node
 
     def remove_node(self, node_index: int) -> str:
@@ -361,7 +383,7 @@ class SimulatedSystem:
 
         def lift(pe_id: str) -> _t.Dict[str, float]:
             runtime = runtimes[pe_id]
-            in_progress = runtime._work_remaining
+            in_progress = runtime.work_in_service
             held[pe_id] = (
                 runtime.buffer.handoff(now), runtime.counters.consumed
             )

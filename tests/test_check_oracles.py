@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.check import InvariantViolation, OracleRecorder, check_conservation
-from repro.core import flow_control
+from repro.control import node as control_node
 from repro.core.policies import policy_by_name
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.obs.recorder import MemoryRecorder
@@ -123,11 +123,26 @@ def _update_without_surplus_terms(self, occupancy, rho):
     return r_max
 
 
+def inject_update(monkeypatch, update):
+    """Make the node tick's Eq. 7 pass run ``update`` for every PE.
+
+    The tick calls the batch routine ``update_rows`` (bound by name in
+    :mod:`repro.control.node`), not ``FlowController.update``; a buggy
+    one-PE ``update`` is injected as the batch that loops over it.
+    """
+
+    def update_rows(rows, occupancies, rhos):
+        return [
+            update(row[0], occupancy, rho)
+            for row, occupancy, rho in zip(rows, occupancies, rhos)
+        ]
+
+    monkeypatch.setattr(control_node, "update_rows", update_rows)
+
+
 class TestInjectedBugs:
     def test_dropped_clip_is_caught(self, monkeypatch):
-        monkeypatch.setattr(
-            flow_control.FlowController, "update", _update_without_clip
-        )
+        inject_update(monkeypatch, _update_without_clip)
         system, recorder = build_checked_system("aces")
         # The feedback bus independently rejects negative r_max, so the
         # run dies — but the oracle has already seen the bad event.
@@ -136,11 +151,7 @@ class TestInjectedBugs:
         assert recorder.violation_counts["r_max_nonnegative"] >= 1
 
     def test_dropped_surplus_terms_are_caught(self, monkeypatch):
-        monkeypatch.setattr(
-            flow_control.FlowController,
-            "update",
-            _update_without_surplus_terms,
-        )
+        inject_update(monkeypatch, _update_without_surplus_terms)
         system, recorder = build_checked_system("aces")
         system.run(2.0)
         assert recorder.violation_counts["r_max_law"] >= 1

@@ -105,15 +105,13 @@ class TestTraceCheck:
     ):
         # An Eq. 7 bug, and a keep-filter that stores only drops: the
         # r_max law must still be checked, and the run must still fail.
-        from repro.core import flow_control
         from repro.obs import read_events_jsonl
-        from tests.test_check_oracles import _update_without_surplus_terms
-
-        monkeypatch.setattr(
-            flow_control.FlowController,
-            "update",
+        from tests.test_check_oracles import (
             _update_without_surplus_terms,
+            inject_update,
         )
+
+        inject_update(monkeypatch, _update_without_surplus_terms)
         args = self._trace_args(
             tmp_path, "sim", "--trace-filter", "kind=drop",
             "--load", "3", "--buffer", "5",

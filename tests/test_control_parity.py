@@ -93,7 +93,10 @@ def drive(plane, pes_by_id):
             decisions.append(
                 (
                     controller.node_id,
-                    dict(grants),
+                    {
+                        record.pe_id: cpu
+                        for record, cpu in zip(controller.records, grants)
+                    },
                     r_max,
                     controller.last_blocked,
                 )

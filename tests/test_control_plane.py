@@ -223,9 +223,9 @@ class TestOperationalSurface:
                 self.inner = inner
                 self.reads = 0
 
-            def max_downstream_rate(self, ids, now):
+            def read_bounds(self, groups, now, aggregate_max):
                 self.reads += 1
-                return self.inner.max_downstream_rate(ids, now)
+                return self.inner.read_bounds(groups, now, aggregate_max)
 
             def __getattr__(self, name):
                 return getattr(self.inner, name)

@@ -91,7 +91,10 @@ def drive(plane, pes_by_id):
             decisions.append(
                 (
                     controller.node_id,
-                    dict(grants),
+                    {
+                        record.pe_id: cpu
+                        for record, cpu in zip(controller.records, grants)
+                    },
                     r_max,
                     controller.last_blocked,
                 )
@@ -339,17 +342,18 @@ def test_property_water_fill_parity(n, budget, seed):
     """vector_proportional_fill drives the same kernel the engine uses
     and must agree element-wise (bit-exact) with _proportional_fill."""
     rng = np.random.default_rng(seed)
-    keys = [f"pe-{i}" for i in range(n)]
-    demands = {k: float(d) for k, d in zip(keys, rng.uniform(0, 20, n))}
+    demands = [float(d) for d in rng.uniform(0, 20, n)]
     # Mix zero demands/weights in to hit the inactive-lane branches.
-    for k in keys:
+    for k in range(n):
         if rng.random() < 0.3:
             demands[k] = 0.0
-    weights = {k: float(w) for k, w in zip(keys, rng.uniform(0, 5, n))}
-    scalar = _proportional_fill(demands, weights, budget)
-    vector = vector_proportional_fill(demands, weights, budget)
-    assert set(scalar) == set(vector)
-    for k in scalar:
+    weights = [float(w) for w in rng.uniform(0, 5, n)]
+    # A visiting order that is not the placement order.
+    order = [int(k) for k in rng.permutation(n)]
+    scalar = _proportional_fill(demands, weights, budget, order)
+    vector = vector_proportional_fill(demands, weights, budget, order)
+    assert len(scalar) == len(vector) == n
+    for k in range(n):
         assert scalar[k] == vector[k], (k, scalar[k], vector[k])
 
 
@@ -396,6 +400,28 @@ def test_vector_feedback_bus_matches_scalar_bus():
             ids, now
         )
     assert vec.publishes == ref.publishes
+
+
+@needs_numpy
+def test_a_vector_bus_foreign_to_the_engine_keeps_the_tick_running():
+    """Fuzz seeds 26/33: a fault window that opened before an epoch
+    rebuild restores the *previous* epoch's vector bus, which the new
+    engine does not own and so drives through the one-PE bus API."""
+    system = SimulatedSystem(
+        parity_topology(),
+        AcesPolicy(),
+        config=SystemConfig(dt=DT, warmup=0.0, seed=3, control_impl="vector"),
+    )
+    if system.plane.control_impl != "vector":
+        pytest.skip(system.plane.vector_fallback_reason)
+    own = system.plane.bus
+    foreign = VectorFeedbackBus(
+        system.plane._engine.registry, delay=own.delay
+    )
+    system.bus = foreign
+    system.run(10 * DT)
+    assert own.publishes == 0
+    assert foreign.publishes == 10 * len(system.runtimes)
 
 
 @needs_numpy

@@ -1,8 +1,11 @@
 """Tests for the r_max feedback bus (Eq. 8 aggregation)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.feedback import FeedbackBus
+from repro.obs.recorder import MemoryRecorder
 
 
 class TestPublication:
@@ -160,8 +163,6 @@ class TestStalenessTTL:
         assert bus.min_downstream_rate(["fast", "slow"], 2.5) == 0.0
 
     def test_stale_event_fires_once_per_episode(self):
-        from repro.obs.recorder import MemoryRecorder
-
         recorder = MemoryRecorder()
         bus = FeedbackBus(
             staleness_ttl=1.0, stale_bound=0.0, recorder=recorder
@@ -182,3 +183,110 @@ class TestStalenessTTL:
         bus.publish("c", 10.0, 0.0)  # visible at 0.5
         assert bus.latest("c", 1.4) == 10.0  # age 0.9 < ttl
         assert bus.latest("c", 1.6) == 0.0  # age 1.1 > ttl
+
+
+# -- the batch entry points against the one-PE API ---------------------------
+
+CONSUMERS = ["c0", "c1", "c2", "c3", "never"]
+INF = float("inf")
+
+_steps = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=0.4),  # time advance
+        st.lists(  # one tick's publications: (consumer, r_max, jitter)
+            st.tuples(
+                st.sampled_from(CONSUMERS[:-1]),
+                st.floats(min_value=0.0, max_value=100.0),
+                st.sampled_from([0.0, 0.0, 0.05, 0.3]),
+            ),
+            max_size=4,
+        ),
+        st.lists(  # the reading node's downstream groups
+            st.lists(st.sampled_from(CONSUMERS), max_size=3).map(tuple),
+            max_size=4,
+        ),
+    ),
+    max_size=12,
+)
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    delay=st.sampled_from([0.0, 0.1]),
+    ttl=st.sampled_from([None, 0.25]),
+    aggregate_max=st.booleans(),
+    steps=_steps,
+)
+def test_property_batch_bus_equals_the_one_pe_api(
+    delay, ttl, aggregate_max, steps
+):
+    """read_bounds / publish_rows leave the bus in the state, and return
+    the bounds, of per-PE publish / latest calls aggregated as before
+    the batch entry points existed — delayed, jittered (overtaking) and
+    stale messages included."""
+
+    def reference_bound(bus, downstream_ids, now):
+        # The Eq. 8 reads as they were written over latest().
+        if aggregate_max:
+            bound = -INF
+            for pe_id in downstream_ids:
+                value = bus.latest(pe_id, now)
+                if value is None:
+                    return INF
+                if value > bound:
+                    bound = value
+            return bound if downstream_ids else INF
+        bound = INF
+        for pe_id in downstream_ids:
+            value = bus.latest(pe_id, now)
+            if value is None:
+                continue
+            if value < bound:
+                bound = value
+        return bound
+
+    recorders = MemoryRecorder(), MemoryRecorder()
+    batch, one_pe = (
+        FeedbackBus(
+            delay=delay, staleness_ttl=ttl, stale_bound=1.5, recorder=recorder
+        )
+        for recorder in recorders
+    )
+    now = 0.0
+    for advance, publications, groups in steps:
+        now += advance
+        jittered = [p for p in publications if p[2]]
+        plain = [p for p in publications if not p[2]]
+        # Jittered messages only exist on the one-PE API (the lossy
+        # wrapper's path); both buses take them the same way.
+        for bus in (batch, one_pe):
+            for pe_id, r_max, jitter in jittered:
+                bus.publish(pe_id, r_max, now, extra_delay=jitter)
+        batch.publish_rows(
+            [p[0] for p in plain], [p[1] for p in plain], now
+        )
+        for pe_id, r_max, _ in plain:
+            one_pe.publish(pe_id, r_max, now)
+        assert batch.read_bounds(groups, now, aggregate_max) == [
+            reference_bound(one_pe, group, now) for group in groups
+        ]
+        assert batch._current == one_pe._current
+        assert batch._freshened_at == one_pe._freshened_at
+        assert {k: v for k, v in batch._pending.items() if v} == {
+            k: v for k, v in one_pe._pending.items() if v
+        }
+    assert batch.publishes == one_pe.publishes
+    assert batch.stale_reads == one_pe.stale_reads
+    assert recorders[0].events == recorders[1].events
+
+
+def test_publish_rows_rejects_a_negative_r_max_where_publish_does():
+    bus = FeedbackBus()
+    with pytest.raises(ValueError, match="c1: r_max must be >= 0"):
+        bus.publish_rows(["c0", "c1", "c2"], [1.0, -2.0, 3.0], 0.0)
+    # Message by message: the one before the bad one went out.
+    assert bus.latest("c0", 0.0) == 1.0
+    assert bus.latest("c2", 0.0) is None

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.flow_control import FlowController
+from repro.core.flow_control import FlowController, update_rows
 from repro.core.lqr import LQRGains, design_gains, proportional_gains
 
 
@@ -132,3 +132,84 @@ def test_property_r_max_bounded(occupancy, rho):
     r_max = controller.update(occupancy, rho)
     assert r_max >= 0.0
     assert r_max <= (50.0 - occupancy) / 0.01 + rho + 1e-6
+
+
+# -- the node tick's batch routine against the one-PE method ------------------
+
+
+def reference_update(self, occupancy, rho):
+    """``FlowController.update`` as written before the batch routine
+    existed (the one-PE method now runs a batch of one)."""
+    if occupancy < 0:
+        raise ValueError(f"occupancy must be >= 0, got {occupancy}")
+    deviations = self._deviations
+    surpluses = self._surpluses
+    deviations.appendleft(occupancy - self.b0)
+    r_max = rho
+    for lam, deviation in zip(self._lambdas, deviations):
+        r_max -= lam * deviation
+    for mu, surplus in zip(self._mus, surpluses):
+        r_max -= mu * surplus
+    if r_max < 0.0:
+        r_max = 0.0
+    free = self.capacity - occupancy
+    if free < 0.0:
+        free = 0.0
+    ceiling = free / self._dt + rho
+    if r_max > ceiling:
+        r_max = ceiling
+    surpluses.appendleft(r_max - rho)
+    self.last_r_max = r_max
+    self.updates += 1
+    return r_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lags=st.sampled_from([(1, 1), (0, 0), (0, 1), (2, 1), (1, 3)]),
+    steps=st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=60),
+                st.floats(min_value=0.0, max_value=2000.0),
+            ),
+            min_size=3, max_size=3,
+        ),
+        min_size=1, max_size=8,
+    ),
+)
+def test_property_update_rows_equals_update(lags, steps):
+    """Bit-equal r_max, histories and counters, tick after tick, for the
+    unrolled default lag counts and the general ones."""
+    buffer_lags, rate_lags = lags
+    gains = design_gains(
+        0.01, buffer_lags=buffer_lags, rate_lags=rate_lags,
+        delay_steps=min(1, rate_lags),
+    )
+
+    def trio():
+        return [
+            FlowController(gains, b0, capacity)
+            for b0, capacity in ((25.0, 50.0), (0.0, 40.0), (10.0, 10.0))
+        ]
+
+    batch, one_pe = trio(), trio()
+    rows = [controller.row for controller in batch]
+    for step in steps:
+        occupancies = [occupancy for occupancy, _ in step]
+        rhos = [rho for _, rho in step]
+        assert update_rows(rows, occupancies, rhos) == [
+            reference_update(controller, occupancy, rho)
+            for controller, occupancy, rho in zip(one_pe, occupancies, rhos)
+        ]
+        for ours, theirs in zip(batch, one_pe):
+            assert ours.coefficient_arrays() == theirs.coefficient_arrays()
+            assert ours.last_r_max == theirs.last_r_max
+            assert ours.updates == theirs.updates
+
+
+def test_update_rows_rejects_negative_occupancy_where_update_does():
+    controller = make_controller()
+    with pytest.raises(ValueError, match="occupancy must be >= 0"):
+        update_rows([controller.row], [-1], [10.0])
+    assert controller.updates == 0

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.core import flow_control
 from repro.experiments.fuzzing import (
     FuzzScenario,
     generate_scenario,
@@ -21,7 +20,10 @@ from repro.experiments.fuzzing import (
     shrink_scenario,
 )
 
-from tests.test_check_oracles import _update_without_surplus_terms
+from tests.test_check_oracles import (
+    _update_without_surplus_terms,
+    inject_update,
+)
 
 
 class TestScenarioGeneration:
@@ -115,11 +117,7 @@ class TestFuzzCases:
 
 class TestInjectedBugShrinks:
     def test_bug_caught_and_shrunk_to_minimal_reproducer(self, monkeypatch):
-        monkeypatch.setattr(
-            flow_control.FlowController,
-            "update",
-            _update_without_surplus_terms,
-        )
+        inject_update(monkeypatch, _update_without_surplus_terms)
         scenario = generate_scenario(1)
         result = run_fuzz_case(scenario, "aces")
         assert result.failed

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.check import OracleRecorder
-from repro.core import flow_control
 from repro.obs import recorder as recorder_module
 from repro.obs.recorder import (
     BUFFER_OCCUPANCY,
@@ -37,6 +36,7 @@ from repro.obs.recorder import (
 from tests.test_check_oracles import (
     _update_without_surplus_terms,
     build_checked_system,
+    inject_update,
 )
 
 FAMILIES = (BUFFER_OCCUPANCY, R_MAX, TOKEN_GRANT, CPU_GRANT)
@@ -309,9 +309,7 @@ def test_counts_equal_the_per_event_implementation():
 
 def test_violation_stamp_equals_the_per_event_implementation(monkeypatch):
     # A batch carries one t: the tick's, as every event of it used to.
-    monkeypatch.setattr(
-        flow_control.FlowController, "update", _update_without_surplus_terms
-    )
+    inject_update(monkeypatch, _update_without_surplus_terms)
     system, recorder = build_checked_system("aces")
     system.run(2.0)
     assert recorder.violation_counts == {"r_max_law": 322}

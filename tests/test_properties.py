@@ -153,13 +153,18 @@ def test_property_scheduler_never_oversubscribes(n_pes, seed, capacity):
         targets[pe.pe_id] = float(rng.uniform(0.0, 1.0 / n_pes))
 
     scheduler = AcesCpuScheduler(pes, targets, capacity=capacity, dt=0.01)
-    caps = {
-        pe.pe_id: float(rng.choice([np.inf, rng.uniform(0.0, 500.0)]))
-        for pe in pes
-    }
-    allocations = scheduler.allocate(0.01, caps)
-    assert sum(allocations.values()) <= capacity + 1e-9
-    assert all(cpu >= 0.0 for cpu in allocations.values())
+    caps = [
+        float(rng.choice([np.inf, rng.uniform(0.0, 500.0)])) for _ in pes
+    ]
+    allocations = scheduler.allocate(
+        0.01,
+        caps,
+        [pe.buffer.occupancy for pe in pes],
+        [pe.current_service_time for pe in pes],
+    )
+    assert len(allocations) == n_pes
+    assert sum(allocations) <= capacity + 1e-9
+    assert all(cpu >= 0.0 for cpu in allocations)
 
 
 @slow_settings

@@ -237,6 +237,58 @@ class TestLossyFeedbackBus:
         assert bus.publishes == 2  # __getattr__ passthrough
 
 
+class TestLossyBusUnderTheNodeTick:
+    """The tick publishes through the batch entry point; a wrapper that
+    let ``__getattr__`` forward it would silently skip the fault."""
+
+    def make_system(self, control_impl):
+        return SimulatedSystem(
+            small_topology(), AcesPolicy(),
+            config=SystemConfig(seed=7, warmup=0.0, control_impl=control_impl),
+        )
+
+    @pytest.mark.parametrize("control_impl", ["scalar", "vector"])
+    def test_total_loss_publishes_nothing(self, control_impl):
+        system = self.make_system(control_impl)
+        inner = system.bus
+        system.bus = LossyFeedbackBus(
+            inner, np.random.default_rng(0), loss_probability=1.0
+        )
+        for controller in system.plane.node_controllers:
+            controller.tick(0.01)
+        pes = sum(len(c.records) for c in system.plane.node_controllers)
+        assert pes > 0
+        assert system.bus.lost == pes
+        assert inner.publishes == 0
+
+    @pytest.mark.parametrize("control_impl", ["scalar", "vector"])
+    def test_jitter_draws_once_per_pe_in_record_order(self, control_impl):
+        system = self.make_system(control_impl)
+        inner = system.bus
+        delivered = []
+        publish = inner.publish
+
+        def spy(pe_id, r_max, now, extra_delay=0.0):
+            delivered.append((pe_id, extra_delay))
+            publish(pe_id, r_max, now, extra_delay=extra_delay)
+
+        inner.publish = spy
+        system.bus = LossyFeedbackBus(
+            inner, np.random.default_rng(5), jitter=0.25
+        )
+        for controller in system.plane.node_controllers:
+            controller.tick(0.01)
+        record_order = [
+            record.pe_id
+            for controller in system.plane.node_controllers
+            for record in controller.records
+        ]
+        twin = np.random.default_rng(5)
+        assert delivered == [
+            (pe_id, float(twin.random()) * 0.25) for pe_id in record_order
+        ]
+
+
 class TestFaultValidationSatellites:
     def make_system(self, seed=3):
         return SimulatedSystem(
