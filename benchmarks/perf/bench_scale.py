@@ -29,7 +29,6 @@ import argparse
 import json
 import pathlib
 
-from repro.control.vector import numpy_enabled
 from repro.experiments.perf import (
     BENCH_SCALE_PATH,
     measure_scale_curve,
@@ -140,9 +139,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if not numpy_enabled():
-        print("numpy unavailable: scale curve requires the vector engine")
-        return 0 if args.check else 1
     if args.check:
         return run_check(args)
     return run_curve(args)

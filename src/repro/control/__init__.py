@@ -66,13 +66,11 @@ from repro.control.plane import ControlPlane, NodeGroup, PlaneInspection
 from repro.control.vector import (
     PEIndexRegistry,
     VectorEngine,
-    VectorFeedbackBus,
     VectorFlowView,
     VectorNodeController,
     VectorStrictScheduler,
     VectorTokenScheduler,
     fallback_reason,
-    numpy_enabled,
 )
 
 __all__ = [
@@ -103,14 +101,12 @@ __all__ = [
     "ScalingPolicy",
     "SystemAdapter",
     "VectorEngine",
-    "VectorFeedbackBus",
     "VectorFlowView",
     "VectorNodeController",
     "VectorStrictScheduler",
     "VectorTokenScheduler",
     "fallback_reason",
     "make_forecaster",
-    "numpy_enabled",
     "plan_scale_in_placement",
     "plan_scale_out_placement",
 ]

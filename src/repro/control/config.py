@@ -39,7 +39,7 @@ class ControlConfig:
     feedback_stale_bound: float = 0.0
     #: Tier-2 step implementation: "scalar" (per-PE Python loops) or
     #: "vector" (the array-backed engine in repro.control.vector, with
-    #: automatic scalar fallback when numpy is unavailable or the
+    #: automatic scalar fallback when REPRO_FORCE_SCALAR is set or the
     #: policy uses unsupported scheduler types).
     control_impl: str = "scalar"
     #: When set, arm the SLO-aware admission front end

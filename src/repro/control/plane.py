@@ -30,7 +30,6 @@ from repro.control.node import ControlRecord, NodeController
 from repro.control.vector import (
     PEIndexRegistry,
     VectorEngine,
-    VectorFeedbackBus,
     VectorFlowView,
     VectorNodeController,
     fallback_reason,
@@ -122,9 +121,6 @@ class _EpochCarry:
     token_levels: _t.Dict[str, float]
     #: Vector-engine per-PE flow state (None when the engine is off).
     vector: _t.Optional[_t.Dict[str, _t.Dict[str, _t.Any]]]
-    #: Vector bus contents (None when the scalar bus is in use — the
-    #: scalar bus is pe_id-keyed and survives rebuilds untouched).
-    bus: _t.Optional[_t.Dict[str, _t.Any]]
 
 
 class ControlPlane:
@@ -223,9 +219,15 @@ class ControlPlane:
         if self.uses_feedback:
             # feedback policies always provide controller gains.
             assert self._gains is not None
-        self._feedback_delay = feedback_delay
-        self._feedback_staleness_ttl = feedback_staleness_ttl
-        self._feedback_stale_bound = feedback_stale_bound
+        #: The one Eq. 8 blackboard of both implementations.  It is
+        #: pe_id-keyed, so it (or a fault-injection wrapper installed in
+        #: its place) survives every membership rebuild untouched.
+        self.bus: _t.Any = FeedbackBus(
+            delay=feedback_delay,
+            staleness_ttl=feedback_staleness_ttl,
+            stale_bound=feedback_stale_bound,
+            recorder=self.recorder,
+        )
 
         #: Why a requested vector path fell back to scalar (None when
         #: vector is active or scalar was requested).
@@ -295,28 +297,6 @@ class ControlPlane:
         self._index_of = {
             group.node_id: index for index, group in enumerate(self.groups)
         }
-
-        prev_bus = getattr(self, "bus", None)
-        if self._engine is not None and self._feedback_staleness_ttl is None:
-            vbus = VectorFeedbackBus(
-                self._engine.registry,
-                delay=self._feedback_delay,
-                recorder=self.recorder,
-            )
-            self._engine.bus = vbus
-            self.bus: _t.Any = vbus
-        elif prev_bus is None or isinstance(prev_bus, VectorFeedbackBus):
-            # Staleness guard configured (or scalar mode): the scalar
-            # bus keeps its per-read decay semantics; a vector engine
-            # treats it as a foreign bus (per-PE reads/publishes).
-            self.bus = FeedbackBus(
-                delay=self._feedback_delay,
-                staleness_ttl=self._feedback_staleness_ttl,
-                stale_bound=self._feedback_stale_bound,
-                recorder=self.recorder,
-            )
-        # else: the installed scalar bus (possibly a fault-injection
-        # wrapper) is pe_id-keyed and survives the rebuild untouched.
 
         self.schedulers: _t.List[_t.Any] = (
             self._engine.scheduler_views
@@ -425,7 +405,6 @@ class ControlPlane:
         }
         token_levels: _t.Dict[str, float] = {}
         vector: _t.Optional[_t.Dict[str, _t.Dict[str, _t.Any]]] = None
-        bus_state: _t.Optional[_t.Dict[str, _t.Any]] = None
         engine = self._engine
         if engine is None:
             for scheduler in self.schedulers:
@@ -452,10 +431,6 @@ class ControlPlane:
                 if engine.dev_hist is not None:
                     vector["dev"][pe_id] = engine.dev_hist[:, i].copy()
                     vector["sur"][pe_id] = engine.sur_hist[:, i].copy()
-            if isinstance(self.bus, VectorFeedbackBus):
-                bus_state = self._harvest_vector_bus(
-                    self.bus, engine.registry
-                )
         return _EpochCarry(
             paused=paused,
             ticks=ticks,
@@ -463,50 +438,7 @@ class ControlPlane:
             capacity=capacity,
             token_levels=token_levels,
             vector=vector,
-            bus=bus_state,
         )
-
-    @staticmethod
-    def _harvest_vector_bus(
-        bus: VectorFeedbackBus, registry: PEIndexRegistry
-    ) -> _t.Dict[str, _t.Any]:
-        """Decompose the vector bus into pe_id-keyed settled + in-flight
-        state (batch selections reference the *old* index space, so they
-        cannot cross a registry rebuild as-is)."""
-        entries: _t.Dict[str, _t.Tuple[float, float]] = {}
-        for pe_id, i in registry.index.items():
-            if bus._published[i]:
-                entries[pe_id] = (
-                    float(bus._current_arr[i]),
-                    float(bus._freshened[i]),
-                )
-        # Batch entries rank before per-PE entries at the same
-        # visible_at — settle_all gives ties to the per-PE message.
-        inflight: _t.Dict[
-            str, _t.List[_t.Tuple[float, int, float]]
-        ] = {}
-        for visible_at, sel, values in bus._batches:
-            if isinstance(sel, slice):
-                ids = registry.ids[sel]
-            else:
-                ids = [registry.ids[int(i)] for i in sel]
-            for j, pe_id in enumerate(ids):
-                inflight.setdefault(pe_id, []).append(
-                    (visible_at, 0, float(values[j]))
-                )
-        for pe_id, pending in bus._pending.items():
-            for visible_at, value in pending:
-                inflight.setdefault(pe_id, []).append(
-                    (visible_at, 1, float(value))
-                )
-        for pending_entries in inflight.values():
-            pending_entries.sort(key=lambda e: (e[0], e[1]))
-        return {
-            "publishes": bus.publishes,
-            "stale_reads": bus.stale_reads,
-            "entries": entries,
-            "inflight": inflight,
-        }
 
     def _restore(self, carry: _EpochCarry) -> None:
         """Re-install harvested state into the freshly built epoch."""
@@ -566,31 +498,6 @@ class ControlPlane:
                 if dev is not None and engine.dev_hist is not None:
                     engine.dev_hist[:, i] = dev
                     engine.sur_hist[:, i] = carry.vector["sur"][pe_id]
-        if (
-            engine is not None
-            and carry.bus is not None
-            and isinstance(self.bus, VectorFeedbackBus)
-        ):
-            bus = self.bus
-            index = engine.registry.index
-            bus.publishes = carry.bus["publishes"]
-            bus.stale_reads = carry.bus["stale_reads"]
-            for pe_id, (value, freshened) in carry.bus[
-                "entries"
-            ].items():
-                i = index.get(pe_id)
-                if i is None:
-                    continue
-                bus._current_arr[i] = value
-                bus._published[i] = True
-                bus._freshened[i] = freshened
-            for pe_id, inflight in carry.bus["inflight"].items():
-                if pe_id not in index or not inflight:
-                    continue
-                bus._pending[pe_id] = [
-                    (visible_at, value)
-                    for visible_at, _, value in inflight
-                ]
 
     def _apply_membership(
         self, carry: _EpochCarry, now: float, reason: str
@@ -630,9 +537,9 @@ class ControlPlane:
         """Join an empty node to the plane; returns its node index.
 
         The Tier-2 state is rebuilt at this epoch boundary (schedulers,
-        node controllers, and — in vector mode — the PE index registry
-        and feedback bus), with all identity-keyed control state
-        carried across.  PEs arrive later via :meth:`migrate_pes`.
+        node controllers, and — in vector mode — the PE index registry),
+        with all identity-keyed control state carried across.  PEs
+        arrive later via :meth:`migrate_pes`.
 
         ``pes`` lets the substrate hand in its *own* (empty) resident
         list so node and group share one list object, the same aliasing

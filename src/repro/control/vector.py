@@ -8,13 +8,14 @@ x10-x100 it dominates everything.  This module re-expresses the *same*
 step as contiguous-array operations:
 
 * :class:`PEIndexRegistry` assigns every PE a dense integer index at
-  wiring time (node-major placement order) and holds the deduplicated
-  downstream adjacency as a CSR index structure.
+  wiring time (node-major placement order).
 * :class:`VectorEngine` owns the flat per-PE state arrays — token
   levels/rates/depths, Eq. 7 deviation and surplus histories, Tier-1
   CPU targets, buffer capacities, rate-model coefficients — and computes
   an entire tick for a group of nodes (one node, or a whole phase
-  bucket) with numpy kernels.
+  bucket) with numpy kernels.  Eq. 8 feedback goes through the plane's
+  one :class:`~repro.core.feedback.FeedbackBus`: one batch read and one
+  batch publish per tick group.
 * :class:`VectorNodeController` / :class:`VectorTokenScheduler` /
   :class:`VectorStrictScheduler` / :class:`VectorFlowView` are thin
   facades over the engine exposing the exact object surfaces the rest
@@ -34,9 +35,9 @@ sequences bit-equal across policies and substrates.
 
 Fallback
 --------
-``fallback_reason`` reports why the vector path cannot be used (numpy
-missing, ``REPRO_FORCE_SCALAR`` set, unknown scheduler types...); the
-plane then silently runs the scalar implementation, so ``control_impl=
+``fallback_reason`` reports why the vector path cannot be used
+(``REPRO_FORCE_SCALAR`` set, unknown scheduler types...); the plane
+then silently runs the scalar implementation, so ``control_impl=
 "vector"`` is always safe to request.
 """
 
@@ -45,10 +46,7 @@ from __future__ import annotations
 import os
 import typing as _t
 
-try:  # pragma: no cover - exercised via REPRO_FORCE_SCALAR in CI
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.control.node import ControlRecord, occupancy_rows
 from repro.core.cpu_control import (
@@ -74,20 +72,13 @@ _INF = float("inf")
 __all__ = [
     "PEIndexRegistry",
     "VectorEngine",
-    "VectorFeedbackBus",
     "VectorFlowView",
     "VectorNodeController",
     "VectorStrictScheduler",
     "VectorTokenScheduler",
     "fallback_reason",
-    "numpy_enabled",
     "vector_proportional_fill",
 ]
-
-
-def numpy_enabled() -> bool:
-    """Whether the vector path's numpy dependency is importable."""
-    return np is not None
 
 
 def fallback_reason(
@@ -99,8 +90,6 @@ def fallback_reason(
     policy scheduler types (or a mix) get the scalar path so their
     behaviour is preserved rather than silently approximated.
     """
-    if np is None:
-        return "numpy is not importable (install the [fast] extra)"
     if os.environ.get("REPRO_FORCE_SCALAR"):
         return "REPRO_FORCE_SCALAR is set"
     kinds = {type(scheduler) for scheduler in schedulers}
@@ -121,205 +110,21 @@ class PEIndexRegistry:
     Indexing is node-major in placement order: node 0's PEs get the
     first indices, node 1's the next, and so on — so one node (or any
     run of consecutive nodes) is a contiguous slice of every flat
-    state array.  The downstream adjacency is held as a CSR structure
-    (``down_indptr``/``down_indices``) over the same index space, with
-    duplicate edges removed (safe: Eq. 8 takes a max/min).
+    state array.
     """
 
     def __init__(self, groups: _t.Sequence["NodeGroup"]):
-        if np is None:  # pragma: no cover - registry only built w/ numpy
-            raise RuntimeError("PEIndexRegistry requires numpy")
-        self.ids: _t.List[str] = []
         self.index: _t.Dict[str, int] = {}
         self.node_slices: _t.List[slice] = []
         for group in groups:
-            start = len(self.ids)
+            start = len(self.index)
             for pe in group.pes:
-                self.index[pe.pe_id] = len(self.ids)
-                self.ids.append(pe.pe_id)
-            self.node_slices.append(slice(start, len(self.ids)))
-        self.size = len(self.ids)
-
-        indptr = [0]
-        indices: _t.List[int] = []
-        for group in groups:
-            for pe in group.pes:
-                for did in dict.fromkeys(d.pe_id for d in pe.downstream):
-                    indices.append(self.index[did])
-                indptr.append(len(indices))
-        self.down_indptr = np.asarray(indptr, dtype=np.int64)
-        self.down_indices = np.asarray(indices, dtype=np.int64)
+                self.index[pe.pe_id] = len(self.index)
+            self.node_slices.append(slice(start, len(self.index)))
+        self.size = len(self.index)
 
     def __len__(self) -> int:
         return self.size
-
-
-class VectorFeedbackBus:
-    """Array-backed drop-in for :class:`~repro.core.feedback.FeedbackBus`.
-
-    The fast path is :meth:`publish_block` / :meth:`settle_all`: whole
-    r_max vectors move as one batch per tick instead of one dict write
-    per PE.  The scalar ``publish``/``latest``/``max_downstream_rate``
-    API is kept bit-compatible so fault-injection wrappers
-    (``LossyFeedbackBus``) and diagnostics keep working unchanged.
-
-    Only built when no ``staleness_ttl`` is configured — the staleness
-    guard's per-read decay semantics stay on the scalar bus.
-    """
-
-    def __init__(
-        self,
-        registry: PEIndexRegistry,
-        delay: float = 0.0,
-        recorder: _t.Optional[TraceRecorder] = None,
-    ):
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        self._registry = registry
-        self.delay = delay
-        self.staleness_ttl: _t.Optional[float] = None
-        self.stale_bound = 0.0
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        size = registry.size
-        self._current_arr = np.zeros(size, dtype=np.float64)
-        self._published = np.zeros(size, dtype=bool)
-        self._freshened = np.zeros(size, dtype=np.float64)
-        #: Whole-vector in-flight publications: (visible_at, sel, values),
-        #: appended in publish order.  Fixed bus delay + nondecreasing
-        #: publish times keep this FIFO visible_at-ordered.
-        self._batches: _t.List[
-            _t.Tuple[float, _t.Union[slice, _t.Any], _t.Any]
-        ] = []
-        #: Per-PE jittered publications (scalar API, fault injection),
-        #: visible_at-ordered like the scalar bus's pending lists.
-        self._pending: _t.Dict[str, _t.List[_t.Tuple[float, float]]] = {}
-        self.publishes = 0
-        self.stale_reads = 0
-
-    # -- fast path --------------------------------------------------------
-
-    def publish_block(
-        self,
-        sel: _t.Union[slice, _t.Any],
-        values: _t.Any,
-        now: float,
-        count: int,
-    ) -> None:
-        """Publish one r_max per selected PE (the engine's batch path).
-
-        ``values`` ownership passes to the bus; callers must hand in a
-        fresh array each tick.
-        """
-        self.publishes += count
-        if self.delay == 0.0:
-            self._current_arr[sel] = values
-            self._published[sel] = True
-            self._freshened[sel] = now
-            return
-        self._batches.append((now + self.delay, sel, values))
-
-    def settle_all(self, now: float) -> None:
-        """Fold every publication (batch and per-PE) visible by ``now``."""
-        batches = self._batches
-        ripe = 0
-        for visible_at, _, _ in batches:
-            if visible_at > now:
-                break
-            ripe += 1
-        if ripe:
-            for visible_at, sel, values in batches[:ripe]:
-                self._current_arr[sel] = values
-                self._published[sel] = True
-                self._freshened[sel] = visible_at
-            del batches[:ripe]
-        if self._pending:
-            index = self._registry.index
-            done = []
-            for pe_id, pending in self._pending.items():
-                n_ripe = 0
-                for visible_at, _ in pending:
-                    if visible_at > now:
-                        break
-                    n_ripe += 1
-                if not n_ripe:
-                    continue
-                visible_at, value = pending[n_ripe - 1]
-                i = index[pe_id]
-                # A later-visible batch already superseded this message;
-                # ties go to the per-PE message (published later).
-                if visible_at >= self._freshened[i]:
-                    self._current_arr[i] = value
-                    self._published[i] = True
-                    self._freshened[i] = visible_at
-                del pending[:n_ripe]
-                if not pending:
-                    done.append(pe_id)
-            for pe_id in done:
-                del self._pending[pe_id]
-
-    # -- scalar-compatible API --------------------------------------------
-
-    def publish(
-        self, pe_id: str, r_max: float, now: float, extra_delay: float = 0.0
-    ) -> None:
-        """Scalar-bus-compatible single publication (jitter-capable)."""
-        if r_max < 0:
-            raise ValueError(f"{pe_id}: r_max must be >= 0, got {r_max}")
-        if extra_delay < 0:
-            raise ValueError(
-                f"{pe_id}: extra_delay must be >= 0, got {extra_delay}"
-            )
-        self.publishes += 1
-        i = self._registry.index[pe_id]
-        if self.delay == 0.0 and extra_delay == 0.0:
-            self._current_arr[i] = r_max
-            self._published[i] = True
-            self._freshened[i] = now
-            return
-        pending = self._pending.get(pe_id)
-        if pending is None:
-            pending = self._pending[pe_id] = []
-        visible_at = now + self.delay + extra_delay
-        if pending and pending[-1][0] > visible_at:
-            from bisect import insort
-
-            insort(pending, (visible_at, r_max))
-        else:
-            pending.append((visible_at, r_max))
-
-    def latest(self, pe_id: str, now: float) -> _t.Optional[float]:
-        """Most recent visible r_max for ``pe_id`` (None if never heard)."""
-        self.settle_all(now)
-        i = self._registry.index[pe_id]
-        if not self._published[i]:
-            return None
-        return float(self._current_arr[i])
-
-    def max_downstream_rate(
-        self, downstream_ids: _t.Sequence[str], now: float
-    ) -> float:
-        """Eq. 8 max-flow read (see :class:`FeedbackBus`)."""
-        bound = -_INF
-        for pe_id in downstream_ids:
-            value = self.latest(pe_id, now)
-            if value is None:
-                return _INF
-            if value > bound:
-                bound = value
-        return bound if downstream_ids else _INF
-
-    def min_downstream_rate(
-        self, downstream_ids: _t.Sequence[str], now: float
-    ) -> float:
-        """Min-flow ablation read (see :class:`FeedbackBus`)."""
-        bound = _INF
-        for pe_id in downstream_ids:
-            value = self.latest(pe_id, now)
-            if value is None:
-                continue
-            if value < bound:
-                bound = value
-        return bound
 
 
 def _fill_rounds(
@@ -378,8 +183,6 @@ def vector_proportional_fill(
     kernel the engine uses and must agree bit-exactly with the scalar
     ``_proportional_fill``.
     """
-    if np is None:
-        raise RuntimeError("vector_proportional_fill requires numpy")
     if not order:
         return []
     d2 = np.array([[float(demands[k]) for k in order]], dtype=np.float64)
@@ -575,6 +378,8 @@ class _TickGroup:
         for controller in self.controllers:
             self.records.extend(controller.records)
         self.pe_ids = [record.pe_id for record in self.records]
+        #: Each PE's deduplicated consumers: the Eq. 8 read's groups.
+        self.downstream = [record.downstream_ids for record in self.records]
 
         slices = [registry.node_slices[i] for i in indices]
         contiguous = all(
@@ -626,17 +431,6 @@ class _TickGroup:
             else np.zeros_like(self.safe_pos)
         )
 
-        # Group-local downstream CSR (over *global* PE indices).
-        indptr = [0]
-        down: _t.List[int] = []
-        for record in self.records:
-            for did in record.downstream_ids:
-                down.append(registry.index[did])
-            indptr.append(len(down))
-        self.down_indptr = np.array(indptr, dtype=np.int64)
-        self.down_indices = np.array(down, dtype=np.int64)
-        self.down_counts = np.diff(self.down_indptr)
-
 
 class VectorEngine:
     """Owns the flat control-state arrays and the fused tick kernels.
@@ -654,8 +448,6 @@ class VectorEngine:
         donors: _t.Sequence[_t.Any],
         gains: _t.Optional["LQRGains"],
     ):
-        if np is None:  # pragma: no cover - engine only built w/ numpy
-            raise RuntimeError("VectorEngine requires numpy")
         self.plane = plane
         self.adapter: "SystemAdapter" = plane.adapter
         self.registry = registry
@@ -689,34 +481,30 @@ class VectorEngine:
             dtype=np.float64,
         )
 
+        # Each donor's ``pes`` is its group's, so donor-then-pes order is
+        # the registry's node-major index order.
         donor = donors[0] if donors else None
         self.is_aces = type(donor) is AcesCpuScheduler
         if self.is_aces:
             self.work_conserving = bool(donor.work_conserving)
             self.depth_intervals = float(donor._depth_intervals)
-            self.tok_rate = np.zeros(size, dtype=np.float64)
-            self.tok_depth = np.zeros(size, dtype=np.float64)
-            self.tok_level = np.zeros(size, dtype=np.float64)
-            for donor_sched in donors:
-                arrays = donor_sched.coefficient_arrays()
-                for pe_id, rate, depth, level in zip(
-                    arrays["pe_ids"], arrays["rates"],
-                    arrays["depths"], arrays["levels"],
-                ):
-                    i = registry.index[pe_id]
-                    self.tok_rate[i] = rate
-                    self.tok_depth[i] = depth
-                    self.tok_level[i] = level
+            buckets = [d.buckets[pe.pe_id] for d in donors for pe in d.pes]
+            self.tok_rate = np.array(
+                [bucket.rate for bucket in buckets], dtype=np.float64
+            )
+            self.tok_depth = np.array(
+                [bucket.depth for bucket in buckets], dtype=np.float64
+            )
+            self.tok_level = np.array(
+                [bucket.level for bucket in buckets], dtype=np.float64
+            )
         else:
             self.work_conserving = False
             self.depth_intervals = 0.0
-            self.strict_target = np.zeros(size, dtype=np.float64)
-            for donor_sched in donors:
-                arrays = donor_sched.coefficient_arrays()
-                for pe_id, target in zip(
-                    arrays["pe_ids"], arrays["targets"]
-                ):
-                    self.strict_target[registry.index[pe_id]] = target
+            self.strict_target = np.array(
+                [d.targets[pe.pe_id] for d in donors for pe in d.pes],
+                dtype=np.float64,
+            )
 
         self.gains = gains
         if self.uses_feedback:
@@ -744,11 +532,6 @@ class VectorEngine:
             self.sur_hist = None
         self.flow_last = np.zeros(size, dtype=np.float64)
         self.flow_updates = np.zeros(size, dtype=np.int64)
-
-        #: The engine's own fast-path bus, installed by the plane when no
-        #: staleness TTL is configured; None means every bus is foreign
-        #: (per-PE scalar reads/publishes, vectorized math otherwise).
-        self.bus: _t.Optional[VectorFeedbackBus] = None
 
         view_cls = (
             VectorTokenScheduler if self.is_aces else VectorStrictScheduler
@@ -829,9 +612,14 @@ class VectorEngine:
 
     def _control_feedback(self, group: _TickGroup, now: float) -> _t.Any:
         dt = self.dt
+        # The plane's bus, looked up every tick so fault-injection swaps
+        # take effect: one batch read and one batch publish per group,
+        # through the scalar tick's two entry points.
         bus = self.plane.bus
-        fast = self.bus is not None and bus is self.bus
-        caps = self._caps(group, now, bus, fast)
+        caps = np.array(
+            bus.read_bounds(group.downstream, now, self.aggregate_max),
+            dtype=np.float64,
+        )
         # One state read serves both the g^{-1} bound and rho below:
         # nothing executes between the two scalar reads, so the values
         # are identical by construction.
@@ -842,59 +630,20 @@ class VectorEngine:
             fractions = self._allocate_strict_feedback(group, dt)
         self._emit_grants(group, fractions, caps, dt)
         occ_f, occ_raw = self._snapshot(group, now)
-        sel = group.sel
-        cpu_target = self.cpu_target[sel]
+        cpu_target = self.cpu_target[group.sel]
         cpu_eff = np.where(fractions < cpu_target, cpu_target, fractions)
         rho = cpu_eff / st
-        r = self._flow_update(group, occ_f, rho)
+        r_maxes = self._flow_update(group, occ_f, rho).tolist()
         if self.plane.recorder.enabled:
             self.plane.recorder.emit_rows(
                 R_MAX,
                 None,
-                list(zip(group.pe_ids, r.tolist(), occ_raw, rho.tolist())),
+                list(zip(group.pe_ids, r_maxes, occ_raw, rho.tolist())),
             )
-        if fast:
-            assert self.bus is not None
-            self.bus.publish_block(sel, r, now, group.total)
-        else:
-            # Foreign bus (lossy wrapper / staleness guard): publish
-            # per PE in node-then-record order so per-message side
-            # effects (jitter RNG draws, drop decisions) match scalar.
-            publish = bus.publish
-            for k, record in enumerate(group.records):
-                publish(record.pe_id, float(r[k]), now)
+        # Node-then-record order, so per-message side effects of a
+        # wrapper (loss and jitter draws) are the scalar tick's.
+        bus.publish_rows(group.pe_ids, r_maxes, now)
         return fractions
-
-    def _caps(
-        self, group: _TickGroup, now: float, bus: _t.Any, fast: bool
-    ) -> _t.Any:
-        if not fast:
-            read_bound = (
-                bus.max_downstream_rate
-                if self.aggregate_max
-                else bus.min_downstream_rate
-            )
-            return np.array(
-                [
-                    read_bound(record.downstream_ids, now)
-                    for record in group.records
-                ],
-                dtype=np.float64,
-            )
-        assert self.bus is not None
-        self.bus.settle_all(now)
-        starts = group.down_indptr[:-1]
-        vals = self.bus._current_arr[group.down_indices]
-        pub = self.bus._published[group.down_indices]
-        if self.aggregate_max:
-            seg = np.maximum.reduceat(np.append(vals, -_INF), starts)
-            allpub = np.logical_and.reduceat(np.append(pub, True), starts)
-            return np.where(
-                (group.down_counts == 0) | ~allpub, _INF, seg
-            )
-        masked = np.where(pub, vals, _INF)
-        seg = np.minimum.reduceat(np.append(masked, _INF), starts)
-        return np.where(group.down_counts == 0, _INF, seg)
 
     def _service_time(self, group: _TickGroup) -> _t.Any:
         states = np.fromiter(

@@ -333,28 +333,6 @@ class AcesCpuScheduler:
     def token_level(self, pe_id: str) -> float:
         return self.buckets[pe_id].level
 
-    def coefficient_arrays(
-        self,
-    ) -> _t.Dict[str, _t.List[_t.Any]]:
-        """Bucket state as parallel lists in placement (``pes``) order.
-
-        The array-backed control engine (:mod:`repro.control.vector`)
-        seeds its contiguous token arrays from here instead of walking
-        per-PE bucket objects; values are the exact floats the scalar
-        path would use.
-        """
-        rates, depths, levels, ids = [], [], [], []
-        for pe in self.pes:
-            bucket = self.buckets[pe.pe_id]
-            ids.append(pe.pe_id)
-            rates.append(bucket.rate)
-            depths.append(bucket.depth)
-            levels.append(bucket.level)
-        return {
-            "pe_ids": ids, "rates": rates, "depths": depths,
-            "levels": levels,
-        }
-
     def update_targets(self, cpu_targets: _t.Mapping[str, float]) -> None:
         """Adopt refreshed Tier-1 targets (periodic re-optimization).
 
@@ -442,19 +420,6 @@ class StrictProportionalScheduler:
 
     def settle(self, cpu_seconds_used: _t.Sequence[float]) -> None:
         """No token accounting in the strict scheduler."""
-
-    def coefficient_arrays(
-        self,
-    ) -> _t.Dict[str, _t.List[_t.Any]]:
-        """Target state as parallel lists in placement (``pes``) order.
-
-        Counterpart of :meth:`AcesCpuScheduler.coefficient_arrays` for
-        the array-backed control engine.
-        """
-        return {
-            "pe_ids": [pe.pe_id for pe in self.pes],
-            "targets": list(self._weights),
-        }
 
     def update_targets(self, cpu_targets: _t.Mapping[str, float]) -> None:
         """Adopt refreshed Tier-1 targets."""

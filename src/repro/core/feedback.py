@@ -32,6 +32,23 @@ from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 _INF = float("inf")
 
 
+def _drop_superseded(
+    pending: _t.List[_t.Tuple[float, float]], now: float
+) -> None:
+    """Drop the in-flight entries no read from ``now`` on can return.
+
+    ``pending`` is visible_at-ordered with at least two entries visible
+    by ``now``; a read folds the ripe prefix down to its last entry, so
+    every ripe entry but the last is already superseded.  Publishing
+    PEs nobody reads (ingress PEs) would otherwise grow their list by
+    one entry per tick for the whole run.
+    """
+    ripe = 2
+    while ripe < len(pending) and pending[ripe][0] <= now:
+        ripe += 1
+    del pending[:ripe - 1]
+
+
 class FeedbackBus:
     """Shared (but asynchronously updated) r_max blackboard.
 
@@ -108,6 +125,8 @@ class FeedbackBus:
         pending = self._pending.get(pe_id)
         if pending is None:
             pending = self._pending[pe_id] = []
+        elif len(pending) > 1 and pending[1][0] <= now:
+            _drop_superseded(pending, now)
         visible_at = now + self.delay + extra_delay
         if pending and pending[-1][0] > visible_at:
             # Jittered message overtaking an in-flight one: keep the list
@@ -141,7 +160,10 @@ class FeedbackBus:
             pending = pending_of.get(pe_id)
             if pending is None:
                 pending_of[pe_id] = [(visible_at, r_max)]
-            elif pending and pending[-1][0] > visible_at:
+                continue
+            if len(pending) > 1 and pending[1][0] <= now:
+                _drop_superseded(pending, now)
+            if pending and pending[-1][0] > visible_at:
                 insort(pending, (visible_at, r_max))
             else:
                 pending.append((visible_at, r_max))

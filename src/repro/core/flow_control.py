@@ -101,7 +101,7 @@ class FlowController:
         self,
     ) -> _t.Dict[str, _t.Tuple[float, ...]]:
         """Eq. 7 coefficients and histories as plain tuples (newest
-        first), for the array-backed control engine and diagnostics."""
+        first), for diagnostics."""
         return {
             "lambdas": self._lambdas,
             "mus": self._mus,

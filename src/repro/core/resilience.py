@@ -280,30 +280,8 @@ class LossyFeedbackBus:
         for pe_id, r_max in zip(pe_ids, r_maxes):
             self.publish(pe_id, r_max, now)
 
-    # -- read API: straight delegation ----------------------------------
-
-    def latest(self, pe_id: str, now: float) -> _t.Optional[float]:
-        return self.inner.latest(pe_id, now)
-
-    def max_downstream_rate(
-        self, downstream_ids: _t.Sequence[str], now: float
-    ) -> float:
-        return self.inner.max_downstream_rate(downstream_ids, now)
-
-    def min_downstream_rate(
-        self, downstream_ids: _t.Sequence[str], now: float
-    ) -> float:
-        return self.inner.min_downstream_rate(downstream_ids, now)
-
-    def read_bounds(
-        self,
-        groups: _t.Sequence[_t.Sequence[str]],
-        now: float,
-        aggregate_max: bool,
-    ) -> _t.List[float]:
-        return self.inner.read_bounds(groups, now, aggregate_max)
-
     def __getattr__(self, name: str) -> _t.Any:
-        # Counters/config (publishes, delay, staleness_ttl, ...) fall
-        # through to the wrapped bus.
+        # Reads (read_bounds, latest, ...) and counters/config
+        # (publishes, delay, staleness_ttl, ...) fall through to the
+        # wrapped bus.
         return getattr(self.inner, name)

@@ -108,6 +108,28 @@ class TestDelayEdgeCases:
         assert bus.latest("c", 0.25) == 30.0
         assert bus._pending["c"] == []
 
+    def test_an_unread_pe_keeps_only_what_a_read_could_return(self):
+        """Ingress PEs publish every tick and nobody reads them: their
+        in-flight list stays at the last ripe entry plus the messages
+        still in flight, on both entry points, and a read still folds
+        to the newest visible value."""
+        dt = 0.25  # binary fractions: visibility ties are exact
+        bus = FeedbackBus(delay=2 * dt)
+        for tick in range(100):
+            now = tick * dt
+            bus.publish_rows(["ingress"], [float(tick)], now)
+            bus.publish("jittered", float(tick), now, extra_delay=dt / 2)
+        # Ripe at the last publish: tick 97 (ingress), tick 96 (jittered).
+        assert [v for _, v in bus._pending["ingress"]] == [97.0, 98.0, 99.0]
+        assert [v for _, v in bus._pending["jittered"]] == [
+            96.0, 97.0, 98.0, 99.0
+        ]
+        assert bus.latest("ingress", 99 * dt) == 97.0
+        assert bus._freshened_at["ingress"] == 99 * dt
+        assert bus.latest("jittered", 99 * dt) == 96.0
+        assert bus.latest("jittered", 102 * dt) == 99.0
+        assert bus.publishes == 200
+
     def test_jittered_publication_keeps_order(self):
         """A later publication with big extra delay must not bury an
         earlier-visible one (insort keeps the ripe-prefix scan valid)."""

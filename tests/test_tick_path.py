@@ -3,8 +3,10 @@
 Two pins on the Tier-2 step as a whole, beside the per-layer tests:
 
 * a *guard*: a node tick goes through the batch entry points (one call
-  per layer) and never through the one-PE API those are tested against —
-  so a later change cannot quietly fall back to a call chain per PE;
+  per layer, and for the vector engine one feedback-bus read and publish
+  per tick group) and never through the one-PE API those are tested
+  against — so a later change cannot quietly fall back to a call chain
+  per PE;
 * a *golden trace*: the full event list of a short calibration run
   hashes to the constants of the commit before the tick went
   positional, for each policy and both control implementations.
@@ -16,12 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.control.vector import (
-    VectorEngine,
-    VectorFeedbackBus,
-    VectorTokenScheduler,
-    numpy_enabled,
-)
+from repro.control.vector import VectorEngine, VectorTokenScheduler
 from repro.core.cpu_control import AcesCpuScheduler
 from repro.core.feedback import FeedbackBus
 from repro.core.flow_control import FlowController
@@ -31,9 +28,6 @@ from repro.graph.topology import generate_topology, paper_calibration_spec
 from repro.model.pe import PERuntime
 from repro.obs.recorder import MemoryRecorder
 from repro.systems.simulated import SimulatedSystem, SystemConfig
-
-IMPLS = ["scalar"] + (["vector"] if numpy_enabled() else [])
-
 
 @pytest.fixture(scope="module")
 def calibration():
@@ -60,15 +54,13 @@ PER_PE_API = [
     (FeedbackBus, "latest"),
     (FeedbackBus, "max_downstream_rate"),
     (FeedbackBus, "min_downstream_rate"),
-    (VectorFeedbackBus, "publish"),
-    (VectorFeedbackBus, "latest"),
     (FlowController, "update"),
     (PERuntime, "processing_rate"),
     (PERuntime, "cpu_for_output_rate_now"),
 ]
 
 
-@pytest.mark.parametrize("control_impl", IMPLS)
+@pytest.mark.parametrize("control_impl", ["scalar", "vector"])
 def test_a_tick_is_one_call_per_layer(calibration, control_impl, monkeypatch):
     calls = {}
 
@@ -95,6 +87,11 @@ def test_a_tick_is_one_call_per_layer(calibration, control_impl, monkeypatch):
 
         monkeypatch.setattr(scheduler, "settle", settle)
     engine_settle = count(VectorEngine, "settle")
+    engine_groups = count(VectorEngine, "control_group")
+    batch = [
+        count(FeedbackBus, "read_bounds"),
+        count(FeedbackBus, "publish_rows"),
+    ]
 
     system = build(calibration, "aces", control_impl)
     if system.plane.control_impl != control_impl:
@@ -104,6 +101,11 @@ def test_a_tick_is_one_call_per_layer(calibration, control_impl, monkeypatch):
     ticks = sum(c.ticks for c in system.plane.node_controllers)
     assert ticks == 10 * 50
     assert {key: calls[key] for key in per_pe} == dict.fromkeys(per_pe, 0)
+    # One Eq. 8 read and one publication per node tick (scalar) or per
+    # tick group (vector), through the plane's one FeedbackBus.
+    groups = calls[engine_groups] if control_impl == "vector" else ticks
+    assert groups > 0
+    assert {key: calls[key] for key in batch} == dict.fromkeys(batch, groups)
     # Settled per node, with one list of CPU-seconds in record order.
     assert len(settled) == ticks
     assert all(isinstance(used, list) for used in settled)
@@ -138,8 +140,6 @@ GOLDEN = {
 
 @pytest.mark.parametrize("policy, control_impl", sorted(GOLDEN))
 def test_golden_trace(calibration, policy, control_impl):
-    if control_impl not in IMPLS:
-        pytest.skip("vector path requires numpy")
     recorder = MemoryRecorder()
     system = build(calibration, policy, control_impl, recorder)
     if system.plane.control_impl != control_impl:
