@@ -218,10 +218,8 @@ class OracleRecorder(TraceRecorder):
             for pe_id, controller in inspection.controllers.items()
         }
         self._rebind_inspection(inspection)
-        # Membership rebuilds (the elastic tier) invalidate every view
-        # this oracle flattened at attach time; re-flatten at each epoch
-        # boundary, preserving the Eq. 7 shadow histories of surviving
-        # PEs (their real controllers' histories survive too).
+        # Membership changes (the elastic tier) invalidate the node-level
+        # views flattened here; re-flatten at each epoch boundary.
         plane.add_rebuild_hook(self.refresh_plane)
 
         self._admission = getattr(inspection, "admission", None)
@@ -250,23 +248,15 @@ class OracleRecorder(TraceRecorder):
                     )
 
     def refresh_plane(self, plane: "ControlPlane") -> None:
-        """Re-flatten the oracle's views after a membership rebuild.
+        """Re-flatten the oracle's node-level views after an epoch.
 
-        Shadows of surviving PEs are kept (Eq. 7 histories continue
-        across an epoch boundary exactly like the real controllers');
-        departed PEs are dropped and new ones get zero-history shadows.
-        Any partially accumulated capacity round is discarded — the
-        rebuild replaces node controllers mid-round, so the next full
-        round restarts the Eq. 4 sum.
+        The Eq. 7 shadows stay as they are: the plane's flow controllers
+        live as long as the plane, and so do theirs.  Any partially
+        accumulated capacity round is discarded — the epoch replaces
+        node controllers mid-round, so the next full round restarts the
+        Eq. 4 sum.
         """
-        inspection = plane.inspection()
-        self._inspection = inspection
-        controllers = inspection.controllers
-        for pe_id in [p for p in self._shadows if p not in controllers]:
-            del self._shadows[pe_id]
-        for pe_id, controller in controllers.items():
-            if pe_id not in self._shadows:
-                self._shadows[pe_id] = _make_shadow(controller)
+        inspection = self._inspection = plane.inspection()
         self._rebind_inspection(inspection)
 
     def _rebind_inspection(self, inspection: "PlaneInspection") -> None:

@@ -50,7 +50,7 @@ class ControlConfig:
     #: (:class:`repro.control.elastic.ElasticDriver`): dynamic node
     #: membership (``add_node`` / ``remove_node`` / ``migrate_pes``),
     #: autoscaling, and live PE migration; control loops follow nodes
-    #: by identity across epoch rebuilds.  None (default) keeps
+    #: by identity across epochs.  None (default) keeps
     #: membership frozen and every output byte-identical to the
     #: pre-elasticity system.
     elasticity: _t.Optional[ElasticityConfig] = None

@@ -5,7 +5,7 @@ adds the third control tier on top: placement becomes a *versioned
 runtime object* (:class:`PlacementBook` holding a chain of
 :class:`PlacementVersion` epochs), node membership becomes mutable
 (:meth:`~repro.control.plane.ControlPlane.add_node` /
-``remove_node`` / ``migrate_pes`` rebuild the Tier-2 state at an epoch
+``remove_node`` / ``migrate_pes`` regroup the Tier-2 state at an epoch
 boundary), and a :class:`ScalingPolicy` decides *when* to scale from a
 buffer-fill pressure signal using the admission ladder's
 hysteresis-plus-dwell pattern.

@@ -28,13 +28,12 @@ from repro.control.admission import AdmissionController
 from repro.control.forecast import ForecastController
 from repro.control.node import ControlRecord, NodeController
 from repro.control.vector import (
-    PEIndexRegistry,
     VectorEngine,
     VectorFlowView,
     VectorNodeController,
     fallback_reason,
 )
-from repro.core.cpu_control import AcesCpuScheduler
+from repro.core.cpu_control import AcesCpuScheduler, TokenBucket
 from repro.core.feedback import FeedbackBus
 from repro.core.flow_control import FlowController
 from repro.core.resilience import ResilientTier1, Tier1Unavailable
@@ -102,25 +101,6 @@ class NodeGroup:
     node_id: str
     pes: _t.List[PELike] = field(default_factory=list)
     cpu_capacity: float = 1.0
-
-
-@dataclass
-class _EpochCarry:
-    """Control state harvested before a membership rebuild.
-
-    Everything here is keyed by stable identity (node_id / pe_id), never
-    by index, so it survives node-list surgery: pause flags and injected
-    capacity slowdowns follow their node, token levels and Eq. 7
-    histories follow their PE.
-    """
-
-    paused: _t.Dict[str, bool]
-    ticks: _t.Dict[str, int]
-    blocked: _t.Dict[str, _t.FrozenSet[str]]
-    capacity: _t.Dict[str, float]
-    token_levels: _t.Dict[str, float]
-    #: Vector-engine per-PE flow state (None when the engine is off).
-    vector: _t.Optional[_t.Dict[str, _t.Dict[str, _t.Any]]]
 
 
 class ControlPlane:
@@ -210,18 +190,13 @@ class ControlPlane:
             else True
         )
 
-        #: Construction inputs persisted so membership rebuilds can
-        #: re-resolve the policy factories with identical parameters.
-        self._requested_impl = control_impl
-        self._gains = (
-            policy.controller_gains(dt) if self.uses_feedback else None
-        )
+        gains = policy.controller_gains(dt) if self.uses_feedback else None
         if self.uses_feedback:
             # feedback policies always provide controller gains.
-            assert self._gains is not None
+            assert gains is not None
         #: The one Eq. 8 blackboard of both implementations.  It is
         #: pe_id-keyed, so it (or a fault-injection wrapper installed in
-        #: its place) survives every membership rebuild untouched.
+        #: its place) survives every epoch untouched.
         self.bus: _t.Any = FeedbackBus(
             delay=feedback_delay,
             staleness_ttl=feedback_staleness_ttl,
@@ -229,25 +204,78 @@ class ControlPlane:
             recorder=self.recorder,
         )
 
+        # The policy's schedulers are always built normally; in vector
+        # mode they become parameter donors (bucket depths/levels,
+        # strict targets) for the engine's state arrays and are then
+        # replaced by the engine's per-node views.
+        donors: _t.List[_t.Any] = [
+            policy.make_scheduler(
+                group.pes, targets.cpu, group.cpu_capacity, dt
+            )
+            for group in self.groups
+        ]
         #: Why a requested vector path fell back to scalar (None when
         #: vector is active or scalar was requested).
-        self.vector_fallback_reason: _t.Optional[str] = None
-        self._engine: _t.Optional[VectorEngine] = None
+        self.vector_fallback_reason = (
+            fallback_reason(donors, self.uses_feedback)
+            if control_impl == "vector"
+            else None
+        )
+        engine = self._engine = (
+            VectorEngine(self, donors, gains)
+            if control_impl == "vector" and self.vector_fallback_reason is None
+            else None
+        )
+        self.control_impl = "vector" if engine is not None else "scalar"
+
+        # Per-PE Tier-2 state is created here, once.  The PE set is fixed
+        # for the life of a plane (nodes join empty, migrations only move
+        # PEs), so an epoch regroups this state and never rebuilds it.
+        pes = [pe for group in self.groups for pe in group.pes]
+        #: pe_id -> Eq. 7 flow controller (feedback policies only): a
+        #: FlowController, or a VectorFlowView under control_impl=vector.
         self.controllers: _t.Dict[str, _t.Any] = {}
+        if self.uses_feedback:
+            for pe in pes:
+                self.controllers[pe.pe_id] = (
+                    FlowController(
+                        gains,
+                        target_occupancy=b0,
+                        buffer_capacity=pe.buffer.capacity,
+                        pe_id=pe.pe_id,
+                    )
+                    if engine is None
+                    else VectorFlowView(
+                        engine, engine.registry.index[pe.pe_id], pe.pe_id
+                    )
+                )
+        #: pe_id -> the Section V-D token bucket of a scalar plane, handed
+        #: to every epoch's freshly built schedulers.
+        self.token_buckets: _t.Dict[str, TokenBucket] = {}
+        if engine is None:
+            for donor in donors:
+                self.token_buckets.update(getattr(donor, "buckets", {}))
         self.gates: _t.Dict[str, _t.Optional[GateFn]] = {}
         self.admission_filters: _t.Dict[str, AdmissionFn] = {}
-        #: Placement epoch: 0 at construction, +1 per membership rebuild.
+        for pe in pes:
+            self.gates[pe.pe_id] = policy.make_gate(pe)
+            self.admission_filters[pe.pe_id] = (
+                policy.make_admission_filter(pe)
+            )
+
+        #: Placement epoch: 0 at construction, +1 per membership change.
         self.epoch = 0
-        #: Callbacks run after every membership rebuild (oracles and
-        #: other observers re-derive their cached plane views here).
+        #: Callbacks run after every epoch (oracles and other observers
+        #: re-derive their cached per-node plane views here).
         self.rebuild_hooks: _t.List[
             _t.Callable[["ControlPlane"], None]
         ] = []
-        self._build()
-
         #: Per-node pause flags (controller-outage injection).  Loops may
         #: capture this list object; mutate it, never rebind it.
-        self.paused: _t.List[bool] = [False] * len(self.groups)
+        self.paused: _t.List[bool] = []
+        self.node_controllers: _t.List[_t.Any] = []
+        self._build(donors if engine is None else None)
+
         #: Number of Tier-1 refreshes adopted during the run.
         self.reoptimizations = 0
         #: pe_id -> node_id snapshot taken when the current targets were
@@ -257,103 +285,60 @@ class ControlPlane:
         #: not the live placement (grants are still checked live).
         self.targets_node_of: _t.Dict[str, str] = self._node_of_snapshot()
 
-    # -- construction / epoch rebuild ----------------------------------------
+    # -- per-node wiring (construction and every epoch) ----------------------
 
-    def _build(self) -> None:
-        """Resolve the policy factories into runnable Tier-2 state.
+    def _build(self, schedulers: _t.Optional[_t.List[_t.Any]] = None) -> None:
+        """Wire the per-PE state into one node controller per group.
 
-        Called once at construction and again (via the membership API)
-        at every epoch boundary.  Rebuilds derive everything from the
-        *current* :attr:`groups`; state that must survive a rebuild is
-        carried across by :meth:`_harvest` / :meth:`_restore`, keyed by
-        node_id / pe_id rather than index.
+        Called at construction (with a scalar plane's donor schedulers)
+        and at every epoch boundary.  Only per-node objects are built:
+        schedulers (or the engine's views), tick records and node
+        controllers.  The per-node state that outlives an epoch (pause
+        flag, tick count, gate decisions, and the live scheduler
+        capacity that fault injection may have lowered) is read, by
+        node_id, straight from the outgoing controllers.
         """
-        policy = self.policy
-        targets = self.targets
-        dt = self.dt
-
-        # The policy's schedulers are always built normally; in vector
-        # mode they become parameter donors (bucket depths/levels,
-        # strict targets, capacities) for the engine's state arrays and
-        # are then replaced by the engine's per-node views.
-        donors: _t.List[_t.Any] = [
-            policy.make_scheduler(
-                group.pes, targets.cpu, group.cpu_capacity, dt
-            )
-            for group in self.groups
+        outgoing = {c.node_id: c for c in self.node_controllers}
+        previous = [outgoing.get(group.node_id) for group in self.groups]
+        capacities = [
+            group.cpu_capacity if prev is None
+            else float(prev.scheduler.capacity)
+            for group, prev in zip(self.groups, previous)
         ]
-        gains = self._gains
-
-        self.vector_fallback_reason = None
-        self._engine = None
-        if self._requested_impl == "vector":
-            self.vector_fallback_reason = fallback_reason(
-                donors, self.uses_feedback
-            )
-            if self.vector_fallback_reason is None:
-                registry = PEIndexRegistry(self.groups)
-                self._engine = VectorEngine(self, registry, donors, gains)
-        self.control_impl = "vector" if self._engine is not None else "scalar"
+        engine = self._engine
+        if engine is not None:
+            engine.regroup(capacities)
+            schedulers = engine.scheduler_views
+        elif schedulers is None:
+            schedulers = []
+            for group, capacity in zip(self.groups, capacities):
+                scheduler = self.policy.make_scheduler(
+                    group.pes, self.targets.cpu, group.cpu_capacity, self.dt
+                )
+                # The surviving buckets replace the fresh ones, whose
+                # rate and depth come from the same targets by the same
+                # formula.
+                buckets = getattr(scheduler, "buckets", None)
+                if buckets:
+                    for pe_id in buckets:
+                        buckets[pe_id] = self.token_buckets[pe_id]
+                scheduler.capacity = capacity
+                schedulers.append(scheduler)
+        self.schedulers: _t.List[_t.Any] = schedulers
         self._index_of = {
             group.node_id: index for index, group in enumerate(self.groups)
         }
-
-        self.schedulers: _t.List[_t.Any] = (
-            self._engine.scheduler_views
-            if self._engine is not None
-            else donors
-        )
         if self.recorder.enabled:
-            for group, scheduler in zip(self.groups, self.schedulers):
+            for group, scheduler in zip(self.groups, schedulers):
                 attach = getattr(scheduler, "attach_tracing", None)
                 if attach is not None:
                     attach(self.recorder, group.node_id)
-        self._scheduler_of: _t.Dict[str, _t.Any] = {}
-        for group, scheduler in zip(self.groups, self.schedulers):
-            for pe in group.pes:
-                self._scheduler_of[pe.pe_id] = scheduler
 
-        if self.uses_feedback:
-            assert gains is not None
-            if self._engine is not None:
-                registry = self._engine.registry
-                for group in self.groups:
-                    for pe in group.pes:
-                        self.controllers[pe.pe_id] = VectorFlowView(
-                            self._engine,
-                            registry.index[pe.pe_id],
-                            pe.pe_id,
-                        )
-            else:
-                for group in self.groups:
-                    for pe in group.pes:
-                        # A surviving scalar controller is reused so its
-                        # Eq. 7 histories carry across epochs verbatim.
-                        existing = self.controllers.get(pe.pe_id)
-                        if not isinstance(existing, FlowController):
-                            self.controllers[pe.pe_id] = FlowController(
-                                gains,
-                                target_occupancy=self.b0,
-                                buffer_capacity=pe.buffer.capacity,
-                                pe_id=pe.pe_id,
-                            )
-
-        for group in self.groups:
-            for pe in group.pes:
-                # Only fill missing entries: dynamically replaced gates
-                # (fault injection) must survive a rebuild.
-                if pe.pe_id not in self.gates:
-                    self.gates[pe.pe_id] = policy.make_gate(pe)
-                    self.admission_filters[pe.pe_id] = (
-                        policy.make_admission_filter(pe)
-                    )
-
+        targets = self.targets
         controller_cls: _t.Any = (
-            VectorNodeController
-            if self._engine is not None
-            else NodeController
+            VectorNodeController if engine is not None else NodeController
         )
-        self.node_controllers: _t.List[_t.Any] = [
+        self.node_controllers = [
             controller_cls(
                 node_index=index,
                 node_id=group.node_id,
@@ -369,142 +354,35 @@ class ControlPlane:
                 ],
                 plane=self,
                 adapter=self.adapter,
-                dt=dt,
+                dt=self.dt,
                 uses_feedback=self.uses_feedback,
                 aggregate_max=self.aggregate_max,
                 is_aces=(
-                    self._engine.is_aces
-                    if self._engine is not None
+                    engine.is_aces
+                    if engine is not None
                     else isinstance(scheduler, AcesCpuScheduler)
                 ),
                 profiler=self.profiler,
-                **(
-                    {"engine": self._engine}
-                    if self._engine is not None
-                    else {}
-                ),
+                **({"engine": engine} if engine is not None else {}),
             )
             for index, (group, scheduler) in enumerate(
-                zip(self.groups, self.schedulers)
+                zip(self.groups, schedulers)
             )
         ]
-
-    def _harvest(self) -> _EpochCarry:
-        """Capture identity-keyed control state ahead of group surgery."""
-        paused = {
-            group.node_id: flag
-            for group, flag in zip(self.groups, self.paused)
-        }
-        ticks = {c.node_id: c.ticks for c in self.node_controllers}
-        blocked = {
-            c.node_id: c.last_blocked for c in self.node_controllers
-        }
-        capacity = {
-            group.node_id: float(scheduler.capacity)
-            for group, scheduler in zip(self.groups, self.schedulers)
-        }
-        token_levels: _t.Dict[str, float] = {}
-        vector: _t.Optional[_t.Dict[str, _t.Dict[str, _t.Any]]] = None
-        engine = self._engine
-        if engine is None:
-            for scheduler in self.schedulers:
-                buckets = getattr(scheduler, "buckets", None)
-                if buckets:
-                    for pe_id, bucket in buckets.items():
-                        token_levels[pe_id] = float(bucket.level)
-        else:
-            index = engine.registry.index
-            if engine.is_aces:
-                for pe_id, i in index.items():
-                    token_levels[pe_id] = float(engine.tok_level[i])
-            vector = {
-                "flow_last": {},
-                "flow_updates": {},
-                "dev": {},
-                "sur": {},
-            }
-            for pe_id, i in index.items():
-                vector["flow_last"][pe_id] = float(engine.flow_last[i])
-                vector["flow_updates"][pe_id] = int(
-                    engine.flow_updates[i]
+        for controller, prev in zip(self.node_controllers, previous):
+            if prev is not None:
+                controller.ticks = prev.ticks
+                controller.last_blocked = prev.last_blocked.intersection(
+                    record.pe_id for record in controller.records
                 )
-                if engine.dev_hist is not None:
-                    vector["dev"][pe_id] = engine.dev_hist[:, i].copy()
-                    vector["sur"][pe_id] = engine.sur_hist[:, i].copy()
-        return _EpochCarry(
-            paused=paused,
-            ticks=ticks,
-            blocked=blocked,
-            capacity=capacity,
-            token_levels=token_levels,
-            vector=vector,
-        )
-
-    def _restore(self, carry: _EpochCarry) -> None:
-        """Re-install harvested state into the freshly built epoch."""
         self.paused[:] = [
-            carry.paused.get(group.node_id, False)
-            for group in self.groups
+            prev is not None and self.paused[prev.node_index]
+            for prev in previous
         ]
-        for controller in self.node_controllers:
-            controller.ticks = carry.ticks.get(controller.node_id, 0)
-            resident = frozenset(
-                record.pe_id for record in controller.records
-            )
-            controller.last_blocked = (
-                carry.blocked.get(controller.node_id, frozenset())
-                & resident
-            )
-        for group, scheduler in zip(self.groups, self.schedulers):
-            cap = carry.capacity.get(group.node_id)
-            if cap is not None:
-                scheduler.capacity = cap
-        engine = self._engine
-        if carry.token_levels:
-            if engine is not None and engine.is_aces:
-                index = engine.registry.index
-                for pe_id, level in carry.token_levels.items():
-                    i = index.get(pe_id)
-                    if i is None:
-                        continue
-                    depth = float(engine.tok_depth[i])
-                    engine.tok_level[i] = (
-                        level if level <= depth else depth
-                    )
-            elif engine is None:
-                for scheduler in self.schedulers:
-                    buckets = getattr(scheduler, "buckets", None)
-                    if not buckets:
-                        continue
-                    for pe_id, bucket in buckets.items():
-                        level = carry.token_levels.get(pe_id)
-                        if level is not None:
-                            bucket.level = (
-                                level
-                                if level <= bucket.depth
-                                else bucket.depth
-                            )
-        if engine is not None and carry.vector is not None:
-            index = engine.registry.index
-            for pe_id, i in index.items():
-                last = carry.vector["flow_last"].get(pe_id)
-                if last is None:
-                    continue
-                engine.flow_last[i] = last
-                engine.flow_updates[i] = carry.vector["flow_updates"][
-                    pe_id
-                ]
-                dev = carry.vector["dev"].get(pe_id)
-                if dev is not None and engine.dev_hist is not None:
-                    engine.dev_hist[:, i] = dev
-                    engine.sur_hist[:, i] = carry.vector["sur"][pe_id]
 
-    def _apply_membership(
-        self, carry: _EpochCarry, now: float, reason: str
-    ) -> None:
-        """Rebuild + restore at an epoch boundary, then notify hooks."""
+    def _apply_membership(self, reason: str) -> None:
+        """Regroup at an epoch boundary, then notify hooks."""
         self._build()
-        self._restore(carry)
         self.epoch += 1
         if self.recorder.enabled:
             self.recorder.emit(
@@ -521,7 +399,7 @@ class ControlPlane:
     def add_rebuild_hook(
         self, hook: _t.Callable[["ControlPlane"], None]
     ) -> None:
-        """Run ``hook(plane)`` after every membership rebuild."""
+        """Run ``hook(plane)`` after every epoch."""
         if hook not in self.rebuild_hooks:
             self.rebuild_hooks.append(hook)
 
@@ -536,9 +414,8 @@ class ControlPlane:
     ) -> int:
         """Join an empty node to the plane; returns its node index.
 
-        The Tier-2 state is rebuilt at this epoch boundary (schedulers,
-        node controllers, and — in vector mode — the PE index registry),
-        with all identity-keyed control state carried across.  PEs
+        At this epoch boundary the per-node wiring (schedulers, node
+        controllers) is rebuilt over the unchanged per-PE state.  PEs
         arrive later via :meth:`migrate_pes`.
 
         ``pes`` lets the substrate hand in its *own* (empty) resident
@@ -557,11 +434,10 @@ class ControlPlane:
                 f"node {node_id!r} must join empty; migrate PEs in "
                 "after the join"
             )
-        carry = self._harvest()
         self.groups.append(
             NodeGroup(node_id, pes if pes is not None else [], cpu_capacity)
         )
-        self._apply_membership(carry, now, reason=f"join:{node_id}")
+        self._apply_membership(f"join:{node_id}")
         if self.recorder.enabled:
             self.recorder.emit(
                 "membership",
@@ -577,8 +453,8 @@ class ControlPlane:
 
         Refuses while PEs are resident — migrate them off first — so a
         removal can never strand buffered work.  Node indices above the
-        removed one shift down by one; identity-keyed state (pause
-        flags, capacity slowdowns) follows the surviving node_ids.
+        removed one shift down by one; per-node state (pause flags,
+        capacity slowdowns) follows the surviving node_ids.
         """
         if not (0 <= node_index < len(self.groups)):
             raise ValueError(
@@ -593,11 +469,8 @@ class ControlPlane:
                 f"node {group.node_id!r} still hosts "
                 f"{len(group.pes)} PE(s); migrate them off first"
             )
-        carry = self._harvest()
         del self.groups[node_index]
-        self._apply_membership(
-            carry, now, reason=f"leave:{group.node_id}"
-        )
+        self._apply_membership(f"leave:{group.node_id}")
         if self.recorder.enabled:
             self.recorder.emit(
                 "membership",
@@ -619,36 +492,34 @@ class ControlPlane:
         ``moves`` is a sequence of ``(pe_id, target_node_index)``.  The
         plane only moves *control* state; the substrate orchestrates
         the physical protocol around this call (drain, buffer handoff,
-        dataplane re-wiring, resume).  All moves share one rebuild so
-        an epoch's migration set is atomic from the controllers' view.
+        dataplane re-wiring, resume).  All moves share one regrouping
+        so an epoch's migration set is atomic from the controllers'
+        view.
         """
         if not moves:
             return
-        carry = self._harvest()
         for pe_id, target in moves:
             if not (0 <= target < len(self.groups)):
                 raise ValueError(
                     f"{pe_id}: target node index {target} outside "
                     f"[0, {len(self.groups)})"
                 )
-            source = None
-            for group in self.groups:
-                for pe in group.pes:
-                    if pe.pe_id == pe_id:
-                        source = group
-                        break
-                if source is not None:
-                    break
-            if source is None:
-                raise ValueError(f"unknown PE {pe_id!r}")
-            if source is self.groups[target]:
-                continue
-            pe_obj = next(
-                pe for pe in source.pes if pe.pe_id == pe_id
+            found = next(
+                (
+                    (group, pe)
+                    for group in self.groups
+                    for pe in group.pes
+                    if pe.pe_id == pe_id
+                ),
+                None,
             )
-            source.pes.remove(pe_obj)
-            self.groups[target].pes.append(pe_obj)
-        self._apply_membership(carry, now, reason=reason)
+            if found is None:
+                raise ValueError(f"unknown PE {pe_id!r}")
+            source, pe = found
+            if source is not self.groups[target]:
+                source.pes.remove(pe)
+                self.groups[target].pes.append(pe)
+        self._apply_membership(reason)
 
     def node_index(self, node_id: str) -> _t.Optional[int]:
         """Current index of ``node_id`` in :attr:`groups`, or None when
@@ -657,12 +528,11 @@ class ControlPlane:
         return self._index_of.get(node_id)
 
     def token_level(self, pe_id: str) -> float:
-        """The PE's current token level via its *current* scheduler.
-
-        Gauge lambdas bind the plane, not a scheduler object, so token
-        gauges keep reading the right state across epoch rebuilds.
-        """
-        return float(self._scheduler_of[pe_id].token_level(pe_id))
+        """The PE's current token level (a token-bucket plane)."""
+        engine = self._engine
+        if engine is None:
+            return float(self.token_buckets[pe_id].level)
+        return float(engine.tok_level[engine.registry.index[pe_id]])
 
     # -- operational surface -------------------------------------------------
 
@@ -880,8 +750,7 @@ class ControlPlane:
             # Token-capable schedulers (AcesCpuScheduler or the vector
             # engine's token view) expose token_level; strict ones don't.
             # The gauge closes over the plane, not the scheduler object:
-            # membership rebuilds replace schedulers, and a migrated
-            # PE's tokens must be read from wherever it lives now.
+            # an epoch replaces schedulers, never the per-PE tokens.
             if getattr(scheduler, "token_level", None) is not None:
                 for pe in scheduler.pes:
                     gauges.register(
@@ -905,14 +774,12 @@ class ControlPlane:
             )
         ids = self.controllers.keys() if pe_order is None else pe_order
         for pe_id in ids:
-            if pe_id not in self.controllers:
+            controller = self.controllers.get(pe_id)
+            if controller is None:
                 continue
-            # Bound via the plane's live dict: vector rebuilds replace
-            # the per-PE flow views, scalar controllers are reused.
+            # Flow controllers live as long as the plane.
             gauges.register(
-                "r_max",
-                lambda s=self, p=pe_id: s.controllers[p].last_r_max,
-                pe=pe_id,
+                "r_max", lambda c=controller: c.last_r_max, pe=pe_id
             )
 
     def __repr__(self) -> str:

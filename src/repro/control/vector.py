@@ -7,8 +7,9 @@ scale (80 nodes / 200 PEs) that loop is ~58% of wall time; multiplied
 x10-x100 it dominates everything.  This module re-expresses the *same*
 step as contiguous-array operations:
 
-* :class:`PEIndexRegistry` assigns every PE a dense integer index at
-  wiring time (node-major placement order).
+* :class:`PEIndexRegistry` assigns every PE a dense integer index once,
+  at wiring time (node-major placement order); an epoch only regroups
+  which indices each node selects.
 * :class:`VectorEngine` owns the flat per-PE state arrays — token
   levels/rates/depths, Eq. 7 deviation and surplus histories, Tier-1
   CPU targets, buffer capacities, rate-model coefficients — and computes
@@ -105,26 +106,61 @@ def fallback_reason(
 
 
 class PEIndexRegistry:
-    """Dense integer indices for every PE, assigned at wiring time.
+    """Dense integer indices for every PE, assigned once at wiring time.
 
-    Indexing is node-major in placement order: node 0's PEs get the
-    first indices, node 1's the next, and so on — so one node (or any
-    run of consecutive nodes) is a contiguous slice of every flat
-    state array.
+    Indexing is node-major in the construction placement: node 0's PEs
+    get the first indices, node 1's the next, and so on.  The PE set is
+    fixed for the life of a plane (nodes join empty, migrations only
+    move PEs), so an index is as stable a key as the pe_id.  What an
+    epoch changes is each node's selection, set by :meth:`regroup`.
     """
 
     def __init__(self, groups: _t.Sequence["NodeGroup"]):
         self.index: _t.Dict[str, int] = {}
-        self.node_slices: _t.List[slice] = []
         for group in groups:
-            start = len(self.index)
             for pe in group.pes:
                 self.index[pe.pe_id] = len(self.index)
-            self.node_slices.append(slice(start, len(self.index)))
         self.size = len(self.index)
+        self.node_sel: _t.List[_t.Union[slice, _t.Any]] = []
 
     def __len__(self) -> int:
         return self.size
+
+    def regroup(self, groups: _t.Sequence["NodeGroup"]) -> None:
+        """Each node's selection of the flat arrays, in record order: a
+        slice while its PEs hold consecutive indices (always, until a
+        migration), otherwise an index array."""
+        index = self.index
+        self.node_sel = []
+        stop = 0
+        for group in groups:
+            pes = group.pes
+            start = index[pes[0].pe_id] if pes else stop
+            if all(index[pe.pe_id] == start + k for k, pe in enumerate(pes)):
+                stop = start + len(pes)
+                self.node_sel.append(slice(start, stop))
+            else:
+                self.node_sel.append(np.array(
+                    [index[pe.pe_id] for pe in pes], dtype=np.int64
+                ))
+
+    def select(
+        self, node_indices: _t.Sequence[int]
+    ) -> _t.Union[slice, _t.Any]:
+        """The nodes' selections joined in node order: one slice when
+        they are adjacent slices, otherwise an index array."""
+        sels = [self.node_sel[i] for i in node_indices]
+        if not sels:
+            return np.zeros(0, dtype=np.int64)
+        if all(isinstance(s, slice) for s in sels) and all(
+            a.stop == b.start for a, b in zip(sels, sels[1:])
+        ):
+            return slice(sels[0].start, sels[-1].stop)
+        return np.concatenate([
+            np.arange(s.start, s.stop, dtype=np.int64)
+            if isinstance(s, slice) else s
+            for s in sels
+        ])
 
 
 def _fill_rounds(
@@ -284,7 +320,7 @@ class VectorTokenScheduler:
         resident PE, in placement order)."""
         engine = self._engine
         engine.settle(
-            engine.registry.node_slices[self._node_index], cpu_seconds_used
+            engine.registry.node_sel[self._node_index], cpu_seconds_used
         )
 
     def token_level(self, pe_id: str) -> float:
@@ -370,7 +406,6 @@ class _TickGroup:
     """
 
     def __init__(self, engine: "VectorEngine", indices: _t.Tuple[int, ...]):
-        registry = engine.registry
         self.indices = indices
         self.controllers = [engine.node_controllers[i] for i in indices]
         self.views = [engine.scheduler_views[i] for i in indices]
@@ -380,20 +415,8 @@ class _TickGroup:
         self.pe_ids = [record.pe_id for record in self.records]
         #: Each PE's deduplicated consumers: the Eq. 8 read's groups.
         self.downstream = [record.downstream_ids for record in self.records]
-
-        slices = [registry.node_slices[i] for i in indices]
-        contiguous = all(
-            slices[k].stop == slices[k + 1].start
-            for k in range(len(slices) - 1)
-        )
-        if contiguous and slices:
-            self.sel: _t.Union[slice, _t.Any] = slice(
-                slices[0].start, slices[-1].stop
-            )
-        else:
-            self.sel = np.concatenate(
-                [np.arange(s.start, s.stop, dtype=np.int64) for s in slices]
-            ) if slices else np.zeros(0, dtype=np.int64)
+        #: The group's PEs in the flat state arrays, in record order.
+        self.sel: _t.Union[slice, _t.Any] = engine.registry.select(indices)
 
         #: PEs per node, for cutting a flat per-PE list back into nodes.
         self.sizes = [len(c.records) for c in self.controllers]
@@ -436,21 +459,22 @@ class VectorEngine:
     """Owns the flat control-state arrays and the fused tick kernels.
 
     One engine per :class:`~repro.control.plane.ControlPlane` in vector
-    mode.  State is seeded from the policy's *donor* schedulers (built
-    normally, then shelved), so bucket depths/levels and strict targets
-    match the scalar path bit-for-bit.
+    mode, built once with the plane.  State is seeded from the policy's
+    *donor* schedulers (built normally, then shelved), so bucket
+    depths/levels and strict targets match the scalar path bit-for-bit.
+    The state arrays are never reallocated: an epoch only regroups the
+    per-node views over them (:meth:`regroup`).
     """
 
     def __init__(
         self,
         plane: "ControlPlane",
-        registry: PEIndexRegistry,
         donors: _t.Sequence[_t.Any],
         gains: _t.Optional["LQRGains"],
     ):
         self.plane = plane
         self.adapter: "SystemAdapter" = plane.adapter
-        self.registry = registry
+        self.registry = registry = PEIndexRegistry(plane.groups)
         self.dt = plane.dt
         self.uses_feedback = plane.uses_feedback
         self.aggregate_max = plane.aggregate_max
@@ -533,21 +557,37 @@ class VectorEngine:
         self.flow_last = np.zeros(size, dtype=np.float64)
         self.flow_updates = np.zeros(size, dtype=np.int64)
 
-        view_cls = (
-            VectorTokenScheduler if self.is_aces else VectorStrictScheduler
-        )
-        self.scheduler_views: _t.List[_t.Any] = [
-            view_cls(self, index, group.pes, donor_sched.capacity)
-            for index, (group, donor_sched) in enumerate(
-                zip(plane.groups, donors)
-            )
-        ]
+        # Per-node wiring, (re)built by regroup before the first tick.
+        self.scheduler_views: _t.List[_t.Any] = []
         self.node_controllers: _t.List[
             _t.Optional["VectorNodeController"]
-        ] = [None] * len(plane.groups)
+        ] = []
         self._groups: _t.Dict[_t.Tuple[int, ...], _TickGroup] = {}
 
     # -- wiring ------------------------------------------------------------
+
+    def regroup(self, capacities: _t.Sequence[float]) -> None:
+        """Re-point the per-node wiring at the plane's current groups.
+
+        Called by the plane at construction and at every epoch boundary:
+        recomputes each node's selection, builds one scheduler view per
+        node with the given CPU capacity, and empties the controller
+        slots (the plane's new node controllers register into them) and
+        the tick-group cache.  No per-PE state is touched.
+        """
+        groups = self.plane.groups
+        self.registry.regroup(groups)
+        view_cls = (
+            VectorTokenScheduler if self.is_aces else VectorStrictScheduler
+        )
+        self.scheduler_views = [
+            view_cls(self, index, group.pes, capacity)
+            for index, (group, capacity) in enumerate(
+                zip(groups, capacities)
+            )
+        ]
+        self.node_controllers = [None] * len(groups)
+        self._groups = {}
 
     def register_controller(
         self, controller: "VectorNodeController"
@@ -865,7 +905,7 @@ class VectorEngine:
                 cpus = fractions[base:stop].tolist()
                 dts = (dt,) * len(records)
                 if self.is_aces and caps is not None:
-                    gi = self.registry.node_slices[controller.node_index]
+                    gi = self.registry.node_sel[controller.node_index]
                     view.recorder.emit_rows(
                         TOKEN_GRANT,
                         view.node_id,

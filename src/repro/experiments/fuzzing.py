@@ -81,7 +81,7 @@ class FuzzScenario:
     #: dwell so the autoscaler actually fires within a fuzz run);
     #: membership faults in ``faults`` require this.  In differential
     #: mode it also scripts one identical join-plus-migration into both
-    #: planes mid-drive, fuzzing cross-substrate epoch-rebuild parity.
+    #: planes mid-drive, fuzzing cross-substrate epoch parity.
     elasticity: bool = False
     #: Arm the anticipatory forecasting tier (short season and a low
     #: headroom so proactive triggers actually fire within a fuzz run,
@@ -426,7 +426,7 @@ def _drive_plane(
     Elasticity-armed scenarios additionally script one membership
     mutation halfway through — join a node, live-migrate the first PE
     onto it — applied identically to both planes, so any divergence in
-    how the substrates rebuild Tier-2 state at an epoch boundary shows
+    how the substrates regroup Tier-2 state at an epoch boundary shows
     up as a decision mismatch.
     """
     decisions: _t.List[_t.Tuple[object, ...]] = []

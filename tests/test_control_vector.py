@@ -8,6 +8,7 @@ contract, the scalar-fallback conditions, and the array kernels
 themselves (water-fill, index registry).
 """
 
+import hashlib
 import json
 import os
 
@@ -371,6 +372,112 @@ def test_a_feedback_fault_spanning_an_epoch_keeps_scalar_parity():
     assert decisions["scalar"] == decisions["vector"]
 
 
+#: (events, sha256) of the membership drive's r_max / cpu_grant /
+#: token_bucket / epoch events, epoch events without ``control_impl``,
+#: taken at the commit before an epoch stopped rebuilding per-PE state.
+MEMBERSHIP_GOLDEN = {
+    "aces": (
+        3380,
+        "692d2f5f1a5074fb7d978f0e280e654cba771121b4acd5efb618948c6fd0145a",
+    ),
+    "lockstep": (
+        1130,
+        "61a533c506602b74c3ba1a971f258812ecd945f13daa57c8153bf651d856977d",
+    ),
+}
+
+
+def membership_drive(policy_factory, impl):
+    """Every kind of membership op in one run, checking after each epoch
+    that no per-PE Tier-2 object was rebuilt.
+
+    Node 0 is slowed, a node joins, two of node 0's PEs migrate onto it,
+    one moves back (leaving node 0's PEs out of index order), and the
+    join's revert evacuates and removes the guest node: five epochs.
+    """
+    kinds = {"r_max", "cpu_grant", "token_bucket", "epoch"}
+    recorder = MemoryRecorder()
+    system = SimulatedSystem(
+        parity_topology(),
+        policy_factory(),
+        config=SystemConfig(dt=0.01, warmup=0.1, seed=3, control_impl=impl),
+        recorder=recorder,
+    )
+    plane = system.plane
+    (
+        FaultPlan()
+        .node_slowdown(0, 0.5, start=0.15, duration=0.5)
+        .node_join(start=0.3, duration=0.6)
+        .attach(system)
+    )
+
+    def buckets_of(plane):
+        return {
+            pe_id: bucket
+            for scheduler in plane.schedulers
+            for pe_id, bucket in getattr(scheduler, "buckets", {}).items()
+        }
+
+    controllers = dict(plane.controllers)
+    buckets = buckets_of(plane)
+    engine = plane._engine
+    arrays = {
+        name: value
+        for name, value in vars(engine).items()
+        if isinstance(value, np.ndarray)
+    } if engine is not None else {}
+    # What the hook below checks: ACES scalar planes own token buckets,
+    # vector planes own the engine's arrays.
+    assert bool(buckets) == (
+        plane.control_impl == "scalar" and plane.uses_feedback
+    )
+    assert bool(arrays) == (plane.control_impl == "vector")
+
+    def unchanged(plane):
+        assert plane.controllers.keys() == controllers.keys()
+        assert all(plane.controllers[p] is c for p, c in controllers.items())
+        now = buckets_of(plane)
+        assert now.keys() == buckets.keys()
+        assert all(now[p] is b for p, b in buckets.items())
+        assert plane._engine is engine
+        assert all(vars(engine)[n] is a for n, a in arrays.items())
+
+    plane.add_rebuild_hook(unchanged)
+
+    def operator():
+        yield system.env.timeout(0.45)
+        moved = sorted(pe.pe_id for pe in plane.groups[0].pes)[:2]
+        system.migrate_pes([(pe_id, 3) for pe_id in moved])
+        yield system.env.timeout(0.3)
+        system.migrate_pes([(moved[0], 0)])
+
+    system.env.process(operator())
+    system.env.run(until=1.25)
+    assert plane.epoch == 5
+    return [
+        {key: value for key, value in event.items() if key != "control_impl"}
+        for event in recorder.events
+        if event["kind"] in kinds
+    ]
+
+
+@pytest.mark.parametrize("variant", sorted(MEMBERSHIP_GOLDEN))
+def test_every_membership_op_keeps_state_and_parity(variant):
+    """An epoch regroups Tier-2 state and copies none of it: the flow
+    controllers, token buckets and engine arrays a plane is built with
+    are the ones it ends with, and both implementations emit the
+    parent's exact decisions across join, migrate and leave."""
+    runs = {
+        impl: membership_drive(POLICY_VARIANTS[variant], impl)
+        for impl in ("scalar", "vector")
+    }
+    assert runs["scalar"] == runs["vector"]
+    payload = json.dumps(runs["scalar"], sort_keys=True).encode()
+    assert (
+        len(runs["scalar"]), hashlib.sha256(payload).hexdigest()
+    ) == MEMBERSHIP_GOLDEN[variant]
+
+
 def test_index_registry_is_node_major():
     class _PE:
         def __init__(self, pe_id):
@@ -380,12 +487,24 @@ def test_index_registry_is_node_major():
         def __init__(self, pes):
             self.pes = pes
 
-    groups = [_Group([_PE("a"), _PE("b")]), _Group([]), _Group([_PE("c")])]
+    a, b, c = _PE("a"), _PE("b"), _PE("c")
+    groups = [_Group([a, b]), _Group([]), _Group([c])]
     registry = PEIndexRegistry(groups)
+    registry.regroup(groups)
     assert registry.index == {"a": 0, "b": 1, "c": 2}
     assert len(registry) == 3
     # One contiguous slice per node, empty nodes included.
-    assert registry.node_slices == [slice(0, 2), slice(2, 2), slice(2, 3)]
+    assert registry.node_sel == [slice(0, 2), slice(2, 2), slice(2, 3)]
+    assert registry.select((0, 1, 2)) == slice(0, 3)
+
+    # A migration keeps every index; a node whose PEs are no longer
+    # consecutive selects them by index array, in record order.
+    groups = [_Group([b]), _Group([c, a]), _Group([])]
+    registry.regroup(groups)
+    assert registry.index == {"a": 0, "b": 1, "c": 2}
+    assert registry.node_sel[0] == slice(1, 2)
+    assert registry.node_sel[1].tolist() == [2, 0]
+    assert registry.select((0, 1)).tolist() == [1, 2, 0]
 
 
 # -- satellite: scalar-tick record dedupe --------------------------------

@@ -1,10 +1,18 @@
-"""No module under ``src/repro`` imports a name it never uses.
+"""Nothing under ``src/repro`` is imported, or kept, for nothing.
 
-The container has no ``ruff``/``pyflakes``; this is pyflakes' F401 as
-an ``ast`` walk.  A name is *used* when it is loaded anywhere in the
-module, appears inside a string annotation, or is listed in
-``__all__``; an import carrying ``# noqa: F401`` (or a bare ``# noqa``)
-on any of its lines is exempt, as are ``__future__`` and star imports.
+Two ``ast`` walks:
+
+* pyflakes' F401 (the container has no ``ruff``/``pyflakes``): no module
+  imports a name it never uses.  A name is *used* when it is loaded
+  anywhere in the module, appears inside a string annotation, or is
+  listed in ``__all__``; an import carrying ``# noqa: F401`` (or a bare
+  ``# noqa``) on any of its lines is exempt, as are ``__future__`` and
+  star imports.
+* no module is unused.  A module is *used* when something under
+  ``src/repro`` other than its own package ``__init__``, or under
+  ``benchmarks/`` or ``examples/``, imports it or a name its package
+  re-exports from it.  Tests do not count.  The exceptions, each with
+  its reason, are :data:`UNUSED_ALLOWED`.
 """
 
 import ast
@@ -12,8 +20,23 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 MODULES = sorted(SRC.rglob("*.py"))
+#: Files whose imports make a module used.
+IMPORTERS = MODULES + sorted(
+    path
+    for folder in ("benchmarks", "examples")
+    for path in (ROOT / folder).rglob("*.py")
+)
+
+#: Modules nothing uses yet, and why each stays.
+UNUSED_ALLOWED = {
+    "repro.systems.analysis": (
+        "the Section V-C stability oracle (ROADMAP 8e) is its planned "
+        "user; it goes if that oracle does not adopt it"
+    ),
+}
 
 
 def _names(tree):
@@ -90,3 +113,101 @@ def fn(x: "_t.List[b]") -> None:
     return d
 '''
     assert unused_imports(source) == [(3, "os"), (5, "json"), (11, "i")]
+
+
+# -- unused modules ----------------------------------------------------------
+
+
+def module_name(path):
+    """``repro.a.b`` for ``src/repro/a/b.py``; a package's ``__init__``
+    is the package itself."""
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+PATH_OF = {module_name(path): path for path in MODULES}
+PACKAGES = {name for name, path in PATH_OF.items() if path.stem == "__init__"}
+
+
+def _from_imports(tree):
+    """``(module, [(name, bound_as)])`` of every absolute import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, []
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module, [
+                (alias.name, alias.asname or alias.name)
+                for alias in node.names
+            ]
+
+
+def _reexports():
+    """package -> bound name -> (source module, source name)."""
+    table = {}
+    for package in PACKAGES:
+        tree = ast.parse(PATH_OF[package].read_text())
+        table[package] = {
+            bound: (module, name)
+            for module, names in _from_imports(tree)
+            for name, bound in names
+        }
+    return table
+
+
+REEXPORTS = _reexports()
+
+
+def _modules_behind(package, name):
+    """The modules a package's re-export of ``name`` comes through."""
+    source = REEXPORTS.get(package, {}).get(name)
+    if source is None or source[0] not in PATH_OF:
+        return set()
+    module, original = source
+    return {module} | _modules_behind(module, original)
+
+
+def modules_used_by(path):
+    """Every ``repro`` module the file at ``path`` imports."""
+    used = set()
+    for module, names in _from_imports(ast.parse(path.read_text())):
+        if module in PATH_OF:
+            used.add(module)
+        for name, _ in names:
+            submodule = f"{module}.{name}"
+            if submodule in PATH_OF:
+                used.add(submodule)
+            else:
+                used |= _modules_behind(module, name)
+    return used
+
+
+def unused_modules():
+    """Modules (packages and ``__main__`` aside) nothing counts as using."""
+    used = set()
+    for path in IMPORTERS:
+        importer = module_name(path) if path.is_relative_to(SRC) else None
+        for module in modules_used_by(path):
+            # A package's own __init__ re-exporting a module is not a use.
+            if importer != module.rpartition(".")[0]:
+                used.add(module)
+    return {
+        name
+        for name in PATH_OF
+        if name not in PACKAGES
+        and not name.endswith(".__main__")
+        and name not in used
+    }
+
+
+def test_no_unused_modules():
+    assert unused_modules() == set(UNUSED_ALLOWED)
+
+
+def test_the_module_walk_follows_reexports():
+    # `from repro.sim import Environment` reaches the engine module
+    # through the package's re-export.
+    assert "repro.sim.engine" in modules_used_by(
+        ROOT / "benchmarks" / "bench_components.py"
+    )
+    assert all(name in PATH_OF for name in UNUSED_ALLOWED)
