@@ -27,7 +27,7 @@ implementation of the same step (``control_impl="vector"``): a
 :class:`~repro.control.vector.PEIndexRegistry` maps PEs to dense
 indices and a :class:`~repro.control.vector.VectorEngine` computes whole
 nodes — or whole phase buckets — per tick as numpy kernels, bit-equal to
-the scalar controllers.
+the scalar step.  Both planes run the same ``NodeController`` class.
 """
 
 from repro.control.adapter import (
@@ -67,9 +67,7 @@ from repro.control.vector import (
     PEIndexRegistry,
     VectorEngine,
     VectorFlowView,
-    VectorNodeController,
-    VectorStrictScheduler,
-    VectorTokenScheduler,
+    VectorNodeView,
     fallback_reason,
 )
 
@@ -102,9 +100,7 @@ __all__ = [
     "SystemAdapter",
     "VectorEngine",
     "VectorFlowView",
-    "VectorNodeController",
-    "VectorStrictScheduler",
-    "VectorTokenScheduler",
+    "VectorNodeView",
     "fallback_reason",
     "make_forecaster",
     "plan_scale_in_placement",

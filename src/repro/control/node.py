@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.control.adapter import GateFn, PELike, SystemAdapter
+from repro.control.adapter import GateFn, PELike
+from repro.core.cpu_control import AcesCpuScheduler
 from repro.core.flow_control import update_rows
 from repro.obs.recorder import BUFFER_OCCUPANCY, R_MAX
 
@@ -20,7 +21,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Scheduler protocol: .allocate(dt, ...) -> [cpu fraction per resident
 #: PE], .settle([cpu-seconds used per resident PE]), both in the order of
-#: the scheduler's ``pes`` (the node's records).
+#: the scheduler's ``pes`` (the node's records).  On a vector plane the
+#: slot holds the engine's per-node view, which only settles.
 Scheduler = _t.Any
 #: Flow-controller protocol: FlowController (NodeController's Eq. 7
 #: pass reads its ``row``) or the vector engine's per-PE view (the same
@@ -77,10 +79,16 @@ class NodeController:
     Substrate-agnostic: reads occupancies through the adapter's
     ``snapshot``, publishes ``r_max`` on the plane's feedback bus (read
     through the plane every tick so fault-injection bus swaps take
-    effect), and applies grants through the adapter.  The simulator and
-    the threaded runtime pump the *same* controller object type — the
-    parity test in ``tests/test_control_parity.py`` holds them to
-    identical decision sequences.
+    effect), and applies grants through the adapter.  Every plane pumps
+    this one class — the simulator and the threaded runtime, scalar and
+    vector: on a vector plane :meth:`control` hands the step to the
+    plane's :class:`~repro.control.vector.VectorEngine` as a group of
+    one node.  The parity tests in ``tests/test_control_parity.py`` and
+    ``tests/test_control_vector.py`` hold them to identical decision
+    sequences.
+
+    The adapter, ``dt``, the feedback constants, the profiler and the
+    engine are the plane's, read once here.
     """
 
     def __init__(
@@ -90,32 +98,34 @@ class NodeController:
         scheduler: Scheduler,
         records: _t.Sequence[ControlRecord],
         plane: "ControlPlane",
-        adapter: SystemAdapter,
-        dt: float,
-        uses_feedback: bool,
-        aggregate_max: bool,
-        is_aces: bool,
-        profiler: _t.Optional[_t.Any] = None,
     ):
         self.node_index = node_index
         self.node_id = node_id
         self.scheduler = scheduler
         self.records = list(records)
         self.plane = plane
-        self.adapter = adapter
-        self.dt = dt
-        self.uses_feedback = uses_feedback
-        self.aggregate_max = aggregate_max
-        self.is_aces = is_aces
-        self.profiler = profiler
+        self.adapter = plane.adapter
+        self.dt = plane.dt
+        self.uses_feedback = uses_feedback = plane.uses_feedback
+        self.aggregate_max = plane.aggregate_max
+        self.profiler = plane.profiler
+        #: The plane's vector engine, or None on a scalar plane.
+        self.engine = engine = plane._engine
+        self.is_aces = (
+            engine.is_aces
+            if engine is not None
+            else isinstance(scheduler, AcesCpuScheduler)
+        )
         #: Gate decisions of the most recent non-feedback control step
         #: (the PEs refused by their gates); feedback policies leave it
         #: empty.  Exposed for diagnostics and the parity test.
         self.last_blocked: _t.FrozenSet[str] = frozenset()
         self.ticks = 0
-        #: What the step reads of the records, as parallel lists in
-        #: record order, resolved once: a tick passes lists between the
-        #: layers and looks nothing up by pe_id.
+        if engine is not None:
+            return
+        #: What the scalar step reads of the records, as parallel lists
+        #: in record order, resolved once: a tick passes lists between
+        #: the layers and looks nothing up by pe_id.
         self._pe_ids = [record.pe_id for record in self.records]
         self._downstream = [record.downstream_ids for record in self.records]
         self._flow_rows = (
@@ -133,6 +143,11 @@ class NodeController:
         record order) without touching the substrate; :meth:`tick`
         applies them.
         """
+        engine = self.engine
+        if engine is not None:
+            return engine.control_group(
+                engine.group_for((self.node_index,)), now
+            )[0]
         dt = self.dt
         records = self.records
         scheduler = self.scheduler

@@ -30,10 +30,10 @@ from repro.control.node import ControlRecord, NodeController
 from repro.control.vector import (
     VectorEngine,
     VectorFlowView,
-    VectorNodeController,
+    VectorNodeView,
     fallback_reason,
 )
-from repro.core.cpu_control import AcesCpuScheduler, TokenBucket
+from repro.core.cpu_control import TokenBucket
 from repro.core.feedback import FeedbackBus
 from repro.core.flow_control import FlowController
 from repro.core.resilience import ResilientTier1, Tier1Unavailable
@@ -205,9 +205,9 @@ class ControlPlane:
         )
 
         # The policy's schedulers are always built normally; in vector
-        # mode they become parameter donors (bucket depths/levels,
-        # strict targets) for the engine's state arrays and are then
-        # replaced by the engine's per-node views.
+        # mode they become parameter donors (bucket depths/levels) for
+        # the engine's state arrays and are then replaced by the
+        # engine's per-node views.
         donors: _t.List[_t.Any] = [
             policy.make_scheduler(
                 group.pes, targets.cpu, group.cpu_capacity, dt
@@ -307,8 +307,13 @@ class ControlPlane:
         ]
         engine = self._engine
         if engine is not None:
-            engine.regroup(capacities)
-            schedulers = engine.scheduler_views
+            engine.regroup()
+            schedulers = [
+                VectorNodeView(engine, index, group.pes, capacity)
+                for index, (group, capacity) in enumerate(
+                    zip(self.groups, capacities)
+                )
+            ]
         elif schedulers is None:
             schedulers = []
             for group, capacity in zip(self.groups, capacities):
@@ -334,36 +339,22 @@ class ControlPlane:
                 if attach is not None:
                     attach(self.recorder, group.node_id)
 
-        targets = self.targets
-        controller_cls: _t.Any = (
-            VectorNodeController if engine is not None else NodeController
-        )
+        cpu = self.targets.cpu
         self.node_controllers = [
-            controller_cls(
-                node_index=index,
-                node_id=group.node_id,
-                scheduler=scheduler,
-                records=[
+            NodeController(
+                index,
+                group.node_id,
+                scheduler,
+                [
                     ControlRecord(
                         pe,
                         self.gates[pe.pe_id],
                         self.controllers.get(pe.pe_id),
-                        targets.cpu.get(pe.pe_id, 0.0),
+                        cpu.get(pe.pe_id, 0.0),
                     )
                     for pe in group.pes
                 ],
-                plane=self,
-                adapter=self.adapter,
-                dt=self.dt,
-                uses_feedback=self.uses_feedback,
-                aggregate_max=self.aggregate_max,
-                is_aces=(
-                    engine.is_aces
-                    if engine is not None
-                    else isinstance(scheduler, AcesCpuScheduler)
-                ),
-                profiler=self.profiler,
-                **({"engine": engine} if engine is not None else {}),
+                self,
             )
             for index, (group, scheduler) in enumerate(
                 zip(self.groups, schedulers)
@@ -658,11 +649,15 @@ class ControlPlane:
         }
 
     def adopt_targets(self, targets: AllocationTargets) -> None:
-        """Install refreshed Tier-1 targets into schedulers and records."""
+        """Install refreshed Tier-1 targets into the schedulers (or the
+        engine's one target array) and the tick records."""
         self.targets = targets
         self.targets_node_of = self._node_of_snapshot()
-        for scheduler in self.schedulers:
-            scheduler.update_targets(targets.cpu)
+        if self._engine is not None:
+            self._engine.adopt_targets(targets.cpu)
+        else:
+            for scheduler in self.schedulers:
+                scheduler.update_targets(targets.cpu)
         for controller in self.node_controllers:
             controller.refresh_cpu_targets(targets.cpu)
 
@@ -746,12 +741,18 @@ class ControlPlane:
         ``pe_order`` fixes the r_max registration (hence trace-emission)
         order; by default controllers register in node-placement order.
         """
+        engine = self._engine
         for scheduler in self.schedulers:
-            # Token-capable schedulers (AcesCpuScheduler or the vector
-            # engine's token view) expose token_level; strict ones don't.
-            # The gauge closes over the plane, not the scheduler object:
-            # an epoch replaces schedulers, never the per-PE tokens.
-            if getattr(scheduler, "token_level", None) is not None:
+            # Token-capable schedulers (AcesCpuScheduler, or any node of
+            # a token-bucket engine) have token levels; strict ones
+            # don't.  The gauge closes over the plane, not the scheduler
+            # object: an epoch replaces schedulers, never the per-PE
+            # tokens.
+            if (
+                engine.is_aces
+                if engine is not None
+                else hasattr(scheduler, "token_level")
+            ):
                 for pe in scheduler.pes:
                     gauges.register(
                         "token_level",

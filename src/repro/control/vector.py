@@ -11,17 +11,19 @@ step as contiguous-array operations:
   at wiring time (node-major placement order); an epoch only regroups
   which indices each node selects.
 * :class:`VectorEngine` owns the flat per-PE state arrays — token
-  levels/rates/depths, Eq. 7 deviation and surplus histories, Tier-1
-  CPU targets, buffer capacities, rate-model coefficients — and computes
+  levels/depths, Eq. 7 deviation and surplus histories, Tier-1 CPU
+  targets (which are also the token fill rates and the strict
+  weights), buffer capacities, rate-model coefficients — and computes
   an entire tick for a group of nodes (one node, or a whole phase
   bucket) with numpy kernels.  Eq. 8 feedback goes through the plane's
   one :class:`~repro.core.feedback.FeedbackBus`: one batch read and one
   batch publish per tick group.
-* :class:`VectorNodeController` / :class:`VectorTokenScheduler` /
-  :class:`VectorStrictScheduler` / :class:`VectorFlowView` are thin
-  facades over the engine exposing the exact object surfaces the rest
-  of the system (plane, adapters, oracles, gauges, fault injection)
-  already consumes.
+* The plane's one :class:`~repro.control.node.NodeController` class
+  runs a vector plane's nodes too, handing its step to the engine.
+  Two views stand where scalar objects would: :class:`VectorNodeView`
+  in a node's scheduler slot (capacity, PEs, tracing identity,
+  ``settle``) and :class:`VectorFlowView` in a PE's flow-controller
+  slot.
 
 Bit-exactness contract
 ----------------------
@@ -64,7 +66,7 @@ from repro.obs.recorder import (
 )
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.control.adapter import GateFn, SystemAdapter
+    from repro.control.adapter import SystemAdapter
     from repro.control.plane import ControlPlane, NodeGroup
     from repro.core.lqr import LQRGains
 
@@ -74,9 +76,7 @@ __all__ = [
     "PEIndexRegistry",
     "VectorEngine",
     "VectorFlowView",
-    "VectorNodeController",
-    "VectorStrictScheduler",
-    "VectorTokenScheduler",
+    "VectorNodeView",
     "fallback_reason",
     "vector_proportional_fill",
 ]
@@ -283,12 +283,14 @@ class VectorFlowView:
         )
 
 
-class VectorTokenScheduler:
-    """Per-node facade over the engine's token-bucket arrays.
+class VectorNodeView:
+    """One node's scheduler slot on a vector plane.
 
-    Carries the mutable ``capacity`` fault-injection knob and the
-    tracing identity; allocation itself happens inside
-    :meth:`VectorEngine.control_group`.
+    Holds what the plane, the oracles and fault injection read of a
+    node's scheduler: the mutable ``capacity`` knob, the resident
+    ``pes``, the tracing identity and :meth:`settle`.  Allocation itself
+    happens inside :meth:`VectorEngine.control_group`, and Tier-1
+    targets live once, in the engine (:meth:`VectorEngine.adopt_targets`).
     """
 
     recorder: TraceRecorder = NULL_RECORDER
@@ -306,95 +308,23 @@ class VectorTokenScheduler:
         self._node_index = node_index
         self.pes = list(pes)
         self.capacity = capacity
-        self.dt = engine.dt
-        self.work_conserving = engine.work_conserving
 
     def attach_tracing(self, recorder: TraceRecorder, node_id: str) -> None:
-        """Bind the trace bus and this scheduler's node identity."""
+        """Bind the trace bus and this node's identity."""
         self.recorder = recorder
         self.node_id = node_id
         self._recording = recorder.enabled
 
     def settle(self, cpu_seconds_used: _t.Sequence[float]) -> None:
         """Charge tokens for work actually performed (CPU-seconds per
-        resident PE, in placement order)."""
+        resident PE, in placement order); a no-op without tokens."""
         engine = self._engine
         engine.settle(
             engine.registry.node_sel[self._node_index], cpu_seconds_used
         )
 
-    def token_level(self, pe_id: str) -> float:
-        return float(self._engine.tok_level[self._engine.registry.index[pe_id]])
-
-    def update_targets(self, cpu_targets: _t.Mapping[str, float]) -> None:
-        """Adopt refreshed Tier-1 targets (fill rates + depths)."""
-        engine = self._engine
-        dt = engine.dt
-        intervals = engine.depth_intervals
-        for pe in self.pes:
-            i = engine.registry.index[pe.pe_id]
-            target = float(cpu_targets.get(pe.pe_id, 0.0))
-            engine.tok_rate[i] = target
-            depth = max(target * dt * intervals, 1e-9)
-            engine.tok_depth[i] = depth
-            if engine.tok_level[i] > depth:
-                engine.tok_level[i] = depth
-
     def __repr__(self) -> str:
-        return f"VectorTokenScheduler(node={self.node_id!r}, pes={len(self.pes)})"
-
-
-class VectorStrictScheduler:
-    """Per-node facade over the engine's strict-target array.
-
-    Deliberately has no ``token_level`` attribute — gauge registration
-    keys on its presence, like the scalar pair of scheduler classes.
-    """
-
-    recorder: TraceRecorder = NULL_RECORDER
-    node_id: str = ""
-    _recording: bool = False
-
-    def __init__(
-        self,
-        engine: "VectorEngine",
-        node_index: int,
-        pes: _t.Sequence[_t.Any],
-        capacity: float,
-    ):
-        self._engine = engine
-        self._node_index = node_index
-        self.pes = list(pes)
-        self.capacity = capacity
-
-    @property
-    def targets(self) -> _t.Dict[str, float]:
-        engine = self._engine
-        return {
-            pe.pe_id: float(engine.strict_target[engine.registry.index[pe.pe_id]])
-            for pe in self.pes
-        }
-
-    def attach_tracing(self, recorder: TraceRecorder, node_id: str) -> None:
-        """Bind the trace bus and this scheduler's node identity."""
-        self.recorder = recorder
-        self.node_id = node_id
-        self._recording = recorder.enabled
-
-    def settle(self, cpu_seconds_used: _t.Sequence[float]) -> None:
-        """No token accounting in the strict scheduler."""
-
-    def update_targets(self, cpu_targets: _t.Mapping[str, float]) -> None:
-        """Adopt refreshed Tier-1 targets."""
-        engine = self._engine
-        for pe in self.pes:
-            i = engine.registry.index[pe.pe_id]
-            engine.strict_target[i] = float(cpu_targets.get(pe.pe_id, 0.0))
-
-    def __repr__(self) -> str:
-        return (
-            f"VectorStrictScheduler(node={self.node_id!r}, pes={len(self.pes)})"
-        )
+        return f"VectorNodeView(node={self.node_id!r}, pes={len(self.pes)})"
 
 
 class _TickGroup:
@@ -406,9 +336,10 @@ class _TickGroup:
     """
 
     def __init__(self, engine: "VectorEngine", indices: _t.Tuple[int, ...]):
+        plane = engine.plane
         self.indices = indices
-        self.controllers = [engine.node_controllers[i] for i in indices]
-        self.views = [engine.scheduler_views[i] for i in indices]
+        self.controllers = [plane.node_controllers[i] for i in indices]
+        self.views = [plane.schedulers[i] for i in indices]
         self.records: _t.List[ControlRecord] = []
         for controller in self.controllers:
             self.records.extend(controller.records)
@@ -459,11 +390,13 @@ class VectorEngine:
     """Owns the flat control-state arrays and the fused tick kernels.
 
     One engine per :class:`~repro.control.plane.ControlPlane` in vector
-    mode, built once with the plane.  State is seeded from the policy's
-    *donor* schedulers (built normally, then shelved), so bucket
-    depths/levels and strict targets match the scalar path bit-for-bit.
-    The state arrays are never reallocated: an epoch only regroups the
-    per-node views over them (:meth:`regroup`).
+    mode, built once with the plane.  Token state is seeded from the
+    policy's *donor* schedulers (built normally, then shelved), so
+    bucket depths and levels match the scalar path bit-for-bit.  The
+    Tier-1 targets are one array, ``cpu_target``: the Eq. 7 rho floor,
+    the token fill rates and the strict water-fill weights alike.  The
+    state arrays are never reallocated: an epoch only regroups each
+    node's selection of them (:meth:`regroup`).
     """
 
     def __init__(
@@ -506,16 +439,14 @@ class VectorEngine:
         )
 
         # Each donor's ``pes`` is its group's, so donor-then-pes order is
-        # the registry's node-major index order.
+        # the registry's node-major index order.  A bucket's rate and a
+        # strict scheduler's target are the PE's cpu_target.
         donor = donors[0] if donors else None
         self.is_aces = type(donor) is AcesCpuScheduler
         if self.is_aces:
             self.work_conserving = bool(donor.work_conserving)
             self.depth_intervals = float(donor._depth_intervals)
             buckets = [d.buckets[pe.pe_id] for d in donors for pe in d.pes]
-            self.tok_rate = np.array(
-                [bucket.rate for bucket in buckets], dtype=np.float64
-            )
             self.tok_depth = np.array(
                 [bucket.depth for bucket in buckets], dtype=np.float64
             )
@@ -525,10 +456,6 @@ class VectorEngine:
         else:
             self.work_conserving = False
             self.depth_intervals = 0.0
-            self.strict_target = np.array(
-                [d.targets[pe.pe_id] for d in donors for pe in d.pes],
-                dtype=np.float64,
-            )
 
         self.gains = gains
         if self.uses_feedback:
@@ -557,42 +484,22 @@ class VectorEngine:
         self.flow_last = np.zeros(size, dtype=np.float64)
         self.flow_updates = np.zeros(size, dtype=np.int64)
 
-        # Per-node wiring, (re)built by regroup before the first tick.
-        self.scheduler_views: _t.List[_t.Any] = []
-        self.node_controllers: _t.List[
-            _t.Optional["VectorNodeController"]
-        ] = []
+        #: Tick groups over the plane's current node controllers and
+        #: scheduler views, emptied by :meth:`regroup`.
         self._groups: _t.Dict[_t.Tuple[int, ...], _TickGroup] = {}
 
     # -- wiring ------------------------------------------------------------
 
-    def regroup(self, capacities: _t.Sequence[float]) -> None:
-        """Re-point the per-node wiring at the plane's current groups.
+    def regroup(self) -> None:
+        """Follow the plane's current groups.
 
-        Called by the plane at construction and at every epoch boundary:
-        recomputes each node's selection, builds one scheduler view per
-        node with the given CPU capacity, and empties the controller
-        slots (the plane's new node controllers register into them) and
-        the tick-group cache.  No per-PE state is touched.
+        Called by the plane at construction and at every epoch boundary,
+        before it builds that epoch's node controllers and views:
+        recomputes each node's selection and empties the tick-group
+        cache.  No per-PE state is touched.
         """
-        groups = self.plane.groups
-        self.registry.regroup(groups)
-        view_cls = (
-            VectorTokenScheduler if self.is_aces else VectorStrictScheduler
-        )
-        self.scheduler_views = [
-            view_cls(self, index, group.pes, capacity)
-            for index, (group, capacity) in enumerate(
-                zip(groups, capacities)
-            )
-        ]
-        self.node_controllers = [None] * len(groups)
+        self.registry.regroup(self.plane.groups)
         self._groups = {}
-
-    def register_controller(
-        self, controller: "VectorNodeController"
-    ) -> None:
-        self.node_controllers[controller.node_index] = controller
 
     def group_for(self, indices: _t.Tuple[int, ...]) -> _TickGroup:
         group = self._groups.get(indices)
@@ -601,8 +508,19 @@ class VectorEngine:
             self._groups[indices] = group
         return group
 
-    def set_cpu_target(self, pe_id: str, value: float) -> None:
-        self.cpu_target[self.registry.index[pe_id]] = value
+    def adopt_targets(self, cpu: _t.Mapping[str, float]) -> None:
+        """Install refreshed Tier-1 targets: the fill rates, and with
+        them the bucket depths, clamping levels to the new depth with
+        :meth:`AcesCpuScheduler.update_targets`'s comparisons so banked
+        CPU survives a refresh bit-for-bit."""
+        target = self.cpu_target
+        target[:] = [cpu.get(pe_id, 0.0) for pe_id in self.registry.index]
+        if self.is_aces:
+            depth = target * self.dt * self.depth_intervals
+            depth = np.where(1e-9 > depth, 1e-9, depth)
+            self.tok_depth[:] = depth
+            level = self.tok_level
+            level[:] = np.where(depth < level, depth, level)
 
     # -- the fused tick ----------------------------------------------------
 
@@ -698,7 +616,7 @@ class VectorEngine:
         self, group: _TickGroup, caps: _t.Any, dt: float, st: _t.Any
     ) -> _t.Any:
         sel = group.sel
-        level = self.tok_level[sel] + self.tok_rate[sel] * dt
+        level = self.tok_level[sel] + self.cpu_target[sel] * dt
         depth = self.tok_depth[sel]
         level = np.where(level > depth, depth, level)
         self.tok_level[sel] = level
@@ -745,7 +663,7 @@ class VectorEngine:
         sel = group.sel
         backlog, _ = self._backlog_occ(group)
         demands = np.where(backlog > 0.0, backlog, 0.0)
-        weights = self.strict_target[sel]
+        weights = self.cpu_target[sel]
         cap_node = np.array(
             [view.capacity for view in group.views], dtype=np.float64
         )
@@ -775,7 +693,7 @@ class VectorEngine:
         backlog, _ = self._backlog_occ(group)
         runnable = ~blocked_flags & (backlog > 0.0)
         demands = np.where(runnable, backlog, 0.0)
-        weights = self.strict_target[sel]
+        weights = self.cpu_target[sel]
         cap_node = np.array(
             [view.capacity for view in group.views], dtype=np.float64
         )
@@ -912,7 +830,7 @@ class VectorEngine:
                         list(zip(
                             ids,
                             self.tok_level[gi].tolist(),
-                            self.tok_rate[gi].tolist(),
+                            self.cpu_target[gi].tolist(),
                             self.tok_depth[gi].tolist(),
                             cpus,
                             dts,
@@ -927,93 +845,3 @@ class VectorEngine:
                         CPU_GRANT, view.node_id, list(zip(ids, cpus, dts))
                     )
             base += len(records)
-
-
-class VectorNodeController:
-    """Drop-in for :class:`~repro.control.node.NodeController`.
-
-    Same construction surface, same ``control``/``tick``/``set_gate``/
-    ``refresh_cpu_targets`` behaviour — but the decision step delegates
-    to the shared :class:`VectorEngine`.  A solo tick runs the engine
-    on a single-node group; :meth:`ControlPlane.tick_nodes` fuses many
-    nodes into one engine call.
-    """
-
-    def __init__(
-        self,
-        node_index: int,
-        node_id: str,
-        scheduler: _t.Any,
-        records: _t.Sequence[ControlRecord],
-        plane: "ControlPlane",
-        adapter: "SystemAdapter",
-        dt: float,
-        uses_feedback: bool,
-        aggregate_max: bool,
-        is_aces: bool,
-        profiler: _t.Optional[_t.Any] = None,
-        engine: _t.Optional[VectorEngine] = None,
-    ):
-        assert engine is not None
-        self.node_index = node_index
-        self.node_id = node_id
-        self.scheduler = scheduler
-        self.records = list(records)
-        self.plane = plane
-        self.adapter = adapter
-        self.dt = dt
-        self.uses_feedback = uses_feedback
-        self.aggregate_max = aggregate_max
-        self.is_aces = is_aces
-        self.profiler = profiler
-        self.engine = engine
-        self.last_blocked: _t.FrozenSet[str] = frozenset()
-        self.ticks = 0
-        engine.register_controller(self)
-        self._solo = (node_index,)
-
-    def control(self, now: float) -> _t.List[float]:
-        """One node's decision step (engine group of one)."""
-        engine = self.engine
-        return engine.control_group(engine.group_for(self._solo), now)[0]
-
-    def tick(self, now: float) -> None:
-        """One full control interval: decide, then act on the substrate."""
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("controller_tick")
-        try:
-            fractions = self.control(now)
-        finally:
-            if profiler is not None:
-                profiler.pop()
-        self.ticks += 1
-        self.scheduler.settle(
-            self.adapter.apply_grants(
-                self.node_index, self.records, fractions, now, self.dt
-            )
-        )
-
-    def set_gate(self, pe_id: str, gate: _t.Optional["GateFn"]) -> bool:
-        """Replace one resident PE's gate; True when the PE lives here."""
-        for record in self.records:
-            if record.pe_id == pe_id:
-                record.gate = gate
-                return True
-        return False
-
-    def refresh_cpu_targets(
-        self, cpu_targets: _t.Mapping[str, float]
-    ) -> None:
-        """Propagate refreshed Tier-1 targets into records + arrays."""
-        engine = self.engine
-        for record in self.records:
-            target = cpu_targets.get(record.pe_id, 0.0)
-            record.cpu_target = target
-            engine.set_cpu_target(record.pe_id, target)
-
-    def __repr__(self) -> str:
-        return (
-            f"VectorNodeController({self.node_id}, pes={len(self.records)}, "
-            f"ticks={self.ticks})"
-        )

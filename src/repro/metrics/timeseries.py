@@ -20,12 +20,12 @@ if _t.TYPE_CHECKING:  # pragma: no cover — import cycle guard
 
 
 class TimeSeries:
-    """An append-only ``(time, value)`` series with window reductions.
+    """An append-only ``(time, value)`` series.
 
     The storage behind every sampled gauge: appends are O(1), times are
     required to be non-decreasing (virtual time only moves forward), and
-    the common reductions — summary statistics and fixed-window averages —
-    are provided so consumers do not reimplement them.
+    the summary statistics are provided so consumers do not reimplement
+    them.
     """
 
     def __init__(self, name: str = ""):
@@ -50,18 +50,6 @@ class TimeSeries:
 
     def summary(self) -> SummaryStats:
         return summarize(self.values)
-
-    def window(self, start: float, end: float) -> "TimeSeries":
-        """The sub-series with ``start <= t < end``."""
-        clipped = TimeSeries(name=self.name)
-        for t, value in zip(self.times, self.values):
-            if start <= t < end:
-                clipped.append(t, value)
-        return clipped
-
-    def window_mean(self, start: float, end: float) -> float:
-        """Mean of the samples falling in ``[start, end)`` (0 when none)."""
-        return self.window(start, end).summary().mean
 
     def last(self) -> _t.Optional[_t.Tuple[float, float]]:
         if not self.times:

@@ -143,14 +143,6 @@ class PEProfile:
         return (1.0 - self.rho) * self.t0 + self.rho * self.t1
 
     @property
-    def max_rate(self) -> float:
-        """Max sustainable input rate (SDO/s) at full CPU allocation.
-
-        This is ``h(1) = a - b`` in the paper's notation.
-        """
-        return self.rate_at(1.0)
-
-    @property
     def rate_slope(self) -> float:
         """The ``a`` constant of ``h(c) = a*c - b`` (SDO/s per CPU unit).
 

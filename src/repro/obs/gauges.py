@@ -135,13 +135,6 @@ class GaugeRegistry:
                 f"registered: {sorted(self._series)}"
             ) from None
 
-    def all_series(
-        self,
-    ) -> _t.Dict[
-        _t.Tuple[str, _t.Optional[str], _t.Optional[str]], TimeSeries
-    ]:
-        return dict(self._series)
-
     def to_rows(self) -> _t.Iterator[_t.Dict[str, object]]:
         """Flatten every sample into export-ready rows."""
         for (name, pe, node), series in sorted(

@@ -57,14 +57,6 @@ import typing as _t
 from dataclasses import dataclass, field
 
 from repro.core.resilience import LossyFeedbackBus
-from repro.model.workload import (
-    ConstantRateSource,
-    CorrelatedBurstSource,
-    DiurnalSource,
-    DriftSource,
-    FlashCrowdSource,
-    PoissonSource,
-)
 from repro.systems.simulated import SimulatedSystem
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -446,32 +438,14 @@ class FaultInjector:
         source = next(
             s for s in self.system.sources if s.stream_id == stream_id
         )
-        if isinstance(
-            source,
-            (
-                ConstantRateSource,
-                PoissonSource,
-                FlashCrowdSource,
-                DiurnalSource,
-                DriftSource,
-                CorrelatedBurstSource,
-            ),
-        ):
-            original = source.rate
-            source.rate = original * fault.magnitude
-
-            def revert() -> None:
-                source.rate = original
-
-            return revert
-
-        # On/off and square-wave sources (including the drifting square
-        # wave): surge the peak rate.
-        original_peak = source.peak_rate
-        source.peak_rate = original_peak * fault.magnitude
+        # Bursty sources (on/off, square waves) generate at a peak rate,
+        # every other kind at a base rate: surge whichever it reads.
+        attr = "peak_rate" if hasattr(source, "peak_rate") else "rate"
+        original = getattr(source, attr)
+        setattr(source, attr, original * fault.magnitude)
 
         def revert() -> None:
-            source.peak_rate = original_peak
+            setattr(source, attr, original)
 
         return revert
 

@@ -7,9 +7,12 @@ sequences, CPU-grant sequences, and gate decisions.  The substrates
 differ only in how grants are *acted on*, never in what is decided.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.control.node import NodeController
 from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import AcesPolicy, LockStepPolicy, UdpPolicy
 from repro.graph.topology import TopologySpec, generate_topology
@@ -33,7 +36,7 @@ def parity_topology(seed=3):
     return generate_topology(spec, np.random.default_rng(seed))
 
 
-def build_pair(policy_factory, topology):
+def build_pair(policy_factory, topology, control_impl="scalar"):
     """The same policy/topology/targets on both substrates.
 
     Neither system is *run*: the tests drive the node controllers by
@@ -47,14 +50,17 @@ def build_pair(policy_factory, topology):
         policy_factory(),
         targets=targets,
         config=SystemConfig(
-            buffer_size=BUFFER, dt=DT, feedback_delay=0.0, seed=5
+            buffer_size=BUFFER, dt=DT, feedback_delay=0.0, seed=5,
+            control_impl=control_impl,
         ),
     )
     runtime = SPCRuntime(
         topology,
         policy_factory(),
         targets=targets,
-        config=RuntimeConfig(buffer_size=BUFFER, dt=DT, seed=5),
+        config=RuntimeConfig(
+            buffer_size=BUFFER, dt=DT, seed=5, control_impl=control_impl
+        ),
     )
     return system, runtime
 
@@ -164,14 +170,23 @@ def test_gate_decisions_identical():
 
 
 def test_node_controllers_are_shared_type():
-    """Both substrates pump instances of the same controller class."""
+    """Every plane — simulator and threaded runtime, scalar and vector,
+    token-bucket and strict — pumps exactly NodeController."""
     topology = parity_topology()
-    system, runtime = build_pair(AcesPolicy, topology)
-    sim_types = {type(c) for c in system.plane.node_controllers}
-    run_types = {type(c) for c in runtime.plane.node_controllers}
-    assert sim_types == run_types == {
-        type(system.plane.node_controllers[0])
-    }
+    for control_impl in ("scalar", "vector"):
+        for policy_factory in (AcesPolicy, LockStepPolicy):
+            system, runtime = build_pair(
+                policy_factory, topology, control_impl
+            )
+            for plane in (system.plane, runtime.plane):
+                if control_impl == "vector" and not os.environ.get(
+                    "REPRO_FORCE_SCALAR"
+                ):
+                    assert plane.control_impl == "vector", (
+                        plane.vector_fallback_reason
+                    )
+                types = {type(c) for c in plane.node_controllers}
+                assert types == {NodeController}, (control_impl, types)
 
 
 # -- proactive (forecast-tier) decision parity --------------------------------

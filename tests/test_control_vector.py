@@ -618,5 +618,26 @@ def test_empty_node_group_runs():
 
 
 def test_reoptimize_parity():
-    reports = run_pair(POLICY_VARIANTS["aces"], reoptimize_interval=0.3)
-    assert report_key(reports["scalar"]) == report_key(reports["vector"])
+    """Tier-1 refreshes reach every kernel alike: the token fill rates,
+    the strict weights and the gated weights all read the engine's one
+    cpu_target array, and the traces stay byte-equal to the scalar's."""
+    for variant in ("aces", "aces-strict", "lockstep"):
+        recorders = {"scalar": MemoryRecorder(), "vector": MemoryRecorder()}
+        reports = run_pair(
+            POLICY_VARIANTS[variant],
+            recorders=recorders,
+            reoptimize_interval=0.3,
+        )
+        assert report_key(reports["scalar"]) == report_key(
+            reports["vector"]
+        ), variant
+        events = {
+            impl: [json.dumps(e, sort_keys=True) for e in recorder.events]
+            for impl, recorder in recorders.items()
+        }
+        assert events["scalar"] == events["vector"], variant
+        resolves = [
+            e for e in recorders["vector"].events
+            if e["kind"] == "tier1_resolve" and e["reason"] == "reoptimize"
+        ]
+        assert len(resolves) >= 2, variant

@@ -1,5 +1,7 @@
 """Tests for the load-shedding baseline and fault injection."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.graph.topology import TopologySpec, generate_topology
 from repro.model.params import PEProfile
 from repro.model.pe import PERuntime
 from repro.model.sdo import SDO
+from repro.systems.build import SOURCE_KINDS
 from repro.systems.faults import Fault, FaultPlan
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
@@ -203,6 +206,39 @@ class TestFaultEffects:
             s for s in baseline.sources if s.stream_id == f"src:{ingress}"
         )
         assert surged.stats.generated > 2 * normal.stats.generated
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_source_surge_scales_the_rate_its_generator_reads(self, kind):
+        system = SimulatedSystem(
+            small_topology(seed=3),
+            UdpPolicy(),
+            config=SystemConfig(seed=1, warmup=0.0, source_kind=kind),
+        )
+        ingress = sorted(system.topology.source_rates)[0]
+        source = next(
+            s for s in system.sources if s.stream_id == f"src:{ingress}"
+        )
+        # The arrival code is every method the source's class defines
+        # besides the constructor; it must read exactly one of the two.
+        generator = "".join(
+            inspect.getsource(member)
+            for name, member in vars(type(source)).items()
+            if inspect.isfunction(member) and name != "__init__"
+        )
+        read = [
+            attr for attr in ("rate", "peak_rate")
+            if f"self.{attr}" in generator
+        ]
+        assert len(read) == 1, (kind, read)
+        attr = read[0]
+        original = getattr(source, attr)
+        FaultPlan().source_surge(
+            ingress, factor=3.0, start=0.5, duration=0.5
+        ).attach(system)
+        system.env.run(until=0.75)
+        assert getattr(source, attr) == original * 3.0
+        system.env.run(until=1.25)
+        assert getattr(source, attr) == original
 
     def test_system_survives_combined_faults(self):
         system = self.make_system()

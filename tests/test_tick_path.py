@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.control.vector import VectorEngine, VectorTokenScheduler
+from repro.control.vector import VectorEngine, VectorNodeView
 from repro.core.cpu_control import AcesCpuScheduler
 from repro.core.feedback import FeedbackBus
 from repro.core.flow_control import FlowController
@@ -78,7 +78,7 @@ def test_a_tick_is_one_call_per_layer(calibration, control_impl, monkeypatch):
 
     per_pe = [count(owner, name) for owner, name in PER_PE_API]
     settled = []
-    for scheduler in (AcesCpuScheduler, VectorTokenScheduler):
+    for scheduler in (AcesCpuScheduler, VectorNodeView):
         original = scheduler.settle
 
         def settle(self, used, _original=original):
