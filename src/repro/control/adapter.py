@@ -156,8 +156,9 @@ class MembershipOps(_t.Protocol):
     substrates share.  The node count is ``len(plane.groups)``.
     """
 
-    def add_node(self, cpu_capacity: float = 1.0) -> _t.Any:
-        """Join a fresh empty node and start its control loop."""
+    def add_node(self, cpu_capacity: float = 1.0) -> str:
+        """Join a fresh empty node and start its control loop; returns
+        its node_id."""
         ...
 
     def remove_node(self, node_index: int) -> str:

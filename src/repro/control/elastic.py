@@ -506,15 +506,9 @@ class ElasticDriver:
         self._node_ordinal += 1
         return node_id
 
-    def join(
-        self,
-        node_id: str,
-        cpu_capacity: float,
-        now: float,
-        pes: _t.Optional[_t.List["PELike"]] = None,
-    ) -> int:
+    def join(self, node_id: str, cpu_capacity: float, now: float) -> int:
         """Join an empty node to the plane; returns its node index."""
-        index = self.plane.add_node(node_id, cpu_capacity, now=now, pes=pes)
+        index = self.plane.add_node(node_id, cpu_capacity, now=now)
         self.timeline.append((now, len(self.plane.groups)))
         return index
 

@@ -162,6 +162,8 @@ class ControlPlane:
             )
         self.policy = policy
         self.adapter = adapter
+        #: The system's one node list.  Membership mutates it in place
+        #: and never rebinds it, so substrates may hold it as their view.
         self.groups = list(groups)
         self.targets = targets
         self.dt = dt
@@ -401,18 +403,12 @@ class ControlPlane:
         node_id: str,
         cpu_capacity: float = 1.0,
         now: float = 0.0,
-        pes: _t.Optional[_t.List[PELike]] = None,
     ) -> int:
         """Join an empty node to the plane; returns its node index.
 
         At this epoch boundary the per-node wiring (schedulers, node
         controllers) is rebuilt over the unchanged per-PE state.  PEs
         arrive later via :meth:`migrate_pes`.
-
-        ``pes`` lets the substrate hand in its *own* (empty) resident
-        list so node and group share one list object, the same aliasing
-        the constructor path establishes — group surgery then moves PEs
-        physically too.
         """
         if cpu_capacity <= 0:
             raise ValueError(
@@ -420,14 +416,7 @@ class ControlPlane:
             )
         if node_id in self._index_of:
             raise ValueError(f"node {node_id!r} already in the plane")
-        if pes:
-            raise ValueError(
-                f"node {node_id!r} must join empty; migrate PEs in "
-                "after the join"
-            )
-        self.groups.append(
-            NodeGroup(node_id, pes if pes is not None else [], cpu_capacity)
-        )
+        self.groups.append(NodeGroup(node_id, [], cpu_capacity))
         self._apply_membership(f"join:{node_id}")
         if self.recorder.enabled:
             self.recorder.emit(

@@ -21,6 +21,7 @@ from repro.control.elastic import ElasticDriver
 from repro.control.forecast import CounterFn, ForecastController
 from repro.control.plane import ControlPlane, NodeGroup
 from repro.core.resilience import ResilientTier1
+from repro.graph.placement import residents_by_node
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.policies import Policy
@@ -70,14 +71,17 @@ class ControlStack:
 
     Beyond the policy, topology and config, the parameters are what
     only the substrate can supply: its ``adapter``, its membership
-    ``ops``, the node ``groups`` (whose PE lists it may alias to its own
-    resident lists), the ``pes`` by id in wiring order, the egress
+    ``ops``, the ``pes`` by id in wiring (topological) order, the egress
     ``collector``, a model-time ``clock``, and — where they exist — the
     ``lock`` guarding the collector, a ``profiler`` and a
-    ``feedback_delay``.  Admission and forecasting are built before the
-    plane, which owns their ticks; the driver needs the plane; the
-    forecast hooks need the driver.  Once its sources exist the
-    substrate calls :meth:`bind_sources`, then pumps :meth:`periodic`.
+    ``feedback_delay``.  The node groups are built here, once for every
+    substrate: one per topology node (PE-less ones included, so group
+    indices are node indices), ids ``node-<i>``, residents in wiring
+    order so intra-node execution flows producer -> consumer within one
+    tick.  Admission and forecasting are built before the plane, which
+    owns their ticks; the driver needs the plane; the forecast hooks
+    need the driver.  Once its sources exist the substrate calls
+    :meth:`bind_sources`, then pumps :meth:`periodic`.
     """
 
     def __init__(
@@ -87,7 +91,6 @@ class ControlStack:
         config: ControlConfig,
         adapter: SystemAdapter,
         ops: MembershipOps,
-        groups: _t.Sequence[NodeGroup],
         pes: _t.Mapping[str, PELike],
         collector: "EgressCollector",
         clock: _t.Callable[[], float],
@@ -138,7 +141,14 @@ class ControlStack:
         self.plane = ControlPlane(
             policy,
             adapter,
-            groups=groups,
+            groups=[
+                NodeGroup(f"node-{index}", [pes[pe_id] for pe_id in pe_ids])
+                for index, pe_ids in enumerate(
+                    residents_by_node(
+                        pes, topology.placement, topology.num_nodes
+                    )
+                )
+            ],
             targets=targets,
             dt=config.dt,
             b0=config.b0_fraction * config.buffer_size,

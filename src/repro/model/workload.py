@@ -11,13 +11,13 @@ the paper's evaluation needs:
 * :class:`SquareWaveSource` — deterministic adversarial on/off square
   wave: CBR at ``peak_rate`` for the ON share of every ``period``,
   silence otherwise (the worst case for a reactive controller, since
-  every burst edge is a step).
+  every burst edge is a step), optionally under a linear peak drift.
 * :class:`FlashCrowdSource` — Poisson background traffic multiplied by
   ``surge_factor`` inside one ``[surge_start, surge_start +
   surge_duration)`` window: the canonical flash-crowd overload.
 
-The forecasting scenario library (PR 10) adds four more shapes, each a
-deterministic seeded generator:
+The forecasting scenario library adds three more shapes, each a
+deterministic seeded generator, and the drifting square wave:
 
 * :class:`DiurnalSource` — Poisson with a sinusoidally modulated rate
   (the daily load cycle, compressed to simulation scale): the
@@ -31,7 +31,7 @@ deterministic seeded generator:
   same parameters bursts in the same windows, modeling correlated
   multi-source load (one upstream event driving all ingress streams at
   once).
-* :class:`DriftSquareWaveSource` — the adversarial square wave composed
+* ``SquareWaveSource(drift=...)`` — the adversarial square wave composed
   with a linear peak-rate drift: step edges (worst case for reactive
   control) on top of a trend (worst case for a memoryless forecaster).
 
@@ -228,13 +228,19 @@ class OnOffSource(_SourceBase):
 class SquareWaveSource(_SourceBase):
     """Deterministic adversarial on/off square wave.
 
-    Every ``period`` seconds the source emits CBR traffic at
-    ``peak_rate`` for ``duty * period`` seconds, then goes silent for
-    the remainder.  Unlike :class:`OnOffSource` there is no randomness
-    at all: the burst edges are steps at exactly predictable instants,
+    Every ``period`` seconds the source emits CBR traffic at the current
+    peak rate for ``duty * period`` seconds, then goes silent for the
+    remainder.  Unlike :class:`OnOffSource` there is no randomness at
+    all: the burst edges are steps at exactly predictable instants,
     which is the hardest shape for a reactive controller (no gradual
-    ramp to react to) and the easiest to assert on in tests.  The
-    long-run average rate is ``peak_rate * duty``.
+    ramp to react to) and the easiest to assert on in tests.
+
+    The peak rate drifts as ``peak_rate * (1 + drift * t)`` (floored at
+    5% of ``peak_rate``), read once per burst, so a change to
+    ``peak_rate`` takes effect at the next burst.  With the default
+    ``drift=0`` the long-run average rate is ``peak_rate * duty``; a
+    nonzero drift puts a trend under the step edges, which defeats a
+    memoryless forecaster as the edges defeat reactive control.
     """
 
     def __init__(
@@ -245,6 +251,7 @@ class SquareWaveSource(_SourceBase):
         peak_rate: float,
         period: float,
         duty: float,
+        drift: float = 0.0,
         sdo_size: float = 1.0,
     ):
         if peak_rate <= 0:
@@ -256,18 +263,26 @@ class SquareWaveSource(_SourceBase):
         self.peak_rate = peak_rate
         self.period = period
         self.duty = duty
+        self.drift = drift
         super().__init__(env, stream_id, sink, sdo_size)
 
     @property
     def mean_rate(self) -> float:
-        """Long-run average arrival rate."""
+        """Long-run average arrival rate (without drift)."""
         return self.peak_rate * self.duty
 
+    def current_peak(self, now: float) -> float:
+        """Drifted peak rate at ``now``."""
+        return max(
+            0.05 * self.peak_rate,
+            self.peak_rate * (1.0 + self.drift * now),
+        )
+
     def _run(self) -> _t.Generator:
-        gap = 1.0 / self.peak_rate
         on_duration = self.duty * self.period
         off_duration = self.period - on_duration
         while True:
+            gap = 1.0 / self.current_peak(self.env.now)
             burst_end = self.env.now + on_duration
             while self.env.now + gap <= burst_end:
                 yield self.env.timeout(gap)
@@ -463,61 +478,3 @@ class CorrelatedBurstSource(_SourceBase):
     def _interarrival(self) -> float:
         return exponential(self._rng, 1.0 / self.current_rate(self.env.now))
 
-
-class DriftSquareWaveSource(_SourceBase):
-    """The adversarial square wave composed with a linear peak drift.
-
-    Deterministic like :class:`SquareWaveSource` — CBR bursts at the
-    *current* peak rate for ``duty * period`` of every ``period`` —
-    but the peak rate itself drifts as ``peak_rate * (1 + drift * t)``
-    (floored at 5% of the base peak), sampled once per burst.  Step
-    edges defeat purely reactive control; the drift defeats a purely
-    memoryless forecaster; together they are the library's worst case.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        stream_id: str,
-        sink: Sink,
-        peak_rate: float,
-        period: float,
-        duty: float,
-        drift: float,
-        sdo_size: float = 1.0,
-    ):
-        if peak_rate <= 0:
-            raise ValueError(f"peak_rate must be positive, got {peak_rate}")
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        if not 0.0 < duty <= 1.0:
-            raise ValueError(f"duty must lie in (0, 1], got {duty}")
-        self.peak_rate = peak_rate
-        self.period = period
-        self.duty = duty
-        self.drift = drift
-        super().__init__(env, stream_id, sink, sdo_size)
-
-    def current_peak(self, now: float) -> float:
-        """Drifted peak rate at ``now``."""
-        return max(
-            0.05 * self.peak_rate,
-            self.peak_rate * (1.0 + self.drift * now),
-        )
-
-    def _run(self) -> _t.Generator:
-        on_duration = self.duty * self.period
-        off_duration = self.period - on_duration
-        while True:
-            gap = 1.0 / self.current_peak(self.env.now)
-            burst_end = self.env.now + on_duration
-            while self.env.now + gap <= burst_end:
-                yield self.env.timeout(gap)
-                self._emit_one()
-            remainder = burst_end - self.env.now
-            if remainder > 0:
-                yield self.env.timeout(remainder)
-            if off_duration > 0:
-                yield self.env.timeout(off_duration)
-            else:
-                yield self.env.timeout(0.0)

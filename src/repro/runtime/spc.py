@@ -21,13 +21,11 @@ import time
 import typing as _t
 from dataclasses import dataclass, field
 
-from repro.control import NodeGroup
 from repro.control.config import ControlConfig
 from repro.control.elastic import MigrationRecord, PlacementVersion
 from repro.control.wiring import ControlStack
-from repro.core.policies import LockStepPolicy, Policy, policy_by_name
+from repro.core.policies import Policy, policy_by_name
 from repro.core.targets import AllocationTargets
-from repro.graph.placement import residents_by_node
 from repro.graph.topology import Topology
 from repro.metrics.collectors import EgressCollector
 from repro.metrics.stats import SummaryStats
@@ -255,11 +253,6 @@ class SPCRuntime:
                 is_ingress=pe_id in ingress,
                 is_egress=pe_id in egress,
             )
-            if isinstance(self.policy, LockStepPolicy):
-                # Substrate-side Lock-Step enforcement: the worker blocks
-                # in place instead of being pre-empted by the controller.
-                pe.min_flow_gate = True
-                pe.blocking_emission = True
             pe.spans = self.spans
             self.pes[pe_id] = pe
         for src, dst in graph.edges():
@@ -285,9 +278,7 @@ class SPCRuntime:
             )
 
         #: The five control tiers, wired as on every substrate; this
-        #: runtime is their MembershipOps and their ticker.  One group
-        #: per topology node, PE-less ones included, so group indices
-        #: are node indices.
+        #: runtime is their MembershipOps and their ticker.
         self.adapter = ThreadAdapter()
         stack = ControlStack(
             self.policy,
@@ -295,17 +286,6 @@ class SPCRuntime:
             config,
             adapter=self.adapter,
             ops=self,
-            groups=[
-                NodeGroup(
-                    f"node-{node_index}",
-                    [self.pes[pe_id] for pe_id in pe_ids],
-                )
-                for node_index, pe_ids in enumerate(
-                    residents_by_node(
-                        order, topology.placement, topology.num_nodes
-                    )
-                )
-            ],
             pes=self.pes,
             collector=self.collector,
             clock=self.now,
@@ -322,6 +302,12 @@ class SPCRuntime:
         self.placement_book = self.elastic.book
         self.scaling_policy = self.elastic.scaling_policy
         self.migration_log = self.elastic.migration_log
+        # The worker blocks in place on the plane's live gates instead of
+        # being pre-empted by the controller, and a PE its policy gates
+        # (Lock-Step) emits with reliable, blocking delivery.
+        for pe_id, pe in self.pes.items():
+            pe.gates = self.plane.gates
+            pe.blocking_emission = self.plane.gates[pe_id] is not None
 
         # ``source_generated`` mirrors the simulator sources'
         # ``stats.generated`` counters (offered load, counted before the

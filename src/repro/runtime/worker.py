@@ -29,30 +29,12 @@ from repro.model.statemachine import TwoStateMachine
 from repro.runtime.transport import Channel
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.control.adapter import GateFn
     from repro.obs.spans import SpanTracker
 
 #: Floor on the fractional allocation while emulating work, so a starved
 #: worker cannot sleep unboundedly long on one SDO.
 _MIN_SHARE = 0.02
-
-
-class _ChannelView:
-    """Adapter giving a Channel the simulator buffer's attribute names."""
-
-    def __init__(self, channel: Channel):
-        self._channel = channel
-
-    @property
-    def occupancy(self) -> int:
-        return self._channel.occupancy
-
-    @property
-    def free(self) -> int:
-        return self._channel.free
-
-    @property
-    def capacity(self) -> int:
-        return self._channel.capacity
 
 
 class RuntimePE:
@@ -72,7 +54,9 @@ class RuntimePE:
         #: Mean CPU-seconds per SDO (see PERuntime.mean_work).
         self.mean_work = 1.0 / profile.rate_slope
         self.channel = Channel(channel_capacity, name=f"{profile.pe_id}:in")
-        self.buffer = _ChannelView(self.channel)
+        #: The channel under the simulator buffer's name (``occupancy``,
+        #: ``free``, ``capacity``), which schedulers and gates read.
+        self.buffer = self.channel
         self.machine = TwoStateMachine(profile, rng)
         self._machine_lock = threading.Lock()
         self.dilation = dilation
@@ -84,8 +68,9 @@ class RuntimePE:
         self.allocation = 0.0
         #: Blocking admission (Lock-Step) vs drop-on-full (ACES/UDP).
         self.blocking_emission = False
-        #: Lock-Step gate: require room in every downstream channel.
-        self.min_flow_gate = False
+        #: The control plane's live gate registry (pe_id -> gate or
+        #: None), checked before each ``get``; empty means ungated.
+        self.gates: _t.Mapping[str, _t.Optional["GateFn"]] = {}
 
         self.consumed = 0
         self.emitted = 0
@@ -198,19 +183,13 @@ class RuntimePE:
 
     # -- worker loop --------------------------------------------------------
 
-    def _gate_open(self) -> bool:
-        expected_m = max(1, int(round(self.profile.lambda_m)))
-        return all(
-            consumer.channel.free >= expected_m
-            for consumer in self.downstream
-        )
-
     def _run(self) -> None:
         poll = 0.002
         while not self._stop.is_set():
             if self._crash.is_set():
                 return  # simulated crash: the worker dies mid-flight
-            if self.min_flow_gate and self.downstream and not self._gate_open():
+            gate = self.gates.get(self.pe_id)
+            if gate is not None and not gate(self):
                 time.sleep(poll)
                 continue
 

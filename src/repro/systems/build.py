@@ -1,9 +1,10 @@
 """Construction of a simulated system: config + topology/data-plane builders.
 
-Everything here wires *passive* structure — PE runtimes, processing
-nodes, inter-node links, workload sources, gauges — and schedules no
-control logic of its own.  The Tier-2 control loops live in
-:mod:`repro.control`; the delivery/admission path lives in
+Everything here wires *passive* structure — PE runtimes, inter-node
+links, workload sources, gauges — and schedules no control logic of
+its own; the node groups are built with the control tiers, by
+:class:`~repro.control.wiring.ControlStack`.  The Tier-2 control loops
+live in :mod:`repro.control`; the delivery/admission path lives in
 :mod:`repro.systems.dataplane`; :class:`repro.systems.simulated.
 SimulatedSystem` composes the three.
 """
@@ -14,11 +15,9 @@ import typing as _t
 from dataclasses import dataclass
 
 from repro.control.config import ControlConfig
-from repro.graph.placement import residents_by_node
 from repro.graph.topology import Topology
 from repro.metrics.collectors import EgressCollector
 from repro.model.links import Link
-from repro.model.node import ProcessingNode
 from repro.model.pe import PERuntime
 from repro.model.sdo import SDO
 from repro.model.workload import (
@@ -26,7 +25,6 @@ from repro.model.workload import (
     CorrelatedBurstSource,
     DiurnalSource,
     DriftSource,
-    DriftSquareWaveSource,
     FlashCrowdSource,
     OnOffSource,
     PoissonSource,
@@ -205,26 +203,6 @@ def build_runtimes(
     return runtimes, collector
 
 
-def build_nodes(
-    topology: Topology, runtimes: _t.Mapping[str, PERuntime]
-) -> _t.List[ProcessingNode]:
-    """Group PE runtimes into processing nodes according to placement."""
-    nodes: _t.List[ProcessingNode] = []
-    # Residents in topological order, so intra-node execution flows
-    # producer -> consumer within a single tick.
-    residents = residents_by_node(
-        topology.graph.topological_order(),
-        topology.placement,
-        topology.num_nodes,
-    )
-    for node_index, pe_ids in enumerate(residents):
-        node = ProcessingNode(node_id=f"node-{node_index}")
-        for pe_id in pe_ids:
-            node.place(runtimes[pe_id])
-        nodes.append(node)
-    return nodes
-
-
 def build_links(
     topology: Topology, config: SystemConfig
 ) -> _t.Dict[_t.Tuple[str, str], Link]:
@@ -294,7 +272,7 @@ def build_sources(
             source: _t.Any = ConstantRateSource(env, stream_id, sink, rate)
         elif config.source_kind == "poisson":
             source = PoissonSource(env, stream_id, sink, rate, rng)
-        elif config.source_kind == "squarewave":
+        elif config.source_kind in ("squarewave", "driftsquare"):
             duty = config.source_duty
             source = SquareWaveSource(
                 env,
@@ -303,6 +281,11 @@ def build_sources(
                 peak_rate=rate / duty,
                 period=config.source_mean_on / duty,
                 duty=duty,
+                drift=(
+                    config.source_drift
+                    if config.source_kind == "driftsquare"
+                    else 0.0
+                ),
             )
         elif config.source_kind == "flashcrowd":
             source = FlashCrowdSource(
@@ -344,17 +327,6 @@ def build_sources(
                 burst_duration=config.source_surge_duration,
                 burst_factor=config.source_surge_factor,
                 rng=rng,
-            )
-        elif config.source_kind == "driftsquare":
-            duty = config.source_duty
-            source = DriftSquareWaveSource(
-                env,
-                stream_id,
-                sink,
-                peak_rate=rate / duty,
-                period=config.source_mean_on / duty,
-                duty=duty,
-                drift=config.source_drift,
             )
         else:
             duty = config.source_duty

@@ -63,7 +63,9 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.spc import SPCRuntime
 
 #: Fault kinds the threaded runtime's injector can apply.
-RUNTIME_KINDS = frozenset({"pe_crash", "feedback_loss", "feedback_delay"})
+RUNTIME_KINDS = frozenset(
+    {"pe_stall", "pe_crash", "feedback_loss", "feedback_delay"}
+)
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,23 @@ def _apply_feedback_fault(
 
     def revert() -> None:
         plane.bus = wrapper.inner
+
+    return revert
+
+
+def _closed_gate(pe: object) -> bool:
+    return False
+
+
+def _close_gate(plane: _t.Any, pe_id: str) -> _t.Callable[[], None]:
+    """Close one PE's gate through the plane (either substrate: the
+    simulator's controller and the threaded worker both read it);
+    returns the revert, which restores the previous gate."""
+    previous = plane.gates[pe_id]
+    plane.set_gate(pe_id, _closed_gate)
+
+    def revert() -> None:
+        plane.set_gate(pe_id, previous)
 
     return revert
 
@@ -397,16 +416,15 @@ class FaultInjector:
             # The elastic tier shrank the cluster below the planned
             # index between attach and apply; nothing to slow down.
             return lambda: None
-        node = system.nodes[index]
-        node_id = node.node_id
+        # Only the live scheduler capacity drops: the group's nominal
+        # cpu_capacity is what Tier-1, the oracles and a node_leave
+        # replacement read, and it does not move.
+        node_id = system.nodes[index].node_id
         scheduler = system.schedulers[index]
-        original_node = node.cpu_capacity
         original_scheduler = scheduler.capacity
-        node.cpu_capacity = original_node * fault.magnitude
         scheduler.capacity = original_scheduler * fault.magnitude
 
         def revert() -> None:
-            node.cpu_capacity = original_node
             # A membership rebuild during the window replaces scheduler
             # objects (the slowed capacity is carried across by node_id)
             # and may shift node indices, so re-resolve the live
@@ -420,15 +438,10 @@ class FaultInjector:
 
     def _apply_pe_stall(self, fault: Fault) -> _t.Callable[[], None]:
         runtime = self.system.runtimes[fault.target]
-        previous_gate = self.system.gates[fault.target]
-
-        def stalled_gate(pe: object) -> bool:
-            return False
-
-        self.system.plane.set_gate(fault.target, stalled_gate)
+        reopen = _close_gate(self.system.plane, fault.target)
 
         def revert() -> None:
-            self.system.plane.set_gate(fault.target, previous_gate)
+            reopen()
             runtime.blocked_last_interval = False
 
         return revert
@@ -487,24 +500,18 @@ class FaultInjector:
     def _apply_pe_crash(self, fault: Fault) -> _t.Callable[[], None]:
         system = self.system
         runtime = system.runtimes[fault.target]
-        previous_gate = system.gates[fault.target]
         runtime.buffer.flush(system.env.now, cause="pe_crash")
-
-        def crashed_gate(pe: object) -> bool:
-            return False
-
-        system.plane.set_gate(fault.target, crashed_gate)
+        reopen = _close_gate(system.plane, fault.target)
 
         def revert() -> None:
-            system.plane.set_gate(fault.target, previous_gate)
+            reopen()
             runtime.blocked_last_interval = False
 
         return revert
 
     def _apply_node_join(self, fault: Fault) -> _t.Callable[[], None]:
         system = self.system
-        node = system.add_node(cpu_capacity=fault.magnitude)
-        node_id = node.node_id
+        node_id = system.add_node(cpu_capacity=fault.magnitude)
 
         def revert() -> None:
             # Evacuate whatever the scaler placed on the guest node and
@@ -541,6 +548,8 @@ class RuntimeFaultInjector:
     transitions.  ``pe_crash`` kills the worker thread (its channel is
     lost) and leaves revival to the runtime's supervisor — the fault
     window only scopes how long the injector reports the fault active.
+    ``pe_stall`` closes the PE's gate in the plane's registry, which the
+    worker checks before each ``get``, and reopens it at the end.
     """
 
     def __init__(self, runtime: "SPCRuntime", faults: _t.Sequence[Fault]):
@@ -557,7 +566,10 @@ class RuntimeFaultInjector:
         _reject_overlaps(supported)
         for fault in supported:
             _check_magnitude(fault.kind, fault.magnitude)
-            if fault.kind == "pe_crash" and fault.target not in runtime.pes:
+            if (
+                fault.kind in ("pe_stall", "pe_crash")
+                and fault.target not in runtime.pes
+            ):
                 raise ValueError(f"no PE {fault.target!r}")
         self.runtime = runtime
         self.faults = sorted(supported, key=lambda f: f.start)
@@ -592,4 +604,6 @@ class RuntimeFaultInjector:
         if fault.kind == "pe_crash":
             self.runtime.pes[fault.target].kill()
             return lambda: None
+        if fault.kind == "pe_stall":
+            return _close_gate(self.runtime.plane, fault.target)
         return _apply_feedback_fault(self.runtime, fault)

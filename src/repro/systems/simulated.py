@@ -32,7 +32,6 @@ from repro.core.utility import LogUtility
 from repro.graph.topology import Topology
 from repro.metrics.collectors import MetricsReport
 from repro.model.links import Link
-from repro.model.node import ProcessingNode
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.sim.engine import URGENT, Environment
@@ -42,7 +41,6 @@ from repro.systems.build import (
     SystemConfig,
     build_gauges,
     build_links,
-    build_nodes,
     build_runtimes,
     build_sources,
 )
@@ -83,7 +81,14 @@ class _Snapshot:
 
 
 class SimulatedSystem:
-    """One policy running on one topology inside the simulation kernel."""
+    """One policy running on one topology inside the simulation kernel.
+
+    The system keeps no node list of its own: :attr:`nodes` is the
+    control plane's groups, which :class:`ControlStack` builds and
+    membership changes in place.  A group's ``cpu_capacity`` is the
+    nominal one (what Tier-1, the oracles and a replacement node read);
+    an injected slowdown lowers only the live scheduler capacity.
+    """
 
     def __init__(
         self,
@@ -115,7 +120,6 @@ class SimulatedSystem:
         self.runtimes, self.collector = build_runtimes(
             topology, self.config, self.streams, self.recorder, spans=spans
         )
-        self.nodes = build_nodes(topology, self.runtimes)
         self.links = build_links(topology, self.config)
         if spans is not None:
             for link in self.links.values():
@@ -135,12 +139,6 @@ class SimulatedSystem:
             config,
             adapter=self.adapter,
             ops=self,
-            # The node's own resident list, so plane group surgery moves
-            # PEs physically too.
-            groups=[
-                NodeGroup(node.node_id, node.pes, node.cpu_capacity)
-                for node in self.nodes
-            ],
             pes=self.runtimes,
             collector=self.collector,
             clock=lambda: self.env.now,
@@ -208,6 +206,11 @@ class SimulatedSystem:
             self.env.process(self._periodic(periodic.interval, periodic.tick))
 
     # -- control-plane delegation (stable operational surface) ---------------
+
+    @property
+    def nodes(self) -> _t.List[NodeGroup]:
+        """The processing nodes: the plane's own groups, not a copy."""
+        return self.plane.groups
 
     @property
     def targets(self) -> AllocationTargets:
@@ -340,28 +343,20 @@ class SimulatedSystem:
                 "loops are index-bound and cannot follow membership churn"
             )
 
-    def add_node(self, cpu_capacity: float = 1.0) -> ProcessingNode:
-        """Join a fresh empty node: substrate object, plane group, loop."""
+    def add_node(self, cpu_capacity: float = 1.0) -> str:
+        """Join a fresh empty node: plane group, then its control loop."""
         self.require_node_tickers("add_node")
-        node = ProcessingNode(
-            node_id=self.elastic.next_node_id(), cpu_capacity=cpu_capacity
-        )
-        self.nodes.append(node)
-        # Hand the plane the node's own resident list so group surgery
-        # moves PEs physically too (the constructor-path aliasing).
-        index = self.elastic.join(
-            node.node_id, cpu_capacity, self.env.now, pes=node.pes
-        )
+        node_id = self.elastic.next_node_id()
+        index = self.elastic.join(node_id, cpu_capacity, self.env.now)
         offset = (index + 1) / (index + 2) * self.config.dt
-        self._start_node_ticker(node.node_id, offset)
-        return node
+        self._start_node_ticker(node_id, offset)
+        return node_id
 
     def remove_node(self, node_index: int) -> str:
-        """Leave: plane first (it refuses non-empty nodes), then substrate."""
+        """Leave: the plane refuses non-empty nodes; the node's loop
+        returns on its next tick."""
         self.require_node_tickers("remove_node")
-        node_id = self.elastic.leave(node_index, self.env.now)
-        self.nodes.pop(node_index)
-        return node_id
+        return self.elastic.leave(node_index, self.env.now)
 
     def migrate_pes(
         self,

@@ -16,7 +16,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.control import NodeGroup, SystemAdapter
+from repro.control import SystemAdapter
 from repro.control.admission import AdmissionConfig
 from repro.control.config import ControlConfig
 from repro.control.elastic import ElasticityConfig
@@ -61,16 +61,6 @@ class FakeSubstrate:
             config,
             adapter=ThreadAdapter(),
             ops=self,
-            groups=[
-                NodeGroup(
-                    f"node-{n}",
-                    [
-                        pe for pe_id, pe in self.pes.items()
-                        if topology.placement[pe_id] == n
-                    ],
-                )
-                for n in range(topology.num_nodes)
-            ],
             pes=self.pes,
             collector=collector,
             clock=lambda: self.now,
@@ -337,11 +327,8 @@ def test_disarmed_simulator_follows_membership():
     assert system.elasticity is None
     system.env.run(until=1.0)
     _membership_script(system, system.runtimes)
-    assert [n.node_id for n in system.nodes] == ["node-1", "node-2"]
-    assert all(
-        node.pes is group.pes
-        for node, group in zip(system.nodes, system.plane.groups)
-    )
+    # One node list: the system's nodes are the plane's groups.
+    assert system.nodes is system.plane.groups
     # The node tickers followed: each survivor keeps ticking under its
     # new index, and the departed node's loop has returned.
     before = [c.ticks for c in system.plane.node_controllers]

@@ -1,6 +1,5 @@
-"""Tests for processing nodes and empirical rate calibration."""
+"""Tests for empirical rate calibration."""
 
-import numpy as np
 import pytest
 
 from repro.model.calibration import (
@@ -9,44 +8,7 @@ from repro.model.calibration import (
     clear_cache,
     effective_rate,
 )
-from repro.model.node import ProcessingNode
 from repro.model.params import PEProfile
-from repro.model.pe import PERuntime
-from repro.model.sdo import SDO
-
-
-def make_runtime(pe_id="pe-0", **kwargs):
-    defaults = dict(pe_id=pe_id)
-    defaults.update(kwargs)
-    return PERuntime(
-        PEProfile(**defaults), buffer_capacity=10,
-        rng=np.random.default_rng(0),
-    )
-
-
-class TestProcessingNode:
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ProcessingNode("n", cpu_capacity=0.0)
-
-    def test_place_and_list(self):
-        node = ProcessingNode("n0")
-        node.place(make_runtime("a"))
-        node.place(make_runtime("b"))
-        assert node.pe_ids == ["a", "b"]
-
-    def test_duplicate_placement_rejected(self):
-        node = ProcessingNode("n0")
-        node.place(make_runtime("a"))
-        with pytest.raises(ValueError):
-            node.place(make_runtime("a"))
-
-    def test_total_backlog(self):
-        node = ProcessingNode("n0")
-        pe = make_runtime("a", t0=0.002, t1=0.002, lambda_s=0.0)
-        node.place(pe)
-        pe.ingest(SDO(stream_id="s", origin_time=0.0), 0.0)
-        assert node.total_backlog_work() == pytest.approx(0.002)
 
 
 class TestCalibration:

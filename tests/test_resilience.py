@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.global_opt import GlobalOptimizationResult
 from repro.core.feedback import FeedbackBus
-from repro.core.policies import AcesPolicy, UdpPolicy
+from repro.core.policies import AcesPolicy, LockStepPolicy, UdpPolicy
 from repro.core.resilience import (
     LossyFeedbackBus,
     ResilientTier1,
@@ -457,6 +457,32 @@ class TestRuntimeSupervisor:
             e for e in recorder.events if e["kind"] == "worker_restart"
         )
         assert event["pe"] == victim
+
+    def test_runtime_pe_stall_closes_and_restores_the_gate(self):
+        import time
+
+        topology = small_topology(seed=5)
+        runtime = SPCRuntime(topology, LockStepPolicy())
+        victim = topology.graph.ingress_ids[0]
+        policy_gate = runtime.plane.gates[victim]
+        injector = FaultPlan().pe_stall(
+            victim, start=0.0, duration=0.5
+        ).attach_runtime(runtime)
+        injector.start()
+
+        def wait_for(count):
+            deadline = time.monotonic() + 5.0
+            while len(injector.applied) < count:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+        wait_for(1)
+        assert runtime.plane.gates[victim](runtime.pes[victim]) is False
+        wait_for(2)
+        assert runtime.plane.gates[victim] is policy_gate
+        assert [phase for _, _, phase in injector.applied] == [
+            "applied", "reverted",
+        ]
 
     def test_runtime_rejects_sim_only_kinds(self):
         topology = small_topology(seed=5)

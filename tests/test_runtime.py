@@ -164,7 +164,7 @@ class TestRuntimePE:
             dilation=1.0,
         )
         producer.link_downstream(consumer)
-        producer.min_flow_gate = True
+        producer.gates = {"p": LockStepPolicy().make_gate(producer)}
         producer.attach(clock=lambda: 0.0)
         producer.allocation = 1.0
         consumer.channel.offer(sdo())  # consumer full
@@ -233,6 +233,31 @@ class TestSPCRuntime:
         delivered = [t for t in stamps if opened <= t <= closed]
         assert report.total_output_sdos == len(delivered) > 0
         assert sum(report.per_egress_counts.values()) == len(delivered)
+
+    def test_plane_gate_holds_the_worker(self, topology):
+        # The worker checks the plane's live gate registry before each
+        # get, so a gate closed through set_gate holds a PE under any
+        # policy (UDP makes no gates of its own) until it is restored.
+        # A 1 s warm-up: the first SDO is served at the 2% floor share
+        # (no grant yet), so an ungated worker may not finish it sooner.
+        runtime = SPCRuntime(
+            topology, UdpPolicy(),
+            config=RuntimeConfig(seed=3, warmup=1.0, dt=0.05, dilation=0.5),
+        )
+        pe_id = topology.graph.ingress_ids[0]
+        pe = runtime.pes[pe_id]
+        runtime.plane.set_gate(pe_id, lambda _: False)
+        seen = []
+
+        def observer(live):
+            seen.append((pe.consumed, pe.channel.occupancy))
+            if len(seen) == 1:
+                live.plane.set_gate(pe_id, None)
+
+        runtime.run(duration=2.0, observer=observer, observe_interval=0.5)
+        consumed, queued = seen[0]
+        assert consumed == 0 and queued > 0
+        assert pe.consumed > 0
 
     def test_invalid_duration(self, topology):
         runtime = SPCRuntime(topology, UdpPolicy())

@@ -161,14 +161,31 @@ class TestFaultEffects:
             .node_slowdown(0, factor=0.5, start=1.0, duration=2.0)
             .attach(system)
         )
-        system.env.run(until=0.5)
-        assert system.nodes[0].cpu_capacity == 1.0
-        system.env.run(until=2.0)
-        assert system.nodes[0].cpu_capacity == 0.5
-        assert system.schedulers[0].capacity == 0.5
-        system.env.run(until=4.0)
-        assert system.nodes[0].cpu_capacity == 1.0
+        # The slowdown moves the live scheduler capacity only; the
+        # nominal capacity Tier-1 budgets against never moves.
+        seen = []
+        for until in (0.5, 2.0, 4.0):
+            system.env.run(until=until)
+            seen.append(
+                (system.schedulers[0].capacity, system.nodes[0].cpu_capacity)
+            )
+        assert seen == [(1.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
         assert len(injector.applied) == 2
+
+    def test_node_leave_during_slowdown_rejoins_at_nominal(self):
+        system = self.make_system()
+        (
+            FaultPlan()
+            .node_slowdown(0, factor=0.5, start=0.5, duration=2.0)
+            .node_leave(0, start=1.0, duration=0.5)
+            .attach(system)
+        )
+        system.env.run(until=2.0)
+        replacement = system.nodes[-1]
+        index = system.plane.node_index(replacement.node_id)
+        assert replacement.node_id == "node-3"
+        assert replacement.cpu_capacity == 1.0
+        assert system.schedulers[index].capacity == 1.0
 
     def test_pe_stall_stops_processing(self):
         system = self.make_system()
@@ -239,6 +256,28 @@ class TestFaultEffects:
         assert getattr(source, attr) == original * 3.0
         system.env.run(until=1.25)
         assert getattr(source, attr) == original
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_source_surge_spanning_a_period_raises_generation(self, kind):
+        def generated(surge):
+            system = SimulatedSystem(
+                small_topology(seed=3),
+                UdpPolicy(),
+                config=SystemConfig(seed=1, warmup=0.0, source_kind=kind),
+            )
+            ingress = sorted(system.topology.source_rates)[0]
+            if surge:
+                # The square-wave period is mean_on / duty = 1 s.
+                FaultPlan().source_surge(
+                    ingress, factor=3.0, start=1.0, duration=2.0
+                ).attach(system)
+            system.env.run(until=4.0)
+            return next(
+                s.stats.generated for s in system.sources
+                if s.stream_id == f"src:{ingress}"
+            )
+
+        assert generated(surge=True) > generated(surge=False), kind
 
     def test_system_survives_combined_faults(self):
         system = self.make_system()
