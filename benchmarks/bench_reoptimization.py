@@ -47,7 +47,7 @@ def run_comparison():
                 "throughput": report.weighted_throughput,
                 "latency_ms": report.latency.mean * 1000,
                 "rejections": report.source_rejections,
-                "refreshes": system.reoptimizations,
+                "refreshes": system.plane.reoptimizations,
             }
         )
     return rows

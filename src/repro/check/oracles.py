@@ -42,9 +42,9 @@ emitting trace events:
 :class:`OracleRecorder` is a :class:`~repro.obs.recorder.TraceRecorder`:
 arm it by passing it as the ``recorder`` of a simulated system, threaded
 runtime, or bare control plane, then call :meth:`attach_plane` with the
-plane so the oracle gets its narrow live view
-(:meth:`~repro.control.plane.ControlPlane.inspection`).  Violations are
-collected, not raised — a fuzzing campaign wants the full list.
+plane, whose live state (groups, schedulers, node controllers, pause
+flags, targets) the oracle reads in place.  Violations are collected,
+not raised — a fuzzing campaign wants the full list.
 
 ``strict`` mode additionally checks invariants that are only exact when
 control steps are serialized (the simulator, or a scripted drive of
@@ -75,7 +75,7 @@ from repro.obs.recorder import (
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.admission import AdmissionController
     from repro.control.forecast import ForecastController
-    from repro.control.plane import ControlPlane, PlaneInspection
+    from repro.control.plane import ControlPlane
 
 _INF = float("inf")
 _isfinite = math.isfinite
@@ -172,11 +172,11 @@ class OracleRecorder(TraceRecorder):
         self.max_violations = max_violations
         self.violations: _t.List[InvariantViolation] = []
         self.violation_counts: Counter = Counter()
-        self._inspection: _t.Optional["PlaneInspection"] = None
+        self._plane: _t.Optional["ControlPlane"] = None
         #: pe_id -> reference Eq. 7 state (see :func:`_make_shadow`).
         self._shadows: _t.Dict[str, _t.Tuple[_t.Any, ...]] = {}
         #: pe_id -> ((node_id, scheduler, node_controller, group_size,
-        #: node_index), machine-or-None, t0/lambda_m, t1/lambda_m) —
+        #: node_index), machine, t0/lambda_m, t1/lambda_m) —
         #: flattened at attach time so the per-row cpu_grant check is a
         #: single dict lookup, with the Eq. 8 g^-1 slope precomputed per
         #: state.
@@ -209,23 +209,23 @@ class OracleRecorder(TraceRecorder):
 
         Builds the reference Eq. 7 shadows from the plane's designed
         gains; call before the run starts so the shadows and the real
-        controllers share their all-zero initial histories.
+        controllers share their all-zero initial histories.  Everything
+        else is read from the plane's own live state: its groups,
+        schedulers, node controllers, pause flags and targets.
         """
-        inspection = plane.inspection()
-        self._inspection = inspection
         self._shadows = {
             pe_id: _make_shadow(controller)
-            for pe_id, controller in inspection.controllers.items()
+            for pe_id, controller in plane.controllers.items()
         }
-        self._rebind_inspection(inspection)
+        self.refresh_plane(plane)
         # Membership changes (the elastic tier) invalidate the node-level
         # views flattened here; re-flatten at each epoch boundary.
         plane.add_rebuild_hook(self.refresh_plane)
 
-        self._admission = getattr(inspection, "admission", None)
+        self._admission = plane.admission
         self._adm_last_rank = 0
         self._adm_last_ladder_t = None
-        self._forecast = getattr(inspection, "forecast", None)
+        self._forecast = plane.forecast
         self._fc_last_trigger_t = None
         if self._admission is not None:
             # Static hysteresis-band validation: a malformed band (enter
@@ -256,45 +256,31 @@ class OracleRecorder(TraceRecorder):
         node controllers mid-round, so the next full round restarts the
         Eq. 4 sum.
         """
-        inspection = self._inspection = plane.inspection()
-        self._rebind_inspection(inspection)
-
-    def _rebind_inspection(self, inspection: "PlaneInspection") -> None:
-        """Flatten the per-event lookup tables from one inspection view."""
+        self._plane = plane
         self._grant_groups = {}
-        self._paused = inspection.paused
-
-        def _eq8_terms(pe_id: str) -> _t.Tuple[_t.Any, float, float]:
-            # g^-1(rate) = rate / lambda_m * service_time, where the
-            # service time is t1 or t0 by the machine's *current* state
-            # (see PERuntime.cpu_for_output_rate_now) — precompute both
-            # slopes so the per-event check is one mul and a state read.
-            pe_runtime = inspection.pes.get(pe_id)
-            if pe_runtime is None:
-                return (None, 0.0, 0.0)
-            profile = pe_runtime.profile
-            return (
-                pe_runtime.machine,
-                profile.t0 / profile.lambda_m,
-                profile.t1 / profile.lambda_m,
+        self._paused = plane.paused
+        self._grant_info = {}
+        for index, (group, scheduler, controller) in enumerate(
+            zip(plane.groups, plane.schedulers, plane.node_controllers)
+        ):
+            # One shared tuple per node, so a batch's rows can tell by
+            # identity that the node-level part has not changed.
+            per_node = (
+                group.node_id, scheduler, controller, len(group.pes), index
             )
-
-        # One shared tuple per node, so a batch's rows can tell by
-        # identity that the node-level part has not changed.
-        per_node = {
-            node_id: (
-                node_id,
-                inspection.schedulers[node_id],
-                inspection.node_controllers.get(node_id),
-                inspection.group_sizes.get(node_id, 0),
-                inspection.node_index[node_id],
-            )
-            for node_id in set(inspection.node_of.values())
-        }
-        self._grant_info = {
-            pe_id: (per_node[node_id], *_eq8_terms(pe_id))
-            for pe_id, node_id in inspection.node_of.items()
-        }
+            for pe in group.pes:
+                # g^-1(rate) = rate / lambda_m * service_time, where the
+                # service time is t1 or t0 by the machine's *current*
+                # state (see PERuntime.cpu_for_output_rate_now) —
+                # precompute both slopes so the per-event check is one
+                # mul and a state read.
+                profile = pe.profile
+                self._grant_info[pe.pe_id] = (
+                    per_node,
+                    pe.machine,
+                    profile.t0 / profile.lambda_m,
+                    profile.t1 / profile.lambda_m,
+                )
 
     def bind_clock(self, clock: _t.Callable[[], float]) -> None:
         super().bind_clock(clock)
@@ -568,7 +554,7 @@ class OracleRecorder(TraceRecorder):
             # bound, re-derived through the PE's current-state rate model.
             if cap_rate is not None:
                 cap_cpu = scheduler.capacity
-                if strict and machine is not None:
+                if strict:
                     if cap_rate <= 0.0:
                         derived = 0.0
                     elif machine.state == 1:
@@ -649,8 +635,7 @@ class OracleRecorder(TraceRecorder):
 
         elif kind == "tier1_resolve":
             # Eq. 4 on the targets in effect whenever Tier 1 (re-)solves.
-            if self._inspection is not None:
-                self.check_targets(t=event["t"])
+            self.check_targets(t=event["t"])
 
         elif kind == "admission_level":
             t = event["t"]
@@ -868,23 +853,18 @@ class OracleRecorder(TraceRecorder):
         checks against the nominal — not fault-adjusted — capacity.  The
         solver's own constraint tolerance sets the slack.
         """
-        inspection = self._inspection
-        if inspection is None:
+        plane = self._plane
+        if plane is None:
             return
-        plane = inspection.plane
-        targets = plane.targets
         # Budgets are checked under the placement the targets were
         # *adopted* for: a live migration moves PEs without touching
         # targets, so summing over the post-migration placement would
         # flag a transient that Eq. 4 enforcement (the per-grant check)
         # already covers.  Nodes removed since adoption are skipped.
-        node_of = getattr(plane, "targets_node_of", None)
-        if node_of is None:
-            node_of = inspection.node_of
-        sums: _t.Dict[str, float] = {
-            node_id: 0.0 for node_id in inspection.nominal_capacity
-        }
-        for pe_id, cpu in targets.cpu.items():
+        node_of = plane.targets_node_of
+        nominal = {group.node_id: group.cpu_capacity for group in plane.groups}
+        sums = dict.fromkeys(nominal, 0.0)
+        for pe_id, cpu in plane.targets.cpu.items():
             if cpu < -1e-9:
                 self.record_violation(
                     "target_cpu_nonnegative", "Eq. 4",
@@ -894,7 +874,7 @@ class OracleRecorder(TraceRecorder):
             if node_id is not None and node_id in sums:
                 sums[node_id] += cpu
         for node_id, total in sums.items():
-            capacity = inspection.nominal_capacity[node_id]
+            capacity = nominal[node_id]
             if total > capacity + 1e-4 * max(1.0, capacity):
                 self.record_violation(
                     "target_capacity", "Eq. 4",

@@ -62,7 +62,7 @@ from repro.control.forecast import (
     make_forecaster,
 )
 from repro.control.node import ControlRecord, NodeController
-from repro.control.plane import ControlPlane, NodeGroup, PlaneInspection
+from repro.control.plane import ControlPlane, NodeGroup
 from repro.control.vector import (
     PEIndexRegistry,
     VectorEngine,
@@ -94,7 +94,6 @@ __all__ = [
     "PELike",
     "PlacementBook",
     "PlacementVersion",
-    "PlaneInspection",
     "ProactiveTriggerRecord",
     "ScalingPolicy",
     "SystemAdapter",

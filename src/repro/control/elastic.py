@@ -508,14 +508,14 @@ class ElasticDriver:
 
     def join(self, node_id: str, cpu_capacity: float, now: float) -> int:
         """Join an empty node to the plane; returns its node index."""
-        index = self.plane.add_node(node_id, cpu_capacity, now=now)
+        index = self.plane.add_node(node_id, cpu_capacity)
         self.timeline.append((now, len(self.plane.groups)))
         return index
 
     def leave(self, node_index: int, now: float) -> str:
         """Remove an empty node from the plane (it refuses non-empty
         ones: migrate first); returns its node_id."""
-        node_id = self.plane.remove_node(node_index, now=now)
+        node_id = self.plane.remove_node(node_index)
         self.timeline.append((now, len(self.plane.groups)))
         return node_id
 
@@ -577,7 +577,7 @@ class ElasticDriver:
                     **extra,
                 )
             drained.append((pe_id, from_id, to_id, occupancy))
-        self.plane.migrate_pes(actual, now=now, reason=reason)
+        self.plane.migrate_pes(actual, reason=reason)
         placement = dict(current)
         placement.update(actual)
         version = self.book.advance(placement, num_nodes, reason)

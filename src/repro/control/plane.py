@@ -51,49 +51,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
 AdmissionFn = _t.Optional[_t.Callable[[PELike, object], bool]]
 
 
-@dataclass(frozen=True)
-class PlaneInspection:
-    """Narrow read-only view of a control plane for invariant oracles.
-
-    :mod:`repro.check` validates paper invariants *online* against trace
-    events; doing so needs a handful of live references that are
-    otherwise scattered across plane internals.  This is the one
-    sanctioned inspection surface — oracles must not reach into other
-    plane state, so the checked surface stays an explicit contract.
-
-    All mappings are built once at :meth:`ControlPlane.inspection` time
-    but reference *live* objects: scheduler capacities reflect injected
-    node slowdowns, ``paused`` is the plane's own mutable list, and
-    ``controllers`` are the real flow controllers.
-    """
-
-    #: pe_id -> PE runtime (for rate-model state the Eq. 8 check needs).
-    pes: _t.Mapping[str, PELike]
-    #: pe_id -> node_id of the node the PE is placed on.
-    node_of: _t.Mapping[str, str]
-    #: node_id -> live scheduler (``.capacity`` tracks fault injection).
-    schedulers: _t.Mapping[str, _t.Any]
-    #: node_id -> nominal CPU capacity (what Tier-1 budgets against).
-    nominal_capacity: _t.Mapping[str, float]
-    #: node_id -> number of resident PEs (one cpu_grant event each).
-    group_sizes: _t.Mapping[str, int]
-    #: node_id -> node index (``paused`` is indexed by this).
-    node_index: _t.Mapping[str, int]
-    #: pe_id -> flow controller (feedback policies only); a
-    #: FlowController, or a VectorFlowView under control_impl=vector.
-    controllers: _t.Mapping[str, _t.Any]
-    #: node_id -> node controller (``last_blocked`` gate decisions).
-    node_controllers: _t.Mapping[str, _t.Any]
-    #: The plane's live per-node pause flags (not a copy).
-    paused: _t.Sequence[bool]
-    #: The plane itself, for targets/policy metadata reads.
-    plane: "ControlPlane"
-    #: The admission front end, when armed (None otherwise).
-    admission: _t.Optional[AdmissionController] = None
-    #: The forecasting tier, when armed (None otherwise).
-    forecast: _t.Optional[ForecastController] = None
-
-
 @dataclass
 class NodeGroup:
     """The PEs resident on one node, as the control plane sees them."""
@@ -398,12 +355,7 @@ class ControlPlane:
 
     # -- membership (the elastic tier's operational surface) -----------------
 
-    def add_node(
-        self,
-        node_id: str,
-        cpu_capacity: float = 1.0,
-        now: float = 0.0,
-    ) -> int:
+    def add_node(self, node_id: str, cpu_capacity: float = 1.0) -> int:
         """Join an empty node to the plane; returns its node index.
 
         At this epoch boundary the per-node wiring (schedulers, node
@@ -428,7 +380,7 @@ class ControlPlane:
             )
         return len(self.groups) - 1
 
-    def remove_node(self, node_index: int, now: float = 0.0) -> str:
+    def remove_node(self, node_index: int) -> str:
         """Remove an *empty* node from the plane; returns its node_id.
 
         Refuses while PEs are resident — migrate them off first — so a
@@ -464,7 +416,6 @@ class ControlPlane:
     def migrate_pes(
         self,
         moves: _t.Sequence[_t.Tuple[str, int]],
-        now: float = 0.0,
         reason: str = "migration",
     ) -> None:
         """Re-home PEs between groups in one epoch boundary.
@@ -474,31 +425,28 @@ class ControlPlane:
         the physical protocol around this call (drain, buffer handoff,
         dataplane re-wiring, resume).  All moves share one regrouping
         so an epoch's migration set is atomic from the controllers'
-        view.
+        view, and every move is validated before any is applied: a
+        rejected set leaves the groups untouched.
         """
         if not moves:
             return
+        groups = self.groups
+        home = {pe.pe_id: (group, pe) for group in groups for pe in group.pes}
         for pe_id, target in moves:
-            if not (0 <= target < len(self.groups)):
+            if not (0 <= target < len(groups)):
                 raise ValueError(
                     f"{pe_id}: target node index {target} outside "
-                    f"[0, {len(self.groups)})"
+                    f"[0, {len(groups)})"
                 )
-            found = next(
-                (
-                    (group, pe)
-                    for group in self.groups
-                    for pe in group.pes
-                    if pe.pe_id == pe_id
-                ),
-                None,
-            )
-            if found is None:
+            if pe_id not in home:
                 raise ValueError(f"unknown PE {pe_id!r}")
-            source, pe = found
-            if source is not self.groups[target]:
+        for pe_id, target in moves:
+            source, pe = home[pe_id]
+            destination = groups[target]
+            if source is not destination:
                 source.pes.remove(pe)
-                self.groups[target].pes.append(pe)
+                destination.pes.append(pe)
+                home[pe_id] = (destination, pe)
         self._apply_membership(reason)
 
     def node_index(self, node_id: str) -> _t.Optional[int]:
@@ -679,46 +627,6 @@ class ControlPlane:
         return result
 
     # -- observability -------------------------------------------------------
-
-    def inspection(self) -> PlaneInspection:
-        """The sanctioned read-only view for online invariant oracles.
-
-        See :class:`PlaneInspection`; everything an oracle may read from
-        the plane goes through here so the coupling stays explicit.
-        """
-        pes: _t.Dict[str, PELike] = {}
-        node_of: _t.Dict[str, str] = {}
-        for group in self.groups:
-            for pe in group.pes:
-                pes[pe.pe_id] = pe
-                node_of[pe.pe_id] = group.node_id
-        return PlaneInspection(
-            pes=pes,
-            node_of=node_of,
-            schedulers={
-                group.node_id: scheduler
-                for group, scheduler in zip(self.groups, self.schedulers)
-            },
-            nominal_capacity={
-                group.node_id: group.cpu_capacity for group in self.groups
-            },
-            group_sizes={
-                group.node_id: len(group.pes) for group in self.groups
-            },
-            node_index={
-                group.node_id: index
-                for index, group in enumerate(self.groups)
-            },
-            controllers=dict(self.controllers),
-            node_controllers={
-                controller.node_id: controller
-                for controller in self.node_controllers
-            },
-            paused=self.paused,
-            plane=self,
-            admission=self.admission,
-            forecast=self.forecast,
-        )
 
     def register_gauges(
         self,

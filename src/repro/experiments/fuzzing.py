@@ -433,9 +433,9 @@ def _drive_plane(
     for step in range(steps):
         now = (step + 1) * scenario.dt
         if scenario.elasticity and step == steps // 2:
-            index = plane.add_node(f"fuzz-join-{step}", 1.0, now=now)
+            index = plane.add_node(f"fuzz-join-{step}", 1.0)
             mover = sorted(pes_by_id)[0]
-            plane.migrate_pes([(mover, index)], now=now, reason="fuzz")
+            plane.migrate_pes([(mover, index)], reason="fuzz")
         for pe_index, pe_id in enumerate(sorted(pes_by_id)):
             pe = pes_by_id[pe_id]
             for _ in range(_scripted_load(pe_index, step, scenario.seed)):

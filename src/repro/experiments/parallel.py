@@ -9,11 +9,12 @@ against multi-second simulations.
 
 The paired-topology design is preserved by construction: the parent
 process generates each replication's topology, Tier-1 targets, and any
-``targets_transform`` *once* — exactly as the serial runner does, with
-the same seed derivation — and ships the finished objects to workers.
-Workers only build and run :class:`SimulatedSystem`, whose randomness is
-fully determined by its config seed, so a parallel cell is bit-identical
-to a serial one.
+``targets_transform`` *once*, through the serial runner's own
+:func:`~repro.experiments.runner.prepare_replication`, and ships the
+finished objects to workers.  Workers only build and run the system
+through :func:`~repro.experiments.runner.run_policy`, as the serial
+runner does; its randomness is fully determined by its config seed, so
+a parallel cell is bit-identical to a serial one.
 
 Failures anywhere in the pool (non-picklable policies, a broken child,
 platforms without working multiprocessing) raise
@@ -26,16 +27,14 @@ from __future__ import annotations
 import typing as _t
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
-from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import Policy
 from repro.core.targets import AllocationTargets
 from repro.experiments.config import ExperimentConfig
-from repro.graph.topology import Topology, generate_topology
+from repro.experiments.runner import prepare_replication, run_policy
+from repro.graph.topology import Topology
 from repro.metrics.collectors import MetricsReport
 from repro.systems.faults import FaultPlan
-from repro.systems.simulated import SimulatedSystem, SystemConfig
+from repro.systems.simulated import SystemConfig
 
 #: One worker assignment: everything a child process needs to run one
 #: policy on one prepared replication.  The fault plan (or None) is
@@ -70,45 +69,9 @@ def _execute_task(
         duration,
         fault_plan,
     ) = task
-    system = SimulatedSystem(
-        topology, policy, targets=targets, config=system_config
+    return replication, policy.name, run_policy(
+        topology, policy, targets, system_config, duration, fault_plan
     )
-    if fault_plan is not None:
-        fault_plan.attach(system)
-    return replication, policy.name, system.run(duration)
-
-
-def prepare_replication(
-    config: ExperimentConfig,
-    replication: int,
-    targets_transform: _t.Optional[
-        _t.Callable[[AllocationTargets, Topology, int], AllocationTargets]
-    ] = None,
-) -> _t.Tuple[Topology, AllocationTargets, SystemConfig, float]:
-    """Generate one replication's shared inputs, exactly as the serial
-    runner does.
-
-    Returns the topology, the (possibly transformed) Tier-1 targets every
-    policy shares, the per-run system config, and the fluid-optimal
-    throughput used for normalization.
-    """
-    from repro.experiments.runner import fluid_optimal_throughput
-
-    seed = config.base_seed + replication
-    topology = generate_topology(config.spec, np.random.default_rng(seed))
-    targets = solve_global_allocation(
-        topology.graph, topology.placement, topology.source_rates
-    ).targets
-    optimum = fluid_optimal_throughput(topology, targets)
-
-    run_targets = targets
-    if targets_transform is not None:
-        run_targets = targets_transform(targets, topology, seed)
-
-    system_config = SystemConfig(
-        **{**config.system.__dict__, "seed": seed * 1000 + 17}
-    )
-    return topology, run_targets, system_config, optimum
 
 
 def run_cell_tasks(

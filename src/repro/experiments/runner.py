@@ -91,6 +91,59 @@ def fluid_optimal_throughput(
     return total
 
 
+def prepare_replication(
+    config: ExperimentConfig,
+    replication: int,
+    targets_transform: _t.Optional[
+        _t.Callable[[AllocationTargets, Topology, int], AllocationTargets]
+    ] = None,
+) -> _t.Tuple[Topology, AllocationTargets, SystemConfig, float]:
+    """Generate one replication's shared inputs.
+
+    Returns the topology, the (possibly transformed) Tier-1 targets every
+    policy shares, the per-run system config, and the fluid-optimal
+    throughput used for normalization.  Serial and parallel cells both
+    start here, so they derive every seed the same way.
+    """
+    seed = config.base_seed + replication
+    topology = generate_topology(config.spec, np.random.default_rng(seed))
+    targets = solve_global_allocation(
+        topology.graph, topology.placement, topology.source_rates
+    ).targets
+    optimum = fluid_optimal_throughput(topology, targets)
+
+    run_targets = targets
+    if targets_transform is not None:
+        run_targets = targets_transform(targets, topology, seed)
+
+    system_config = SystemConfig(
+        **{**config.system.__dict__, "seed": seed * 1000 + 17}
+    )
+    return topology, run_targets, system_config, optimum
+
+
+def run_policy(
+    topology: Topology,
+    policy: Policy,
+    targets: AllocationTargets,
+    system_config: SystemConfig,
+    duration: float,
+    fault_plan: _t.Optional[FaultPlan],
+    recorder: _t.Optional[TraceRecorder] = None,
+) -> MetricsReport:
+    """Run one policy on one prepared replication, under its fault plan."""
+    system = SimulatedSystem(
+        topology,
+        policy,
+        targets=targets,
+        config=system_config,
+        recorder=recorder,
+    )
+    if fault_plan is not None:
+        fault_plan.attach(system)
+    return system.run(duration)
+
+
 def run_replication(
     config: ExperimentConfig,
     policies: _t.Sequence[Policy],
@@ -108,46 +161,25 @@ def run_replication(
     without altering the paired-topology design.  ``fault_plan_factory``
     subjects every policy in the replication to the same fault schedule.
     """
-    seed = config.base_seed + replication
-    topo_rng = np.random.default_rng(seed)
-    topology = generate_topology(config.spec, topo_rng)
-    targets = solve_global_allocation(
-        topology.graph, topology.placement, topology.source_rates
-    ).targets
-    optimum = fluid_optimal_throughput(topology, targets)
-
-    run_targets = targets
-    if targets_transform is not None:
-        run_targets = targets_transform(targets, topology, seed)
+    topology, targets, system_config, optimum = prepare_replication(
+        config, replication, targets_transform
+    )
     fault_plan = (
-        fault_plan_factory(topology, seed)
+        fault_plan_factory(topology, config.base_seed + replication)
         if fault_plan_factory is not None
         else None
     )
-
     reports: _t.Dict[str, MetricsReport] = {}
     for policy in policies:
-        system_config = SystemConfig(
-            **{
-                **config.system.__dict__,
-                "seed": seed * 1000 + 17,
-            }
-        )
         recorder = (
             recorder_factory(policy.name, replication)
             if recorder_factory is not None
             else None
         )
-        system = SimulatedSystem(
-            topology,
-            policy,
-            targets=run_targets,
-            config=system_config,
-            recorder=recorder,
+        reports[policy.name] = run_policy(
+            topology, policy, targets, system_config, config.duration,
+            fault_plan, recorder,
         )
-        if fault_plan is not None:
-            fault_plan.attach(system)
-        reports[policy.name] = system.run(config.duration)
     return topology, reports, optimum
 
 

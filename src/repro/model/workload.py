@@ -12,25 +12,22 @@ the paper's evaluation needs:
   wave: CBR at ``peak_rate`` for the ON share of every ``period``,
   silence otherwise (the worst case for a reactive controller, since
   every burst edge is a step), optionally under a linear peak drift.
-* :class:`FlashCrowdSource` — Poisson background traffic multiplied by
-  ``surge_factor`` inside one ``[surge_start, surge_start +
-  surge_duration)`` window: the canonical flash-crowd overload.
 
-The forecasting scenario library adds three more shapes, each a
-deterministic seeded generator, and the drifting square wave:
+A :class:`PoissonSource` may carry a rate *shape*, a pure function of
+the base rate and time.  :func:`flash_crowd` is the canonical
+flash-crowd overload (one surge window); the forecasting scenario
+library adds three more, each deterministic given the seeded RNG, and
+the drifting square wave:
 
-* :class:`DiurnalSource` — Poisson with a sinusoidally modulated rate
-  (the daily load cycle, compressed to simulation scale): the
-  predictable-periodic workload a seasonal forecaster should anticipate
-  almost perfectly.
-* :class:`DriftSource` — Poisson with a linearly drifting mean rate:
-  the slow organic-growth trend where a trend-aware forecaster beats a
-  flat one.
-* :class:`CorrelatedBurstSource` — Poisson background with a *shared*
-  deterministic burst window schedule: every source built from the
-  same parameters bursts in the same windows, modeling correlated
-  multi-source load (one upstream event driving all ingress streams at
-  once).
+* :func:`diurnal` — a sinusoidally modulated rate (the daily load
+  cycle, compressed to simulation scale): the predictable-periodic
+  workload a seasonal forecaster should anticipate almost perfectly.
+* :func:`linear_drift` — a linearly drifting mean rate: the slow
+  organic-growth trend where a trend-aware forecaster beats a flat one.
+* :func:`correlated_burst` — a *shared* deterministic burst window
+  schedule: every source shaped with the same parameters bursts in the
+  same windows, modeling correlated multi-source load (one upstream
+  event driving all ingress streams at once).
 * ``SquareWaveSource(drift=...)`` — the adversarial square wave composed
   with a linear peak-rate drift: step edges (worst case for reactive
   control) on top of a trend (worst case for a memoryless forecaster).
@@ -56,6 +53,9 @@ from repro.sim.rng import exponential
 
 #: A sink accepts (sdo, now) and returns True when the SDO was admitted.
 Sink = _t.Callable[[SDO, float], bool]
+
+#: A rate shape maps (base rate, now) to the instantaneous mean rate.
+RateShape = _t.Callable[[float, float], float]
 
 
 @dataclass
@@ -151,7 +151,17 @@ class ConstantRateSource(_SourceBase):
 
 
 class PoissonSource(_SourceBase):
-    """Poisson arrivals at mean ``rate`` SDO/s."""
+    """Poisson arrivals at mean ``rate`` SDO/s, optionally shaped in time.
+
+    With a ``shape`` the instantaneous mean rate is ``shape(rate, now)``
+    (see :func:`flash_crowd`, :func:`diurnal`, :func:`linear_drift`,
+    :func:`correlated_burst`).  Each interarrival is drawn from the
+    exponential at the rate in effect when it is drawn — a standard
+    non-homogeneous approximation, exact wherever the rate is locally
+    flat relative to the gap and deterministic given the seeded RNG
+    either way.  ``rate`` stays the base every shape scales, so a
+    surge that multiplies it surges any shape.
+    """
 
     def __init__(
         self,
@@ -161,15 +171,111 @@ class PoissonSource(_SourceBase):
         rate: float,
         rng: np.random.Generator,
         sdo_size: float = 1.0,
+        shape: _t.Optional[RateShape] = None,
     ):
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = rate
+        self.shape = shape
         self._rng = rng
         super().__init__(env, stream_id, sink, sdo_size)
 
+    def current_rate(self, now: float) -> float:
+        """Instantaneous mean arrival rate at ``now``."""
+        shape = self.shape
+        return self.rate if shape is None else shape(self.rate, now)
+
     def _interarrival(self) -> float:
-        return exponential(self._rng, 1.0 / self.rate)
+        return exponential(self._rng, 1.0 / self.current_rate(self.env.now))
+
+
+def flash_crowd(
+    surge_start: float, surge_duration: float, surge_factor: float
+) -> RateShape:
+    """Poisson background with one flash-crowd surge window.
+
+    The rate multiplies by ``surge_factor`` inside ``[surge_start,
+    surge_start + surge_duration)`` — the canonical breaking-news /
+    thundering-herd overload a latency SLO has to survive.
+    """
+    if surge_start < 0 or surge_duration < 0:
+        raise ValueError("surge_start and surge_duration must be >= 0")
+    if surge_factor < 1.0:
+        raise ValueError(f"surge_factor must be >= 1, got {surge_factor}")
+    surge_end = surge_start + surge_duration
+
+    def shape(rate: float, now: float) -> float:
+        if surge_start <= now < surge_end:
+            return rate * surge_factor
+        return rate
+
+    return shape
+
+
+def diurnal(period: float, amplitude: float, phase: float = 0.0) -> RateShape:
+    """A sinusoidal (diurnal) rate cycle.
+
+    The rate is ``rate * (1 + amplitude * sin(2*pi*(t - phase)/period))``
+    — always positive because ``amplitude`` must lie in [0, 1): the
+    predictable-periodic load a seasonal forecaster should anticipate
+    almost perfectly.
+    """
+    if period <= 0:
+        raise ValueError(f"period must be positive, got {period}")
+    if not 0.0 <= amplitude < 1.0:
+        raise ValueError(f"amplitude must lie in [0, 1), got {amplitude}")
+
+    def shape(rate: float, now: float) -> float:
+        cycle = 2.0 * np.pi * (now - phase) / period
+        return rate * (1.0 + amplitude * float(np.sin(cycle)))
+
+    return shape
+
+
+def linear_drift(drift: float) -> RateShape:
+    """A linearly drifting mean rate, ``rate * (1 + drift * t)``.
+
+    Floored at 5% of the base rate, so a negative drift can slow the
+    stream to a trickle but never stop (or reverse) it.  ``drift`` is
+    the relative slope per second: 0.05 means +5% load per simulated
+    second — the organic-growth trend where a trend-aware forecaster
+    beats a flat one.
+    """
+
+    def shape(rate: float, now: float) -> float:
+        return max(0.05 * rate, rate * (1.0 + drift * now))
+
+    return shape
+
+
+def correlated_burst(
+    period: float, burst_duration: float, burst_factor: float
+) -> RateShape:
+    """A shared deterministic burst schedule.
+
+    Every ``period`` seconds the rate multiplies by ``burst_factor`` for
+    ``burst_duration`` seconds.  The schedule is a pure function of time
+    (no RNG), so every source shaped with the same parameters bursts in
+    exactly the same windows — correlated multi-source overload, the
+    case where per-stream reactive control underestimates the aggregate
+    surge.
+    """
+    if period <= 0:
+        raise ValueError(f"period must be positive, got {period}")
+    if not 0.0 <= burst_duration <= period:
+        raise ValueError(
+            "burst_duration must lie in [0, period], got "
+            f"{burst_duration} (period {period})"
+        )
+    if burst_factor < 1.0:
+        raise ValueError(f"burst_factor must be >= 1, got {burst_factor}")
+
+    def shape(rate: float, now: float) -> float:
+        if (now % period) < burst_duration:
+            return rate * burst_factor
+        return rate
+
+    return shape
 
 
 class OnOffSource(_SourceBase):
@@ -294,187 +400,3 @@ class SquareWaveSource(_SourceBase):
                 yield self.env.timeout(off_duration)
             else:
                 yield self.env.timeout(0.0)
-
-
-class FlashCrowdSource(_SourceBase):
-    """Poisson background traffic with one flash-crowd surge window.
-
-    Arrivals are Poisson at ``rate`` except inside ``[surge_start,
-    surge_start + surge_duration)``, where the rate multiplies by
-    ``surge_factor`` — the canonical breaking-news/thundering-herd
-    overload a latency SLO has to survive.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        stream_id: str,
-        sink: Sink,
-        rate: float,
-        surge_start: float,
-        surge_duration: float,
-        surge_factor: float,
-        rng: np.random.Generator,
-        sdo_size: float = 1.0,
-    ):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        if surge_start < 0 or surge_duration < 0:
-            raise ValueError(
-                "surge_start and surge_duration must be >= 0"
-            )
-        if surge_factor < 1.0:
-            raise ValueError(
-                f"surge_factor must be >= 1, got {surge_factor}"
-            )
-        self.rate = rate
-        self.surge_start = surge_start
-        self.surge_duration = surge_duration
-        self.surge_factor = surge_factor
-        self._rng = rng
-        super().__init__(env, stream_id, sink, sdo_size)
-
-    def current_rate(self, now: float) -> float:
-        """Instantaneous mean arrival rate at ``now``."""
-        surge_end = self.surge_start + self.surge_duration
-        if self.surge_start <= now < surge_end:
-            return self.rate * self.surge_factor
-        return self.rate
-
-    def _interarrival(self) -> float:
-        return exponential(self._rng, 1.0 / self.current_rate(self.env.now))
-
-
-class DiurnalSource(_SourceBase):
-    """Poisson arrivals with a sinusoidal (diurnal) rate cycle.
-
-    The instantaneous mean rate is ``rate * (1 + amplitude *
-    sin(2*pi*(t - phase)/period))`` — always positive because
-    ``amplitude`` must lie in [0, 1).  Interarrivals are drawn from the
-    exponential at the instantaneous rate (a standard non-homogeneous
-    approximation: exact wherever the rate is locally flat relative to
-    the gap, and deterministic given the seeded RNG either way).
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        stream_id: str,
-        sink: Sink,
-        rate: float,
-        period: float,
-        amplitude: float,
-        rng: np.random.Generator,
-        phase: float = 0.0,
-        sdo_size: float = 1.0,
-    ):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        if not 0.0 <= amplitude < 1.0:
-            raise ValueError(
-                f"amplitude must lie in [0, 1), got {amplitude}"
-            )
-        self.rate = rate
-        self.period = period
-        self.amplitude = amplitude
-        self.phase = phase
-        self._rng = rng
-        super().__init__(env, stream_id, sink, sdo_size)
-
-    def current_rate(self, now: float) -> float:
-        """Instantaneous mean arrival rate at ``now``."""
-        cycle = 2.0 * np.pi * (now - self.phase) / self.period
-        return self.rate * (1.0 + self.amplitude * float(np.sin(cycle)))
-
-    def _interarrival(self) -> float:
-        return exponential(self._rng, 1.0 / self.current_rate(self.env.now))
-
-
-class DriftSource(_SourceBase):
-    """Poisson arrivals with a linearly drifting mean rate.
-
-    The instantaneous mean rate is ``rate * (1 + drift * t)``, floored
-    at 5% of the base rate so a negative drift can slow the stream to a
-    trickle but never stop (or reverse) it.  ``drift`` is the relative
-    slope per second: 0.05 means +5% load per simulated second.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        stream_id: str,
-        sink: Sink,
-        rate: float,
-        drift: float,
-        rng: np.random.Generator,
-        sdo_size: float = 1.0,
-    ):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        self.rate = rate
-        self.drift = drift
-        self._rng = rng
-        super().__init__(env, stream_id, sink, sdo_size)
-
-    def current_rate(self, now: float) -> float:
-        """Instantaneous mean arrival rate at ``now``."""
-        return max(0.05 * self.rate, self.rate * (1.0 + self.drift * now))
-
-    def _interarrival(self) -> float:
-        return exponential(self._rng, 1.0 / self.current_rate(self.env.now))
-
-
-class CorrelatedBurstSource(_SourceBase):
-    """Poisson background with a shared deterministic burst schedule.
-
-    Every ``period`` seconds the mean rate multiplies by
-    ``burst_factor`` for ``burst_duration`` seconds.  The window
-    schedule is a pure function of time (no RNG), so every source built
-    with the same parameters bursts in exactly the same windows —
-    correlated multi-source overload, the case where per-stream
-    reactive control underestimates the aggregate surge.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        stream_id: str,
-        sink: Sink,
-        rate: float,
-        period: float,
-        burst_duration: float,
-        burst_factor: float,
-        rng: np.random.Generator,
-        sdo_size: float = 1.0,
-    ):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        if not 0.0 <= burst_duration <= period:
-            raise ValueError(
-                "burst_duration must lie in [0, period], got "
-                f"{burst_duration} (period {period})"
-            )
-        if burst_factor < 1.0:
-            raise ValueError(
-                f"burst_factor must be >= 1, got {burst_factor}"
-            )
-        self.rate = rate
-        self.period = period
-        self.burst_duration = burst_duration
-        self.burst_factor = burst_factor
-        self._rng = rng
-        super().__init__(env, stream_id, sink, sdo_size)
-
-    def current_rate(self, now: float) -> float:
-        """Instantaneous mean arrival rate at ``now``."""
-        if (now % self.period) < self.burst_duration:
-            return self.rate * self.burst_factor
-        return self.rate
-
-    def _interarrival(self) -> float:
-        return exponential(self._rng, 1.0 / self.current_rate(self.env.now))
-

@@ -58,10 +58,9 @@ class RuntimeConfig(ControlConfig):
     dilation: float = 1.0
     warmup: float = 1.0
     source_kind: str = "poisson"
-    #: Run the worker supervisor (detects dead worker threads and
-    #: restarts them with bounded exponential backoff).
-    supervise: bool = True
-    #: Supervisor scan period (model seconds).
+    #: Scan period (model seconds) of the worker supervisor, which
+    #: detects dead worker threads and restarts them with bounded
+    #: exponential backoff.
     supervisor_poll: float = 0.02
     #: Restart budget per worker; a worker that keeps dying past this is
     #: abandoned (and counted in ``RuntimeReport.workers_abandoned``).
@@ -550,8 +549,7 @@ class SPCRuntime:
             pe.start()
         for thread in self._threads:
             thread.start()
-        if config.supervise:
-            self._thread("supervisor", self._supervisor_loop).start()
+        self._thread("supervisor", self._supervisor_loop).start()
         try:
             time.sleep(config.warmup * config.dilation)
             with self.collector_lock:

@@ -22,13 +22,14 @@ from repro.model.pe import PERuntime
 from repro.model.sdo import SDO
 from repro.model.workload import (
     ConstantRateSource,
-    CorrelatedBurstSource,
-    DiurnalSource,
-    DriftSource,
-    FlashCrowdSource,
     OnOffSource,
     PoissonSource,
+    RateShape,
     SquareWaveSource,
+    correlated_burst,
+    diurnal,
+    flash_crowd,
+    linear_drift,
 )
 from repro.obs.gauges import GaugeRegistry
 from repro.obs.recorder import TraceRecorder
@@ -56,6 +57,28 @@ SOURCE_KINDS = (
     "correlatedburst",
     "driftsquare",
 )
+
+#: The Poisson kinds: source_kind -> the rate shape it draws under
+#: (None for plain Poisson).
+_POISSON_SHAPES: _t.Dict[
+    str, _t.Callable[["SystemConfig"], _t.Optional[RateShape]]
+] = {
+    "poisson": lambda config: None,
+    "flashcrowd": lambda config: flash_crowd(
+        config.source_surge_start,
+        config.source_surge_duration,
+        config.source_surge_factor,
+    ),
+    "diurnal": lambda config: diurnal(
+        config.source_period, config.source_amplitude
+    ),
+    "drift": lambda config: linear_drift(config.source_drift),
+    "correlatedburst": lambda config: correlated_burst(
+        config.source_period,
+        config.source_surge_duration,
+        config.source_surge_factor,
+    ),
+}
 
 
 @dataclass
@@ -270,8 +293,11 @@ def build_sources(
         rng = streams.stream(stream_id)
         if config.source_kind == "constant":
             source: _t.Any = ConstantRateSource(env, stream_id, sink, rate)
-        elif config.source_kind == "poisson":
-            source = PoissonSource(env, stream_id, sink, rate, rng)
+        elif config.source_kind in _POISSON_SHAPES:
+            source = PoissonSource(
+                env, stream_id, sink, rate, rng,
+                shape=_POISSON_SHAPES[config.source_kind](config),
+            )
         elif config.source_kind in ("squarewave", "driftsquare"):
             duty = config.source_duty
             source = SquareWaveSource(
@@ -286,47 +312,6 @@ def build_sources(
                     if config.source_kind == "driftsquare"
                     else 0.0
                 ),
-            )
-        elif config.source_kind == "flashcrowd":
-            source = FlashCrowdSource(
-                env,
-                stream_id,
-                sink,
-                rate=rate,
-                surge_start=config.source_surge_start,
-                surge_duration=config.source_surge_duration,
-                surge_factor=config.source_surge_factor,
-                rng=rng,
-            )
-        elif config.source_kind == "diurnal":
-            source = DiurnalSource(
-                env,
-                stream_id,
-                sink,
-                rate=rate,
-                period=config.source_period,
-                amplitude=config.source_amplitude,
-                rng=rng,
-            )
-        elif config.source_kind == "drift":
-            source = DriftSource(
-                env,
-                stream_id,
-                sink,
-                rate=rate,
-                drift=config.source_drift,
-                rng=rng,
-            )
-        elif config.source_kind == "correlatedburst":
-            source = CorrelatedBurstSource(
-                env,
-                stream_id,
-                sink,
-                rate=rate,
-                period=config.source_period,
-                burst_duration=config.source_surge_duration,
-                burst_factor=config.source_surge_factor,
-                rng=rng,
             )
         else:
             duty = config.source_duty

@@ -420,7 +420,7 @@ class FaultInjector:
         # cpu_capacity is what Tier-1, the oracles and a node_leave
         # replacement read, and it does not move.
         node_id = system.nodes[index].node_id
-        scheduler = system.schedulers[index]
+        scheduler = system.plane.schedulers[index]
         original_scheduler = scheduler.capacity
         scheduler.capacity = original_scheduler * fault.magnitude
 

@@ -205,47 +205,10 @@ class SimulatedSystem:
         for periodic in stack.periodic():
             self.env.process(self._periodic(periodic.interval, periodic.tick))
 
-    # -- control-plane delegation (stable operational surface) ---------------
-
     @property
     def nodes(self) -> _t.List[NodeGroup]:
         """The processing nodes: the plane's own groups, not a copy."""
         return self.plane.groups
-
-    @property
-    def targets(self) -> AllocationTargets:
-        """Tier-1 allocation targets currently in effect."""
-        return self.plane.targets
-
-    @property
-    def bus(self) -> _t.Any:
-        """The feedback bus (swappable: fault injection wraps it)."""
-        return self.plane.bus
-
-    @bus.setter
-    def bus(self, value: _t.Any) -> None:
-        self.plane.bus = value
-
-    @property
-    def schedulers(self) -> _t.List[_t.Any]:
-        return self.plane.schedulers
-
-    @property
-    def controllers(self) -> _t.Dict[str, _t.Any]:
-        return self.plane.controllers
-
-    @property
-    def gates(self) -> _t.Dict[str, _t.Any]:
-        return self.plane.gates
-
-    @property
-    def reoptimizations(self) -> int:
-        """Number of Tier-1 refreshes adopted during the run."""
-        return self.plane.reoptimizations
-
-    @property
-    def _delivery_batches(self) -> _t.Dict[float, _t.List]:
-        return self.dataplane.delivery_batches
 
     # -- control loop --------------------------------------------------------
 

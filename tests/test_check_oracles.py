@@ -201,16 +201,15 @@ class TestSyntheticEvents:
     def test_node_capacity_sum(self):
         recorder = OracleRecorder()
         system = self.attach(recorder)
-        inspection = system.plane.inspection()
-        node_id, size = next(
-            (node, size)
-            for node, size in inspection.group_sizes.items()
-            if size > 0
+        plane = system.plane
+        index, group = next(
+            (index, group)
+            for index, group in enumerate(plane.groups)
+            if group.pes
         )
-        capacity = inspection.schedulers[node_id].capacity
-        pe_ids = [
-            pe for pe, node in inspection.node_of.items() if node == node_id
-        ]
+        node_id, size = group.node_id, len(group.pes)
+        capacity = plane.schedulers[index].capacity
+        pe_ids = [pe.pe_id for pe in group.pes]
         # One full allocation round where every PE gets the whole node.
         for pe_id in pe_ids[:size]:
             recorder.emit(
@@ -224,8 +223,8 @@ class TestSyntheticEvents:
     def test_feedback_cap(self):
         recorder = OracleRecorder()
         system = self.attach(recorder)
-        inspection = system.plane.inspection()
-        pe_id, node_id = next(iter(inspection.node_of.items()))
+        group = next(group for group in system.plane.groups if group.pes)
+        pe_id, node_id = group.pes[0].pe_id, group.node_id
         # A grant far above g^-1 of a tiny advertised rate.
         recorder.emit(
             "cpu_grant", pe=pe_id, node=node_id,
@@ -243,9 +242,13 @@ class TestSyntheticEvents:
     def test_paused_node_check(self):
         recorder = OracleRecorder()
         system = self.attach(recorder)
-        inspection = system.plane.inspection()
-        pe_id, node_id = next(iter(inspection.node_of.items()))
-        system.plane.suspend_node(inspection.node_index[node_id])
+        index, group = next(
+            (index, group)
+            for index, group in enumerate(system.plane.groups)
+            if group.pes
+        )
+        pe_id, node_id = group.pes[0].pe_id, group.node_id
+        system.plane.suspend_node(index)
         recorder.emit(
             "cpu_grant", pe=pe_id, node=node_id, cpu=0.1, dt=0.02
         )

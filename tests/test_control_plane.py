@@ -187,7 +187,7 @@ class TestOperationalSurface:
         pe_id = next(iter(system.runtimes))
         sentinel = lambda pe: False  # noqa: E731
         system.plane.set_gate(pe_id, sentinel)
-        assert system.gates[pe_id] is sentinel
+        assert system.plane.gates[pe_id] is sentinel
         # ...and into the live control record the tick loop reads.
         record = next(
             r
@@ -215,7 +215,7 @@ class TestOperationalSurface:
         assert system.plane.node_controllers[1].ticks > 0
 
     def test_bus_swap_reaches_controllers(self):
-        """Fault injection swaps system.bus; ticks must see the new bus."""
+        """Fault injection swaps plane.bus; ticks must see the new bus."""
         system = build_system(AcesPolicy())
 
         class Probe:
@@ -230,9 +230,8 @@ class TestOperationalSurface:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-        probe = Probe(system.bus)
-        system.bus = probe
-        assert system.plane.bus is probe
+        probe = Probe(system.plane.bus)
+        system.plane.bus = probe
         system.run(0.2)
         assert probe.reads > 0
 
@@ -274,7 +273,6 @@ class TestPlaneState:
         system = SimulatedSystem(
             topology, AcesPolicy(), targets=targets
         )
-        assert system.targets is targets
         assert system.plane.targets is targets
 
     def test_one_controller_per_node(self):
@@ -290,12 +288,37 @@ class TestPlaneState:
         new_cpu = {
             pe_id: 0.123 for pe_id in system.runtimes
         }
-        new_targets = type(system.targets)(cpu=new_cpu)
+        new_targets = type(system.plane.targets)(cpu=new_cpu)
         system.plane.adopt_targets(new_targets)
-        assert system.targets is new_targets
+        assert system.plane.targets is new_targets
         for controller in system.plane.node_controllers:
             for record in controller.records:
                 assert record.cpu_target == 0.123
+
+    @pytest.mark.parametrize(
+        "bad", ["unknown-pe", "target-out-of-range"]
+    )
+    def test_rejected_migration_leaves_the_plane_untouched(self, bad):
+        plane = build_system(AcesPolicy()).plane
+        before = [[pe.pe_id for pe in group.pes] for group in plane.groups]
+        source = next(i for i, group in enumerate(plane.groups) if group.pes)
+        mover = plane.groups[source].pes[0].pe_id
+        good = (mover, (source + 1) % len(plane.groups))
+        bad_move = (
+            ("no-such-pe", 0) if bad == "unknown-pe"
+            else (mover, len(plane.groups))
+        )
+        with pytest.raises(ValueError):
+            plane.migrate_pes([good, bad_move])
+        # Validated as a set: the good move before the bad one was not
+        # applied, and no epoch ran.
+        after = [[pe.pe_id for pe in group.pes] for group in plane.groups]
+        records = [
+            [record.pe_id for record in controller.records]
+            for controller in plane.node_controllers
+        ]
+        assert after == before == records
+        assert plane.epoch == 0
 
     def test_plane_without_tier1_refuses_reoptimize(self):
         # Both substrates wire a ResilientTier1 in (ControlStack); a
@@ -306,7 +329,7 @@ class TestPlaneState:
             AcesPolicy(),
             system.adapter,
             groups=system.plane.groups,
-            targets=system.targets,
+            targets=system.plane.targets,
             dt=0.02,
             b0=25.0,
         )

@@ -86,8 +86,8 @@ class TestFuzzCases:
         """Pinned campaign finding: seed 1 expands to a diurnal source
         with a ``source_surge`` fault (forecast and elastic tiers both
         armed).  The fault injector's source dispatch predated the
-        scenario library and crashed with ``AttributeError: 'DiurnalSource'
-        object has no attribute 'peak_rate'`` on the new rate-based
+        scenario library and crashed with an ``AttributeError`` (no
+        attribute ``peak_rate``) on the diurnal and other rate-based
         sources until the dispatch was extended; this pins the fix."""
         scenario = generate_scenario(1)
         assert scenario.source_kind == "diurnal"

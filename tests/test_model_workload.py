@@ -1,16 +1,21 @@
 """Tests for workload sources (CBR, Poisson, on/off bursty)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.graph.topology import TopologySpec, generate_topology
 from repro.model.workload import (
     ConstantRateSource,
-    FlashCrowdSource,
     OnOffSource,
     PoissonSource,
     SquareWaveSource,
+    flash_crowd,
 )
 from repro.sim import Environment
+from repro.sim.rng import RandomStreams
+from repro.systems.build import SOURCE_KINDS, SystemConfig, build_sources
 
 
 def accepting_sink(log):
@@ -215,24 +220,23 @@ class TestFlashCrowdSource:
         env = Environment()
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            FlashCrowdSource(env, "s", lambda s, n: True, rate=0.0,
-                             surge_start=1.0, surge_duration=1.0,
-                             surge_factor=4.0, rng=rng)
+            PoissonSource(env, "s", lambda s, n: True, rate=0.0, rng=rng,
+                          shape=flash_crowd(1.0, 1.0, 4.0))
         with pytest.raises(ValueError):
-            FlashCrowdSource(env, "s", lambda s, n: True, rate=10.0,
-                             surge_start=-1.0, surge_duration=1.0,
-                             surge_factor=4.0, rng=rng)
+            flash_crowd(surge_start=-1.0, surge_duration=1.0,
+                        surge_factor=4.0)
         with pytest.raises(ValueError):
-            FlashCrowdSource(env, "s", lambda s, n: True, rate=10.0,
-                             surge_start=1.0, surge_duration=1.0,
-                             surge_factor=0.5, rng=rng)
+            flash_crowd(surge_start=1.0, surge_duration=1.0,
+                        surge_factor=0.5)
 
     def test_current_rate_window(self):
         env = Environment()
-        source = FlashCrowdSource(
-            env, "s", lambda s, n: True, rate=10.0, surge_start=5.0,
-            surge_duration=2.0, surge_factor=4.0,
+        source = PoissonSource(
+            env, "s", lambda s, n: True, rate=10.0,
             rng=np.random.default_rng(0),
+            shape=flash_crowd(
+                surge_start=5.0, surge_duration=2.0, surge_factor=4.0
+            ),
         )
         assert source.current_rate(4.9) == 10.0
         assert source.current_rate(5.0) == 40.0
@@ -242,10 +246,12 @@ class TestFlashCrowdSource:
     def test_surge_window_is_denser(self):
         env = Environment()
         log = []
-        FlashCrowdSource(
-            env, "s", accepting_sink(log), rate=50.0, surge_start=4.0,
-            surge_duration=4.0, surge_factor=5.0,
+        PoissonSource(
+            env, "s", accepting_sink(log), rate=50.0,
             rng=np.random.default_rng(7),
+            shape=flash_crowd(
+                surge_start=4.0, surge_duration=4.0, surge_factor=5.0
+            ),
         )
         env.run(until=12.0)
         inside = sum(1 for _, now in log if 4.0 <= now < 8.0)
@@ -257,16 +263,74 @@ class TestFlashCrowdSource:
         def arrivals(seed):
             env = Environment()
             log = []
-            FlashCrowdSource(
-                env, "s", accepting_sink(log), rate=30.0, surge_start=2.0,
-                surge_duration=1.0, surge_factor=3.0,
+            PoissonSource(
+                env, "s", accepting_sink(log), rate=30.0,
                 rng=np.random.default_rng(seed),
+                shape=flash_crowd(
+                    surge_start=2.0, surge_duration=1.0, surge_factor=3.0
+                ),
             )
             env.run(until=5.0)
             return [now for _, now in log]
 
         assert arrivals(9) == arrivals(9)
         assert arrivals(9) != arrivals(10)
+
+
+#: sha256 of repr(first 200 origin times) per kind, taken before the
+#: shaped kinds became PoissonSource shapes; every source draws its
+#: arrivals exactly as it did then.
+ARRIVAL_HASHES = {
+    "onoff":
+        "4d9122b88efc31f45dde4dd2949503cc8022a80ece27015ae319155b28a6fd7f",
+    "poisson":
+        "fe10a48bda29e11c15aaf9c34b268d292ca9ce7739af02b70b28fdd002606a78",
+    "constant":
+        "bf89dd59b7c2a23527b15ed22187e02b7b635c88dce38a09a6ad1e6f0a58789a",
+    "squarewave":
+        "f2f02dc281225f2d8634e02c9f438fbd85772695b08eaa791f12aae3ef9c55e5",
+    "flashcrowd":
+        "1e3222cf9e6064a7dc00d37f13f5d2a69679f208b854f1a8e467245e7ecd6d2b",
+    "diurnal":
+        "3e6a721abf0008f85f7ad1890326ddb439b0907a3f795296222e0920f9c96ee1",
+    "drift":
+        "d1ff32cafc7ee49db219df00c9b86595541e761552f1c157f6675625b362856f",
+    "correlatedburst":
+        "d9687d974087bd61348abd0e0d53afaef3cdcbc6e5c420c2cea66e5b0dc1735e",
+    "driftsquare":
+        "cd4815e906753fcca016a1c20c6d5da36eb8b0776b536548cf6fbb98aa7d9350",
+}
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_source_arrivals_are_pinned(kind):
+    topology = generate_topology(
+        TopologySpec(num_nodes=3, num_ingress=2, num_egress=2,
+                     num_intermediate=4, calibrate_rates=False),
+        np.random.default_rng(0),
+    )
+    # Short periods and an early surge, so every shape moves the rate
+    # within the first 200 arrivals (~0.7 s at these source rates).
+    config = SystemConfig(
+        seed=5, source_kind=kind, source_mean_on=0.1,
+        source_surge_start=0.1, source_surge_duration=0.2,
+        source_period=0.5, source_drift=1.0,
+    )
+    env = Environment()
+    times = []
+
+    def admit(runtime, sdo, now):
+        times.append(sdo.origin_time)
+        return True
+
+    build_sources(
+        env, topology, config, RandomStreams(seed=config.seed),
+        dict.fromkeys(topology.source_rates), admit,
+    )
+    env.run(until=2.0)
+    assert len(times) >= 200
+    digest = hashlib.sha256(repr(times[:200]).encode()).hexdigest()
+    assert digest == ARRIVAL_HASHES[kind]
 
 
 class TestRetryAfterBackoff:

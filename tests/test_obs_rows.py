@@ -169,15 +169,14 @@ class TestEveryRowInvariantTripsThroughBatches:
     @pytest.fixture()
     def oracle(self):
         system, recorder = build_checked_system("aces")
-        inspection = system.plane.inspection()
         self.system = system
-        self.node_id = next(
-            node for node, size in inspection.group_sizes.items() if size > 1
+        self.index, group = next(
+            (index, group)
+            for index, group in enumerate(system.plane.groups)
+            if len(group.pes) > 1
         )
-        self.pes = [
-            pe for pe, node in inspection.node_of.items()
-            if node == self.node_id
-        ]
+        self.node_id = group.node_id
+        self.pes = [pe.pe_id for pe in group.pes]
         return recorder
 
     def test_buffer_bounds(self, oracle):
@@ -220,15 +219,12 @@ class TestEveryRowInvariantTripsThroughBatches:
         assert oracle.violation_counts == {"cpu_grant_nonnegative": 1}
 
     def test_paused_node_silent(self, oracle):
-        inspection = self.system.plane.inspection()
-        self.system.plane.suspend_node(inspection.node_index[self.node_id])
+        self.system.plane.suspend_node(self.index)
         oracle.emit_rows(CPU_GRANT, self.node_id, [(self.pes[0], 0.1, 0.02)])
         assert oracle.violation_counts == {"paused_node_silent": 1}
 
     def test_gate_blocked_zero_grant(self, oracle):
-        controller = self.system.plane.inspection().node_controllers[
-            self.node_id
-        ]
+        controller = self.system.plane.node_controllers[self.index]
         controller.last_blocked = frozenset({self.pes[0]})
         oracle.emit_rows(
             CPU_GRANT, self.node_id,
@@ -244,9 +240,7 @@ class TestEveryRowInvariantTripsThroughBatches:
         assert oracle.violation_counts == {"feedback_cap": 1}
 
     def test_node_capacity(self, oracle):
-        capacity = self.system.plane.inspection().schedulers[
-            self.node_id
-        ].capacity
+        capacity = self.system.plane.schedulers[self.index].capacity
         oracle.emit_rows(
             CPU_GRANT, self.node_id,
             [(pe, capacity, 0.02) for pe in self.pes],

@@ -73,7 +73,7 @@ class TestReoptimizeLoop:
             config=SystemConfig(seed=1, warmup=0.0),
         )
         system.env.run(until=3.0)
-        assert system.reoptimizations == 0
+        assert system.plane.reoptimizations == 0
 
     def test_refresh_count_and_target_change(self):
         system = SimulatedSystem(
@@ -82,11 +82,11 @@ class TestReoptimizeLoop:
                 seed=1, warmup=0.0, reoptimize_interval=1.0
             ),
         )
-        original = dict(system.targets.cpu)
+        original = dict(system.plane.targets.cpu)
         system.env.run(until=3.5)
-        assert system.reoptimizations == 3
+        assert system.plane.reoptimizations == 3
         # Targets were re-derived from measured (noisy) rates.
-        assert system.targets.cpu != original
+        assert system.plane.targets.cpu != original
 
     def test_buckets_follow_refreshed_targets(self):
         system = SimulatedSystem(
@@ -96,9 +96,9 @@ class TestReoptimizeLoop:
             ),
         )
         system.env.run(until=2.5)
-        scheduler = system.schedulers[0]
+        scheduler = system.plane.schedulers[0]
         for pe in scheduler.pes:
-            expected = system.targets.cpu.get(pe.pe_id, 0.0)
+            expected = system.plane.targets.cpu.get(pe.pe_id, 0.0)
             assert scheduler.buckets[pe.pe_id].rate == pytest.approx(expected)
 
     def test_adapts_to_surged_workload(self):
@@ -117,9 +117,9 @@ class TestReoptimizeLoop:
             surged, factor=4.0, start=0.0, duration=8.0
         ).attach(system)
         system.env.run(until=7.9)
-        assert system.reoptimizations >= 3
+        assert system.plane.reoptimizations >= 3
         # The surged ingress PE's refreshed input-rate target reflects the
         # 4x measured rate (up to what the node can sustain).
-        refreshed = system.targets.rate_in[surged]
+        refreshed = system.plane.targets.rate_in[surged]
         original_rate = topology.source_rates[surged]
         assert refreshed > 1.2 * original_rate

@@ -250,21 +250,21 @@ class TestLossyBusUnderTheNodeTick:
     @pytest.mark.parametrize("control_impl", ["scalar", "vector"])
     def test_total_loss_publishes_nothing(self, control_impl):
         system = self.make_system(control_impl)
-        inner = system.bus
-        system.bus = LossyFeedbackBus(
+        inner = system.plane.bus
+        system.plane.bus = LossyFeedbackBus(
             inner, np.random.default_rng(0), loss_probability=1.0
         )
         for controller in system.plane.node_controllers:
             controller.tick(0.01)
         pes = sum(len(c.records) for c in system.plane.node_controllers)
         assert pes > 0
-        assert system.bus.lost == pes
+        assert system.plane.bus.lost == pes
         assert inner.publishes == 0
 
     @pytest.mark.parametrize("control_impl", ["scalar", "vector"])
     def test_jitter_draws_once_per_pe_in_record_order(self, control_impl):
         system = self.make_system(control_impl)
-        inner = system.bus
+        inner = system.plane.bus
         delivered = []
         publish = inner.publish
 
@@ -273,7 +273,7 @@ class TestLossyBusUnderTheNodeTick:
             publish(pe_id, r_max, now, extra_delay=extra_delay)
 
         inner.publish = spy
-        system.bus = LossyFeedbackBus(
+        system.plane.bus = LossyFeedbackBus(
             inner, np.random.default_rng(5), jitter=0.25
         )
         for controller in system.plane.node_controllers:
@@ -376,8 +376,8 @@ class TestControlPlaneFaultsEndToEnd:
         assert report.weighted_throughput > 0
         assert recorder.counts.get("feedback_stale", 0) >= 1
         assert recorder.counts.get("fault") == 2  # applied + reverted
-        assert system.bus.stale_reads > 0
-        assert not isinstance(system.bus, LossyFeedbackBus)  # reverted
+        assert system.plane.bus.stale_reads > 0
+        assert not isinstance(system.plane.bus, LossyFeedbackBus)  # reverted
 
     def test_tier1_outage_serves_from_last_known_good(self):
         """Acceptance: with Tier-1 down, re-solves fall back to the last

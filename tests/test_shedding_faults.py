@@ -167,7 +167,7 @@ class TestFaultEffects:
         for until in (0.5, 2.0, 4.0):
             system.env.run(until=until)
             seen.append(
-                (system.schedulers[0].capacity, system.nodes[0].cpu_capacity)
+                (system.plane.schedulers[0].capacity, system.nodes[0].cpu_capacity)
             )
         assert seen == [(1.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
         assert len(injector.applied) == 2
@@ -185,7 +185,7 @@ class TestFaultEffects:
         index = system.plane.node_index(replacement.node_id)
         assert replacement.node_id == "node-3"
         assert replacement.cpu_capacity == 1.0
-        assert system.schedulers[index].capacity == 1.0
+        assert system.plane.schedulers[index].capacity == 1.0
 
     def test_pe_stall_stops_processing(self):
         system = self.make_system()

@@ -88,14 +88,16 @@ class TestConstruction:
         udp = SimulatedSystem(
             shared_topology, UdpPolicy(), config=quick_config()
         )
-        assert len(aces.controllers) == len(shared_topology.graph)
-        assert udp.controllers == {}
+        assert len(aces.plane.controllers) == len(shared_topology.graph)
+        assert udp.plane.controllers == {}
 
     def test_targets_solved_when_missing(self, shared_topology):
         system = SimulatedSystem(
             shared_topology, UdpPolicy(), config=quick_config()
         )
-        assert set(system.targets.cpu) == set(shared_topology.graph.pe_ids)
+        assert set(system.plane.targets.cpu) == set(
+            shared_topology.graph.pe_ids
+        )
 
     def test_explicit_targets_used(self, shared_topology):
         targets = fair_share_targets(
@@ -105,7 +107,7 @@ class TestConstruction:
             shared_topology, UdpPolicy(), targets=targets,
             config=quick_config(),
         )
-        assert system.targets is targets
+        assert system.plane.targets is targets
 
 
 class TestRun:
@@ -316,7 +318,7 @@ class TestProfilerAttribution:
         beyond the stop horizon may remain pending."""
         system, _, _ = self.run_profiled(shared_topology, AcesPolicy())
         now = system.env.now
-        assert all(at > now for at in system._delivery_batches)
+        assert all(at > now for at in system.dataplane.delivery_batches)
 
     def test_profiling_does_not_perturb_results(self, shared_topology):
         _, _, profiled = self.run_profiled(shared_topology, AcesPolicy())
