@@ -9,11 +9,15 @@ scenario fuzzer that exercises them lives in
 :mod:`repro.experiments.fuzzing`.
 """
 
-from repro.check.conservation import check_conservation
+from repro.check.conservation import (
+    check_conservation,
+    check_runtime_conservation,
+)
 from repro.check.oracles import InvariantViolation, OracleRecorder
 
 __all__ = [
     "InvariantViolation",
     "OracleRecorder",
     "check_conservation",
+    "check_runtime_conservation",
 ]

@@ -1,4 +1,4 @@
-"""End-to-end SDO conservation ledger for the simulated substrate.
+"""End-to-end SDO conservation ledgers for both substrates.
 
 Every SDO that enters a :class:`~repro.systems.simulated.SimulatedSystem`
 must be accounted for somewhere: delivered to the egress collector,
@@ -30,6 +30,13 @@ globally
 The checker reads counters only — it never advances the system — so it
 can be run repeatedly and composes with the online oracles in
 :mod:`repro.check.oracles`.
+
+:func:`check_runtime_conservation` closes the part of the ledger a
+threaded :class:`~repro.runtime.spc.SPCRuntime` can count exactly once
+its workers have stopped: the same per-channel identities, and per
+input stream ``generated == admitted + rejected`` with the ingress
+channel accepting exactly the source's admitted SDOs and the admission
+front end deciding every generated one.
 """
 
 from __future__ import annotations
@@ -39,13 +46,18 @@ import typing as _t
 from repro.check.oracles import InvariantViolation
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.spc import SPCRuntime
     from repro.systems.simulated import SimulatedSystem
 
 
-def check_conservation(
-    system: "SimulatedSystem", tolerance: float = 1e-9
-) -> _t.List[InvariantViolation]:
-    """Close the SDO ledger of a finished (or paused) simulated run."""
+Violate = _t.Callable[..., None]
+
+
+def _ledger(
+    now: float,
+) -> _t.Tuple[_t.List[InvariantViolation], Violate]:
+    """An empty violation list and ``violate(invariant, detail, pe=None)``
+    appending to it, stamped ``now``."""
     violations: _t.List[InvariantViolation] = []
 
     def violate(invariant: str, detail: str, pe: _t.Optional[str] = None) -> None:
@@ -53,12 +65,21 @@ def check_conservation(
             InvariantViolation(
                 invariant=invariant,
                 equation="Section IV (conservation)",
-                t=float(system.env.now),
+                t=float(now),
                 pe=pe,
                 node=None,
                 detail=detail,
             )
         )
+
+    return violations, violate
+
+
+def check_conservation(
+    system: "SimulatedSystem", tolerance: float = 1e-9
+) -> _t.List[InvariantViolation]:
+    """Close the SDO ledger of a finished (or paused) simulated run."""
+    violations, violate = _ledger(system.env.now)
 
     total_offered = 0
     egress_emitted = 0
@@ -254,4 +275,58 @@ def check_conservation(
                 f"output={delivered} over the measured window",
             )
 
+    return violations
+
+
+def check_runtime_conservation(
+    runtime: "SPCRuntime",
+) -> _t.List[InvariantViolation]:
+    """Close the SDO ledger of a stopped threaded run."""
+    violations, violate = _ledger(runtime.now())
+
+    for pe_id, pe in sorted(runtime.pes.items()):
+        stats = pe.channel.stats
+        occupancy = pe.channel.occupancy
+        if stats.offered != stats.accepted + (stats.dropped - stats.flushed):
+            violate(
+                "buffer_offer_conservation",
+                f"offered={stats.offered} != accepted={stats.accepted}"
+                f" + (dropped={stats.dropped} - flushed={stats.flushed})",
+                pe=pe_id,
+            )
+        if stats.accepted != stats.popped + stats.flushed + occupancy:
+            violate(
+                "buffer_occupancy_conservation",
+                f"accepted={stats.accepted} != popped={stats.popped}"
+                f" + flushed={stats.flushed} + occupancy={occupancy}",
+                pe=pe_id,
+            )
+
+    admission = runtime.admission
+    for source in runtime.sources:
+        pe_id = source.stream_id.split(":", 1)[1]
+        stats = source.stats
+        if stats.generated != stats.admitted + stats.rejected:
+            violate(
+                "source_conservation",
+                f"{source.stream_id}: generated={stats.generated} != "
+                f"admitted={stats.admitted} + rejected={stats.rejected}",
+                pe=pe_id,
+            )
+        accepted = runtime.pes[pe_id].channel.stats.accepted
+        if accepted != stats.admitted:
+            violate(
+                "ingress_conservation",
+                f"channel accepted={accepted} != source "
+                f"admitted={stats.admitted}",
+                pe=pe_id,
+            )
+        stream = admission.streams.get(pe_id) if admission else None
+        if stream is not None and stream.decisions != stats.generated:
+            violate(
+                "admission_decision_conservation",
+                f"decisions={stream.decisions} != "
+                f"generated={stats.generated}",
+                pe=pe_id,
+            )
     return violations

@@ -12,6 +12,7 @@ ticker must pump.
 
 from __future__ import annotations
 
+import contextlib
 import typing as _t
 
 from repro.control.adapter import MembershipOps, PELike, SystemAdapter
@@ -40,6 +41,18 @@ class PeriodicTick(_t.NamedTuple):
     #: True when the tick may change membership or targets (a threaded
     #: substrate serializes those against other membership mutations).
     mutates: bool
+
+    def run(
+        self, env: _t.Any, lock: _t.Optional[_t.ContextManager] = None
+    ) -> _t.Generator:
+        """The tier as a process of ``env`` (the simulator's kernel or
+        the runtime's ``ThreadEnv``): ``tick(now)`` every ``interval``,
+        the first one interval in, under ``lock`` when given."""
+        guard = lock if lock is not None else contextlib.nullcontext()
+        while True:
+            yield env.timeout(self.interval)
+            with guard:
+                self.tick(env.now)
 
 
 class Tier1Refresh:

@@ -65,7 +65,11 @@ def run_calibration(
     seed: int = 0,
     runtime_config: _t.Optional[RuntimeConfig] = None,
 ) -> _t.List[CalibrationRow]:
-    """Run the same topology through both substrates and compare."""
+    """Run the same topology through both substrates and compare.
+
+    Both run the same source model: the runtime config's ``source_kind``
+    (by default the simulator's own, bursty on/off).
+    """
     if topology is None:
         topology = generate_topology(
             calibration_spec(), np.random.default_rng(seed)
@@ -77,6 +81,10 @@ def run_calibration(
         topology.graph, topology.placement, topology.source_rates
     ).targets
 
+    if runtime_config is None:
+        runtime_config = RuntimeConfig(
+            seed=seed + 1, source_kind=SystemConfig().source_kind
+        )
     rows = []
     for policy in policies:
         sim_report = run_system(
@@ -84,13 +92,16 @@ def run_calibration(
             policy,
             duration=sim_duration,
             targets=targets,
-            config=SystemConfig(seed=seed + 1, warmup=3.0),
+            config=SystemConfig(
+                seed=seed + 1, warmup=3.0,
+                source_kind=runtime_config.source_kind,
+            ),
         )
         runtime = SPCRuntime(
             topology,
             policy,
             targets=targets,
-            config=runtime_config or RuntimeConfig(seed=seed + 1),
+            config=runtime_config,
         )
         runtime_report = runtime.run(runtime_duration)
         rows.append(

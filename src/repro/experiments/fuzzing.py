@@ -15,7 +15,9 @@ watching both.
 
 Three entry points:
 
-* :func:`run_fuzz_case` — one (scenario, policy) simulated run;
+* :func:`run_fuzz_case` — one (scenario, policy) simulated run, or
+  the same scenario (sources and faults included) on the threaded
+  runtime;
 * :func:`run_differential_case` — one (scenario, policy) scripted
   cross-substrate drive;
 * :func:`run_fuzz_campaign` — N seeds x policies x both modes, JSONL
@@ -33,12 +35,17 @@ from __future__ import annotations
 
 import json
 import typing as _t
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from repro.check import OracleRecorder, check_conservation
+from repro.check import (
+    OracleRecorder,
+    check_conservation,
+    check_runtime_conservation,
+)
 from repro.control.admission import AdmissionConfig
+from repro.control.config import ControlConfig
 from repro.control.elastic import ElasticityConfig
 from repro.control.forecast import ForecastConfig
 from repro.core.global_opt import solve_global_allocation
@@ -156,6 +163,19 @@ class FuzzScenario:
             admission=admission,
             elasticity=elasticity,
             forecast=forecast,
+        )
+
+    def build_runtime_config(
+        self, control_impl: str = "scalar"
+    ) -> RuntimeConfig:
+        """The same scenario on the threaded runtime, four model seconds
+        per wall second: every shared :class:`ControlConfig` field as
+        :meth:`build_config` sets it (the runtime has no periodic Tier-1
+        refresh)."""
+        config = self.build_config(control_impl)
+        return RuntimeConfig(
+            dilation=0.25,
+            **{f.name: getattr(config, f.name) for f in fields(ControlConfig)},
         )
 
     def build_plan(self) -> FaultPlan:
@@ -332,7 +352,7 @@ class FuzzCaseResult:
 
     scenario: FuzzScenario
     policy: str
-    mode: str  # "simulated" | "differential"
+    mode: str  # "simulated" | "threaded" | "differential"
     control_impl: str = "scalar"
     violations: _t.List[_t.Dict[str, object]] = field(default_factory=list)
     violation_counts: _t.Dict[str, int] = field(default_factory=dict)
@@ -370,6 +390,7 @@ def run_fuzz_case(
     topology: _t.Optional[Topology] = None,
     targets: _t.Optional[_t.Any] = None,
     control_impl: str = "scalar",
+    threaded: bool = False,
 ) -> FuzzCaseResult:
     """Run one scenario under one policy with all oracles armed.
 
@@ -377,21 +398,33 @@ def run_fuzz_case(
     control steps) and closes the conservation ledger afterwards; a run
     that raises still reports the violations observed up to the error.
     ``control_impl="vector"`` fuzzes the array-backed Tier-2 engine
-    against exactly the same invariants.
+    against exactly the same invariants.  ``threaded`` runs the scenario
+    on the threaded runtime instead, with the relaxed oracles (live
+    workers interleave with checking) and the runtime's ledger; that
+    run is not bit-reproducible, so campaigns leave it out.
     """
     policy = policy_by_name(policy_name)
-    result = FuzzCaseResult(scenario=scenario, policy=policy_name,
-                            mode="simulated", control_impl=control_impl)
-    recorder = OracleRecorder(strict=True)
+    result = FuzzCaseResult(
+        scenario=scenario, policy=policy_name,
+        mode="threaded" if threaded else "simulated",
+        control_impl=control_impl,
+    )
+    recorder = OracleRecorder(strict=not threaded)
     if topology is None:
         topology = scenario.build_topology()
-    system = SimulatedSystem(
-        topology,
-        policy,
-        targets=targets,
-        config=scenario.build_config(control_impl=control_impl),
-        recorder=recorder,
-    )
+    system: _t.Any
+    if threaded:
+        system = SPCRuntime(
+            topology, policy, targets=targets,
+            config=scenario.build_runtime_config(control_impl),
+            recorder=recorder,
+        )
+    else:
+        system = SimulatedSystem(
+            topology, policy, targets=targets,
+            config=scenario.build_config(control_impl=control_impl),
+            recorder=recorder,
+        )
     recorder.attach_plane(system.plane)
     scenario.build_plan().attach(system)
     try:
@@ -399,7 +432,8 @@ def run_fuzz_case(
     except Exception as exc:  # noqa: BLE001 - a fuzz finding, not a crash
         result.error = f"{type(exc).__name__}: {exc}"
     violations = list(recorder.finalize())
-    violations.extend(check_conservation(system))
+    ledger = check_runtime_conservation if threaded else check_conservation
+    violations.extend(ledger(system))
     result.violations = [violation.as_dict() for violation in violations]
     result.violation_counts = dict(recorder.violation_counts)
     result.events = sum(recorder.counts.values())

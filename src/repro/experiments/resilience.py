@@ -16,9 +16,12 @@ measures how the closed loop degrades and recovers:
   markers, taken from the trace recorder.
 
 The matrix is written to ``BENCH_resilience.json`` by ``repro chaos``;
-``--smoke`` runs a reduced matrix sized for CI.  Chaos cells are not
-twins and carry no oracles, so of :mod:`repro.experiments.matrix` this
-suite uses the run guard, the writer and the CLI flow only.
+``--smoke`` runs a reduced matrix sized for CI.  Simulated chaos cells
+are not twins and carry no oracles, so of :mod:`repro.experiments.matrix`
+this suite uses the run guard, the writer and the CLI flow only.  A cell
+given a :class:`~repro.runtime.spc.RuntimeConfig` runs the same fault on
+the threaded runtime instead, with the substrate-safe oracles armed and
+the runtime's conservation ledger closed afterwards.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ from operator import itemgetter
 
 import numpy as np
 
+from repro.check import OracleRecorder, check_runtime_conservation
+from repro.control.config import ControlConfig
 from repro.core.policies import Policy, policy_by_name
 from repro.experiments import matrix
 from repro.experiments.admission import bench_admission_config
 from repro.graph.topology import Topology, TopologySpec, generate_topology
 from repro.obs.recorder import MemoryRecorder, TraceFilter
+from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.systems.faults import FaultPlan
 from repro.systems.simulated import SimulatedSystem, SystemConfig
 
@@ -58,14 +64,14 @@ SMOOTHING_BINS = 3
 
 
 class EgressRateProbe:
-    """Sim process sampling the cumulative weighted egress count per bin.
+    """Process sampling the cumulative weighted egress count per bin.
 
     Per-bin weighted egress *rates* are first differences of the sampled
     cumulative sum_j w_j count_j.  The collector's warm-up reset makes the
     cumulative series drop once; :meth:`rates` clamps that bin to zero.
     """
 
-    def __init__(self, system: SimulatedSystem, bin_width: float):
+    def __init__(self, system: _t.Any, bin_width: float):
         if bin_width <= 0:
             raise ValueError("bin_width must be positive")
         self.system = system
@@ -266,22 +272,28 @@ def run_chaos_cell(
     topology: Topology,
     policy: Policy,
     scenario: ChaosScenario,
-    config: SystemConfig,
+    config: ControlConfig,
     duration: float,
     fault_start: float,
     fault_duration: float,
 ) -> ChaosCellResult:
-    """Run one faulted simulation and measure degradation and recovery.
+    """Run one faulted system and measure degradation and recovery.
 
     ``fault_start`` is measured from the start of the *measured* window
-    (i.e. the fault fires at sim time ``warmup + fault_start``).
+    (i.e. the fault fires at model time ``warmup + fault_start``).  A
+    ``RuntimeConfig`` runs the cell on the threaded runtime, where any
+    oracle or conservation violation becomes the cell's ``error``.
     """
-    recorder = MemoryRecorder(
+    guards = MemoryRecorder(
         trace_filter=TraceFilter.parse("kind=" + "|".join(_GUARD_KINDS))
     )
-    system = SimulatedSystem(
+    threaded = isinstance(config, RuntimeConfig)
+    recorder = OracleRecorder(strict=False, sink=guards) if threaded else guards
+    system = (SPCRuntime if threaded else SimulatedSystem)(
         topology, policy, config=config, recorder=recorder
     )
+    if threaded:
+        recorder.attach_plane(system.plane)
     bin_width = max(config.dt * 2, duration / 80.0)
     probe = EgressRateProbe(system, bin_width)
 
@@ -291,6 +303,13 @@ def run_chaos_cell(
     plan.attach(system)
 
     report, error = matrix.guarded_run(system, duration)
+    if threaded and error is None:
+        violations = list(recorder.finalize())
+        violations += check_runtime_conservation(system)
+        if violations:
+            error = "invariant violations: " + ", ".join(
+                sorted({violation.invariant for violation in violations})
+            )
 
     rates = probe.rates()
     fault_end = absolute_start + fault_duration
@@ -316,7 +335,7 @@ def run_chaos_cell(
         weighted_throughput=(
             report.weighted_throughput if report is not None else 0.0
         ),
-        events={kind: recorder.counts.get(kind, 0) for kind in _GUARD_KINDS},
+        events={kind: guards.counts.get(kind, 0) for kind in _GUARD_KINDS},
         error=error,
         admission=config.admission is not None,
         ladder_timeline=[
@@ -325,7 +344,7 @@ def run_chaos_cell(
                 "level": event["level"],
                 "cause": event["cause"],
             }
-            for event in recorder.by_kind("admission_level")
+            for event in guards.by_kind("admission_level")
         ],
     )
 

@@ -1,8 +1,12 @@
 """System-input stream sources (workload generators).
 
-A source is a simulation process that creates SDOs and pushes them into the
-ingress PEs' input buffers via a *sink callable*.  Three traffic models cover
-the paper's evaluation needs:
+A source is a process that creates SDOs and pushes them into the ingress
+PEs' input buffers via a *sink callable*.  It runs on either substrate:
+as a kernel process of the simulator's
+:class:`~repro.sim.engine.Environment`, or on a thread of the threaded
+runtime's :class:`~repro.runtime.env.ThreadEnv`, which gives each
+process the same sequence of ``now`` values the kernel would.  Three
+traffic models cover the paper's evaluation needs:
 
 * :class:`ConstantRateSource` — deterministic CBR traffic;
 * :class:`PoissonSource` — memoryless arrivals;
@@ -48,8 +52,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.model.sdo import SDO
-from repro.sim.engine import Environment
 from repro.sim.rng import exponential
+
+#: Every source model ``repro.systems.build.build_sources`` can
+#: instantiate.  The first five are the original set; the last four are
+#: the forecasting scenario library.
+SOURCE_KINDS = (
+    "onoff",
+    "poisson",
+    "constant",
+    "squarewave",
+    "flashcrowd",
+    "diurnal",
+    "drift",
+    "correlatedburst",
+    "driftsquare",
+)
+
+#: The environment a source runs in: the simulator's ``Environment`` or
+#: the threaded runtime's ``ThreadEnv`` (``now``, ``timeout``, ``process``).
+Env = _t.Any
 
 #: A sink accepts (sdo, now) and returns True when the SDO was admitted.
 Sink = _t.Callable[[SDO, float], bool]
@@ -82,7 +104,7 @@ class _SourceBase:
 
     def __init__(
         self,
-        env: Environment,
+        env: Env,
         stream_id: str,
         sink: Sink,
         sdo_size: float = 1.0,
@@ -135,7 +157,7 @@ class ConstantRateSource(_SourceBase):
 
     def __init__(
         self,
-        env: Environment,
+        env: Env,
         stream_id: str,
         sink: Sink,
         rate: float,
@@ -165,7 +187,7 @@ class PoissonSource(_SourceBase):
 
     def __init__(
         self,
-        env: Environment,
+        env: Env,
         stream_id: str,
         sink: Sink,
         rate: float,
@@ -289,7 +311,7 @@ class OnOffSource(_SourceBase):
 
     def __init__(
         self,
-        env: Environment,
+        env: Env,
         stream_id: str,
         sink: Sink,
         peak_rate: float,
@@ -351,7 +373,7 @@ class SquareWaveSource(_SourceBase):
 
     def __init__(
         self,
-        env: Environment,
+        env: Env,
         stream_id: str,
         sink: Sink,
         peak_rate: float,

@@ -169,10 +169,10 @@ def _snapshot(
     now: float,
     lock: _t.ContextManager[_t.Any],
     buffer_drops: int,
-    source_rejections: int,
 ) -> MetricsSnapshot:
     """The view both substrates share: the collector (read under
-    ``lock``), the plane's PEs and flow controllers, spans, admission."""
+    ``lock``), the plane's PEs and flow controllers, the sources, spans,
+    admission."""
     collector = system.collector
     with lock:
         window = now - collector.window_start
@@ -193,7 +193,7 @@ def _snapshot(
         weighted_throughput=throughput,
         total_output=total,
         buffer_drops=buffer_drops,
-        source_rejections=source_rejections,
+        source_rejections=sum(s.stats.rejected for s in system.sources),
         streams=streams,
         pes=[
             PERow(
@@ -225,7 +225,6 @@ def snapshot_system(system: "SimulatedSystem") -> MetricsSnapshot:
             sum(r.buffer.telemetry.dropped for r in system.runtimes.values())
             + system.dataplane.shed_drops
         ),
-        source_rejections=sum(s.stats.rejected for s in system.sources),
     )
 
 
@@ -239,7 +238,6 @@ def snapshot_runtime(runtime: "SPCRuntime") -> MetricsSnapshot:
         buffer_drops=sum(
             pe.channel.stats.dropped for pe in runtime.pes.values()
         ),
-        source_rejections=0,  # threaded sources drop at the channel
     )
 
 

@@ -10,12 +10,14 @@ The control loop per node pumps the *same*
 :class:`~repro.control.node.NodeController` the simulator uses, through
 a :class:`ThreadAdapter` — the controller code is shared, not mirrored;
 that equivalence is what the calibration experiment (paper Section VI-C)
-measures and ``tests/test_control_parity.py`` asserts tick-by-tick.
+measures and ``tests/test_control_parity.py`` asserts tick-by-tick.  The
+workload sources and the fault injector are shared the same way: the
+simulator's classes run as processes of a thread-backed
+:class:`~repro.runtime.env.ThreadEnv`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 import typing as _t
@@ -31,8 +33,10 @@ from repro.metrics.collectors import EgressCollector
 from repro.metrics.stats import SummaryStats
 from repro.model.sdo import SDO
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
+from repro.runtime.env import ThreadEnv
 from repro.runtime.worker import RuntimePE
-from repro.sim.rng import RandomStreams, exponential
+from repro.sim.rng import RandomStreams
+from repro.systems.build import build_sources, source_counters
 
 # Not called here any more (ElasticDriver plans and re-solves): kept as
 # globals of this module because the perf observatory's trace targets
@@ -74,11 +78,6 @@ class RuntimeConfig(ControlConfig):
         super().__post_init__()
         if self.dilation <= 0:
             raise ValueError("dilation must be positive")
-        if self.source_kind not in ("poisson", "constant"):
-            raise ValueError(
-                f"unknown source_kind {self.source_kind!r}: the threaded "
-                "runtime generates 'poisson' or 'constant' arrivals"
-            )
         if self.supervisor_poll <= 0:
             raise ValueError("supervisor_poll must be positive")
         if self.max_worker_restarts < 0:
@@ -109,9 +108,8 @@ class RuntimeReport:
     #: (``{"p50": ..., "p95": ..., "p99": ...}``).
     latency_percentiles: _t.Dict[str, float] = field(default_factory=dict)
     #: Per-kind drop breakdown over the measured window, mirroring
-    #: ``MetricsReport.drops_by_kind`` (``buffer_overflow`` covers
-    #: channel-full drops and crash-flush losses together — the threaded
-    #: channel does not distinguish them; ``admission_shed`` /
+    #: ``MetricsReport.drops_by_kind`` (``flushed`` counts the channel
+    #: contents a worker crash lost; ``admission_shed`` /
     #: ``admission_rejected`` count front-end refusals).
     drops_by_kind: _t.Dict[str, int] = field(default_factory=dict)
 
@@ -199,7 +197,10 @@ class SPCRuntime:
         self._start_wall: _t.Optional[float] = None
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         if self.recorder.enabled:
-            self.recorder.bind_clock(self.now)
+            # As in the simulator: an event a source, fault or periodic
+            # tier emits carries its process's model time, the time its
+            # decision was taken at; any other thread's, the clock.
+            self.recorder.bind_clock(lambda: self.env.now)
         #: Armed latency-span tracker; worker threads share it, so it
         #: must carry a lock regardless of how it was constructed.
         self.spans = spans
@@ -211,7 +212,6 @@ class SPCRuntime:
         self.collector = EgressCollector()
         self.collector_lock = threading.Lock()
         self._stop = threading.Event()
-        self._threads: _t.List[threading.Thread] = []
         self.worker_restarts = 0
         self.workers_abandoned = 0
 
@@ -220,7 +220,11 @@ class SPCRuntime:
         #: deliberately do not take it — a tick against the outgoing
         #: epoch's controller is harmless, and the identity-keyed loops
         #: re-resolve their controller on the next tick.
-        self._membership_lock = threading.Lock()
+        self.membership_lock = threading.Lock()
+        #: Runs the workload sources, any fault injector, the control
+        #: tiers and the worker supervisor as threads on the dilated
+        #: model clock.
+        self.env = ThreadEnv(self.now, self.config.dilation, self._stop)
 
         self._build(targets)
 
@@ -308,101 +312,93 @@ class SPCRuntime:
             pe.gates = self.plane.gates
             pe.blocking_emission = self.plane.gates[pe_id] is not None
 
-        # ``source_generated`` mirrors the simulator sources'
-        # ``stats.generated`` counters (offered load, counted before the
-        # admission verdict); single-writer per key, so the forecast
-        # tick can read it lock-free.
-        rates = sorted(topology.source_rates.items())
-        self.source_generated: _t.Dict[str, int] = {
-            pe_id: 0 for pe_id in topology.source_rates
-        }
-        stack.bind_sources({
-            pe_id: (lambda p=pe_id: self.source_generated[p])
-            for pe_id, _rate in rates
-        })
+        # The simulator's open-loop sources, one per ingress PE; their
+        # counters are single-writer, so the forecast tick reads them
+        # lock-free.
+        self.sources = build_sources(
+            self.env, topology, config, self.streams, self.pes,
+            self._admit, admission=self.admission,
+        )
+        stack.bind_sources(source_counters(self.sources))
 
         # One control pump per node (the simulator's NodeController at
-        # dilated wall cadence), the armed periodic tiers — under the
-        # membership lock when their tick may mutate membership — and
-        # one open-loop generator per source.
+        # dilated wall cadence), and the armed periodic tiers, all env
+        # processes on the clock; a periodic tick that may mutate
+        # membership runs under the membership lock.
         for group in self.plane.groups:
-            self._threads.append(self._thread(
-                f"ctl-{group.node_id}", self._node_ticker, group.node_id
-            ))
+            self._start_node_ticker(group.node_id)
         for periodic in stack.periodic():
-            self._threads.append(self._thread(
-                periodic.name, self._periodic, periodic.interval,
-                periodic.tick,
-                self._membership_lock if periodic.mutates else None,
-            ))
-        for pe_id, rate in rates:
-            self._threads.append(
-                self._thread(f"src-{pe_id}", self._source_loop, pe_id, rate)
+            guard = (
+                self.env.guard(self.membership_lock)
+                if periodic.mutates else None
             )
+            self.env.process(periodic.run(self.env, guard), on_clock=True)
 
-    # -- threads ------------------------------------------------------------
+    def _admit(self, pe: RuntimePE, sdo: SDO, now: float) -> bool:
+        """A source's offer into an ingress channel (drop on full)."""
+        if self.spans is not None:
+            # Enqueued and emitted at birth: the span telescopes from
+            # origin_time so the closure identity holds end to end.
+            sdo.span = [0.0, 0.0, 0.0, now, now]
+        return pe.channel.offer(sdo)
 
-    @staticmethod
-    def _thread(
-        name: str, target: _t.Callable[..., None], *args: _t.Any
-    ) -> threading.Thread:
-        return threading.Thread(
-            target=target, args=args, name=name, daemon=True
-        )
+    @property
+    def source_generated(self) -> _t.Dict[str, int]:
+        """Offered SDOs per ingress pe_id, counted before the admission
+        verdict."""
+        return {
+            pe_id: probe()
+            for pe_id, probe in source_counters(self.sources).items()
+        }
 
-    def _node_ticker(self, node_id: str) -> None:
-        """Pump one node's controller at the dilated control cadence.
+    # -- control processes --------------------------------------------------
+
+    def _start_node_ticker(self, node_id: str) -> None:
+        thread = self.env.process(self._node_ticker(node_id), on_clock=True)
+        thread.name = f"ctl-{node_id}"
+
+    def _node_ticker(self, node_id: str) -> _t.Generator:
+        """Pump one node's controller every ``dt``.
 
         Keyed by node identity: membership rebuilds replace controller
         objects and shift node indices, so both are resolved fresh each
         tick.  Retires when its node leaves.
         """
-        config = self.config
-        period_wall = config.dt * config.dilation
+        env = self.env
         plane = self.plane
-        while not self._stop.is_set():
+        while True:
             index = plane.node_index(node_id)
             if index is None:
                 return
             if index < len(plane.paused) and not plane.paused[index]:
-                plane.node_controllers[index].tick(self.now())
-            time.sleep(period_wall)
+                plane.node_controllers[index].tick(env.now)
+            yield env.timeout(self.config.dt)
 
-    def _periodic(
-        self,
-        interval: float,
-        tick: _t.Callable[[float], None],
-        lock: _t.Optional[threading.Lock] = None,
-    ) -> None:
-        """The one ticker of the periodic tiers (admission, forecast,
-        elastic): ``tick(now)`` every ``interval`` model seconds at the
-        dilated wall cadence, optionally under ``lock``."""
-        period_wall = interval * self.config.dilation
-        guard = lock if lock is not None else contextlib.nullcontext()
-        while not self._stop.is_set():
-            time.sleep(period_wall)
-            if self._stop.is_set():
-                return
-            with guard:
-                tick(self.now())
+    # -- fault hooks ---------------------------------------------------------
+
+    def crash_pe(self, pe_id: str) -> None:
+        """Kill a PE's worker thread, losing its channel; the supervisor
+        revives it, and the fault injector keeps it gated for the fault
+        window.  No join: the worker dies when its current SDO ends."""
+        self.pes[pe_id].kill(timeout=0.0)
+
+    def require_node_tickers(self, operation: str) -> None:
+        """Every node has its own control process: membership operations
+        are always allowed."""
 
     # -- MembershipOps (the physical half; ElasticDriver keeps the books) -----
 
     def add_node(self, cpu_capacity: float = 1.0) -> str:
-        """Join a fresh empty node: plane group, gauges, control thread."""
+        """Join a fresh empty node: plane group, gauges, control process."""
         node_id = self.elastic.next_node_id()
         self.elastic.join(node_id, cpu_capacity, self.now())
-        thread = self._thread(f"ctl-{node_id}", self._node_ticker, node_id)
-        if self._start_wall is None:
-            self._threads.append(thread)
-        else:
-            thread.start()
+        self._start_node_ticker(node_id)
         return node_id
 
     def remove_node(self, node_index: int) -> str:
         """Leave: the plane refuses non-empty nodes (buffered work and
         ingress channels can never be stranded); the node's control
-        thread retires on its next tick."""
+        process retires on its next tick."""
         return self.elastic.leave(node_index, self.now())
 
     def migrate_pes(
@@ -425,7 +421,7 @@ class SPCRuntime:
             moves, reason, self.now(), self.pes, land=land
         )
 
-    def _supervisor_loop(self) -> None:
+    def _supervise(self) -> _t.Generator:
         """Detect dead workers and revive them with bounded backoff.
 
         A worker thread that dies (an injected crash, or a real bug in
@@ -438,14 +434,14 @@ class SPCRuntime:
         ``worker_restart`` trace event.
         """
         config = self.config
-        poll_wall = config.supervisor_poll * config.dilation
+        env = self.env
         restarts: _t.Dict[str, int] = {pe_id: 0 for pe_id in self.pes}
         revive_at: _t.Dict[str, _t.Optional[float]] = {
             pe_id: None for pe_id in self.pes
         }
         abandoned: _t.Set[str] = set()
-        while not self._stop.is_set():
-            time.sleep(poll_wall)
+        while True:
+            yield env.timeout(config.supervisor_poll)
             for pe_id, pe in self.pes.items():
                 if self._stop.is_set():
                     return
@@ -455,17 +451,14 @@ class SPCRuntime:
                     abandoned.add(pe_id)
                     self.workers_abandoned += 1
                     continue
-                now_wall = time.monotonic()
                 scheduled = revive_at[pe_id]
                 if scheduled is None:
-                    backoff = (
+                    revive_at[pe_id] = env.now + (
                         config.restart_backoff_base
                         * config.restart_backoff_factor ** restarts[pe_id]
-                        * config.dilation
                     )
-                    revive_at[pe_id] = now_wall + backoff
                     continue
-                if now_wall < scheduled:
+                if env.now < scheduled:
                     continue
                 pe.restart()
                 restarts[pe_id] += 1
@@ -478,42 +471,6 @@ class SPCRuntime:
                         restarts=restarts[pe_id],
                         generation=pe.generation,
                     )
-
-    def _source_loop(self, pe_id: str, rate: float) -> None:
-        config = self.config
-        rng = self.streams.stream(f"src:{pe_id}")
-        pe = self.pes[pe_id]
-        spans_armed = self.spans is not None
-        admission = self.admission
-        while not self._stop.is_set():
-            if config.source_kind == "poisson":
-                gap = exponential(rng, 1.0 / rate)
-            else:
-                gap = 1.0 / rate
-            time.sleep(gap * config.dilation)
-            origin = self.now()
-            self.source_generated[pe_id] += 1
-            if admission is not None:
-                verdict = admission.admit_ingress(pe_id, origin)
-                if verdict == "shed":
-                    continue
-                if verdict == "reject":
-                    # 429 + retry-after: this open-loop client holds all
-                    # offers until the horizon passes (same contract the
-                    # simulator's sources honour via their backoff hook).
-                    time.sleep(
-                        admission.config.retry_after * config.dilation
-                    )
-                    continue
-            sdo = SDO(
-                stream_id=f"src:{pe_id}",
-                origin_time=origin,
-            )
-            if spans_armed:
-                # Enqueued and emitted at birth: the span telescopes from
-                # origin_time so the closure identity holds end to end.
-                sdo.span = [0.0, 0.0, 0.0, origin, origin]
-            pe.channel.offer(sdo)
 
     # -- run ----------------------------------------------------------------
 
@@ -528,7 +485,8 @@ class SPCRuntime:
         When ``observer`` is given it is invoked every ``observe_interval``
         model-seconds during the measured window with the live runtime
         (the ``repro top --watch`` hook); exceptions it raises propagate
-        after the runtime is stopped cleanly.
+        after the runtime is stopped cleanly, as does the first exception
+        that ended a source or fault process.
         """
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -536,9 +494,10 @@ class SPCRuntime:
         pes = self.pes.values()
         admission = self.admission
 
-        def counters() -> _t.Tuple[int, int, int, float]:
+        def counters() -> _t.Tuple[int, int, int, int, float]:
             return (
                 sum(pe.channel.stats.dropped for pe in pes),
+                sum(pe.channel.stats.flushed for pe in pes),
                 admission.total_shed if admission is not None else 0,
                 admission.total_rejected if admission is not None else 0,
                 sum(pe.cpu_used for pe in pes),
@@ -547,9 +506,8 @@ class SPCRuntime:
         self._start_wall = time.monotonic()
         for pe in pes:
             pe.start()
-        for thread in self._threads:
-            thread.start()
-        self._thread("supervisor", self._supervisor_loop).start()
+        self.env.process(self._supervise(), on_clock=True).name = "supervisor"
+        self.env.start()
         try:
             time.sleep(config.warmup * config.dilation)
             with self.collector_lock:
@@ -557,7 +515,7 @@ class SPCRuntime:
                 self.collector.reset(started)
             if self.spans is not None:
                 self.spans.reset()
-            drops0, shed0, rejected0, cpu0 = counters()
+            drops0, flushed0, shed0, rejected0, cpu0 = counters()
 
             if observer is None:
                 time.sleep(duration * config.dilation)
@@ -586,7 +544,7 @@ class SPCRuntime:
                     pe_id: record.count
                     for pe_id, record in collector.records().items()
                 }
-            drops1, shed1, rejected1, cpu1 = counters()
+            drops1, flushed1, shed1, rejected1, cpu1 = counters()
         finally:
             # Tell everyone at once, then wait: a worker can take up to
             # one emulated service time to notice, and those overlap.
@@ -595,6 +553,11 @@ class SPCRuntime:
                 pe.request_stop()
             for pe in pes:
                 pe.stop()
+            # A process ends at its next timeout; the longest step is a
+            # Tier-1 re-solve.
+            self.env.join(timeout=10.0)
+        if self.env.failures:
+            raise self.env.failures[0]
 
         # Membership may have varied during the window: normalize CPU
         # use by integrated node-seconds, not a fixed node count.
@@ -614,8 +577,8 @@ class SPCRuntime:
             workers_abandoned=self.workers_abandoned,
             latency_percentiles=percentiles,
             drops_by_kind={
-                "buffer_overflow": drops1 - drops0,
-                "flushed": 0,
+                "buffer_overflow": (drops1 - drops0) - (flushed1 - flushed0),
+                "flushed": flushed1 - flushed0,
                 "shed": 0,
                 "admission_shed": shed1 - shed0,
                 "admission_rejected": rejected1 - rejected0,

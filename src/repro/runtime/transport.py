@@ -22,6 +22,8 @@ class ChannelStats:
     accepted: int = 0
     dropped: int = 0
     popped: int = 0
+    #: Accepted SDOs lost to :meth:`Channel.clear` (also in ``dropped``).
+    flushed: int = 0
 
 
 class Channel:
@@ -84,6 +86,7 @@ class Channel:
             lost = len(self._items)
             self._items.clear()
             self.stats.dropped += lost
+            self.stats.flushed += lost
             self._not_full.notify_all()
             return lost
 

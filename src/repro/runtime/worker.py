@@ -115,10 +115,9 @@ class RuntimePE:
             return 0.0
         return (rate / self.profile.lambda_m) * self.current_service_time
 
-    @property
-    def blocked_last_interval(self) -> bool:
-        """The threaded runtime blocks inside the worker; never pre-empted."""
-        return False
+    #: The threaded runtime blocks inside the worker and is never
+    #: pre-empted, so this stays False (clearing it is a no-op).
+    blocked_last_interval = False
 
     # -- wiring -----------------------------------------------------------
 

@@ -40,28 +40,14 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.admission import AdmissionController
     from repro.obs.spans import SpanTracker
 
-#: admit(runtime, sdo, now) -> accepted?  Provided by the data plane.
-AdmitFn = _t.Callable[[PERuntime, SDO, float], bool]
-
-#: Every workload-source model ``build_sources`` can instantiate.  The
-#: first five are the original set; the last four are the forecasting
-#: scenario library (PR 10).
-SOURCE_KINDS = (
-    "onoff",
-    "poisson",
-    "constant",
-    "squarewave",
-    "flashcrowd",
-    "diurnal",
-    "drift",
-    "correlatedburst",
-    "driftsquare",
-)
+#: admit(pe, sdo, now) -> accepted?  Provided by the substrate's data
+#: plane (the simulator's buffers, the threaded runtime's channels).
+AdmitFn = _t.Callable[[_t.Any, SDO, float], bool]
 
 #: The Poisson kinds: source_kind -> the rate shape it draws under
 #: (None for plain Poisson).
 _POISSON_SHAPES: _t.Dict[
-    str, _t.Callable[["SystemConfig"], _t.Optional[RateShape]]
+    str, _t.Callable[[ControlConfig], _t.Optional[RateShape]]
 ] = {
     "poisson": lambda config: None,
     "flashcrowd": lambda config: flash_crowd(
@@ -90,33 +76,6 @@ class SystemConfig(ControlConfig):
     warmup: float = 5.0
     #: Feedback propagation delay; None means one control interval.
     feedback_delay: _t.Optional[float] = None
-    #: Source model: 'onoff' (bursty), 'poisson', 'constant',
-    #: 'squarewave' (deterministic adversarial on/off), 'flashcrowd'
-    #: (Poisson with one surge window), or one of the scenario-library
-    #: kinds — 'diurnal' (sinusoidal cycle), 'drift' (linear trend),
-    #: 'correlatedburst' (shared periodic burst windows), 'driftsquare'
-    #: (square wave with drifting peak).  See :data:`SOURCE_KINDS`.
-    source_kind: str = "onoff"
-    #: ON fraction for the on/off and square-wave sources.
-    source_duty: float = 0.5
-    #: Mean ON-period duration (seconds) — the arrival burst length.
-    #: Doubles as the square-wave ON duration (period = mean_on/duty).
-    source_mean_on: float = 0.5
-    #: Flash-crowd surge window start (simulated seconds).
-    source_surge_start: float = 6.0
-    #: Flash-crowd surge window length (seconds).
-    source_surge_duration: float = 2.0
-    #: Rate multiplier inside the surge window.
-    source_surge_factor: float = 4.0
-    #: Cycle length (seconds) for the 'diurnal' and 'correlatedburst'
-    #: sources (the correlated burst window repeats every period;
-    #: window length and factor reuse the surge knobs above).
-    source_period: float = 8.0
-    #: Sinusoidal modulation depth for the 'diurnal' source, in [0, 1).
-    source_amplitude: float = 0.6
-    #: Relative rate slope per second for the 'drift' and 'driftsquare'
-    #: sources (0.05 = +5% load per simulated second).
-    source_drift: float = 0.05
     #: Finite bandwidth (size units / second) for links between PEs on
     #: *different* nodes; None models the paper's instantaneous
     #: intra-cluster transport.  Co-located PEs always communicate
@@ -142,28 +101,6 @@ class SystemConfig(ControlConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.source_kind not in SOURCE_KINDS:
-            raise ValueError(f"unknown source_kind {self.source_kind!r}")
-        if not 0.0 < self.source_duty <= 1.0:
-            raise ValueError("source_duty must lie in (0, 1]")
-        if self.source_surge_start < 0 or self.source_surge_duration < 0:
-            raise ValueError(
-                "source_surge_start and source_surge_duration must be >= 0"
-            )
-        if self.source_surge_factor < 1.0:
-            raise ValueError("source_surge_factor must be >= 1")
-        if self.source_period <= 0:
-            raise ValueError("source_period must be positive")
-        if not 0.0 <= self.source_amplitude < 1.0:
-            raise ValueError("source_amplitude must lie in [0, 1)")
-        if (
-            self.source_kind == "correlatedburst"
-            and self.source_surge_duration > self.source_period
-        ):
-            raise ValueError(
-                "correlatedburst needs source_surge_duration <= "
-                "source_period (the burst window repeats every period)"
-            )
         if self.reoptimize_interval is not None and self.reoptimize_interval <= 0:
             raise ValueError("reoptimize_interval must be positive")
         if self.link_bandwidth is not None and self.link_bandwidth <= 0:
@@ -247,17 +184,20 @@ def build_links(
 
 
 def build_sources(
-    env: Environment,
+    env: _t.Any,
     topology: Topology,
-    config: SystemConfig,
+    config: ControlConfig,
     streams: RandomStreams,
-    runtimes: _t.Mapping[str, PERuntime],
+    runtimes: _t.Mapping[str, _t.Any],
     admit: AdmitFn,
     admission: _t.Optional["AdmissionController"] = None,
 ) -> _t.List[_t.Any]:
     """Start one workload source per ingress PE, sinking through the
     data plane's admission path.
 
+    ``env`` is the simulator's :class:`~repro.sim.engine.Environment`
+    or the threaded runtime's :class:`~repro.runtime.env.ThreadEnv`;
+    ``runtimes`` maps each ingress pe_id to what ``admit`` receives.
     With an admission front end armed, every offer consults
     :meth:`~repro.control.admission.AdmissionController.admit_ingress`
     first — shed and rejected SDOs never reach the data plane (they
@@ -272,7 +212,7 @@ def build_sources(
         if admission is None:
 
             def sink(
-                sdo: SDO, now: float, runtime: PERuntime = runtime
+                sdo: SDO, now: float, runtime: _t.Any = runtime
             ) -> bool:
                 return admit(runtime, sdo, now)
 
@@ -281,7 +221,7 @@ def build_sources(
             def sink(
                 sdo: SDO,
                 now: float,
-                runtime: PERuntime = runtime,
+                runtime: _t.Any = runtime,
                 pe_id: str = pe_id,
             ) -> bool:
                 assert admission is not None
@@ -330,6 +270,19 @@ def build_sources(
             admission.register_backoff(pe_id, source.backoff)
         sources.append(source)
     return sources
+
+
+def source_counters(
+    sources: _t.Sequence[_t.Any],
+) -> _t.Dict[str, _t.Callable[[], int]]:
+    """Each source's cumulative generated counter (offered load, counted
+    before the admission verdict), by ingress pe_id."""
+    return {
+        source.stream_id.split(":", 1)[1]: (
+            lambda s=source: s.stats.generated
+        )
+        for source in sources
+    }
 
 
 def build_gauges(

@@ -1,49 +1,27 @@
-"""Fault and disturbance injection for simulated and threaded systems.
+"""Fault and disturbance injection, one injector for both substrates.
 
 The paper evaluates robustness to *allocation errors*
-(:func:`repro.core.targets.perturb_targets`); this module extends the
-reproduction with the runtime disturbances an operator of an extreme-scale
-system actually sees, so the controller's self-stabilization claim can be
-exercised end to end.
+(:func:`repro.core.targets.perturb_targets`); this module adds the
+disturbances an operator of an extreme-scale system actually sees, so
+the controller's self-stabilization claim can be exercised end to end.
+Each :class:`FaultPlan` builder documents its kind:
 
-Data-plane faults (the workload/hardware misbehaving):
+* data plane — ``node_slowdown``, ``pe_stall``, ``source_surge`` and
+  ``pe_crash`` (the PE also loses its input buffer);
+* control plane — ``feedback_loss``, ``feedback_delay``,
+  ``tier1_outage`` and ``controller_outage``;
+* membership — ``node_join`` and ``node_leave``, on any system with
+  per-node control loops (not one built with ``control_phase_buckets``).
 
-* :meth:`FaultPlan.node_slowdown` — a node loses a fraction of its CPU for
-  a while (co-tenant interference, thermal throttling);
-* :meth:`FaultPlan.pe_stall` — one PE stops processing entirely for a
-  while (GC pause, crash-restart);
-* :meth:`FaultPlan.source_surge` — an input stream's rate multiplies for a
-  while (flash crowd).
-
-Control-plane faults (the *controller itself* misbehaving):
-
-* :meth:`FaultPlan.feedback_loss` — each r_max publication is dropped
-  with a probability (lossy control network);
-* :meth:`FaultPlan.feedback_delay` — propagation delay of surviving
-  publications is multiplied, plus optional uniform jitter (congested
-  control network);
-* :meth:`FaultPlan.tier1_outage` — every Tier-1 re-solve during the
-  window raises (optimizer service down);
-* :meth:`FaultPlan.controller_outage` — one node's control loop misses
-  all its ticks during the window (controller process hang);
-* :meth:`FaultPlan.pe_crash` — a PE crashes, *losing its input buffer*,
-  and restarts after the window.
-
-Membership faults (the cluster itself churning; any system with
-per-node control loops, which follow nodes by identity across epoch
-rebuilds — not one built with ``control_phase_buckets``):
-
-* :meth:`FaultPlan.node_join` — a node joins at ``start`` and is
-  evacuated and removed again when the window ends;
-* :meth:`FaultPlan.node_leave` — a node is evacuated (its PEs live-
-  migrate to the survivors) and removed at ``start``; a fresh
-  replacement node of the same capacity joins when the window ends.
-
-Build a :class:`FaultPlan`, then ``plan.attach(system)`` *before* running;
-each fault is applied and reverted by simulation processes.  For the
-threaded runtime use ``plan.attach_runtime(runtime)``, which schedules
-the supported kinds on a wall-clock timer thread (worker crashes there
-are healed by the runtime's supervisor, see :mod:`repro.runtime.spc`).
+Build a :class:`FaultPlan`, then ``plan.attach(system)`` *before*
+running, on either substrate: each fault is a process of the system's
+``env`` (the simulator's kernel, or the threaded runtime's
+:class:`~repro.runtime.env.ThreadEnv`) that applies it and reverts it
+through the plane, ``ResilientTier1``, the elastic driver and the
+sources.  Only ``pe_crash`` asks the substrate (``crash_pe``): the
+simulator flushes the PE's buffer, the runtime kills its worker thread
+and lets the supervisor revive it; both then hold the PE's gate shut
+for the window.
 
 Overlapping faults contending for the same underlying state (two
 slowdowns of one node, a stall and a crash of one PE, ...) would revert
@@ -57,15 +35,8 @@ import typing as _t
 from dataclasses import dataclass, field
 
 from repro.core.resilience import LossyFeedbackBus
-from repro.systems.simulated import SimulatedSystem
 
-if _t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.spc import SPCRuntime
-
-#: Fault kinds the threaded runtime's injector can apply.
-RUNTIME_KINDS = frozenset(
-    {"pe_stall", "pe_crash", "feedback_loss", "feedback_delay"}
-)
+Revert = _t.Callable[[], None]
 
 
 @dataclass(frozen=True)
@@ -119,78 +90,34 @@ def _check_magnitude(kind: str, magnitude: float) -> None:
         )
 
 
-def _apply_feedback_fault(
-    system: _t.Any, fault: Fault
-) -> _t.Callable[[], None]:
-    """Wrap the plane's feedback bus in a lossy/congested one (either
-    substrate: both expose ``plane`` and ``streams``); returns the revert."""
-    plane = system.plane
-    rng = system.streams.stream("fault:feedback")
-    if fault.kind == "feedback_loss":
-        wrapper = LossyFeedbackBus(
-            plane.bus, rng, loss_probability=fault.magnitude
-        )
-    else:
-        wrapper = LossyFeedbackBus(
-            plane.bus,
-            rng,
-            delay_multiplier=fault.magnitude,
-            jitter=fault.jitter,
-        )
-    plane.bus = wrapper
+#: kind -> the piece of system state a fault captures and restores.  Two
+#: faults on one resource would restore stale intermediate state if
+#: their windows overlapped, so overlaps are rejected per resource.
+_RESOURCES = {
+    "node_slowdown": "node_capacity",
+    "pe_stall": "pe_gate",
+    "pe_crash": "pe_gate",
+    "source_surge": "source_rate",
+    "feedback_loss": "feedback_bus",
+    "feedback_delay": "feedback_bus",
+    "tier1_outage": "tier1",
+    "controller_outage": "controller_ticks",
+    # Membership mutations share the whole node list: two overlapping
+    # joins/leaves would revert against a shifted topology.
+    "node_join": "membership",
+    "node_leave": "membership",
+}
 
-    def revert() -> None:
-        plane.bus = wrapper.inner
-
-    return revert
-
-
-def _closed_gate(pe: object) -> bool:
-    return False
-
-
-def _close_gate(plane: _t.Any, pe_id: str) -> _t.Callable[[], None]:
-    """Close one PE's gate through the plane (either substrate: the
-    simulator's controller and the threaded worker both read it);
-    returns the revert, which restores the previous gate."""
-    previous = plane.gates[pe_id]
-    plane.set_gate(pe_id, _closed_gate)
-
-    def revert() -> None:
-        plane.set_gate(pe_id, previous)
-
-    return revert
-
-
-def _resource_key(fault: Fault) -> _t.Tuple[str, str]:
-    """The piece of system state a fault captures and restores.
-
-    Two faults with the same key would restore stale intermediate state
-    if their windows overlapped, so overlaps are rejected per key.
-    """
-    if fault.kind == "node_slowdown":
-        return ("node_capacity", fault.target)
-    if fault.kind in ("pe_stall", "pe_crash"):
-        return ("pe_gate", fault.target)
-    if fault.kind == "source_surge":
-        return ("source_rate", fault.target)
-    if fault.kind in ("feedback_loss", "feedback_delay"):
-        return ("feedback_bus", "*")
-    if fault.kind == "tier1_outage":
-        return ("tier1", "*")
-    if fault.kind == "controller_outage":
-        return ("controller_ticks", fault.target)
-    if fault.kind in ("node_join", "node_leave"):
-        # Membership mutations share the whole node list: two overlapping
-        # joins/leaves would revert against a shifted topology.
-        return ("membership", "*")
-    return (fault.kind, fault.target)
+#: Resources with one instance per system, whatever the target.
+_SHARED = frozenset({"feedback_bus", "tier1", "membership"})
 
 
 def _reject_overlaps(faults: _t.Sequence[Fault]) -> None:
     by_key: _t.Dict[_t.Tuple[str, str], _t.List[Fault]] = {}
     for fault in faults:
-        by_key.setdefault(_resource_key(fault), []).append(fault)
+        resource = _RESOURCES[fault.kind]
+        target = "*" if resource in _SHARED else fault.target
+        by_key.setdefault((resource, target), []).append(fault)
     for key, group in by_key.items():
         group = sorted(group, key=lambda f: f.start)
         for earlier, later in zip(group, group[1:]):
@@ -202,6 +129,14 @@ def _reject_overlaps(faults: _t.Sequence[Fault]) -> None:
                     "reverts would restore intermediate state; "
                     "stagger the windows or target different resources"
                 )
+
+
+def _closed_gate(pe: object) -> bool:
+    return False
+
+
+def _solver_outage() -> None:
+    raise RuntimeError("injected tier1 solver outage")
 
 
 @dataclass
@@ -237,6 +172,14 @@ class FaultPlan:
         self.faults.append(
             Fault("source_surge", ingress_pe_id, start, duration, factor)
         )
+        return self
+
+    def pe_crash(
+        self, pe_id: str, start: float, duration: float
+    ) -> "FaultPlan":
+        """Crash a PE: its input buffer is lost and it processes nothing
+        until the window ends."""
+        self.faults.append(Fault("pe_crash", pe_id, start, duration, 0.0))
         return self
 
     # -- control-plane faults ---------------------------------------------
@@ -283,14 +226,6 @@ class FaultPlan:
         )
         return self
 
-    def pe_crash(
-        self, pe_id: str, start: float, duration: float
-    ) -> "FaultPlan":
-        """Crash a PE: its input buffer is lost, it restarts after the
-        window (simulator) or when the supervisor revives it (runtime)."""
-        self.faults.append(Fault("pe_crash", pe_id, start, duration, 0.0))
-        return self
-
     # -- membership faults (per-node control loops only) --------------------
 
     def node_join(
@@ -314,115 +249,99 @@ class FaultPlan:
         )
         return self
 
-    # -- attachment -------------------------------------------------------
-
-    def attach(self, system: SimulatedSystem) -> "FaultInjector":
-        """Bind this plan to a built (but not yet run) system."""
+    def attach(self, system: _t.Any) -> "FaultInjector":
+        """Bind this plan to a built (but not yet run) system: a
+        ``SimulatedSystem`` or an ``SPCRuntime``."""
         return FaultInjector(system, list(self.faults))
-
-    def attach_runtime(self, runtime: "SPCRuntime") -> "RuntimeFaultInjector":
-        """Bind the runtime-supported subset of this plan to a threaded
-        runtime (see :data:`RUNTIME_KINDS`)."""
-        return RuntimeFaultInjector(runtime, list(self.faults))
 
 
 class FaultInjector:
-    """Executes a fault plan inside a system's simulation environment."""
+    """Executes a fault plan as processes of a system's ``env``.
 
-    def __init__(self, system: SimulatedSystem, faults: _t.Sequence[Fault]):
+    Every fault starts ``start`` model seconds after the process does
+    (at attach time, or when a threaded runtime starts running) and is
+    reverted ``duration`` later.  Each application and revert runs
+    under the system's ``membership_lock``, so on the threaded runtime
+    it never interleaves with the elastic tier's membership changes.
+    """
+
+    def __init__(self, system: _t.Any, faults: _t.Sequence[Fault]):
         self.system = system
         self.faults = list(faults)
         self.applied: _t.List[_t.Tuple[float, Fault, str]] = []
-        _reject_overlaps(self.faults)
+        #: Every PE by id: the PE set is fixed for the life of a system.
+        self._pes = {
+            pe.pe_id: pe for group in system.plane.groups for pe in group.pes
+        }
         for fault in self.faults:
             self._validate(fault)
+        _reject_overlaps(self.faults)
+        for fault in self.faults:
             system.env.process(self._run(fault))
 
     def _validate(self, fault: Fault) -> None:
-        _check_magnitude(fault.kind, fault.magnitude)
-        if fault.kind in ("node_slowdown", "controller_outage"):
+        kind = fault.kind
+        if kind not in _RESOURCES:
+            raise ValueError(f"unknown fault kind {kind!r}")
+        _check_magnitude(kind, fault.magnitude)
+        if kind in ("node_join", "node_leave"):
+            self.system.require_node_tickers(kind)
+        if kind in ("node_slowdown", "controller_outage", "node_leave"):
             index = int(fault.target)
-            if not 0 <= index < len(self.system.nodes):
+            if not 0 <= index < len(self.system.plane.groups):
                 raise ValueError(f"no node {index}")
-        elif fault.kind in ("pe_stall", "pe_crash"):
-            if fault.target not in self.system.runtimes:
-                raise ValueError(f"no PE {fault.target!r}")
-        elif fault.kind == "source_surge":
-            if not any(
-                source.stream_id == f"src:{fault.target}"
-                for source in self.system.sources
-            ):
-                raise ValueError(f"no source feeding {fault.target!r}")
-        elif fault.kind in (
-            "feedback_loss", "feedback_delay", "tier1_outage"
-        ):
-            pass  # bus-wide / solver-wide: no target to resolve
-        elif fault.kind in ("node_join", "node_leave"):
-            self.system.require_node_tickers(fault.kind)
-            if fault.kind == "node_leave":
-                index = int(fault.target)
-                if not 0 <= index < len(self.system.nodes):
-                    raise ValueError(f"no node {index}")
-        else:
-            raise ValueError(f"unknown fault kind {fault.kind!r}")
+        elif kind in ("pe_stall", "pe_crash") and fault.target not in self._pes:
+            raise ValueError(f"no PE {fault.target!r}")
+        elif kind == "source_surge" and self._source(fault.target) is None:
+            raise ValueError(f"no source feeding {fault.target!r}")
+
+    def _source(self, ingress_pe_id: str) -> _t.Any:
+        stream_id = f"src:{ingress_pe_id}"
+        return next(
+            (s for s in self.system.sources if s.stream_id == stream_id),
+            None,
+        )
 
     def _run(self, fault: Fault) -> _t.Generator:
         env = self.system.env
-        recorder = self.system.recorder
         if fault.start > 0:
             yield env.timeout(fault.start)
-        revert = self._apply(fault)
-        self.applied.append((env.now, fault, "applied"))
-        if recorder.enabled:
-            recorder.emit(
-                "fault",
-                fault_kind=fault.kind,
-                target=fault.target,
-                phase="applied",
-                magnitude=fault.magnitude,
-            )
+        with self.system.membership_lock:
+            revert = getattr(self, f"_apply_{fault.kind}")(fault)
+        self._log(fault, "applied")
         yield env.timeout(fault.duration)
-        revert()
-        self.applied.append((env.now, fault, "reverted"))
+        with self.system.membership_lock:
+            revert()
+        self._log(fault, "reverted")
+
+    def _log(self, fault: Fault, phase: str) -> None:
+        self.applied.append((self.system.env.now, fault, phase))
+        recorder = self.system.recorder
         if recorder.enabled:
             recorder.emit(
                 "fault",
                 fault_kind=fault.kind,
                 target=fault.target,
-                phase="reverted",
+                phase=phase,
                 magnitude=fault.magnitude,
             )
 
     # -- fault application ---------------------------------------------------
 
-    def _apply(self, fault: Fault) -> _t.Callable[[], None]:
-        return {
-            "node_slowdown": self._apply_node_slowdown,
-            "pe_stall": self._apply_pe_stall,
-            "source_surge": self._apply_source_surge,
-            "feedback_loss": self._apply_feedback_fault,
-            "feedback_delay": self._apply_feedback_fault,
-            "tier1_outage": self._apply_tier1_outage,
-            "controller_outage": self._apply_controller_outage,
-            "pe_crash": self._apply_pe_crash,
-            "node_join": self._apply_node_join,
-            "node_leave": self._apply_node_leave,
-        }[fault.kind](fault)
-
-    def _apply_node_slowdown(self, fault: Fault) -> _t.Callable[[], None]:
+    def _apply_node_slowdown(self, fault: Fault) -> Revert:
         index = int(fault.target)
-        system = self.system
-        if index >= len(system.nodes):
+        plane = self.system.plane
+        if index >= len(plane.groups):
             # The elastic tier shrank the cluster below the planned
             # index between attach and apply; nothing to slow down.
             return lambda: None
         # Only the live scheduler capacity drops: the group's nominal
         # cpu_capacity is what Tier-1, the oracles and a node_leave
         # replacement read, and it does not move.
-        node_id = system.nodes[index].node_id
-        scheduler = system.plane.schedulers[index]
-        original_scheduler = scheduler.capacity
-        scheduler.capacity = original_scheduler * fault.magnitude
+        node_id = plane.groups[index].node_id
+        scheduler = plane.schedulers[index]
+        original = scheduler.capacity
+        scheduler.capacity = original * fault.magnitude
 
         def revert() -> None:
             # A membership rebuild during the window replaces scheduler
@@ -430,86 +349,85 @@ class FaultInjector:
             # and may shift node indices, so re-resolve the live
             # scheduler by node identity; a node that left mid-window
             # has nothing left to revert.
-            idx = system.plane.node_index(node_id)
+            idx = plane.node_index(node_id)
             if idx is not None:
-                system.plane.schedulers[idx].capacity = original_scheduler
+                plane.schedulers[idx].capacity = original
 
         return revert
 
-    def _apply_pe_stall(self, fault: Fault) -> _t.Callable[[], None]:
-        runtime = self.system.runtimes[fault.target]
-        reopen = _close_gate(self.system.plane, fault.target)
+    def _apply_pe_stall(self, fault: Fault) -> Revert:
+        # Through the plane: the simulator's controller and the threaded
+        # worker both read the gate it installs.
+        plane = self.system.plane
+        pe = self._pes[fault.target]
+        previous = plane.gates[fault.target]
+        plane.set_gate(fault.target, _closed_gate)
 
         def revert() -> None:
-            reopen()
-            runtime.blocked_last_interval = False
+            plane.set_gate(fault.target, previous)
+            pe.blocked_last_interval = False
 
         return revert
 
-    def _apply_source_surge(self, fault: Fault) -> _t.Callable[[], None]:
-        stream_id = f"src:{fault.target}"
-        source = next(
-            s for s in self.system.sources if s.stream_id == stream_id
-        )
+    def _apply_pe_crash(self, fault: Fault) -> Revert:
+        self.system.crash_pe(fault.target)
+        return self._apply_pe_stall(fault)
+
+    def _apply_source_surge(self, fault: Fault) -> Revert:
+        source = self._source(fault.target)
         # Bursty sources (on/off, square waves) generate at a peak rate,
         # every other kind at a base rate: surge whichever it reads.
         attr = "peak_rate" if hasattr(source, "peak_rate") else "rate"
         original = getattr(source, attr)
         setattr(source, attr, original * fault.magnitude)
+        return lambda: setattr(source, attr, original)
 
-        def revert() -> None:
-            setattr(source, attr, original)
+    def _apply_feedback_loss(self, fault: Fault) -> Revert:
+        """Wrap the plane's feedback bus in a lossy (or, for
+        ``feedback_delay``, congested) one."""
+        plane = self.system.plane
+        rng = self.system.streams.stream("fault:feedback")
+        if fault.kind == "feedback_loss":
+            wrapper = LossyFeedbackBus(
+                plane.bus, rng, loss_probability=fault.magnitude
+            )
+        else:
+            wrapper = LossyFeedbackBus(
+                plane.bus,
+                rng,
+                delay_multiplier=fault.magnitude,
+                jitter=fault.jitter,
+            )
+        plane.bus = wrapper
+        return lambda: setattr(plane, "bus", wrapper.inner)
 
-        return revert
+    _apply_feedback_delay = _apply_feedback_loss
 
-    def _apply_feedback_fault(self, fault: Fault) -> _t.Callable[[], None]:
-        return _apply_feedback_fault(self.system, fault)
-
-    def _apply_tier1_outage(self, fault: Fault) -> _t.Callable[[], None]:
+    def _apply_tier1_outage(self, fault: Fault) -> Revert:
         tier1 = self.system.tier1
+        tier1.inject_failure = _solver_outage
+        return lambda: setattr(tier1, "inject_failure", None)
 
-        def outage() -> None:
-            raise RuntimeError("injected tier1 solver outage")
-
-        tier1.inject_failure = outage
-
-        def revert() -> None:
-            tier1.inject_failure = None
-
-        return revert
-
-    def _apply_controller_outage(self, fault: Fault) -> _t.Callable[[], None]:
+    def _apply_controller_outage(self, fault: Fault) -> Revert:
         index = int(fault.target)
-        system = self.system
-        if index >= len(system.plane.groups):
+        plane = self.system.plane
+        if index >= len(plane.groups):
             # Membership churn removed the planned node before the
             # window opened; there is no controller to suspend.
             return lambda: None
-        node_id = system.plane.groups[index].node_id
-        system.plane.suspend_node(index)
+        node_id = plane.groups[index].node_id
+        plane.suspend_node(index)
 
         def revert() -> None:
             # Pause flags are carried by node_id across membership
             # rebuilds, but resume_node takes an index — re-resolve it.
-            idx = system.plane.node_index(node_id)
+            idx = plane.node_index(node_id)
             if idx is not None:
-                system.plane.resume_node(idx)
+                plane.resume_node(idx)
 
         return revert
 
-    def _apply_pe_crash(self, fault: Fault) -> _t.Callable[[], None]:
-        system = self.system
-        runtime = system.runtimes[fault.target]
-        runtime.buffer.flush(system.env.now, cause="pe_crash")
-        reopen = _close_gate(system.plane, fault.target)
-
-        def revert() -> None:
-            reopen()
-            runtime.blocked_last_interval = False
-
-        return revert
-
-    def _apply_node_join(self, fault: Fault) -> _t.Callable[[], None]:
+    def _apply_node_join(self, fault: Fault) -> Revert:
         system = self.system
         node_id = system.add_node(cpu_capacity=fault.magnitude)
 
@@ -522,14 +440,15 @@ class FaultInjector:
 
         return revert
 
-    def _apply_node_leave(self, fault: Fault) -> _t.Callable[[], None]:
+    def _apply_node_leave(self, fault: Fault) -> Revert:
         system = self.system
         index = int(fault.target)
-        if not 0 <= index < len(system.nodes):
+        groups = system.plane.groups
+        if not 0 <= index < len(groups):
             # The elastic tier shrank below the planned index; nothing
             # to take away.
             return lambda: None
-        capacity = system.nodes[index].cpu_capacity
+        capacity = groups[index].cpu_capacity
         left = system.elastic.evacuate_and_remove(index, "fault_node_leave")
 
         def revert() -> None:
@@ -537,73 +456,3 @@ class FaultInjector:
                 system.add_node(cpu_capacity=capacity)
 
         return revert
-
-
-class RuntimeFaultInjector:
-    """Applies the runtime-supported fault kinds to a threaded
-    :class:`~repro.runtime.spc.SPCRuntime` on a wall-clock schedule.
-
-    Start/duration are in *model* seconds (scaled by the runtime's
-    dilation); the injector runs one daemon thread that sleeps between
-    transitions.  ``pe_crash`` kills the worker thread (its channel is
-    lost) and leaves revival to the runtime's supervisor — the fault
-    window only scopes how long the injector reports the fault active.
-    ``pe_stall`` closes the PE's gate in the plane's registry, which the
-    worker checks before each ``get``, and reopens it at the end.
-    """
-
-    def __init__(self, runtime: "SPCRuntime", faults: _t.Sequence[Fault]):
-        import threading
-
-        supported = [f for f in faults if f.kind in RUNTIME_KINDS]
-        unsupported = [f for f in faults if f.kind not in RUNTIME_KINDS]
-        if unsupported:
-            raise ValueError(
-                "threaded runtime supports fault kinds "
-                f"{sorted(RUNTIME_KINDS)}; got "
-                f"{sorted({f.kind for f in unsupported})}"
-            )
-        _reject_overlaps(supported)
-        for fault in supported:
-            _check_magnitude(fault.kind, fault.magnitude)
-            if (
-                fault.kind in ("pe_stall", "pe_crash")
-                and fault.target not in runtime.pes
-            ):
-                raise ValueError(f"no PE {fault.target!r}")
-        self.runtime = runtime
-        self.faults = sorted(supported, key=lambda f: f.start)
-        self.applied: _t.List[_t.Tuple[float, Fault, str]] = []
-        self._threads = [
-            threading.Thread(
-                target=self._run, args=(fault,), daemon=True,
-                name=f"fault-{fault.kind}",
-            )
-            for fault in self.faults
-        ]
-
-    def start(self) -> None:
-        """Arm the plan (call right after ``runtime.run`` starts, or
-        before — threads sleep until each fault's start time)."""
-        for thread in self._threads:
-            thread.start()
-
-    def _run(self, fault: Fault) -> None:
-        import time
-
-        runtime = self.runtime
-        dilation = runtime.config.dilation
-        time.sleep(fault.start * dilation)
-        revert = self._apply(fault)
-        self.applied.append((runtime.now(), fault, "applied"))
-        time.sleep(fault.duration * dilation)
-        revert()
-        self.applied.append((runtime.now(), fault, "reverted"))
-
-    def _apply(self, fault: Fault) -> _t.Callable[[], None]:
-        if fault.kind == "pe_crash":
-            self.runtime.pes[fault.target].kill()
-            return lambda: None
-        if fault.kind == "pe_stall":
-            return _close_gate(self.runtime.plane, fault.target)
-        return _apply_feedback_fault(self.runtime, fault)

@@ -20,6 +20,7 @@ Use :func:`run_system` for the one-call experiment entry point.
 
 from __future__ import annotations
 
+import contextlib
 import typing as _t
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ from repro.systems.build import (
     build_links,
     build_runtimes,
     build_sources,
+    source_counters,
 )
 from repro.systems.dataplane import (
     SimAdapter,
@@ -187,15 +189,8 @@ class SimulatedSystem:
             self.env, gauge_cadence, self.recorder, self.runtimes, self.plane,
             collector=self.collector,
         )
-        # Each source's cumulative generated counter, by ingress pe_id.
         stack.bind_sources(
-            {
-                source.stream_id.split(":", 1)[1]: (
-                    lambda s=source: s.stats.generated
-                )
-                for source in self.sources
-            },
-            config.reoptimize_interval,
+            source_counters(self.sources), config.reoptimize_interval
         )
 
         # Process creation order is part of the determinism contract
@@ -203,7 +198,7 @@ class SimulatedSystem:
         # tiers.  First ticks land one full interval in.
         self._start_node_tickers()
         for periodic in stack.periodic():
-            self.env.process(self._periodic(periodic.interval, periodic.tick))
+            self.env.process(periodic.run(self.env))
 
     @property
     def nodes(self) -> _t.List[NodeGroup]:
@@ -284,16 +279,16 @@ class SimulatedSystem:
 
         env.call_at(env.now, start, priority=URGENT)
 
-    def _periodic(
-        self, interval: float, tick: _t.Callable[[float], None]
-    ) -> _t.Generator:
-        """The one ticker of the periodic tiers (elastic, admission,
-        forecast, Tier-1 refresh): ``tick(now)`` every ``interval``
-        simulated seconds."""
-        env = self.env
-        while True:
-            yield env.timeout(interval)
-            tick(env.now)
+    # -- fault hooks ---------------------------------------------------------
+
+    #: The kernel runs one process at a time, so a fault injector's
+    #: membership changes need no lock here.
+    membership_lock: _t.ContextManager[None] = contextlib.nullcontext()
+
+    def crash_pe(self, pe_id: str) -> None:
+        """Crash a PE: its buffered input is lost.  The fault injector
+        then keeps it gated for the fault window."""
+        self.runtimes[pe_id].buffer.flush(self.env.now, cause="pe_crash")
 
     # -- MembershipOps (the physical half; ElasticDriver keeps the books) -----
 

@@ -26,6 +26,7 @@ from repro.core.policies import (
 )
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.model.sdo import SDO
+from repro.model.workload import SOURCE_KINDS
 from repro.runtime.spc import RuntimeConfig, SPCRuntime, run_runtime
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
@@ -359,7 +360,7 @@ SHARED_FIELD_CASES = [
 ]
 RUNTIME_FIELD_CASES = [
     ({"dilation": 0.0}, "dilation must be positive"),
-    ({"source_kind": "onoff"}, "unknown source_kind 'onoff'"),
+    ({"source_kind": "fractal"}, "unknown source_kind 'fractal'"),
     ({"supervisor_poll": 0.0}, "supervisor_poll must be positive"),
     ({"max_worker_restarts": -1}, "max_worker_restarts must be >= 0"),
     ({"restart_backoff_base": -0.1}, "restart_backoff_base must be >= 0"),
@@ -383,5 +384,6 @@ def test_config_validation_is_shared_and_complete(config_cls, kwargs, match):
     assert (RuntimeConfig().dt, RuntimeConfig().warmup) == (0.05, 1.0)
     with pytest.raises(ValueError, match=match):
         config_cls(**kwargs)
-    for source_kind in ("poisson", "constant"):
+    # Both substrates run every source model.
+    for source_kind in SOURCE_KINDS:
         assert RuntimeConfig(source_kind=source_kind).source_kind == source_kind

@@ -345,13 +345,13 @@ def test_disarmed_runtime_follows_membership():
     )
     assert runtime.elasticity is None
     _membership_script(runtime, runtime.pes)
-    pumps = [t.name for t in runtime._threads if t.name.startswith("ctl-")]
+    pumps = [t.name for t in runtime.env.threads if t.name.startswith("ctl-")]
     assert pumps == ["ctl-node-0", "ctl-node-1", "ctl-node-2"]
     runtime.run(0.4)
     # node-0's pump retired on its first tick; the survivors' ticked.
     assert all(c.ticks > 0 for c in runtime.plane.node_controllers)
     assert not any(
-        t.is_alive() for t in runtime._threads if t.name == "ctl-node-0"
+        t.is_alive() for t in runtime.env.threads if t.name == "ctl-node-0"
     )
 
 

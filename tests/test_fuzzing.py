@@ -8,6 +8,7 @@ that still fails.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.experiments.fuzzing import (
     run_fuzz_case,
     shrink_scenario,
 )
+from repro.model.workload import SOURCE_KINDS
 
 from tests.test_check_oracles import (
     _update_without_surplus_terms,
@@ -63,6 +65,19 @@ class TestFuzzCases:
         assert not result.failed, result.violations
         assert result.events > 0
 
+    @pytest.mark.parametrize(
+        "kind, seed", zip(SOURCE_KINDS, (1, 6, 27, 33, 2, 13, 20, 30, 22))
+    )
+    def test_threaded_case_clean(self, kind, seed):
+        # Every source kind on the threaded runtime, each under a fault
+        # plan the simulator's injector applies there too (seeds 1, 6,
+        # 22, 27 and 33 arm the elastic tier and its membership faults).
+        scenario = replace(generate_scenario(seed), source_kind=kind)
+        result = run_fuzz_case(scenario, "aces", threaded=True)
+        assert result.mode == "threaded"
+        assert not result.failed, (result.error, result.violations)
+        assert result.events > 0
+
     @pytest.mark.parametrize("policy_name", ["udp", "lockstep", "aces"])
     def test_differential_case_clean(self, policy_name):
         result = run_differential_case(generate_scenario(1), policy_name)
@@ -97,8 +112,6 @@ class TestFuzzCases:
         assert not result.failed, (result.error, result.violations)
 
     def test_shrink_can_disarm_forecast(self):
-        from dataclasses import replace
-
         from repro.experiments.fuzzing import _shrink_candidates
 
         scenario = generate_scenario(1)

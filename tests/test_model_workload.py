@@ -1,21 +1,26 @@
 """Tests for workload sources (CBR, Poisson, on/off bursty)."""
 
 import hashlib
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.model.workload import (
+    SOURCE_KINDS,
     ConstantRateSource,
     OnOffSource,
     PoissonSource,
     SquareWaveSource,
     flash_crowd,
 )
+from repro.runtime.env import ThreadEnv
+from repro.runtime.spc import RuntimeConfig
 from repro.sim import Environment
 from repro.sim.rng import RandomStreams
-from repro.systems.build import SOURCE_KINDS, SystemConfig, build_sources
+from repro.systems.build import SystemConfig, build_sources
 
 
 def accepting_sink(log):
@@ -302,20 +307,31 @@ ARRIVAL_HASHES = {
 }
 
 
-@pytest.mark.parametrize("kind", SOURCE_KINDS)
-def test_source_arrivals_are_pinned(kind):
-    topology = generate_topology(
+def pinned_topology():
+    return generate_topology(
         TopologySpec(num_nodes=3, num_ingress=2, num_egress=2,
                      num_intermediate=4, calibrate_rates=False),
         np.random.default_rng(0),
     )
-    # Short periods and an early surge, so every shape moves the rate
-    # within the first 200 arrivals (~0.7 s at these source rates).
-    config = SystemConfig(
-        seed=5, source_kind=kind, source_mean_on=0.1,
-        source_surge_start=0.1, source_surge_duration=0.2,
-        source_period=0.5, source_drift=1.0,
-    )
+
+
+#: Short periods and an early surge, so every shape moves the rate within
+#: the first 200 arrivals (~0.7 s at these source rates).
+PINNED_SOURCE_KNOBS = dict(
+    seed=5, source_mean_on=0.1, source_surge_start=0.1,
+    source_surge_duration=0.2, source_period=0.5, source_drift=1.0,
+)
+
+
+def arrivals_digest(times):
+    assert len(times) >= 200
+    return hashlib.sha256(repr(times[:200]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_source_arrivals_are_pinned(kind):
+    topology = pinned_topology()
+    config = SystemConfig(source_kind=kind, **PINNED_SOURCE_KNOBS)
     env = Environment()
     times = []
 
@@ -328,9 +344,38 @@ def test_source_arrivals_are_pinned(kind):
         dict.fromkeys(topology.source_rates), admit,
     )
     env.run(until=2.0)
-    assert len(times) >= 200
-    digest = hashlib.sha256(repr(times[:200]).encode()).hexdigest()
-    assert digest == ARRIVAL_HASHES[kind]
+    assert arrivals_digest(times) == ARRIVAL_HASHES[kind]
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_thread_env_draws_the_pinned_arrivals(kind):
+    # The threaded runtime's sources: the same classes from the same RNG
+    # streams, each on its own thread with its own model clock, so
+    # thread timing cannot move a single arrival.  Dilation 0 runs them
+    # flat out; merged in time order, the first 200 are the simulator's.
+    topology = pinned_topology()
+    config = RuntimeConfig(source_kind=kind, **PINNED_SOURCE_KNOBS)
+    stop = threading.Event()
+    env = ThreadEnv(clock=lambda: 0.0, dilation=0.0, stop=stop)
+    times = []
+    latest = dict.fromkeys(topology.source_rates, 0.0)
+
+    def admit(pe_id, sdo, now):
+        times.append(sdo.origin_time)
+        latest[pe_id] = now
+        return True
+
+    build_sources(
+        env, topology, config, RandomStreams(seed=config.seed),
+        {pe_id: pe_id for pe_id in topology.source_rates}, admit,
+    )
+    env.start()
+    deadline = time.monotonic() + 30.0
+    while min(latest.values()) < 2.0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    stop.set()
+    assert env.failures == []
+    assert arrivals_digest(sorted(times)) == ARRIVAL_HASHES[kind]
 
 
 class TestRetryAfterBackoff:

@@ -445,8 +445,7 @@ class TestRuntimeSupervisor:
         )
         victim = topology.graph.ingress_ids[0]
         plan = FaultPlan().pe_crash(victim, start=0.7, duration=0.2)
-        injector = plan.attach_runtime(runtime)
-        injector.start()
+        injector = plan.attach(runtime)
         report = runtime.run(duration=1.6)
 
         assert report.worker_restarts >= 1
@@ -457,39 +456,91 @@ class TestRuntimeSupervisor:
             e for e in recorder.events if e["kind"] == "worker_restart"
         )
         assert event["pe"] == victim
+        # The injector's own clock: exactly the planned window.
+        assert [(t, phase) for t, _, phase in injector.applied] == [
+            (0.7, "applied"), (pytest.approx(0.9), "reverted"),
+        ]
 
     def test_runtime_pe_stall_closes_and_restores_the_gate(self):
-        import time
-
         topology = small_topology(seed=5)
-        runtime = SPCRuntime(topology, LockStepPolicy())
+        runtime = SPCRuntime(
+            topology, LockStepPolicy(),
+            config=RuntimeConfig(seed=3, warmup=0.5, dt=0.05, dilation=0.5),
+        )
         victim = topology.graph.ingress_ids[0]
+        pe = runtime.pes[victim]
         policy_gate = runtime.plane.gates[victim]
         injector = FaultPlan().pe_stall(
-            victim, start=0.0, duration=0.5
-        ).attach_runtime(runtime)
-        injector.start()
+            victim, start=0.6, duration=0.6
+        ).attach(runtime)
+        closed = []
 
-        def wait_for(count):
-            deadline = time.monotonic() + 5.0
-            while len(injector.applied) < count:
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
+        def observer(live):
+            if 0.7 < live.now() < 1.1:
+                closed.append(live.plane.gates[victim](pe) is False)
 
-        wait_for(1)
-        assert runtime.plane.gates[victim](runtime.pes[victim]) is False
-        wait_for(2)
+        runtime.run(duration=1.0, observer=observer, observe_interval=0.25)
+        assert closed and all(closed)
         assert runtime.plane.gates[victim] is policy_gate
         assert [phase for _, _, phase in injector.applied] == [
             "applied", "reverted",
         ]
 
-    def test_runtime_rejects_sim_only_kinds(self):
+    def test_runtime_applies_every_fault_kind(self):
+        # The simulator's injector on the threaded runtime: all ten
+        # kinds apply and revert on the runtime's model clock.
         topology = small_topology(seed=5)
-        runtime = SPCRuntime(topology, UdpPolicy())
-        plan = FaultPlan().tier1_outage(start=0.5, duration=0.5)
-        with pytest.raises(ValueError, match="supports fault kinds"):
-            plan.attach_runtime(runtime)
+        recorder = MemoryRecorder(trace_filter=TraceFilter.parse("kind=fault"))
+        runtime = SPCRuntime(
+            topology, AcesPolicy(),
+            config=RuntimeConfig(seed=3, warmup=0.2, dt=0.05, dilation=0.5),
+            recorder=recorder,
+        )
+        ingress = topology.graph.ingress_ids[0]
+        victim = topology.graph.intermediate_ids[0]
+        plan = (
+            FaultPlan()
+            .node_slowdown(0, factor=0.5, start=0.1, duration=0.3)
+            .pe_stall(ingress, start=0.1, duration=0.3)
+            .source_surge(ingress, factor=3.0, start=0.1, duration=0.3)
+            .feedback_loss(0.5, start=0.1, duration=0.3)
+            .tier1_outage(start=0.1, duration=0.3)
+            .controller_outage(1, start=0.1, duration=0.3)
+            .pe_crash(victim, start=0.5, duration=0.2)
+            .feedback_delay(3.0, start=0.5, duration=0.2)
+            .node_join(start=0.1, duration=0.3)
+            .node_leave(2, start=0.5, duration=0.2)
+        )
+        injector = plan.attach(runtime)
+        source = next(
+            s for s in runtime.sources if s.stream_id == f"src:{ingress}"
+        )
+        seen = {}
+
+        def observer(live):
+            if "during" not in seen and live.now() < 0.4:
+                seen["during"] = (
+                    live.plane.schedulers[0].capacity,
+                    source.rate,
+                    live.plane.paused[1],
+                    len(live.plane.groups),
+                )
+
+        runtime.run(duration=1.0, observer=observer, observe_interval=0.05)
+        assert seen["during"] == (0.5, 3.0 * topology.source_rates[ingress],
+                                  True, 4)
+        phases = [(fault.kind, phase) for _, fault, phase in injector.applied]
+        assert sorted(phases) == sorted(
+            (fault.kind, phase)
+            for fault in plan.faults
+            for phase in ("applied", "reverted")
+        )
+        assert recorder.counts["fault"] == 20
+        assert runtime.plane.schedulers[0].capacity == 1.0
+        assert source.rate == topology.source_rates[ingress]
+        assert not any(runtime.plane.paused)
+        assert runtime.tier1.inject_failure is None
+        assert len(runtime.plane.groups) == 3
 
 
 class TestMTTRMachinery:
@@ -556,6 +607,28 @@ class TestChaosCells:
         )
         assert result.error is None
         assert result.events["tier1_fallback"] >= 1
+        assert result.weighted_throughput > 0
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_threaded_cell(self, scenario):
+        # The same scenario on the threaded runtime: the simulator's
+        # injector and sources through the thread-backed env, with the
+        # relaxed oracles and the runtime's conservation ledger armed
+        # (a violation would be the cell's error).
+        result = run_chaos_cell(
+            topology=small_topology(seed=2),
+            policy=AcesPolicy(),
+            scenario=SCENARIOS[scenario],
+            config=RuntimeConfig(
+                seed=11, warmup=0.5, dilation=0.25,
+                feedback_staleness_ttl=0.5, feedback_stale_bound=0.0,
+            ),
+            duration=3.0,
+            fault_start=1.0,
+            fault_duration=0.75,
+        )
+        assert result.error is None
+        assert result.events["fault"] == 2
         assert result.weighted_throughput > 0
 
     def test_bench_serialization_maps_inf_to_null(self, tmp_path):

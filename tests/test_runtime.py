@@ -6,10 +6,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.check import check_runtime_conservation
+from repro.control.forecast import ForecastConfig, ForecastController
+from repro.control.wiring import PeriodicTick
 from repro.core.policies import AcesPolicy, LockStepPolicy, UdpPolicy
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.model.params import PEProfile
 from repro.model.sdo import SDO
+from repro.runtime.env import ThreadEnv
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.runtime.transport import Channel
 from repro.runtime.worker import RuntimePE
@@ -175,6 +179,92 @@ class TestRuntimePE:
         assert producer.consumed == 0  # gated the whole time
 
 
+class TestThreadEnv:
+    def test_processes_keep_their_own_model_clock(self):
+        stop = threading.Event()
+        env = ThreadEnv(clock=lambda: 0.0, dilation=0.0, stop=stop)
+        seen = []
+        done = threading.Event()
+
+        def process(step):
+            for _ in range(3):
+                yield env.timeout(step)
+                seen.append((step, env.now))
+            done.set()
+
+        env.process(process(0.25))
+        assert seen == []  # nothing runs before start()
+        env.start()
+        assert done.wait(5.0)
+        assert seen == [(0.25, 0.25), (0.25, 0.5), (0.25, 0.75)]
+        assert env.now == 0.0  # outside a process: the clock itself
+        with pytest.raises(ValueError):
+            env.timeout(-1.0)
+
+    def test_stop_ends_a_sleeping_process(self):
+        stop = threading.Event()
+        env = ThreadEnv(clock=lambda: 0.0, dilation=1.0, stop=stop)
+
+        def sleeper():
+            yield env.timeout(3600.0)
+
+        thread = env.process(sleeper())
+        env.start()
+        stop.set()
+        env.join(timeout=1.0)
+        assert not thread.is_alive()
+        assert env.failures == []
+
+    def test_a_late_tick_does_not_skew_the_forecast_rate(self):
+        # Arrivals at a steady 1000/s.  One forecast tick overruns three
+        # intervals (a slow re-solve) and a later one waits three
+        # intervals for the lock: on the clock, each tick still divides
+        # the arrivals since the last one by the time since it.  On
+        # deadlines the tick after the overrun would report ~3x the
+        # rate and the catch-up ticks ~0; without the guard the tick
+        # behind the lock would report ~3x.
+        start = time.monotonic()
+
+        def clock():
+            return time.monotonic() - start
+
+        stop = threading.Event()
+        env = ThreadEnv(clock=clock, dilation=1.0, stop=stop)
+        interval = 0.05
+        forecast = ForecastController(
+            ForecastConfig(sample_interval=interval)
+        )
+        forecast.bind(
+            counters={"in": lambda: int(clock() * 1000)},
+            baseline={"in": 1000.0},
+        )
+        lock = threading.Lock()
+        rates = []
+
+        def hold_lock():
+            with lock:
+                time.sleep(3 * interval)
+
+        def tick(now):
+            forecast.tick(now)
+            rates.append(forecast.last_rates.get("in"))
+            if len(rates) == 3:
+                time.sleep(3 * interval)
+            elif len(rates) == 6:
+                threading.Thread(target=hold_lock).start()
+            elif len(rates) == 10:
+                stop.set()
+
+        periodic = PeriodicTick("forecast", interval, tick, True)
+        env.process(periodic.run(env, env.guard(lock)), on_clock=True)
+        env.start()
+        assert stop.wait(10.0)
+        env.join(timeout=1.0)
+        assert env.failures == []
+        assert rates[0] is None  # the first tick only takes watermarks
+        assert all(600.0 < rate < 1600.0 for rate in rates[1:]), rates
+
+
 class TestSPCRuntime:
     @pytest.fixture(scope="class")
     def topology(self):
@@ -272,3 +362,35 @@ class TestSPCRuntime:
         report = runtime.run(duration=4.0)
         assert report.latency.count > 0
         assert report.latency.mean > 0
+
+    def test_a_failed_process_fails_the_run(self, topology):
+        runtime = SPCRuntime(
+            topology, UdpPolicy(),
+            config=RuntimeConfig(seed=3, warmup=0.1, dt=0.05, dilation=0.5),
+        )
+
+        def broken():
+            yield runtime.env.timeout(0.2)
+            raise RuntimeError("broken process")
+
+        runtime.env.process(broken())
+        with pytest.raises(RuntimeError, match="broken process"):
+            runtime.run(duration=0.5)
+        assert not any(pe.is_alive for pe in runtime.pes.values())
+
+    def test_runtime_ledger_closes_and_catches_tampering(self, topology):
+        runtime = SPCRuntime(
+            topology, UdpPolicy(),
+            config=RuntimeConfig(seed=3, warmup=0.1, dt=0.05, dilation=0.5),
+        )
+        runtime.run(duration=0.5)
+        assert check_runtime_conservation(runtime) == []
+        pe_id = topology.graph.ingress_ids[0]
+        runtime.pes[pe_id].channel.stats.popped += 1
+        runtime.sources[0].stats.admitted += 1
+        found = {v.invariant for v in check_runtime_conservation(runtime)}
+        assert {
+            "buffer_occupancy_conservation",
+            "source_conservation",
+            "ingress_conservation",
+        } <= found

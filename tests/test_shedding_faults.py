@@ -15,7 +15,7 @@ from repro.graph.topology import TopologySpec, generate_topology
 from repro.model.params import PEProfile
 from repro.model.pe import PERuntime
 from repro.model.sdo import SDO
-from repro.systems.build import SOURCE_KINDS
+from repro.model.workload import SOURCE_KINDS
 from repro.systems.faults import Fault, FaultPlan
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
