@@ -33,32 +33,6 @@ def test_sim_kernel_event_throughput(benchmark):
     assert result == 2000.0
 
 
-def test_sim_kernel_store_throughput(benchmark):
-    """Producer/consumer handoff through a bounded Store."""
-    from repro.sim import Store
-
-    def run():
-        env = Environment()
-        store = Store(env, capacity=16)
-        moved = []
-
-        def producer(env):
-            for i in range(3000):
-                yield store.put(i)
-
-        def consumer(env):
-            for _ in range(3000):
-                item = yield store.get()
-                moved.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        return len(moved)
-
-    assert benchmark(run) == 3000
-
-
 def test_global_opt_slsqp(benchmark):
     topology = generate_topology(
         paper_calibration_spec(calibrate_rates=False),

@@ -50,42 +50,34 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.spans import SpanTracker
 
 
+#: Scan period (model seconds) of the worker supervisor, which detects
+#: dead worker threads and restarts them with bounded exponential backoff.
+SUPERVISOR_POLL = 0.02
+#: Restart budget per worker; a worker that keeps dying past this is
+#: abandoned (and counted in ``RuntimeReport.workers_abandoned``).
+MAX_WORKER_RESTARTS = 5
+#: Exponential-backoff schedule between restarts of one worker (model
+#: seconds): base * factor**restarts_so_far.
+RESTART_BACKOFF_BASE = 0.05
+RESTART_BACKOFF_FACTOR = 2.0
+
+
 @dataclass
 class RuntimeConfig(ControlConfig):
     """Configuration of a threaded runtime experiment: the shared
-    :class:`~repro.control.config.ControlConfig` plus wall-clock timing
-    and worker supervision."""
+    :class:`~repro.control.config.ControlConfig` plus wall-clock timing."""
 
     dt: float = 0.05
-    #: Wall-seconds per model-second (< 1 runs faster than real time is not
-    #: possible here because work is emulated with sleeps; 1.0 = real time).
+    #: Wall seconds per model second: 1.0 is real time, and 0.25 runs
+    #: four times faster (emulated work sleeps the dilated time).
     dilation: float = 1.0
     warmup: float = 1.0
     source_kind: str = "poisson"
-    #: Scan period (model seconds) of the worker supervisor, which
-    #: detects dead worker threads and restarts them with bounded
-    #: exponential backoff.
-    supervisor_poll: float = 0.02
-    #: Restart budget per worker; a worker that keeps dying past this is
-    #: abandoned (and counted in ``RuntimeReport.workers_abandoned``).
-    max_worker_restarts: int = 5
-    #: Exponential-backoff schedule between restarts of one worker
-    #: (model seconds): base * factor**restarts_so_far.
-    restart_backoff_base: float = 0.05
-    restart_backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.dilation <= 0:
             raise ValueError("dilation must be positive")
-        if self.supervisor_poll <= 0:
-            raise ValueError("supervisor_poll must be positive")
-        if self.max_worker_restarts < 0:
-            raise ValueError("max_worker_restarts must be >= 0")
-        if self.restart_backoff_base < 0:
-            raise ValueError("restart_backoff_base must be >= 0")
-        if self.restart_backoff_factor < 1:
-            raise ValueError("restart_backoff_factor must be >= 1")
 
 
 @dataclass
@@ -428,12 +420,12 @@ class SPCRuntime:
         work emulation) would otherwise silently wedge the pipeline: its
         channel fills, upstream backpressure propagates, and throughput
         collapses with no error anywhere.  The supervisor scans every
-        ``supervisor_poll`` model-seconds; a dead worker is restarted
-        after an exponential-backoff delay, at most
-        ``max_worker_restarts`` times, and each revival publishes one
-        ``worker_restart`` trace event.
+        :data:`SUPERVISOR_POLL` model-seconds; a dead worker is
+        restarted after an exponential-backoff delay, at most
+        :data:`MAX_WORKER_RESTARTS` times, and each revival publishes
+        one ``worker_restart`` trace event.  A revival the runtime's
+        stop overtakes does nothing and ends the supervisor.
         """
-        config = self.config
         env = self.env
         restarts: _t.Dict[str, int] = {pe_id: 0 for pe_id in self.pes}
         revive_at: _t.Dict[str, _t.Optional[float]] = {
@@ -441,26 +433,27 @@ class SPCRuntime:
         }
         abandoned: _t.Set[str] = set()
         while True:
-            yield env.timeout(config.supervisor_poll)
+            yield env.timeout(SUPERVISOR_POLL)
             for pe_id, pe in self.pes.items():
                 if self._stop.is_set():
                     return
                 if not pe.started or pe.is_alive or pe_id in abandoned:
                     continue
-                if restarts[pe_id] >= config.max_worker_restarts:
+                if restarts[pe_id] >= MAX_WORKER_RESTARTS:
                     abandoned.add(pe_id)
                     self.workers_abandoned += 1
                     continue
                 scheduled = revive_at[pe_id]
                 if scheduled is None:
                     revive_at[pe_id] = env.now + (
-                        config.restart_backoff_base
-                        * config.restart_backoff_factor ** restarts[pe_id]
+                        RESTART_BACKOFF_BASE
+                        * RESTART_BACKOFF_FACTOR ** restarts[pe_id]
                     )
                     continue
                 if env.now < scheduled:
                     continue
-                pe.restart()
+                if not pe.restart():
+                    return
                 restarts[pe_id] += 1
                 revive_at[pe_id] = None
                 self.worker_restarts += 1

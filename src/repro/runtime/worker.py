@@ -165,12 +165,16 @@ class RuntimePE:
         self._thread.join(timeout=timeout)
         return lost
 
-    def restart(self) -> None:
-        """Revive a crashed worker with a fresh thread (counters persist)."""
+    def restart(self) -> bool:
+        """Revive a crashed worker with a fresh thread (counters persist).
+
+        Returns False, and does nothing, once the worker was told to
+        stop: a supervisor's revival can race the runtime's stop.
+        """
         if self._thread.is_alive():
             raise RuntimeError(f"{self.pe_id}: cannot restart a live worker")
         if self._stop.is_set():
-            raise RuntimeError(f"{self.pe_id}: cannot restart after stop()")
+            return False
         self._crash.clear()
         self.generation += 1
         self._thread = threading.Thread(
@@ -179,6 +183,7 @@ class RuntimePE:
             daemon=True,
         )
         self._thread.start()
+        return True
 
     # -- worker loop --------------------------------------------------------
 

@@ -11,34 +11,26 @@ Public API::
     env.process(my_generator(env))
     env.run(until=10.0)
 
-The kernel is intentionally self-contained (no third-party simulation
-dependency) so the stream-processing model in :mod:`repro.model` runs on a
-substrate we fully control and can test exhaustively.
+The kernel keeps only what the model runs on: events, timeouts, generator
+processes (a process is itself an event, so its failure surfaces), timed
+callbacks (``call_at``/``schedule`` with ``URGENT``/``NORMAL`` priority) and
+``run`` to a time or to queue exhaustion.  The model's processes yield only
+timeouts, which is also all that
+:class:`~repro.runtime.env.ThreadEnv` offers them on the threaded runtime.
+It is self-contained (no third-party simulation dependency), so the model
+in :mod:`repro.model` runs on a substrate we fully control.
 """
 
 from repro.sim.engine import Environment, SimulationError
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Timeout,
-)
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "RandomStreams",
-    "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -20,15 +20,11 @@ NORMAL = 1
 
 
 class SimulationError(Exception):
-    """Raised for kernel-level misuse (e.g. running a dead simulation)."""
-
-
-class EmptySchedule(Exception):
-    """Internal: raised by :meth:`Environment.step` when no events remain."""
+    """Raised for kernel-level misuse (running to a time already past)."""
 
 
 class StopSimulation(Exception):
-    """Internal: unwinds :meth:`Environment.run` when the until-event fires."""
+    """Internal: unwinds :meth:`Environment.run` when the until-time comes."""
 
 
 class Environment:
@@ -44,7 +40,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: _t.List[_t.Tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._active_process: _t.Optional["Process"] = None
         #: Total events dispatched by this environment (for perf benches
         #: and sanity checks; one integer add per event).
         self.events_processed = 0
@@ -62,11 +57,6 @@ class Environment:
     def now(self) -> float:
         """Current virtual time."""
         return self._now
-
-    @property
-    def active_process(self) -> _t.Optional["Process"]:
-        """The process currently being executed, if any."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
 
@@ -116,66 +106,21 @@ class Environment:
         self.schedule(event, priority=priority, delay=delay if delay > 0.0 else 0.0)
         return event
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
-
-    def step(self) -> None:
-        """Process the single next event (advancing the clock to it)."""
-        try:
-            self._now, _, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self.events_processed += 1
-
-        profiler = self.profiler
-        if profiler is None:
-            event._run_callbacks()
-        else:
-            profiler.push("event_dispatch")
-            try:
-                event._run_callbacks()
-            finally:
-                profiler.pop()
-
-        if not event._ok and not event._defused:
-            # Nobody is waiting on this failed event: surface the error
-            # instead of letting it pass silently.
-            exc = _t.cast(BaseException, event._value)
-            raise exc
-
-    def run(self, until: _t.Union[None, float, Event] = None) -> object:
-        """Run until the queue drains, a time is reached, or an event fires.
-
-        Parameters
-        ----------
-        until:
-            ``None`` runs to queue exhaustion; a number runs the clock up to
-            that time; an :class:`Event` runs until that event is processed
-            and returns its value.
-        """
-        until_event: _t.Optional[Event] = None
+    def run(self, until: _t.Optional[float] = None) -> None:
+        """Run until the queue drains or, given ``until``, until the clock
+        reaches that time."""
         if until is not None:
-            if isinstance(until, Event):
-                until_event = until
-            else:
-                at = float(until)
-                if at <= self._now:
-                    raise SimulationError(
-                        f"until={at} must lie in the future (now={self._now})"
-                    )
-                until_event = Event(self)
-                until_event._ok = True
-                until_event._value = None
-                self.schedule(until_event, priority=URGENT, delay=at - self._now)
-            until_event.add_callback(_stop_simulation)
+            at = float(until)
+            if at <= self._now:
+                raise SimulationError(
+                    f"until={at} must lie in the future (now={self._now})"
+                )
+            self.call_at(at, _stop_simulation, priority=URGENT)
 
-        # The dispatch loop below is :meth:`step` inlined with the queue,
-        # heappop, and profiler bound to locals: one event costs one pop,
-        # one callback sweep, and one failed-event check, with no method
-        # dispatch.  This loop is the hottest code in the repository.
+        # The dispatch loop binds the queue, heappop, and profiler to
+        # locals: one event costs one pop, one callback sweep, and one
+        # failed-event check, with no method dispatch.  This loop is the
+        # hottest code in the repository.
         queue = self._queue
         pop = heapq.heappop
         profiler = self.profiler
@@ -185,7 +130,7 @@ class Environment:
                 try:
                     item = pop(queue)
                 except IndexError:
-                    raise EmptySchedule() from None
+                    return
                 self._now = item[0]
                 event = item[3]
                 processed += 1
@@ -206,20 +151,14 @@ class Environment:
                     # Nobody is waiting on this failed event: surface the
                     # error instead of letting it pass silently.
                     raise _t.cast(BaseException, event._value)
-        except StopSimulation as stop:
-            return stop.args[0]
-        except EmptySchedule:
-            if until_event is not None and not until_event.triggered:
-                raise SimulationError(
-                    "simulation ran out of events before the until-event fired"
-                ) from None
-            return None
+        except StopSimulation:
+            return
         finally:
             self.events_processed += processed
 
 
 def _stop_simulation(event: Event) -> None:
-    raise StopSimulation(event._value)
+    raise StopSimulation()
 
 
 if _t.TYPE_CHECKING:  # pragma: no cover

@@ -24,21 +24,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 _PENDING = object()
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The ``cause`` attribute carries the (arbitrary) object passed to
-    :meth:`repro.sim.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:
-        return f"Interrupt(cause={self.cause!r})"
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -88,22 +73,6 @@ class Event:
             raise RuntimeError(f"{self!r} has not been triggered yet")
         return self._value
 
-    def add_callback(
-        self, callback: _t.Callable[["Event"], None]
-    ) -> None:
-        """Register ``callback(event)`` to run when this event is processed.
-
-        The public way to attach callbacks: raises instead of silently
-        misbehaving when the event has already been processed (the bare
-        ``assert`` it replaces would vanish under ``python -O``).
-        """
-        if self.callbacks is None:
-            raise RuntimeError(
-                f"{self!r} has already been processed; "
-                "its callbacks can no longer be extended"
-            )
-        self.callbacks.append(callback)
-
     # -- triggering ------------------------------------------------------
 
     def succeed(self, value: object = None) -> "Event":
@@ -126,15 +95,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event.
-
-        Used as a callback to chain events together.
-        """
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     # -- engine hook -----------------------------------------------------
 
     def _run_callbacks(self) -> None:
@@ -142,14 +102,6 @@ class Event:
         assert callbacks is not None
         for callback in callbacks:
             callback(self)
-
-    # -- composition -----------------------------------------------------
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:
         state = (
@@ -176,89 +128,3 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
-
-
-class Condition(Event):
-    """An event that triggers when ``evaluate`` is satisfied on its children.
-
-    Children that fail cause the condition to fail immediately with the same
-    exception.  The condition's value is a dict mapping each *triggered*
-    child event to its value (insertion-ordered).
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: _t.Callable[[_t.Sequence[Event], int], bool],
-        events: _t.Sequence[Event],
-    ):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all events must share one environment")
-
-        # Immediately evaluate the (possibly empty) child list.
-        if not self._events and evaluate(self._events, 0):
-            self.succeed({})
-            return
-
-        for event in self._events:
-            if event.processed:
-                self._check(event)
-            else:
-                assert event.callbacks is not None
-                event.callbacks.append(self._check)
-
-    def _collect_values(self) -> _t.Dict[Event, object]:
-        # Only *processed* children count: a Timeout is "triggered" the moment
-        # it is created (its value is pre-set), but it has not occurred until
-        # the engine runs its callbacks.
-        return {
-            event: event._value
-            for event in self._events
-            if event.processed and event._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(_t.cast(BaseException, event._value))
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: _t.Sequence[Event], count: int) -> bool:
-        """Evaluator for :class:`AllOf`."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: _t.Sequence[Event], count: int) -> bool:
-        """Evaluator for :class:`AnyOf`."""
-        return count > 0 or len(events) == 0
-
-
-class AllOf(Condition):
-    """Triggers once all child events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: _t.Sequence[Event]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Triggers as soon as any child event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: _t.Sequence[Event]):
-        super().__init__(env, Condition.any_events, events)

@@ -4,7 +4,10 @@ A :class:`Process` drives a Python generator: each value the generator yields
 must be an :class:`~repro.sim.events.Event`; the process suspends until that
 event is processed and is then resumed with the event's value (or the event's
 exception thrown into it).  A process is itself an event that triggers when
-its generator returns, so processes can wait on each other.
+its generator returns, so processes can wait on each other, and one that
+raises fails with that exception, which :meth:`Environment.run` re-raises
+when no process waits on it.  A process runs until its generator ends:
+nothing interrupts it (the model's processes only yield timeouts).
 """
 
 from __future__ import annotations
@@ -12,29 +15,22 @@ from __future__ import annotations
 import typing as _t
 
 from repro.sim.engine import URGENT, Environment
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Event
 
 
 class Process(Event):
     """Wraps a generator and executes it as a cooperative process."""
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: Environment, generator: _t.Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event this process is currently waiting on.
-        self._target: _t.Optional[Event] = None
 
         # Kick off execution at the current simulation time.
-        initial = Event(env)
-        initial._ok = True
-        initial._value = None
-        assert initial.callbacks is not None
-        initial.callbacks.append(self._resume)
-        env.schedule(initial, priority=URGENT)
+        env.call_at(env.now, self._resume, priority=URGENT)
 
     # -- state -------------------------------------------------------------
 
@@ -44,56 +40,13 @@ class Process(Event):
         return not self.triggered
 
     @property
-    def target(self) -> _t.Optional[Event]:
-        """The event this process is waiting on (``None`` when running)."""
-        return self._target
-
-    @property
     def name(self) -> str:
         """The generator's function name, for diagnostics."""
         return getattr(self._generator, "__name__", str(self._generator))
 
-    # -- control -----------------------------------------------------------
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a dead process is an error; interrupting a process
-        waiting on an event detaches it from that event (the event still
-        triggers normally for other waiters).
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated; cannot interrupt")
-        if self is self.env.active_process:
-            raise RuntimeError("a process cannot interrupt itself")
-
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        assert interrupt_event.callbacks is not None
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=URGENT)
-
     # -- engine callback -----------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
-
-        # Detach from the event we were waiting on (interrupt case).
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-            # Resource/store requests must be withdrawn, or the resource
-            # would later satisfy a dead request and lose the item/slot.
-            cancel = getattr(self._target, "cancel", None)
-            if callable(cancel):
-                cancel()
-        self._target = None
-
         while True:
             try:
                 if event._ok:
@@ -104,16 +57,13 @@ class Process(Event):
                         _t.cast(BaseException, event._value)
                     )
             except StopIteration as stop:
-                self.env._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self.env._active_process = None
                 self.fail(exc)
                 return
 
             if not isinstance(next_target, Event):
-                self.env._active_process = None
                 error = RuntimeError(
                     f"process {self.name!r} yielded a non-event: {next_target!r}"
                 )
@@ -125,12 +75,9 @@ class Process(Event):
                 event = next_target
                 continue
 
-            self._target = next_target
             assert next_target.callbacks is not None
             next_target.callbacks.append(self._resume)
-            break
-
-        self.env._active_process = None
+            return
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "dead"

@@ -361,10 +361,6 @@ SHARED_FIELD_CASES = [
 RUNTIME_FIELD_CASES = [
     ({"dilation": 0.0}, "dilation must be positive"),
     ({"source_kind": "fractal"}, "unknown source_kind 'fractal'"),
-    ({"supervisor_poll": 0.0}, "supervisor_poll must be positive"),
-    ({"max_worker_restarts": -1}, "max_worker_restarts must be >= 0"),
-    ({"restart_backoff_base": -0.1}, "restart_backoff_base must be >= 0"),
-    ({"restart_backoff_factor": 0.5}, "restart_backoff_factor must be >= 1"),
 ]
 
 

@@ -7,6 +7,7 @@ overlap rejection), and the resilience benchmark's MTTR machinery.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -31,7 +32,11 @@ from repro.experiments.resilience import (
 )
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.obs.recorder import MemoryRecorder, TraceFilter
-from repro.runtime.spc import RuntimeConfig, SPCRuntime
+from repro.runtime.spc import (
+    MAX_WORKER_RESTARTS,
+    RuntimeConfig,
+    SPCRuntime,
+)
 from repro.systems.faults import Fault, FaultPlan
 from repro.systems.simulated import SimulatedSystem, SystemConfig
 
@@ -437,10 +442,7 @@ class TestRuntimeSupervisor:
         )
         runtime = SPCRuntime(
             topology, UdpPolicy(),
-            config=RuntimeConfig(
-                seed=3, warmup=0.4, dt=0.05,
-                supervisor_poll=0.01, restart_backoff_base=0.02,
-            ),
+            config=RuntimeConfig(seed=3, warmup=0.4, dt=0.05),
             recorder=recorder,
         )
         victim = topology.graph.ingress_ids[0]
@@ -460,6 +462,67 @@ class TestRuntimeSupervisor:
         assert [(t, phase) for t, _, phase in injector.applied] == [
             (0.7, "applied"), (pytest.approx(0.9), "reverted"),
         ]
+
+    def test_a_revival_the_stop_overtakes_is_a_no_op(self):
+        """The supervisor checks the stop, then revives; ``run`` can
+        stop every worker in between.  That revival does nothing, and
+        ``run`` returns its report instead of raising."""
+        topology = small_topology(seed=5)
+        runtime = SPCRuntime(
+            topology, UdpPolicy(),
+            config=RuntimeConfig(seed=3, warmup=0.4, dt=0.05, dilation=0.25),
+        )
+        victim = topology.graph.ingress_ids[0]
+        pe = runtime.pes[victim]
+        restart, request_stop = pe.restart, pe.request_stop
+        stopping = threading.Event()
+        revived = []
+
+        def request_stop_and_signal():
+            request_stop()
+            stopping.set()
+
+        def restart_after_a_thread_switch():
+            # The supervisor loses the CPU between its stop check and
+            # the revival, until ``run`` has told every worker to stop.
+            stopping.wait(timeout=5.0)
+            revived.append(restart())
+            return revived[-1]
+
+        pe.request_stop = request_stop_and_signal
+        pe.restart = restart_after_a_thread_switch
+        # The worker dies when its current SDO ends, which at a small
+        # CPU share can take over a model second.
+        FaultPlan().pe_crash(victim, start=0.7, duration=0.2).attach(runtime)
+        report = runtime.run(duration=3.0)
+
+        assert revived == [False]
+        assert report.worker_restarts == 0
+        assert not pe.is_alive
+        assert pe.generation == 0
+
+    def test_a_worker_that_keeps_dying_is_abandoned(self):
+        """Past its restart budget a worker stays dead; the run reports
+        it and the other egress PEs keep producing."""
+        topology = small_topology(seed=5)
+        runtime = SPCRuntime(
+            topology, UdpPolicy(),
+            config=RuntimeConfig(seed=3, warmup=0.5, dt=0.05, dilation=0.5),
+        )
+        victim, *others = topology.graph.egress_ids
+        pe = runtime.pes[victim]
+        # Every revived thread dies as soon as it starts.
+        pe._run = lambda: None
+        FaultPlan().pe_crash(victim, start=0.3, duration=0.1).attach(runtime)
+        report = runtime.run(duration=3.0)
+
+        assert report.workers_abandoned == 1
+        assert report.worker_restarts == MAX_WORKER_RESTARTS
+        assert pe.generation == MAX_WORKER_RESTARTS
+        assert not pe.is_alive
+        assert others
+        assert all(report.per_egress_counts.get(pe_id, 0) > 0
+                   for pe_id in others)
 
     def test_runtime_pe_stall_closes_and_restores_the_gate(self):
         topology = small_topology(seed=5)

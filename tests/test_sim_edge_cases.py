@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Store
+from repro.sim import Environment, Event
 from repro.sim.engine import NORMAL, URGENT
 
 
@@ -58,99 +58,3 @@ class TestProcessFailurePropagation:
         env.process(child(env))
         with pytest.raises(RuntimeError, match="nobody caught me"):
             env.run()
-
-    def test_condition_fails_when_child_fails(self):
-        env = Environment()
-        caught = []
-
-        def failing(env):
-            yield env.timeout(1.0)
-            raise ValueError("bad child")
-
-        def waiter(env):
-            proc = env.process(failing(env))
-            slow = env.timeout(10.0)
-            try:
-                yield AllOf(env, [proc, slow])
-            except ValueError as exc:
-                caught.append(str(exc))
-
-        env.process(waiter(env))
-        env.run()
-        assert caught == ["bad child"]
-
-
-class TestInterruptDuringStoreWait:
-    def test_interrupted_getter_detaches(self):
-        env = Environment()
-        store = Store(env)
-        outcomes = []
-
-        def consumer(env):
-            try:
-                yield store.get()
-                outcomes.append("got")
-            except Interrupt:
-                outcomes.append("interrupted")
-
-        def attacker(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        victim = env.process(consumer(env))
-        env.process(attacker(env, victim))
-        env.run()
-        assert outcomes == ["interrupted"]
-
-    def test_item_not_lost_after_interrupted_getter(self):
-        """After a getter is interrupted, a later putter's item goes to
-        the next getter, not into the void."""
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def doomed(env):
-            try:
-                yield store.get()
-            except Interrupt:
-                pass
-
-        def survivor(env):
-            yield env.timeout(2.0)
-            item = yield store.get()
-            received.append(item)
-
-        def attacker(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        def producer(env):
-            yield env.timeout(3.0)
-            yield store.put("prize")
-
-        victim = env.process(doomed(env))
-        env.process(attacker(env, victim))
-        env.process(survivor(env))
-        env.process(producer(env))
-        env.run()
-        assert received == ["prize"]
-
-
-class TestAnyOfWithProcess:
-    def test_first_of_timeout_and_process(self):
-        env = Environment()
-        winners = []
-
-        def slow(env):
-            yield env.timeout(10.0)
-            return "slow"
-
-        def racer(env):
-            proc = env.process(slow(env))
-            fast = env.timeout(1.0, value="fast")
-            values = yield AnyOf(env, [proc, fast])
-            winners.extend(values.values())
-
-        env.process(racer(env))
-        env.run()
-        assert winners == ["fast"]

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    Timeout,
-)
+from repro.sim import Environment, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -170,99 +162,6 @@ def test_event_value_before_trigger_raises():
         _ = event.ok
 
 
-def test_run_until_event_returns_its_value():
-    env = Environment()
-    done = env.event()
-
-    def proc(env):
-        yield env.timeout(4.0)
-        done.succeed("result")
-
-    env.process(proc(env))
-    assert env.run(until=done) == "result"
-    assert env.now == 4.0
-
-
-def test_run_until_event_never_fires_raises():
-    env = Environment()
-    never = env.event()
-    with pytest.raises(SimulationError):
-        env.run(until=never)
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7.0)
-    assert env.peek() == 7.0
-
-
-def test_peek_empty_queue_is_inf():
-    env = Environment()
-    assert env.peek() == float("inf")
-
-
-def test_allof_waits_for_all_children():
-    env = Environment()
-    results = []
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(3.0, value="b")
-        values = yield AllOf(env, [t1, t2])
-        results.append((env.now, sorted(values.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert results == [(3.0, ["a", "b"])]
-
-
-def test_anyof_fires_on_first_child():
-    env = Environment()
-    results = []
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(9.0, value="slow")
-        values = yield AnyOf(env, [t1, t2])
-        results.append((env.now, list(values.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert results == [(1.0, ["fast"])]
-
-
-def test_condition_operators():
-    env = Environment()
-    t1 = env.timeout(1.0)
-    t2 = env.timeout(2.0)
-    assert isinstance(t1 & t2, AllOf)
-    t3 = env.timeout(1.0)
-    t4 = env.timeout(2.0)
-    assert isinstance(t3 | t4, AnyOf)
-
-
-def test_condition_rejects_foreign_environment():
-    env1 = Environment()
-    env2 = Environment()
-    t1 = env1.timeout(1.0)
-    t2 = env2.timeout(1.0)
-    with pytest.raises(ValueError):
-        AllOf(env1, [t1, t2])
-
-
-def test_empty_allof_triggers_immediately():
-    env = Environment()
-    results = []
-
-    def proc(env):
-        values = yield AllOf(env, [])
-        results.append(values)
-
-    env.process(proc(env))
-    env.run()
-    assert results == [{}]
-
-
 def test_process_is_event_waitable():
     env = Environment()
     results = []
@@ -297,76 +196,6 @@ def test_process_requires_generator():
         env.process(lambda: None)
 
 
-def test_interrupt_raises_with_cause():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((env.now, interrupt.cause))
-
-    def attacker(env, victim_proc):
-        yield env.timeout(3.0)
-        victim_proc.interrupt(cause="preempt")
-
-    victim_proc = env.process(victim(env))
-    env.process(attacker(env, victim_proc))
-    env.run()
-    assert log == [(3.0, "preempt")]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    proc = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-    errors = []
-
-    def selfish(env):
-        yield env.timeout(0.0)
-        try:
-            env.active_process.interrupt()
-        except RuntimeError as exc:
-            errors.append(str(exc))
-
-    env.process(selfish(env))
-    env.run()
-    assert len(errors) == 1
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-        yield env.timeout(5.0)
-        log.append(env.now)
-
-    def attacker(env, victim_proc):
-        yield env.timeout(2.0)
-        victim_proc.interrupt()
-
-    victim_proc = env.process(victim(env))
-    env.process(attacker(env, victim_proc))
-    env.run()
-    assert log == [7.0]
-
-
 def test_process_is_alive_lifecycle():
     env = Environment()
 
@@ -377,17 +206,3 @@ def test_process_is_alive_lifecycle():
     assert process.is_alive
     env.run()
     assert not process.is_alive
-
-
-def test_active_process_visible_inside_process():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        seen.append(env.active_process)
-        yield env.timeout(1.0)
-
-    process = env.process(proc(env))
-    env.run()
-    assert seen == [process]
-    assert env.active_process is None
