@@ -4,8 +4,7 @@ Runs the same topology and Tier-1 targets through the discrete-event
 simulator and the threaded SPC-analogue runtime, comparing weighted
 throughput per policy.  The paper calibrated C-SIM against the real SPC
 the same way.  Because the threaded runtime emulates CPU with sleeps, we
-assert agreement of *relative orderings* and same-order-of-magnitude
-throughput ratios rather than identity.
+assert a throughput ratio in a band around one rather than identity.
 """
 
 import numpy as np
@@ -44,9 +43,10 @@ def test_calibration(benchmark, record_table):
     record_table("calibration", table_rows, precision=2)
 
     # Both substrates must deliver work for every policy, and the
-    # runtime/simulator throughput ratio stays within one order of
-    # magnitude for each.
+    # runtime/simulator throughput ratio stays in a band around one for
+    # each: the workers serve at the controller's live CPU share, as
+    # the simulator's PEs do.
     for row in rows:
         assert row.simulator_throughput > 0
         assert row.runtime_throughput > 0
-        assert 0.1 < row.throughput_ratio < 10.0
+        assert 0.6 <= row.throughput_ratio < 1.5

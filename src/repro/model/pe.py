@@ -36,6 +36,34 @@ EmitFn = _t.Callable[["PERuntime", SDO, float], None]
 GateFn = _t.Callable[["PERuntime"], bool]
 
 
+class EmissionCount:
+    """``M``, the number of SDOs a PE emits per consumed SDO.
+
+    Deterministic profiles use an accumulator, so the long-run emission
+    ratio is exactly ``lambda_m`` — including fractional values for
+    selective operators (filters, aggregators); otherwise ``M`` is a
+    Poisson draw with mean ``lambda_m`` from the PE's generator.  Both
+    substrates count with this one rule.
+    """
+
+    __slots__ = ("lambda_m", "deterministic", "rng", "accumulator")
+
+    def __init__(self, profile: PEProfile, rng: np.random.Generator):
+        self.lambda_m = profile.lambda_m
+        self.deterministic = profile.deterministic_m
+        self.rng = rng
+        self.accumulator = 0.0
+
+    def sample(self) -> int:
+        """Number of output SDOs for the next consumed SDO."""
+        if self.deterministic:
+            self.accumulator += self.lambda_m
+            count = int(self.accumulator)
+            self.accumulator -= count
+            return count
+        return int(self.rng.poisson(self.lambda_m))
+
+
 @dataclass
 class PECounters:
     """Lifetime execution counters for one PE."""
@@ -68,7 +96,6 @@ class PERuntime:
         self.mean_work = 1.0 / profile.rate_slope
         self.buffer = InputBuffer(buffer_capacity, name=f"{profile.pe_id}:in")
         self.machine = TwoStateMachine(profile, rng)
-        self._rng = rng
         self.is_ingress = is_ingress
         self.is_egress = is_egress
         self.counters = PECounters()
@@ -82,8 +109,8 @@ class PERuntime:
         self.work_in_service = 0.0
         #: The SDO currently being worked on (already popped from buffer).
         self._current: _t.Optional[SDO] = None
-        #: Fractional-emission accumulator for deterministic M.
-        self._m_accumulator = 0.0
+        #: Output SDOs per consumed SDO, drawn from the machine's stream.
+        self.emission = EmissionCount(profile, rng)
         #: Whether the gate refused processing during the last interval.
         #: The node scheduler reads this *one interval late* — a real OS
         #: only discovers a sleeping PE reactively, which is exactly the
@@ -115,20 +142,6 @@ class PERuntime:
         self.buffer.attach_spans(tracker, pe_id=self.pe_id)
 
     # -- execution ---------------------------------------------------------
-
-    def sample_m(self) -> int:
-        """Number of output SDOs for the next consumed SDO.
-
-        Deterministic mode uses an accumulator so the long-run emission
-        ratio is exactly ``lambda_m`` — including fractional values for
-        selective operators (filters, aggregators).
-        """
-        if self.profile.deterministic_m:
-            self._m_accumulator += self.profile.lambda_m
-            count = int(self._m_accumulator)
-            self._m_accumulator -= count
-            return count
-        return int(self._rng.poisson(self.profile.lambda_m))
 
     @property
     def backlog_work(self) -> float:
@@ -233,7 +246,7 @@ class PERuntime:
                 self.pe_id, sdo, completion - self._span_started
             )
             parent_span = sdo.span
-        for _ in range(self.sample_m()):
+        for _ in range(self.emission.sample()):
             derived = sdo.derive(stream_id=self.pe_id)
             if parent_span is not None:
                 derived.span = [

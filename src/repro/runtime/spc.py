@@ -123,8 +123,9 @@ class ThreadAdapter:
     """:class:`~repro.control.adapter.SystemAdapter` over worker threads.
 
     Grants are applied by writing each worker's fractional ``allocation``
-    (the worker reads it per SDO); consumed CPU is settled from the
-    workers' monotonically growing ``cpu_used`` counters.
+    (a worker in service is woken and goes on at the new share); consumed
+    CPU is settled from the workers' monotonically growing ``cpu_used``
+    counters, credited as each SDO completes.
     """
 
     #: No occupancy samples in the trace: a channel depth read is not a
@@ -539,8 +540,9 @@ class SPCRuntime:
                 }
             drops1, flushed1, shed1, rejected1, cpu1 = counters()
         finally:
-            # Tell everyone at once, then wait: a worker can take up to
-            # one emulated service time to notice, and those overlap.
+            # Tell everyone at once, then wait: a stop cuts a service wait
+            # short, so a worker notices within one channel poll, or one
+            # blocking put under Lock-Step.
             self._stop.set()
             for pe in pes:
                 pe.request_stop()

@@ -4,15 +4,20 @@ Each :class:`RuntimePE` pairs one worker thread with one input
 :class:`~repro.runtime.transport.Channel`.  The worker:
 
 1. waits for an SDO (or for Lock-Step clearance),
-2. emulates ``T_S`` CPU-seconds of work by sleeping ``T_S / c`` dilated
-   wall-seconds at its current fractional allocation ``c``,
-3. emits the derived SDOs downstream (or into the egress collector).
+2. emulates ``T_S`` CPU-seconds of work at its live fractional
+   allocation ``c``: it waits ``remaining / c`` dilated wall-seconds,
+   and when ``c`` changes mid-SDO it keeps the work done at the old
+   share and serves the rest at the new one (``PERuntime.execute``'s
+   carry-over of partial work),
+3. emits ``M`` derived SDOs downstream (or into the egress collector),
+   counted by the simulator's :class:`~repro.model.pe.EmissionCount`.
 
-The fractional allocation is written by the node's control thread; the
-worker reads it per SDO.  ``RuntimePE`` also exposes the small protocol the
-CPU schedulers consume (``pe_id``, ``profile``, ``buffer.occupancy``,
-``backlog_work``, ``cpu_for_output_rate_now``), so the same scheduler code
-drives both substrates.
+The fractional allocation is written by the node's control thread, which
+wakes a worker in service when the value changes.  ``RuntimePE`` also
+exposes the small protocol the CPU schedulers consume (``pe_id``,
+``profile``, ``buffer.occupancy``, ``backlog_work``,
+``cpu_for_output_rate_now``), so the same scheduler code drives both
+substrates.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import typing as _t
 import numpy as np
 
 from repro.model.params import PEProfile
+from repro.model.pe import EmissionCount
 from repro.model.sdo import SDO
 from repro.model.statemachine import TwoStateMachine
 from repro.runtime.transport import Channel
@@ -58,14 +64,20 @@ class RuntimePE:
         #: ``free``, ``capacity``), which schedulers and gates read.
         self.buffer = self.channel
         self.machine = TwoStateMachine(profile, rng)
+        #: Output SDOs per consumed SDO; a Poisson count draws from the
+        #: machine's generator, so it is drawn under the machine's lock.
+        self.emission = EmissionCount(profile, rng)
         self._machine_lock = threading.Lock()
         self.dilation = dilation
         self.is_ingress = is_ingress
         self.is_egress = is_egress
 
         self.downstream: _t.List["RuntimePE"] = []
-        #: Current fractional allocation, written by the node controller.
-        self.allocation = 0.0
+        self._allocation = 0.0
+        #: Set to cut a service wait short: an allocation change while
+        #: :attr:`_in_service`, or a stop.
+        self._wake = threading.Event()
+        self._in_service = False
         #: Blocking admission (Lock-Step) vs drop-on-full (ACES/UDP).
         self.blocking_emission = False
         #: The control plane's live gate registry (pe_id -> gate or
@@ -90,6 +102,18 @@ class RuntimePE:
         self._thread = threading.Thread(
             target=self._run, name=f"pe-{profile.pe_id}", daemon=True
         )
+
+    @property
+    def allocation(self) -> float:
+        """Current fractional allocation, written by the node controller."""
+        return self._allocation
+
+    @allocation.setter
+    def allocation(self, value: float) -> None:
+        if value != self._allocation:
+            self._allocation = value
+            if self._in_service:
+                self._wake.set()
 
     # -- scheduler protocol --------------------------------------------------
 
@@ -141,8 +165,10 @@ class RuntimePE:
         self._thread.start()
 
     def request_stop(self) -> None:
-        """Tell the worker to exit without waiting for it."""
+        """Tell the worker to exit without waiting for it.  An SDO in
+        service is abandoned: neither emitted nor counted as consumed."""
         self._stop.set()
+        self._wake.set()
 
     def stop(self, timeout: float = 2.0) -> None:
         self.request_stop()
@@ -206,13 +232,41 @@ class RuntimePE:
             spans = self.spans
             if spans is not None:
                 spans.observe_queue(self.pe_id, sdo, started)
-            share = max(self.allocation, _MIN_SHARE)
             with self._machine_lock:
                 cost = self.machine.service_time_at(started)
-            time.sleep(cost / share * self.dilation)
+            if not self._serve(cost):
+                return  # stopped mid-SDO
             self.cpu_used += cost
             self.consumed += 1
             self._emit(sdo, started)
+
+    def _serve(self, work: float) -> bool:
+        """Emulate ``work`` CPU-seconds at the live allocation.
+
+        Waits ``work / share`` dilated wall-seconds; an allocation change
+        ends the wait early, the work done at the old share is deducted
+        and the rest is served at the new one.  A crash does not cut the
+        SDO short.  Returns False when a stop did.
+        """
+        wake = self._wake
+        dilation = self.dilation
+        self._in_service = True
+        try:
+            while True:
+                # Clear before reading the share: a change written after
+                # the read sets the event again.
+                wake.clear()
+                if self._stop.is_set():
+                    return False
+                share = max(self._allocation, _MIN_SHARE)
+                began = time.monotonic()
+                if not wake.wait(work / share * dilation):
+                    return True
+                work -= (time.monotonic() - began) / dilation * share
+                if work <= 0.0:
+                    return True
+        finally:
+            self._in_service = False
 
     def _emit(self, sdo: SDO, started: float) -> None:
         spans = self.spans
@@ -223,7 +277,8 @@ class RuntimePE:
             now = self._clock()
             spans.observe_service(self.pe_id, sdo, now - started)
             parent_span = sdo.span
-        count = max(1, int(round(self.profile.lambda_m)))
+        with self._machine_lock:
+            count = self.emission.sample()
         for _ in range(count):
             derived = sdo.derive(stream_id=self.pe_id)
             if parent_span is not None:

@@ -100,7 +100,9 @@ class TestCalibration:
         assert row.policy == "udp"
         assert row.simulator_throughput > 0
         assert row.runtime_throughput > 0
-        assert row.throughput_ratio > 0
+        # Workers serve at the live CPU share, as the simulator does, so
+        # the runtime delivers well over a third of the simulator's rate.
+        assert row.throughput_ratio >= 0.4
 
 
 class TestCliFigurePath:

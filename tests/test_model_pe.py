@@ -172,9 +172,9 @@ class TestWiring:
 class TestSampleM:
     def test_deterministic_m(self):
         pe = make_pe(lambda_m=2.0, deterministic_m=True)
-        assert all(pe.sample_m() == 2 for _ in range(10))
+        assert all(pe.emission.sample() == 2 for _ in range(10))
 
     def test_poisson_m_mean(self):
         pe = make_pe(lambda_m=3.0, deterministic_m=False, seed=5)
-        samples = [pe.sample_m() for _ in range(5000)]
+        samples = [pe.emission.sample() for _ in range(5000)]
         assert np.mean(samples) == pytest.approx(3.0, rel=0.05)

@@ -65,17 +65,17 @@ class TestFractionalEmission:
 
     def test_accumulator_exact_long_run_ratio(self):
         pe = self.runtime(lambda_m=0.3)
-        total = sum(pe.sample_m() for _ in range(1000))
+        total = sum(pe.emission.sample() for _ in range(1000))
         assert total == pytest.approx(300, abs=1)
 
     def test_accumulator_fractional_above_one(self):
         pe = self.runtime(lambda_m=2.5)
-        total = sum(pe.sample_m() for _ in range(1000))
+        total = sum(pe.emission.sample() for _ in range(1000))
         assert total == pytest.approx(2500, abs=1)
 
     def test_integer_lambda_m_every_time(self):
         pe = self.runtime(lambda_m=2.0)
-        assert [pe.sample_m() for _ in range(5)] == [2, 2, 2, 2, 2]
+        assert [pe.emission.sample() for _ in range(5)] == [2, 2, 2, 2, 2]
 
     def test_execute_emits_fraction(self):
         pe = self.runtime(lambda_m=0.5)
@@ -88,7 +88,7 @@ class TestFractionalEmission:
 
     def test_poisson_mode_mean(self):
         pe = self.runtime(lambda_m=0.3, deterministic=False)
-        total = sum(pe.sample_m() for _ in range(20000))
+        total = sum(pe.emission.sample() for _ in range(20000))
         assert total / 20000 == pytest.approx(0.3, rel=0.05)
 
 

@@ -1,5 +1,6 @@
 """Tests for the threaded SPC runtime (transport, workers, orchestrator)."""
 
+import sys
 import threading
 import time
 
@@ -12,6 +13,7 @@ from repro.control.wiring import PeriodicTick
 from repro.core.policies import AcesPolicy, LockStepPolicy, UdpPolicy
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.model.params import PEProfile
+from repro.model.pe import PERuntime
 from repro.model.sdo import SDO
 from repro.runtime.env import ThreadEnv
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
@@ -108,15 +110,22 @@ class TestChannel:
 
 
 class TestRuntimePE:
-    def make_pe(self, **kwargs):
+    def make_pe(self, channel_capacity=10, **kwargs):
         defaults = dict(pe_id="pe-0", t0=0.001, t1=0.001, lambda_s=0.0)
         defaults.update(kwargs)
         return RuntimePE(
             PEProfile(**defaults),
-            channel_capacity=10,
+            channel_capacity=channel_capacity,
             rng=np.random.default_rng(0),
             dilation=1.0,
         )
+
+    @staticmethod
+    def wait_for(predicate, timeout):
+        deadline = time.monotonic() + timeout
+        while not predicate() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return predicate()
 
     def test_start_requires_attach(self):
         pe = self.make_pe()
@@ -177,6 +186,122 @@ class TestRuntimePE:
         time.sleep(0.15)
         producer.stop()
         assert producer.consumed == 0  # gated the whole time
+
+    def test_raised_share_speeds_up_the_sdo_in_service(self):
+        # 0.2 CPU-s at the 0.02 floor is 10 s; raised to 1.0 after
+        # 0.05 s, the rest takes under 0.2 s.
+        pe = self.make_pe(t0=0.2, t1=0.2)
+        pe.attach(clock=time.monotonic)
+        pe.start()
+        pe.channel.offer(sdo())
+        time.sleep(0.05)
+        pe.allocation = 1.0
+        try:
+            assert self.wait_for(lambda: pe.consumed == 1, 0.55)
+            assert pe.cpu_used == pytest.approx(0.2)
+        finally:
+            pe.stop()
+
+    def test_lowered_share_slows_down_the_sdo_in_service(self):
+        # 0.05 CPU-s done at 1.0, the other 0.15 at 0.1 takes 1.5 s.
+        pe = self.make_pe(t0=0.2, t1=0.2)
+        pe.attach(clock=time.monotonic)
+        pe.allocation = 1.0
+        pe.start()
+        pe.channel.offer(sdo())
+        time.sleep(0.05)
+        pe.allocation = 0.1
+        time.sleep(0.45)
+        try:
+            assert pe.consumed == 0
+            assert pe.cpu_used == 0.0
+        finally:
+            pe.stop()
+
+    def test_stop_interrupts_the_sdo_in_service(self):
+        # 1 CPU-s at the floor share is 50 s of wall.
+        pe = self.make_pe(t0=1.0, t1=1.0)
+        pe.is_egress = True
+        outputs = []
+        pe.attach(clock=time.monotonic, egress_sink=outputs.append)
+        pe.start()
+        pe.channel.offer(sdo())
+        assert self.wait_for(lambda: pe.channel.occupancy == 0, 0.5)
+        began = time.monotonic()
+        pe.stop()
+        assert not pe.is_alive
+        assert time.monotonic() - began < 0.5
+        assert pe.consumed == 0
+        assert pe.cpu_used == 0.0
+        assert outputs == []
+
+    def test_share_changes_under_fast_thread_switching_lose_no_wakeup(self):
+        # More workers than cores, the allocation flipped between the
+        # floor and 1.0 at every switch: a lost wake-up would leave a
+        # worker at the floor after the final raise, 5 s per SDO.
+        count, cost = 3, 0.1
+        pes = [self.make_pe(pe_id=f"pe-{i}", t0=cost, t1=cost)
+               for i in range(8)]
+        for pe in pes:
+            pe.attach(clock=time.monotonic)
+            for i in range(count):
+                pe.channel.offer(sdo(i))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for pe in pes:
+                pe.start()
+            flips = 0
+            deadline = time.monotonic() + 0.2
+            while time.monotonic() < deadline:
+                for pe in pes:
+                    pe.allocation = float(flips % 2)
+                flips += 1
+            for pe in pes:
+                pe.allocation = 1.0
+            assert self.wait_for(
+                lambda: all(pe.consumed == count for pe in pes), 1.5
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            for pe in pes:
+                pe.stop()
+        assert flips > 10
+        for pe in pes:
+            assert not pe.is_alive
+            assert pe.cpu_used == pytest.approx(count * cost)
+
+    @pytest.mark.parametrize("deterministic_m", [True, False])
+    @pytest.mark.parametrize("lambda_m", [0.1, 1.5, 2.5])
+    def test_emits_as_many_sdos_as_the_simulator(
+        self, lambda_m, deterministic_m
+    ):
+        count = 20
+        profile = dict(lambda_m=lambda_m, deterministic_m=deterministic_m)
+        pe = self.make_pe(channel_capacity=count, **profile)
+        pe.is_egress = True
+        outputs = []
+        pe.attach(clock=lambda: 0.0, egress_sink=outputs.append)
+        pe.allocation = 1.0
+        for i in range(count):
+            pe.channel.offer(sdo(i))
+        pe.start()
+        try:
+            assert self.wait_for(lambda: pe.consumed == count, 2.0)
+        finally:
+            pe.stop()
+        # The same profile and seed in the simulator's PE (a frozen
+        # machine draws nothing, so M is the generator's only use).
+        reference = PERuntime(
+            PEProfile(pe_id="pe-0", t0=0.001, t1=0.001, lambda_s=0.0,
+                      **profile),
+            buffer_capacity=count,
+            rng=np.random.default_rng(0),
+        )
+        expected = sum(reference.emission.sample() for _ in range(count))
+        assert len(outputs) == pe.emitted == expected
+        if deterministic_m:
+            assert abs(expected - lambda_m * count) <= 1
 
 
 class TestThreadEnv:
