@@ -75,6 +75,52 @@ def _ledger(
     return violations, violate
 
 
+def _check_buffer(
+    violate: Violate, pe_id: str, stats: _t.Any, occupancy: int
+) -> None:
+    """The two per-buffer identities, over a simulator buffer's
+    ``telemetry`` or a runtime channel's ``stats`` (the same counters)."""
+    if stats.offered != stats.accepted + (stats.dropped - stats.flushed):
+        violate(
+            "buffer_offer_conservation",
+            f"offered={stats.offered} != accepted={stats.accepted}"
+            f" + (dropped={stats.dropped} - flushed={stats.flushed})",
+            pe=pe_id,
+        )
+    if stats.accepted != stats.popped + stats.flushed + occupancy:
+        violate(
+            "buffer_occupancy_conservation",
+            f"accepted={stats.accepted} != popped={stats.popped}"
+            f" + flushed={stats.flushed} + occupancy={occupancy}",
+            pe=pe_id,
+        )
+
+
+def _check_source(
+    violate: Violate, source: _t.Any, admission: _t.Optional[_t.Any]
+) -> None:
+    """Every SDO a source generated was admitted or rejected, and got
+    exactly one verdict from an armed admission front end."""
+    stats = source.stats
+    pe_id = source.stream_id.split(":", 1)[1]
+    if stats.generated != stats.admitted + stats.rejected:
+        violate(
+            "source_conservation",
+            f"{source.stream_id}: generated={stats.generated} != "
+            f"admitted={stats.admitted} + rejected={stats.rejected}",
+            pe=pe_id,
+        )
+    stream = admission.streams.get(pe_id) if admission is not None else None
+    if stream is not None and stream.decisions != stats.generated:
+        violate(
+            "admission_decision_conservation",
+            f"decisions={stream.decisions} (admitted={stream.admitted}"
+            f" + shed={stream.shed} + rejected={stream.rejected})"
+            f" != generated={stats.generated}",
+            pe=pe_id,
+        )
+
+
 def check_conservation(
     system: "SimulatedSystem", tolerance: float = 1e-9
 ) -> _t.List[InvariantViolation]:
@@ -86,27 +132,8 @@ def check_conservation(
     fanout_emissions = 0
     for pe_id, runtime in sorted(system.runtimes.items()):
         telemetry = runtime.buffer.telemetry
-        occupancy = runtime.buffer.occupancy
         total_offered += telemetry.offered
-
-        if telemetry.offered != telemetry.accepted + (
-            telemetry.dropped - telemetry.flushed
-        ):
-            violate(
-                "buffer_offer_conservation",
-                f"offered={telemetry.offered} != accepted={telemetry.accepted}"
-                f" + (dropped={telemetry.dropped} - flushed={telemetry.flushed})",
-                pe=pe_id,
-            )
-        if telemetry.accepted != (
-            telemetry.popped + telemetry.flushed + occupancy
-        ):
-            violate(
-                "buffer_occupancy_conservation",
-                f"accepted={telemetry.accepted} != popped={telemetry.popped}"
-                f" + flushed={telemetry.flushed} + occupancy={occupancy}",
-                pe=pe_id,
-            )
+        _check_buffer(violate, pe_id, telemetry, runtime.buffer.occupancy)
         if telemetry.high_water > runtime.buffer.capacity:
             violate(
                 "buffer_high_water",
@@ -150,7 +177,7 @@ def check_conservation(
                 pending_internal += 1
 
     total_generated = sum(source.stats.generated for source in system.sources)
-    admission = getattr(system.plane, "admission", None)
+    admission = system.admission
     admission_shed = admission.total_shed if admission is not None else 0
     admission_rejected = (
         admission.total_rejected if admission is not None else 0
@@ -173,31 +200,11 @@ def check_conservation(
         )
 
     if admission is not None:
-        # Admission decision ledger: every generated SDO got exactly one
-        # verdict, per stream and in total, and the per-stream breakdown
-        # sums exactly to the totals.
-        decisions = 0
-        for pe_id, stream in sorted(admission.streams.items()):
-            decisions += stream.decisions
-            source_generated = next(
-                (
-                    s.stats.generated
-                    for s in system.sources
-                    if s.stream_id == f"src:{pe_id}"
-                ),
-                None,
-            )
-            if (
-                source_generated is not None
-                and stream.decisions != source_generated
-            ):
-                violate(
-                    "admission_decision_conservation",
-                    f"decisions={stream.decisions} (admitted="
-                    f"{stream.admitted} + shed={stream.shed} + rejected="
-                    f"{stream.rejected}) != generated={source_generated}",
-                    pe=pe_id,
-                )
+        # The per-stream verdicts sum exactly to the totals and to what
+        # the sources generated (each stream is checked per source).
+        decisions = sum(
+            stream.decisions for stream in admission.streams.values()
+        )
         expected_totals = (
             admission.total_admitted + admission_shed + admission_rejected
         )
@@ -232,13 +239,7 @@ def check_conservation(
             )
 
     for source in system.sources:
-        stats = source.stats
-        if stats.generated != stats.admitted + stats.rejected:
-            violate(
-                "source_conservation",
-                f"{source.stream_id}: generated={stats.generated} != "
-                f"admitted={stats.admitted} + rejected={stats.rejected}",
-            )
+        _check_source(violate, source, admission)
 
     # Per-egress histogram/moments identity: the streaming latency
     # histogram sees exactly the SDOs the moment accumulator sees.
@@ -285,48 +286,17 @@ def check_runtime_conservation(
     violations, violate = _ledger(runtime.now())
 
     for pe_id, pe in sorted(runtime.pes.items()):
-        stats = pe.channel.stats
-        occupancy = pe.channel.occupancy
-        if stats.offered != stats.accepted + (stats.dropped - stats.flushed):
-            violate(
-                "buffer_offer_conservation",
-                f"offered={stats.offered} != accepted={stats.accepted}"
-                f" + (dropped={stats.dropped} - flushed={stats.flushed})",
-                pe=pe_id,
-            )
-        if stats.accepted != stats.popped + stats.flushed + occupancy:
-            violate(
-                "buffer_occupancy_conservation",
-                f"accepted={stats.accepted} != popped={stats.popped}"
-                f" + flushed={stats.flushed} + occupancy={occupancy}",
-                pe=pe_id,
-            )
+        _check_buffer(violate, pe_id, pe.channel.stats, pe.channel.occupancy)
 
-    admission = runtime.admission
     for source in runtime.sources:
+        _check_source(violate, source, runtime.admission)
         pe_id = source.stream_id.split(":", 1)[1]
-        stats = source.stats
-        if stats.generated != stats.admitted + stats.rejected:
-            violate(
-                "source_conservation",
-                f"{source.stream_id}: generated={stats.generated} != "
-                f"admitted={stats.admitted} + rejected={stats.rejected}",
-                pe=pe_id,
-            )
         accepted = runtime.pes[pe_id].channel.stats.accepted
-        if accepted != stats.admitted:
+        if accepted != source.stats.admitted:
             violate(
                 "ingress_conservation",
                 f"channel accepted={accepted} != source "
-                f"admitted={stats.admitted}",
-                pe=pe_id,
-            )
-        stream = admission.streams.get(pe_id) if admission else None
-        if stream is not None and stream.decisions != stats.generated:
-            violate(
-                "admission_decision_conservation",
-                f"decisions={stream.decisions} != "
-                f"generated={stats.generated}",
+                f"admitted={source.stats.admitted}",
                 pe=pe_id,
             )
     return violations

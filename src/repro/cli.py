@@ -39,7 +39,11 @@ import typing as _t
 
 import numpy as np
 
-from repro.check import OracleRecorder, check_conservation
+from repro.check import (
+    OracleRecorder,
+    check_conservation,
+    check_runtime_conservation,
+)
 from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import policy_by_name
 from repro.experiments import (
@@ -63,12 +67,7 @@ from repro.obs.recorder import (
     TraceRecorder,
 )
 from repro.obs.spans import SpanTracker
-from repro.obs.surface import (
-    render_prometheus,
-    render_top,
-    snapshot_runtime,
-    snapshot_system,
-)
+from repro.obs.surface import render_prometheus, render_top, snapshot
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
@@ -311,8 +310,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(
         f"trace: {sum(stored.values())} events -> {args.trace} ({breakdown})"
     )
-    # Gauges, the phase profile and the conservation ledger are the
-    # simulator's; everything else is the same on both substrates.
+    # Gauges and the phase profile are the simulator's; everything else
+    # is the same on both substrates.
     if threaded:
         if args.gauges is not None:
             print("gauges: not available on the threaded substrate")
@@ -342,8 +341,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if oracle is not None:
         oracle.finalize()
         violations = list(oracle.violations)
-        if not threaded:
-            violations.extend(check_conservation(system))
+        ledger = check_runtime_conservation if threaded else check_conservation
+        violations.extend(ledger(system))
         print(oracle.summary())
         for violation in violations[:10]:
             print(
@@ -364,21 +363,20 @@ def cmd_top(args: argparse.Namespace) -> int:
     watch = args.watch and not args.once
 
     system = _build_system(args, topology, policy, spans=spans)
-    take_snapshot = snapshot_runtime if threaded else snapshot_system
 
     def observer(live: _t.Any) -> None:
-        print(render_top(take_snapshot(live)))
+        print(render_top(snapshot(live)))
 
     system.run(
         args.duration,
         observer=observer if watch else None,
         observe_interval=args.interval,
     )
-    snapshot = take_snapshot(system)
+    final = snapshot(system)
     if not watch:
-        print(render_top(snapshot), end="")
+        print(render_top(final), end="")
     if args.prometheus is not None:
-        text = render_prometheus(snapshot)
+        text = render_prometheus(final)
         if args.prometheus == "-":
             print(text, end="")
         else:
@@ -386,8 +384,8 @@ def cmd_top(args: argparse.Namespace) -> int:
                 handle.write(text)
             print(f"prometheus: {len(text.splitlines())} lines "
                   f"-> {args.prometheus}")
-    if snapshot.span_violations:
-        print(f"error: {snapshot.span_violations} span closure violation(s)",
+    if final.span_violations:
+        print(f"error: {final.span_violations} span closure violation(s)",
               file=sys.stderr)
         return 1
     return 0

@@ -1,13 +1,15 @@
-"""Egress collection and the consolidated per-run metrics report.
+"""Egress collection, the measured window and the per-run metrics report.
 
 The :class:`EgressCollector` sits behind every egress PE; each SDO leaving
 the system records one weighted completion and one end-to-end latency
-sample.  Warm-up is handled with :meth:`EgressCollector.reset`: the system
-runs the transient period, resets, and the measured window starts clean.
+sample.  :func:`measure_window` runs the measured window of either
+substrate: it runs the warm-up, resets the collector so the window
+starts clean, and builds the one :class:`MetricsReport`.
 """
 
 from __future__ import annotations
 
+import math
 import typing as _t
 from dataclasses import dataclass, field
 
@@ -141,7 +143,8 @@ class EgressCollector:
 
 @dataclass
 class MetricsReport:
-    """Everything one simulation run reports (over the measured window)."""
+    """Everything one run reports over its measured window, on either
+    substrate."""
 
     policy: str
     duration: float
@@ -153,13 +156,14 @@ class MetricsReport:
     #: SDOs rejected at the system input (sources found ingress full).
     source_rejections: int
     source_generated: int
-    #: Mean (over PEs) time-averaged buffer occupancy, in SDOs.
+    #: Mean (over PEs) time-averaged buffer occupancy, in SDOs; ``nan``
+    #: on the threaded runtime, whose channels keep no occupancy integral.
     mean_buffer_occupancy: float
     #: Per-egress detail: pe_id -> (weight, count, mean latency).
     egress_detail: _t.Dict[str, _t.Tuple[float, int, float]] = field(
         default_factory=dict
     )
-    #: CPU seconds actually used across PEs / wall duration / node count.
+    #: CPU seconds actually used across PEs / window / node count.
     cpu_utilization: float = 0.0
     #: Fraction of emitted SDOs dropped downstream (wasted processing).
     wasted_work_fraction: float = 0.0
@@ -178,6 +182,10 @@ class MetricsReport:
     #: buffer and are a subset of :attr:`source_rejections`.  Empty for
     #: runs that predate the breakdown.
     drops_by_kind: _t.Dict[str, int] = field(default_factory=dict)
+    #: Dead workers the threaded runtime's supervisor revived, and
+    #: workers that exhausted their restart budget (0 on the simulator).
+    worker_restarts: int = 0
+    workers_abandoned: int = 0
 
     @property
     def input_loss_rate(self) -> float:
@@ -197,4 +205,147 @@ class MetricsReport:
             f"{pct.get('p99', 0.0) * 1000:.1f}ms "
             f"out={self.total_output_sdos:7d} drops={self.buffer_drops:6d} "
             f"rej={self.source_rejections:6d}"
+        )
+
+
+@dataclass
+class WindowCounters:
+    """Lifetime counters a substrate's ``window_counters()`` reads at
+    each end of the measured window; the report carries the deltas."""
+
+    buffer_drops: int
+    buffer_flushed: int
+    source_generated: int
+    source_rejected: int
+    shed_drops: int
+    admission_shed: int
+    admission_rejected: int
+    cpu_used: float
+    emit_attempts: int
+    emit_drops: int
+    #: pe_id -> time-integrated buffer occupancy; ``None`` where the
+    #: substrate keeps no integral.
+    occupancy_integrals: _t.Optional[_t.Dict[str, float]] = None
+
+    @classmethod
+    def read(
+        cls, system: _t.Any, buffers: _t.Sequence[_t.Any], **substrate: _t.Any
+    ) -> "WindowCounters":
+        """The counters both substrates keep alike, from ``system`` and
+        its PEs' buffer counters; the substrate passes the rest."""
+        admission = system.admission
+        return cls(
+            buffer_drops=sum(buffer.dropped for buffer in buffers),
+            buffer_flushed=sum(buffer.flushed for buffer in buffers),
+            source_generated=sum(s.stats.generated for s in system.sources),
+            source_rejected=sum(s.stats.rejected for s in system.sources),
+            shed_drops=system.shed_drops,
+            admission_shed=(
+                admission.total_shed if admission is not None else 0
+            ),
+            admission_rejected=(
+                admission.total_rejected if admission is not None else 0
+            ),
+            **substrate,
+        )
+
+
+def measure_window(
+    system: _t.Any,
+    duration: float,
+    observer: _t.Optional[_t.Callable[[_t.Any], None]] = None,
+    observe_interval: float = 1.0,
+) -> MetricsReport:
+    """Warm ``system`` up, run ``duration`` model seconds and report them.
+
+    Either substrate: ``system.env.run(until=...)`` drives it and
+    ``system.env.now`` reads its clock, its egress collector is read
+    under ``system.collector_lock``, and ``system.window_counters()``
+    supplies the counters the report takes deltas of.  When
+    ``observer`` is given the window runs in steps of
+    ``observe_interval`` and the observer is called with the system
+    after each, the last included (the ``repro top --watch`` hook); on
+    the simulator stepping only adds until-events, so the report is the
+    unobserved run's.
+    """
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    env, collector = system.env, system.collector
+    if system.config.warmup > 0:
+        env.run(until=system.config.warmup)
+    with system.collector_lock:
+        started = env.now
+        collector.reset(started)
+    if system.spans is not None:
+        system.spans.reset()
+    start = system.window_counters()
+
+    stop = started + duration
+    if observer is None:
+        env.run(until=stop)
+    else:
+        while env.now < stop:
+            env.run(until=min(env.now + observe_interval, stop))
+            observer(system)
+
+    # The window closes here, under the lock a threaded egress sink
+    # records under: what it delivers during teardown is not reported.
+    with system.collector_lock:
+        ended = env.now
+        end = system.window_counters()
+
+        def delta(name: str) -> _t.Any:
+            return getattr(end, name) - getattr(start, name)
+
+        # A threaded clock passes ``stop`` by its wake-up latency; the
+        # simulator's stops on it, and the window is ``duration`` exactly.
+        window = duration + (ended - stop)
+        if system.elasticity is None and len(system.elastic.timeline) == 1:
+            # Membership never moved: node-seconds is window * num_nodes.
+            node_seconds = window * len(system.plane.groups)
+        else:
+            node_seconds = system.elastic.node_seconds(started, ended)
+        if end.occupancy_integrals is None:
+            mean_occupancy = math.nan
+        else:
+            means = [
+                (integral - start.occupancy_integrals[pe_id]) / window
+                for pe_id, integral in end.occupancy_integrals.items()
+            ]
+            mean_occupancy = sum(means) / len(means) if means else 0.0
+        # The in-graph kinds sum to buffer_drops; admission refusals
+        # happen before any buffer (a subset of source_rejections).
+        drops_by_kind = {
+            "buffer_overflow": delta("buffer_drops") - delta("buffer_flushed"),
+            "flushed": delta("buffer_flushed"),
+            "shed": delta("shed_drops"),
+            "admission_shed": delta("admission_shed"),
+            "admission_rejected": delta("admission_rejected"),
+        }
+        emit_attempts = delta("emit_attempts")
+        return MetricsReport(
+            policy=system.policy.name,
+            duration=window,
+            weighted_throughput=collector.weighted_throughput(ended),
+            total_output_sdos=collector.total_output(),
+            latency=collector.latency_summary(),
+            buffer_drops=delta("buffer_drops") + delta("shed_drops"),
+            drops_by_kind=drops_by_kind,
+            source_rejections=delta("source_rejected"),
+            source_generated=delta("source_generated"),
+            mean_buffer_occupancy=mean_occupancy,
+            egress_detail={
+                pe_id: (rec.weight, rec.count, rec.latency.mean)
+                for pe_id, rec in collector.records().items()
+            },
+            cpu_utilization=(
+                delta("cpu_used") / node_seconds if node_seconds else 0.0
+            ),
+            wasted_work_fraction=(
+                delta("emit_drops") / emit_attempts if emit_attempts else 0.0
+            ),
+            weighted_utility=collector.weighted_utility(ended, LogUtility()),
+            latency_percentiles=collector.latency_percentiles(),
+            worker_restarts=system.worker_restarts,
+            workers_abandoned=system.workers_abandoned,
         )

@@ -31,8 +31,7 @@ from repro.obs.surface import (
     MetricsSnapshot,
     render_prometheus,
     render_top,
-    snapshot_runtime,
-    snapshot_system,
+    snapshot,
 )
 from repro.obs.recorder import (
     ENVELOPE_KEYS,
@@ -64,8 +63,7 @@ __all__ = [
     "read_events_jsonl",
     "render_prometheus",
     "render_top",
-    "snapshot_runtime",
-    "snapshot_system",
+    "snapshot",
     "validate_event",
     "write_events_csv",
     "write_events_jsonl",

@@ -19,13 +19,8 @@ Two renderers consume it:
 
 from __future__ import annotations
 
-import contextlib
 import typing as _t
 from dataclasses import dataclass, field
-
-if _t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.spc import SPCRuntime
-    from repro.systems.simulated import SimulatedSystem
 
 __all__ = [
     "MetricsSnapshot",
@@ -33,8 +28,7 @@ __all__ = [
     "StreamRow",
     "render_prometheus",
     "render_top",
-    "snapshot_runtime",
-    "snapshot_system",
+    "snapshot",
 ]
 
 
@@ -132,14 +126,6 @@ def _stream_rows(records: _t.Mapping[str, _t.Any]) -> _t.List[StreamRow]:
     return rows
 
 
-def _span_state(
-    spans: _t.Optional[_t.Any],
-) -> _t.Tuple[_t.List[_t.Dict[str, object]], int]:
-    if spans is None:
-        return [], 0
-    return spans.hop_rows(), len(spans.violations)
-
-
 def _admission_state(admission: _t.Optional[_t.Any]) -> _t.Dict[str, _t.Any]:
     """Admission-front-end fields for a snapshot (empty when disarmed)."""
     if admission is None:
@@ -163,18 +149,13 @@ def _admission_state(admission: _t.Optional[_t.Any]) -> _t.Dict[str, _t.Any]:
     }
 
 
-def _snapshot(
-    system: _t.Any,
-    substrate: str,
-    now: float,
-    lock: _t.ContextManager[_t.Any],
-    buffer_drops: int,
-) -> MetricsSnapshot:
-    """The view both substrates share: the collector (read under
-    ``lock``), the plane's PEs and flow controllers, the sources, spans,
-    admission."""
+def snapshot(system: _t.Any) -> MetricsSnapshot:
+    """Snapshot a paused or finished simulated system, or a live threaded
+    runtime: the collector (read under ``system.collector_lock``), the
+    plane's PEs and flow controllers, the sources, spans, admission."""
     collector = system.collector
-    with lock:
+    now = system.env.now
+    with system.collector_lock:
         window = now - collector.window_start
         throughput = collector.weighted_throughput(now)
         total = collector.total_output()
@@ -184,15 +165,17 @@ def _snapshot(
         (pe for group in system.plane.groups for pe in group.pes),
         key=lambda pe: pe.pe_id,
     )
-    span_rows, span_violations = _span_state(system.spans)
+    spans = system.spans
     return MetricsSnapshot(
-        substrate=substrate,
+        substrate=system.substrate,
         policy=system.policy.name,
         t=now,
         window=window,
         weighted_throughput=throughput,
         total_output=total,
-        buffer_drops=buffer_drops,
+        buffer_drops=system.shed_drops + sum(
+            pe.buffer.telemetry.dropped for pe in pes
+        ),
         source_rejections=sum(s.stats.rejected for s in system.sources),
         streams=streams,
         pes=[
@@ -208,36 +191,9 @@ def _snapshot(
             )
             for pe in pes
         ],
-        span_rows=span_rows,
-        span_violations=span_violations,
+        span_rows=spans.hop_rows() if spans is not None else [],
+        span_violations=len(spans.violations) if spans is not None else 0,
         **_admission_state(system.admission),
-    )
-
-
-def snapshot_system(system: "SimulatedSystem") -> MetricsSnapshot:
-    """Snapshot a (paused or finished) simulated system."""
-    return _snapshot(
-        system,
-        "sim",
-        system.env.now,
-        contextlib.nullcontext(),
-        buffer_drops=(
-            sum(r.buffer.telemetry.dropped for r in system.runtimes.values())
-            + system.dataplane.shed_drops
-        ),
-    )
-
-
-def snapshot_runtime(runtime: "SPCRuntime") -> MetricsSnapshot:
-    """Snapshot a live threaded runtime (collector read under its lock)."""
-    return _snapshot(
-        runtime,
-        "threaded",
-        runtime.now(),
-        runtime.collector_lock,
-        buffer_drops=sum(
-            pe.channel.stats.dropped for pe in runtime.pes.values()
-        ),
     )
 
 

@@ -15,6 +15,6 @@ cycles is what keeps a 60-PE topology runnable on one machine.  A time
 dilation factor scales all model times so experiments finish quickly.
 """
 
-from repro.runtime.spc import RuntimeReport, SPCRuntime, RuntimeConfig
+from repro.runtime.spc import SPCRuntime, RuntimeConfig
 
-__all__ = ["RuntimeConfig", "RuntimeReport", "SPCRuntime"]
+__all__ = ["RuntimeConfig", "SPCRuntime"]

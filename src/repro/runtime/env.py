@@ -8,6 +8,8 @@ that use three things of :class:`~repro.sim.engine.Environment`:
 :class:`ThreadEnv` provides exactly those over threads and a dilated
 wall clock, so the threaded runtime runs the simulator's processes
 unchanged, and its own node tickers and worker supervisor the same way.
+Its ``run(until)`` waits for the clock as ``Environment.run`` advances
+it, so one measured window drives either substrate.
 Each step runs at one model instant: ``now`` holds still while it
 runs, so the trace events a step emits carry the time it decided at.
 
@@ -106,6 +108,15 @@ class ThreadEnv:
         self._started = True
         for thread in pending:
             thread.start()
+
+    def run(self, until: float) -> None:
+        """Block until the runtime's clock reaches ``until`` model
+        seconds, or the stop event is set."""
+        while not self._stop.is_set():
+            wait = (until - self._clock()) * self._dilation
+            if wait <= 0:
+                return
+            self._stop.wait(wait)
 
     def join(self, timeout: float) -> None:
         """Wait up to ``timeout`` wall seconds in all for the processes

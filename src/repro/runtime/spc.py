@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 import typing as _t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.control.config import ControlConfig
 from repro.control.elastic import MigrationRecord, PlacementVersion
@@ -29,8 +29,12 @@ from repro.control.wiring import ControlStack
 from repro.core.policies import Policy, policy_by_name
 from repro.core.targets import AllocationTargets
 from repro.graph.topology import Topology
-from repro.metrics.collectors import EgressCollector
-from repro.metrics.stats import SummaryStats
+from repro.metrics.collectors import (
+    EgressCollector,
+    MetricsReport,
+    WindowCounters,
+    measure_window,
+)
 from repro.model.sdo import SDO
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.runtime.env import ThreadEnv
@@ -54,7 +58,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
 #: dead worker threads and restarts them with bounded exponential backoff.
 SUPERVISOR_POLL = 0.02
 #: Restart budget per worker; a worker that keeps dying past this is
-#: abandoned (and counted in ``RuntimeReport.workers_abandoned``).
+#: abandoned (and counted in ``MetricsReport.workers_abandoned``).
 MAX_WORKER_RESTARTS = 5
 #: Exponential-backoff schedule between restarts of one worker (model
 #: seconds): base * factor**restarts_so_far.
@@ -78,45 +82,6 @@ class RuntimeConfig(ControlConfig):
         super().__post_init__()
         if self.dilation <= 0:
             raise ValueError("dilation must be positive")
-
-
-@dataclass
-class RuntimeReport:
-    """Measured outcome of one threaded run (model-time units)."""
-
-    policy: str
-    duration: float
-    weighted_throughput: float
-    total_output_sdos: int
-    latency: SummaryStats
-    buffer_drops: int
-    cpu_utilization: float
-    per_egress_counts: _t.Dict[str, int] = field(default_factory=dict)
-    #: Dead workers revived by the supervisor during the run.
-    worker_restarts: int = 0
-    #: Workers that exhausted their restart budget and stayed dead.
-    workers_abandoned: int = 0
-    #: Pooled end-to-end latency quantiles in seconds
-    #: (``{"p50": ..., "p95": ..., "p99": ...}``).
-    latency_percentiles: _t.Dict[str, float] = field(default_factory=dict)
-    #: Per-kind drop breakdown over the measured window, mirroring
-    #: ``MetricsReport.drops_by_kind`` (``flushed`` counts the channel
-    #: contents a worker crash lost; ``admission_shed`` /
-    #: ``admission_rejected`` count front-end refusals).
-    drops_by_kind: _t.Dict[str, int] = field(default_factory=dict)
-
-    def one_line(self) -> str:
-        pct = self.latency_percentiles
-        return (
-            f"{self.policy} [threaded]: "
-            f"throughput={self.weighted_throughput:.2f} "
-            f"output={self.total_output_sdos} "
-            f"latency_mean={self.latency.mean:.4f} "
-            f"p50/p95/p99={pct.get('p50', 0.0) * 1000:.1f}/"
-            f"{pct.get('p95', 0.0) * 1000:.1f}/"
-            f"{pct.get('p99', 0.0) * 1000:.1f}ms "
-            f"drops={self.buffer_drops}"
-        )
 
 
 class ThreadAdapter:
@@ -300,10 +265,16 @@ class SPCRuntime:
         self.migration_log = self.elastic.migration_log
         # The worker blocks in place on the plane's live gates instead of
         # being pre-empted by the controller, and a PE its policy gates
-        # (Lock-Step) emits with reliable, blocking delivery.
+        # (Lock-Step) emits with reliable, blocking delivery.  Whoever
+        # offers an SDO to a PE runs the PE's shed filter first.
         for pe_id, pe in self.pes.items():
             pe.gates = self.plane.gates
             pe.blocking_emission = self.plane.gates[pe_id] is not None
+            pe.shed_filter = self.plane.admission_filters[pe_id]
+            pe.recorder = self.recorder
+        #: SDOs shed at each ingress PE; each entry is written only by
+        #: that PE's source thread.
+        self.ingress_shed = {pe_id: 0 for pe_id in graph.ingress_ids}
 
         # The simulator's open-loop sources, one per ingress PE; their
         # counters are single-writer, so the forecast tick reads them
@@ -328,7 +299,13 @@ class SPCRuntime:
             self.env.process(periodic.run(self.env, guard), on_clock=True)
 
     def _admit(self, pe: RuntimePE, sdo: SDO, now: float) -> bool:
-        """A source's offer into an ingress channel (drop on full)."""
+        """A source's offer into an ingress channel, via the policy's
+        shed filter (drop on full)."""
+        shed_filter = pe.shed_filter
+        if shed_filter is not None and not shed_filter(pe, sdo):
+            self.ingress_shed[pe.pe_id] += 1
+            pe.trace_shed()
+            return False
         if self.spans is not None:
             # Enqueued and emitted at birth: the span telescopes from
             # origin_time so the closure identity holds end to end.
@@ -468,77 +445,52 @@ class SPCRuntime:
 
     # -- run ----------------------------------------------------------------
 
+    substrate = "threaded"
+
+    @property
+    def shed_drops(self) -> int:
+        """SDOs the policy's shed filters refused, at ingress and
+        between PEs."""
+        return sum(self.ingress_shed.values()) + sum(
+            pe.shed for pe in self.pes.values()
+        )
+
+    def window_counters(self) -> WindowCounters:
+        """The counters :func:`measure_window` takes deltas of.  Channels
+        keep no occupancy integral: the report's mean occupancy is
+        ``nan``."""
+        pes = self.pes.values()
+        # Deliveries between PEs: offers to non-ingress channels, plus
+        # what a shed filter refused on the way.
+        shed = sum(pe.shed for pe in pes)
+        inner = [pe.channel.stats for pe in pes if not pe.is_ingress]
+        return WindowCounters.read(
+            self,
+            [pe.channel.stats for pe in pes],
+            cpu_used=sum(pe.cpu_used for pe in pes),
+            emit_attempts=sum(stats.offered for stats in inner) + shed,
+            emit_drops=sum(
+                stats.dropped - stats.flushed for stats in inner
+            ) + shed,
+        )
+
     def run(
         self,
         duration: float,
         observer: _t.Optional[_t.Callable[["SPCRuntime"], None]] = None,
         observe_interval: float = 1.0,
-    ) -> RuntimeReport:
-        """Run for ``duration`` model-seconds (plus warm-up) and report.
-
-        When ``observer`` is given it is invoked every ``observe_interval``
-        model-seconds during the measured window with the live runtime
-        (the ``repro top --watch`` hook); exceptions it raises propagate
-        after the runtime is stopped cleanly, as does the first exception
-        that ended a source or fault process.
-        """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        config = self.config
+    ) -> MetricsReport:
+        """Start the workers, measure the window (see
+        :func:`~repro.metrics.collectors.measure_window`), stop; then
+        re-raise the first exception that ended a source or fault."""
         pes = self.pes.values()
-        admission = self.admission
-
-        def counters() -> _t.Tuple[int, int, int, int, float]:
-            return (
-                sum(pe.channel.stats.dropped for pe in pes),
-                sum(pe.channel.stats.flushed for pe in pes),
-                admission.total_shed if admission is not None else 0,
-                admission.total_rejected if admission is not None else 0,
-                sum(pe.cpu_used for pe in pes),
-            )
-
         self._start_wall = time.monotonic()
         for pe in pes:
             pe.start()
         self.env.process(self._supervise(), on_clock=True).name = "supervisor"
         self.env.start()
         try:
-            time.sleep(config.warmup * config.dilation)
-            with self.collector_lock:
-                started = self.now()
-                self.collector.reset(started)
-            if self.spans is not None:
-                self.spans.reset()
-            drops0, flushed0, shed0, rejected0, cpu0 = counters()
-
-            if observer is None:
-                time.sleep(duration * config.dilation)
-            else:
-                deadline = started + duration
-                step_wall = max(0.01, observe_interval * config.dilation)
-                while True:
-                    remaining_wall = (deadline - self.now()) * config.dilation
-                    if remaining_wall <= 0:
-                        break
-                    time.sleep(min(step_wall, remaining_wall))
-                    if self.now() < deadline:
-                        observer(self)
-
-            # The window closes here, under the lock the egress sinks
-            # record under: what they deliver during teardown is not
-            # part of the report.
-            with self.collector_lock:
-                ended = self.now()
-                collector = self.collector
-                throughput = collector.weighted_throughput(ended)
-                latency = collector.latency_summary()
-                total = collector.total_output()
-                percentiles = collector.latency_percentiles()
-                per_egress = {
-                    pe_id: record.count
-                    for pe_id, record in collector.records().items()
-                }
-            drops1, flushed1, shed1, rejected1, cpu1 = counters()
+            report = measure_window(self, duration, observer, observe_interval)
         finally:
             # Tell everyone at once, then wait: a stop cuts a service wait
             # short, so a worker notices within one channel poll, or one
@@ -553,32 +505,7 @@ class SPCRuntime:
             self.env.join(timeout=10.0)
         if self.env.failures:
             raise self.env.failures[0]
-
-        # Membership may have varied during the window: normalize CPU
-        # use by integrated node-seconds, not a fixed node count.
-        cpu_denominator = self.elastic.node_seconds(started, ended)
-        return RuntimeReport(
-            policy=self.policy.name,
-            duration=ended - started,
-            weighted_throughput=throughput,
-            total_output_sdos=total,
-            latency=latency,
-            buffer_drops=drops1 - drops0,
-            cpu_utilization=(
-                (cpu1 - cpu0) / cpu_denominator if cpu_denominator else 0.0
-            ),
-            per_egress_counts=per_egress,
-            worker_restarts=self.worker_restarts,
-            workers_abandoned=self.workers_abandoned,
-            latency_percentiles=percentiles,
-            drops_by_kind={
-                "buffer_overflow": (drops1 - drops0) - (flushed1 - flushed0),
-                "flushed": flushed1 - flushed0,
-                "shed": 0,
-                "admission_shed": shed1 - shed0,
-                "admission_rejected": rejected1 - rejected0,
-            },
-        )
+        return report
 
 
 def run_runtime(
@@ -589,7 +516,7 @@ def run_runtime(
     config: _t.Optional[RuntimeConfig] = None,
     recorder: _t.Optional[TraceRecorder] = None,
     spans: _t.Optional["SpanTracker"] = None,
-) -> RuntimeReport:
+) -> MetricsReport:
     """One-call entry point mirroring :func:`repro.systems.run_system`."""
     runtime = SPCRuntime(
         topology,

@@ -38,7 +38,8 @@ class Channel:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
-        self.stats = ChannelStats()
+        #: ``telemetry`` is the simulator buffer's name for the counters.
+        self.stats = self.telemetry = ChannelStats()
 
     @property
     def occupancy(self) -> int:

@@ -32,10 +32,12 @@ from repro.model.params import PEProfile
 from repro.model.pe import EmissionCount
 from repro.model.sdo import SDO
 from repro.model.statemachine import TwoStateMachine
+from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.runtime.transport import Channel
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.adapter import GateFn
+    from repro.control.plane import AdmissionFn
     from repro.obs.spans import SpanTracker
 
 #: Floor on the fractional allocation while emulating work, so a starved
@@ -83,9 +85,17 @@ class RuntimePE:
         #: The control plane's live gate registry (pe_id -> gate or
         #: None), checked before each ``get``; empty means ungated.
         self.gates: _t.Mapping[str, _t.Optional["GateFn"]] = {}
+        #: The policy's shed filter on this PE's input (None: no
+        #: shedding), run by whoever offers it an SDO.
+        self.shed_filter: "AdmissionFn" = None
+        #: Trace bus for the ``drop{cause="shed"}`` events.
+        self.recorder: TraceRecorder = NULL_RECORDER
 
         self.consumed = 0
         self.emitted = 0
+        #: Emitted SDOs a downstream shed filter refused; like the other
+        #: counters, written only by this worker's thread.
+        self.shed = 0
         self.cpu_used = 0.0  # emulated CPU-seconds
         #: Armed latency-span tracker (set by SPCRuntime; None = disarmed).
         self.spans: _t.Optional["SpanTracker"] = None
@@ -290,23 +300,37 @@ class RuntimePE:
                 if self._egress_sink is not None:
                     self._egress_sink(derived)
                 continue
-            if parent_span is None:
-                for consumer in self.downstream:
-                    if self.blocking_emission:
-                        consumer.channel.put(derived, timeout=1.0)
-                    else:
-                        consumer.channel.offer(derived)
-                continue
-            # Spans armed: fan-out beyond the first consumer gets an
+            # With spans armed, fan-out beyond the first consumer gets an
             # independent copy (downstream workers mutate the span).
             first = True
             for consumer in self.downstream:
-                payload = derived if first else derived.fanout_copy()
+                payload = (
+                    derived if first or parent_span is None
+                    else derived.fanout_copy()
+                )
                 first = False
-                if self.blocking_emission:
+                shed_filter = consumer.shed_filter
+                if shed_filter is not None and not shed_filter(
+                    consumer, payload
+                ):
+                    self.shed += 1
+                    consumer.trace_shed()
+                elif self.blocking_emission:
                     consumer.channel.put(payload, timeout=1.0)
                 else:
                     consumer.channel.offer(payload)
+
+    def trace_shed(self) -> None:
+        """Publish a ``drop{cause="shed"}`` event at this PE's input, as
+        the simulator's data plane does."""
+        if self.recorder.enabled:
+            self.recorder.emit(
+                "drop",
+                pe=self.pe_id,
+                cause="shed",
+                occupancy=self.channel.occupancy,
+                capacity=self.channel.capacity,
+            )
 
     def __repr__(self) -> str:
         return f"RuntimePE({self.pe_id}, q={self.channel.occupancy})"

@@ -22,16 +22,18 @@ from __future__ import annotations
 
 import contextlib
 import typing as _t
-from dataclasses import dataclass, field
 
 from repro.control import NodeGroup
 from repro.control.elastic import MigrationRecord, PlacementVersion
 from repro.control.wiring import ControlStack
 from repro.core.policies import Policy
 from repro.core.targets import AllocationTargets
-from repro.core.utility import LogUtility
 from repro.graph.topology import Topology
-from repro.metrics.collectors import MetricsReport
+from repro.metrics.collectors import (
+    MetricsReport,
+    WindowCounters,
+    measure_window,
+)
 from repro.model.links import Link
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
@@ -63,23 +65,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.spans import SpanTracker
 
 __all__ = ["SimulatedSystem", "SystemConfig", "run_system"]
-
-
-@dataclass
-class _Snapshot:
-    """Cumulative counters captured at the start of the measured window."""
-
-    buffer_drops: int = 0
-    buffer_flushed: int = 0
-    source_generated: int = 0
-    source_rejected: int = 0
-    cpu_used: float = 0.0
-    emit_attempts: int = 0
-    emit_drops: int = 0
-    shed_drops: int = 0
-    admission_shed: int = 0
-    admission_rejected: int = 0
-    occupancy_integrals: _t.Dict[str, float] = field(default_factory=dict)
 
 
 class SimulatedSystem:
@@ -393,34 +378,33 @@ class SimulatedSystem:
 
     # -- measurement ---------------------------------------------------------
 
-    def _snapshot(self, now: float) -> _Snapshot:
-        sample_buffers(self.runtimes.values(), now, self.recorder)
-        dataplane = self.dataplane
-        admission = self.admission
-        return _Snapshot(
-            buffer_drops=sum(
-                r.buffer.telemetry.dropped for r in self.runtimes.values()
-            ),
-            buffer_flushed=sum(
-                r.buffer.telemetry.flushed for r in self.runtimes.values()
-            ),
-            source_generated=sum(s.stats.generated for s in self.sources),
-            source_rejected=sum(s.stats.rejected for s in self.sources),
-            cpu_used=sum(
-                r.counters.cpu_used for r in self.runtimes.values()
-            ),
-            emit_attempts=dataplane.emit_attempts,
-            emit_drops=dataplane.emit_drops,
-            shed_drops=dataplane.shed_drops,
-            admission_shed=(
-                admission.total_shed if admission is not None else 0
-            ),
-            admission_rejected=(
-                admission.total_rejected if admission is not None else 0
-            ),
+    substrate = "sim"
+    #: No worker threads here: the report's restart counts read 0.
+    worker_restarts = 0
+    workers_abandoned = 0
+    #: One process at a time: the collector is read without a lock.
+    collector_lock: _t.ContextManager[None] = contextlib.nullcontext()
+
+    @property
+    def shed_drops(self) -> int:
+        """SDOs the policy's shed filters refused."""
+        return self.dataplane.shed_drops
+
+    def window_counters(self) -> WindowCounters:
+        """The counters :func:`measure_window` takes deltas of, read
+        after sampling every buffer (which brings the occupancy
+        integrals up to now)."""
+        runtimes = self.runtimes
+        sample_buffers(runtimes.values(), self.env.now, self.recorder)
+        return WindowCounters.read(
+            self,
+            [r.buffer.telemetry for r in runtimes.values()],
+            cpu_used=sum(r.counters.cpu_used for r in runtimes.values()),
+            emit_attempts=self.dataplane.emit_attempts,
+            emit_drops=self.dataplane.emit_drops,
             occupancy_integrals={
                 pe_id: r.buffer.telemetry.occupancy_integral
-                for pe_id, r in self.runtimes.items()
+                for pe_id, r in runtimes.items()
             },
         )
 
@@ -430,113 +414,9 @@ class SimulatedSystem:
         observer: _t.Optional[_t.Callable[["SimulatedSystem"], None]] = None,
         observe_interval: float = 1.0,
     ) -> MetricsReport:
-        """Warm up, then simulate ``duration`` seconds and report metrics.
-
-        When ``observer`` is given the measured window is simulated in
-        steps of ``observe_interval`` seconds and the observer is called
-        with the paused system after each (the ``repro top --watch``
-        hook, as on :meth:`SPCRuntime.run`); stepping only adds
-        until-events, so the report is the unobserved run's.
-        """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        config = self.config
-        if config.warmup > 0:
-            self.env.run(until=config.warmup)
-        self.collector.reset(self.env.now)
-        if self.spans is not None:
-            self.spans.reset()
-        measure_start = self.env.now
-        start = self._snapshot(self.env.now)
-
-        stop = self.env.now + duration
-        if observer is None:
-            self.env.run(until=stop)
-        else:
-            while self.env.now < stop:
-                self.env.run(
-                    until=min(self.env.now + observe_interval, stop)
-                )
-                observer(self)
-        end = self._snapshot(self.env.now)
-
-        if self.elasticity is None and len(self.elastic.timeline) == 1:
-            # The pre-elasticity expression, verbatim: membership never
-            # moved, so node-seconds is exactly duration * num_nodes.
-            cpu_denominator = duration * len(self.nodes)
-        else:
-            cpu_denominator = self.elastic.node_seconds(
-                measure_start, self.env.now
-            )
-
-        occupancy_means = []
-        for pe_id in self.runtimes:
-            delta = (
-                end.occupancy_integrals[pe_id]
-                - start.occupancy_integrals[pe_id]
-            )
-            occupancy_means.append(delta / duration)
-
-        emit_attempts = end.emit_attempts - start.emit_attempts
-        emit_drops = end.emit_drops - start.emit_drops
-        generated = end.source_generated - start.source_generated
-        rejected = end.source_rejected - start.source_rejected
-
-        # Windowed per-kind drop breakdown.  The invariant the ledger
-        # and tests rely on: the buffer_drops aggregate equals exactly
-        # buffer_overflow + flushed + shed; admission refusals happen
-        # before any buffer and are broken out separately (they are a
-        # subset of source_rejections).
-        dropped = end.buffer_drops - start.buffer_drops
-        flushed = end.buffer_flushed - start.buffer_flushed
-        drops_by_kind = {
-            "buffer_overflow": dropped - flushed,
-            "flushed": flushed,
-            "shed": end.shed_drops - start.shed_drops,
-            "admission_shed": end.admission_shed - start.admission_shed,
-            "admission_rejected": (
-                end.admission_rejected - start.admission_rejected
-            ),
-        }
-
-        return MetricsReport(
-            policy=self.policy.name,
-            duration=duration,
-            weighted_throughput=self.collector.weighted_throughput(
-                self.env.now
-            ),
-            total_output_sdos=self.collector.total_output(),
-            latency=self.collector.latency_summary(),
-            buffer_drops=(
-                drops_by_kind["buffer_overflow"]
-                + drops_by_kind["flushed"]
-                + drops_by_kind["shed"]
-            ),
-            drops_by_kind=drops_by_kind,
-            source_rejections=rejected,
-            source_generated=generated,
-            mean_buffer_occupancy=(
-                sum(occupancy_means) / len(occupancy_means)
-                if occupancy_means
-                else 0.0
-            ),
-            egress_detail={
-                pe_id: (rec.weight, rec.count, rec.latency.mean)
-                for pe_id, rec in self.collector.records().items()
-            },
-            cpu_utilization=(
-                (end.cpu_used - start.cpu_used) / cpu_denominator
-                if cpu_denominator
-                else 0.0
-            ),
-            wasted_work_fraction=(
-                emit_drops / emit_attempts if emit_attempts else 0.0
-            ),
-            weighted_utility=self.collector.weighted_utility(
-                self.env.now, LogUtility()
-            ),
-            latency_percentiles=self.collector.latency_percentiles(),
-        )
+        """Warm up, then simulate ``duration`` seconds and report metrics
+        (see :func:`~repro.metrics.collectors.measure_window`)."""
+        return measure_window(self, duration, observer, observe_interval)
 
 
 def run_system(

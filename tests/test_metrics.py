@@ -19,6 +19,7 @@ from repro.metrics.stats import (
 )
 from repro.metrics.timeseries import ThroughputProbe
 from repro.model.sdo import SDO
+from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.systems.simulated import SimulatedSystem, SystemConfig
 
 
@@ -236,6 +237,55 @@ class TestMetricsReport:
 
     def test_weighted_utility_defaults_to_zero(self):
         assert self.make_report().weighted_utility == 0.0
+
+
+def window_system(substrate):
+    """One small system on either substrate, on the same topology; the
+    first SDO needs ~3 model seconds to cross it."""
+    spec = TopologySpec(
+        num_nodes=2, num_ingress=2, num_egress=2, num_intermediate=3,
+        calibrate_rates=False,
+    )
+    topology = generate_topology(spec, np.random.default_rng(0))
+    if substrate == "sim":
+        config = SystemConfig(seed=3, warmup=0.5, dt=0.05)
+        return SimulatedSystem(topology, AcesPolicy(), config=config)
+    config = RuntimeConfig(seed=3, warmup=0.5, dt=0.05, dilation=0.5)
+    return SPCRuntime(topology, AcesPolicy(), config=config)
+
+
+class TestMeasuredWindow:
+    """The one measured window, run on both substrates."""
+
+    @pytest.mark.parametrize("substrate", ["sim", "threaded"])
+    def test_report_contract(self, substrate):
+        report = window_system(substrate).run(4.0)
+        assert isinstance(report, MetricsReport)
+        kinds = report.drops_by_kind
+        assert report.buffer_drops == (
+            kinds["buffer_overflow"] + kinds["flushed"] + kinds["shed"]
+        )
+        refused = kinds["admission_shed"] + kinds["admission_rejected"]
+        assert refused <= report.source_rejections
+        assert report.source_rejections <= report.source_generated
+        assert report.source_generated > 0
+        assert report.total_output_sdos > 0
+        assert report.weighted_utility > 0
+
+    @pytest.mark.parametrize("substrate", ["sim", "threaded"])
+    @pytest.mark.parametrize("duration, interval", [(1.0, 0.4), (0.5, 1.0)])
+    def test_observer_sees_every_step_and_the_window_end(
+        self, substrate, duration, interval
+    ):
+        system = window_system(substrate)
+        seen = []
+        system.run(
+            duration,
+            observer=lambda live: seen.append(live.env.now),
+            observe_interval=interval,
+        )
+        assert len(seen) == math.ceil(duration / interval)
+        assert seen[-1] >= system.collector.window_start + duration
 
 
 class TestThroughputProbeEdgeCases:

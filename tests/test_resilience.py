@@ -521,8 +521,7 @@ class TestRuntimeSupervisor:
         assert pe.generation == MAX_WORKER_RESTARTS
         assert not pe.is_alive
         assert others
-        assert all(report.per_egress_counts.get(pe_id, 0) > 0
-                   for pe_id in others)
+        assert all(report.egress_detail[pe_id][1] > 0 for pe_id in others)
 
     def test_runtime_pe_stall_closes_and_restores_the_gate(self):
         topology = small_topology(seed=5)

@@ -10,11 +10,17 @@ import pytest
 from repro.check import check_runtime_conservation
 from repro.control.forecast import ForecastConfig, ForecastController
 from repro.control.wiring import PeriodicTick
-from repro.core.policies import AcesPolicy, LockStepPolicy, UdpPolicy
+from repro.core.policies import (
+    AcesPolicy,
+    LoadSheddingPolicy,
+    LockStepPolicy,
+    UdpPolicy,
+)
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.model.params import PEProfile
 from repro.model.pe import PERuntime
 from repro.model.sdo import SDO
+from repro.obs import MemoryRecorder
 from repro.runtime.env import ThreadEnv
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.runtime.transport import Channel
@@ -447,7 +453,28 @@ class TestSPCRuntime:
         closed = opened + report.duration
         delivered = [t for t in stamps if opened <= t <= closed]
         assert report.total_output_sdos == len(delivered) > 0
-        assert sum(report.per_egress_counts.values()) == len(delivered)
+        assert sum(
+            count for _w, count, _l in report.egress_detail.values()
+        ) == len(delivered)
+
+    def test_shedding_policy_sheds(self, topology):
+        # Before the shed filter ran here, this policy ran as UDP.
+        recorder = MemoryRecorder()
+        runtime = SPCRuntime(
+            topology, LoadSheddingPolicy(),
+            config=RuntimeConfig(
+                seed=3, warmup=0.5, dt=0.05, dilation=0.5, buffer_size=4,
+            ),
+            recorder=recorder,
+        )
+        report = runtime.run(duration=2.0)
+        assert report.drops_by_kind["shed"] > 0
+        assert check_runtime_conservation(runtime) == []
+        sheds = [
+            event for event in recorder.by_kind("drop")
+            if event["cause"] == "shed"
+        ]
+        assert len(sheds) == runtime.shed_drops
 
     def test_plane_gate_holds_the_worker(self, topology):
         # The worker checks the plane's live gate registry before each

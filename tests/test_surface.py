@@ -14,8 +14,7 @@ from repro.obs import (
     read_events_jsonl,
     render_prometheus,
     render_top,
-    snapshot_runtime,
-    snapshot_system,
+    snapshot,
     write_events_csv,
     write_events_jsonl,
 )
@@ -49,24 +48,24 @@ def sim_state():
 class TestSnapshotSystem:
     def test_fields(self, sim_state):
         system, _, _ = sim_state
-        snapshot = snapshot_system(system)
-        assert snapshot.substrate == "sim"
-        assert snapshot.policy == "aces"
-        assert snapshot.t == pytest.approx(system.env.now)
-        assert snapshot.window > 0
-        assert snapshot.total_output == system.collector.total_output()
-        assert snapshot.weighted_throughput > 0
-        assert snapshot.drop_rate == pytest.approx(
-            snapshot.buffer_drops / snapshot.window
+        snap = snapshot(system)
+        assert snap.substrate == "sim"
+        assert snap.policy == "aces"
+        assert snap.t == pytest.approx(system.env.now)
+        assert snap.window > 0
+        assert snap.total_output == system.collector.total_output()
+        assert snap.weighted_throughput > 0
+        assert snap.drop_rate == pytest.approx(
+            snap.buffer_drops / snap.window
         )
-        assert snapshot.span_violations == 0
-        assert snapshot.span_rows  # spans were armed
+        assert snap.span_violations == 0
+        assert snap.span_rows  # spans were armed
 
     def test_stream_rows(self, sim_state):
         system, _, _ = sim_state
-        snapshot = snapshot_system(system)
-        assert len(snapshot.streams) == len(system.collector.records())
-        for row in snapshot.streams:
+        snap = snapshot(system)
+        assert len(snap.streams) == len(system.collector.records())
+        for row in snap.streams:
             assert row.count > 0
             assert 0 < row.p50_s <= row.p95_s <= row.p99_s
             assert row.sum_s > 0
@@ -78,18 +77,18 @@ class TestSnapshotSystem:
 
     def test_pe_rows(self, sim_state):
         system, _, _ = sim_state
-        snapshot = snapshot_system(system)
-        assert {row.pe_id for row in snapshot.pes} == set(
+        snap = snapshot(system)
+        assert {row.pe_id for row in snap.pes} == set(
             system.runtimes
         )
-        for row in snapshot.pes:
+        for row in snap.pes:
             assert 0 <= row.occupancy <= row.capacity
 
 
 class TestRenderTop:
     def test_sections_and_content(self, sim_state):
         system, _, _ = sim_state
-        text = render_top(snapshot_system(system))
+        text = render_top(snapshot(system))
         assert text.startswith("repro top  [sim/aces]")
         assert "-- egress streams --" in text
         assert "-- PEs --" in text
@@ -106,7 +105,7 @@ class TestRenderTop:
             config=SystemConfig(seed=3, warmup=0.0, buffer_size=10),
         )
         system.run(1.0)
-        text = render_top(snapshot_system(system))
+        text = render_top(snapshot(system))
         assert "latency spans" not in text
         assert "-- egress streams --" in text
 
@@ -114,8 +113,8 @@ class TestRenderTop:
 class TestRenderPrometheus:
     def test_exposition_well_formed(self, sim_state):
         system, _, _ = sim_state
-        snapshot = snapshot_system(system)
-        text = render_prometheus(snapshot)
+        snap = snapshot(system)
+        text = render_prometheus(snap)
         assert text.endswith("\n")
         lines = text.splitlines()
         # Every non-comment line is "name{labels} value".
@@ -130,14 +129,14 @@ class TestRenderPrometheus:
         )
         assert (
             f"repro_output_sdos_total{{substrate=\"sim\",policy=\"aces\"}} "
-            f"{snapshot.total_output}" in lines
+            f"{snap.total_output}" in lines
         )
 
     def test_histogram_series_consistent(self, sim_state):
         system, _, _ = sim_state
-        snapshot = snapshot_system(system)
-        lines = render_prometheus(snapshot).splitlines()
-        for row in snapshot.streams:
+        snap = snapshot(system)
+        lines = render_prometheus(snap).splitlines()
+        for row in snap.streams:
             label = f'stream="{row.pe_id}"'
             buckets = [
                 line for line in lines
@@ -172,14 +171,14 @@ class TestSnapshotRuntime:
         )
         # ~2.7 model-s until the first SDO crosses this graph.
         runtime.run(duration=4.0)
-        snapshot = snapshot_runtime(runtime)
-        assert snapshot.substrate == "threaded"
-        assert snapshot.total_output > 0
-        assert snapshot.streams
-        assert snapshot.span_violations == 0
-        text = render_top(snapshot)
+        snap = snapshot(runtime)
+        assert snap.substrate == "threaded"
+        assert snap.total_output > 0
+        assert snap.streams
+        assert snap.span_violations == 0
+        text = render_top(snap)
         assert "[threaded/aces]" in text
-        prom = render_prometheus(snapshot)
+        prom = render_prometheus(snap)
         assert 'substrate="threaded"' in prom
 
 
