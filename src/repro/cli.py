@@ -68,8 +68,8 @@ from repro.obs.recorder import (
 )
 from repro.obs.spans import SpanTracker
 from repro.obs.surface import render_prometheus, render_top, snapshot
-from repro.runtime.spc import RuntimeConfig, SPCRuntime
-from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
+from repro.runtime.spc import RuntimeConfig
+from repro.systems.simulated import SystemConfig, build_system, run_system
 
 
 def _spec_from_args(args: argparse.Namespace) -> TopologySpec:
@@ -140,25 +140,24 @@ def _system_config(args: argparse.Namespace) -> SystemConfig:
     )
 
 
-def _build_system(
+def _substrate_config(
     args: argparse.Namespace,
-    topology: Topology,
-    policy: _t.Any,
-    recorder: _t.Optional[TraceRecorder] = None,
-    spans: _t.Optional[SpanTracker] = None,
-    **sim_only: _t.Any,
-) -> _t.Any:
-    """The system under ``--substrate`` (profiler and gauges: sim only)."""
-    if args.substrate == "threaded":
-        config = RuntimeConfig(
-            buffer_size=args.buffer, warmup=args.warmup, seed=args.seed + 1
-        )
-        return SPCRuntime(
-            topology, policy, config=config, recorder=recorder, spans=spans
-        )
-    return SimulatedSystem(
-        topology, policy, config=_system_config(args),
-        recorder=recorder, spans=spans, **sim_only,
+) -> _t.Union[SystemConfig, RuntimeConfig]:
+    """The config whose type selects ``--substrate``; the simulator-only
+    flags are refused on the threaded runtime."""
+    if args.substrate == "sim":
+        return _system_config(args)
+    for flag, value in (
+        ("--reoptimize", args.reoptimize),
+        ("--link-bandwidth", args.link_bandwidth),
+    ):
+        if value is not None:
+            raise ValueError(
+                f"{flag} is simulator-only: the threaded runtime "
+                "does not support it"
+            )
+    return RuntimeConfig(
+        buffer_size=args.buffer, warmup=args.warmup, seed=args.seed + 1
     )
 
 
@@ -265,6 +264,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    config = _substrate_config(args)
     topology = _topology_from_args(args)
     policy = policy_by_name(args.policy)
     trace_filter = TraceFilter.parse(args.trace_filter)
@@ -289,8 +289,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     spans = SpanTracker(recorder=recorder) if args.spans else None
     profiler = PhaseProfiler() if args.profile and not threaded else None
 
-    system = _build_system(
-        args, topology, policy, recorder, spans, profiler=profiler,
+    system = build_system(
+        topology, policy, config=config, recorder=recorder,
+        profiler=profiler, spans=spans,
         gauge_cadence=args.gauge_cadence if args.gauge_cadence > 0 else None,
     )
     if oracle is not None:
@@ -310,14 +311,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(
         f"trace: {sum(stored.values())} events -> {args.trace} ({breakdown})"
     )
-    # Gauges and the phase profile are the simulator's; everything else
-    # is the same on both substrates.
-    if threaded:
-        if args.gauges is not None:
-            print("gauges: not available on the threaded substrate")
-        if args.profile:
-            print("profile: not available on the threaded substrate")
-    elif args.gauges is not None and system.gauges is None:
+    # The phase profile is the simulator's; everything else is the same
+    # on both substrates.
+    if threaded and args.profile:
+        print("profile: not available on the threaded substrate")
+    if args.gauges is not None and system.gauges is None:
         print("gauges: not written (sampling disabled by --gauge-cadence 0)")
     elif args.gauges is not None:
         count = write_gauges_csv(system.gauges, args.gauges)
@@ -356,13 +354,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_top(args: argparse.Namespace) -> int:
     """Live metrics surface: per-stream percentiles, PEs, span hops."""
+    config = _substrate_config(args)
     topology = _topology_from_args(args)
     policy = policy_by_name(args.policy)
-    threaded = args.substrate == "threaded"
-    spans = SpanTracker(locking=threaded) if args.spans else None
+    spans = SpanTracker() if args.spans else None
     watch = args.watch and not args.once
 
-    system = _build_system(args, topology, policy, spans=spans)
+    system = build_system(topology, policy, config=config, spans=spans)
 
     def observer(live: _t.Any) -> None:
         print(render_top(snapshot(live)))

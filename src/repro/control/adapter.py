@@ -18,10 +18,10 @@ three structural protocols:
   an empty node, live-migrate PEs.
 
 Keeping the surface this narrow is what makes new substrates cheap: a
-sharded or multi-process node implements these two plus three
-methods, hands them to :class:`~repro.control.wiring.ControlStack`,
-pumps the ticks it lists, and inherits all five control tiers, including
-every policy and fault-injection hook.
+sharded or multi-process node subclasses
+:class:`~repro.systems.substrate.Substrate`, which wires it through
+:class:`~repro.control.wiring.ControlStack`, and inherits all five
+control tiers, including every policy and fault-injection hook.
 """
 
 from __future__ import annotations

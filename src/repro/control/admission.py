@@ -46,6 +46,7 @@ shed and rejected SDO exactly.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import typing as _t
@@ -354,7 +355,7 @@ class AdmissionController:
         self._ingress: _t.Dict[str, "BufferLike"] = {}
         self._egress: _t.Mapping[str, _t.Any] = {}
         self._clock: _t.Callable[[], float] = lambda: 0.0
-        self._lock: _t.Optional[_t.Any] = None
+        self._lock: _t.ContextManager[_t.Any] = contextlib.nullcontext()
         self._backoff: _t.Dict[str, _t.Callable[[float], None]] = {}
         #: Sliding latency window: per-stream histogram bucket counts at
         #: the window start, plus the last completed window's p95.
@@ -369,19 +370,20 @@ class AdmissionController:
         ingress: _t.Mapping[str, "BufferLike"],
         egress: _t.Mapping[str, _t.Any],
         clock: _t.Callable[[], float],
-        lock: _t.Optional[_t.Any] = None,
+        lock: _t.Optional[_t.ContextManager[_t.Any]] = None,
     ) -> None:
         """Attach the substrate observables the pressure signal reads.
 
         ``egress`` maps stream ids to objects exposing a ``hist``
         :class:`~repro.obs.hist.LogHistogram` (the collector's
         :class:`~repro.metrics.collectors.EgressRecord` does).  ``lock``
-        guards histogram reads in threaded substrates.
+        (a context manager) guards histogram reads in threaded
+        substrates.
         """
         self._ingress = dict(ingress)
         self._egress = egress
         self._clock = clock
-        self._lock = lock
+        self._lock = lock if lock is not None else contextlib.nullcontext()
         for pe_id in self._ingress:
             self.streams.setdefault(pe_id, StreamAdmission())
 
@@ -446,17 +448,11 @@ class AdmissionController:
         if rotate:
             self._window_started = now
         worst_p95 = 0.0
-        lock = self._lock
-        if lock is not None:
-            lock.acquire()
-        try:
+        with self._lock:
             for pe_id, record in self._egress.items():
                 p95 = self._windowed_p95(pe_id, record.hist, rotate)
                 if p95 > worst_p95:
                     worst_p95 = p95
-        finally:
-            if lock is not None:
-                lock.release()
         latency_pressure = worst_p95 / config.slo_p95
         queue_pressure = 0.0
         for buffer in self._ingress.values():

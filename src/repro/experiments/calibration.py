@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import AcesPolicy, LockStepPolicy, Policy, UdpPolicy
 from repro.graph.topology import TopologySpec, Topology, generate_topology
-from repro.runtime.spc import RuntimeConfig, SPCRuntime
+from repro.runtime.spc import RuntimeConfig
 from repro.systems.simulated import SystemConfig, run_system
 
 
@@ -97,13 +97,10 @@ def run_calibration(
                 source_kind=runtime_config.source_kind,
             ),
         )
-        runtime = SPCRuntime(
-            topology,
-            policy,
-            targets=targets,
+        runtime_report = run_system(
+            topology, policy, duration=runtime_duration, targets=targets,
             config=runtime_config,
         )
-        runtime_report = runtime.run(runtime_duration)
         rows.append(
             CalibrationRow(
                 policy=policy.name,

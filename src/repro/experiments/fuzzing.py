@@ -52,9 +52,9 @@ from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import policy_by_name
 from repro.graph.topology import Topology, TopologySpec, generate_topology
 from repro.model.sdo import SDO
-from repro.runtime.spc import RuntimeConfig, SPCRuntime
+from repro.runtime.spc import RuntimeConfig
 from repro.systems.faults import Fault, FaultPlan
-from repro.systems.simulated import SimulatedSystem, SystemConfig
+from repro.systems.simulated import SystemConfig, build_system
 
 #: Policies a campaign exercises by default.
 DEFAULT_POLICIES: _t.Tuple[str, ...] = ("udp", "lockstep", "aces")
@@ -412,19 +412,14 @@ def run_fuzz_case(
     recorder = OracleRecorder(strict=not threaded)
     if topology is None:
         topology = scenario.build_topology()
-    system: _t.Any
-    if threaded:
-        system = SPCRuntime(
-            topology, policy, targets=targets,
-            config=scenario.build_runtime_config(control_impl),
-            recorder=recorder,
-        )
-    else:
-        system = SimulatedSystem(
-            topology, policy, targets=targets,
-            config=scenario.build_config(control_impl=control_impl),
-            recorder=recorder,
-        )
+    system = build_system(
+        topology, policy, targets=targets,
+        config=(
+            scenario.build_runtime_config(control_impl) if threaded
+            else scenario.build_config(control_impl=control_impl)
+        ),
+        recorder=recorder,
+    )
     recorder.attach_plane(system.plane)
     scenario.build_plan().attach(system)
     try:
@@ -521,30 +516,18 @@ def run_differential_case(
         ).targets
     sim_recorder = OracleRecorder(strict=True)
     run_recorder = OracleRecorder(strict=True)
-    system = SimulatedSystem(
-        topology,
-        policy_by_name(policy_name),
-        targets=targets,
-        config=SystemConfig(
-            buffer_size=scenario.buffer_size,
-            dt=scenario.dt,
-            feedback_delay=0.0,
-            seed=scenario.seed + 1,
-            control_impl=control_impl,
-        ),
+    shared = dict(
+        buffer_size=scenario.buffer_size, dt=scenario.dt,
+        seed=scenario.seed + 1, control_impl=control_impl,
+    )
+    system = build_system(
+        topology, policy_by_name(policy_name), targets=targets,
+        config=SystemConfig(feedback_delay=0.0, **shared),
         recorder=sim_recorder,
     )
-    runtime = SPCRuntime(
-        topology,
-        policy_by_name(policy_name),
-        targets=targets,
-        config=RuntimeConfig(
-            buffer_size=scenario.buffer_size,
-            dt=scenario.dt,
-            seed=scenario.seed + 1,
-            control_impl=control_impl,
-        ),
-        recorder=run_recorder,
+    runtime = build_system(
+        topology, policy_by_name(policy_name), targets=targets,
+        config=RuntimeConfig(**shared), recorder=run_recorder,
     )
     sim_recorder.attach_plane(system.plane)
     run_recorder.attach_plane(runtime.plane)

@@ -69,10 +69,6 @@ class SpanTracker:
     tolerance:
         Relative float tolerance of the closure check
         ``queue + service + transit == e2e``.
-    locking:
-        Arm with ``True`` on the threaded substrate, where multiple
-        worker threads update the shared histograms concurrently.  The
-        simulated substrate is single-threaded and skips the lock.
     """
 
     def __init__(
@@ -81,16 +77,15 @@ class SpanTracker:
         min_value: float = 1e-6,
         buckets_per_decade: int = 20,
         tolerance: float = 1e-9,
-        locking: bool = False,
     ):
         self.recorder = recorder
         self._recording = recorder.enabled
         self.min_value = min_value
         self.buckets_per_decade = buckets_per_decade
         self.tolerance = tolerance
-        self._lock: _t.Optional[threading.Lock] = (
-            threading.Lock() if locking else None
-        )
+        #: Armed by :meth:`ensure_locked` on the threaded substrate, where
+        #: worker threads update the shared histograms concurrently.
+        self._lock: _t.Optional[threading.Lock] = None
 
         # Tables create a key's histogram on first touch, so the hot
         # hooks below are one subscript and one ``add`` each.

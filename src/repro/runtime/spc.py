@@ -1,7 +1,7 @@
 """The SPC runtime orchestrator: topology -> threads -> metrics.
 
 Builds a running system from the same inputs as the simulator
-(:class:`~repro.graph.topology.Topology`, a policy name, Tier-1 targets),
+(:class:`~repro.graph.topology.Topology`, a policy, Tier-1 targets),
 with real worker threads, real bounded queues, wall-clock node control
 loops, and source threads.  Time is dilated: one model second takes
 ``dilation`` wall seconds, so a 60-PE calibration run finishes quickly.
@@ -24,23 +24,16 @@ import typing as _t
 from dataclasses import dataclass
 
 from repro.control.config import ControlConfig
-from repro.control.elastic import MigrationRecord, PlacementVersion
-from repro.control.wiring import ControlStack
-from repro.core.policies import Policy, policy_by_name
+from repro.control.wiring import PeriodicTick
+from repro.core.policies import Policy
 from repro.core.targets import AllocationTargets
 from repro.graph.topology import Topology
-from repro.metrics.collectors import (
-    EgressCollector,
-    MetricsReport,
-    WindowCounters,
-    measure_window,
-)
+from repro.metrics.collectors import MetricsReport, WindowCounters
 from repro.model.sdo import SDO
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.runtime.env import ThreadEnv
 from repro.runtime.worker import RuntimePE
-from repro.sim.rng import RandomStreams
-from repro.systems.build import build_sources, source_counters
+from repro.systems.substrate import Substrate
 
 # Not called here any more (ElasticDriver plans and re-solves): kept as
 # globals of this module because the perf observatory's trace targets
@@ -135,8 +128,10 @@ class ThreadAdapter:
         return used
 
 
-class SPCRuntime:
+class SPCRuntime(Substrate):
     """A running threaded stream-processing system."""
+
+    substrate = "threaded"
 
     def __init__(
         self,
@@ -146,33 +141,19 @@ class SPCRuntime:
         config: _t.Optional[RuntimeConfig] = None,
         recorder: _t.Optional[TraceRecorder] = None,
         spans: _t.Optional["SpanTracker"] = None,
+        gauge_cadence: _t.Optional[float] = None,
     ):
-        self.topology = topology
-        self.policy = policy
-        self.config = config or RuntimeConfig()
+        config = config or RuntimeConfig()
         #: Set by :meth:`run`; until then the model clock reads 0 (the
         #: Tier-1 bootstrap emits its trace event during construction).
         self._start_wall: _t.Optional[float] = None
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        if self.recorder.enabled:
-            # As in the simulator: an event a source, fault or periodic
-            # tier emits carries its process's model time, the time its
-            # decision was taken at; any other thread's, the clock.
-            self.recorder.bind_clock(lambda: self.env.now)
-        #: Armed latency-span tracker; worker threads share it, so it
-        #: must carry a lock regardless of how it was constructed.
-        self.spans = spans
+        # Worker threads share the span tracker, so it must carry a
+        # lock regardless of how it was constructed.
         if spans is not None:
             spans.ensure_locked()
-        self.streams = RandomStreams(seed=self.config.seed)
-
-        #: The live egress collector; read it under :attr:`collector_lock`.
-        self.collector = EgressCollector()
+        #: The live egress collector is read under this lock.
         self.collector_lock = threading.Lock()
         self._stop = threading.Event()
-        self.worker_restarts = 0
-        self.workers_abandoned = 0
-
         #: Serializes membership mutations (the scaling thread, a fault
         #: injector, and test code may all call them); control threads
         #: deliberately do not take it — a tick against the outgoing
@@ -182,11 +163,12 @@ class SPCRuntime:
         #: Runs the workload sources, any fault injector, the control
         #: tiers and the worker supervisor as threads on the dilated
         #: model clock.
-        self.env = ThreadEnv(self.now, self.config.dilation, self._stop)
-
-        self._build(targets)
-
-    # -- model clock --------------------------------------------------------
+        self.env = ThreadEnv(self.now, config.dilation, self._stop)
+        self.adapter = ThreadAdapter()
+        super().__init__(
+            topology, policy, config, targets, recorder, spans,
+            gauge_cadence,
+        )
 
     def now(self) -> float:
         """Current model time (seconds since start)."""
@@ -196,109 +178,45 @@ class SPCRuntime:
 
     # -- construction --------------------------------------------------------
 
-    def _build(self, targets: _t.Optional[AllocationTargets]) -> None:
-        topology = self.topology
-        graph = topology.graph
-        config = self.config
-        order = graph.topological_order()
-        ingress = set(graph.ingress_ids)
-        egress = set(graph.egress_ids)
-
-        self.pes: _t.Dict[str, RuntimePE] = {}
-        for pe_id in order:
-            pe = RuntimePE(
-                profile=graph.profile(pe_id),
-                channel_capacity=config.buffer_size,
-                rng=self.streams.stream(f"pe:{pe_id}"),
-                dilation=config.dilation,
-                is_ingress=pe_id in ingress,
-                is_egress=pe_id in egress,
-            )
-            pe.spans = self.spans
-            self.pes[pe_id] = pe
-        for src, dst in graph.edges():
-            self.pes[src].link_downstream(self.pes[dst])
-
-        # The list, not the set: see build_runtimes.
-        for pe_id in graph.egress_ids:
-            self.collector.register(pe_id, graph.profile(pe_id).weight)
-        if self.spans is not None:
-            self.collector.attach_spans(self.spans)
-
-        def make_sink(pe_id: str) -> _t.Callable[[SDO], None]:
-            def sink(sdo: SDO) -> None:
-                with self.collector_lock:
-                    self.collector.record(pe_id, sdo, self.now())
-
-            return sink
-
-        for pe_id, pe in self.pes.items():
-            pe.attach(
-                clock=self.now,
-                egress_sink=make_sink(pe_id) if pe.is_egress else None,
-            )
-
-        #: The five control tiers, wired as on every substrate; this
-        #: runtime is their MembershipOps and their ticker.
-        self.adapter = ThreadAdapter()
-        stack = ControlStack(
-            self.policy,
-            topology,
-            config,
-            adapter=self.adapter,
-            ops=self,
-            pes=self.pes,
-            collector=self.collector,
-            clock=self.now,
-            targets=targets,
-            recorder=self.recorder,
-            lock=self.collector_lock,
+    def make_pe(
+        self, pe_id: str, is_ingress: bool, is_egress: bool
+    ) -> RuntimePE:
+        pe = RuntimePE(
+            profile=self.topology.graph.profile(pe_id),
+            channel_capacity=self.config.buffer_size,
+            rng=self.streams.stream(f"pe:{pe_id}"),
+            dilation=self.config.dilation,
+            is_ingress=is_ingress,
+            is_egress=is_egress,
         )
-        self.tier1 = stack.tier1
-        self.admission = stack.admission
-        self.forecast = stack.forecast
-        self.plane = stack.plane
-        self.elasticity = config.elasticity
-        self.elastic = stack.elastic
-        self.placement_book = self.elastic.book
-        self.scaling_policy = self.elastic.scaling_policy
-        self.migration_log = self.elastic.migration_log
+        pe.spans = self.spans
+
+        def sink(sdo: SDO) -> None:
+            with self.collector_lock:
+                self.collector.record(pe_id, sdo, self.now())
+
+        pe.attach(clock=self.now, egress_sink=sink if is_egress else None)
+        return pe
+
+    def bind_plane(self) -> None:
         # The worker blocks in place on the plane's live gates instead of
         # being pre-empted by the controller, and a PE its policy gates
         # (Lock-Step) emits with reliable, blocking delivery.  Whoever
         # offers an SDO to a PE runs the PE's shed filter first.
+        plane = self.plane
         for pe_id, pe in self.pes.items():
-            pe.gates = self.plane.gates
-            pe.blocking_emission = self.plane.gates[pe_id] is not None
-            pe.shed_filter = self.plane.admission_filters[pe_id]
+            pe.gates = plane.gates
+            pe.blocking_emission = plane.gates[pe_id] is not None
+            pe.shed_filter = plane.admission_filters[pe_id]
             pe.recorder = self.recorder
         #: SDOs shed at each ingress PE; each entry is written only by
-        #: that PE's source thread.
-        self.ingress_shed = {pe_id: 0 for pe_id in graph.ingress_ids}
+        #: that PE's source thread (the sources' counters are
+        #: single-writer too, so the forecast tick reads them lock-free).
+        self.ingress_shed = {
+            pe_id: 0 for pe_id in self.topology.graph.ingress_ids
+        }
 
-        # The simulator's open-loop sources, one per ingress PE; their
-        # counters are single-writer, so the forecast tick reads them
-        # lock-free.
-        self.sources = build_sources(
-            self.env, topology, config, self.streams, self.pes,
-            self._admit, admission=self.admission,
-        )
-        stack.bind_sources(source_counters(self.sources))
-
-        # One control pump per node (the simulator's NodeController at
-        # dilated wall cadence), and the armed periodic tiers, all env
-        # processes on the clock; a periodic tick that may mutate
-        # membership runs under the membership lock.
-        for group in self.plane.groups:
-            self._start_node_ticker(group.node_id)
-        for periodic in stack.periodic():
-            guard = (
-                self.env.guard(self.membership_lock)
-                if periodic.mutates else None
-            )
-            self.env.process(periodic.run(self.env, guard), on_clock=True)
-
-    def _admit(self, pe: RuntimePE, sdo: SDO, now: float) -> bool:
+    def admit(self, pe: RuntimePE, sdo: SDO, now: float) -> bool:
         """A source's offer into an ingress channel, via the policy's
         shed filter (drop on full)."""
         shed_filter = pe.shed_filter
@@ -312,23 +230,12 @@ class SPCRuntime:
             sdo.span = [0.0, 0.0, 0.0, now, now]
         return pe.channel.offer(sdo)
 
-    @property
-    def source_generated(self) -> _t.Dict[str, int]:
-        """Offered SDOs per ingress pe_id, counted before the admission
-        verdict."""
-        return {
-            pe_id: probe()
-            for pe_id, probe in source_counters(self.sources).items()
-        }
-
     # -- control processes --------------------------------------------------
 
-    def _start_node_ticker(self, node_id: str) -> None:
-        thread = self.env.process(self._node_ticker(node_id), on_clock=True)
-        thread.name = f"ctl-{node_id}"
-
-    def _node_ticker(self, node_id: str) -> _t.Generator:
-        """Pump one node's controller every ``dt``.
+    def start_node_ticker(self, node_id: str, offset: float) -> None:
+        """Pump one node's controller every ``dt`` from ``offset`` on,
+        as a process on the clock (the simulator's NodeController at
+        dilated wall cadence).
 
         Keyed by node identity: membership rebuilds replace controller
         objects and shift node indices, so both are resolved fresh each
@@ -336,13 +243,27 @@ class SPCRuntime:
         """
         env = self.env
         plane = self.plane
-        while True:
-            index = plane.node_index(node_id)
-            if index is None:
-                return
-            if index < len(plane.paused) and not plane.paused[index]:
-                plane.node_controllers[index].tick(env.now)
-            yield env.timeout(self.config.dt)
+        dt = self.config.dt
+
+        def ticker() -> _t.Generator:
+            yield env.timeout(offset)
+            while True:
+                index = plane.node_index(node_id)
+                if index is None:
+                    return
+                if index < len(plane.paused) and not plane.paused[index]:
+                    plane.node_controllers[index].tick(env.now)
+                yield env.timeout(dt)
+
+        env.process(ticker(), on_clock=True).name = f"ctl-{node_id}"
+
+    def start_periodic(self, periodic: PeriodicTick) -> None:
+        """A periodic tier on the clock; a tick that may mutate
+        membership runs under the membership lock."""
+        guard = (
+            self.env.guard(self.membership_lock) if periodic.mutates else None
+        )
+        self.env.process(periodic.run(self.env, guard), on_clock=True)
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -351,45 +272,6 @@ class SPCRuntime:
         revives it, and the fault injector keeps it gated for the fault
         window.  No join: the worker dies when its current SDO ends."""
         self.pes[pe_id].kill(timeout=0.0)
-
-    def require_node_tickers(self, operation: str) -> None:
-        """Every node has its own control process: membership operations
-        are always allowed."""
-
-    # -- MembershipOps (the physical half; ElasticDriver keeps the books) -----
-
-    def add_node(self, cpu_capacity: float = 1.0) -> str:
-        """Join a fresh empty node: plane group, gauges, control process."""
-        node_id = self.elastic.next_node_id()
-        self.elastic.join(node_id, cpu_capacity, self.now())
-        self._start_node_ticker(node_id)
-        return node_id
-
-    def remove_node(self, node_index: int) -> str:
-        """Leave: the plane refuses non-empty nodes (buffered work and
-        ingress channels can never be stranded); the node's control
-        process retires on its next tick."""
-        return self.elastic.leave(node_index, self.now())
-
-    def migrate_pes(
-        self,
-        moves: _t.Sequence[_t.Tuple[str, int]],
-        reason: str = "migration",
-    ) -> _t.Optional[PlacementVersion]:
-        """Live-migrate PEs between nodes — control-plane re-homing.
-
-        Worker threads own their input channels and never stop draining
-        them, so the threaded migration is :meth:`ElasticDriver.migrate`
-        with nothing to lift: pure Tier-2/Tier-3 surgery, downtime zero
-        by construction, the same ``migration`` trace events.
-        """
-        def land(records: _t.Sequence[MigrationRecord]) -> None:
-            for record in records:
-                record.downtime = 0.0
-
-        return self.elastic.migrate(
-            moves, reason, self.now(), self.pes, land=land
-        )
 
     def _supervise(self) -> _t.Generator:
         """Detect dead workers and revive them with bounded backoff.
@@ -445,8 +327,6 @@ class SPCRuntime:
 
     # -- run ----------------------------------------------------------------
 
-    substrate = "threaded"
-
     @property
     def shed_drops(self) -> int:
         """SDOs the policy's shed filters refused, at ingress and
@@ -481,8 +361,8 @@ class SPCRuntime:
         observe_interval: float = 1.0,
     ) -> MetricsReport:
         """Start the workers, measure the window (see
-        :func:`~repro.metrics.collectors.measure_window`), stop; then
-        re-raise the first exception that ended a source or fault."""
+        :meth:`Substrate.run`), stop; then re-raise the first exception
+        that ended a source or fault."""
         pes = self.pes.values()
         self._start_wall = time.monotonic()
         for pe in pes:
@@ -490,7 +370,7 @@ class SPCRuntime:
         self.env.process(self._supervise(), on_clock=True).name = "supervisor"
         self.env.start()
         try:
-            report = measure_window(self, duration, observer, observe_interval)
+            report = super().run(duration, observer, observe_interval)
         finally:
             # Tell everyone at once, then wait: a stop cuts a service wait
             # short, so a worker notices within one channel poll, or one
@@ -507,23 +387,3 @@ class SPCRuntime:
             raise self.env.failures[0]
         return report
 
-
-def run_runtime(
-    topology: Topology,
-    policy_name: str = "aces",
-    duration: float = 4.0,
-    targets: _t.Optional[AllocationTargets] = None,
-    config: _t.Optional[RuntimeConfig] = None,
-    recorder: _t.Optional[TraceRecorder] = None,
-    spans: _t.Optional["SpanTracker"] = None,
-) -> MetricsReport:
-    """One-call entry point mirroring :func:`repro.systems.run_system`."""
-    runtime = SPCRuntime(
-        topology,
-        policy_by_name(policy_name),
-        targets=targets,
-        config=config,
-        recorder=recorder,
-        spans=spans,
-    )
-    return runtime.run(duration)

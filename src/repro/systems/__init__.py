@@ -1,9 +1,9 @@
 """Runnable stream-processing systems.
 
-:mod:`repro.systems.simulated` assembles the model (PEs, buffers, nodes,
-sources), the ACES core (controllers, schedulers, feedback) and the
-simulation kernel into a complete simulated distributed stream processing
-system that can run under any :class:`~repro.core.policies.Policy`.
+:mod:`repro.systems.substrate` assembles the PEs, sources and the ACES
+control tiers of either substrate; :mod:`repro.systems.simulated` is
+the simulation-kernel substrate, runnable under any
+:class:`~repro.core.policies.Policy`, and ``run_system`` runs either.
 
 :mod:`repro.systems.analysis` provides steady-state and stability
 diagnostics over a finished run.

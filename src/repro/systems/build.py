@@ -1,12 +1,10 @@
-"""Construction of a simulated system: config + topology/data-plane builders.
+"""Builders: the simulator's config and inter-node links, and the
+workload sources and gauges of either substrate.
 
-Everything here wires *passive* structure — PE runtimes, inter-node
-links, workload sources, gauges — and schedules no control logic of
-its own; the node groups are built with the control tiers, by
-:class:`~repro.control.wiring.ControlStack`.  The Tier-2 control loops
-live in :mod:`repro.control`; the delivery/admission path lives in
-:mod:`repro.systems.dataplane`; :class:`repro.systems.simulated.
-SimulatedSystem` composes the three.
+Everything here wires *passive* structure and schedules no control
+logic of its own; the node groups are built with the control tiers, by
+:class:`~repro.control.wiring.ControlStack`, and
+:class:`~repro.systems.substrate.Substrate` assembles the whole.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from repro.control.config import ControlConfig
 from repro.graph.topology import Topology
 from repro.metrics.collectors import EgressCollector
 from repro.model.links import Link
-from repro.model.pe import PERuntime
 from repro.model.sdo import SDO
 from repro.model.workload import (
     ConstantRateSource,
@@ -33,7 +30,6 @@ from repro.model.workload import (
 )
 from repro.obs.gauges import GaugeRegistry
 from repro.obs.recorder import TraceRecorder
-from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,63 +120,35 @@ class SystemConfig(ControlConfig):
             )
 
 
-def build_runtimes(
+def sync_links(
+    links: _t.Dict[_t.Tuple[str, str], Link],
     topology: Topology,
+    placement: _t.Mapping[str, int],
     config: SystemConfig,
-    streams: RandomStreams,
-    recorder: TraceRecorder,
     spans: _t.Optional["SpanTracker"] = None,
-) -> _t.Tuple[_t.Dict[str, PERuntime], EgressCollector]:
-    """Instantiate every PE runtime, wire the DAG edges, and register
-    the egress collector."""
-    graph = topology.graph
-    ingress = set(graph.ingress_ids)
-    egress = set(graph.egress_ids)
-    runtimes: _t.Dict[str, PERuntime] = {}
-    for pe_id in graph.topological_order():
-        runtime = PERuntime(
-            profile=graph.profile(pe_id),
-            buffer_capacity=config.buffer_size,
-            rng=streams.stream(f"pe:{pe_id}"),
-            is_ingress=pe_id in ingress,
-            is_egress=pe_id in egress,
-        )
-        if recorder.enabled:
-            runtime.buffer.attach_recorder(recorder, pe_id)
-        if spans is not None:
-            runtime.attach_spans(spans)
-        runtimes[pe_id] = runtime
-    for src, dst in graph.edges():
-        runtimes[src].link_downstream(runtimes[dst])
-
-    collector = EgressCollector()
-    # The list, not the set: registration order fixes float summation
-    # order in the reports, which must not move with PYTHONHASHSEED.
-    for pe_id in graph.egress_ids:
-        collector.register(pe_id, graph.profile(pe_id).weight)
-    if spans is not None:
-        collector.attach_spans(spans)
-    return runtimes, collector
-
-
-def build_links(
-    topology: Topology, config: SystemConfig
-) -> _t.Dict[_t.Tuple[str, str], Link]:
-    """Create serializing links for edges that cross node boundaries."""
-    links: _t.Dict[_t.Tuple[str, str], Link] = {}
+) -> None:
+    """Give each edge that crosses nodes under ``placement`` a
+    serializing link, and drop the links of co-located edges (those PEs
+    share memory).  A kept link keeps its in-flight transfers: only
+    future emits see a change."""
     bandwidth = config.link_bandwidth
     if bandwidth is None:
-        return links
-    placement = topology.placement
+        return
+    live: _t.Set[_t.Tuple[str, str]] = set()
     for src, dst in topology.graph.edges():
         if placement[src] == placement[dst]:
-            continue  # co-located PEs share memory
-        links[(src, dst)] = Link(
-            name=f"{src}->{dst}",
-            bandwidth=bandwidth,
-            latency=config.link_latency,
-        )
-    return links
+            continue
+        live.add((src, dst))
+        if (src, dst) not in links:
+            link = Link(
+                name=f"{src}->{dst}",
+                bandwidth=bandwidth,
+                latency=config.link_latency,
+            )
+            link.spans = spans
+            links[(src, dst)] = link
+    for key in [key for key in links if key not in live]:
+        del links[key]
 
 
 def build_sources(
@@ -286,14 +254,15 @@ def source_counters(
 
 
 def build_gauges(
-    env: Environment,
+    env: _t.Any,
     cadence: _t.Optional[float],
     recorder: TraceRecorder,
-    runtimes: _t.Mapping[str, PERuntime],
+    runtimes: _t.Mapping[str, _t.Any],
     plane: _t.Any,
     collector: _t.Optional[EgressCollector] = None,
 ) -> _t.Optional[GaugeRegistry]:
-    """Register the standard per-PE gauges when sampling is requested.
+    """Register the standard per-PE gauges when sampling is requested,
+    sampled by a process of ``env`` (either substrate's).
 
     Gauges: input-buffer ``occupancy`` for every PE (a substrate
     observable, registered here), per-egress ``latency_p95`` from the

@@ -96,6 +96,14 @@ class TestTraceCheck:
         out = capsys.readouterr().out
         assert "oracles: all invariants held" in out
 
+    def test_threaded_gauges_are_written(self, tmp_path, capsys):
+        # The simulator's export is covered in test_obs.py.
+        gauges = tmp_path / "gauges.csv"
+        argv = self._trace_args(tmp_path, "threaded", "--gauges", str(gauges))
+        assert main(argv) == 0
+        assert "gauges: " in capsys.readouterr().out
+        assert gauges.stat().st_size > 0
+
     def test_check_forwards_events_to_file(self, tmp_path, capsys):
         assert main(self._trace_args(tmp_path, "sim")) == 0
         assert (tmp_path / "out.jsonl").stat().st_size > 0
@@ -142,6 +150,22 @@ class TestFailureModes:
     def test_trace_rejects_unknown_filter_kind(self, capsys):
         assert main(["trace", "--trace-filter", "kind=warp"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["trace", "top"])
+    @pytest.mark.parametrize("flag", ["--reoptimize", "--link-bandwidth"])
+    def test_threaded_refuses_simulator_only_flags(
+        self, command, flag, tmp_path, capsys
+    ):
+        trace = tmp_path / "out.jsonl"
+        argv = [
+            command, "--pes", "8", "--nodes", "2", "--duration", "1",
+            "--warmup", "0.2", "--substrate", "threaded", flag, "0.5",
+        ]
+        if command == "trace":
+            argv += ["--trace", str(trace)]
+        assert main(argv) == 2
+        assert f"error: {flag} is simulator-only" in capsys.readouterr().err
+        assert not trace.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

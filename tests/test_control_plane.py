@@ -9,7 +9,8 @@ Covers the satellite guarantees of the control-plane extraction:
 * the plane's operational surface (``set_gate`` / ``suspend_node`` /
   ``resume_node``) reaches the live control records and tick loops (the
   chaos harness depends on it);
-* ``run_system`` / ``run_runtime`` keep their public signatures.
+* ``run_system`` keeps its public signature and runs either substrate,
+  chosen by the config's type.
 """
 
 import inspect
@@ -25,9 +26,11 @@ from repro.core.policies import (
     UdpPolicy,
 )
 from repro.graph.topology import TopologySpec, generate_topology
+from repro.metrics.collectors import MetricsReport
 from repro.model.sdo import SDO
 from repro.model.workload import SOURCE_KINDS
-from repro.runtime.spc import RuntimeConfig, SPCRuntime, run_runtime
+from repro.obs.profiler import PhaseProfiler
+from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
 
@@ -250,17 +253,27 @@ class TestOperationalSurface:
             "spans",
         ]
 
-    def test_run_runtime_signature_stable(self):
-        names = list(inspect.signature(run_runtime).parameters)
-        assert names == [
-            "topology",
-            "policy_name",
-            "duration",
-            "targets",
-            "config",
-            "recorder",
-            "spans",
-        ]
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SystemConfig(seed=1, warmup=0.5),
+            RuntimeConfig(seed=1, warmup=0.5, dilation=0.25),
+        ],
+        ids=["sim", "threaded"],
+    )
+    def test_run_system_runs_the_substrate_its_config_selects(self, config):
+        report = run_system(
+            small_topology(), AcesPolicy(), duration=4.0, config=config
+        )
+        assert isinstance(report, MetricsReport)
+        assert report.total_output_sdos > 0
+
+    def test_run_system_refuses_a_profiler_on_the_runtime(self):
+        with pytest.raises(ValueError, match="profiler"):
+            run_system(
+                small_topology(), AcesPolicy(), config=RuntimeConfig(),
+                profiler=PhaseProfiler(),
+            )
 
 
 class TestPlaneState:

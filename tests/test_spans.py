@@ -216,7 +216,7 @@ class TestThreaded:
 
     def test_threaded_spans_close(self, topology):
         recorder = MemoryRecorder()
-        spans = SpanTracker(recorder=recorder, locking=True)
+        spans = SpanTracker(recorder=recorder)
         runtime = SPCRuntime(
             topology,
             AcesPolicy(),

@@ -162,7 +162,7 @@ class TestSnapshotRuntime:
             calibrate_rates=False,
         )
         topology = generate_topology(spec, np.random.default_rng(0))
-        spans = SpanTracker(locking=True)
+        spans = SpanTracker()
         runtime = SPCRuntime(
             topology,
             AcesPolicy(),
