@@ -150,6 +150,8 @@ def _substrate_config(
     for flag, value in (
         ("--reoptimize", args.reoptimize),
         ("--link-bandwidth", args.link_bandwidth),
+        # A store_true flag: False means absent (``top`` has none).
+        ("--profile", getattr(args, "profile", False) or None),
     ):
         if value is not None:
             raise ValueError(
@@ -287,7 +289,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         oracle = OracleRecorder(strict=not threaded, sink=file_recorder)
         recorder = oracle
     spans = SpanTracker(recorder=recorder) if args.spans else None
-    profiler = PhaseProfiler() if args.profile and not threaded else None
+    profiler = PhaseProfiler() if args.profile else None
 
     system = build_system(
         topology, policy, config=config, recorder=recorder,
@@ -311,10 +313,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(
         f"trace: {sum(stored.values())} events -> {args.trace} ({breakdown})"
     )
-    # The phase profile is the simulator's; everything else is the same
-    # on both substrates.
-    if threaded and args.profile:
-        print("profile: not available on the threaded substrate")
     if args.gauges is not None and system.gauges is None:
         print("gauges: not written (sampling disabled by --gauge-cadence 0)")
     elif args.gauges is not None:

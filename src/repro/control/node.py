@@ -87,8 +87,8 @@ class NodeController:
     ``tests/test_control_vector.py`` hold them to identical decision
     sequences.
 
-    The adapter, ``dt``, the feedback constants, the profiler and the
-    engine are the plane's, read once here.
+    The adapter, ``dt``, the feedback constants and the engine are the
+    plane's, read once here.
     """
 
     def __init__(
@@ -108,7 +108,6 @@ class NodeController:
         self.dt = plane.dt
         self.uses_feedback = uses_feedback = plane.uses_feedback
         self.aggregate_max = plane.aggregate_max
-        self.profiler = plane.profiler
         #: The plane's vector engine, or None on a scalar plane.
         self.engine = engine = plane._engine
         self.is_aces = (
@@ -229,14 +228,7 @@ class NodeController:
 
     def tick(self, now: float) -> None:
         """One full control interval: decide, then act on the substrate."""
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("controller_tick")
-        try:
-            fractions = self.control(now)
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        fractions = self.control(now)
         self.ticks += 1
         self.scheduler.settle(
             self.adapter.apply_grants(

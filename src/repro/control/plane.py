@@ -89,9 +89,6 @@ class ControlPlane:
     tier1:
         Optional :class:`ResilientTier1` guard used by
         :meth:`reoptimize`; substrates that never re-solve may omit it.
-    profiler:
-        Optional phase profiler forwarded to node controllers
-        (simulator only).
     """
 
     def __init__(
@@ -107,7 +104,6 @@ class ControlPlane:
         feedback_stale_bound: float = 0.0,
         recorder: _t.Optional[TraceRecorder] = None,
         tier1: _t.Optional[ResilientTier1] = None,
-        profiler: _t.Optional[_t.Any] = None,
         control_impl: str = "scalar",
         admission: _t.Optional[AdmissionController] = None,
         forecast: _t.Optional[ForecastController] = None,
@@ -127,7 +123,6 @@ class ControlPlane:
         self.b0 = b0
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.tier1 = tier1
-        self.profiler = profiler
         #: Optional SLO-aware admission front end; ticked by the
         #: substrate through :meth:`tick_admission` alongside the node
         #: loops, armed identically in sim and threaded runs.
@@ -512,17 +507,10 @@ class ControlPlane:
             return
         controllers = self.node_controllers
         adapter = self.adapter
-        profiler = self.profiler
         if self._engine is not None:
             engine = self._engine
             group = engine.group_for(tuple(live))
-            if profiler is not None:
-                profiler.push("controller_tick")
-            try:
-                decided = engine.control_group(group, now)
-            finally:
-                if profiler is not None:
-                    profiler.pop()
+            decided = engine.control_group(group, now)
             # One settle for the whole group: execution never reads
             # token levels, so charging after the last node has run is
             # charging node by node.
@@ -541,13 +529,7 @@ class ControlPlane:
         decided = []
         for index in live:
             controller = controllers[index]
-            if profiler is not None:
-                profiler.push("controller_tick")
-            try:
-                fractions = controller.control(now)
-            finally:
-                if profiler is not None:
-                    profiler.pop()
+            fractions = controller.control(now)
             controller.ticks += 1
             decided.append((controller, fractions))
         for controller, fractions in decided:

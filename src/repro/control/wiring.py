@@ -86,12 +86,11 @@ class ControlStack:
     only the substrate can supply: its ``adapter``, its membership
     ``ops``, the ``pes`` by id in wiring (topological) order, the egress
     ``collector``, a model-time ``clock``, and — where they exist — the
-    ``lock`` guarding the collector, a ``profiler`` and a
-    ``feedback_delay``.  The node groups are built here, once for every
-    substrate: one per topology node (PE-less ones included, so group
-    indices are node indices), ids ``node-<i>``, residents in wiring
-    order so intra-node execution flows producer -> consumer within one
-    tick.  Admission and forecasting are built before the plane, which
+    ``lock`` guarding the collector and a ``feedback_delay``.  The node
+    groups are built here, once for every substrate: one per topology
+    node (PE-less ones included, so group indices are node indices), ids
+    ``node-<i>``, residents in wiring order so intra-node execution
+    flows producer -> consumer within one tick.  Admission and forecasting are built before the plane, which
     owns their ticks; the driver needs the plane; the forecast hooks
     need the driver.  Once its sources exist the substrate calls
     :meth:`bind_sources`, then pumps :meth:`periodic`.
@@ -110,7 +109,6 @@ class ControlStack:
         targets: _t.Optional["AllocationTargets"] = None,
         recorder: _t.Optional["TraceRecorder"] = None,
         lock: _t.Optional[_t.Any] = None,
-        profiler: _t.Optional[_t.Any] = None,
         feedback_delay: float = 0.0,
     ) -> None:
         self.config = config
@@ -170,7 +168,6 @@ class ControlStack:
             feedback_stale_bound=config.feedback_stale_bound,
             recorder=recorder,
             tier1=self.tier1,
-            profiler=profiler,
             control_impl=config.control_impl,
             admission=self.admission,
             forecast=self.forecast,

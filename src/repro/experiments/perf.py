@@ -96,7 +96,7 @@ def measure_scale_point(
     system.run(duration)
     wall = time.perf_counter() - start
 
-    events = profiler.counts.get("event_dispatch", 0)
+    events = system.env.events_processed
     controller_seconds = profiler.totals.get("controller_tick", 0.0)
     fractions = profiler.fractions()
     num_pes = len(topology.placement)

@@ -15,15 +15,12 @@ from repro.metrics.stats import (
     confidence_interval,
     summarize,
 )
-from repro.metrics.timeseries import ThroughputProbe, WindowSample
 
 __all__ = [
     "EgressCollector",
     "EgressRecord",
     "MetricsReport",
     "SummaryStats",
-    "ThroughputProbe",
-    "WindowSample",
     "confidence_interval",
     "summarize",
 ]

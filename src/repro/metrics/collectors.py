@@ -266,10 +266,15 @@ def measure_window(
     ``observe_interval`` and the observer is called with the system
     after each, the last included (the ``repro top --watch`` hook); on
     the simulator stepping only adds until-events, so the report is the
-    unobserved run's.
+    unobserved run's.  A ``duration`` or ``observe_interval`` that is not
+    finite and positive raises :class:`ValueError` before anything runs.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    for name, value in (
+        ("duration", duration), ("observe_interval", observe_interval)
+    ):
+        # ``not > 0`` refuses NaN too.
+        if not value > 0 or not math.isfinite(value):
+            raise ValueError(f"{name} must be finite and positive: {value}")
     env, collector = system.env, system.collector
     if system.config.warmup > 0:
         env.run(until=system.config.warmup)

@@ -11,7 +11,8 @@ Three layers, all opt-in with a zero-overhead default:
   per-PE/per-node state on a fixed virtual-time cadence into time-series.
 * **Profiling** (:mod:`repro.obs.profiler`) — a :class:`PhaseProfiler`
   attributes wall-clock time to sim-engine phases (event dispatch,
-  controller ticks, PE execution, transport).
+  controller ticks, PE execution, transport) by wrapping a table of
+  named functions only while a run is on; the timed code has no hooks.
 
 Entry points: ``SimulatedSystem(..., recorder=..., profiler=...,
 gauge_cadence=...)`` or the ``python -m repro trace`` CLI subcommand.

@@ -6,38 +6,22 @@ answer to.  It keeps a stack of open phases and attributes *exclusive*
 wall-clock time: while ``pe_execute`` is open inside ``event_dispatch``,
 the inner time is charged to ``pe_execute`` only.
 
-Hook points (wired by :class:`~repro.sim.engine.Environment` and
-:class:`~repro.systems.simulated.SimulatedSystem`):
-
-* ``event_dispatch`` — the kernel processing an event's callbacks;
-* ``controller_tick`` — feedback aggregation, CPU allocation, Eq. 7 update;
-* ``pe_execute`` — quantized PE work execution;
-* ``transport`` — SDO delivery into downstream buffers.
-
-Profiling is opt-in: a system built without a profiler keeps a single
-``is None`` check in the engine's event loop.
+Which code counts as which phase is this module's business alone: the
+:attr:`PhaseProfiler.PHASES` table names the functions, and
+:meth:`PhaseProfiler.armed` wraps them with push/pop for the duration of
+a ``with`` block and restores the identical originals when it ends.  The
+code it times carries no hooks, so a run without a profiler pays
+nothing.  ``SimulatedSystem(..., profiler=...)`` arms its profiler
+around each ``run``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import importlib
 import time
 import typing as _t
-
-
-class _PhaseContext:
-    """Context manager pushing/popping one named phase."""
-
-    __slots__ = ("_profiler", "_name")
-
-    def __init__(self, profiler: "PhaseProfiler", name: str):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> None:
-        self._profiler.push(self._name)
-
-    def __exit__(self, *_exc: object) -> None:
-        self._profiler.pop()
 
 
 class PhaseProfiler:
@@ -46,7 +30,28 @@ class PhaseProfiler:
     ``push``/``pop`` (or the ``phase`` context manager) bracket a phase;
     nested phases pause their parent's clock.  Totals are exclusive
     seconds per phase name, so they sum to the bracketed wall time.
+
+    The one stack makes exclusive time meaningful only where one thread
+    runs at a time: the simulator, not the threaded runtime.
     """
+
+    #: phase -> the ``(module, "Class.attr")`` functions timed as it.
+    #: ``event_dispatch`` is the root: the kernel loop plus every
+    #: callback no other phase claims, so ``counts["event_dispatch"]``
+    #: counts ``Environment.run`` calls, not events.
+    PHASES: _t.Dict[str, _t.Tuple[_t.Tuple[str, str], ...]] = {
+        "event_dispatch": (("repro.sim.engine", "Environment.run"),),
+        "controller_tick": (
+            ("repro.control.node", "NodeController.control"),
+            ("repro.control.vector", "VectorEngine.control_group"),
+        ),
+        "pe_execute": (
+            ("repro.systems.dataplane", "SimAdapter.apply_grants"),
+        ),
+        "transport": (
+            ("repro.systems.dataplane", "SimDataPlane._flush_deliveries"),
+        ),
+    }
 
     def __init__(
         self, clock: _t.Callable[[], float] = time.perf_counter
@@ -58,8 +63,13 @@ class PhaseProfiler:
         #: child phase opens or closes so parent time stays exclusive.
         self._stack: _t.List[_t.List[object]] = []
 
-    def phase(self, name: str) -> _PhaseContext:
-        return _PhaseContext(self, name)
+    @contextlib.contextmanager
+    def phase(self, name: str) -> _t.Iterator[None]:
+        self.push(name)
+        try:
+            yield
+        finally:
+            self.pop()
 
     def push(self, name: str) -> None:
         now = self._clock()
@@ -81,6 +91,55 @@ class PhaseProfiler:
 
     def _account(self, name: str, elapsed: float) -> None:
         self.totals[name] = self.totals.get(name, 0.0) + elapsed
+
+    # -- arming ------------------------------------------------------------
+
+    @classmethod
+    def targets(cls) -> _t.Iterator[_t.Tuple[str, _t.Any, str]]:
+        """``(phase, owner, attr)`` for every :attr:`PHASES` entry."""
+        for name, paths in cls.PHASES.items():
+            for module, path in paths:
+                owner: _t.Any = importlib.import_module(module)
+                *parents, attr = path.split(".")
+                for part in parents:
+                    owner = getattr(owner, part)
+                yield name, owner, attr
+
+    @contextlib.contextmanager
+    def armed(self) -> _t.Iterator["PhaseProfiler"]:
+        """Time the :attr:`PHASES` functions inside the block.
+
+        The patches are process-wide, so arm only around a run, never
+        at construction.  The hot code looks each one up at call time;
+        a bound method cached before arming would skip its phase.
+        """
+        patched: _t.List[_t.Tuple[_t.Any, str, _t.Any]] = []
+        try:
+            for name, owner, attr in self.targets():
+                # vars(), not getattr: restore exactly what this owner
+                # stored, never re-home an inherited attribute.
+                original = vars(owner)[attr]
+                setattr(owner, attr, self._timed(name, original))
+                patched.append((owner, attr, original))
+            yield self
+        finally:
+            for owner, attr, original in reversed(patched):
+                setattr(owner, attr, original)
+
+    def _timed(
+        self, name: str, fn: _t.Callable[..., _t.Any]
+    ) -> _t.Callable[..., _t.Any]:
+        push, pop = self.push, self.pop
+
+        @functools.wraps(fn)
+        def timed(*args: _t.Any, **kwargs: _t.Any) -> _t.Any:
+            push(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                pop()
+
+        return timed
 
     # -- results -----------------------------------------------------------
 

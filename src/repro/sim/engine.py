@@ -43,13 +43,6 @@ class Environment:
         #: Total events dispatched by this environment (for perf benches
         #: and sanity checks; one integer add per event).
         self.events_processed = 0
-        #: Optional wall-clock phase profiler (repro.obs.profiler).  When
-        #: set, every event's callback execution is bracketed in an
-        #: ``event_dispatch`` phase; components opening nested phases
-        #: (controller ticks, PE execution, transport) carve their own
-        #: exclusive time out of it.  Costs one None-check per event when
-        #: unset.
-        self.profiler: _t.Optional["_Profiler"] = None
 
     # -- clock -----------------------------------------------------------
 
@@ -117,13 +110,12 @@ class Environment:
                 )
             self.call_at(at, _stop_simulation, priority=URGENT)
 
-        # The dispatch loop binds the queue, heappop, and profiler to
-        # locals: one event costs one pop, one callback sweep, and one
-        # failed-event check, with no method dispatch.  This loop is the
-        # hottest code in the repository.
+        # The dispatch loop binds the queue and heappop to locals: one
+        # event costs one pop, one callback sweep, and one failed-event
+        # check, with no method dispatch.  This loop is the hottest code
+        # in the repository.
         queue = self._queue
         pop = heapq.heappop
-        profiler = self.profiler
         processed = 0
         try:
             while True:
@@ -135,17 +127,10 @@ class Environment:
                 event = item[3]
                 processed += 1
 
-                if profiler is None:
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:  # type: ignore[union-attr]
-                        callback(event)
-                else:
-                    profiler.push("event_dispatch")
-                    try:
-                        event._run_callbacks()
-                    finally:
-                        profiler.pop()
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:  # type: ignore[union-attr]
+                    callback(event)
 
                 if not event._ok and not event._defused:
                     # Nobody is waiting on this failed event: surface the
@@ -162,5 +147,4 @@ def _stop_simulation(event: Event) -> None:
 
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.profiler import PhaseProfiler as _Profiler
     from repro.sim.process import Process

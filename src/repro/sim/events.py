@@ -95,14 +95,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    # -- engine hook -----------------------------------------------------
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-
     def __repr__(self) -> str:
         state = (
             "processed" if self.processed

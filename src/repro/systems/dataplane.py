@@ -27,7 +27,6 @@ from repro.sim.engine import Environment
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.node import ControlRecord
-    from repro.obs.profiler import PhaseProfiler
     from repro.obs.spans import SpanTracker
 
 
@@ -47,7 +46,6 @@ class SimDataPlane:
         collector: EgressCollector,
         admission_filters: _t.Mapping[str, _t.Optional[_t.Callable]],
         recorder: TraceRecorder,
-        profiler: _t.Optional["PhaseProfiler"] = None,
         spans: _t.Optional["SpanTracker"] = None,
     ):
         self.env = env
@@ -55,7 +53,6 @@ class SimDataPlane:
         self.collector = collector
         self.admission_filters = admission_filters
         self.recorder = recorder
-        self.profiler = profiler
         self.spans = spans
 
         self.emit_attempts = 0
@@ -135,22 +132,15 @@ class SimDataPlane:
         """Deliver every SDO batched for this event's arrival instant."""
         batch = self.delivery_batches.pop(event._value)
         now = self.env.now
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("transport")
-        try:
-            collector_record = self.collector.record
-            admit = self.admit
-            for consumer, pe, sdo in batch:
-                if consumer is None:
-                    collector_record(pe.pe_id, sdo, now)
-                else:
-                    self.emit_attempts += 1
-                    if not admit(consumer, sdo, now):
-                        self.emit_drops += 1
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        collector_record = self.collector.record
+        admit = self.admit
+        for consumer, pe, sdo in batch:
+            if consumer is None:
+                collector_record(pe.pe_id, sdo, now)
+            else:
+                self.emit_attempts += 1
+                if not admit(consumer, sdo, now):
+                    self.emit_drops += 1
 
     def admit(self, runtime: PERuntime, sdo: SDO, now: float) -> bool:
         """Offer an SDO to a PE's buffer, via the policy's shed filter."""
@@ -192,8 +182,7 @@ class SimAdapter:
     admission filters) — hence the late :meth:`bind`.
     """
 
-    def __init__(self, profiler: _t.Optional["PhaseProfiler"] = None):
-        self.profiler = profiler
+    def __init__(self) -> None:
         self.dataplane: _t.Optional[SimDataPlane] = None
         #: The data plane's trace bus (the controller publishes this
         #: adapter's occupancy samples on it).
@@ -227,15 +216,8 @@ class SimAdapter:
     ) -> _t.List[float]:
         """Execute every resident PE for one interval under its grant;
         returns the CPU-seconds each consumed."""
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("pe_execute")
-        try:
-            emit = self.dataplane.emit
-            return [
-                record.pe.execute(now, dt, cpu, emit, record.gate)
-                for record, cpu in zip(records, fractions)
-            ]
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        emit = self.dataplane.emit
+        return [
+            record.pe.execute(now, dt, cpu, emit, record.gate)
+            for record, cpu in zip(records, fractions)
+        ]

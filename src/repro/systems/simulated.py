@@ -77,15 +77,15 @@ class SimulatedSystem(Substrate):
                 "loops never do"
             )
         self.env = Environment()
-        self.profiler = self.env.profiler = profiler
-        self.adapter = SimAdapter(profiler)
+        self.profiler = profiler
+        self.adapter = SimAdapter()
         #: Links of the edges between nodes (with a ``link_bandwidth``),
         #: re-derived at each migration.
         self.links: _t.Dict[_t.Tuple[str, str], Link] = {}
         sync_links(self.links, topology, topology.placement, config, spans)
         super().__init__(
             topology, policy, config, targets, recorder, spans,
-            gauge_cadence, profiler=profiler, feedback_delay=delay,
+            gauge_cadence, feedback_delay=delay,
             reoptimize_interval=config.reoptimize_interval,
         )
         self.runtimes: _t.Dict[str, PERuntime] = self.pes
@@ -113,7 +113,6 @@ class SimulatedSystem(Substrate):
             self.collector,
             self.plane.admission_filters,
             self.recorder,
-            self.profiler,
             spans=self.spans,
         )
         self.adapter.bind(self.dataplane)
@@ -302,7 +301,11 @@ def build_system(
 ) -> Substrate:
     """The system ``config`` asks for: a threaded
     :class:`~repro.runtime.spc.SPCRuntime` for a ``RuntimeConfig``,
-    else a :class:`SimulatedSystem`."""
+    else a :class:`SimulatedSystem`.
+
+    A ``profiler`` is refused with a ``RuntimeConfig``: its exclusive
+    wall time on one stack is defined only where one thread runs at a
+    time, and the runtime runs many."""
     # Imported here: the runtime imports this package.
     from repro.runtime.spc import RuntimeConfig, SPCRuntime
 
@@ -314,8 +317,8 @@ def build_system(
         return SimulatedSystem(topology, policy, profiler=profiler, **shared)
     if profiler is not None:
         raise ValueError(
-            "profiler is simulator-only: the threaded runtime has no "
-            "phase profiler"
+            "profiler is simulator-only: exclusive wall time on one "
+            "stack is undefined when many threads run at once"
         )
     return SPCRuntime(topology, policy, **shared)
 

@@ -16,6 +16,7 @@ from repro.metrics.collectors import (
     MetricsReport,
     measure_window,
 )
+from repro.obs.profiler import PhaseProfiler
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.sim.rng import RandomStreams
 from repro.systems.build import build_gauges, build_sources, source_counters
@@ -55,11 +56,13 @@ class Substrate:
     ``membership_lock`` (held by membership changes from outside the
     control tiers), and one with worker threads counts the ones it
     revived and gave up on in ``worker_restarts`` and
-    ``workers_abandoned``.
+    ``workers_abandoned``.  A substrate that runs one thread at a time
+    may set a ``profiler``, which :meth:`run` arms.
     """
 
     collector_lock: _t.ContextManager[None] = contextlib.nullcontext()
     membership_lock: _t.ContextManager[None] = contextlib.nullcontext()
+    profiler: _t.Optional[PhaseProfiler] = None
     worker_restarts = 0
     workers_abandoned = 0
 
@@ -72,7 +75,6 @@ class Substrate:
         recorder: _t.Optional[TraceRecorder] = None,
         spans: _t.Optional["SpanTracker"] = None,
         gauge_cadence: _t.Optional[float] = None,
-        profiler: _t.Optional[_t.Any] = None,
         feedback_delay: float = 0.0,
         reoptimize_interval: _t.Optional[float] = None,
     ):
@@ -111,7 +113,7 @@ class Substrate:
             pes=self.pes, collector=self.collector,
             clock=lambda: self.env.now, targets=targets,
             recorder=self.recorder, lock=self.collector_lock,
-            profiler=profiler, feedback_delay=feedback_delay,
+            feedback_delay=feedback_delay,
         )
         self.tier1 = stack.tier1
         self.admission = stack.admission
@@ -203,5 +205,11 @@ class Substrate:
         observe_interval: float = 1.0,
     ) -> MetricsReport:
         """Warm up, then run ``duration`` model seconds and report them
-        (see :func:`~repro.metrics.collectors.measure_window`)."""
-        return measure_window(self, duration, observer, observe_interval)
+        (see :func:`~repro.metrics.collectors.measure_window`), with the
+        ``profiler`` armed if there is one."""
+        armed = (
+            contextlib.nullcontext() if self.profiler is None
+            else self.profiler.armed()
+        )
+        with armed:
+            return measure_window(self, duration, observer, observe_interval)

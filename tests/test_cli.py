@@ -151,16 +151,26 @@ class TestFailureModes:
         assert main(["trace", "--trace-filter", "kind=warp"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["trace", "top"])
-    @pytest.mark.parametrize("flag", ["--reoptimize", "--link-bandwidth"])
+    @pytest.mark.parametrize(
+        "flag, command",
+        [
+            (flag, command)
+            for flag in ("--reoptimize", "--link-bandwidth")
+            for command in ("trace", "top")
+        ]
+        # A switch, and one only ``trace`` has.
+        + [("--profile", "trace")],
+    )
     def test_threaded_refuses_simulator_only_flags(
         self, command, flag, tmp_path, capsys
     ):
         trace = tmp_path / "out.jsonl"
         argv = [
             command, "--pes", "8", "--nodes", "2", "--duration", "1",
-            "--warmup", "0.2", "--substrate", "threaded", flag, "0.5",
+            "--warmup", "0.2", "--substrate", "threaded", flag,
         ]
+        if flag != "--profile":
+            argv.append("0.5")
         if command == "trace":
             argv += ["--trace", str(trace)]
         assert main(argv) == 2

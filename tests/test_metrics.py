@@ -17,7 +17,6 @@ from repro.metrics.stats import (
     confidence_interval,
     summarize,
 )
-from repro.metrics.timeseries import ThroughputProbe
 from repro.model.sdo import SDO
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.systems.simulated import SimulatedSystem, SystemConfig
@@ -286,54 +285,6 @@ class TestMeasuredWindow:
         )
         assert len(seen) == math.ceil(duration / interval)
         assert seen[-1] >= system.collector.window_start + duration
-
-
-class TestThroughputProbeEdgeCases:
-    """Degenerate probe configurations from tests/test_metrics.py's remit;
-    the happy-path probe tests live in test_placement_opt_timeseries.py."""
-
-    def build_system(self, rate=None):
-        spec = TopologySpec(
-            num_nodes=2, num_ingress=1, num_egress=1, num_intermediate=2,
-            calibrate_rates=False,
-        )
-        topology = generate_topology(spec, np.random.default_rng(1))
-        if rate is not None:
-            for pe_id in topology.source_rates:
-                topology.source_rates[pe_id] = rate
-        return SimulatedSystem(
-            topology, AcesPolicy(), config=SystemConfig(seed=2, warmup=0.0)
-        )
-
-    def test_window_longer_than_run_yields_no_samples(self):
-        system = self.build_system()
-        probe = ThroughputProbe(system, window=10.0)
-        system.env.run(until=2.0)
-        assert probe.samples == []
-
-    def test_zero_egress_output_gives_zero_samples(self):
-        # Sources reject rate <= 0, so starve the graph instead: at
-        # 0.05 SDO/s the first arrival lands far past this 2 s run.
-        system = self.build_system(rate=0.05)
-        probe = ThroughputProbe(system, window=0.5)
-        system.env.run(until=2.0)
-        assert len(probe.samples) >= 3
-        assert all(s.output_sdos == 0 for s in probe.samples)
-        assert all(s.weighted_throughput == 0.0 for s in probe.samples)
-        assert all(s.mean_latency == 0.0 for s in probe.samples)
-
-    def test_probe_attached_mid_run_counts_only_new_output(self):
-        system = self.build_system()
-        system.env.run(until=3.0)
-        already_out = system.collector.total_output()
-        probe = ThroughputProbe(system, window=0.5)
-        system.env.run(until=6.0)
-        assert probe.samples
-        assert probe.samples[0].start >= 3.0
-        counted = sum(s.output_sdos for s in probe.samples)
-        # Pre-attach output must not be re-counted; the window closing
-        # exactly at the horizon may not fire, so this is an upper bound.
-        assert 0 < counted <= system.collector.total_output() - already_out
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1))

@@ -1,14 +1,20 @@
-"""Tests for placement optimization and the throughput time-series probe."""
+"""Tests for placement optimization and the egress rate probe."""
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.core.policies import AcesPolicy
+from repro.experiments.resilience import (
+    EgressRateProbe,
+    mean_rate,
+    measure_mttr,
+)
 from repro.graph.dag import ProcessingGraph
 from repro.graph.placement import load_balanced_placement
 from repro.graph.placement_opt import optimize_placement
 from repro.graph.topology import TopologySpec, generate_topology
-from repro.metrics.timeseries import ThroughputProbe, WindowSample
 from repro.model.params import PEProfile
 from repro.systems.faults import FaultPlan
 from repro.systems.simulated import SimulatedSystem, SystemConfig
@@ -92,7 +98,9 @@ class TestPlacementOptimization:
         assert a.objective == b.objective
 
 
-class TestThroughputProbe:
+class TestEgressRateProbe:
+    """The chaos matrix's per-bin weighted egress rate probe."""
+
     def build_system(self):
         spec = TopologySpec(
             num_nodes=3, num_ingress=2, num_egress=2, num_intermediate=4,
@@ -103,83 +111,49 @@ class TestThroughputProbe:
             topology, AcesPolicy(), config=SystemConfig(seed=2, warmup=0.0)
         )
 
-    def test_window_validation(self):
-        system = self.build_system()
+    @pytest.mark.parametrize("bin_width", [0.0, -0.5])
+    def test_bin_width_validation(self, bin_width):
         with pytest.raises(ValueError):
-            ThroughputProbe(system, window=0.0)
+            EgressRateProbe(self.build_system(), bin_width=bin_width)
 
-    def test_collects_expected_number_of_windows(self):
+    def test_bins_tile_the_run(self):
         system = self.build_system()
-        probe = ThroughputProbe(system, window=0.5)
-        system.env.run(until=5.0)
-        assert 8 <= len(probe.samples) <= 10
+        probe = EgressRateProbe(system, bin_width=1.0)
+        system.env.run(until=4.5)
+        assert [time for time, _ in probe.rates()] == pytest.approx(
+            [1.0, 2.0, 3.0, 4.0]
+        )
 
-    def test_windows_tile_the_run(self):
+    def test_warmup_reset_bin_clamps_to_zero(self):
         system = self.build_system()
-        probe = ThroughputProbe(system, window=1.0)
-        system.env.run(until=4.0)
-        for earlier, later in zip(probe.samples, probe.samples[1:]):
-            assert later.start == pytest.approx(earlier.end)
-
-    def test_throughput_positive_once_warm(self):
-        system = self.build_system()
-        probe = ThroughputProbe(system, window=1.0)
-        system.env.run(until=6.0)
-        tail = probe.samples[2:]
-        assert all(s.weighted_throughput > 0 for s in tail)
-
-    def test_series_matches_samples(self):
-        system = self.build_system()
-        probe = ThroughputProbe(system, window=1.0)
-        system.env.run(until=3.0)
-        series = probe.series()
-        assert len(series) == len(probe.samples)
-        assert series[0][0] == probe.samples[0].midpoint
-
-    def test_survives_warmup_reset(self):
-        system = self.build_system()
-        probe = ThroughputProbe(system, window=0.5)
-        system.env.run(until=2.0)
+        probe = EgressRateProbe(system, bin_width=0.5)
+        system.env.run(until=3.25)
         system.collector.reset(system.env.now)
-        system.env.run(until=4.0)
-        assert all(s.output_sdos >= 0 for s in probe.samples)
+        system.env.run(until=5.0)
+        # The reset makes the cumulative series drop once, at 3.5.
+        drops = [
+            index
+            for index in range(1, len(probe.cumulative))
+            if probe.cumulative[index] < probe.cumulative[index - 1]
+        ]
+        assert [probe.times[index] for index in drops] == [3.5]
+        rates = probe.rates()
+        assert rates[drops[0]] == (3.5, 0.0)
+        assert all(rate >= 0.0 for _, rate in rates)
+        assert rates[-1][1] > 0.0
 
-    def test_detects_fault_dip_and_recovery(self):
+    def test_pe_stall_dip_and_recovery(self):
         system = self.build_system()
-        pe_id = system.topology.graph.ingress_ids[0]
         # Stall both ingress PEs: output must dip, then recover.
         plan = FaultPlan()
         for ingress in system.topology.graph.ingress_ids:
             plan.pe_stall(ingress, start=4.0, duration=1.5)
         plan.attach(system)
-        probe = ThroughputProbe(system, window=0.5)
+        probe = EgressRateProbe(system, bin_width=0.5)
         system.env.run(until=12.0)
-
-        def mean_thr(t0, t1):
-            window = [
-                s.weighted_throughput
-                for s in probe.samples
-                if t0 <= s.midpoint < t1
-            ]
-            return sum(window) / max(1, len(window))
-
-        before = mean_thr(2.0, 4.0)
-        during = mean_thr(4.5, 5.5)
-        after = mean_thr(8.0, 12.0)
-        assert during < 0.8 * before
-        assert after > 0.8 * before
-        recovery = probe.recovery_time(5.5, reference=before, fraction=0.8)
-        assert recovery is not None
-
-    def test_recovery_time_none_when_never_recovers(self):
-        probe = ThroughputProbe.__new__(ThroughputProbe)
-        probe.samples = [
-            WindowSample(0.0, 1.0, 1.0, 1, 0.0),
-            WindowSample(1.0, 2.0, 1.0, 1, 0.0),
-        ]
-        assert probe.recovery_time(0.0, reference=100.0) is None
-
-    def test_recovery_time_zero_reference(self):
-        probe = ThroughputProbe.__new__(ThroughputProbe)
-        probe.samples = []
-        assert probe.recovery_time(0.0, reference=0.0) == 0.0
+        rates = probe.rates()
+        before = mean_rate(rates, 2.0, 4.0)
+        assert mean_rate(rates, 4.5, 5.5) < 0.8 * before
+        assert mean_rate(rates, 8.0, 12.0) > 0.8 * before
+        mttr = measure_mttr(rates, fault_end=5.5, pre_fault_rate=before)
+        assert 0.0 < mttr < math.inf

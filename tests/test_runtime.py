@@ -1,5 +1,6 @@
 """Tests for the threaded SPC runtime (transport, workers, orchestrator)."""
 
+import math
 import sys
 import threading
 import time
@@ -505,6 +506,20 @@ class TestSPCRuntime:
         runtime = SPCRuntime(topology, UdpPolicy())
         with pytest.raises(ValueError):
             runtime.run(0.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration(self, topology, duration):
+        runtime = SPCRuntime(topology, UdpPolicy())
+        with pytest.raises(ValueError, match="duration"):
+            runtime.run(duration)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan])
+    def test_invalid_observe_interval(self, topology, interval):
+        runtime = SPCRuntime(topology, UdpPolicy())
+        with pytest.raises(ValueError, match="observe_interval"):
+            runtime.run(
+                1.0, observer=lambda _: None, observe_interval=interval
+            )
 
     def test_latency_measured(self, topology):
         runtime = SPCRuntime(

@@ -1,5 +1,7 @@
 """Tests for the integrated simulated system."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.targets import fair_share_targets
 from repro.graph.dag import ProcessingGraph
 from repro.graph.topology import Topology, TopologySpec, generate_topology
 from repro.model.params import PEProfile
+from repro.obs.profiler import PhaseProfiler
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
 
@@ -117,6 +120,24 @@ class TestRun:
         )
         with pytest.raises(ValueError):
             system.run(0.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration(self, shared_topology, duration):
+        system = SimulatedSystem(
+            shared_topology, UdpPolicy(), config=quick_config()
+        )
+        with pytest.raises(ValueError, match="duration"):
+            system.run(duration)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan])
+    def test_invalid_observe_interval(self, shared_topology, interval):
+        system = SimulatedSystem(
+            shared_topology, UdpPolicy(), config=quick_config()
+        )
+        with pytest.raises(ValueError, match="observe_interval"):
+            system.run(
+                1.0, observer=lambda _: None, observe_interval=interval
+            )
 
     @pytest.mark.parametrize("interval", [0.5, 0.7])
     def test_observation_does_not_perturb_the_run(
@@ -273,8 +294,6 @@ class TestProfilerAttribution:
     """PhaseProfiler accounting under the batched-delivery kernel path."""
 
     def run_profiled(self, shared_topology, policy):
-        from repro.obs.profiler import PhaseProfiler
-
         profiler = PhaseProfiler()
         system = SimulatedSystem(
             shared_topology, policy, config=quick_config(),
@@ -327,3 +346,78 @@ class TestProfilerAttribution:
             config=quick_config(),
         )
         assert plain == profiled
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"control_impl": "vector", "control_phase_buckets": 2}],
+        ids=["scalar", "vector-bucketed"],
+    )
+    def test_profiled_run_equals_unprofiled(self, shared_topology, overrides):
+        def run(profiler):
+            system = SimulatedSystem(
+                shared_topology, AcesPolicy(),
+                config=quick_config(**overrides), profiler=profiler,
+            )
+            return system.run(3.0), system.env.events_processed
+
+        profiler = PhaseProfiler()
+        assert run(profiler) == run(None)
+        # Bucketed vector ticks decide in VectorEngine.control_group only.
+        assert profiler.counts["controller_tick"] > 0
+
+
+class TestProfilerArming:
+    """The profiler patches its PHASES targets only while a run is on."""
+
+    @staticmethod
+    def originals():
+        return [
+            (owner, attr, vars(owner)[attr])
+            for _, owner, attr in PhaseProfiler.targets()
+        ]
+
+    def assert_restored(self, originals):
+        for owner, attr, original in originals:
+            assert vars(owner)[attr] is original, (owner, attr)
+
+    def test_every_phase_target_resolves(self):
+        assert set(PhaseProfiler.PHASES) == {
+            "event_dispatch", "controller_tick", "pe_execute", "transport",
+        }
+        # Through vars(): a renamed or inherited target fails here.
+        for phase, owner, attr in PhaseProfiler.targets():
+            assert isinstance(owner, type), phase
+            assert callable(vars(owner).get(attr)), (phase, owner, attr)
+
+    def test_targets_armed_during_the_run_and_restored_after(
+        self, shared_topology
+    ):
+        originals = self.originals()
+        armed = []
+
+        def observer(_system):
+            armed.append(all(
+                vars(owner)[attr] is not original
+                for owner, attr, original in originals
+            ))
+
+        system = SimulatedSystem(
+            shared_topology, AcesPolicy(), config=quick_config(),
+            profiler=PhaseProfiler(),
+        )
+        self.assert_restored(originals)
+        system.run(1.0, observer=observer, observe_interval=0.5)
+        assert armed == [True, True]
+        self.assert_restored(originals)
+
+    def test_targets_restored_after_a_run_that_raises(self, shared_topology):
+        originals = self.originals()
+        profiler = PhaseProfiler()
+        system = SimulatedSystem(
+            shared_topology, AcesPolicy(), config=quick_config(),
+            profiler=profiler,
+        )
+        with pytest.raises(ValueError):
+            system.run(math.nan)
+        self.assert_restored(originals)
+        assert profiler.totals == {}
