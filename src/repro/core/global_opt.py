@@ -21,9 +21,10 @@ Two solvers are provided:
   halfspace projections for the (linear) flow and ingress constraints, and
   a final topological feasibility sweep.
 
-``"auto"`` runs SLSQP and falls back to the projected-gradient solver if
-SLSQP fails to converge.  The two agree to within ~2% on random instances
-(see ``tests/test_global_opt.py``) — the cross-check behind the paper's
+``"auto"`` runs SLSQP and, if SLSQP fails to converge, also runs the
+projected-gradient solver and keeps whichever point scores higher.  The
+two agree to within ~2% on random instances (see
+``tests/test_global_opt.py``) — the cross-check behind the paper's
 observation that any concave solver reaches the same unique optimum.
 """
 
@@ -127,6 +128,38 @@ class _Program:
         self.lower = self.overhead / self.slope
         self.upper = np.ones(n)
 
+        # The three constraint blocks are linear, residual = A @ c - b
+        # (<= 0 when satisfied); each A is its block's exact Jacobian.
+        # Node capacity (Eq. 4): 0/1 incidence, sum of shares <= 1.
+        self.node_matrix = np.zeros((len(self.node_members), n))
+        for row, members in enumerate(self.node_members):
+            self.node_matrix[row, members] = 1.0
+        self.node_bound = np.ones(len(self.node_members))
+        # Flow (Eq. 5): slope_j c_j - sum_i mult_i slope_i c_i
+        #   <= overhead_j - sum_i mult_i overhead_i.
+        self.flow_matrix = np.zeros((len(self.consumers), n))
+        self.flow_bound = np.zeros(len(self.consumers))
+        for row, (consumer, producers) in enumerate(
+            zip(self.consumers, self.producer_sets)
+        ):
+            self.flow_matrix[row, consumer] = self.slope[consumer]
+            self.flow_matrix[row, producers] = -(
+                self.mult[producers] * self.slope[producers]
+            )
+            self.flow_bound[row] = self.overhead[consumer] - float(
+                (self.mult[producers] * self.overhead[producers]).sum()
+            )
+        # Ingress: slope_k c_k <= rate + overhead_k; a row with no finite
+        # rate is all zeros (never binds).
+        finite = np.isfinite(self.ingress_rate)
+        self.ingress_matrix = np.zeros((len(self.ingress), n))
+        self.ingress_matrix[finite.nonzero()[0], self.ingress[finite]] = (
+            self.slope[self.ingress[finite]]
+        )
+        self.ingress_bound = np.where(
+            finite, self.ingress_rate + self.overhead[self.ingress], 0.0
+        )
+
     # -- model -----------------------------------------------------------
 
     def rate_in(self, c: np.ndarray) -> np.ndarray:
@@ -156,32 +189,14 @@ class _Program:
     # -- constraint residuals (<= 0 when satisfied) -----------------------
 
     def node_residuals(self, c: np.ndarray) -> np.ndarray:
-        return np.array(
-            [c[members].sum() - 1.0 for members in self.node_members]
-        )
+        return self.node_matrix @ c - self.node_bound
 
     def flow_residuals(self, c: np.ndarray) -> np.ndarray:
         """Per-consumer residuals: r_in,j - sum of upstream r_out (<= 0 ok)."""
-        if not self.consumers:
-            return np.zeros(0)
-        rin = self.rate_in(c)
-        rout = self.rate_out(c)
-        return np.array(
-            [
-                rin[consumer] - rout[producers].sum()
-                for consumer, producers in zip(
-                    self.consumers, self.producer_sets
-                )
-            ]
-        )
+        return self.flow_matrix @ c - self.flow_bound
 
     def ingress_residuals(self, c: np.ndarray) -> np.ndarray:
-        if len(self.ingress) == 0:
-            return np.zeros(0)
-        rin = self.rate_in(c)
-        finite = np.isfinite(self.ingress_rate)
-        residuals = rin[self.ingress] - self.ingress_rate
-        return np.where(finite, residuals, 0.0)
+        return self.ingress_matrix @ c - self.ingress_bound
 
     def max_violation(self, c: np.ndarray) -> float:
         residuals = np.concatenate(
@@ -214,32 +229,32 @@ class _Program:
 def _project_node_capacity(program: _Program, c: np.ndarray) -> np.ndarray:
     """Project c onto box [lower, upper] intersect node simplices.
 
-    Exact per-node projection: clip to the box, then for nodes over
-    capacity, solve the shifted-simplex projection with bisection on the
-    dual variable.
+    Exact per-node projection: clip to the box, and for a node over
+    capacity find the shift ``tau`` with ``sum clip(c - tau, lo, hi) = 1``
+    exactly.  That sum is piecewise linear and non-increasing in ``tau``,
+    with breakpoints ``c - hi`` and ``c - lo``, so the root is found by
+    interpolating across the first breakpoint whose mass is <= 1.
     """
     projected = np.clip(c, program.lower, program.upper)
     for members in program.node_members:
-        total = projected[members].sum()
-        if total <= 1.0:
+        if projected[members].sum() <= 1.0:
             continue
         values = c[members]
-        low_bounds = program.lower[members]
-        high_bounds = program.upper[members]
-
-        def mass(tau: float) -> float:
-            return float(
-                np.clip(values - tau, low_bounds, high_bounds).sum()
+        low = program.lower[members]
+        high = program.upper[members]
+        breaks = np.sort(np.concatenate([values - high, values - low]))
+        mass = np.clip(values - breaks[:, None], low, high).sum(axis=1)
+        below = np.flatnonzero(mass <= 1.0)
+        if not below.size:  # the lower bounds alone exceed the node
+            projected[members] = low
+            continue
+        j = below[0]
+        tau = breaks[j]
+        if j:  # linear between breaks[j - 1] (mass > 1) and breaks[j]
+            tau -= (1.0 - mass[j]) * (breaks[j] - breaks[j - 1]) / (
+                mass[j - 1] - mass[j]
             )
-
-        lo, hi = 0.0, float(values.max() - low_bounds.min()) + 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if mass(mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        projected[members] = np.clip(values - hi, low_bounds, high_bounds)
+        projected[members] = np.clip(values - tau, low, high)
     return projected
 
 
@@ -383,21 +398,21 @@ def _solve_slsqp(
     def negative_gradient(c: np.ndarray) -> np.ndarray:
         return -program.objective_gradient(c)
 
-    constraints = []
-
-    def node_fn(c: np.ndarray) -> np.ndarray:
-        return -program.node_residuals(c)
-
-    constraints.append({"type": "ineq", "fun": node_fn})
-
-    if program.consumers:
-        constraints.append(
-            {"type": "ineq", "fun": lambda c: -program.flow_residuals(c)}
+    # Each block is linear, -(A c - b) >= 0, so its Jacobian is the
+    # constant -A: SLSQP never finite-differences a constraint.
+    constraints = [
+        {
+            "type": "ineq",
+            "fun": lambda c, A=matrix, b=bound: b - A @ c,
+            "jac": lambda c, A=matrix: -A,
+        }
+        for matrix, bound in (
+            (program.node_matrix, program.node_bound),
+            (program.flow_matrix, program.flow_bound),
+            (program.ingress_matrix, program.ingress_bound),
         )
-    if len(program.ingress):
-        constraints.append(
-            {"type": "ineq", "fun": lambda c: -program.ingress_residuals(c)}
-        )
+        if len(matrix)
+    ]
 
     bounds = list(zip(program.lower, program.upper))
     result = minimize(
@@ -412,8 +427,19 @@ def _solve_slsqp(
     c = np.clip(result.x, program.lower, program.upper)
     c = _project_node_capacity(program, c)
     c = _feasibility_sweep(program, c)
-    messages = [] if result.success else [str(result.message)]
-    return c, int(result.nit), bool(result.success), messages
+    converged = bool(result.success)
+    messages = [] if converged else [str(result.message)]
+    # Status 8 ("positive directional derivative for linesearch") at a
+    # feasible point is a stop at working precision: ftol is absolute
+    # against objectives in the tens to hundreds, so the linesearch runs
+    # out of representable progress before the test fires.
+    if result.status == 8 and program.max_violation(c) <= 1e-9:
+        converged = True
+        messages = [
+            "SLSQP status 8 (positive directional derivative for "
+            "linesearch) at a feasible point: accepted as converged"
+        ]
+    return c, int(result.nit), converged, messages
 
 
 def solve_global_allocation(
@@ -458,9 +484,9 @@ def solve_global_allocation(
         used = "slsqp"
         if not converged and solver == "auto":
             c2, it2, conv2, msg2 = _solve_projected_gradient(program)
-            if program.objective(c2) > program.objective(c) or not converged:
+            messages.extend(msg2)
+            if program.objective(c2) > program.objective(c):
                 c, iterations, converged = c2, it2, conv2
-                messages.extend(msg2)
                 used = "projected_gradient"
     else:
         c, iterations, converged, solver_messages = _solve_projected_gradient(

@@ -375,14 +375,17 @@ def test_a_feedback_fault_spanning_an_epoch_keeps_scalar_parity():
 #: (events, sha256) of the membership drive's r_max / cpu_grant /
 #: token_bucket / epoch events, epoch events without ``control_impl``,
 #: taken at the commit before an epoch stopped rebuilding per-PE state.
+#: Re-pinned when SLSQP got exact constraint Jacobians, which moved the
+#: solved targets by ~1e-7; fed the earlier solver's targets, the drive
+#: still reproduces the earlier hashes.
 MEMBERSHIP_GOLDEN = {
     "aces": (
         3380,
-        "692d2f5f1a5074fb7d978f0e280e654cba771121b4acd5efb618948c6fd0145a",
+        "e3c1c378ac750d3578272f2b2160041909f4259caaa634e80dd17d114438fb6b",
     ),
     "lockstep": (
         1130,
-        "61a533c506602b74c3ba1a971f258812ecd945f13daa57c8153bf651d856977d",
+        "c3d33bcf20406dce3377f4723e05b82482de474d8f3823e20ccf7dd9821fc11e",
     ),
 }
 

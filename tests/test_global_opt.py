@@ -1,12 +1,26 @@
 """Tests for the Tier-1 global weighted-throughput optimization."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.global_opt import solve_global_allocation
+from repro.core import global_opt
+from repro.core.global_opt import (
+    _Program,
+    _project_node_capacity,
+    solve_global_allocation,
+)
 from repro.core.utility import LinearUtility, LogUtility
+from repro.experiments.perf import scaled_main_spec
 from repro.graph.dag import ProcessingGraph
-from repro.graph.topology import TopologySpec, generate_topology
+from repro.graph.topology import (
+    TopologySpec,
+    generate_topology,
+    paper_calibration_spec,
+)
 from repro.model.params import PEProfile
 
 
@@ -205,3 +219,191 @@ class TestConstraintsOnRandomInstances:
         assert result.solver in ("slsqp", "projected_gradient")
         assert result.iterations > 0
         assert result.converged
+
+
+# -- exact constraint Jacobians -------------------------------------------
+
+
+def calibration_program(seed):
+    """The calibration topology, its first ingress left without a rate
+    (an all-zero ingress row)."""
+    topology = generate_topology(
+        paper_calibration_spec(), np.random.default_rng(seed)
+    )
+    rates = dict(topology.source_rates)
+    rates.pop(topology.graph.ingress_ids[0])
+    return _Program(topology.graph, topology.placement, rates, LogUtility())
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_constraint_matrices_are_exact_jacobians(seed):
+    """Each block's matrix equals a central difference of its residual
+    function at random in-box points (seed 4 has 3-producer consumers)."""
+    program = calibration_program(seed)
+    if seed == 4:
+        assert max(len(p) for p in program.producer_sets) == 3
+    assert not program.ingress_matrix[0].any()
+    rng = np.random.default_rng(seed)
+    step = 1e-6
+    blocks = (
+        (program.node_matrix, program.node_residuals),
+        (program.flow_matrix, program.flow_residuals),
+        (program.ingress_matrix, program.ingress_residuals),
+    )
+    for _ in range(3):
+        c = rng.uniform(program.lower, program.upper)
+        for matrix, residuals in blocks:
+            central = np.column_stack([
+                (residuals(c + step * e) - residuals(c - step * e))
+                / (2 * step)
+                for e in np.eye(len(c))
+            ])
+            np.testing.assert_allclose(matrix, central, rtol=0, atol=1e-7)
+
+
+def test_slsqp_finite_differences_nothing(monkeypatch):
+    import scipy.optimize._slsqp_py as slsqp_py
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SLSQP finite-differenced a derivative")
+
+    monkeypatch.setattr(slsqp_py, "approx_derivative", refuse)
+    topology = generate_topology(
+        paper_calibration_spec(), np.random.default_rng(0)
+    )
+    result = solve_global_allocation(
+        topology.graph, topology.placement, topology.source_rates,
+        solver="slsqp",
+    )
+    assert result.converged
+
+
+# -- the exact capacity projection ------------------------------------------
+
+
+def bisection_projection(program, c, steps=200):
+    """The reference: bisection on the shifted-simplex dual variable."""
+    projected = np.clip(c, program.lower, program.upper)
+    for members in program.node_members:
+        if projected[members].sum() <= 1.0:
+            continue
+        values = c[members]
+        low, high = program.lower[members], program.upper[members]
+        lo, hi = 0.0, float(values.max() - low.min()) + 1.0
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if np.clip(values - mid, low, high).sum() > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        projected[members] = np.clip(values - hi, low, high)
+    return projected
+
+
+@st.composite
+def capacity_rows(draw):
+    """Nodes of 1-6 members with drawn boxes and values: repeated values
+    (ties), values outside the box (active bounds) and, when ``nudge`` is
+    drawn, node sums a hair above 1."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    n = sum(sizes)
+    unit = st.floats(0.0, 1.0)
+    lower = np.array(draw(st.lists(unit, min_size=n, max_size=n))) * 0.15
+    upper = np.maximum(
+        lower,
+        np.array(draw(st.lists(unit, min_size=n, max_size=n))) * 0.6 + 0.4,
+    )
+    pool = draw(st.lists(st.floats(-0.3, 1.3), min_size=1, max_size=4))
+    c = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    bounds = np.cumsum([0] + sizes)
+    members = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    excess = draw(st.sampled_from([None, 1e-15, 1e-12, 1e-9, 1e-4]))
+    if excess is not None:
+        for index in members:
+            inside = np.clip(c[index], lower[index], upper[index])
+            c[index] = inside + (1.0 + excess - inside.sum()) / len(index)
+    return SimpleNamespace(lower=lower, upper=upper, node_members=members), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity_rows())
+def test_capacity_projection_is_exact(case):
+    program, c = case
+    projected = _project_node_capacity(program, c)
+    assert np.all(program.lower <= projected)
+    assert np.all(projected <= program.upper)
+    for members in program.node_members:
+        assert projected[members].sum() <= 1.0 + 1e-12
+    np.testing.assert_allclose(
+        _project_node_capacity(program, projected), projected,
+        rtol=0, atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        projected, bisection_projection(program, c), rtol=0, atol=1e-12
+    )
+
+
+# -- how SLSQP's stop is judged, and what "auto" keeps ---------------------
+
+
+def test_feasible_status_8_stop_is_converged(monkeypatch):
+    """SLSQP's "positive directional derivative" exit at a feasible point
+    is accepted; any other failure is not."""
+    import scipy.optimize
+
+    graph, placement = two_stage_pipeline()
+    status = {}
+
+    def stop(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(
+            x=x0, status=status["code"], success=False, nit=7,
+            message=f"exit {status['code']}",
+        )
+
+    monkeypatch.setattr(scipy.optimize, "minimize", stop)
+    status["code"] = 8
+    result = solve_global_allocation(
+        graph, placement, {"src": 30.0}, solver="slsqp"
+    )
+    assert result.converged and result.max_violation <= 1e-9
+    assert any("status 8" in message for message in result.messages)
+    status["code"] = 9
+    result = solve_global_allocation(
+        graph, placement, {"src": 30.0}, solver="slsqp"
+    )
+    assert not result.converged
+    assert result.messages == ["exit 9"]
+
+
+@pytest.mark.parametrize("better", ["slsqp", "projected_gradient"])
+def test_auto_keeps_the_higher_objective(monkeypatch, better):
+    """A failed SLSQP run is replaced by the projected-gradient point only
+    if that point scores higher."""
+    graph, placement = two_stage_pipeline()
+    high, low = np.array([1.0, 1.0]), np.array([0.5, 0.5])
+    slsqp, gradient = (high, low) if better == "slsqp" else (low, high)
+    monkeypatch.setattr(
+        global_opt, "_solve_slsqp",
+        lambda program: (slsqp, 5, False, ["slsqp failed"]),
+    )
+    monkeypatch.setattr(
+        global_opt, "_solve_projected_gradient",
+        lambda program: (gradient, 9, True, []),
+    )
+    result = solve_global_allocation(graph, placement, {"src": 1e9})
+    assert result.solver == better
+    assert result.targets.cpu["src"] == 1.0
+
+
+def test_auto_keeps_feasible_slsqp_at_main_scale():
+    """The paper's 200 PE / 80 node scale, topology seed 0: the projected
+    gradient lands at 235.6, 3.5% under SLSQP's point."""
+    topology = generate_topology(
+        scaled_main_spec(1), np.random.default_rng(0)
+    )
+    result = solve_global_allocation(
+        topology.graph, topology.placement, topology.source_rates
+    )
+    assert result.solver == "slsqp"
+    assert result.converged
+    assert result.objective >= 244.20
