@@ -1,7 +1,7 @@
 """Microbenchmarks of the substrate components.
 
 Not a paper figure: these track the raw performance of the simulation
-kernel, the Tier-1 solvers, and the flow controller, so regressions in the
+kernel, the Tier-1 solver, and the flow controller, so regressions in the
 substrate are visible independently of experiment results.
 """
 
@@ -41,26 +41,10 @@ def test_global_opt_slsqp(benchmark):
     result = benchmark.pedantic(
         solve_global_allocation,
         args=(topology.graph, topology.placement, topology.source_rates),
-        kwargs=dict(solver="slsqp"),
         rounds=1,
         iterations=1,
     )
     assert result.converged
-
-
-def test_global_opt_projected_gradient(benchmark):
-    topology = generate_topology(
-        paper_calibration_spec(calibrate_rates=False),
-        np.random.default_rng(0),
-    )
-    result = benchmark.pedantic(
-        solve_global_allocation,
-        args=(topology.graph, topology.placement, topology.source_rates),
-        kwargs=dict(solver="projected_gradient"),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.max_violation < 1e-3
 
 
 def test_flow_controller_update_rate(benchmark):

@@ -38,9 +38,7 @@ def run_comparison():
     }
     rows = []
     for name, placement in placements.items():
-        objective = solve_global_allocation(
-            graph, placement, rates, solver="slsqp"
-        ).objective
+        objective = solve_global_allocation(graph, placement, rates).objective
         rows.append({"placement": name, "tier1_objective": objective})
 
     search = optimize_placement(

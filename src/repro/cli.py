@@ -190,10 +190,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     topology = _topology_from_args(args)
     result = solve_global_allocation(
-        topology.graph,
-        topology.placement,
-        topology.source_rates,
-        solver=args.solver,
+        topology.graph, topology.placement, topology.source_rates
     )
     print(
         f"solver={result.solver} objective={result.objective:.3f} "
@@ -532,10 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = subparsers.add_parser("solve", help="Tier-1 allocation targets")
     _add_topology_arguments(solve)
-    solve.add_argument(
-        "--solver", choices=("auto", "slsqp", "projected_gradient"),
-        default="auto",
-    )
     solve.set_defaults(handler=cmd_solve)
 
     run = subparsers.add_parser("run", help="simulate one policy")

@@ -10,22 +10,17 @@ The program, in the paper's notation::
                 r̄_out,j = m_j * r̄_in,j
 
 with decision variables ``c̄_j`` (one CPU share per PE).  The objective is
-concave and the feasible set is a polytope, so the optimum is unique in the
-rates (paper Section V-B).
+concave and the feasible set is a polytope, so every local optimum is
+global and the optimal *weighted* PEs' rates are unique (``U`` is strictly
+concave).  The optimum is not a point, though: a zero-weight PE whose
+producers have slack may take any share along a face of optimal points,
+and which one a solve returns depends on the solver's path.
 
-Two solvers are provided:
-
-* ``"slsqp"`` — :func:`scipy.optimize.minimize` on the exact program;
-* ``"projected_gradient"`` — a from-scratch normalized projected-gradient
-  method: exact projection onto the per-node capacity simplices, cyclic
-  halfspace projections for the (linear) flow and ingress constraints, and
-  a final topological feasibility sweep.
-
-``"auto"`` runs SLSQP and, if SLSQP fails to converge, also runs the
-projected-gradient solver and keeps whichever point scores higher.  The
-two agree to within ~2% on random instances (see
-``tests/test_global_opt.py``) — the cross-check behind the paper's
-observation that any concave solver reaches the same unique optimum.
+The one solver is SciPy's SLSQP on the exact program, with each linear
+constraint block's matrix as its exact Jacobian.  Its point is clipped to
+the box, projected exactly onto the node capacity simplices and swept
+feasible in topological order; a stop that SLSQP reports as failed keeps
+that feasible point and is marked ``converged=False``.
 """
 
 from __future__ import annotations
@@ -87,15 +82,6 @@ class _Program:
             )
             if residents
         ]
-
-        # Flow edges as index pairs (producer, consumer).
-        self.edges = np.array(
-            [
-                (self.index[src], self.index[dst])
-                for src, dst in graph.edges()
-            ],
-            dtype=int,
-        ).reshape(-1, 2)
 
         # Flow constraints are per *consumer*: a PE's input buffer merges
         # all of its upstream streams, so the fluid constraint is
@@ -258,107 +244,6 @@ def _project_node_capacity(program: _Program, c: np.ndarray) -> np.ndarray:
     return projected
 
 
-def _project_feasible(
-    program: _Program, c: np.ndarray, passes: int = 4
-) -> np.ndarray:
-    """Approximate projection onto the full feasible polytope.
-
-    Alternates the exact node-capacity/box projection with cyclic
-    projections onto each (linear) flow and ingress halfspace.  A few
-    passes suffice to reach violations below the sweep's tolerance; the
-    final :func:`_feasibility_sweep` makes the point exactly feasible.
-    """
-    projected = _project_node_capacity(program, c)
-    for _ in range(passes):
-        moved = False
-        # Flow halfspaces: slope_j c_j - sum_i mult_i slope_i c_i <= b.
-        for consumer, producers in zip(
-            program.consumers, program.producer_sets
-        ):
-            lhs = program.slope[consumer] * projected[consumer] - (
-                program.mult[producers]
-                * (
-                    program.slope[producers] * projected[producers]
-                    - program.overhead[producers]
-                )
-            ).sum() - program.overhead[consumer]
-            if lhs <= 0:
-                continue
-            norm_sq = program.slope[consumer] ** 2 + float(
-                np.square(
-                    program.mult[producers] * program.slope[producers]
-                ).sum()
-            )
-            scale = lhs / norm_sq
-            projected[consumer] -= scale * program.slope[consumer]
-            projected[producers] += scale * (
-                program.mult[producers] * program.slope[producers]
-            )
-            moved = True
-        # Ingress halfspaces: slope_k c_k <= rate + overhead.
-        ingress_residuals = program.ingress_residuals(projected)
-        for position, residual in enumerate(ingress_residuals):
-            if residual <= 0:
-                continue
-            k = program.ingress[position]
-            projected[k] -= residual / program.slope[k]
-            moved = True
-        projected = _project_node_capacity(program, projected)
-        if not moved:
-            break
-    return projected
-
-
-def _solve_projected_gradient(
-    program: _Program,
-    max_iterations: int = 1200,
-    tolerance: float = 1e-9,
-) -> _t.Tuple[np.ndarray, int, bool, _t.List[str]]:
-    """Projected gradient ascent (from-scratch solver).
-
-    Normalized-gradient steps with a diminishing step size, projected onto
-    the feasible polytope after every step.  For a concave objective over
-    a convex polytope this converges to the global optimum; we track the
-    best feasible iterate seen.
-    """
-    messages: _t.List[str] = []
-    c = _project_feasible(program, program.initial_guess())
-    best = c.copy()
-    best_objective = program.objective(_feasibility_sweep(program, c))
-
-    # Step length scale: a small fraction of the typical CPU-share scale.
-    base_step = 0.2 / max(1.0, np.sqrt(len(program.pe_ids)))
-    iterations = 0
-    stall = 0
-    for k in range(max_iterations):
-        iterations += 1
-        grad = program.objective_gradient(c)
-        norm = float(np.linalg.norm(grad))
-        if norm < 1e-14:
-            break
-        step = base_step / np.sqrt(k + 1.0)
-        c = _project_feasible(program, c + step * grad / norm)
-
-        if (k + 1) % 25 == 0:
-            objective = program.objective(_feasibility_sweep(program, c))
-            if objective > best_objective + tolerance * (1 + abs(objective)):
-                best_objective = objective
-                best = c.copy()
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 6:
-                    break
-
-    c = _feasibility_sweep(program, best)
-    converged = program.max_violation(c) < 1e-4
-    if not converged:
-        messages.append(
-            f"projected gradient residual {program.max_violation(c):.2e}"
-        )
-    return c, iterations, converged, messages
-
-
 def _feasibility_sweep(program: _Program, c: np.ndarray) -> np.ndarray:
     """Make c exactly feasible by clamping consumers below producers.
 
@@ -447,7 +332,6 @@ def solve_global_allocation(
     placement: Placement,
     source_rates: _t.Mapping[str, float],
     utility: _t.Optional[UtilityFunction] = None,
-    solver: str = "auto",
     recorder: _t.Optional["TraceRecorder"] = None,
     reason: str = "solve",
 ) -> GlobalOptimizationResult:
@@ -462,8 +346,6 @@ def solve_global_allocation(
         Missing entries are treated as unconstrained.
     utility:
         The common concave utility ``U``; defaults to ``log(x + 1)``.
-    solver:
-        ``"slsqp"``, ``"projected_gradient"``, or ``"auto"``.
     recorder:
         Optional trace bus; when given, the solve publishes one
         ``tier1_resolve`` event carrying the new ``c̄_j`` targets.
@@ -474,32 +356,12 @@ def solve_global_allocation(
         utility = LogUtility()
     program = _Program(graph, placement, source_rates, utility)
 
-    if solver not in ("auto", "slsqp", "projected_gradient"):
-        raise ValueError(f"unknown solver {solver!r}")
-
-    messages: _t.List[str] = []
-    if solver in ("auto", "slsqp"):
-        c, iterations, converged, solver_messages = _solve_slsqp(program)
-        messages.extend(solver_messages)
-        used = "slsqp"
-        if not converged and solver == "auto":
-            c2, it2, conv2, msg2 = _solve_projected_gradient(program)
-            messages.extend(msg2)
-            if program.objective(c2) > program.objective(c):
-                c, iterations, converged = c2, it2, conv2
-                used = "projected_gradient"
-    else:
-        c, iterations, converged, solver_messages = _solve_projected_gradient(
-            program
-        )
-        messages.extend(solver_messages)
-        used = "projected_gradient"
-
+    c, iterations, converged, messages = _solve_slsqp(program)
     targets = program.to_targets(c)
     result = GlobalOptimizationResult(
         targets=targets,
         objective=program.objective(c),
-        solver=used,
+        solver="slsqp",
         iterations=iterations,
         converged=converged,
         max_violation=program.max_violation(c),

@@ -154,7 +154,6 @@ class ResilientTier1:
         placement: "Placement",
         source_rates: _t.Mapping[str, float],
         utility: _t.Optional["UtilityFunction"] = None,
-        solver: str = "auto",
         reason: str = "resolve",
     ) -> GlobalOptimizationResult:
         """Solve with retries; fall back to last-known-good on failure.
@@ -177,7 +176,6 @@ class ResilientTier1:
                     placement,
                     source_rates,
                     utility=utility,
-                    solver=solver,
                     recorder=self.recorder,
                     reason=reason,
                 )

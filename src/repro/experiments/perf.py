@@ -19,7 +19,8 @@ import typing as _t
 import numpy as np
 
 from repro.core.policies import policy_by_name
-from repro.graph.topology import TopologySpec, generate_topology
+# scaled_main_spec is also imported from here by the perf observatory.
+from repro.graph.topology import generate_topology, scaled_main_spec
 from repro.obs.profiler import PhaseProfiler
 from repro.systems.simulated import SimulatedSystem, SystemConfig
 
@@ -30,24 +31,6 @@ BENCH_SCHEMA = 1
 BENCH_SCALE_PATH = (
     pathlib.Path(__file__).resolve().parents[3] / "BENCH_scale.json"
 )
-
-
-def scaled_main_spec(multiplier: int) -> TopologySpec:
-    """The paper's 80-node / 200-PE main topology scaled ``multiplier``x.
-
-    Rate calibration is disabled: at x100 (8,000 nodes / 20,000 PEs) the
-    per-PE SLSQP calibration would dwarf the measurement itself, and the
-    curve compares control-tick cost, not workload realism.
-    """
-    from repro.graph.topology import paper_main_spec
-
-    return paper_main_spec(
-        num_nodes=80 * multiplier,
-        num_ingress=40 * multiplier,
-        num_egress=40 * multiplier,
-        num_intermediate=120 * multiplier,
-        calibrate_rates=False,
-    )
 
 
 def measure_scale_point(

@@ -40,9 +40,9 @@ from repro.experiments import matrix
 from repro.experiments.admission import bench_admission_config
 from repro.graph.topology import Topology, TopologySpec, generate_topology
 from repro.obs.recorder import MemoryRecorder, TraceFilter
-from repro.runtime.spc import RuntimeConfig, SPCRuntime
+from repro.runtime.spc import RuntimeConfig
 from repro.systems.faults import FaultPlan
-from repro.systems.simulated import SimulatedSystem, SystemConfig
+from repro.systems.simulated import SystemConfig, build_system
 
 #: Trace kinds the chaos harness counts (everything else is filtered out
 #: at the recorder so long runs stay cheap).  ``admission_level`` events
@@ -289,9 +289,7 @@ def run_chaos_cell(
     )
     threaded = isinstance(config, RuntimeConfig)
     recorder = OracleRecorder(strict=False, sink=guards) if threaded else guards
-    system = (SPCRuntime if threaded else SimulatedSystem)(
-        topology, policy, config=config, recorder=recorder
-    )
+    system = build_system(topology, policy, config=config, recorder=recorder)
     if threaded:
         recorder.attach_plane(system.plane)
     bin_width = max(config.dt * 2, duration / 80.0)

@@ -56,10 +56,9 @@ def _score(
     # structures, so importing the solver at module load would be cyclic.
     from repro.core.global_opt import solve_global_allocation
 
-    result = solve_global_allocation(
-        graph, placement, source_rates, utility=utility, solver="slsqp"
-    )
-    return result.objective
+    return solve_global_allocation(
+        graph, placement, source_rates, utility=utility
+    ).objective
 
 
 def optimize_placement(

@@ -394,3 +394,20 @@ def paper_main_spec(**overrides: object) -> TopologySpec:
     )
     params.update(overrides)
     return TopologySpec(**params)  # type: ignore[arg-type]
+
+
+def scaled_main_spec(multiplier: int) -> TopologySpec:
+    """The paper's 80-node / 200-PE main topology scaled ``multiplier``x.
+
+    Rate calibration is disabled: at x100 (8,000 nodes / 20,000 PEs) the
+    per-PE SLSQP calibration would dwarf the measurement itself, and the
+    scale curves built on it compare control-tick cost, not workload
+    realism.
+    """
+    return paper_main_spec(
+        num_nodes=80 * multiplier,
+        num_ingress=40 * multiplier,
+        num_egress=40 * multiplier,
+        num_intermediate=120 * multiplier,
+        calibrate_rates=False,
+    )

@@ -7,21 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import global_opt
 from repro.core.global_opt import (
     _Program,
     _project_node_capacity,
     solve_global_allocation,
 )
 from repro.core.utility import LinearUtility, LogUtility
-from repro.experiments.perf import scaled_main_spec
 from repro.graph.dag import ProcessingGraph
 from repro.graph.topology import (
     TopologySpec,
     generate_topology,
     paper_calibration_spec,
+    scaled_main_spec,
 )
 from repro.model.params import PEProfile
+
+
+SMALL_SPEC = TopologySpec(
+    num_nodes=4,
+    num_ingress=3,
+    num_egress=3,
+    num_intermediate=8,
+    calibrate_rates=False,
+)
 
 
 def two_stage_pipeline(weight=1.0, t=0.01):
@@ -139,37 +147,6 @@ class TestConstraintsOnRandomInstances:
         for pe_id, rate in topology.source_rates.items():
             assert result.targets.rate_in[pe_id] <= rate + 1e-4
 
-    def test_solvers_agree(self):
-        spec = TopologySpec(
-            num_nodes=4,
-            num_ingress=3,
-            num_egress=3,
-            num_intermediate=8,
-            calibrate_rates=False,
-        )
-        topology = generate_topology(spec, np.random.default_rng(3))
-        slsqp = solve_global_allocation(
-            topology.graph, topology.placement, topology.source_rates,
-            solver="slsqp",
-        )
-        gradient = solve_global_allocation(
-            topology.graph, topology.placement, topology.source_rates,
-            solver="projected_gradient",
-        )
-        # The penalty/projection method lands within a few percent of the
-        # exact SLSQP optimum on random instances.
-        assert gradient.objective == pytest.approx(
-            slsqp.objective, rel=0.08
-        )
-        assert gradient.max_violation < 1e-4
-
-    def test_unknown_solver_rejected(self):
-        graph, placement = two_stage_pipeline()
-        with pytest.raises(ValueError):
-            solve_global_allocation(
-                graph, placement, {}, solver="simulated-annealing"
-            )
-
     def test_objective_improves_on_fair_share(self):
         """The optimizer beats fair-share on its own (log) objective,
         comparing against a *flow-feasible* version of fair share."""
@@ -177,14 +154,7 @@ class TestConstraintsOnRandomInstances:
 
         from repro.core.targets import fair_share_targets
 
-        spec = TopologySpec(
-            num_nodes=4,
-            num_ingress=3,
-            num_egress=3,
-            num_intermediate=8,
-            calibrate_rates=False,
-        )
-        topology = generate_topology(spec, np.random.default_rng(4))
+        topology = generate_topology(SMALL_SPEC, np.random.default_rng(4))
         graph = topology.graph
         optimized = solve_global_allocation(
             graph, topology.placement, topology.source_rates
@@ -216,7 +186,7 @@ class TestConstraintsOnRandomInstances:
     def test_diagnostics_populated(self):
         graph, placement = two_stage_pipeline()
         result = solve_global_allocation(graph, placement, {"src": 100.0})
-        assert result.solver in ("slsqp", "projected_gradient")
+        assert result.solver == "slsqp"
         assert result.iterations > 0
         assert result.converged
 
@@ -272,8 +242,7 @@ def test_slsqp_finite_differences_nothing(monkeypatch):
         paper_calibration_spec(), np.random.default_rng(0)
     )
     result = solve_global_allocation(
-        topology.graph, topology.placement, topology.source_rates,
-        solver="slsqp",
+        topology.graph, topology.placement, topology.source_rates
     )
     assert result.converged
 
@@ -343,12 +312,13 @@ def test_capacity_projection_is_exact(case):
     )
 
 
-# -- how SLSQP's stop is judged, and what "auto" keeps ---------------------
+# -- how SLSQP's stop is judged --------------------------------------------
 
 
 def test_feasible_status_8_stop_is_converged(monkeypatch):
     """SLSQP's "positive directional derivative" exit at a feasible point
-    is accepted; any other failure is not."""
+    is accepted; any other failure is not, yet still returns a feasible
+    point."""
     import scipy.optimize
 
     graph, placement = two_stage_pipeline()
@@ -362,42 +332,70 @@ def test_feasible_status_8_stop_is_converged(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "minimize", stop)
     status["code"] = 8
-    result = solve_global_allocation(
-        graph, placement, {"src": 30.0}, solver="slsqp"
-    )
+    result = solve_global_allocation(graph, placement, {"src": 30.0})
     assert result.converged and result.max_violation <= 1e-9
     assert any("status 8" in message for message in result.messages)
     status["code"] = 9
-    result = solve_global_allocation(
-        graph, placement, {"src": 30.0}, solver="slsqp"
-    )
+    result = solve_global_allocation(graph, placement, {"src": 30.0})
     assert not result.converged
     assert result.messages == ["exit 9"]
+    assert result.solver == "slsqp"
+    assert result.max_violation <= 1e-9
 
 
-@pytest.mark.parametrize("better", ["slsqp", "projected_gradient"])
-def test_auto_keeps_the_higher_objective(monkeypatch, better):
-    """A failed SLSQP run is replaced by the projected-gradient point only
-    if that point scores higher."""
-    graph, placement = two_stage_pipeline()
-    high, low = np.array([1.0, 1.0]), np.array([0.5, 0.5])
-    slsqp, gradient = (high, low) if better == "slsqp" else (low, high)
-    monkeypatch.setattr(
-        global_opt, "_solve_slsqp",
-        lambda program: (slsqp, 5, False, ["slsqp failed"]),
+# -- an optimality certificate for SLSQP's point ----------------------------
+
+
+def certified_gap(topology, result):
+    """An upper bound on how far ``result`` lies below the true optimum.
+
+    The objective f is concave on the polytope P, so for every c in P
+    ``f(c) <= f(c*) + grad f(c*) . (c - c*)``; one LP over the program's
+    own constraint matrices and box maximizes the right-hand side.
+    """
+    from scipy.optimize import linprog
+
+    program = _Program(
+        topology.graph, topology.placement, topology.source_rates,
+        LogUtility(),
     )
-    monkeypatch.setattr(
-        global_opt, "_solve_projected_gradient",
-        lambda program: (gradient, 9, True, []),
+    point = np.array([result.targets.cpu[p] for p in program.pe_ids])
+    gradient = program.objective_gradient(point)
+    lp = linprog(
+        -gradient,
+        A_ub=np.vstack(
+            [program.node_matrix, program.flow_matrix, program.ingress_matrix]
+        ),
+        b_ub=np.concatenate(
+            [program.node_bound, program.flow_bound, program.ingress_bound]
+        ),
+        bounds=np.column_stack([program.lower, program.upper]),
+        method="highs",
     )
-    result = solve_global_allocation(graph, placement, {"src": 1e9})
-    assert result.solver == better
-    assert result.targets.cpu["src"] == 1.0
+    assert lp.status == 0, lp.message
+    return -lp.fun - gradient @ point
 
 
-def test_auto_keeps_feasible_slsqp_at_main_scale():
-    """The paper's 200 PE / 80 node scale, topology seed 0: the projected
-    gradient lands at 235.6, 3.5% under SLSQP's point."""
+@pytest.mark.parametrize(
+    "spec, seed",
+    [(paper_calibration_spec(), seed) for seed in range(4)]
+    + [(SMALL_SPEC, seed) for seed in range(3)],
+    ids=[f"calibration-{seed}" for seed in range(4)]
+    + [f"small-{seed}" for seed in range(3)],
+)
+def test_slsqp_point_is_certified_optimal(spec, seed):
+    """SLSQP's point is within 1e-6 relative of the true optimum."""
+    topology = generate_topology(spec, np.random.default_rng(seed))
+    result = solve_global_allocation(
+        topology.graph, topology.placement, topology.source_rates
+    )
+    assert result.converged and result.max_violation <= 1e-9
+    assert certified_gap(topology, result) <= 1e-6 * abs(result.objective)
+
+
+def test_slsqp_converges_at_main_scale():
+    """The paper's 200 PE / 80 node scale, topology seed 0: a feasible
+    status-8 stop counts as converged, and its point is certified."""
     topology = generate_topology(
         scaled_main_spec(1), np.random.default_rng(0)
     )
@@ -407,3 +405,4 @@ def test_auto_keeps_feasible_slsqp_at_main_scale():
     assert result.solver == "slsqp"
     assert result.converged
     assert result.objective >= 244.20
+    assert certified_gap(topology, result) <= 1e-6 * result.objective

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.perf import scaled_main_spec
 from repro.graph.topology import (
     TopologySpec,
     generate_topology,
     paper_calibration_spec,
     paper_main_spec,
+    scaled_main_spec,
 )
 
 

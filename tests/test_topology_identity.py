@@ -13,12 +13,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.experiments.perf import scaled_main_spec
 from repro.graph.topology import (
     TopologySpec,
     generate_topology,
     paper_calibration_spec,
     paper_main_spec,
+    scaled_main_spec,
 )
 
 
