@@ -23,7 +23,7 @@ Package layout (see DESIGN.md for the full inventory):
 ``repro.graph``        processing DAG, topology generator, placement
 ``repro.core``         ACES: global optimization, LQR flow control,
                        token-bucket CPU control, policies
-``repro.systems``      the simulated DSPS + stability analysis
+``repro.systems``      the simulated DSPS and the substrate contract
 ``repro.runtime``      threaded mini-SPC (real queues and worker threads)
 ``repro.metrics``      weighted throughput, latency, summary statistics
 ``repro.obs``          controller-internals tracing, gauges, profiling

@@ -31,12 +31,16 @@ The checker reads counters only — it never advances the system — so it
 can be run repeatedly and composes with the online oracles in
 :mod:`repro.check.oracles`.
 
-:func:`check_runtime_conservation` closes the part of the ledger a
+:func:`check_spc_conservation` closes the part of the ledger a
 threaded :class:`~repro.runtime.spc.SPCRuntime` can count exactly once
 its workers have stopped: the same per-channel identities, and per
 input stream ``generated == admitted + rejected`` with the ingress
 channel accepting exactly the source's admitted SDOs and the admission
 front end deciding every generated one.
+
+Each substrate binds its own ledger as ``check_conservation()`` (see
+:class:`~repro.systems.substrate.Substrate`), so a caller closes the
+books of whichever system it holds without asking which one it is.
 """
 
 from __future__ import annotations
@@ -255,7 +259,7 @@ def check_conservation(
 
     # Armed span tracker: lift its closure violations into the shared
     # violation type and close the span/egress ledger.
-    spans = getattr(system, "spans", None)
+    spans = system.spans
     if spans is not None:
         for entry in spans.violations:
             violations.append(
@@ -279,7 +283,7 @@ def check_conservation(
     return violations
 
 
-def check_runtime_conservation(
+def check_spc_conservation(
     runtime: "SPCRuntime",
 ) -> _t.List[InvariantViolation]:
     """Close the SDO ledger of a stopped threaded run."""

@@ -40,19 +40,22 @@ emitting trace events:
   respect the forecast cooldown.
 
 :class:`OracleRecorder` is a :class:`~repro.obs.recorder.TraceRecorder`:
-arm it by passing it as the ``recorder`` of a simulated system, threaded
-runtime, or bare control plane, then call :meth:`attach_plane` with the
-plane, whose live state (groups, schedulers, node controllers, pause
-flags, targets) the oracle reads in place.  Violations are collected,
-not raised — a fuzzing campaign wants the full list.
+arm it by passing it as the ``recorder`` of a system, then call
+:meth:`attach` with the system.  The oracle reads its plane's live state
+(groups, schedulers, node controllers, pause flags, targets) in place,
+and :meth:`finalize` closes the system's conservation ledger too.  A
+bare control plane is checked through :meth:`attach_plane` instead.
+Violations are collected, not raised — a fuzzing campaign wants the
+full list.
 
 ``strict`` mode additionally checks invariants that are only exact when
 control steps are serialized (the simulator, or a scripted drive of
 either substrate's plane): the Eq. 8 re-derivation through the PE's
 *current-state* rate model, gate/grant consistency, and the paused-node
 check.  A live threaded run interleaves worker state transitions with
-checking, so those become approximate there — pass ``strict=False`` and
-the oracle falls back to the substrate-safe subset.
+checking, so those become approximate there: :meth:`attach` takes the
+substrate's ``strict_oracles``, and ``strict=False`` falls back to the
+substrate-safe subset.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.admission import AdmissionController
     from repro.control.forecast import ForecastController
     from repro.control.plane import ControlPlane
+    from repro.systems.substrate import Substrate
 
 _INF = float("inf")
 _isfinite = math.isfinite
@@ -173,6 +177,9 @@ class OracleRecorder(TraceRecorder):
         self.violations: _t.List[InvariantViolation] = []
         self.violation_counts: Counter = Counter()
         self._plane: _t.Optional["ControlPlane"] = None
+        #: The system whose ledger :meth:`finalize` closes (see
+        #: :meth:`attach`).
+        self._system: _t.Optional["Substrate"] = None
         #: pe_id -> reference Eq. 7 state (see :func:`_make_shadow`).
         self._shadows: _t.Dict[str, _t.Tuple[_t.Any, ...]] = {}
         #: pe_id -> ((node_id, scheduler, node_controller, group_size,
@@ -203,6 +210,14 @@ class OracleRecorder(TraceRecorder):
             self.attach_plane(plane)
 
     # -- wiring --------------------------------------------------------------
+
+    def attach(self, system: "Substrate") -> None:
+        """Check ``system``: its plane, as strictly as its substrate
+        allows (``strict_oracles``), and its conservation ledger at
+        :meth:`finalize`."""
+        self.strict = system.strict_oracles
+        self._system = system
+        self.attach_plane(system.plane)
 
     def attach_plane(self, plane: "ControlPlane") -> None:
         """Bind the plane whose invariants this oracle checks.
@@ -303,18 +318,21 @@ class OracleRecorder(TraceRecorder):
         pe: _t.Optional[str] = None,
         node: _t.Optional[str] = None,
     ) -> None:
-        self.violation_counts[invariant] += 1
-        if len(self.violations) < self.max_violations:
-            self.violations.append(
-                InvariantViolation(
-                    invariant=invariant,
-                    equation=equation,
-                    t=t,
-                    pe=pe,
-                    node=node,
-                    detail=detail,
-                )
+        self._keep(
+            InvariantViolation(
+                invariant=invariant,
+                equation=equation,
+                t=t,
+                pe=pe,
+                node=node,
+                detail=detail,
             )
+        )
+
+    def _keep(self, violation: InvariantViolation) -> None:
+        self.violation_counts[violation.invariant] += 1
+        if len(self.violations) < self.max_violations:
+            self.violations.append(violation)
 
     def summary(self) -> str:
         if self.ok:
@@ -884,8 +902,12 @@ class OracleRecorder(TraceRecorder):
                 )
 
     def finalize(self) -> _t.List[InvariantViolation]:
-        """End-of-run checks; returns the accumulated violation list."""
+        """End-of-run checks, the attached system's ledger among them;
+        returns the accumulated violation list."""
         self.check_targets()
+        if self._system is not None:
+            for violation in self._system.check_conservation():
+                self._keep(violation)
         return self.violations
 
     def __repr__(self) -> str:

@@ -39,11 +39,7 @@ import typing as _t
 
 import numpy as np
 
-from repro.check import (
-    OracleRecorder,
-    check_conservation,
-    check_runtime_conservation,
-)
+from repro.check import OracleRecorder
 from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import policy_by_name
 from repro.experiments import (
@@ -267,7 +263,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     topology = _topology_from_args(args)
     policy = policy_by_name(args.policy)
     trace_filter = TraceFilter.parse(args.trace_filter)
-    threaded = args.substrate == "threaded"
 
     # The keep-filter narrows what is *stored*.  With --check the oracle
     # sits in front unfiltered — every law is checked on every event —
@@ -281,9 +276,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     oracle: _t.Optional[OracleRecorder] = None
     recorder: TraceRecorder = file_recorder
     if args.check:
-        # Live threaded runs interleave worker state with checking, so
-        # only the substrate-safe subset of the oracles runs there.
-        oracle = OracleRecorder(strict=not threaded, sink=file_recorder)
+        oracle = OracleRecorder(sink=file_recorder)
         recorder = oracle
     spans = SpanTracker(recorder=recorder) if args.spans else None
     profiler = PhaseProfiler() if args.profile else None
@@ -294,7 +287,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         gauge_cadence=args.gauge_cadence if args.gauge_cadence > 0 else None,
     )
     if oracle is not None:
-        oracle.attach_plane(system.plane)
+        oracle.attach(system)
     report = system.run(args.duration)
 
     if args.format == "csv":
@@ -332,10 +325,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(f"  span_closure t={closure['t']:.3f} "
                   f"pe={closure['pe']}: {closure['detail']}")
     if oracle is not None:
-        oracle.finalize()
-        violations = list(oracle.violations)
-        ledger = check_runtime_conservation if threaded else check_conservation
-        violations.extend(ledger(system))
+        violations = oracle.finalize()
         print(oracle.summary())
         for violation in violations[:10]:
             print(

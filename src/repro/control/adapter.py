@@ -32,6 +32,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.elastic import PlacementVersion
     from repro.control.node import ControlRecord
     from repro.model.params import PEProfile
+    from repro.model.sdo import SDO
     from repro.obs.recorder import TraceRecorder
 
 #: gate(pe) -> bool.  Checked before a PE may process; Lock-Step uses it
@@ -67,7 +68,8 @@ class PELike(_t.Protocol):
     ``mean_work``, the mean per-SDO work ``1 / profile.rate_slope``; and
     ``blocked_last_interval`` reports reactive Lock-Step blocking (a
     substrate that blocks inside the worker, like the threaded runtime,
-    simply always returns False).
+    simply always returns False); ``ingest(sdo, now)`` offers one SDO
+    to the PE's input, as a scripted drive does.
     """
 
     pe_id: str
@@ -91,6 +93,8 @@ class PELike(_t.Protocol):
     def processing_rate(self, cpu: float) -> float: ...
 
     def cpu_for_output_rate_now(self, rate: float) -> float: ...
+
+    def ingest(self, sdo: "SDO", now: float) -> bool: ...
 
 
 class SystemAdapter(_t.Protocol):

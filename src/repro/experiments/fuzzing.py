@@ -39,17 +39,14 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from repro.check import (
-    OracleRecorder,
-    check_conservation,
-    check_runtime_conservation,
-)
+from repro.check import OracleRecorder
 from repro.control.admission import AdmissionConfig
 from repro.control.config import ControlConfig
 from repro.control.elastic import ElasticityConfig
 from repro.control.forecast import ForecastConfig
 from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import policy_by_name
+from repro.experiments import matrix
 from repro.graph.topology import Topology, TopologySpec, generate_topology
 from repro.model.sdo import SDO
 from repro.runtime.spc import RuntimeConfig
@@ -394,14 +391,13 @@ def run_fuzz_case(
 ) -> FuzzCaseResult:
     """Run one scenario under one policy with all oracles armed.
 
-    The simulated run uses strict oracles (the simulator serializes
-    control steps) and closes the conservation ledger afterwards; a run
-    that raises still reports the violations observed up to the error.
+    The oracles run as strictly as the substrate allows, and the
+    system's conservation ledger is closed afterwards; a run that
+    raises still reports the violations observed up to the error.
     ``control_impl="vector"`` fuzzes the array-backed Tier-2 engine
     against exactly the same invariants.  ``threaded`` runs the scenario
-    on the threaded runtime instead, with the relaxed oracles (live
-    workers interleave with checking) and the runtime's ledger; that
-    run is not bit-reproducible, so campaigns leave it out.
+    on the threaded runtime instead; that run is not bit-reproducible,
+    so campaigns leave it out.
     """
     policy = policy_by_name(policy_name)
     result = FuzzCaseResult(
@@ -409,7 +405,7 @@ def run_fuzz_case(
         mode="threaded" if threaded else "simulated",
         control_impl=control_impl,
     )
-    recorder = OracleRecorder(strict=not threaded)
+    recorder = OracleRecorder()
     if topology is None:
         topology = scenario.build_topology()
     system = build_system(
@@ -420,16 +416,12 @@ def run_fuzz_case(
         ),
         recorder=recorder,
     )
-    recorder.attach_plane(system.plane)
+    recorder.attach(system)
     scenario.build_plan().attach(system)
-    try:
-        system.run(scenario.duration)
-    except Exception as exc:  # noqa: BLE001 - a fuzz finding, not a crash
-        result.error = f"{type(exc).__name__}: {exc}"
-    violations = list(recorder.finalize())
-    ledger = check_runtime_conservation if threaded else check_conservation
-    violations.extend(ledger(system))
-    result.violations = [violation.as_dict() for violation in violations]
+    _, result.error = matrix.guarded_run(system, scenario.duration)
+    result.violations = [
+        violation.as_dict() for violation in recorder.finalize()
+    ]
     result.violation_counts = dict(recorder.violation_counts)
     result.events = sum(recorder.counts.values())
     result.latency_p95 = {
@@ -468,11 +460,9 @@ def _drive_plane(
         for pe_index, pe_id in enumerate(sorted(pes_by_id)):
             pe = pes_by_id[pe_id]
             for _ in range(_scripted_load(pe_index, step, scenario.seed)):
-                sdo = SDO(stream_id=f"fuzz:{pe_id}", origin_time=now)
-                if hasattr(pe, "channel"):  # threaded substrate
-                    pe.channel.offer(sdo)
-                else:
-                    pe.ingest(sdo, now)
+                pe.ingest(
+                    SDO(stream_id=f"fuzz:{pe_id}", origin_time=now), now
+                )
         for controller in plane.node_controllers:
             grants = dict(zip(
                 (record.pe_id for record in controller.records),
@@ -532,9 +522,7 @@ def run_differential_case(
     sim_recorder.attach_plane(system.plane)
     run_recorder.attach_plane(runtime.plane)
     try:
-        sim_decisions = _drive_plane(
-            system.plane, system.runtimes, scenario, steps
-        )
+        sim_decisions = _drive_plane(system.plane, system.pes, scenario, steps)
         run_decisions = _drive_plane(runtime.plane, runtime.pes, scenario, steps)
         result.mismatch = sim_decisions != run_decisions
     except Exception as exc:  # noqa: BLE001 - a fuzz finding, not a crash

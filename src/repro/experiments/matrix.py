@@ -29,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.check import OracleRecorder, check_conservation
+from repro.check import OracleRecorder
 from repro.core.policies import Policy
 from repro.graph.topology import Topology
 from repro.metrics.collectors import MetricsReport
 from repro.systems.simulated import SimulatedSystem, SystemConfig
+from repro.systems.substrate import Substrate
 
 Cell = _t.Dict[str, _t.Any]
 Results = _t.Dict[str, _t.Any]
@@ -44,7 +45,7 @@ Verdict = _t.Tuple[_t.Dict[str, _t.Any], bool]
 
 
 def guarded_run(
-    system: SimulatedSystem, duration: float
+    system: Substrate, duration: float
 ) -> _t.Tuple[_t.Optional[MetricsReport], _t.Optional[str]]:
     """``system.run`` as ``(report, error)``: a cell that raises is
     recorded in its ``error`` field and the matrix carries on."""
@@ -88,16 +89,14 @@ def run_observed(
     topology: Topology, policy: Policy, config: SystemConfig, duration: float
 ) -> ObservedRun:
     """Run one cell with strict oracles armed and the ledger closed."""
-    recorder = OracleRecorder(strict=True)
+    recorder = OracleRecorder()
     system = SimulatedSystem(
         topology, policy, config=config, recorder=recorder
     )
-    recorder.attach_plane(system.plane)
+    recorder.attach(system)
     report, error = guarded_run(system, duration)
-    violations = list(recorder.finalize())
-    violations.extend(check_conservation(system))
     return ObservedRun(
-        system, report, [v.as_dict() for v in violations], error
+        system, report, [v.as_dict() for v in recorder.finalize()], error
     )
 
 

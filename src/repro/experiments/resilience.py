@@ -16,12 +16,13 @@ measures how the closed loop degrades and recovers:
   markers, taken from the trace recorder.
 
 The matrix is written to ``BENCH_resilience.json`` by ``repro chaos``;
-``--smoke`` runs a reduced matrix sized for CI.  Simulated chaos cells
-are not twins and carry no oracles, so of :mod:`repro.experiments.matrix`
-this suite uses the run guard, the writer and the CLI flow only.  A cell
-given a :class:`~repro.runtime.spc.RuntimeConfig` runs the same fault on
-the threaded runtime instead, with the substrate-safe oracles armed and
-the runtime's conservation ledger closed afterwards.
+``--smoke`` runs a reduced matrix sized for CI.  Chaos cells are not
+twins, so of :mod:`repro.experiments.matrix` this suite uses the run
+guard, the writer and the CLI flow only.  Every cell runs with the
+invariant oracles armed, as strictly as its substrate allows, and its
+conservation ledger closed afterwards; a cell given a
+:class:`~repro.runtime.spc.RuntimeConfig` runs the same fault on the
+threaded runtime.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ from operator import itemgetter
 
 import numpy as np
 
-from repro.check import OracleRecorder, check_runtime_conservation
+from repro.check import OracleRecorder
 from repro.control.config import ControlConfig
 from repro.core.policies import Policy, policy_by_name
 from repro.experiments import matrix
 from repro.experiments.admission import bench_admission_config
 from repro.graph.topology import Topology, TopologySpec, generate_topology
 from repro.obs.recorder import MemoryRecorder, TraceFilter
-from repro.runtime.spc import RuntimeConfig
 from repro.systems.faults import FaultPlan
 from repro.systems.simulated import SystemConfig, build_system
 
@@ -280,18 +280,15 @@ def run_chaos_cell(
     """Run one faulted system and measure degradation and recovery.
 
     ``fault_start`` is measured from the start of the *measured* window
-    (i.e. the fault fires at model time ``warmup + fault_start``).  A
-    ``RuntimeConfig`` runs the cell on the threaded runtime, where any
+    (i.e. the fault fires at model time ``warmup + fault_start``).  Any
     oracle or conservation violation becomes the cell's ``error``.
     """
     guards = MemoryRecorder(
         trace_filter=TraceFilter.parse("kind=" + "|".join(_GUARD_KINDS))
     )
-    threaded = isinstance(config, RuntimeConfig)
-    recorder = OracleRecorder(strict=False, sink=guards) if threaded else guards
-    system = build_system(topology, policy, config=config, recorder=recorder)
-    if threaded:
-        recorder.attach_plane(system.plane)
+    oracle = OracleRecorder(sink=guards)
+    system = build_system(topology, policy, config=config, recorder=oracle)
+    oracle.attach(system)
     bin_width = max(config.dt * 2, duration / 80.0)
     probe = EgressRateProbe(system, bin_width)
 
@@ -301,9 +298,8 @@ def run_chaos_cell(
     plan.attach(system)
 
     report, error = matrix.guarded_run(system, duration)
-    if threaded and error is None:
-        violations = list(recorder.finalize())
-        violations += check_runtime_conservation(system)
+    if error is None:
+        violations = oracle.finalize()
         if violations:
             error = "invariant violations: " + ", ".join(
                 sorted({violation.invariant for violation in violations})

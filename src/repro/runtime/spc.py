@@ -23,6 +23,7 @@ import time
 import typing as _t
 from dataclasses import dataclass
 
+from repro.check import conservation
 from repro.control.config import ControlConfig
 from repro.control.wiring import PeriodicTick
 from repro.core.policies import Policy
@@ -132,6 +133,10 @@ class SPCRuntime(Substrate):
     """A running threaded stream-processing system."""
 
     substrate = "threaded"
+    #: Live workers change state while a tick is checked: only the
+    #: substrate-safe subset of the oracles holds.
+    strict_oracles = False
+    check_conservation = conservation.check_spc_conservation
 
     def __init__(
         self,

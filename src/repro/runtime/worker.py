@@ -158,6 +158,11 @@ class RuntimePE:
     def link_downstream(self, other: "RuntimePE") -> None:
         self.downstream.append(other)
 
+    def ingest(self, sdo: SDO, now: float) -> bool:
+        """Offer an SDO to this PE's input channel; False when dropped
+        (``now`` is unused: the channel keeps no timestamps)."""
+        return self.channel.offer(sdo)
+
     def attach(
         self,
         clock: _t.Callable[[], float],

@@ -5,31 +5,18 @@ control tiers of either substrate; :mod:`repro.systems.simulated` is
 the simulation-kernel substrate, runnable under any
 :class:`~repro.core.policies.Policy`, and ``run_system`` runs either.
 
-:mod:`repro.systems.analysis` provides steady-state and stability
-diagnostics over a finished run.
-
 :mod:`repro.systems.faults` injects data-plane and control-plane faults
 (slowdowns, crashes, feedback loss/delay, solver and controller outages)
 into either substrate.
 """
 
-from repro.systems.analysis import (
-    OccupancyProbe,
-    convergence_profile,
-    max_rate_imbalance,
-    rate_balance,
-)
 from repro.systems.faults import Fault, FaultPlan
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
 __all__ = [
     "Fault",
     "FaultPlan",
-    "OccupancyProbe",
     "SimulatedSystem",
     "SystemConfig",
-    "convergence_profile",
-    "max_rate_imbalance",
-    "rate_balance",
     "run_system",
 ]

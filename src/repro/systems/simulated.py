@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro.check import conservation
 from repro.control.config import ControlConfig
 from repro.control.elastic import MigrationRecord, PlacementVersion
 from repro.control.wiring import PeriodicTick
@@ -264,6 +265,9 @@ class SimulatedSystem(Substrate):
     # -- measurement ---------------------------------------------------------
 
     substrate = "sim"
+    #: One process at a time: every oracle is exact here.
+    strict_oracles = True
+    check_conservation = conservation.check_conservation
 
     @property
     def shed_drops(self) -> int:

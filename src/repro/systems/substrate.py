@@ -49,7 +49,11 @@ class Substrate:
     * ``crash_pe(pe_id)``, the one fault that differs;
     * ``window_counters()`` and ``shed_drops`` for
       :func:`~repro.metrics.collectors.measure_window`;
-    * ``substrate``, its name in reports.
+    * ``substrate``, its name in reports;
+    * ``strict_oracles``, whether the oracles' serialized-execution
+      checks hold on it (see :class:`~repro.check.oracles.OracleRecorder`);
+    * ``check_conservation()``, the violations of its SDO ledger once it
+      has stopped (see :mod:`repro.check.conservation`).
 
     A substrate that runs more than one process at a time also sets
     ``collector_lock`` (held to read the collector) and
@@ -63,6 +67,7 @@ class Substrate:
     collector_lock: _t.ContextManager[None] = contextlib.nullcontext()
     membership_lock: _t.ContextManager[None] = contextlib.nullcontext()
     profiler: _t.Optional[PhaseProfiler] = None
+    strict_oracles: bool
     worker_restarts = 0
     workers_abandoned = 0
 

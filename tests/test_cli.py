@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.check import InvariantViolation
 from repro.cli import build_parser, main
+from repro.runtime.spc import SPCRuntime
+from repro.systems.simulated import SimulatedSystem
 
 
 class TestParser:
@@ -103,6 +106,27 @@ class TestTraceCheck:
         assert main(argv) == 0
         assert "gauges: " in capsys.readouterr().out
         assert gauges.stat().st_size > 0
+
+    @pytest.mark.parametrize(
+        "substrate, cls",
+        [("sim", SimulatedSystem), ("threaded", SPCRuntime)],
+        ids=["sim", "threaded"],
+    )
+    def test_a_ledger_violation_alone_fails_the_check(
+        self, tmp_path, substrate, cls, capsys, monkeypatch
+    ):
+        planted = InvariantViolation(
+            invariant="source_conservation",
+            equation="Section IV (conservation)",
+            t=0.0, pe=None, node=None, detail="planted",
+        )
+        monkeypatch.setattr(
+            cls, "check_conservation", lambda system: [planted]
+        )
+        assert main(self._trace_args(tmp_path, substrate)) == 1
+        out = capsys.readouterr().out
+        assert "all invariants held" not in out
+        assert "oracles: 1 violation(s) (source_conservation=1)" in out
 
     def test_check_forwards_events_to_file(self, tmp_path, capsys):
         assert main(self._trace_args(tmp_path, "sim")) == 0

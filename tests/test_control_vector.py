@@ -67,11 +67,7 @@ def script_occupancies(pes_by_id, step, now):
     for pe_index, pe_id in enumerate(sorted(pes_by_id)):
         pe = pes_by_id[pe_id]
         for _ in range((pe_index * 3 + step * 7) % 5):
-            sdo = SDO(stream_id=f"script:{pe_id}", origin_time=now)
-            if hasattr(pe, "channel"):  # threaded substrate
-                pe.channel.offer(sdo)
-            else:
-                pe.ingest(sdo, now)
+            pe.ingest(SDO(stream_id=f"script:{pe_id}", origin_time=now), now)
 
 
 def drive(plane, pes_by_id):

@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.check import check_runtime_conservation
 from repro.control.forecast import ForecastConfig, ForecastController
 from repro.control.wiring import PeriodicTick
 from repro.core.policies import (
@@ -470,7 +469,7 @@ class TestSPCRuntime:
         )
         report = runtime.run(duration=2.0)
         assert report.drops_by_kind["shed"] > 0
-        assert check_runtime_conservation(runtime) == []
+        assert runtime.check_conservation() == []
         sheds = [
             event for event in recorder.by_kind("drop")
             if event["cause"] == "shed"
@@ -551,11 +550,11 @@ class TestSPCRuntime:
             config=RuntimeConfig(seed=3, warmup=0.1, dt=0.05, dilation=0.5),
         )
         runtime.run(duration=0.5)
-        assert check_runtime_conservation(runtime) == []
+        assert runtime.check_conservation() == []
         pe_id = topology.graph.ingress_ids[0]
         runtime.pes[pe_id].channel.stats.popped += 1
         runtime.sources[0].stats.admitted += 1
-        found = {v.invariant for v in check_runtime_conservation(runtime)}
+        found = {v.invariant for v in runtime.check_conservation()}
         assert {
             "buffer_occupancy_conservation",
             "source_conservation",

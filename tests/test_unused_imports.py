@@ -31,12 +31,7 @@ IMPORTERS = MODULES + sorted(
 )
 
 #: Modules nothing uses yet, and why each stays.
-UNUSED_ALLOWED = {
-    "repro.systems.analysis": (
-        "the Section V-C stability oracle (ROADMAP 8e) is its planned "
-        "user; it goes if that oracle does not adopt it"
-    ),
-}
+UNUSED_ALLOWED: dict = {}
 
 
 def _names(tree):
