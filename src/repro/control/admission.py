@@ -104,9 +104,6 @@ class AdmissionConfig:
     queue_slo_fraction: float = 0.8
     #: Minimum seconds between *any* two ladder transitions.
     min_dwell: float = 0.5
-    #: Seconds between pressure samples; None follows the substrate's
-    #: control interval ``dt``.
-    tick_interval: _t.Optional[float] = None
     #: Length of the sliding latency-measurement window (seconds).  The
     #: p95 signal is computed over recent egress samples only — a
     #: cumulative histogram would remember every past spike forever and
@@ -132,10 +129,6 @@ class AdmissionConfig:
             )
         if self.min_dwell < 0:
             raise ValueError(f"min_dwell must be >= 0, got {self.min_dwell}")
-        if self.tick_interval is not None and self.tick_interval <= 0:
-            raise ValueError(
-                f"tick_interval must be positive, got {self.tick_interval}"
-            )
         if self.pressure_window <= 0:
             raise ValueError(
                 f"pressure_window must be positive, got "

@@ -216,7 +216,7 @@ class ControlStack:
             ))
         if config.admission is not None:
             ticks.append(PeriodicTick(
-                "admission", config.admission.tick_interval or config.dt,
+                "admission", config.dt,
                 self.plane.tick_admission, False,
             ))
         if config.forecast is not None:

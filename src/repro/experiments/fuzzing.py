@@ -19,7 +19,7 @@ Three entry points:
   the same scenario (sources and faults included) on the threaded
   runtime;
 * :func:`run_differential_case` — one (scenario, policy) scripted
-  cross-substrate drive;
+  cross-substrate drive, through :func:`drive_plane`;
 * :func:`run_fuzz_campaign` — N seeds x policies x both modes, JSONL
   violation log, optional shrinking of failures.
 
@@ -431,38 +431,44 @@ def run_fuzz_case(
     return result
 
 
-def _scripted_load(pe_index: int, step: int, seed: int) -> int:
-    """Deterministic scripted arrivals, varied per PE, step, and seed."""
-    return (pe_index * 3 + step * 7 + seed) % 5
+def script_step(
+    pes_by_id: _t.Mapping[str, _t.Any],
+    step: int,
+    now: float,
+    seed: int = 0,
+) -> None:
+    """Ingest one step of the scripted load: ``(i*3 + step*7 + seed) % 5``
+    SDOs into the i-th PE (by sorted id), varied per PE, step and seed."""
+    for pe_index, pe_id in enumerate(sorted(pes_by_id)):
+        pe = pes_by_id[pe_id]
+        for _ in range((pe_index * 3 + step * 7 + seed) % 5):
+            pe.ingest(SDO(stream_id=f"script:{pe_id}", origin_time=now), now)
 
 
-def _drive_plane(
+def drive_plane(
     plane: _t.Any,
     pes_by_id: _t.Mapping[str, _t.Any],
-    scenario: FuzzScenario,
     steps: int,
+    dt: float,
+    seed: int = 0,
+    join_at: _t.Optional[int] = None,
 ) -> _t.List[_t.Tuple[object, ...]]:
-    """The PR-4 parity drive: scripted occupancies, hand-pumped ticks.
+    """The scripted parity drive: scripted occupancies, hand-pumped ticks.
 
-    Elasticity-armed scenarios additionally script one membership
-    mutation halfway through — join a node, live-migrate the first PE
-    onto it — applied identically to both planes, so any divergence in
-    how the substrates regroup Tier-2 state at an epoch boundary shows
-    up as a decision mismatch.
+    Returns one ``(node id, grants, r_max, blocked)`` decision per node
+    controller per step.  At step ``join_at`` the drive first joins a
+    node and live-migrates the first PE onto it, so any divergence in
+    how two planes regroup Tier-2 state at an epoch boundary shows up
+    as a decision mismatch.
     """
     decisions: _t.List[_t.Tuple[object, ...]] = []
     for step in range(steps):
-        now = (step + 1) * scenario.dt
-        if scenario.elasticity and step == steps // 2:
+        now = (step + 1) * dt
+        if step == join_at:
             index = plane.add_node(f"fuzz-join-{step}", 1.0)
             mover = sorted(pes_by_id)[0]
             plane.migrate_pes([(mover, index)], reason="fuzz")
-        for pe_index, pe_id in enumerate(sorted(pes_by_id)):
-            pe = pes_by_id[pe_id]
-            for _ in range(_scripted_load(pe_index, step, scenario.seed)):
-                pe.ingest(
-                    SDO(stream_id=f"fuzz:{pe_id}", origin_time=now), now
-                )
+        script_step(pes_by_id, step, now, seed)
         for controller in plane.node_controllers:
             grants = dict(zip(
                 (record.pe_id for record in controller.records),
@@ -522,8 +528,12 @@ def run_differential_case(
     sim_recorder.attach_plane(system.plane)
     run_recorder.attach_plane(runtime.plane)
     try:
-        sim_decisions = _drive_plane(system.plane, system.pes, scenario, steps)
-        run_decisions = _drive_plane(runtime.plane, runtime.pes, scenario, steps)
+        script = (
+            steps, scenario.dt, scenario.seed,
+            steps // 2 if scenario.elasticity else None,
+        )
+        sim_decisions = drive_plane(system.plane, system.pes, *script)
+        run_decisions = drive_plane(runtime.plane, runtime.pes, *script)
         result.mismatch = sim_decisions != run_decisions
     except Exception as exc:  # noqa: BLE001 - a fuzz finding, not a crash
         result.error = f"{type(exc).__name__}: {exc}"

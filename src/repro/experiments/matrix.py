@@ -14,6 +14,8 @@ and what its verdict asks; everything else lives here, once:
   ``total_violations`` / ``errors`` / ``clean`` arithmetic and the
   envelope every ``BENCH_<suite>.json`` shares;
 * :func:`write_bench` — the single byte-deterministic writer;
+* :func:`fan_out` — the one process fan-out every experiment grid
+  (figure cells, sweeps, the chaos matrix) runs through;
 * :class:`MatrixVerb` — how ``repro <verb>`` drives a suite (flags,
   smoke overrides, table columns, summary line), read by one handler in
   :mod:`repro.cli`.
@@ -25,6 +27,8 @@ import argparse
 import json
 import operator
 import typing as _t
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,8 @@ from repro.metrics.collectors import MetricsReport
 from repro.systems.simulated import SimulatedSystem, SystemConfig
 from repro.systems.substrate import Substrate
 
+Task = _t.TypeVar("Task")
+Outcome = _t.TypeVar("Outcome")
 Cell = _t.Dict[str, _t.Any]
 Results = _t.Dict[str, _t.Any]
 #: One ``(baseline, armed)`` twin per cell key, in run order.
@@ -183,6 +189,35 @@ def write_bench(results: Results, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(_clean(results), handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def fan_out(
+    run: _t.Callable[[Task], Outcome], tasks: _t.Sequence[Task], jobs: int
+) -> _t.List[Outcome]:
+    """``[run(task) for task in tasks]``, in task order, spread over
+    ``jobs`` worker processes when ``jobs`` > 1.
+
+    Each task must carry everything its run needs (seeds included), so
+    the outcome cannot depend on which process ran it.  If the pool
+    itself fails (an unpicklable task, a broken child, a platform
+    without working process pools) the grid re-runs in this process,
+    with a :class:`RuntimeWarning`, and a real error in a task then
+    raises there as itself.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                return list(pool.map(run, tasks, chunksize=1))
+        except Exception as exc:  # noqa: BLE001 — any pool failure
+            warnings.warn(
+                f"process pool failed ({type(exc).__name__}: {exc}); "
+                f"running {len(tasks)} tasks in-process",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return [run(task) for task in tasks]
 
 
 # -- the CLI's view of a suite ----------------------------------------------

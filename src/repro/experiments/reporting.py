@@ -46,24 +46,3 @@ def print_table(
     if title:
         print(f"\n== {title} ==")
     print(format_table(rows, columns=columns, precision=precision))
-
-
-def series_to_rows(
-    series: _t.Mapping[str, _t.Sequence[_t.Tuple[object, float]]],
-    x_name: str,
-) -> _t.List[_t.Dict[str, object]]:
-    """Merge named (x, y) series into table rows keyed by x."""
-    xs: _t.List[object] = []
-    for points in series.values():
-        for x, _ in points:
-            if x not in xs:
-                xs.append(x)
-    rows = []
-    for x in xs:
-        row: _t.Dict[str, object] = {x_name: x}
-        for name, points in series.items():
-            for px, py in points:
-                if px == x:
-                    row[name] = py
-        rows.append(row)
-    return rows

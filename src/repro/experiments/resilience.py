@@ -18,9 +18,9 @@ measures how the closed loop degrades and recovers:
 The matrix is written to ``BENCH_resilience.json`` by ``repro chaos``;
 ``--smoke`` runs a reduced matrix sized for CI.  Chaos cells are not
 twins, so of :mod:`repro.experiments.matrix` this suite uses the run
-guard, the writer and the CLI flow only.  Every cell runs with the
-invariant oracles armed, as strictly as its substrate allows, and its
-conservation ledger closed afterwards; a cell given a
+guard, the fan-out, the writer and the CLI flow only.  Every cell runs
+with the invariant oracles armed, as strictly as its substrate allows,
+and its conservation ledger closed afterwards; a cell given a
 :class:`~repro.runtime.spc.RuntimeConfig` runs the same fault on the
 threaded runtime.
 """
@@ -28,7 +28,6 @@ threaded runtime.
 from __future__ import annotations
 
 import typing as _t
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
@@ -386,7 +385,8 @@ def run_chaos_matrix(
     Every cell shares the topology (generated from ``spec`` with
     ``seed``) and the fault timeline: the fault fires 35% into the
     measured window and lasts 25% of it, leaving a 40% tail for recovery
-    measurement.  ``jobs`` > 1 fans cells across worker processes.
+    measurement.  Cells run through :func:`matrix.fan_out` over ``jobs``
+    worker processes.
     With ``admission`` every (scenario, policy) pair runs twice — once
     plain and once with the SLO-aware admission front end armed — and
     admission cells carry the degradation-ladder level timeline.
@@ -414,12 +414,7 @@ def run_chaos_matrix(
         for armed in admission_modes
     ]
 
-    cells: _t.List[ChaosCellResult]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell_args, tasks, chunksize=1))
-    else:
-        cells = [_run_cell_args(task) for task in tasks]
+    cells = matrix.fan_out(_run_cell_args, tasks, jobs)
 
     return {
         "suite": "resilience",
@@ -478,7 +473,7 @@ VERB = matrix.MatrixVerb(
         matrix.output_flag("BENCH_resilience.json"),
         matrix.flag(
             "--jobs", "fan matrix cells across N worker processes",
-            type=int, metavar="N",
+            type=int, default=1, metavar="N",
         ),
         matrix.smoke_flag(
             "reduced CI matrix: small topology, short run, ACES only"
@@ -500,7 +495,7 @@ VERB = matrix.MatrixVerb(
         duration=args.duration,
         warmup=args.warmup,
         seed=args.seed,
-        jobs=args.jobs or 1,
+        jobs=args.jobs,
         admission=args.admission,
     ),
     title=lambda results: (

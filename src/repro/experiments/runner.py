@@ -18,30 +18,22 @@ from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import Policy
 from repro.core.targets import AllocationTargets
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.matrix import fan_out
 from repro.graph.topology import Topology, generate_topology
 from repro.metrics.collectors import MetricsReport
 from repro.metrics.stats import SummaryStats, summarize
-from repro.obs.recorder import TraceRecorder
-from repro.systems.faults import FaultPlan
 from repro.systems.simulated import SimulatedSystem, SystemConfig
 
-#: Hook producing a per-run trace recorder: called with (policy name,
-#: replication index); returning None leaves that run untraced.
-RecorderFactory = _t.Callable[[str, int], _t.Optional[TraceRecorder]]
-
-#: Hook producing a per-replication fault plan: called with (topology,
-#: seed); returning None runs that replication fault-free.  Every policy
-#: in the replication runs under the *same* plan (the paired design),
-#: and plans are generated in the parent process so parallel cells stay
-#: bit-identical to serial ones (see ``repro.experiments.parallel``).
-FaultPlanFactory = _t.Callable[[Topology, int], _t.Optional[FaultPlan]]
-
 #: Process-count used when ``run_cell`` is called without an explicit
-#: ``jobs`` argument.  ``None`` keeps the serial path.  The benchmark
+#: ``jobs`` argument.  ``None`` runs serially.  The benchmark
 #: suite sets this from the ``REPRO_JOBS`` environment variable (see
 #: ``benchmarks/conftest.py``) so existing benches parallelize without
 #: signature changes.
 DEFAULT_JOBS: _t.Optional[int] = None
+
+#: One (replication, policy) run, everything prepared: picklable, so
+#: :func:`~repro.experiments.matrix.fan_out` can ship it to a worker.
+_Task = _t.Tuple[Topology, Policy, AllocationTargets, SystemConfig, float]
 
 
 @dataclass
@@ -102,8 +94,8 @@ def prepare_replication(
 
     Returns the topology, the (possibly transformed) Tier-1 targets every
     policy shares, the per-run system config, and the fluid-optimal
-    throughput used for normalization.  Serial and parallel cells both
-    start here, so they derive every seed the same way.
+    throughput used for normalization.  :func:`run_cell` prepares every
+    replication here, in the parent process, whatever its ``jobs``.
     """
     seed = config.base_seed + replication
     topology = generate_topology(config.spec, np.random.default_rng(seed))
@@ -122,65 +114,11 @@ def prepare_replication(
     return topology, run_targets, system_config, optimum
 
 
-def run_policy(
-    topology: Topology,
-    policy: Policy,
-    targets: AllocationTargets,
-    system_config: SystemConfig,
-    duration: float,
-    fault_plan: _t.Optional[FaultPlan],
-    recorder: _t.Optional[TraceRecorder] = None,
-) -> MetricsReport:
-    """Run one policy on one prepared replication, under its fault plan."""
-    system = SimulatedSystem(
-        topology,
-        policy,
-        targets=targets,
-        config=system_config,
-        recorder=recorder,
-    )
-    if fault_plan is not None:
-        fault_plan.attach(system)
-    return system.run(duration)
-
-
-def run_replication(
-    config: ExperimentConfig,
-    policies: _t.Sequence[Policy],
-    replication: int,
-    targets_transform: _t.Optional[
-        _t.Callable[[AllocationTargets, Topology, int], AllocationTargets]
-    ] = None,
-    recorder_factory: _t.Optional[RecorderFactory] = None,
-    fault_plan_factory: _t.Optional[FaultPlanFactory] = None,
-) -> _t.Tuple[Topology, _t.Dict[str, MetricsReport], float]:
-    """One topology, all policies; returns reports plus the fluid optimum.
-
-    ``recorder_factory`` lets an experiment attach a trace recorder to any
-    (policy, replication) run — e.g. trace only ACES on replication 0 —
-    without altering the paired-topology design.  ``fault_plan_factory``
-    subjects every policy in the replication to the same fault schedule.
-    """
-    topology, targets, system_config, optimum = prepare_replication(
-        config, replication, targets_transform
-    )
-    fault_plan = (
-        fault_plan_factory(topology, config.base_seed + replication)
-        if fault_plan_factory is not None
-        else None
-    )
-    reports: _t.Dict[str, MetricsReport] = {}
-    for policy in policies:
-        recorder = (
-            recorder_factory(policy.name, replication)
-            if recorder_factory is not None
-            else None
-        )
-        reports[policy.name] = run_policy(
-            topology, policy, targets, system_config, config.duration,
-            fault_plan, recorder,
-        )
-    return topology, reports, optimum
+def _run_task(task: _Task) -> MetricsReport:
+    topology, policy, targets, system_config, duration = task
+    return SimulatedSystem(
+        topology, policy, targets=targets, config=system_config
+    ).run(duration)
 
 
 def run_cell(
@@ -189,23 +127,16 @@ def run_cell(
     targets_transform: _t.Optional[
         _t.Callable[[AllocationTargets, Topology, int], AllocationTargets]
     ] = None,
-    recorder_factory: _t.Optional[RecorderFactory] = None,
     jobs: _t.Optional[int] = None,
-    fault_plan_factory: _t.Optional[FaultPlanFactory] = None,
 ) -> CellResult:
     """Run every policy over ``config.replications`` random topologies.
 
-    ``jobs`` > 1 fans the (replication x policy) grid across that many
-    worker processes (see :mod:`repro.experiments.parallel`); results are
-    bit-identical to a serial run because every replication's topology
-    and targets are generated in the parent with the serial seed
-    derivation.  ``jobs`` of None or 1, a ``recorder_factory`` (recorders
-    hold process-local state), or any pool failure runs serially.
-
-    ``fault_plan_factory`` (topology, seed) -> FaultPlan | None applies
-    the same fault schedule to every policy of a replication; plans are
-    built in the parent process on both paths, so serial and parallel
-    faulted cells stay bit-identical.
+    Every replication's topology, Tier-1 targets and ``targets_transform``
+    are prepared here, in replication order; the (replication x policy)
+    runs then go through :func:`~repro.experiments.matrix.fan_out` over
+    ``jobs`` worker processes (None means :data:`DEFAULT_JOBS`, and unset
+    that means 1).  Each run is fully determined by its prepared inputs,
+    so any ``jobs`` gives bit-identical results.
     """
     if not policies:
         raise ValueError("at least one policy is required")
@@ -213,56 +144,32 @@ def run_cell(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate policy names in {names}")
     if jobs is None:
-        jobs = DEFAULT_JOBS
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        jobs = 1 if DEFAULT_JOBS is None else DEFAULT_JOBS
 
+    prepared = [
+        prepare_replication(config, replication, targets_transform)
+        for replication in range(config.replications)
+    ]
+    tasks: _t.List[_Task] = [
+        (topology, policy, targets, system_config, config.duration)
+        for topology, targets, system_config, _ in prepared
+        for policy in policies
+    ]
+    runs = fan_out(_run_task, tasks, jobs)
+
+    # Tasks are replication-major, so each policy's runs are a stride.
     per_policy: _t.Dict[str, _t.List[MetricsReport]] = {
-        name: [] for name in names
+        name: runs[index::len(names)] for index, name in enumerate(names)
     }
-    normalized: _t.Dict[str, _t.List[float]] = {name: [] for name in names}
-
-    all_reports: _t.Optional[_t.Dict[int, _t.Dict[str, MetricsReport]]] = None
-    optima: _t.Dict[int, float] = {}
-    if jobs is not None and jobs > 1 and recorder_factory is None:
-        from repro.experiments.parallel import (
-            ParallelExecutionError,
-            run_cell_tasks,
-        )
-
-        try:
-            all_reports, optima = run_cell_tasks(
-                config,
-                policies,
-                jobs,
-                targets_transform,
-                fault_plan_factory=fault_plan_factory,
-            )
-        except ParallelExecutionError:
-            all_reports = None  # graceful serial fallback
-
-    if all_reports is None:
-        all_reports = {}
-        for replication in range(config.replications):
-            _, reports, optimum = run_replication(
-                config,
-                policies,
-                replication,
-                targets_transform,
-                recorder_factory=recorder_factory,
-                fault_plan_factory=fault_plan_factory,
-            )
-            all_reports[replication] = reports
-            optima[replication] = optimum
-
-    for replication in range(config.replications):
-        optimum = optima[replication]
-        for name, report in all_reports[replication].items():
-            per_policy[name].append(report)
-            if optimum > 0:
-                normalized[name].append(
-                    report.weighted_throughput / optimum
-                )
+    optima = [optimum for _, _, _, optimum in prepared]
+    normalized: _t.Dict[str, _t.List[float]] = {
+        name: [
+            report.weighted_throughput / optimum
+            for report, optimum in zip(per_policy[name], optima)
+            if optimum > 0
+        ]
+        for name in names
+    }
 
     summaries: _t.Dict[str, PolicySummary] = {}
     for name in names:

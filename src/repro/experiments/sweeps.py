@@ -31,17 +31,6 @@ class SweepResult:
     parameter: str
     points: _t.List[SweepPoint]
 
-    def series(
-        self, policy: str, metric: str = "weighted_throughput"
-    ) -> _t.List[_t.Tuple[object, float]]:
-        """(value, mean metric) pairs for one policy across the sweep."""
-        series = []
-        for point in self.points:
-            summary = point.result.policies[policy]
-            stats = getattr(summary, metric)
-            series.append((point.value, stats.mean))
-        return series
-
 
 def _apply_parameter(
     config: ExperimentConfig, parameter: str, value: object
@@ -76,7 +65,8 @@ def sweep(
         The x-axis values, in order.
     jobs:
         Worker processes per cell (passed to
-        :func:`~repro.experiments.runner.run_cell`); None runs serially.
+        :func:`~repro.experiments.runner.run_cell`, which reads None as
+        its ``DEFAULT_JOBS``).
         Points stay sequential — the per-cell fan-out already saturates
         the pool, and results must not depend on point ordering.
     """

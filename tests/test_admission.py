@@ -66,7 +66,6 @@ class TestAdmissionConfig:
             {"queue_slo_fraction": 0.0},
             {"queue_slo_fraction": 1.5},
             {"min_dwell": -0.1},
-            {"tick_interval": 0.0},
             {"pressure_window": 0.0},
             {"retry_after": 0.0},
             {"shed_low_fraction": -0.1},

@@ -223,6 +223,21 @@ class TestFailureModes:
         assert err.startswith("error:") and message in err
         assert not output.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_chaos_rejects_nonpositive_jobs(self, jobs, tmp_path, capsys):
+        # The same check, and message, as ``figure --jobs``: the fan-out
+        # refuses before any cell runs or anything is written.
+        output = tmp_path / "bench.json"
+        argv = [
+            "chaos", "--smoke", "--scenarios", "pe-crash", "--jobs", jobs,
+            "--output", str(output),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"jobs must be >= 1, got {jobs}" in err
+        assert not output.exists()
+
     @pytest.mark.parametrize("substrate", ["sim", "threaded"])
     def test_trace_format_validation(self, substrate):
         # argparse enforces the --format choices before any run starts,

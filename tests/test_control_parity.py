@@ -15,8 +15,8 @@ import pytest
 from repro.control.node import NodeController
 from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import AcesPolicy, LockStepPolicy, UdpPolicy
+from repro.experiments.fuzzing import drive_plane, script_step
 from repro.graph.topology import TopologySpec, generate_topology
-from repro.model.sdo import SDO
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.systems.simulated import SimulatedSystem, SystemConfig
 
@@ -65,47 +65,6 @@ def build_pair(policy_factory, topology, control_impl="scalar"):
     return system, runtime
 
 
-def offered_load(pe_index, step):
-    """Deterministic scripted arrivals: varies per PE and per step."""
-    return (pe_index * 3 + step * 7) % 5
-
-
-def script_occupancies(pes_by_id, step, now):
-    """Push the scripted SDO count into every PE's input buffer/channel."""
-    for pe_index, pe_id in enumerate(sorted(pes_by_id)):
-        pe = pes_by_id[pe_id]
-        for _ in range(offered_load(pe_index, step)):
-            pe.ingest(SDO(stream_id=f"script:{pe_id}", origin_time=now), now)
-
-
-def drive(plane, pes_by_id):
-    """Run the scripted trace through one control plane; return the
-    decision sequence (grants, r_max, blocked sets) per tick."""
-    decisions = []
-    for step in range(STEPS):
-        now = (step + 1) * DT
-        script_occupancies(pes_by_id, step, now)
-        for controller in plane.node_controllers:
-            grants = controller.control(now)
-            r_max = {
-                record.pe_id: record.controller.last_r_max
-                for record in controller.records
-                if record.controller is not None
-            }
-            decisions.append(
-                (
-                    controller.node_id,
-                    {
-                        record.pe_id: cpu
-                        for record, cpu in zip(controller.records, grants)
-                    },
-                    r_max,
-                    controller.last_blocked,
-                )
-            )
-    return decisions
-
-
 @pytest.mark.parametrize(
     "policy_factory", [AcesPolicy, UdpPolicy, LockStepPolicy]
 )
@@ -113,8 +72,8 @@ def test_identical_decision_sequences(policy_factory):
     topology = parity_topology()
     system, runtime = build_pair(policy_factory, topology)
 
-    sim_decisions = drive(system.plane, system.runtimes)
-    run_decisions = drive(runtime.plane, runtime.pes)
+    sim_decisions = drive_plane(system.plane, system.runtimes, STEPS, DT)
+    run_decisions = drive_plane(runtime.plane, runtime.pes, STEPS, DT)
 
     assert len(sim_decisions) == len(run_decisions) > 0
     # Bit-identical: same node order, same grant floats, same r_max
@@ -135,7 +94,7 @@ def test_feedback_propagates_identically():
     ):
         for step in range(STEPS):
             now = (step + 1) * DT
-            script_occupancies(pes, step, now)
+            script_step(pes, step, now)
             for controller in plane.node_controllers:
                 controller.control(now)
                 bus = plane.bus
@@ -153,8 +112,8 @@ def test_gate_decisions_identical():
 
     for step in range(6):
         now = (step + 1) * DT
-        script_occupancies(system.runtimes, step, now)
-        script_occupancies(runtime.pes, step, now)
+        script_step(system.runtimes, step, now)
+        script_step(runtime.pes, step, now)
         for pe_id in topology.graph.topological_order():
             sim_gate = system.plane.gates[pe_id]
             run_gate = runtime.plane.gates[pe_id]

@@ -31,8 +31,8 @@ from repro.core.cpu_control import (
 )
 from repro.core.global_opt import solve_global_allocation
 from repro.core.policies import AcesPolicy, LockStepPolicy, UdpPolicy
+from repro.experiments.fuzzing import drive_plane
 from repro.graph.topology import TopologySpec, generate_topology
-from repro.model.sdo import SDO
 from repro.obs.recorder import MemoryRecorder
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.systems.faults import FaultPlan
@@ -63,40 +63,6 @@ def parity_topology(seed=3):
     return generate_topology(spec, np.random.default_rng(seed))
 
 
-def script_occupancies(pes_by_id, step, now):
-    for pe_index, pe_id in enumerate(sorted(pes_by_id)):
-        pe = pes_by_id[pe_id]
-        for _ in range((pe_index * 3 + step * 7) % 5):
-            pe.ingest(SDO(stream_id=f"script:{pe_id}", origin_time=now), now)
-
-
-def drive(plane, pes_by_id):
-    """Scripted decision trace: (node, grants, r_max, blocked) per tick."""
-    decisions = []
-    for step in range(STEPS):
-        now = (step + 1) * DT
-        script_occupancies(pes_by_id, step, now)
-        for controller in plane.node_controllers:
-            grants = controller.control(now)
-            r_max = {
-                record.pe_id: record.controller.last_r_max
-                for record in controller.records
-                if record.controller is not None
-            }
-            decisions.append(
-                (
-                    controller.node_id,
-                    {
-                        record.pe_id: cpu
-                        for record, cpu in zip(controller.records, grants)
-                    },
-                    r_max,
-                    controller.last_blocked,
-                )
-            )
-    return decisions
-
-
 # -- scripted-drive parity ----------------------------------------------
 
 
@@ -125,7 +91,7 @@ def test_scripted_drive_parity_simulated(variant):
             assert system.plane.control_impl == "vector", (
                 system.plane.vector_fallback_reason
             )
-        decisions[impl] = drive(system.plane, system.runtimes)
+        decisions[impl] = drive_plane(system.plane, system.runtimes, STEPS, DT)
     assert len(decisions["scalar"]) == len(decisions["vector"]) > 0
     assert decisions["scalar"] == decisions["vector"]
 
@@ -143,7 +109,7 @@ def test_scripted_drive_parity_threaded(variant):
                 buffer_size=BUFFER, dt=DT, seed=5, control_impl=impl
             ),
         )
-        decisions[impl] = drive(runtime.plane, runtime.pes)
+        decisions[impl] = drive_plane(runtime.plane, runtime.pes, STEPS, DT)
     assert decisions["scalar"] == decisions["vector"]
 
 

@@ -253,7 +253,7 @@ def test_stack_wires_and_lists_every_armed_tier(fake):
     ticks = stack.periodic()
     assert [(t.name, t.interval, t.mutates) for t in ticks] == [
         ("elastic", 0.5, True),
-        ("admission", 0.05, False),  # tick_interval None -> config.dt
+        ("admission", 0.05, False),
         ("forecast", 0.5, True),
     ]
 

@@ -11,15 +11,11 @@ from repro.experiments.config import (
     main_experiment,
     smoke_experiment,
 )
-from repro.experiments.reporting import (
-    format_table,
-    print_table,
-    series_to_rows,
-)
+from repro.experiments.reporting import format_table, print_table
 from repro.experiments.runner import (
     fluid_optimal_throughput,
+    prepare_replication,
     run_cell,
-    run_replication,
 )
 from repro.experiments.sweeps import _apply_parameter, sweep
 from repro.graph.topology import TopologySpec
@@ -86,19 +82,20 @@ class TestRunner:
 
     def test_replication_is_paired(self):
         """All policies in one replication see the same topology."""
-        topology, reports, optimum = run_replication(
-            tiny_experiment(), [AcesPolicy(), UdpPolicy()], replication=0
-        )
+        config = tiny_experiment(replications=1)
+        topology, targets, _, optimum = prepare_replication(config, 0)
         assert optimum > 0
-        assert set(reports) == {"aces", "udp"}
-        assert fluid_optimal_throughput(
-            topology,
-            __import__(
-                "repro.core.global_opt", fromlist=["solve_global_allocation"]
-            ).solve_global_allocation(
-                topology.graph, topology.placement, topology.source_rates
-            ).targets,
-        ) == pytest.approx(optimum)
+        assert fluid_optimal_throughput(topology, targets) == (
+            pytest.approx(optimum)
+        )
+        cell = run_cell(config, [AcesPolicy(), UdpPolicy()])
+        assert set(cell.policies) == {"aces", "udp"}
+        for summary in cell.policies.values():
+            (report,) = summary.reports
+            # Every policy is normalized by the one topology's optimum.
+            assert summary.normalized_throughput.mean == pytest.approx(
+                report.weighted_throughput / optimum
+            )
 
     def test_targets_transform_applied(self):
         calls = []
@@ -142,23 +139,14 @@ class TestSweeps:
             [5, 20],
         )
         assert [point.value for point in result.points] == [5, 20]
-        series = result.series("udp")
-        assert len(series) == 2
-        assert all(value > 0 for _, value in series)
+        assert all(
+            point.result.policies["udp"].weighted_throughput.mean > 0
+            for point in result.points
+        )
 
     def test_sweep_requires_values(self):
         with pytest.raises(ValueError):
             sweep(tiny_experiment(), [UdpPolicy()], "system.buffer_size", [])
-
-    def test_series_metric_selection(self):
-        result = sweep(
-            tiny_experiment(replications=1),
-            [UdpPolicy()],
-            "system.buffer_size",
-            [5],
-        )
-        latency_series = result.series("udp", metric="latency_mean")
-        assert latency_series[0][1] > 0
 
 
 class TestReporting:
@@ -186,16 +174,3 @@ class TestReporting:
         captured = capsys.readouterr()
         assert "demo" in captured.out
         assert "a" in captured.out
-
-    def test_series_to_rows_merges_on_x(self):
-        rows = series_to_rows(
-            {
-                "aces": [(5, 1.0), (10, 2.0)],
-                "udp": [(5, 0.5), (10, 1.5)],
-            },
-            x_name="B",
-        )
-        assert rows == [
-            {"B": 5, "aces": 1.0, "udp": 0.5},
-            {"B": 10, "aces": 2.0, "udp": 1.5},
-        ]

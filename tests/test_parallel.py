@@ -1,9 +1,10 @@
-"""Tests for the process-parallel experiment runner.
+"""Tests for the one process fan-out every experiment grid runs through.
 
-The contract under test (see ``docs/performance.md``): a parallel cell is
-bit-identical to a serial one, because each replication's topology and
-Tier-1 targets are generated in the parent process with the serial seed
-derivation and only the fully-determined simulations fan out to workers.
+The contract under test (see ``docs/performance.md``): a grid's outcome
+does not depend on ``jobs``.  ``run_cell`` prepares each replication's
+topology and Tier-1 targets in the parent process and only the
+fully-determined simulations fan out; every chaos cell carries its own
+seeds.  Both go through ``repro.experiments.matrix.fan_out``.
 """
 
 import typing as _t
@@ -14,16 +15,16 @@ import pytest
 import repro.experiments.runner as runner_module
 from repro.core.policies import AcesPolicy, UdpPolicy
 from repro.core.targets import AllocationTargets
+from repro.experiments import matrix
 from repro.experiments.config import smoke_experiment
-from repro.experiments.parallel import (
-    ParallelExecutionError,
+from repro.experiments.resilience import run_chaos_matrix
+from repro.experiments.runner import (
+    PolicySummary,
     prepare_replication,
-    run_cell_tasks,
+    run_cell,
 )
-from repro.experiments.runner import PolicySummary, run_cell
+from repro.graph.topology import TopologySpec
 from repro.metrics.stats import SummaryStats
-from repro.obs.recorder import MemoryRecorder
-from repro.systems.faults import FaultPlan
 
 
 def small_config(**overrides):
@@ -62,34 +63,25 @@ class TestParity:
             for left, right in zip(serial_reports, parallel_reports):
                 assert left == right
 
-    def test_fault_plan_parity_serial_vs_parallel(self):
-        """The same parent-built fault plan yields bit-identical cells."""
-        calls = []
-
-        def chaos(topology, seed):
-            calls.append(seed)
-            plan = FaultPlan()
-            plan.feedback_loss(0.5, start=0.3, duration=0.4)
-            plan.node_slowdown(0, factor=0.5, start=0.3, duration=0.4)
-            return plan
-
-        config = small_config()
-        serial = run_cell(
-            config, [AcesPolicy()], fault_plan_factory=chaos, jobs=1
+    def test_chaos_matrix_parity_serial_vs_parallel(self, tmp_path):
+        """Faulted cells write the same bytes whatever the fan-out."""
+        spec = TopologySpec(
+            num_nodes=4, num_ingress=4, num_egress=4, num_intermediate=12,
         )
-        serial_calls, calls[:] = list(calls), []
-        parallel = run_cell(
-            config, [AcesPolicy()], fault_plan_factory=chaos, jobs=2
-        )
-        assert calls == serial_calls  # one parent-side call per replication
-        assert summary_numbers(serial.policies["aces"]) == (
-            summary_numbers(parallel.policies["aces"])
-        )
-        # The faults actually bit: a fault-free cell differs.
-        clean = run_cell(config, [AcesPolicy()], jobs=1)
-        assert summary_numbers(clean.policies["aces"]) != (
-            summary_numbers(serial.policies["aces"])
-        )
+        written = []
+        for jobs in (1, 2):
+            results = run_chaos_matrix(
+                spec, policies=["aces"],
+                scenarios=["node-slowdown", "pe-crash"],
+                duration=6.0, warmup=1.5, jobs=jobs,
+            )
+            path = tmp_path / f"chaos-{jobs}.json"
+            matrix.write_bench(results, str(path))
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        # The faults bit: both cells ran clean and saw their fault.
+        assert [cell["error"] for cell in results["cells"]] == [None, None]
+        assert all(cell["events"]["fault"] > 0 for cell in results["cells"])
 
     def test_targets_transform_applied_in_parent(self):
         """Transforms (often closures — unpicklable) still parallelize."""
@@ -119,33 +111,15 @@ class TestParity:
 
 
 class TestFallback:
-    def test_recorder_factory_forces_serial(self):
-        """Recorders hold process-local state, so tracing runs serially."""
-        recorders = []
-
-        def factory(policy_name, replication):
-            recorder = MemoryRecorder()
-            recorders.append(recorder)
-            return recorder
-
-        config = small_config(replications=1)
-        result = run_cell(
-            config, [AcesPolicy()], recorder_factory=factory, jobs=4
-        )
-        assert "aces" in result.policies
-        # The factory ran in this process and its recorders saw events.
-        assert recorders and any(r.events for r in recorders)
-
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
         def broken(*args, **kwargs):
-            raise ParallelExecutionError("simulated pool failure")
+            raise OSError("simulated pool failure")
 
-        monkeypatch.setattr(
-            "repro.experiments.parallel.run_cell_tasks", broken
-        )
+        monkeypatch.setattr(matrix, "ProcessPoolExecutor", broken)
         config = small_config(replications=1)
         reference = run_cell(config, [AcesPolicy()], jobs=1)
-        fallen_back = run_cell(config, [AcesPolicy()], jobs=4)
+        with pytest.warns(RuntimeWarning, match="process pool failed"):
+            fallen_back = run_cell(config, [AcesPolicy()], jobs=4)
         assert summary_numbers(reference.policies["aces"]) == (
             summary_numbers(fallen_back.policies["aces"])
         )
@@ -161,16 +135,18 @@ class TestFallback:
         )
 
     def test_jobs_validation(self):
+        ran = []
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            matrix.fan_out(ran.append, [1, 2], jobs=0)
+        assert ran == []  # checked before any task runs
         config = small_config(replications=1)
-        with pytest.raises(ValueError, match="jobs"):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
             run_cell(config, [AcesPolicy()], jobs=0)
-        with pytest.raises(ValueError, match="jobs >= 2"):
-            run_cell_tasks(config, [AcesPolicy()], jobs=1)
 
 
 class TestPreparation:
     def test_prepare_matches_serial_seed_derivation(self):
-        """The parent-side preparation mirrors run_replication exactly."""
+        """Each replication's seeds derive from the base seed alone."""
         config = small_config()
         for replication in range(config.replications):
             topology, targets, system_config, optimum = prepare_replication(

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.policies import AcesPolicy, UdpPolicy
+from repro.core.policies import AcesPolicy
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_replication
+from repro.experiments.runner import prepare_replication
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.systems.simulated import SystemConfig, run_system
 
@@ -32,15 +32,15 @@ class TestPairedDesign:
         """Two separate calls with the same replication index generate
         identical topologies — the paired design is reproducible."""
         config = tiny_experiment()
-        topo_a, _, _ = run_replication(config, [UdpPolicy()], replication=0)
-        topo_b, _, _ = run_replication(config, [UdpPolicy()], replication=0)
+        topo_a, *_ = prepare_replication(config, replication=0)
+        topo_b, *_ = prepare_replication(config, replication=0)
         assert topo_a.graph.edges() == topo_b.graph.edges()
         assert topo_a.placement == topo_b.placement
 
     def test_different_replications_different_topologies(self):
         config = tiny_experiment()
-        topo_a, _, _ = run_replication(config, [UdpPolicy()], replication=0)
-        topo_b, _, _ = run_replication(config, [UdpPolicy()], replication=1)
+        topo_a, *_ = prepare_replication(config, replication=0)
+        topo_b, *_ = prepare_replication(config, replication=1)
         assert topo_a.graph.edges() != topo_b.graph.edges() or (
             topo_a.source_rates != topo_b.source_rates
         )
@@ -48,8 +48,8 @@ class TestPairedDesign:
     def test_base_seed_shifts_everything(self):
         a = tiny_experiment(base_seed=0)
         b = tiny_experiment(base_seed=100)
-        topo_a, _, _ = run_replication(a, [UdpPolicy()], replication=0)
-        topo_b, _, _ = run_replication(b, [UdpPolicy()], replication=0)
+        topo_a, *_ = prepare_replication(a, replication=0)
+        topo_b, *_ = prepare_replication(b, replication=0)
         assert topo_a.graph.edges() != topo_b.graph.edges() or (
             topo_a.source_rates != topo_b.source_rates
         )

@@ -1,6 +1,6 @@
 """Nothing under ``src/repro`` is imported, or kept, for nothing.
 
-Two ``ast`` walks:
+Three ``ast`` walks:
 
 * pyflakes' F401 (the container has no ``ruff``/``pyflakes``): no module
   imports a name it never uses.  A name is *used* when it is loaded
@@ -13,6 +13,8 @@ Two ``ast`` walks:
   ``benchmarks/`` or ``examples/``, imports it or a name its package
   re-exports from it.  Tests do not count.  The exceptions, each with
   its reason, are :data:`UNUSED_ALLOWED`.
+* one process fan-out: only ``experiments/matrix.py`` imports
+  ``concurrent.futures`` or ``multiprocessing``.
 """
 
 import ast
@@ -206,3 +208,49 @@ def test_the_module_walk_follows_reexports():
         ROOT / "benchmarks" / "bench_components.py"
     )
     assert all(name in PATH_OF for name in UNUSED_ALLOWED)
+
+
+# -- one process fan-out -----------------------------------------------------
+
+#: The one module allowed to create a process pool.
+FAN_OUT = SRC / "experiments" / "matrix.py"
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def pool_imports(source):
+    """``(lineno, module)`` of every import of a process-pool module."""
+    hits = []
+    for module, names in _from_imports(ast.parse(source)):
+        # ``from concurrent import futures`` imports the module too.
+        for candidate in (module, *(f"{module}.{name}" for name, _ in names)):
+            if any(
+                candidate == pool or candidate.startswith(pool + ".")
+                for pool in POOL_MODULES
+            ):
+                hits.append(candidate)
+                break
+    return hits
+
+
+def test_one_process_fan_out():
+    offenders = {
+        str(path.relative_to(SRC)): pool_imports(path.read_text())
+        for path in MODULES
+        if path != FAN_OUT
+    }
+    assert {path: hits for path, hits in offenders.items() if hits} == {}
+    assert pool_imports(FAN_OUT.read_text()) == ["concurrent.futures"]
+
+
+def test_the_pool_walk_sees_every_form():
+    source = """
+import multiprocessing
+import multiprocessing.pool as mp
+from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
+import os
+"""
+    assert pool_imports(source) == [
+        "multiprocessing", "multiprocessing.pool", "concurrent.futures",
+        "concurrent.futures",
+    ]
