@@ -54,12 +54,10 @@ from repro.control.elastic import (
     plan_scale_out_placement,
 )
 from repro.control.forecast import (
-    EwmaForecaster,
     ForecastConfig,
     ForecastController,
     HoltWintersForecaster,
     ProactiveTriggerRecord,
-    make_forecaster,
 )
 from repro.control.node import ControlRecord, NodeController
 from repro.control.plane import ControlPlane, NodeGroup
@@ -81,7 +79,6 @@ __all__ = [
     "DegradationLadder",
     "ElasticDriver",
     "ElasticityConfig",
-    "EwmaForecaster",
     "ForecastConfig",
     "ForecastController",
     "HoltWintersForecaster",
@@ -101,7 +98,6 @@ __all__ = [
     "VectorFlowView",
     "VectorNodeView",
     "fallback_reason",
-    "make_forecaster",
     "plan_scale_in_placement",
     "plan_scale_out_placement",
 ]

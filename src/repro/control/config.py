@@ -34,12 +34,10 @@ class ControlConfig:
     #: and forecasting tiers hold their decisions until it has passed.
     warmup: float = 0.0
     #: Staleness TTL for feedback values (seconds; typically a few Δt).
-    #: A value unheard-from for longer decays to the conservative
-    #: ``feedback_stale_bound`` instead of being trusted forever.  None
-    #: (default) preserves the original trust-forever behavior.
+    #: A value unheard-from for longer decays to 0 (the silent consumer
+    #: is assumed to absorb nothing) instead of being trusted forever.
+    #: None (default) preserves the original trust-forever behavior.
     feedback_staleness_ttl: _t.Optional[float] = None
-    #: Conservative r_max substituted for stale feedback values.
-    feedback_stale_bound: float = 0.0
     #: Tier-2 step implementation: "scalar" (per-PE Python loops) or
     #: "vector" (the array-backed engine in repro.control.vector, with
     #: automatic scalar fallback when REPRO_FORCE_SCALAR is set or the
@@ -109,8 +107,6 @@ class ControlConfig:
             and self.feedback_staleness_ttl <= 0
         ):
             raise ValueError("feedback_staleness_ttl must be positive")
-        if self.feedback_stale_bound < 0:
-            raise ValueError("feedback_stale_bound must be >= 0")
         if self.control_impl not in ("scalar", "vector"):
             raise ValueError(
                 f"control_impl must be 'scalar' or 'vector', "

@@ -331,36 +331,20 @@ class ScalingPolicy:
             return "scale_in"
         return "hold"
 
-    def request_external(
-        self,
-        decision: ScalingDecision,
-        now: float,
-        num_nodes: int,
-        pressure: float = 0.0,
-    ) -> bool:
-        """Request a scaling action from outside the reactive loop.
+    def request_external(self, now: float, num_nodes: int) -> bool:
+        """Request a scale-out from outside the reactive loop.
 
         The forecasting tier's proactive triggers route through here so
         reactive and proactive decisions share one cooldown: a granted
         request fires exactly like a reactive decision (streaks reset,
-        the cooldown starts, the decision is recorded), which means the
-        reactive loop then holds through the same quiet period — the
-        two can never thrash each other.  Returns False (and does
-        nothing) during cooldown or outside the configured node bounds.
+        the cooldown starts, the decision is recorded with pressure 0),
+        which means the reactive loop then holds through the same quiet
+        period — the two can never thrash each other.  Returns False
+        (and does nothing) during cooldown or at ``max_nodes``.
         """
-        if decision not in ("scale_out", "scale_in"):
-            raise ValueError(
-                f"decision must be 'scale_out' or 'scale_in', "
-                f"got {decision!r}"
-            )
-        config = self.config
-        if now < self._cooldown_until:
+        if now < self._cooldown_until or num_nodes >= self.config.max_nodes:
             return False
-        if decision == "scale_out" and num_nodes >= config.max_nodes:
-            return False
-        if decision == "scale_in" and num_nodes <= config.min_nodes:
-            return False
-        self._fire(decision, pressure, now, num_nodes)
+        self._fire("scale_out", 0.0, now, num_nodes)
         return True
 
     def _fire(
@@ -673,6 +657,7 @@ class ElasticDriver:
             topology.source_rates,
             num_nodes,
             max_evaluations=config.placement_evaluations,
+            capacities=self.plane.capacities(),
         ).placement
         moves = [
             (pe_id, refined[pe_id])
@@ -756,7 +741,7 @@ class ElasticDriver:
         vetoed (cooldown / node bounds)."""
         policy = self.scaling_policy
         if policy is None or not policy.request_external(
-            "scale_out", now, len(self.plane.groups)
+            now, len(self.plane.groups)
         ):
             return False
         self.scale_out()

@@ -7,12 +7,11 @@ dwelt above threshold.  Phoebe-style systems instead *anticipate*
 dynamic workloads and re-provision ahead of the shift.  This module
 adds that capability as a strictly additive layer:
 
-* :class:`EwmaForecaster` — exponentially weighted moving average; the
-  forecast is flat (the level), which is the right model for slow
-  drifts and the cheap default.
 * :class:`HoltWintersForecaster` — additive Holt-Winters (level +
-  trend + additive seasonal component) over regularly sampled inputs;
-  the right model for diurnal cycles and periodic bursts.
+  trend + additive seasonal component) over regularly sampled inputs:
+  one model for diurnal cycles, periodic bursts and slow drifts alike
+  (its level and trend carry a drift; before its first season is in,
+  it forecasts the running mean).
 * :class:`ForecastController` — the proactive policy the
   :class:`~repro.control.plane.ControlPlane` ticks: it samples
   per-source cumulative generated counters at a fixed cadence, turns
@@ -24,14 +23,14 @@ adds that capability as a strictly additive layer:
   re-solve from the predicted rates, and — when the elastic tier is
   armed — a scale-out request routed through
   :meth:`~repro.control.elastic.ScalingPolicy.request_external`, which
-  shares the PR-9 cooldown so reactive and proactive triggers can
-  never thrash each other.
+  shares the elastic tier's cooldown so reactive and proactive triggers
+  can never thrash each other.
 
 Everything is deterministic and substrate-free: identical
 ``(counter, now)`` sequences yield identical forecasts and identical
 trigger sequences on any substrate — the cross-substrate parity tests
-rely on this.  Both forecasters are shift/scale-equivariant, converge
-exactly on constant inputs, and reproduce pure-seasonal inputs exactly
+rely on this.  The forecaster is shift/scale-equivariant, converges
+exactly on constant inputs, and reproduces pure-seasonal inputs exactly
 after one bootstrap season; :mod:`tests.test_forecast_properties`
 proves those claims property-by-property with Hypothesis.
 """
@@ -50,8 +49,6 @@ ReoptimizeFn = _t.Callable[[_t.Mapping[str, float]], None]
 #: Proactive scale-out hook: (now) -> fired?  (False: vetoed/cooldown.)
 ScaleOutFn = _t.Callable[[float], bool]
 
-FORECASTER_KINDS = ("ewma", "holtwinters")
-
 
 @dataclass(frozen=True)
 class ForecastConfig:
@@ -66,16 +63,14 @@ class ForecastConfig:
     then a quiet period after acting.
     """
 
-    #: Forecaster model: "ewma" (flat) or "holtwinters" (additive
-    #: seasonal; needs ``season_length`` samples to bootstrap).
-    kind: str = "holtwinters"
-    #: Level smoothing factor (both models), in (0, 1].
+    #: Level smoothing factor, in (0, 1].
     alpha: float = 0.5
     #: Trend smoothing factor (Holt-Winters), in [0, 1].
     beta: float = 0.1
     #: Seasonal smoothing factor (Holt-Winters), in [0, 1].
     gamma: float = 0.3
-    #: Samples per season (Holt-Winters).
+    #: Samples per season (Holt-Winters needs one season to
+    #: bootstrap).
     season_length: int = 8
     #: Seconds between rate samples (the forecast cadence).
     sample_interval: float = 0.25
@@ -88,15 +83,8 @@ class ForecastConfig:
     dwell_ticks: int = 2
     #: Seconds after a proactive trigger before the next may fire.
     cooldown: float = 2.0
-    #: Route a scale-out request through the elastic tier's policy when
-    #: one is armed (shares the PR-9 cooldown; a no-op otherwise).
-    scale_out: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in FORECASTER_KINDS:
-            raise ValueError(
-                f"kind must be one of {FORECASTER_KINDS}, got {self.kind!r}"
-            )
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
@@ -125,45 +113,6 @@ class ForecastConfig:
             )
         if self.cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
-
-
-class EwmaForecaster:
-    """Streaming EWMA: level_t = alpha*x_t + (1-alpha)*level_{t-1}.
-
-    The h-step forecast is flat (the level) for every h — EWMA carries
-    no trend or seasonal state.  The update is an affine map of the
-    input, so the forecaster is exactly shift/scale-equivariant, and
-    on constant inputs the level equals the input from the first
-    sample on.
-    """
-
-    __slots__ = ("alpha", "level", "samples")
-
-    def __init__(self, alpha: float) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.level: _t.Optional[float] = None
-        self.samples = 0
-
-    @property
-    def ready(self) -> bool:
-        """A forecast is meaningful once one sample has been seen."""
-        return self.level is not None
-
-    def update(self, value: float) -> None:
-        """Fold one observation into the state."""
-        if self.level is None:
-            self.level = value
-        else:
-            self.level = self.alpha * value + (1.0 - self.alpha) * self.level
-        self.samples += 1
-
-    def forecast(self, steps: int = 1) -> float:
-        """Predicted value ``steps`` samples ahead (flat)."""
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        return 0.0 if self.level is None else self.level
 
 
 class HoltWintersForecaster:
@@ -276,19 +225,6 @@ class HoltWintersForecaster:
         return self.level + steps * self.trend + self.season[index]
 
 
-#: Either streaming forecaster (duck-typed: update / forecast / ready).
-Forecaster = _t.Union[EwmaForecaster, HoltWintersForecaster]
-
-
-def make_forecaster(config: ForecastConfig) -> Forecaster:
-    """Build one forecaster instance from the config."""
-    if config.kind == "ewma":
-        return EwmaForecaster(config.alpha)
-    return HoltWintersForecaster(
-        config.alpha, config.beta, config.gamma, config.season_length
-    )
-
-
 @dataclass
 class ProactiveTriggerRecord:
     """One fired proactive trigger, kept for the bench report."""
@@ -325,7 +261,7 @@ class ForecastController:
         self.config = config
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         #: pe_id -> forecaster, one per bound source stream.
-        self.forecasters: _t.Dict[str, Forecaster] = {}
+        self.forecasters: _t.Dict[str, HoltWintersForecaster] = {}
         self.ticks = 0
         self.triggers: _t.List[ProactiveTriggerRecord] = []
         #: Last per-stream observed rates / horizon forecasts (gauges
@@ -389,7 +325,13 @@ class ForecastController:
         self._scale_out = scale_out_fn
         self._active_after = active_after
         for pe_id in self._counters:
-            self.forecasters.setdefault(pe_id, make_forecaster(self.config))
+            self.forecasters.setdefault(pe_id, self._new_forecaster())
+
+    def _new_forecaster(self) -> HoltWintersForecaster:
+        config = self.config
+        return HoltWintersForecaster(
+            config.alpha, config.beta, config.gamma, config.season_length
+        )
 
     # -- control-tick entry points -------------------------------------------
 
@@ -430,7 +372,7 @@ class ForecastController:
             rate = float(rates[pe_id])
             forecaster = self.forecasters.get(pe_id)
             if forecaster is None:
-                forecaster = make_forecaster(config)
+                forecaster = self._new_forecaster()
                 self.forecasters[pe_id] = forecaster
             pending = self._pending.get(pe_id)
             if pending is not None:
@@ -492,7 +434,7 @@ class ForecastController:
             )
             reoptimized = True
         scaled_out = False
-        if self.config.scale_out and self._scale_out is not None:
+        if self._scale_out is not None:
             scaled_out = self._scale_out(now)
         record = ProactiveTriggerRecord(
             t=now,
@@ -514,7 +456,6 @@ class ForecastController:
 
     def __repr__(self) -> str:
         return (
-            f"ForecastController(kind={self.config.kind}, "
-            f"ticks={self.ticks}, triggers={len(self.triggers)}, "
+            f"ForecastController(ticks={self.ticks}, triggers={len(self.triggers)}, "
             f"ratio={self.last_ratio:.3f})"
         )

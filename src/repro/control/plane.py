@@ -82,7 +82,7 @@ class ControlPlane:
     feedback_delay:
         Propagation delay of the feedback bus (0 models an idealized
         instantaneous control network).
-    feedback_staleness_ttl, feedback_stale_bound:
+    feedback_staleness_ttl:
         Staleness guard of the bus (see :class:`FeedbackBus`).
     recorder:
         Trace bus; the null default keeps hot paths branch-free.
@@ -101,7 +101,6 @@ class ControlPlane:
         b0: float,
         feedback_delay: float = 0.0,
         feedback_staleness_ttl: _t.Optional[float] = None,
-        feedback_stale_bound: float = 0.0,
         recorder: _t.Optional[TraceRecorder] = None,
         tier1: _t.Optional[ResilientTier1] = None,
         control_impl: str = "scalar",
@@ -154,7 +153,6 @@ class ControlPlane:
         self.bus: _t.Any = FeedbackBus(
             delay=feedback_delay,
             staleness_ttl=feedback_staleness_ttl,
-            stale_bound=feedback_stale_bound,
             recorder=self.recorder,
         )
 
@@ -580,6 +578,12 @@ class ControlPlane:
         for controller in self.node_controllers:
             controller.refresh_cpu_targets(targets.cpu)
 
+    def capacities(self) -> _t.List[float]:
+        """Each node's nominal CPU capacity, by node index: what Tier 1
+        plans within (an injected slowdown lowers only the live
+        scheduler capacity, never this)."""
+        return [group.cpu_capacity for group in self.groups]
+
     def reoptimize(
         self,
         graph: "ProcessingGraph",
@@ -589,8 +593,9 @@ class ControlPlane:
     ) -> _t.Optional["GlobalOptimizationResult"]:
         """Re-solve Tier 1 from measured rates and adopt the result.
 
-        Returns None when the guarded solver has nothing to offer (no
-        attempt succeeded and no last-known-good exists — cannot happen
+        The solve plans within each node's nominal ``cpu_capacity``.
+        Returns None when the guarded solver has nothing to offer (the
+        solve failed and no last-known-good exists — cannot happen
         after a normal bootstrap, which seeds last-known-good); the
         system keeps serving under the current targets.
         """
@@ -600,7 +605,8 @@ class ControlPlane:
             )
         try:
             result = self.tier1.solve(
-                graph, placement, measured_rates, reason=reason
+                graph, placement, measured_rates, reason=reason,
+                capacities=self.capacities(),
             )
         except Tier1Unavailable:
             return None

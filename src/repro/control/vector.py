@@ -444,7 +444,6 @@ class VectorEngine:
         donor = donors[0] if donors else None
         self.is_aces = type(donor) is AcesCpuScheduler
         if self.is_aces:
-            self.work_conserving = bool(donor.work_conserving)
             self.depth_intervals = float(donor._depth_intervals)
             buckets = [d.buckets[pe.pe_id] for d in donors for pe in d.pes]
             self.tok_depth = np.array(
@@ -454,7 +453,6 @@ class VectorEngine:
                 [bucket.level for bucket in buckets], dtype=np.float64
             )
         else:
-            self.work_conserving = False
             self.depth_intervals = 0.0
 
         self.gains = gains
@@ -641,21 +639,17 @@ class VectorEngine:
 
         budget = cap_node * dt
         grants = self._fill_flat(group, demands, weights, budget)
-        if self.work_conserving:
-            spent = self._node_sums(group, grants)
-            leftover = budget - spent
-            extra_demands = capped_work - grants
-            extra_demands = np.where(
-                extra_demands > 0.0, extra_demands, 0.0
-            )
-            extra = self._fill_flat(
-                group,
-                extra_demands,
-                weights,
-                np.where(leftover > 1e-12, leftover, 0.0),
-            )
-            grants = grants + extra
-        return grants / dt
+        # Work conservation, as in AcesCpuScheduler.allocate.
+        leftover = budget - self._node_sums(group, grants)
+        extra_demands = capped_work - grants
+        extra_demands = np.where(extra_demands > 0.0, extra_demands, 0.0)
+        extra = self._fill_flat(
+            group,
+            extra_demands,
+            weights,
+            np.where(leftover > 1e-12, leftover, 0.0),
+        )
+        return (grants + extra) / dt
 
     def _allocate_strict_feedback(
         self, group: _TickGroup, dt: float

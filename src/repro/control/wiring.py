@@ -113,8 +113,8 @@ class ControlStack:
     ) -> None:
         self.config = config
         self.topology = topology
-        #: Degradation-guarded Tier-1 solver: retries, validates, and
-        #: falls back to last-known-good targets when a re-solve fails.
+        #: Degradation-guarded Tier-1 solver: validates, and falls back
+        #: to last-known-good targets when a re-solve fails.
         #: Bootstrapped here (solve, or seed with the targets given), so
         #: it always holds a last-known-good result to fall back to.
         self.tier1 = ResilientTier1(recorder=recorder)
@@ -165,7 +165,6 @@ class ControlStack:
             b0=config.b0_fraction * config.buffer_size,
             feedback_delay=feedback_delay,
             feedback_staleness_ttl=config.feedback_staleness_ttl,
-            feedback_stale_bound=config.feedback_stale_bound,
             recorder=recorder,
             tier1=self.tier1,
             control_impl=config.control_impl,

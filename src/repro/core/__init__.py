@@ -15,7 +15,7 @@ Two tiers:
   * :mod:`repro.core.policies` packages ACES and the two baselines
     (UDP, Lock-Step) as pluggable transmission policies;
   * :mod:`repro.core.resilience` guards the control plane itself:
-    Tier-1 retry/validation/last-known-good fallback and the lossy
+    Tier-1 validation with a last-known-good fallback, and the lossy
     feedback-bus wrapper used by fault injection.
 """
 

@@ -161,7 +161,6 @@ class AcesCpuScheduler:
         capacity: float = 1.0,
         bucket_depth_intervals: float = 20.0,
         dt: float = 0.01,
-        work_conserving: bool = True,
     ):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -169,13 +168,6 @@ class AcesCpuScheduler:
         self.capacity = capacity
         self.dt = dt
         self._depth_intervals = bucket_depth_intervals
-        #: When True, capacity left over after the token-limited round is
-        #: re-distributed among backlogged PEs regardless of their token
-        #: balances (still under the Eq. 8 caps).  This mirrors how a real
-        #: node's work-conserving OS scheduler behaves and matches the
-        #: redistribution the paper grants the baselines; the strict
-        #: variant is kept for the ablation benchmark.
-        self.work_conserving = work_conserving
         self.buckets: _t.Dict[str, TokenBucket] = {}
         for pe in self.pes:
             target = float(cpu_targets.get(pe.pe_id, 0.0))
@@ -274,21 +266,22 @@ class AcesCpuScheduler:
         order = self._order
         grants = _proportional_fill(demands, weights, budget, order)
 
-        if self.work_conserving:
-            leftover = budget - sum(grants)
-            if leftover > 1e-12:
-                extra = _proportional_fill(
-                    [
-                        unmet if unmet > 0.0 else 0.0
-                        for unmet in map(sub, capped_work, grants)
-                    ],
-                    weights,
-                    leftover,
-                    order,
-                )
-                grants = [
-                    grant + more for grant, more in zip(grants, extra)
-                ]
+        # Work conservation: capacity the token-limited round left over
+        # goes to backlogged PEs regardless of their token balances
+        # (still under the Eq. 8 caps), as a real node's OS scheduler
+        # would hand it out and as the paper grants the baselines.
+        leftover = budget - sum(grants)
+        if leftover > 1e-12:
+            extra = _proportional_fill(
+                [
+                    unmet if unmet > 0.0 else 0.0
+                    for unmet in map(sub, capped_work, grants)
+                ],
+                weights,
+                leftover,
+                order,
+            )
+            grants = [grant + more for grant, more in zip(grants, extra)]
 
         fractions = [grant / dt for grant in grants]
         if self._recording:

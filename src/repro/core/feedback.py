@@ -16,10 +16,10 @@ tolerate.
 Graceful degradation: the original bus trusted a published value forever,
 so a consumer whose publications stop (controller outage, message loss)
 kept advertising its last — possibly wildly optimistic — rate.  With a
-``staleness_ttl``, a value unheard-from for that long *decays* to a
-configurable conservative bound (``stale_bound``, default 0: assume the
-silent consumer can absorb nothing) until a fresh publication arrives;
-each decay episode publishes one ``feedback_stale`` trace event.
+``staleness_ttl``, a value unheard-from for that long *decays* to 0 —
+assume the silent consumer can absorb nothing — until a fresh
+publication arrives; each decay episode publishes one ``feedback_stale``
+trace event.
 """
 
 from __future__ import annotations
@@ -59,11 +59,9 @@ class FeedbackBus:
         visible to readers.  Zero models an idealized instantaneous network.
     staleness_ttl:
         When set, a value not refreshed for this long is no longer
-        trusted: reads return ``stale_bound`` instead until a fresh
-        publication becomes visible.  ``None`` (default) preserves the
-        original trust-forever behavior.
-    stale_bound:
-        The conservative r_max substituted for a stale value.
+        trusted: reads return 0 instead until a fresh publication
+        becomes visible.  ``None`` (default) preserves the original
+        trust-forever behavior.
     recorder:
         Optional trace bus; each stale *transition* (fresh -> stale)
         publishes one ``feedback_stale`` event for the affected PE.
@@ -73,7 +71,6 @@ class FeedbackBus:
         self,
         delay: float = 0.0,
         staleness_ttl: _t.Optional[float] = None,
-        stale_bound: float = 0.0,
         recorder: _t.Optional[TraceRecorder] = None,
     ):
         if delay < 0:
@@ -82,11 +79,8 @@ class FeedbackBus:
             raise ValueError(
                 f"staleness_ttl must be positive, got {staleness_ttl}"
             )
-        if stale_bound < 0:
-            raise ValueError(f"stale_bound must be >= 0, got {stale_bound}")
         self.delay = delay
         self.staleness_ttl = staleness_ttl
-        self.stale_bound = stale_bound
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._current: _t.Dict[str, float] = {}
         #: Time each current value became visible (for staleness checks).
@@ -98,7 +92,7 @@ class FeedbackBus:
         #: per-message extra delay/jitter can reorder them — see publish).
         self._pending: _t.Dict[str, _t.List[_t.Tuple[float, float]]] = {}
         self.publishes = 0
-        #: Number of reads answered with the conservative stale bound.
+        #: Number of reads answered with 0 because the value was stale.
         self.stale_reads = 0
 
     def publish(
@@ -188,7 +182,7 @@ class FeedbackBus:
     def _check_staleness(
         self, pe_id: str, value: float, now: float
     ) -> float:
-        """Decay a value past its TTL to the conservative bound."""
+        """Decay a value past its TTL to 0 (absorbs nothing)."""
         ttl = self.staleness_ttl
         if ttl is None:
             return value
@@ -205,15 +199,14 @@ class FeedbackBus:
                     age=age,
                     ttl=ttl,
                     last_value=value,
-                    stale_bound=self.stale_bound,
                 )
-        return self.stale_bound
+        return 0.0
 
     def latest(self, pe_id: str, now: float) -> _t.Optional[float]:
         """Most recent visible r_max for ``pe_id`` (None if never heard).
 
         With a :attr:`staleness_ttl`, a value older than the TTL is
-        reported as :attr:`stale_bound` instead.
+        reported as 0 instead.
         """
         self._settle(pe_id, now)
         value = self._current.get(pe_id)

@@ -3,13 +3,15 @@
 The program, in the paper's notation::
 
     maximize    sum_j  w_j * U(r̄_out,j)                          (Eq. 3)
-    subject to  sum_{j in node i} c̄_j <= 1        for all nodes   (Eq. 4)
+    subject to  sum_{j in node i} c̄_j <= C_i      for all nodes   (Eq. 4)
                 r̄_in,j <= r̄_out,i   for every edge i -> j         (Eq. 5)
                 r̄_in,j <= source rate       for ingress PEs
                 r̄_in,j  = h_j(c̄_j) = a_j c̄_j - b_j                (Eq. 6)
                 r̄_out,j = m_j * r̄_in,j
 
-with decision variables ``c̄_j`` (one CPU share per PE).  The objective is
+with decision variables ``c̄_j`` (one CPU share per PE) and ``C_i`` node
+``i``'s nominal CPU capacity (1.0 unless a node joined with another
+capacity; the paper normalizes every node to 1).  The objective is
 concave and the feasible set is a polytope, so every local optimum is
 global and the optimal *weighted* PEs' rates are unique (``U`` is strictly
 concave).  The optimum is not a point, though: a zero-weight PE whose
@@ -59,6 +61,7 @@ class _Program:
         placement: Placement,
         source_rates: _t.Mapping[str, float],
         utility: UtilityFunction,
+        capacities: _t.Optional[_t.Sequence[float]] = None,
     ):
         self.graph = graph
         self.placement = placement
@@ -73,15 +76,20 @@ class _Program:
         self.mult = np.array([pr.lambda_m for pr in profiles])
         self.weight = np.array([pr.weight for pr in profiles])
 
-        # Node membership: one index array per node that hosts a PE.
+        # Node membership: one index array per node that hosts a PE,
+        # and that node's capacity.
         num_nodes = 1 + max((placement[p] for p in self.pe_ids), default=-1)
+        residents = residents_by_node(self.pe_ids, placement, num_nodes)
+        hosting = [node for node in range(num_nodes) if residents[node]]
         self.node_members: _t.List[np.ndarray] = [
-            np.array([self.index[p] for p in residents], dtype=int)
-            for residents in residents_by_node(
-                self.pe_ids, placement, num_nodes
-            )
-            if residents
+            np.array([self.index[p] for p in residents[node]], dtype=int)
+            for node in hosting
         ]
+        self.node_bound = np.array(
+            [1.0 if capacities is None else capacities[node]
+             for node in hosting],
+            dtype=float,
+        )
 
         # Flow constraints are per *consumer*: a PE's input buffer merges
         # all of its upstream streams, so the fluid constraint is
@@ -110,17 +118,19 @@ class _Program:
             [float(source_rates.get(p, np.inf)) for p in graph.ingress_ids]
         )
 
-        # Bounds: c in [b/a, 1] so that h(c) >= 0 everywhere.
+        # Bounds: c in [b/a, C_i] so that h(c) >= 0 everywhere and no
+        # PE plans for more than its node.
         self.lower = self.overhead / self.slope
         self.upper = np.ones(n)
+        for members, bound in zip(self.node_members, self.node_bound):
+            self.upper[members] = bound
 
         # The three constraint blocks are linear, residual = A @ c - b
         # (<= 0 when satisfied); each A is its block's exact Jacobian.
-        # Node capacity (Eq. 4): 0/1 incidence, sum of shares <= 1.
+        # Node capacity (Eq. 4): 0/1 incidence, sum of shares <= C_i.
         self.node_matrix = np.zeros((len(self.node_members), n))
         for row, members in enumerate(self.node_members):
             self.node_matrix[row, members] = 1.0
-        self.node_bound = np.ones(len(self.node_members))
         # Flow (Eq. 5): slope_j c_j - sum_i mult_i slope_i c_i
         #   <= overhead_j - sum_i mult_i overhead_i.
         self.flow_matrix = np.zeros((len(self.consumers), n))
@@ -198,8 +208,8 @@ class _Program:
 
     def initial_guess(self) -> np.ndarray:
         c = np.zeros(len(self.pe_ids))
-        for members in self.node_members:
-            c[members] = 1.0 / len(members)
+        for members, bound in zip(self.node_members, self.node_bound):
+            c[members] = bound / len(members)
         return np.clip(c, self.lower, self.upper)
 
     def to_targets(self, c: np.ndarray) -> AllocationTargets:
@@ -215,29 +225,30 @@ class _Program:
 def _project_node_capacity(program: _Program, c: np.ndarray) -> np.ndarray:
     """Project c onto box [lower, upper] intersect node simplices.
 
-    Exact per-node projection: clip to the box, and for a node over
-    capacity find the shift ``tau`` with ``sum clip(c - tau, lo, hi) = 1``
-    exactly.  That sum is piecewise linear and non-increasing in ``tau``,
-    with breakpoints ``c - hi`` and ``c - lo``, so the root is found by
-    interpolating across the first breakpoint whose mass is <= 1.
+    Exact per-node projection: clip to the box, and for a node over its
+    capacity ``C`` find the shift ``tau`` with ``sum clip(c - tau, lo, hi)
+    = C`` exactly.  That sum is piecewise linear and non-increasing in
+    ``tau``, with breakpoints ``c - hi`` and ``c - lo``, so the root is
+    found by interpolating across the first breakpoint whose mass is
+    <= C.
     """
     projected = np.clip(c, program.lower, program.upper)
-    for members in program.node_members:
-        if projected[members].sum() <= 1.0:
+    for members, bound in zip(program.node_members, program.node_bound):
+        if projected[members].sum() <= bound:
             continue
         values = c[members]
         low = program.lower[members]
         high = program.upper[members]
         breaks = np.sort(np.concatenate([values - high, values - low]))
         mass = np.clip(values - breaks[:, None], low, high).sum(axis=1)
-        below = np.flatnonzero(mass <= 1.0)
+        below = np.flatnonzero(mass <= bound)
         if not below.size:  # the lower bounds alone exceed the node
             projected[members] = low
             continue
         j = below[0]
         tau = breaks[j]
-        if j:  # linear between breaks[j - 1] (mass > 1) and breaks[j]
-            tau -= (1.0 - mass[j]) * (breaks[j] - breaks[j - 1]) / (
+        if j:  # linear between breaks[j - 1] (mass > C) and breaks[j]
+            tau -= (bound - mass[j]) * (breaks[j] - breaks[j - 1]) / (
                 mass[j - 1] - mass[j]
             )
         projected[members] = np.clip(values - tau, low, high)
@@ -334,6 +345,7 @@ def solve_global_allocation(
     utility: _t.Optional[UtilityFunction] = None,
     recorder: _t.Optional["TraceRecorder"] = None,
     reason: str = "solve",
+    capacities: _t.Optional[_t.Sequence[float]] = None,
 ) -> GlobalOptimizationResult:
     """Solve the Tier-1 program and return allocation targets.
 
@@ -351,10 +363,13 @@ def solve_global_allocation(
         ``tier1_resolve`` event carrying the new ``c̄_j`` targets.
     reason:
         Tag recorded on the event (``"initial"``, ``"reoptimize"``, ...).
+    capacities:
+        Nominal CPU capacity of each node, by node index (the ``C_i`` of
+        Eq. 4); None means every node has capacity 1.0.
     """
     if utility is None:
         utility = LogUtility()
-    program = _Program(graph, placement, source_rates, utility)
+    program = _Program(graph, placement, source_rates, utility, capacities)
 
     c, iterations, converged, messages = _solve_slsqp(program)
     targets = program.to_targets(c)

@@ -5,11 +5,12 @@ plane that implements it.  Three guards let the reproduction keep serving
 when that control plane itself misbehaves:
 
 * :class:`ResilientTier1` — wraps :func:`repro.core.global_opt.
-  solve_global_allocation` with bounded retry + exponential backoff,
-  *sanity validation* of the returned targets (finite, non-negative,
-  per-node Σc̄ ≤ 1), and a last-known-good fallback: when every attempt
-  fails, the previous targets stay installed and one ``tier1_fallback``
-  trace event is published instead of the run crashing.
+  solve_global_allocation` with *sanity validation* of the returned
+  targets (finite, non-negative, per-node Σc̄ ≤ the node's capacity)
+  and a last-known-good fallback: when the solve fails, the previous
+  targets stay installed and one ``tier1_fallback`` trace event is
+  published instead of the run crashing.  The solver is deterministic,
+  so a solve is one attempt: a retry could not change its outcome.
 * :class:`LossyFeedbackBus` — a fault-injection wrapper over
   :class:`~repro.core.feedback.FeedbackBus` that drops each publication
   with a configurable probability and/or stretches its propagation delay
@@ -19,7 +20,7 @@ when that control plane itself misbehaves:
   anywhere targets cross a trust boundary.
 
 The staleness-TTL guard itself lives in :class:`repro.core.feedback.
-FeedbackBus` (``staleness_ttl`` / ``stale_bound``).
+FeedbackBus` (``staleness_ttl``).
 """
 
 from __future__ import annotations
@@ -40,24 +41,26 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.dag import ProcessingGraph
     from repro.graph.placement import Placement
 
-#: Σc̄ per node may exceed 1 by at most this much (solver round-off).
+#: Σc̄ per node may exceed its capacity by at most this much (solver
+#: round-off).
 _NODE_CAPACITY_TOLERANCE = 1e-6
 
 
 class Tier1Unavailable(RuntimeError):
-    """Every solve attempt failed and no last-known-good targets exist."""
+    """The solve failed and no last-known-good targets exist."""
 
 
 def validate_targets(
     targets: AllocationTargets,
     placement: _t.Optional[_t.Mapping[str, int]] = None,
-    tolerance: float = _NODE_CAPACITY_TOLERANCE,
+    capacities: _t.Optional[_t.Sequence[float]] = None,
 ) -> _t.List[str]:
     """Sanity-check allocation targets; returns problems (empty = valid).
 
     Checks, in the paper's terms: every ``c̄_j`` and rate is finite and
     non-negative, and (when a placement is given) Eq. 4 holds — the CPU
-    shares on each node sum to at most 1.
+    shares on each node sum to at most its capacity (``capacities`` by
+    node index; None: every node 1.0).
     """
     problems: _t.List[str] = []
     for label, mapping in (
@@ -77,31 +80,27 @@ def validate_targets(
                 node = placement[pe_id]
                 node_totals[node] = node_totals.get(node, 0.0) + share
         for node, total in sorted(node_totals.items()):
-            if total > 1.0 + tolerance:
+            capacity = 1.0 if capacities is None else capacities[node]
+            if total > capacity + _NODE_CAPACITY_TOLERANCE:
                 problems.append(
-                    f"node {node} overcommitted: sum(cpu) = {total:.6f} > 1"
+                    f"node {node} overcommitted: sum(cpu) = {total:.6f} "
+                    f"> {capacity}"
                 )
     return problems
 
 
 class ResilientTier1:
-    """Retry + validate + last-known-good wrapper around the Tier-1 solver.
+    """Validate + last-known-good wrapper around the Tier-1 solver.
+
+    A solve is one attempt: :func:`solve_global_allocation` is
+    deterministic, so repeating a failed solve on the same inputs cannot
+    change its outcome.
 
     Parameters
     ----------
     solver:
         The underlying solve function (defaults to
         :func:`solve_global_allocation`); injectable for tests.
-    max_attempts:
-        Total attempts per :meth:`solve` call before falling back.
-    backoff_base, backoff_factor:
-        The exponential-backoff schedule between attempts: attempt ``k``
-        waits ``backoff_base * backoff_factor**k`` seconds.
-    sleep:
-        How to wait between attempts.  ``None`` (the default) records the
-        intended backoff but does not block — correct inside a
-        discrete-event simulation, where wall-sleeping would be a lie.
-        The threaded runtime passes ``time.sleep``.
     recorder:
         Trace bus for ``tier1_fallback`` events.
     """
@@ -111,29 +110,16 @@ class ResilientTier1:
         solver: _t.Callable[..., GlobalOptimizationResult] = (
             solve_global_allocation
         ),
-        max_attempts: int = 3,
-        backoff_base: float = 0.05,
-        backoff_factor: float = 2.0,
-        sleep: _t.Optional[_t.Callable[[float], None]] = None,
         recorder: _t.Optional[TraceRecorder] = None,
     ):
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if backoff_base < 0 or backoff_factor < 1.0:
-            raise ValueError("backoff_base must be >= 0 and factor >= 1")
         self.solver = solver
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.sleep = sleep
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         #: Most recent validated solve result (the fallback source).
         self.last_good: _t.Optional[GlobalOptimizationResult] = None
-        #: Fault hook: when set, called before each attempt; raising from
+        #: Fault hook: when set, called before each solve; raising from
         #: it simulates a solver outage (see FaultPlan.tier1_outage).
         self.inject_failure: _t.Optional[_t.Callable[[], None]] = None
         self.solves = 0
-        self.failures = 0
         self.fallbacks = 0
 
     def seed(self, targets: AllocationTargets) -> None:
@@ -155,40 +141,37 @@ class ResilientTier1:
         source_rates: _t.Mapping[str, float],
         utility: _t.Optional["UtilityFunction"] = None,
         reason: str = "resolve",
+        capacities: _t.Optional[_t.Sequence[float]] = None,
     ) -> GlobalOptimizationResult:
-        """Solve with retries; fall back to last-known-good on failure.
+        """Solve and validate; fall back to last-known-good on failure.
 
-        Raises :class:`Tier1Unavailable` only when every attempt failed
-        *and* no previous good result exists.
+        ``capacities`` are the nominal node capacities by node index
+        (None: every node 1.0); the solve plans within them and the
+        validation checks against them.  Raises :class:`Tier1Unavailable`
+        only when the solve failed *and* no previous good result exists.
         """
         self.solves += 1
-        last_error: _t.Optional[BaseException] = None
-        for attempt in range(self.max_attempts):
-            if attempt > 0 and self.sleep is not None:
-                self.sleep(
-                    self.backoff_base * self.backoff_factor ** (attempt - 1)
+        try:
+            if self.inject_failure is not None:
+                self.inject_failure()
+            result = self.solver(
+                graph,
+                placement,
+                source_rates,
+                utility=utility,
+                recorder=self.recorder,
+                reason=reason,
+                capacities=capacities,
+            )
+            problems = validate_targets(result.targets, placement, capacities)
+            if problems:
+                raise ValueError(
+                    "tier1 targets failed validation: "
+                    + "; ".join(problems[:3])
                 )
-            try:
-                if self.inject_failure is not None:
-                    self.inject_failure()
-                result = self.solver(
-                    graph,
-                    placement,
-                    source_rates,
-                    utility=utility,
-                    recorder=self.recorder,
-                    reason=reason,
-                )
-                problems = validate_targets(result.targets, placement)
-                if problems:
-                    raise ValueError(
-                        "tier1 targets failed validation: "
-                        + "; ".join(problems[:3])
-                    )
-            except Exception as exc:  # noqa: BLE001 — any solver failure
-                self.failures += 1
-                last_error = exc
-                continue
+        except Exception as error:  # noqa: BLE001 — any solver failure
+            failure: BaseException = error
+        else:
             self.last_good = result
             return result
 
@@ -197,14 +180,13 @@ class ResilientTier1:
             self.recorder.emit(
                 "tier1_fallback",
                 reason=reason,
-                attempts=self.max_attempts,
-                error=repr(last_error),
+                error=repr(failure),
                 have_last_good=self.last_good is not None,
             )
         if self.last_good is None:
             raise Tier1Unavailable(
-                f"tier1 solve failed after {self.max_attempts} attempts "
-                f"with no last-known-good targets ({last_error!r})"
+                f"tier1 solve failed with no last-known-good targets "
+                f"({failure!r})"
             )
         last = self.last_good
         return GlobalOptimizationResult(
@@ -215,7 +197,7 @@ class ResilientTier1:
             converged=False,
             max_violation=last.max_violation,
             messages=list(last.messages)
-            + [f"fallback to last-known-good after {last_error!r}"],
+            + [f"fallback to last-known-good after {failure!r}"],
         )
 
 

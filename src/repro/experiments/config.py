@@ -29,7 +29,6 @@ class ExperimentConfig:
     system: SystemConfig = field(default_factory=SystemConfig)
     duration: float = 20.0
     replications: int = 3
-    base_seed: int = 0
 
     def with_system(self, **changes: object) -> "ExperimentConfig":
         """Copy with SystemConfig fields replaced."""

@@ -85,7 +85,6 @@ def bench_forecast_config() -> ForecastConfig:
     fire and a reactive fire share one anti-thrash window.
     """
     return ForecastConfig(
-        kind="holtwinters",
         alpha=0.5,
         beta=0.1,
         gamma=0.3,
@@ -95,7 +94,6 @@ def bench_forecast_config() -> ForecastConfig:
         headroom=1.35,
         dwell_ticks=2,
         cooldown=1.5,
-        scale_out=True,
     )
 
 
@@ -244,9 +242,9 @@ def run_forecast_matrix(
             "retention_floor": RETENTION_FLOOR,
             "forecast_config": matrix.config_block(
                 bench_forecast_config(),
-                "kind", "alpha", "beta", "gamma", "season_length",
+                "alpha", "beta", "gamma", "season_length",
                 "sample_interval", "horizon", "headroom", "dwell_ticks",
-                "cooldown", "scale_out",
+                "cooldown",
             ),
         },
         duration,

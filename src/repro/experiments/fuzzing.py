@@ -135,7 +135,6 @@ class FuzzScenario:
         forecast = None
         if self.forecast:
             forecast = ForecastConfig(
-                kind="holtwinters",
                 season_length=4,
                 sample_interval=0.2,
                 horizon=2,

@@ -253,7 +253,8 @@ def chaos_system_config(
     seed: int, dt: float = 0.01, warmup: float = 2.0, admission: bool = False
 ) -> SystemConfig:
     """System config the chaos matrix runs under: degradation guards on
-    (staleness TTL of 10 control intervals, conservative bound 0) and
+    (a staleness TTL of 10 control intervals, past which feedback reads
+    0) and
     periodic Tier-1 re-solves so solver outages are actually exercised.
     With ``admission`` the tuned SLO-aware front end is armed too."""
     return SystemConfig(
@@ -261,7 +262,6 @@ def chaos_system_config(
         dt=dt,
         warmup=warmup,
         feedback_staleness_ttl=10 * dt,
-        feedback_stale_bound=0.0,
         reoptimize_interval=1.0,
         admission=bench_admission_config() if admission else None,
     )

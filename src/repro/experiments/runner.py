@@ -94,11 +94,13 @@ def prepare_replication(
 
     Returns the topology, the (possibly transformed) Tier-1 targets every
     policy shares, the per-run system config, and the fluid-optimal
-    throughput used for normalization.  :func:`run_cell` prepares every
+    throughput used for normalization.  Replication ``r`` generates its
+    topology from seed ``r``.  :func:`run_cell` prepares every
     replication here, in the parent process, whatever its ``jobs``.
     """
-    seed = config.base_seed + replication
-    topology = generate_topology(config.spec, np.random.default_rng(seed))
+    topology = generate_topology(
+        config.spec, np.random.default_rng(replication)
+    )
     targets = solve_global_allocation(
         topology.graph, topology.placement, topology.source_rates
     ).targets
@@ -106,10 +108,10 @@ def prepare_replication(
 
     run_targets = targets
     if targets_transform is not None:
-        run_targets = targets_transform(targets, topology, seed)
+        run_targets = targets_transform(targets, topology, replication)
 
     system_config = SystemConfig(
-        **{**config.system.__dict__, "seed": seed * 1000 + 17}
+        **{**config.system.__dict__, "seed": replication * 1000 + 17}
     )
     return topology, run_targets, system_config, optimum
 

@@ -51,13 +51,15 @@ def _score(
     placement: Placement,
     source_rates: _t.Mapping[str, float],
     utility: _t.Optional["UtilityFunction"],
+    capacities: _t.Optional[_t.Sequence[float]],
 ) -> float:
     # Imported lazily: repro.core depends on repro.graph for its data
     # structures, so importing the solver at module load would be cyclic.
     from repro.core.global_opt import solve_global_allocation
 
     return solve_global_allocation(
-        graph, placement, source_rates, utility=utility
+        graph, placement, source_rates, utility=utility,
+        capacities=capacities,
     ).objective
 
 
@@ -69,6 +71,7 @@ def optimize_placement(
     utility: _t.Optional[UtilityFunction] = None,
     max_evaluations: int = 60,
     rng: _t.Optional[np.random.Generator] = None,
+    capacities: _t.Optional[_t.Sequence[float]] = None,
 ) -> PlacementSearchResult:
     """Greedy local search over PE moves, scored by the Tier-1 optimum.
 
@@ -85,6 +88,9 @@ def optimize_placement(
     rng:
         Randomizes the order in which candidate moves are tried; defaults
         to a fixed seed for reproducibility.
+    capacities:
+        Nominal CPU capacity of each node by index, which every scoring
+        solve plans within; None means every node has capacity 1.0.
 
     Returns
     -------
@@ -113,7 +119,7 @@ def optimize_placement(
         signature = tuple(sorted(placement.items()))
         hit = cache.get(signature)
         if hit is None:
-            hit = _score(graph, placement, source_rates, utility)
+            hit = _score(graph, placement, source_rates, utility, capacities)
             cache[signature] = hit
         return hit
 

@@ -114,7 +114,7 @@ class _SourceBase:
         self.sink = sink
         self.sdo_size = sdo_size
         self.stats = SourceStats()
-        self._backoff_until = 0.0
+        self._held_until = 0.0
         self.process = env.process(self._run())
 
     def _interarrival(self) -> float:
@@ -136,12 +136,12 @@ class _SourceBase:
         Horizons only ever extend (a shorter retry-after never shortens
         an existing hold), so concurrent rejections compose safely.
         """
-        if until > self._backoff_until:
-            self._backoff_until = until
+        if until > self._held_until:
+            self._held_until = until
 
     def _emit_one(self) -> None:
         now = self.env.now
-        if now < self._backoff_until:
+        if now < self._held_until:
             self.stats.deferred += 1
             return
         sdo = SDO(stream_id=self.stream_id, origin_time=now, size=self.sdo_size)

@@ -152,7 +152,6 @@ def parity_forecast_config():
     from repro.control.forecast import ForecastConfig
 
     return ForecastConfig(
-        kind="holtwinters",
         season_length=4,
         sample_interval=DT,
         horizon=2,

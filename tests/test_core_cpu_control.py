@@ -163,23 +163,9 @@ class TestAcesCpuScheduler:
         # 'a' is token-poor (tiny target) but has lots of work; with
         # work conservation it should receive most of the node.
         pe = make_pe("a", buffered=100)
-        scheduler = AcesCpuScheduler(
-            [pe], {"a": 0.01}, capacity=1.0, dt=0.01, work_conserving=True
-        )
+        scheduler = AcesCpuScheduler([pe], {"a": 0.01}, capacity=1.0, dt=0.01)
         allocations = allocate(scheduler, 0.01)
         assert allocations["a"] > 0.5
-
-    def test_strict_tokens_without_work_conservation(self):
-        pe = make_pe("a", buffered=100)
-        scheduler = AcesCpuScheduler(
-            [pe], {"a": 0.01}, capacity=1.0, dt=0.01, work_conserving=False
-        )
-        # Drain the initial half-full bucket first.
-        for _ in range(30):
-            allocations = allocate(scheduler, 0.01)
-            scheduler.settle([allocations["a"] * 0.01])
-        # Now the grant is limited to roughly the fill rate.
-        assert allocations["a"] <= 0.05
 
     def test_settle_spends_tokens(self):
         pe = make_pe("a", buffered=100)
@@ -191,20 +177,43 @@ class TestAcesCpuScheduler:
     def test_long_term_average_tracks_target_under_contention(self):
         """Two always-busy PEs with unequal targets split the node 50/50
         in occupancy terms but tokens keep long-term shares near targets
-        when both are equally backlogged and capacity is scarce."""
-        pes = [make_pe("a", buffered=100), make_pe("b", buffered=100)]
-        scheduler = AcesCpuScheduler(
-            pes, {"a": 0.2, "b": 0.8}, capacity=1.0, dt=0.01,
-            work_conserving=False, bucket_depth_intervals=5.0,
-        )
-        totals = {"a": 0.0, "b": 0.0}
-        for _ in range(500):
-            allocations = allocate(scheduler, 0.01)
-            for pe_id, cpu in allocations.items():
-                totals[pe_id] += cpu * 0.01
-            scheduler.settle([cpu * 0.01 for cpu in allocations.values()])
-        share_a = totals["a"] / (totals["a"] + totals["b"])
-        assert share_a == pytest.approx(0.2, abs=0.05)
+        when both are equally backlogged and capacity is scarce — the
+        Section V contract between Tier 1 and Tier 2, on the scheduler
+        every ACES node runs, with shallow and deep buckets."""
+        for depth in (5.0, 20.0):
+            totals = run_backlogged({"a": 0.2, "b": 0.8}, depth)
+            share_a = totals["a"] / (totals["a"] + totals["b"])
+            assert share_a == pytest.approx(0.2, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "targets",
+        [{"a": 0.1, "b": 0.4}, {"a": 0.05, "b": 0.6, "c": 0.1}],
+    )
+    def test_slack_capacity_goes_to_backlogged_pes(self, targets):
+        """Targets that leave slack: every always-backlogged PE still
+        gets at least its target on the long run, and the node hands out
+        its whole capacity."""
+        ticks, dt = 500, 0.01
+        totals = run_backlogged(targets, 20.0, ticks, dt)
+        for pe_id, target in targets.items():
+            assert totals[pe_id] / (ticks * dt) >= target
+        assert sum(totals.values()) == pytest.approx(ticks * dt)
+
+
+def run_backlogged(targets, depth, ticks=500, dt=0.01):
+    """CPU-seconds granted to each of a set of always-backlogged PEs on
+    one capacity-1 node over ``ticks`` intervals, tokens settled."""
+    pes = [make_pe(pe_id, buffered=100) for pe_id in targets]
+    scheduler = AcesCpuScheduler(
+        pes, targets, capacity=1.0, dt=dt, bucket_depth_intervals=depth
+    )
+    totals = dict.fromkeys(targets, 0.0)
+    for _ in range(ticks):
+        allocations = allocate(scheduler, dt)
+        for pe_id, cpu in allocations.items():
+            totals[pe_id] += cpu * dt
+        scheduler.settle([cpu * dt for cpu in allocations.values()])
+    return totals
 
 
 class TestStrictProportionalScheduler:
@@ -318,16 +327,15 @@ def reference_allocate(scheduler, dt, output_rate_caps):
             1.0 if backlog > 0 and occupancy == 0 else 0.0
         )
     grants = reference_fill(demands, weights, budget)
-    if scheduler.work_conserving:
-        leftover = budget - sum(grants.values())
-        if leftover > 1e-12:
-            extra_demands = {
-                pe_id: max(0.0, capped_work[pe_id] - grants[pe_id])
-                for pe_id in grants
-            }
-            extra = reference_fill(extra_demands, weights, leftover)
-            for pe_id, grant in extra.items():
-                grants[pe_id] += grant
+    leftover = budget - sum(grants.values())
+    if leftover > 1e-12:
+        extra_demands = {
+            pe_id: max(0.0, capped_work[pe_id] - grants[pe_id])
+            for pe_id in grants
+        }
+        extra = reference_fill(extra_demands, weights, leftover)
+        for pe_id, grant in extra.items():
+            grants[pe_id] += grant
     return {pe_id: grant / dt for pe_id, grant in grants.items()}
 
 
@@ -372,11 +380,10 @@ def test_property_fill_equals_the_dict_reference(demands, weights, budget):
     n_pes=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=10_000),
     capacity=st.floats(min_value=0.05, max_value=1.0),
-    work_conserving=st.booleans(),
     ticks=st.integers(min_value=1, max_value=4),
 )
 def test_property_allocate_equals_the_dict_reference(
-    n_pes, seed, capacity, work_conserving, ticks
+    n_pes, seed, capacity, ticks
 ):
     """Bit-equal fractions and token levels, tick after tick: all-zero
     demands, +inf caps, a zero cap, slow-state service times, in-service
@@ -394,10 +401,7 @@ def test_property_allocate_equals_the_dict_reference(
             pe.pe_id: float(rng_profile.uniform(0.0, 1.0 / n_pes))
             for pe in pes
         }
-        return pes, AcesCpuScheduler(
-            pes, targets, capacity=capacity, dt=0.01,
-            work_conserving=work_conserving,
-        )
+        return pes, AcesCpuScheduler(pes, targets, capacity=capacity, dt=0.01)
 
     rng_profile = np.random.default_rng(seed)
     pes, scheduler = build()

@@ -155,29 +155,28 @@ class TestStalenessTTL:
     def test_validation(self):
         with pytest.raises(ValueError):
             FeedbackBus(staleness_ttl=0.0)
-        with pytest.raises(ValueError):
-            FeedbackBus(stale_bound=-1.0)
 
     def test_fresh_value_trusted_within_ttl(self):
-        bus = FeedbackBus(staleness_ttl=1.0, stale_bound=0.0)
+        bus = FeedbackBus(staleness_ttl=1.0)
         bus.publish("c", 10.0, 0.0)
         assert bus.latest("c", 1.0) == 10.0  # age == ttl: still fresh
 
     def test_stale_value_decays_to_bound(self):
-        bus = FeedbackBus(staleness_ttl=1.0, stale_bound=2.5)
+        # The bound is 0: a silent consumer is assumed to absorb nothing.
+        bus = FeedbackBus(staleness_ttl=1.0)
         bus.publish("c", 10.0, 0.0)
-        assert bus.latest("c", 1.5) == 2.5
+        assert bus.latest("c", 1.5) == 0.0
         assert bus.stale_reads == 1
 
     def test_fresh_publication_ends_stale_episode(self):
-        bus = FeedbackBus(staleness_ttl=1.0, stale_bound=0.0)
+        bus = FeedbackBus(staleness_ttl=1.0)
         bus.publish("c", 10.0, 0.0)
         assert bus.latest("c", 2.0) == 0.0
         bus.publish("c", 7.0, 2.0)
         assert bus.latest("c", 2.0) == 7.0
 
     def test_decay_applies_to_aggregates(self):
-        bus = FeedbackBus(staleness_ttl=1.0, stale_bound=0.0)
+        bus = FeedbackBus(staleness_ttl=1.0)
         bus.publish("fast", 30.0, 0.0)
         bus.publish("slow", 10.0, 1.9)
         # At 2.5 'fast' is stale (decays to 0), 'slow' is fresh.
@@ -186,9 +185,7 @@ class TestStalenessTTL:
 
     def test_stale_event_fires_once_per_episode(self):
         recorder = MemoryRecorder()
-        bus = FeedbackBus(
-            staleness_ttl=1.0, stale_bound=0.0, recorder=recorder
-        )
+        bus = FeedbackBus(staleness_ttl=1.0, recorder=recorder)
         bus.publish("c", 10.0, 0.0)
         for now in (1.5, 1.6, 1.7):
             assert bus.latest("c", now) == 0.0
@@ -201,7 +198,7 @@ class TestStalenessTTL:
 
     def test_delayed_publication_freshness_dates_from_visibility(self):
         """Staleness age counts from when the value became *visible*."""
-        bus = FeedbackBus(delay=0.5, staleness_ttl=1.0, stale_bound=0.0)
+        bus = FeedbackBus(delay=0.5, staleness_ttl=1.0)
         bus.publish("c", 10.0, 0.0)  # visible at 0.5
         assert bus.latest("c", 1.4) == 10.0  # age 0.9 < ttl
         assert bus.latest("c", 1.6) == 0.0  # age 1.1 > ttl
@@ -272,9 +269,7 @@ def test_property_batch_bus_equals_the_one_pe_api(
 
     recorders = MemoryRecorder(), MemoryRecorder()
     batch, one_pe = (
-        FeedbackBus(
-            delay=delay, staleness_ttl=ttl, stale_bound=1.5, recorder=recorder
-        )
+        FeedbackBus(delay=delay, staleness_ttl=ttl, recorder=recorder)
         for recorder in recorders
     )
     now = 0.0

@@ -107,8 +107,7 @@ def fake():
             dt=0.05,
             admission=AdmissionConfig(),
             forecast=ForecastConfig(
-                kind="ewma", alpha=1.0, sample_interval=0.5,
-                dwell_ticks=1, cooldown=2.0,
+                alpha=1.0, sample_interval=0.5, dwell_ticks=1, cooldown=2.0,
             ),
             elasticity=ElasticityConfig(
                 scale_out_pressure=0.8,

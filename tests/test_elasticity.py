@@ -20,7 +20,11 @@ from repro.control.elastic import (
     plan_scale_out_placement,
 )
 from repro.core.policies import policy_by_name
-from repro.graph.topology import TopologySpec, generate_topology
+from repro.graph.topology import (
+    TopologySpec,
+    generate_topology,
+    paper_calibration_spec,
+)
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.systems.faults import FaultPlan
 from repro.systems.simulated import SimulatedSystem, SystemConfig
@@ -255,6 +259,38 @@ class TestSimulatedMigration:
         system.env.run(until=3.0)
         assert system.runtimes[ingress].counters.consumed > consumed_before
         assert check_conservation(system) == []
+
+    def test_reoptimize_plans_within_a_joined_node_capacity(self):
+        # A node that joined at capacity 0.4 and took the four heaviest
+        # PEs: the re-solve plans its targets within 0.4, not within the
+        # unit capacity every original node has, and the strict oracles
+        # find no target over a node's nominal capacity.
+        topology = generate_topology(
+            paper_calibration_spec(), np.random.default_rng(0)
+        )
+        recorder = OracleRecorder()
+        system = SimulatedSystem(
+            topology, policy_by_name("aces"),
+            config=SystemConfig(elasticity=quiet_elasticity()),
+            recorder=recorder,
+        )
+        recorder.attach(system)
+        system.env.run(until=0.5)
+        system.add_node(cpu_capacity=0.4)
+        guest = len(system.nodes) - 1
+        cpu = system.plane.targets.cpu
+        heaviest = sorted(cpu, key=lambda pe_id: (-cpu[pe_id], pe_id))[:4]
+        assert system.migrate_pes([(pe_id, guest) for pe_id in heaviest])
+        system.elastic.reoptimize(topology.source_rates, "test")
+        placement = system.placement_book.placement
+        planned = sum(
+            share for pe_id, share in system.plane.targets.cpu.items()
+            if placement[pe_id] == guest
+        )
+        assert planned <= 0.4 + 1e-6
+        system.env.run(until=1.0)
+        recorder.finalize()
+        assert recorder.violations == []
 
     def test_migrated_pe_tick_overlap_regression(self):
         # Phase-staggered node loops consume a PE's interpolated work

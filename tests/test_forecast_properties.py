@@ -1,7 +1,6 @@
 """Property-based tests for the streaming workload forecasters.
 
 Hypothesis drives arbitrary sample streams through
-:class:`~repro.control.forecast.EwmaForecaster` and
 :class:`~repro.control.forecast.HoltWintersForecaster` and asserts the
 algebraic contract the proactive tier relies on:
 
@@ -9,7 +8,7 @@ algebraic contract the proactive tier relies on:
   (``x -> a*x + b``), including through the Holt-Winters bootstrap, so
   the headroom *ratio* the trigger acts on is unit-free;
 * **constant-input convergence** — a constant stream is forecast
-  exactly (EWMA from the first sample, Holt-Winters from bootstrap on);
+  exactly from bootstrap on;
 * **bounded error on pure-seasonal inputs** — a period-``m`` pattern is
   a fixed point of the seasonal recurrences: once bootstrapped, every
   horizon-``h`` forecast reproduces the pattern;
@@ -31,13 +30,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control.forecast import (
-    EwmaForecaster,
     ForecastConfig,
     ForecastController,
     HoltWintersForecaster,
-    make_forecaster,
 )
-from repro.obs.recorder import TraceRecorder
+from repro.obs.recorder import MemoryRecorder
 
 forecast_settings = settings(max_examples=100, deadline=None)
 
@@ -52,10 +49,6 @@ season_lengths = st.integers(min_value=2, max_value=8)
 horizons = st.integers(min_value=1, max_value=6)
 
 
-def _ewma(alpha):
-    return EwmaForecaster(alpha=alpha)
-
-
 def _hw(alpha=0.5, beta=0.1, gamma=0.3, season_length=4):
     return HoltWintersForecaster(
         alpha=alpha, beta=beta, gamma=gamma, season_length=season_length
@@ -63,24 +56,6 @@ def _hw(alpha=0.5, beta=0.1, gamma=0.3, season_length=4):
 
 
 class TestAffineEquivariance:
-    @forecast_settings
-    @given(
-        xs=sample_lists,
-        alpha=alphas,
-        a=st.floats(min_value=0.125, max_value=8.0, allow_nan=False),
-        b=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-        horizon=horizons,
-    )
-    def test_ewma(self, xs, alpha, a, b, horizon):
-        plain = _ewma(alpha)
-        mapped = _ewma(alpha)
-        for x in xs:
-            plain.update(x)
-            mapped.update(a * x + b)
-        assert mapped.forecast(horizon) == pytest.approx(
-            a * plain.forecast(horizon) + b, rel=1e-9, abs=1e-6
-        )
-
     @forecast_settings
     @given(
         xs=sample_lists,
@@ -109,19 +84,6 @@ class TestAffineEquivariance:
 
 
 class TestConstantInputConvergence:
-    @forecast_settings
-    @given(
-        c=samples, alpha=alphas, n=st.integers(min_value=1, max_value=40),
-        horizon=horizons,
-    )
-    def test_ewma_is_exact_from_first_sample(self, c, alpha, n, horizon):
-        forecaster = _ewma(alpha)
-        for _ in range(n):
-            forecaster.update(c)
-            assert forecaster.forecast(horizon) == pytest.approx(
-                c, rel=1e-9, abs=1e-9
-            )
-
     @forecast_settings
     @given(
         c=samples,
@@ -180,13 +142,15 @@ class TestStateUpdateAssociativity:
         xs=st.lists(samples, min_size=0, max_size=30),
         ys=st.lists(samples, min_size=0, max_size=30),
         alpha=alphas,
-        kind=st.sampled_from(["ewma", "holtwinters"]),
+        beta=hw_gains,
+        gamma=hw_gains,
         horizon=horizons,
     )
-    def test_split_feed_equals_whole_feed(self, xs, ys, alpha, kind, horizon):
-        config = ForecastConfig(kind=kind, alpha=alpha, season_length=4)
-        split = make_forecaster(config)
-        whole = make_forecaster(config)
+    def test_split_feed_equals_whole_feed(
+        self, xs, ys, alpha, beta, gamma, horizon
+    ):
+        split = _hw(alpha, beta, gamma, season_length=4)
+        whole = _hw(alpha, beta, gamma, season_length=4)
         for x in xs:
             split.update(x)
         for y in ys:
@@ -216,11 +180,9 @@ class TestStateUpdateAssociativity:
             counts.append(counts[-1] + delta)
         position = {"index": 0}
 
-        recorder = _CaptureRecorder()
+        recorder = MemoryRecorder()
         controller = ForecastController(
-            ForecastConfig(
-                kind="ewma", sample_interval=interval, headroom=1e9
-            ),
+            ForecastConfig(sample_interval=interval, headroom=1e9),
             recorder=recorder,
         )
         controller.bind(
@@ -243,17 +205,6 @@ class TestStateUpdateAssociativity:
         )
 
 
-class _CaptureRecorder(TraceRecorder):
-    """In-memory recorder: keeps every event dict for assertions."""
-
-    def __init__(self):
-        super().__init__(clock=lambda: 0.0)
-        self.events = []
-
-    def _write(self, event):
-        self.events.append(event)
-
-
 class TestTriggerContract:
     @forecast_settings
     @given(
@@ -271,7 +222,6 @@ class TestTriggerContract:
     ):
         interval = 0.25
         config = ForecastConfig(
-            kind="ewma",
             alpha=0.6,
             sample_interval=interval,
             horizon=2,

@@ -253,15 +253,15 @@ def test_slsqp_finite_differences_nothing(monkeypatch):
 def bisection_projection(program, c, steps=200):
     """The reference: bisection on the shifted-simplex dual variable."""
     projected = np.clip(c, program.lower, program.upper)
-    for members in program.node_members:
-        if projected[members].sum() <= 1.0:
+    for members, bound in zip(program.node_members, program.node_bound):
+        if projected[members].sum() <= bound:
             continue
         values = c[members]
         low, high = program.lower[members], program.upper[members]
         lo, hi = 0.0, float(values.max() - low.min()) + 1.0
         for _ in range(steps):
             mid = 0.5 * (lo + hi)
-            if np.clip(values - mid, low, high).sum() > 1.0:
+            if np.clip(values - mid, low, high).sum() > bound:
                 lo = mid
             else:
                 hi = mid
@@ -271,27 +271,37 @@ def bisection_projection(program, c, steps=200):
 
 @st.composite
 def capacity_rows(draw):
-    """Nodes of 1-6 members with drawn boxes and values: repeated values
-    (ties), values outside the box (active bounds) and, when ``nudge`` is
-    drawn, node sums a hair above 1."""
+    """Nodes of 1-6 members with drawn capacities, boxes and values:
+    repeated values (ties), values outside the box (active bounds) and,
+    when ``excess`` is drawn, node sums a hair above the capacity."""
     sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    capacity = np.array(
+        draw(st.lists(
+            st.sampled_from([1.0, 0.5, 1.5]),
+            min_size=len(sizes), max_size=len(sizes),
+        ))
+    )
     n = sum(sizes)
+    scale = np.repeat(capacity, sizes)
     unit = st.floats(0.0, 1.0)
     lower = np.array(draw(st.lists(unit, min_size=n, max_size=n))) * 0.15
     upper = np.maximum(
         lower,
         np.array(draw(st.lists(unit, min_size=n, max_size=n))) * 0.6 + 0.4,
     )
+    lower, upper = lower * scale, upper * scale
     pool = draw(st.lists(st.floats(-0.3, 1.3), min_size=1, max_size=4))
     c = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     bounds = np.cumsum([0] + sizes)
     members = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     excess = draw(st.sampled_from([None, 1e-15, 1e-12, 1e-9, 1e-4]))
     if excess is not None:
-        for index in members:
+        for index, bound in zip(members, capacity):
             inside = np.clip(c[index], lower[index], upper[index])
-            c[index] = inside + (1.0 + excess - inside.sum()) / len(index)
-    return SimpleNamespace(lower=lower, upper=upper, node_members=members), c
+            c[index] = inside + (bound + excess - inside.sum()) / len(index)
+    return SimpleNamespace(
+        lower=lower, upper=upper, node_members=members, node_bound=capacity
+    ), c
 
 
 @settings(max_examples=300, deadline=None)
@@ -301,8 +311,8 @@ def test_capacity_projection_is_exact(case):
     projected = _project_node_capacity(program, c)
     assert np.all(program.lower <= projected)
     assert np.all(projected <= program.upper)
-    for members in program.node_members:
-        assert projected[members].sum() <= 1.0 + 1e-12
+    for members, bound in zip(program.node_members, program.node_bound):
+        assert projected[members].sum() <= bound + 1e-12
     np.testing.assert_allclose(
         _project_node_capacity(program, projected), projected,
         rtol=0, atol=1e-12,
@@ -346,7 +356,7 @@ def test_feasible_status_8_stop_is_converged(monkeypatch):
 # -- an optimality certificate for SLSQP's point ----------------------------
 
 
-def certified_gap(topology, result):
+def certified_gap(topology, result, capacities=None):
     """An upper bound on how far ``result`` lies below the true optimum.
 
     The objective f is concave on the polytope P, so for every c in P
@@ -357,7 +367,7 @@ def certified_gap(topology, result):
 
     program = _Program(
         topology.graph, topology.placement, topology.source_rates,
-        LogUtility(),
+        LogUtility(), capacities,
     )
     point = np.array([result.targets.cpu[p] for p in program.pe_ids])
     gradient = program.objective_gradient(point)
@@ -376,21 +386,31 @@ def certified_gap(topology, result):
     return -lp.fun - gradient @ point
 
 
+#: Calibration nodes 0 and 1 at half and one-and-a-half capacity.
+UNEQUAL_CAPACITIES = (0.5, 1.5) + (1.0,) * 8
+
+
 @pytest.mark.parametrize(
-    "spec, seed",
-    [(paper_calibration_spec(), seed) for seed in range(4)]
-    + [(SMALL_SPEC, seed) for seed in range(3)],
+    "spec, seed, capacities",
+    [(paper_calibration_spec(), seed, None) for seed in range(4)]
+    + [(SMALL_SPEC, seed, None) for seed in range(3)]
+    + [(paper_calibration_spec(), 0, UNEQUAL_CAPACITIES)],
     ids=[f"calibration-{seed}" for seed in range(4)]
-    + [f"small-{seed}" for seed in range(3)],
+    + [f"small-{seed}" for seed in range(3)]
+    + ["calibration-0-unequal-capacities"],
 )
-def test_slsqp_point_is_certified_optimal(spec, seed):
-    """SLSQP's point is within 1e-6 relative of the true optimum."""
+def test_slsqp_point_is_certified_optimal(spec, seed, capacities):
+    """SLSQP's point is within 1e-6 relative of the true optimum (and,
+    by ``max_violation``, within every node's own capacity)."""
     topology = generate_topology(spec, np.random.default_rng(seed))
     result = solve_global_allocation(
-        topology.graph, topology.placement, topology.source_rates
+        topology.graph, topology.placement, topology.source_rates,
+        capacities=capacities,
     )
     assert result.converged and result.max_violation <= 1e-9
-    assert certified_gap(topology, result) <= 1e-6 * abs(result.objective)
+    assert certified_gap(topology, result, capacities) <= 1e-6 * abs(
+        result.objective
+    )
 
 
 def test_slsqp_converges_at_main_scale():

@@ -32,7 +32,9 @@ def _reference_optimize(
     rng = np.random.default_rng(0)
     current = dict(initial)
     evaluations = 1
-    current_score = placement_opt._score(graph, current, source_rates, None)
+    current_score = placement_opt._score(
+        graph, current, source_rates, None, None
+    )
     initial_score = current_score
     improvements: _t.List[_t.Tuple[str, float]] = []
     pe_ids = list(graph.pe_ids)
@@ -54,7 +56,7 @@ def _reference_optimize(
                 candidate[pe_id] = node
                 evaluations += 1
                 score = placement_opt._score(
-                    graph, candidate, source_rates, None
+                    graph, candidate, source_rates, None, None
                 )
                 if score > current_score * (1 + 1e-6):
                     current = candidate
@@ -101,9 +103,11 @@ def test_cache_skips_repeat_solves(monkeypatch):
     signatures = []
     real_score = placement_opt._score
 
-    def counting_score(graph, placement, source_rates, utility):
+    def counting_score(graph, placement, source_rates, utility, capacities):
         signatures.append(tuple(sorted(placement.items())))
-        return real_score(graph, placement, source_rates, utility)
+        return real_score(
+            graph, placement, source_rates, utility, capacities
+        )
 
     monkeypatch.setattr(placement_opt, "_score", counting_score)
     result = optimize_placement(

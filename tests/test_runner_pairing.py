@@ -45,15 +45,6 @@ class TestPairedDesign:
             topo_a.source_rates != topo_b.source_rates
         )
 
-    def test_base_seed_shifts_everything(self):
-        a = tiny_experiment(base_seed=0)
-        b = tiny_experiment(base_seed=100)
-        topo_a, *_ = prepare_replication(a, replication=0)
-        topo_b, *_ = prepare_replication(b, replication=0)
-        assert topo_a.graph.edges() != topo_b.graph.edges() or (
-            topo_a.source_rates != topo_b.source_rates
-        )
-
 
 class TestReportInvariants:
     @pytest.fixture(scope="class")
