@@ -355,6 +355,10 @@ class AdmissionController:
         self._window_started: _t.Optional[float] = None
         self._window_base: _t.Dict[str, _t.Dict[int, int]] = {}
         self._window_p95: _t.Dict[str, float] = {}
+        #: Last tick's windowed p95 per stream, keyed on the histogram
+        #: object (``EgressCollector.reset`` swaps in fresh ones) and its
+        #: sample count: a stream that recorded nothing since keeps it.
+        self._p95_cache: _t.Dict[str, _t.Tuple[_t.Any, int, float]] = {}
 
     # -- wiring --------------------------------------------------------------
 
@@ -377,6 +381,7 @@ class AdmissionController:
         self._egress = egress
         self._clock = clock
         self._lock = lock if lock is not None else contextlib.nullcontext()
+        self._p95_cache.clear()
         for pe_id in self._ingress:
             self.streams.setdefault(pe_id, StreamAdmission())
 
@@ -441,9 +446,21 @@ class AdmissionController:
         if rotate:
             self._window_started = now
         worst_p95 = 0.0
+        cache = self._p95_cache
         with self._lock:
             for pe_id, record in self._egress.items():
-                p95 = self._windowed_p95(pe_id, record.hist, rotate)
+                hist = record.hist
+                cached = cache.get(pe_id)
+                if (
+                    not rotate
+                    and cached is not None
+                    and cached[0] is hist
+                    and cached[1] == hist.count
+                ):
+                    p95 = cached[2]
+                else:
+                    p95 = self._windowed_p95(pe_id, hist, rotate)
+                    cache[pe_id] = (hist, hist.count, p95)
                 if p95 > worst_p95:
                     worst_p95 = p95
         latency_pressure = worst_p95 / config.slo_p95

@@ -7,9 +7,8 @@ egress PEs (``D(p_j)`` empty, their output is a system output stream).
 
 from __future__ import annotations
 
+import heapq
 import typing as _t
-
-import networkx as nx
 
 from repro.model.params import PEProfile
 
@@ -22,11 +21,15 @@ class ProcessingGraph:
     """A directed acyclic graph of :class:`~repro.model.params.PEProfile`.
 
     Edges point in the direction of data flow (producer -> consumer).
+    The structure is two insertion-ordered adjacency maps, ``_succ`` and
+    ``_pred`` (PE id -> neighbours, as dict keys), so every neighbour
+    list and the edge list come out in the order they were added.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
         self._profiles: _t.Dict[str, PEProfile] = {}
+        self._succ: _t.Dict[str, _t.Dict[str, None]] = {}
+        self._pred: _t.Dict[str, _t.Dict[str, None]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -35,7 +38,8 @@ class ProcessingGraph:
         if profile.pe_id in self._profiles:
             raise GraphValidationError(f"duplicate PE id {profile.pe_id!r}")
         self._profiles[profile.pe_id] = profile
-        self._graph.add_node(profile.pe_id)
+        self._succ[profile.pe_id] = {}
+        self._pred[profile.pe_id] = {}
 
     def add_edge(self, producer: str, consumer: str) -> None:
         """Connect ``producer``'s output stream to ``consumer``'s input.
@@ -53,29 +57,31 @@ class ProcessingGraph:
                 raise GraphValidationError(f"unknown PE id {pe_id!r}")
         if producer == consumer:
             raise GraphValidationError(f"self-loop on {producer!r}")
-        if self._graph.has_edge(producer, consumer):
+        if consumer in self._succ[producer]:
             raise GraphValidationError(
                 f"duplicate edge {producer!r} -> {consumer!r}"
             )
-        if self._reaches(consumer, producer):
+        if producer in self._closure(consumer, self._succ):
             raise GraphValidationError(
                 f"edge {producer!r} -> {consumer!r} would create a cycle"
             )
-        self._graph.add_edge(producer, consumer)
+        self._succ[producer][consumer] = None
+        self._pred[consumer][producer] = None
 
-    def _reaches(self, start: str, goal: str) -> bool:
-        """Whether a directed path leads from ``start`` to ``goal``."""
-        successors = self._graph.successors
-        seen = {start}
+    @staticmethod
+    def _closure(
+        start: str, adjacency: _t.Dict[str, _t.Dict[str, None]]
+    ) -> _t.Set[str]:
+        """Every PE reachable from ``start`` over ``adjacency``, itself
+        excluded unless a cycle leads back to it."""
+        seen: _t.Set[str] = set()
         stack = [start]
         while stack:
-            for pe_id in successors(stack.pop()):
-                if pe_id == goal:
-                    return True
+            for pe_id in adjacency[stack.pop()]:
                 if pe_id not in seen:
                     seen.add(pe_id)
                     stack.append(pe_id)
-        return False
+        return seen
 
     # -- lookup ------------------------------------------------------------
 
@@ -100,65 +106,95 @@ class ProcessingGraph:
 
     def upstream(self, pe_id: str) -> _t.List[str]:
         """The paper's ``U(p_j)``: PEs feeding data to ``pe_id``."""
-        return list(self._graph.predecessors(pe_id))
+        return list(self._pred[pe_id])
 
     def downstream(self, pe_id: str) -> _t.List[str]:
         """The paper's ``D(p_j)``: PEs fed by ``pe_id``."""
-        return list(self._graph.successors(pe_id))
+        return list(self._succ[pe_id])
 
     def fan_in(self, pe_id: str) -> int:
-        return self._graph.in_degree(pe_id)
+        return len(self._pred[pe_id])
 
     def fan_out(self, pe_id: str) -> int:
-        return self._graph.out_degree(pe_id)
+        return len(self._succ[pe_id])
 
     @property
     def ingress_ids(self) -> _t.List[str]:
         """PEs with no upstream PEs (fed by system input streams)."""
-        return [p for p in self._profiles if self._graph.in_degree(p) == 0]
+        return [p for p, feeds in self._pred.items() if not feeds]
 
     @property
     def egress_ids(self) -> _t.List[str]:
         """PEs with no downstream PEs (their output leaves the system)."""
-        return [p for p in self._profiles if self._graph.out_degree(p) == 0]
+        return [p for p, fed in self._succ.items() if not fed]
 
     @property
     def intermediate_ids(self) -> _t.List[str]:
-        return [
-            p
-            for p in self._profiles
-            if self._graph.in_degree(p) > 0 and self._graph.out_degree(p) > 0
-        ]
+        return [p for p in self._profiles if self._pred[p] and self._succ[p]]
 
     def edges(self) -> _t.List[_t.Tuple[str, str]]:
-        return list(self._graph.edges())
+        return [(p, c) for p, fed in self._succ.items() for c in fed]
 
     def topological_order(self) -> _t.List[str]:
         """PE ids ordered so producers precede their consumers.
 
-        Ties are broken lexicographically so the order is deterministic.
+        Kahn's algorithm with a heap of ready ids: ties are broken
+        lexicographically so the order is deterministic.  Raises
+        :class:`GraphValidationError` if the graph has a cycle.
         """
-        return list(nx.lexicographical_topological_sort(self._graph))
+        indegree = {p: len(feeds) for p, feeds in self._pred.items()}
+        ready = [p for p, n in indegree.items() if n == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            pe_id = heapq.heappop(ready)
+            order.append(pe_id)
+            for child in self._succ[pe_id]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, child)
+        if len(order) < len(indegree):
+            raise GraphValidationError("graph has a cycle")
+        return order
 
     def reverse_topological_order(self) -> _t.List[str]:
         """Consumers before producers — the feedback propagation order."""
         return list(reversed(self.topological_order()))
 
     def connected_components(self) -> _t.List[_t.Set[str]]:
-        """Weakly connected components (paper Section III-B)."""
-        return [set(c) for c in nx.weakly_connected_components(self._graph)]
+        """Weakly connected components (paper Section III-B), in the
+        order of each component's first-added PE."""
+        seen: _t.Set[str] = set()
+        components = []
+        for root in self._profiles:
+            if root in seen:
+                continue
+            component = {root}
+            stack = [root]
+            while stack:
+                pe_id = stack.pop()
+                for other in (*self._succ[pe_id], *self._pred[pe_id]):
+                    if other not in component:
+                        component.add(other)
+                        stack.append(other)
+            seen |= component
+            components.append(component)
+        return components
 
     def depth(self) -> int:
         """Longest path length (number of edges) in the DAG."""
-        if not self._profiles:
-            return 0
-        return nx.dag_longest_path_length(self._graph)
+        longest: _t.Dict[str, int] = {}
+        for pe_id in self.topological_order():
+            longest[pe_id] = max(
+                (longest[p] + 1 for p in self._pred[pe_id]), default=0
+            )
+        return max(longest.values(), default=0)
 
     def descendants(self, pe_id: str) -> _t.Set[str]:
-        return set(nx.descendants(self._graph, pe_id))
+        return self._closure(pe_id, self._succ)
 
     def ancestors(self, pe_id: str) -> _t.Set[str]:
-        return set(nx.ancestors(self._graph, pe_id))
+        return self._closure(pe_id, self._pred)
 
     # -- validation --------------------------------------------------------
 
@@ -183,8 +219,7 @@ class ProcessingGraph:
         """
         if not self._profiles:
             raise GraphValidationError("graph has no PEs")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise GraphValidationError("graph has a cycle")
+        self.topological_order()
         for pe_id in self._profiles:
             if max_fan_in is not None and self.fan_in(pe_id) > max_fan_in:
                 raise GraphValidationError(
@@ -214,5 +249,5 @@ class ProcessingGraph:
     def __repr__(self) -> str:
         return (
             f"ProcessingGraph(pes={len(self._profiles)}, "
-            f"edges={self._graph.number_of_edges()})"
+            f"edges={sum(map(len, self._succ.values()))})"
         )

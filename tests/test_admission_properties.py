@@ -19,6 +19,8 @@ from repro.control.admission import (
     AdmissionLevel,
     DegradationLadder,
 )
+from repro.metrics.collectors import EgressRecord
+from repro.obs.hist import LogHistogram
 
 ladder_settings = settings(max_examples=100, deadline=None)
 
@@ -179,3 +181,59 @@ def test_property_kill_switch_dominates(walk, kill_at, release_at):
             assert controller.admit_ingress("src:a", now) == "reject"
         else:
             assert controller.effective_level is controller.ladder.level
+
+
+#: One pressure-signal step: record latencies on a stream, swap in a
+#: fresh histogram (as ``EgressCollector.reset`` does), or do nothing;
+#: then advance the clock and sample.
+pressure_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["record", "reset", "idle"]),
+        st.integers(0, 2),
+        st.lists(st.floats(0.001, 2.0, allow_nan=False), max_size=4),
+        st.floats(0.0, 0.7, allow_nan=False),
+    ),
+    max_size=40,
+)
+
+
+@ladder_settings
+@given(pressure_steps)
+def test_property_pressure_cache_is_exact(steps):
+    """Reusing a stream's windowed p95 while its histogram is unchanged
+    gives the same pressure as re-deriving every stream every tick."""
+
+    def bound():
+        controller = AdmissionController(AdmissionConfig())
+        controller.bind({}, egress, clock=lambda: now)
+        return controller
+
+    egress = {
+        f"sink-{i}": EgressRecord(pe_id=f"sink-{i}", weight=1.0)
+        for i in range(3)
+    }
+    now = 0.0
+    cached, fresh = bound(), bound()
+    for action, stream, latencies, dt in steps:
+        record = egress[f"sink-{stream}"]
+        if action == "record":
+            for latency in latencies:
+                record.hist.add(latency)
+        elif action == "reset":
+            record.hist = LogHistogram()
+        now += dt
+        fresh._p95_cache.clear()
+        assert cached.pressure() == fresh.pressure()
+
+
+def test_pressure_cache_keys_on_the_histogram_object():
+    """A swapped-in histogram with the old one's sample count is a new
+    stream state, not a cache hit."""
+    record = EgressRecord(pe_id="sink", weight=1.0)
+    controller = AdmissionController(AdmissionConfig(slo_p95=1.0))
+    controller.bind({}, {"sink": record}, clock=lambda: 0.0)
+    record.hist.add(0.01)
+    low = controller.pressure()
+    record.hist = LogHistogram()
+    record.hist.add(5.0)
+    assert controller.pressure() > low

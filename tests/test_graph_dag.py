@@ -101,6 +101,61 @@ class TestConstruction:
         assert "nope" not in graph
 
 
+class TestAgainstNetworkx:
+    """The adjacency maps answer every structural question the way a
+    networkx graph holding the same accepted edges does, in the same
+    order where order is part of the answer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.permutations([f"pe-{i}" for i in range(14)]),
+        st.lists(
+            st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=50
+        ),
+    )
+    def test_structure_matches(self, ids, pairs):
+        graph = ProcessingGraph()
+        reference = nx.DiGraph()
+        for pe_id in ids:
+            graph.add_pe(PEProfile(pe_id=pe_id))
+            reference.add_node(pe_id)
+        for a, b in pairs:
+            try:
+                graph.add_edge(ids[a], ids[b])
+            except GraphValidationError:
+                continue
+            reference.add_edge(ids[a], ids[b])
+        assert nx.is_directed_acyclic_graph(reference)
+        order = list(nx.lexicographical_topological_sort(reference))
+        assert graph.topological_order() == order
+        assert graph.reverse_topological_order() == order[::-1]
+        assert graph.edges() == list(reference.edges())
+        for pe_id in ids:
+            assert graph.upstream(pe_id) == list(reference.predecessors(pe_id))
+            assert graph.downstream(pe_id) == list(reference.successors(pe_id))
+            assert graph.fan_in(pe_id) == reference.in_degree(pe_id)
+            assert graph.fan_out(pe_id) == reference.out_degree(pe_id)
+            assert graph.ancestors(pe_id) == nx.ancestors(reference, pe_id)
+            assert graph.descendants(pe_id) == nx.descendants(
+                reference, pe_id
+            )
+        assert graph.ingress_ids == [
+            p for p in reference if reference.in_degree(p) == 0
+        ]
+        assert graph.egress_ids == [
+            p for p in reference if reference.out_degree(p) == 0
+        ]
+        assert graph.connected_components() == [
+            set(c) for c in nx.weakly_connected_components(reference)
+        ]
+        assert graph.depth() == nx.dag_longest_path_length(reference)
+        graph.validate()
+
+    def test_empty_graph_depth(self):
+        assert ProcessingGraph().depth() == 0
+        assert ProcessingGraph().connected_components() == []
+
+
 class TestStructure:
     def test_upstream_downstream(self):
         graph = build_diamond()
@@ -170,7 +225,8 @@ class TestValidation:
         """``validate`` checks acyclicity itself — on a cycle slipped in
         behind ``add_edge`` — rather than trusting the per-edge check."""
         graph = build_diamond()
-        graph._graph.add_edge("sink", "src")
+        graph._succ["sink"]["src"] = None
+        graph._pred["src"]["sink"] = None
         with pytest.raises(GraphValidationError, match="cycle"):
             graph.validate()
 
