@@ -25,19 +25,21 @@ emitting trace events:
 * **Admission ladder** (when the plane carries an admission front end) —
   every ``admission_level`` event respects the ladder contract: automatic
   transitions are monotonic downgrades (recovery moves exactly one rank
-  up), no two ladder transitions fall within one ``min_dwell`` window,
-  transitions are consistent with the hysteresis band they claim
+  up), transitions are consistent with the hysteresis band they claim
   (adaptive moves only at/above the target level's enter threshold,
   recoveries only at/below the left level's exit threshold), the kill
   switch always resolves to ``KILL``, and ``KILL`` is never entered
   adaptively.  ``shed``/``reject`` events are only legal at the levels
-  that shed/reject.  The enter/exit bands themselves are validated once
-  at attach time.
+  that shed/reject.
 * **Forecast tier** (when the plane carries a forecasting tier) — every
   ``forecast`` tick publishes finite, non-negative signals whose ratio
   is exactly ``predicted / baseline``; every ``proactive_trigger`` cites
-  a ratio at or above the configured headroom, and consecutive triggers
-  respect the forecast cooldown.
+  a ratio at or above the configured headroom.
+* **Debounce spacing** — no two actions of one threshold tier (ladder
+  transitions, elastic scaling decisions reactive and proactive
+  together, proactive triggers) fall closer than that tier's cooldown,
+  compared exactly on the instants the tier acted at
+  (:meth:`OracleRecorder.check_spacing`, run by :meth:`finalize`).
 
 :class:`OracleRecorder` is a :class:`~repro.obs.recorder.TraceRecorder`:
 arm it by passing it as the ``recorder`` of a system, then call
@@ -65,7 +67,7 @@ import typing as _t
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from repro.control.admission import ADAPTIVE_LEVELS, AdmissionLevel
+from repro.control.admission import AdmissionLevel
 from repro.obs.recorder import (
     BUFFER_OCCUPANCY,
     R_MAX,
@@ -199,13 +201,8 @@ class OracleRecorder(TraceRecorder):
         self._admission: _t.Optional["AdmissionController"] = None
         #: Rank of the last effective level seen in events.
         self._adm_last_rank = 0
-        #: Time of the last *ladder* transition (adaptive/recovery,
-        #: shadowed or not); operator actions don't reset the dwell.
-        self._adm_last_ladder_t: _t.Optional[float] = None
         #: The plane's forecasting tier, when armed.
         self._forecast: _t.Optional["ForecastController"] = None
-        #: Time of the last proactive trigger (cooldown spacing check).
-        self._fc_last_trigger_t: _t.Optional[float] = None
         if plane is not None:
             self.attach_plane(plane)
 
@@ -239,28 +236,7 @@ class OracleRecorder(TraceRecorder):
 
         self._admission = plane.admission
         self._adm_last_rank = 0
-        self._adm_last_ladder_t = None
         self._forecast = plane.forecast
-        self._fc_last_trigger_t = None
-        if self._admission is not None:
-            # Static hysteresis-band validation: a malformed band (enter
-            # at or below exit, or non-increasing enters) lets pressure
-            # hovering at one value trigger repeated transitions, which
-            # is precisely what hysteresis exists to exclude.
-            config = self._admission.config
-            for index, level in enumerate(ADAPTIVE_LEVELS):
-                if config.enter[index] <= config.exit[index]:
-                    self.record_violation(
-                        "admission_band_consistency", "ladder hysteresis",
-                        f"{level.name}: enter={config.enter[index]} is not "
-                        f"strictly above exit={config.exit[index]}",
-                    )
-                if index and config.enter[index] <= config.enter[index - 1]:
-                    self.record_violation(
-                        "admission_band_consistency", "ladder hysteresis",
-                        f"enter thresholds not strictly increasing: "
-                        f"{config.enter}",
-                    )
 
     def refresh_plane(self, plane: "ControlPlane") -> None:
         """Re-flatten the oracle's node-level views after an epoch.
@@ -737,18 +713,6 @@ class OracleRecorder(TraceRecorder):
                 admission = self._admission
                 if admission is not None:
                     config = admission.config
-                    last = self._adm_last_ladder_t
-                    if last is not None:
-                        gap = t - last
-                        slack = tolerance * max(1.0, config.min_dwell)
-                        if gap < config.min_dwell - slack:
-                            self.record_violation(
-                                "admission_dwell", "ladder dwell time",
-                                f"ladder transitions {gap:.6f}s apart "
-                                f"(min_dwell={config.min_dwell})",
-                                t=t,
-                            )
-                    self._adm_last_ladder_t = t
                     # Hysteresis consistency: the claimed pressure must
                     # actually cross the band the transition cites.
                     pressure = event["pressure"]
@@ -829,31 +793,17 @@ class OracleRecorder(TraceRecorder):
 
         elif kind == "proactive_trigger":
             # A trigger must cite a ratio at or above the configured
-            # headroom, and consecutive triggers must respect the
-            # forecast cooldown (the anti-thrash contract).
-            t = event["t"]
+            # headroom.
             forecast = self._forecast
             if forecast is not None:
-                config = forecast.config
-                if event["ratio"] < config.headroom - tolerance:
+                headroom = forecast.config.headroom
+                if event["ratio"] < headroom - tolerance:
                     self.record_violation(
                         "proactive_headroom", "forecast trigger",
                         f"trigger at ratio {event['ratio']} below "
-                        f"headroom {config.headroom}",
-                        t=t,
+                        f"headroom {headroom}",
+                        t=event["t"],
                     )
-                last = self._fc_last_trigger_t
-                if last is not None:
-                    gap = t - last
-                    slack = tolerance * max(1.0, config.cooldown)
-                    if gap < config.cooldown - slack:
-                        self.record_violation(
-                            "proactive_cooldown", "forecast trigger",
-                            f"proactive triggers {gap:.6f}s apart "
-                            f"(cooldown={config.cooldown})",
-                            t=t,
-                        )
-            self._fc_last_trigger_t = t
 
         sink = self.sink
         if sink is not None:
@@ -901,10 +851,51 @@ class OracleRecorder(TraceRecorder):
                     t=t, node=node_id,
                 )
 
+    def check_spacing(self) -> None:
+        """No two actions of one debounced tier closer than its cooldown.
+
+        Judged on the instants each tier acted at — the ladder's
+        transitions, every :class:`~repro.control.elastic.ScalingPolicy`
+        decision (reactive and proactive: they share one cooldown) and
+        the proactive triggers — so the comparison is exact.
+        """
+        tiers = []
+        admission = self._admission
+        if admission is not None:
+            tiers.append((
+                "admission", admission.config.min_dwell,
+                admission.ladder.debounce.firings,
+            ))
+        policy = (
+            self._system.scaling_policy if self._system is not None
+            else None
+        )
+        if policy is not None:
+            tiers.append((
+                "elastic", policy.config.cooldown,
+                [decision.t for decision in policy.decisions],
+            ))
+        forecast = self._forecast
+        if forecast is not None:
+            tiers.append((
+                "forecast", forecast.config.cooldown,
+                [trigger.t for trigger in forecast.triggers],
+            ))
+        for tier, cooldown, instants in tiers:
+            for earlier, now in zip(instants, instants[1:]):
+                if now - earlier < cooldown:
+                    self.record_violation(
+                        "debounce_spacing", f"{tier} cooldown",
+                        f"{tier} acted at {earlier!r} and {now!r}, "
+                        f"closer than its cooldown {cooldown!r}",
+                        t=now,
+                    )
+
     def finalize(self) -> _t.List[InvariantViolation]:
         """End-of-run checks, the attached system's ledger among them;
         returns the accumulated violation list."""
         self.check_targets()
+        self.check_spacing()
         if self._system is not None:
             for violation in self._system.check_conservation():
                 self._keep(violation)

@@ -52,6 +52,7 @@ import math
 import typing as _t
 from dataclasses import dataclass
 
+from repro.control.debounce import Debounce
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -226,8 +227,8 @@ class DegradationLadder:
     def __init__(self, config: AdmissionConfig):
         self.config = config
         self.level: AdmissionLevel = AdmissionLevel.NORMAL
-        self.last_transition: _t.Optional[float] = None
-        self.transitions = 0
+        #: Rule 1: any move may fire once ``min_dwell`` has passed.
+        self.debounce = Debounce(1, config.min_dwell)
         #: Downgrades re-entering a level within one dwell of leaving it
         #: via recovery.  Structurally zero under rule 1; the bench and
         #: the acceptance criteria report it rather than trusting that.
@@ -236,11 +237,10 @@ class DegradationLadder:
             _t.Tuple[AdmissionLevel, float]
         ] = None
 
-    def dwell_remaining(self, now: float) -> float:
-        """Seconds before the next transition may fire (0 when free)."""
-        if self.last_transition is None:
-            return 0.0
-        return max(0.0, self.config.min_dwell - (now - self.last_transition))
+    @property
+    def transitions(self) -> int:
+        """Ladder moves so far."""
+        return len(self.debounce.firings)
 
     def _target(self, pressure: float) -> AdmissionLevel:
         target = AdmissionLevel.NORMAL
@@ -253,18 +253,20 @@ class DegradationLadder:
         self, pressure: float, now: float
     ) -> _t.Optional[LadderTransition]:
         """Advance the ladder one observation; return the move, if any."""
-        if self.dwell_remaining(now) > 0.0:
-            return None
         target = self._target(pressure)
         if target > self.level:
-            return self._move(target, "adaptive", pressure, now)
-        if self.level > AdmissionLevel.NORMAL and pressure <= (
+            want, cause = target, "adaptive"
+        elif self.level > AdmissionLevel.NORMAL and pressure <= (
             self.config.exit_threshold(self.level)
         ):
-            recovered = AdmissionLevel(int(self.level) - 1)
+            want, cause = AdmissionLevel(int(self.level) - 1), "recovery"
+        else:
+            want, cause = None, ""
+        if not self.debounce.observe(want, now):
+            return None
+        if cause == "recovery":
             self._last_recovery_from = (self.level, now)
-            return self._move(recovered, "recovery", pressure, now)
-        return None
+        return self._move(want, cause, pressure, now)
 
     def _move(
         self,
@@ -274,20 +276,14 @@ class DegradationLadder:
         now: float,
     ) -> LadderTransition:
         prev = self.level
-        since = (
-            float("inf")
-            if self.last_transition is None
-            else now - self.last_transition
-        )
+        debounce = self.debounce
+        since = float("inf") if debounce.last is None else now - debounce.last
         if cause == "adaptive" and self._last_recovery_from is not None:
             left_level, left_at = self._last_recovery_from
-            if level >= left_level and (
-                now - left_at
-            ) < self.config.min_dwell:
+            if level >= left_level and not debounce.spaced(left_at, now):
                 self.oscillations += 1
         self.level = level
-        self.last_transition = now
-        self.transitions += 1
+        debounce.fire(now)
         return LadderTransition(
             prev=prev,
             level=level,

@@ -7,8 +7,8 @@ runtime object* (:class:`PlacementBook` holding a chain of
 (:meth:`~repro.control.plane.ControlPlane.add_node` /
 ``remove_node`` / ``migrate_pes`` regroup the Tier-2 state at an epoch
 boundary), and a :class:`ScalingPolicy` decides *when* to scale from a
-buffer-fill pressure signal using the admission ladder's
-hysteresis-plus-dwell pattern.
+buffer-fill pressure signal through the same
+:class:`~repro.control.debounce.Debounce` as the admission ladder.
 
 :class:`ElasticDriver` is the single home of everything Tier 3 (and the
 actuation half of the forecasting tier) does that is not physical: it
@@ -28,6 +28,7 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
+from repro.control.debounce import Debounce
 from repro.graph.placement_opt import optimize_placement
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -270,19 +271,18 @@ class ScalingDecisionRecord:
 class ScalingPolicy:
     """Hysteresis + min-dwell + cooldown over a scalar pressure signal.
 
-    Pure and substrate-free: callers feed ``observe(pressure, now)``
-    once per check interval and act on the returned decision.  The
-    policy never fires outside the configured node bounds, never fires
-    during cooldown, and requires ``dwell_intervals`` *consecutive*
-    beyond-threshold observations — one in-band reading resets the
-    streak, exactly like the admission ladder's min-dwell.
+    Pure and substrate-free: callers feed ``observe(pressure, now,
+    num_nodes, slack_pressure)`` once per check interval and act on the
+    returned decision.  The policy is a :class:`~repro.control.debounce.
+    Debounce` of ``dwell_intervals`` observations and ``cooldown``
+    seconds: one in-band reading resets the streak, exactly like the
+    admission ladder's min-dwell, and it never fires outside the
+    configured node bounds — a bound vetoes a firing without firing.
     """
 
     def __init__(self, config: ElasticityConfig) -> None:
         self.config = config
-        self._out_streak = 0
-        self._in_streak = 0
-        self._cooldown_until = float("-inf")
+        self.debounce = Debounce(config.dwell_intervals, config.cooldown)
         self.decisions: _t.List[ScalingDecisionRecord] = []
 
     def observe(
@@ -290,7 +290,7 @@ class ScalingPolicy:
         pressure: float,
         now: float,
         num_nodes: int,
-        slack_pressure: _t.Optional[float] = None,
+        slack_pressure: float,
     ) -> ScalingDecision:
         """Feed one observation; returns the decision to apply.
 
@@ -301,34 +301,19 @@ class ScalingPolicy:
         justifies growing the cluster, but only cluster-wide idleness
         justifies shrinking it — under a skew-prone policy the hottest
         node can stay pinned near full long after aggregate load has
-        collapsed.  Callers with a single signal omit ``slack_pressure``
-        and the hot-spot value serves both sides.
+        collapsed.
         """
         config = self.config
-        slack = pressure if slack_pressure is None else slack_pressure
         if pressure >= config.scale_out_pressure:
-            self._out_streak += 1
-            self._in_streak = 0
-        elif slack <= config.scale_in_pressure:
-            self._in_streak += 1
-            self._out_streak = 0
+            want, within_bounds = "scale_out", num_nodes < config.max_nodes
+        elif slack_pressure <= config.scale_in_pressure:
+            want, within_bounds = "scale_in", num_nodes > config.min_nodes
+            pressure = slack_pressure
         else:
-            self._out_streak = 0
-            self._in_streak = 0
-        if now < self._cooldown_until:
-            return "hold"
-        if (
-            self._out_streak >= config.dwell_intervals
-            and num_nodes < config.max_nodes
-        ):
-            self._fire("scale_out", pressure, now, num_nodes)
-            return "scale_out"
-        if (
-            self._in_streak >= config.dwell_intervals
-            and num_nodes > config.min_nodes
-        ):
-            self._fire("scale_in", slack, now, num_nodes)
-            return "scale_in"
+            want, within_bounds = None, False
+        if self.debounce.observe(want, now) and within_bounds:
+            self._fire(want, pressure, now, num_nodes)
+            return want
         return "hold"
 
     def request_external(self, now: float, num_nodes: int) -> bool:
@@ -336,13 +321,16 @@ class ScalingPolicy:
 
         The forecasting tier's proactive triggers route through here so
         reactive and proactive decisions share one cooldown: a granted
-        request fires exactly like a reactive decision (streaks reset,
-        the cooldown starts, the decision is recorded with pressure 0),
-        which means the reactive loop then holds through the same quiet
-        period — the two can never thrash each other.  Returns False
-        (and does nothing) during cooldown or at ``max_nodes``.
+        request fires exactly like a reactive decision (the streak
+        resets, the cooldown starts, the decision is recorded with
+        pressure 0), which means the reactive loop then holds through
+        the same quiet period — the two can never thrash each other.
+        Returns False (and does nothing) during cooldown or at
+        ``max_nodes``.
         """
-        if now < self._cooldown_until or num_nodes >= self.config.max_nodes:
+        if not self.debounce.cooled(now) or (
+            num_nodes >= self.config.max_nodes
+        ):
             return False
         self._fire("scale_out", 0.0, now, num_nodes)
         return True
@@ -354,9 +342,7 @@ class ScalingPolicy:
         now: float,
         num_nodes: int,
     ) -> None:
-        self._out_streak = 0
-        self._in_streak = 0
-        self._cooldown_until = now + self.config.cooldown
+        self.debounce.fire(now)
         self.decisions.append(
             ScalingDecisionRecord(
                 t=now,
@@ -622,7 +608,7 @@ class ElasticDriver:
             return
         hot, slack = self.pressure()
         decision = self.scaling_policy.observe(
-            hot, now, len(self.plane.groups), slack_pressure=slack
+            hot, now, len(self.plane.groups), slack
         )
         if decision == "scale_out":
             self.scale_out()

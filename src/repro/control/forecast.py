@@ -40,6 +40,7 @@ from __future__ import annotations
 import typing as _t
 from dataclasses import dataclass
 
+from repro.control.debounce import Debounce
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 
 #: A cumulative-count probe: () -> SDOs generated so far by one source.
@@ -280,12 +281,12 @@ class ForecastController:
         self._baseline_total = 0.0
         self._reoptimize: _t.Optional[ReoptimizeFn] = None
         self._scale_out: _t.Optional[ScaleOutFn] = None
-        self._active_after = 0.0
+        #: Dwell + cooldown over over-headroom forecasts; :meth:`bind`
+        #: sets its ``not_before``.
+        self.trigger = Debounce(config.dwell_ticks, config.cooldown)
         self._last_counts: _t.Dict[str, int] = {}
         self._last_tick: _t.Optional[float] = None
         self._pending: _t.Dict[str, float] = {}
-        self._streak = 0
-        self._cooldown_until = float("-inf")
 
     # -- wiring --------------------------------------------------------------
 
@@ -302,9 +303,9 @@ class ForecastController:
         ``counters`` maps ingress pe_id to a cumulative generated-count
         probe; ``baseline`` maps the same ids to the provisioned rates
         Tier-1 bootstrapped against.  ``active_after`` suppresses
-        triggers (not sampling) before that instant, so warm-up
-        transients never fire a re-solve the measured window would pay
-        for.
+        triggers (not sampling, nor the dwell count) before that
+        instant, so warm-up transients never fire a re-solve the
+        measured window would pay for.
         """
         missing = [pe_id for pe_id in counters if pe_id not in baseline]
         if missing:
@@ -323,7 +324,7 @@ class ForecastController:
             )
         self._reoptimize = reoptimize_fn
         self._scale_out = scale_out_fn
-        self._active_after = active_after
+        self.trigger.not_before = active_after
         for pe_id in self._counters:
             self.forecasters.setdefault(pe_id, self._new_forecaster())
 
@@ -387,17 +388,10 @@ class ForecastController:
         observed_total = sum(float(value) for value in rates.values())
         ratio = predicted_total / self._baseline_total
         self.last_ratio = ratio
-        if ratio >= config.headroom:
-            self._streak += 1
-        else:
-            self._streak = 0
-        fired = False
-        if (
-            self._streak >= config.dwell_ticks
-            and now >= self._cooldown_until
-            and now >= self._active_after
-        ):
-            fired = True
+        fired = self.trigger.observe(
+            True if ratio >= config.headroom else None, now
+        )
+        if fired:
             self._fire(now, ratio, predicted_total)
         if self.recorder.enabled:
             self.recorder.emit(
@@ -406,7 +400,7 @@ class ForecastController:
                 observed=observed_total,
                 baseline=self._baseline_total,
                 ratio=ratio,
-                streak=self._streak if not fired else 0,
+                streak=self.trigger.streak,
                 fired=fired,
             )
 
@@ -419,8 +413,7 @@ class ForecastController:
 
     def _fire(self, now: float, ratio: float, predicted: float) -> None:
         """Perform the proactive actions and start the cooldown."""
-        self._streak = 0
-        self._cooldown_until = now + self.config.cooldown
+        self.trigger.fire(now)
         reoptimized = False
         if self._reoptimize is not None:
             # Predicted per-stream rates, floored at zero: Tier-1

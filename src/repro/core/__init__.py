@@ -35,23 +35,16 @@ from repro.core.resilience import (
     validate_targets,
 )
 from repro.core.targets import AllocationTargets, perturb_targets
-from repro.core.utility import (
-    ExponentialUtility,
-    LinearUtility,
-    LogUtility,
-    UtilityFunction,
-)
+from repro.core.utility import LogUtility
 
 __all__ = [
     "AcesCpuScheduler",
     "AcesPolicy",
     "AllocationTargets",
-    "ExponentialUtility",
     "FeedbackBus",
     "FlowController",
     "GlobalOptimizationResult",
     "LQRGains",
-    "LinearUtility",
     "LockStepPolicy",
     "LogUtility",
     "LossyFeedbackBus",
@@ -60,7 +53,6 @@ __all__ = [
     "StrictProportionalScheduler",
     "Tier1Unavailable",
     "UdpPolicy",
-    "UtilityFunction",
     "design_gains",
     "perturb_targets",
     "solve_global_allocation",

@@ -33,10 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.targets import AllocationTargets
-from repro.core.utility import LogUtility, UtilityFunction
+from repro.core.utility import LogUtility
 from repro.graph.dag import ProcessingGraph
 from repro.graph.placement import Placement, residents_by_node
 from repro.obs.recorder import TraceRecorder
+
+
+#: The common concave utility ``U`` of Eq. 3.
+_UTILITY = LogUtility()
 
 
 @dataclass
@@ -60,12 +64,10 @@ class _Program:
         graph: ProcessingGraph,
         placement: Placement,
         source_rates: _t.Mapping[str, float],
-        utility: UtilityFunction,
         capacities: _t.Optional[_t.Sequence[float]] = None,
     ):
         self.graph = graph
         self.placement = placement
-        self.utility = utility
         self.pe_ids = graph.topological_order()
         self.index = {pe_id: k for k, pe_id in enumerate(self.pe_ids)}
         n = len(self.pe_ids)
@@ -168,7 +170,7 @@ class _Program:
         rates = np.maximum(self.rate_out(c), 0.0)
         return float(
             sum(
-                w * self.utility.value(r)
+                w * _UTILITY.value(r)
                 for w, r in zip(self.weight, rates)
                 if w > 0
             )
@@ -179,7 +181,7 @@ class _Program:
         grad = np.zeros_like(c)
         for k, (w, r) in enumerate(zip(self.weight, rates)):
             if w > 0:
-                grad[k] = w * self.utility.derivative(r) * self.mult[k] * self.slope[k]
+                grad[k] = w * _UTILITY.derivative(r) * self.mult[k] * self.slope[k]
         return grad
 
     # -- constraint residuals (<= 0 when satisfied) -----------------------
@@ -342,7 +344,6 @@ def solve_global_allocation(
     graph: ProcessingGraph,
     placement: Placement,
     source_rates: _t.Mapping[str, float],
-    utility: _t.Optional[UtilityFunction] = None,
     recorder: _t.Optional["TraceRecorder"] = None,
     reason: str = "solve",
     capacities: _t.Optional[_t.Sequence[float]] = None,
@@ -356,8 +357,6 @@ def solve_global_allocation(
     source_rates:
         Offered time-averaged input rate per ingress PE id (SDO/s).
         Missing entries are treated as unconstrained.
-    utility:
-        The common concave utility ``U``; defaults to ``log(x + 1)``.
     recorder:
         Optional trace bus; when given, the solve publishes one
         ``tier1_resolve`` event carrying the new ``c̄_j`` targets.
@@ -367,9 +366,7 @@ def solve_global_allocation(
         Nominal CPU capacity of each node, by node index (the ``C_i`` of
         Eq. 4); None means every node has capacity 1.0.
     """
-    if utility is None:
-        utility = LogUtility()
-    program = _Program(graph, placement, source_rates, utility, capacities)
+    program = _Program(graph, placement, source_rates, capacities)
 
     c, iterations, converged, messages = _solve_slsqp(program)
     targets = program.to_targets(c)

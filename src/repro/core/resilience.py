@@ -37,7 +37,6 @@ from repro.core.targets import AllocationTargets
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.utility import UtilityFunction
     from repro.graph.dag import ProcessingGraph
     from repro.graph.placement import Placement
 
@@ -139,7 +138,6 @@ class ResilientTier1:
         graph: "ProcessingGraph",
         placement: "Placement",
         source_rates: _t.Mapping[str, float],
-        utility: _t.Optional["UtilityFunction"] = None,
         reason: str = "resolve",
         capacities: _t.Optional[_t.Sequence[float]] = None,
     ) -> GlobalOptimizationResult:
@@ -158,7 +156,6 @@ class ResilientTier1:
                 graph,
                 placement,
                 source_rates,
-                utility=utility,
                 recorder=self.recorder,
                 reason=reason,
                 capacities=capacities,

@@ -1,15 +1,10 @@
-"""Utility functions for the weighted-throughput objective.
+"""The utility function of the weighted-throughput objective.
 
 The paper parameterizes PE utilities as ``U_j(r) = w_j * U(r)`` with a
 single strictly increasing, concave, differentiable ``U`` shared by all PEs
-(Section V-B).  The three examples the paper gives are implemented here:
-
-* ``U(x) = x``                 — :class:`LinearUtility`
-* ``U(x) = log(x + 1)``        — :class:`LogUtility`
-* ``U(x) = 1 - exp(-x)``       — :class:`ExponentialUtility`
-
-Each utility exposes value, derivative, and inverse derivative (the latter
-drives water-filling style allocation in closed form where possible).
+(Section V-B), and names ``x``, ``log(x + 1)`` and ``1 - exp(-x)`` as
+examples.  This reproduction runs ``U(x) = log(x + 1)`` everywhere: Tier 1
+maximizes it and every report scores it (:class:`LogUtility`).
 """
 
 from __future__ import annotations
@@ -17,108 +12,22 @@ from __future__ import annotations
 import math
 
 
-class UtilityFunction:
-    """Interface: strictly increasing, concave, differentiable utility."""
-
-    name: str = "abstract"
-
-    def value(self, x: float) -> float:
-        """U(x) for x >= 0."""
-        raise NotImplementedError
-
-    def derivative(self, x: float) -> float:
-        """U'(x) for x >= 0 (positive, non-increasing)."""
-        raise NotImplementedError
-
-    def inverse_derivative(self, y: float) -> float:
-        """x such that U'(x) = y, clamped to x >= 0."""
-        raise NotImplementedError
-
-    def __call__(self, x: float) -> float:
-        return self.value(x)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class LinearUtility(UtilityFunction):
-    """``U(x) = x``: weighted throughput proper."""
-
-    name = "linear"
-
-    def value(self, x: float) -> float:
-        self._check(x)
-        return x
-
-    def derivative(self, x: float) -> float:
-        self._check(x)
-        return 1.0
-
-    def inverse_derivative(self, y: float) -> float:
-        raise ValueError(
-            "linear utility has constant derivative; inverse is undefined"
-        )
-
-    @staticmethod
-    def _check(x: float) -> None:
-        if x < 0:
-            raise ValueError(f"utility argument must be >= 0, got {x}")
-
-
-class LogUtility(UtilityFunction):
+class LogUtility:
     """``U(x) = log(x + 1)``: proportional-fairness flavoured."""
 
     name = "log"
 
     def value(self, x: float) -> float:
+        """U(x) for x >= 0."""
         if x < 0:
             raise ValueError(f"utility argument must be >= 0, got {x}")
         return math.log1p(x)
 
     def derivative(self, x: float) -> float:
+        """U'(x) for x >= 0 (positive, non-increasing)."""
         if x < 0:
             raise ValueError(f"utility argument must be >= 0, got {x}")
         return 1.0 / (x + 1.0)
 
-    def inverse_derivative(self, y: float) -> float:
-        if y <= 0:
-            raise ValueError(f"derivative value must be > 0, got {y}")
-        return max(0.0, 1.0 / y - 1.0)
-
-
-class ExponentialUtility(UtilityFunction):
-    """``U(x) = 1 - exp(-x)``: sharply saturating utility."""
-
-    name = "exponential"
-
-    def value(self, x: float) -> float:
-        if x < 0:
-            raise ValueError(f"utility argument must be >= 0, got {x}")
-        return 1.0 - math.exp(-x)
-
-    def derivative(self, x: float) -> float:
-        if x < 0:
-            raise ValueError(f"utility argument must be >= 0, got {x}")
-        return math.exp(-x)
-
-    def inverse_derivative(self, y: float) -> float:
-        if y <= 0:
-            raise ValueError(f"derivative value must be > 0, got {y}")
-        return max(0.0, -math.log(min(y, 1.0)))
-
-
-_UTILITIES = {
-    "linear": LinearUtility,
-    "log": LogUtility,
-    "exponential": ExponentialUtility,
-}
-
-
-def get_utility(name: str) -> UtilityFunction:
-    """Look up a utility by name ('linear', 'log', 'exponential')."""
-    try:
-        return _UTILITIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown utility {name!r}; choose from {sorted(_UTILITIES)}"
-        ) from None
+    def __call__(self, x: float) -> float:
+        return self.value(x)

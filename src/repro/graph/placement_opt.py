@@ -24,9 +24,6 @@ import numpy as np
 from repro.graph.dag import ProcessingGraph
 from repro.graph.placement import Placement
 
-if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.utility import UtilityFunction
-
 
 @dataclass
 class PlacementSearchResult:
@@ -50,7 +47,6 @@ def _score(
     graph: ProcessingGraph,
     placement: Placement,
     source_rates: _t.Mapping[str, float],
-    utility: _t.Optional["UtilityFunction"],
     capacities: _t.Optional[_t.Sequence[float]],
 ) -> float:
     # Imported lazily: repro.core depends on repro.graph for its data
@@ -58,8 +54,7 @@ def _score(
     from repro.core.global_opt import solve_global_allocation
 
     return solve_global_allocation(
-        graph, placement, source_rates, utility=utility,
-        capacities=capacities,
+        graph, placement, source_rates, capacities=capacities,
     ).objective
 
 
@@ -68,7 +63,6 @@ def optimize_placement(
     initial: Placement,
     source_rates: _t.Mapping[str, float],
     num_nodes: int,
-    utility: _t.Optional[UtilityFunction] = None,
     max_evaluations: int = 60,
     rng: _t.Optional[np.random.Generator] = None,
     capacities: _t.Optional[_t.Sequence[float]] = None,
@@ -119,7 +113,7 @@ def optimize_placement(
         signature = tuple(sorted(placement.items()))
         hit = cache.get(signature)
         if hit is None:
-            hit = _score(graph, placement, source_rates, utility, capacities)
+            hit = _score(graph, placement, source_rates, capacities)
             cache[signature] = hit
         return hit
 

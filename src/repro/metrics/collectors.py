@@ -13,7 +13,7 @@ import math
 import typing as _t
 from dataclasses import dataclass, field
 
-from repro.core.utility import LogUtility, UtilityFunction
+from repro.core.utility import LogUtility
 from repro.metrics.stats import StreamingMoments, SummaryStats
 from repro.model.sdo import SDO
 from repro.obs.hist import LogHistogram
@@ -96,20 +96,17 @@ class EgressCollector:
     def total_output(self) -> int:
         return sum(r.count for r in self._records.values())
 
-    def weighted_utility(
-        self, now: float, utility: _t.Optional[UtilityFunction] = None
-    ) -> float:
+    def weighted_utility(self, now: float) -> float:
         """sum_j w_j U(rate_j) over the measured window.
 
         The concave counterpart of :meth:`weighted_throughput`, evaluated
-        with the same utility Tier 1 optimizes (``log(x + 1)`` by default)
-        so measured outcomes are comparable to the Tier-1 objective.
+        with the utility Tier 1 optimizes (``log(x + 1)``) so measured
+        outcomes are comparable to the Tier-1 objective.
         """
         duration = now - self._window_start
         if duration <= 0:
             return 0.0
-        if utility is None:
-            utility = LogUtility()
+        utility = LogUtility()
         return sum(
             r.weight * utility.value(r.count / duration)
             for r in self._records.values()
@@ -349,7 +346,7 @@ def measure_window(
             wasted_work_fraction=(
                 delta("emit_drops") / emit_attempts if emit_attempts else 0.0
             ),
-            weighted_utility=collector.weighted_utility(ended, LogUtility()),
+            weighted_utility=collector.weighted_utility(ended),
             latency_percentiles=collector.latency_percentiles(),
             worker_restarts=system.worker_restarts,
             workers_abandoned=system.workers_abandoned,

@@ -105,7 +105,7 @@ class TestDegradationLadder:
     def test_starts_normal_and_free(self):
         ladder = DegradationLadder(ladder_config())
         assert ladder.level is AdmissionLevel.NORMAL
-        assert ladder.dwell_remaining(0.0) == 0.0
+        assert ladder.debounce.cooled(0.0)
         assert ladder.transitions == 0
 
     def test_low_pressure_no_move(self):

@@ -118,7 +118,7 @@ def test_property_level_tracks_hysteresis_band(config, walk):
     for pressure, dt in walk:
         now += dt
         ladder.step(pressure, now)
-        if ladder.dwell_remaining(now) == 0.0:
+        if ladder.debounce.cooled(now):
             # Free to move: the level must already be at least the
             # deepest rung whose enter band the pressure meets.
             for index, level in enumerate(

@@ -1,4 +1,4 @@
-"""Tests for the utility functions of the Tier-1 objective."""
+"""Tests for the utility function of the Tier-1 objective."""
 
 import math
 
@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.utility import (
-    ExponentialUtility,
-    LinearUtility,
-    LogUtility,
-    get_utility,
-)
+from repro.core.utility import LogUtility
 
-ALL_UTILITIES = [LinearUtility(), LogUtility(), ExponentialUtility()]
+ALL_UTILITIES = [LogUtility()]
 
 
 @pytest.mark.parametrize("utility", ALL_UTILITIES, ids=lambda u: u.name)
@@ -56,57 +51,10 @@ class TestCommonProperties:
 
 
 class TestSpecifics:
-    def test_linear_values(self):
-        assert LinearUtility().value(3.5) == 3.5
-
-    def test_linear_inverse_derivative_undefined(self):
-        with pytest.raises(ValueError):
-            LinearUtility().inverse_derivative(1.0)
-
     def test_log_values(self):
         assert LogUtility().value(math.e - 1) == pytest.approx(1.0)
-
-    def test_log_inverse_derivative(self):
-        utility = LogUtility()
-        for y in (0.1, 0.5, 0.9):
-            x = utility.inverse_derivative(y)
-            assert utility.derivative(x) == pytest.approx(y)
-
-    def test_log_inverse_derivative_clamps(self):
-        assert LogUtility().inverse_derivative(2.0) == 0.0
-
-    def test_exponential_saturates_at_one(self):
-        assert ExponentialUtility().value(50.0) == pytest.approx(1.0)
-
-    def test_exponential_inverse_derivative(self):
-        utility = ExponentialUtility()
-        for y in (0.1, 0.5, 0.9):
-            x = utility.inverse_derivative(y)
-            assert utility.derivative(x) == pytest.approx(y)
-
-    def test_inverse_derivative_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            LogUtility().inverse_derivative(0.0)
-        with pytest.raises(ValueError):
-            ExponentialUtility().inverse_derivative(-1.0)
-
-
-class TestRegistry:
-    def test_lookup_by_name(self):
-        assert isinstance(get_utility("linear"), LinearUtility)
-        assert isinstance(get_utility("log"), LogUtility)
-        assert isinstance(get_utility("exponential"), ExponentialUtility)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown utility"):
-            get_utility("quadratic")
 
 
 @given(st.floats(min_value=0.0, max_value=100.0))
 def test_property_log_below_linear(x):
-    assert LogUtility().value(x) <= LinearUtility().value(x) + 1e-12
-
-
-@given(st.floats(min_value=0.0, max_value=100.0))
-def test_property_exponential_bounded(x):
-    assert 0.0 <= ExponentialUtility().value(x) < 1.0 + 1e-12
+    assert LogUtility().value(x) <= x + 1e-12

@@ -93,29 +93,29 @@ class TestScalingPolicy:
 
     def test_dwell_requires_consecutive_observations(self):
         policy = ScalingPolicy(self.config())
-        assert policy.observe(0.9, 0.0, 2) == "hold"
-        assert policy.observe(0.9, 0.5, 2) == "hold"
-        assert policy.observe(0.9, 1.0, 2) == "scale_out"
+        assert policy.observe(0.9, 0.0, 2, 0.9) == "hold"
+        assert policy.observe(0.9, 0.5, 2, 0.9) == "hold"
+        assert policy.observe(0.9, 1.0, 2, 0.9) == "scale_out"
 
     def test_in_band_reading_resets_the_streak(self):
         policy = ScalingPolicy(self.config())
-        policy.observe(0.9, 0.0, 2)
-        policy.observe(0.9, 0.5, 2)
-        assert policy.observe(0.5, 1.0, 2) == "hold"  # streak broken
-        assert policy.observe(0.9, 1.5, 2) == "hold"  # restart from 1
-        assert policy.observe(0.9, 2.0, 2) == "hold"
-        assert policy.observe(0.9, 2.5, 2) == "scale_out"
+        policy.observe(0.9, 0.0, 2, 0.9)
+        policy.observe(0.9, 0.5, 2, 0.9)
+        assert policy.observe(0.5, 1.0, 2, 0.5) == "hold"  # streak broken
+        assert policy.observe(0.9, 1.5, 2, 0.9) == "hold"  # restart from 1
+        assert policy.observe(0.9, 2.0, 2, 0.9) == "hold"
+        assert policy.observe(0.9, 2.5, 2, 0.9) == "scale_out"
 
     def test_cooldown_suppresses_back_to_back_fires(self):
         policy = ScalingPolicy(self.config(dwell_intervals=1))
-        assert policy.observe(0.9, 0.0, 2) == "scale_out"
-        assert policy.observe(0.9, 0.5, 3) == "hold"  # cooling down
-        assert policy.observe(0.9, 2.5, 3) == "scale_out"
+        assert policy.observe(0.9, 0.0, 2, 0.9) == "scale_out"
+        assert policy.observe(0.9, 0.5, 3, 0.9) == "hold"  # cooling down
+        assert policy.observe(0.9, 2.5, 3, 0.9) == "scale_out"
 
     def test_node_bounds_are_never_crossed(self):
         policy = ScalingPolicy(self.config(dwell_intervals=1, cooldown=0.0))
-        assert policy.observe(0.9, 0.0, 4) == "hold"  # at max_nodes
-        assert policy.observe(0.1, 1.0, 1) == "hold"  # at min_nodes
+        assert policy.observe(0.9, 0.0, 4, 0.9) == "hold"  # at max_nodes
+        assert policy.observe(0.1, 1.0, 1, 0.1) == "hold"  # at min_nodes
 
     def test_scale_in_uses_the_slack_signal(self):
         # Hot-spot pressure sits mid-band (one busy node) while the
@@ -135,7 +135,7 @@ class TestScalingPolicy:
 
     def test_decisions_are_recorded(self):
         policy = ScalingPolicy(self.config(dwell_intervals=1))
-        policy.observe(0.9, 1.0, 2)
+        policy.observe(0.9, 1.0, 2, 0.9)
         (record,) = policy.decisions
         assert record.decision == "scale_out"
         assert record.t == 1.0

@@ -245,7 +245,7 @@ class TestTriggerContract:
             assert math.isfinite(record.predicted)
             assert record.predicted >= 0.0
         for earlier, later in zip(triggers, triggers[1:]):
-            assert later.t - earlier.t >= cooldown - 1e-9
+            assert later.t - earlier.t >= cooldown
         # The MAE accumulator only scores realized one-step pairs.
         if controller.error_samples:
             assert math.isfinite(controller.mean_abs_error)

@@ -12,7 +12,6 @@ from repro.core.global_opt import (
     _project_node_capacity,
     solve_global_allocation,
 )
-from repro.core.utility import LinearUtility, LogUtility
 from repro.graph.dag import ProcessingGraph
 from repro.graph.topology import (
     TopologySpec,
@@ -47,18 +46,14 @@ def two_stage_pipeline(weight=1.0, t=0.01):
 class TestSimpleInstances:
     def test_single_pipeline_saturates_bottleneck(self):
         graph, placement = two_stage_pipeline()
-        result = solve_global_allocation(
-            graph, placement, {"src": 1000.0}, utility=LogUtility()
-        )
+        result = solve_global_allocation(graph, placement, {"src": 1000.0})
         # Both PEs alone on their nodes: full CPU each, rate 100 SDO/s.
         assert result.targets.cpu["src"] == pytest.approx(1.0, abs=0.01)
         assert result.targets.rate_out["sink"] == pytest.approx(100.0, rel=0.02)
 
     def test_source_rate_caps_ingress(self):
         graph, placement = two_stage_pipeline()
-        result = solve_global_allocation(
-            graph, placement, {"src": 30.0}, utility=LogUtility()
-        )
+        result = solve_global_allocation(graph, placement, {"src": 30.0})
         assert result.targets.rate_in["src"] <= 30.0 + 1e-6
         # Downstream never exceeds upstream output (Eq. 5).
         assert (
@@ -79,9 +74,7 @@ class TestSimpleInstances:
         )
         graph.add_edge("slow", "fast")
         placement = {"slow": 0, "fast": 1}
-        result = solve_global_allocation(
-            graph, placement, {"slow": 1e9}, utility=LogUtility()
-        )
+        result = solve_global_allocation(graph, placement, {"slow": 1e9})
         # Producer at full CPU makes 10 SDO/s; consumer needs only 1% CPU.
         assert result.targets.rate_out["fast"] == pytest.approx(10.0, rel=0.05)
         assert result.targets.cpu["fast"] < 0.05
@@ -98,26 +91,11 @@ class TestSimpleInstances:
             )
         placement = {"a": 0, "b": 0}
         result = solve_global_allocation(
-            graph, placement, {"a": 1e9, "b": 1e9}, utility=LogUtility()
+            graph, placement, {"a": 1e9, "b": 1e9}
         )
         assert result.targets.cpu["a"] > result.targets.cpu["b"]
         total = result.targets.cpu["a"] + result.targets.cpu["b"]
         assert total == pytest.approx(1.0, abs=0.01)
-
-    def test_linear_utility_winner_takes_node(self):
-        """With U(x) = x the heavier stream takes the whole shared node."""
-        graph = ProcessingGraph()
-        for pe_id, weight in (("a", 2.0), ("b", 1.0)):
-            graph.add_pe(
-                PEProfile(
-                    pe_id=pe_id, weight=weight, t0=0.01, t1=0.01, lambda_s=0.0
-                )
-            )
-        placement = {"a": 0, "b": 0}
-        result = solve_global_allocation(
-            graph, placement, {"a": 1e9, "b": 1e9}, utility=LinearUtility()
-        )
-        assert result.targets.cpu["a"] == pytest.approx(1.0, abs=0.02)
 
 
 class TestConstraintsOnRandomInstances:
@@ -202,7 +180,7 @@ def calibration_program(seed):
     )
     rates = dict(topology.source_rates)
     rates.pop(topology.graph.ingress_ids[0])
-    return _Program(topology.graph, topology.placement, rates, LogUtility())
+    return _Program(topology.graph, topology.placement, rates)
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -367,7 +345,7 @@ def certified_gap(topology, result, capacities=None):
 
     program = _Program(
         topology.graph, topology.placement, topology.source_rates,
-        LogUtility(), capacities,
+        capacities,
     )
     point = np.array([result.targets.cpu[p] for p in program.pe_ids])
     gradient = program.objective_gradient(point)

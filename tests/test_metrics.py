@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.policies import AcesPolicy
-from repro.core.utility import LinearUtility
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.metrics.collectors import EgressCollector, MetricsReport
 from repro.metrics.stats import (
@@ -174,15 +173,6 @@ class TestEgressCollector:
         # Window [0, 2]: rates 5 and 2 -> 2*log(6) + 0.5*log(3).
         expected = 2.0 * math.log(6.0) + 0.5 * math.log(3.0)
         assert collector.weighted_utility(2.0) == pytest.approx(expected)
-
-    def test_weighted_utility_linear_matches_throughput(self):
-        collector = EgressCollector()
-        collector.register("e1", 2.0)
-        for _ in range(6):
-            collector.record("e1", self.sdo(0.0), 1.0)
-        assert collector.weighted_utility(
-            3.0, LinearUtility()
-        ) == pytest.approx(collector.weighted_throughput(3.0))
 
     def test_weighted_utility_zero_window(self):
         collector = EgressCollector()

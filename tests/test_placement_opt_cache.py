@@ -32,9 +32,7 @@ def _reference_optimize(
     rng = np.random.default_rng(0)
     current = dict(initial)
     evaluations = 1
-    current_score = placement_opt._score(
-        graph, current, source_rates, None, None
-    )
+    current_score = placement_opt._score(graph, current, source_rates, None)
     initial_score = current_score
     improvements: _t.List[_t.Tuple[str, float]] = []
     pe_ids = list(graph.pe_ids)
@@ -56,7 +54,7 @@ def _reference_optimize(
                 candidate[pe_id] = node
                 evaluations += 1
                 score = placement_opt._score(
-                    graph, candidate, source_rates, None, None
+                    graph, candidate, source_rates, None
                 )
                 if score > current_score * (1 + 1e-6):
                     current = candidate
@@ -103,11 +101,9 @@ def test_cache_skips_repeat_solves(monkeypatch):
     signatures = []
     real_score = placement_opt._score
 
-    def counting_score(graph, placement, source_rates, utility, capacities):
+    def counting_score(graph, placement, source_rates, capacities):
         signatures.append(tuple(sorted(placement.items())))
-        return real_score(
-            graph, placement, source_rates, utility, capacities
-        )
+        return real_score(graph, placement, source_rates, capacities)
 
     monkeypatch.setattr(placement_opt, "_score", counting_score)
     result = optimize_placement(
