@@ -33,7 +33,7 @@ def test_sim_kernel_event_throughput(benchmark):
     assert result == 2000.0
 
 
-def test_global_opt_slsqp(benchmark):
+def test_global_opt_solve(benchmark):
     topology = generate_topology(
         paper_calibration_spec(calibrate_rates=False),
         np.random.default_rng(0),

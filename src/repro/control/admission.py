@@ -229,13 +229,6 @@ class DegradationLadder:
         self.level: AdmissionLevel = AdmissionLevel.NORMAL
         #: Rule 1: any move may fire once ``min_dwell`` has passed.
         self.debounce = Debounce(1, config.min_dwell)
-        #: Downgrades re-entering a level within one dwell of leaving it
-        #: via recovery.  Structurally zero under rule 1; the bench and
-        #: the acceptance criteria report it rather than trusting that.
-        self.oscillations = 0
-        self._last_recovery_from: _t.Optional[
-            _t.Tuple[AdmissionLevel, float]
-        ] = None
 
     @property
     def transitions(self) -> int:
@@ -264,8 +257,6 @@ class DegradationLadder:
             want, cause = None, ""
         if not self.debounce.observe(want, now):
             return None
-        if cause == "recovery":
-            self._last_recovery_from = (self.level, now)
         return self._move(want, cause, pressure, now)
 
     def _move(
@@ -278,10 +269,6 @@ class DegradationLadder:
         prev = self.level
         debounce = self.debounce
         since = float("inf") if debounce.last is None else now - debounce.last
-        if cause == "adaptive" and self._last_recovery_from is not None:
-            left_level, left_at = self._last_recovery_from
-            if level >= left_level and not debounce.spaced(left_at, now):
-                self.oscillations += 1
         self.level = level
         debounce.fire(now)
         return LadderTransition(

@@ -13,8 +13,7 @@ and measures:
 * **utility retention** — the admission cell's weighted utility relative
   to its plain twin (what graceful degradation costs);
 * **shed / rejected** — SDOs turned away at the admission front end;
-* **transitions / oscillations** — degradation-ladder activity (the
-  hysteresis + dwell design makes oscillations structurally zero);
+* **transitions** — degradation-ladder activity;
 * **violations** — online oracle findings plus the closed conservation
   ledger (must be empty in every cell).
 
@@ -125,28 +124,21 @@ def run_admission_cell(
         admission_shed=controller.total_shed if controller else 0,
         admission_rejected=controller.total_rejected if controller else 0,
         ladder_transitions=controller.ladder.transitions if controller else 0,
-        ladder_oscillations=(
-            controller.ladder.oscillations if controller else 0
-        ),
         final_level=controller.effective_level.name if controller else None,
     )
 
 
 def _verdict(pairs: matrix.Pairs) -> matrix.Verdict:
     """``slo_defended``: wherever the plain cell violates the SLO, its
-    admission twin holds it.  The ladder must also never oscillate."""
+    admission twin holds it."""
     breached = [armed for plain, armed in pairs if not plain["slo_met"]]
     held = sum(1 for armed in breached if armed["slo_met"])
-    oscillations = sum(
-        cell["ladder_oscillations"] for pair in pairs for cell in pair
-    )
     terms = {
         "slo_defended": held == len(breached),
         "plain_slo_violations": len(breached),
         "admission_cells_held": held,
-        "total_oscillations": oscillations,
     }
-    return terms, held == len(breached) and oscillations == 0
+    return terms, held == len(breached)
 
 
 def run_admission_matrix(
@@ -193,8 +185,8 @@ VERB = matrix.MatrixVerb(
         "several Fig. 5 burstiness scales, plain and with the "
         "SLO-aware admission front end armed, with strict invariant "
         "oracles watching every cell, and write the matrix to a JSON "
-        "benchmark file.  Exits nonzero on any SLO defense failure, "
-        "ladder oscillation, or invariant violation."
+        "benchmark file.  Exits nonzero on any SLO defense failure "
+        "or invariant violation."
     ),
     flags=(
         matrix.flag(
@@ -239,14 +231,12 @@ VERB = matrix.MatrixVerb(
         ("shed", itemgetter("admission_shed")),
         ("rejected", itemgetter("admission_rejected")),
         ("trans", itemgetter("ladder_transitions")),
-        ("osc", itemgetter("ladder_oscillations")),
         matrix.VIOLATIONS,
         matrix.ERROR,
     ),
     summary=(
         ("plain_slo_violations", "plain_slo_violations"),
         ("held", "admission_cells_held"),
-        ("oscillations", "total_oscillations"),
         ("violations", "total_violations"),
         ("errors", "errors"),
     ),

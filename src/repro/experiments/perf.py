@@ -51,8 +51,9 @@ def measure_scale_point(
     exclusive controller wall time — the number the vectorized engine
     exists to improve.  Both implementations run the same bucket count
     so the comparison isolates the array kernels, not loop scheduling.
-    Tier-1 uses the fair-share split (the SLSQP solve is quadratic in
-    PEs and irrelevant to tick cost).
+    Tier-1 uses the fair-share split (the dense interior-point solve
+    grows with the cube of the PE count and is irrelevant to tick
+    cost).
     """
     from repro.core.targets import fair_share_targets
 

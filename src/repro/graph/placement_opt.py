@@ -102,8 +102,8 @@ def optimize_placement(
 
     # The local search revisits placements: a candidate differs from the
     # incumbent by a single PE, and rejected moves are retried from the
-    # same incumbent on later sweeps.  Each solve is an SLSQP run over
-    # the whole system, so memoize scores by placement signature for the
+    # same incumbent on later sweeps.  Each solve is an interior-point
+    # run over the whole system, so memoize scores by placement signature for the
     # duration of this call.  The ``evaluations`` budget still counts
     # cache hits — the search trajectory (and therefore the result) is
     # identical to the uncached search, just cheaper.

@@ -400,9 +400,9 @@ def scaled_main_spec(multiplier: int) -> TopologySpec:
     """The paper's 80-node / 200-PE main topology scaled ``multiplier``x.
 
     Rate calibration is disabled: at x100 (8,000 nodes / 20,000 PEs) the
-    per-PE SLSQP calibration would dwarf the measurement itself, and the
-    scale curves built on it compare control-tick cost, not workload
-    realism.
+    per-PE empirical rate calibration (``calibration.effective_rate``)
+    would dwarf the measurement itself, and the scale curves built on it
+    compare control-tick cost, not workload realism.
     """
     return paper_main_spec(
         num_nodes=80 * multiplier,

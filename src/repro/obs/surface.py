@@ -87,9 +87,8 @@ class MetricsSnapshot:
     admission_shed: int = 0
     #: SDOs rejected with retry-after at the admission front end (lifetime).
     admission_rejected: int = 0
-    #: Ladder transitions / oscillations observed so far.
+    #: Ladder transitions observed so far.
     admission_transitions: int = 0
-    admission_oscillations: int = 0
     #: Per-ingress-stream admission ledger rows
     #: (``{"pe": ..., "admitted": ..., "shed": ..., "rejected": ...}``).
     admission_streams: _t.List[_t.Dict[str, object]] = field(
@@ -136,7 +135,6 @@ def _admission_state(admission: _t.Optional[_t.Any]) -> _t.Dict[str, _t.Any]:
         "admission_shed": admission.total_shed,
         "admission_rejected": admission.total_rejected,
         "admission_transitions": admission.ladder.transitions,
-        "admission_oscillations": admission.ladder.oscillations,
         "admission_streams": [
             {
                 "pe": pe_id,
@@ -220,8 +218,7 @@ def render_top(snapshot: MetricsSnapshot) -> str:
             f"\nadmission: level={snapshot.admission_level}  "
             f"pressure={pressure}  shed={snapshot.admission_shed}  "
             f"rejected={snapshot.admission_rejected}  "
-            f"transitions={snapshot.admission_transitions}  "
-            f"oscillations={snapshot.admission_oscillations}"
+            f"transitions={snapshot.admission_transitions}"
         )
     sections = [header]
 

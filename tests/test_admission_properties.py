@@ -5,9 +5,8 @@ configurations through :class:`~repro.control.admission.DegradationLadder`
 and asserts the structural contract the resilience matrix relies on:
 adaptive moves only ever descend the ladder (toward harsher levels),
 recovery ascends exactly one rung, no two transitions land inside one
-min-dwell window, levels stay inside the enum, and the oscillation
-counter stays at zero — thrash is impossible by construction, not by
-tuning.
+min-dwell window (so thrash is impossible by construction, not by
+tuning), and levels stay inside the enum.
 """
 
 from hypothesis import given, settings
@@ -101,9 +100,6 @@ def test_property_ladder_contract(config, walk):
     # No two transitions inside one dwell window.
     for earlier, later in zip(moves, moves[1:]):
         assert later.at - earlier.at >= config.min_dwell
-    # Thrash is structurally impossible: the dwell window that gates a
-    # recovery also covers any re-entry, so the counter never trips.
-    assert ladder.oscillations == 0
     assert ladder.transitions == len(moves)
 
 

@@ -337,17 +337,19 @@ def test_a_feedback_fault_spanning_an_epoch_keeps_scalar_parity():
 #: (events, sha256) of the membership drive's r_max / cpu_grant /
 #: token_bucket / epoch events, epoch events without ``control_impl``,
 #: taken at the commit before an epoch stopped rebuilding per-PE state.
-#: Re-pinned when SLSQP got exact constraint Jacobians, which moved the
-#: solved targets by ~1e-7; fed the earlier solver's targets, the drive
-#: still reproduces the earlier hashes.
+#: Re-pinned when Tier 1 moved from SLSQP to the interior-point solve,
+#: which moved the weighted PEs' targets by up to 2.5e-6 and slid
+#: zero-weight PEs along the optimal face; fed SLSQP's targets, the drive
+#: still reproduces the earlier hashes (e3c1c378... and c3d33bcf...).
+#: The hashes are the same at one and two OpenBLAS threads.
 MEMBERSHIP_GOLDEN = {
     "aces": (
         3380,
-        "e3c1c378ac750d3578272f2b2160041909f4259caaa634e80dd17d114438fb6b",
+        "705f6425d29a833c9739932b5911066ead0bd19cde3522ec49358b169678fa0e",
     ),
     "lockstep": (
         1130,
-        "c3d33bcf20406dce3377f4723e05b82482de474d8f3823e20ccf7dd9821fc11e",
+        "bce7e60d575540e02859f00e06873113ac3eb47cab82c509208c2c70503019bb",
     ),
 }
 
