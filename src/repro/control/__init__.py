@@ -66,7 +66,6 @@ from repro.control.vector import (
     VectorEngine,
     VectorFlowView,
     VectorNodeView,
-    fallback_reason,
 )
 
 __all__ = [
@@ -97,7 +96,6 @@ __all__ = [
     "VectorEngine",
     "VectorFlowView",
     "VectorNodeView",
-    "fallback_reason",
     "plan_scale_in_placement",
     "plan_scale_out_placement",
 ]

@@ -39,9 +39,8 @@ class ControlConfig:
     #: None (default) preserves the original trust-forever behavior.
     feedback_staleness_ttl: _t.Optional[float] = None
     #: Tier-2 step implementation: "scalar" (per-PE Python loops) or
-    #: "vector" (the array-backed engine in repro.control.vector, with
-    #: automatic scalar fallback when REPRO_FORCE_SCALAR is set or the
-    #: policy uses unsupported scheduler types).
+    #: "vector" (the array-backed engine in repro.control.vector), for
+    #: every policy; both make bit-identical decisions.
     control_impl: str = "scalar"
     #: When set, arm the SLO-aware admission front end
     #: (:class:`repro.control.admission.AdmissionController`) in front

@@ -12,7 +12,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.control.adapter import GateFn, PELike
-from repro.core.cpu_control import AcesCpuScheduler
 from repro.core.flow_control import update_rows
 from repro.obs.recorder import BUFFER_OCCUPANCY, R_MAX
 
@@ -110,11 +109,8 @@ class NodeController:
         self.aggregate_max = plane.aggregate_max
         #: The plane's vector engine, or None on a scalar plane.
         self.engine = engine = plane._engine
-        self.is_aces = (
-            engine.is_aces
-            if engine is not None
-            else isinstance(scheduler, AcesCpuScheduler)
-        )
+        #: Token buckets (the policy's Section V-D scheduler) or strict.
+        self.is_aces = plane.token_depth_intervals is not None
         #: Gate decisions of the most recent non-feedback control step
         #: (the PEs refused by their gates); feedback policies leave it
         #: empty.  Exposed for diagnostics and the parity test.

@@ -1,9 +1,11 @@
 """The control plane: policy hooks -> per-node controllers, shared state.
 
 :class:`ControlPlane` is the one place a :class:`~repro.core.policies.
-Policy`'s behavioural factories (scheduler, flow-controller gains, gate,
-admission filter, feedback aggregation) are resolved into runnable
-control state.  It owns everything the Tier-2 loops share:
+Policy`'s behaviour (scheduler kind, flow-controller gains, gate,
+admission filter, feedback aggregation) is resolved into runnable
+control state, and the one module that builds Tier-2 state: token
+buckets, schedulers, flow controllers.  It owns everything the Tier-2
+loops share:
 
 * the :class:`~repro.core.feedback.FeedbackBus` (swappable at runtime,
   which is how fault injection models lossy/congested control networks);
@@ -27,13 +29,13 @@ from repro.control.adapter import GateFn, PELike, SystemAdapter
 from repro.control.admission import AdmissionController
 from repro.control.forecast import ForecastController
 from repro.control.node import ControlRecord, NodeController
-from repro.control.vector import (
-    VectorEngine,
-    VectorFlowView,
-    VectorNodeView,
-    fallback_reason,
+from repro.control.vector import VectorEngine, VectorFlowView, VectorNodeView
+from repro.core.cpu_control import (
+    AcesCpuScheduler,
+    StrictProportionalScheduler,
+    TokenBucket,
+    bucket_depth,
 )
-from repro.core.cpu_control import TokenBucket
 from repro.core.feedback import FeedbackBus
 from repro.core.flow_control import FlowController
 from repro.core.resilience import ResilientTier1, Tier1Unavailable
@@ -51,6 +53,25 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
 AdmissionFn = _t.Optional[_t.Callable[[PELike, object], bool]]
 
 
+def make_token_buckets(
+    pes: _t.Iterable[PELike],
+    cpu_targets: _t.Mapping[str, float],
+    dt: float,
+    intervals: float,
+) -> _t.Dict[str, TokenBucket]:
+    """pe_id -> a fresh Section V-D token bucket per PE: filling at the
+    PE's Tier-1 target, :func:`~repro.core.cpu_control.bucket_depth`
+    deep, half full."""
+    buckets = {}
+    for pe in pes:
+        rate = float(cpu_targets.get(pe.pe_id, 0.0))
+        depth = bucket_depth(rate, dt, intervals)
+        buckets[pe.pe_id] = TokenBucket(
+            rate=rate, depth=depth, level=depth * 0.5
+        )
+    return buckets
+
+
 @dataclass
 class NodeGroup:
     """The PEs resident on one node, as the control plane sees them."""
@@ -66,7 +87,7 @@ class ControlPlane:
     Parameters
     ----------
     policy:
-        The behavioural strategy object; its factories are invoked here
+        The behavioural strategy object; its hooks are resolved here
         and nowhere else.
     adapter:
         The substrate the node controllers act through.
@@ -143,6 +164,15 @@ class ControlPlane:
             else True
         )
 
+        #: Section V-D token-bucket depth in intervals of fill, or None
+        #: on a plane of strict proportional schedulers.
+        self.token_depth_intervals = policy.token_depth_intervals
+        if self.token_depth_intervals is not None and not self.uses_feedback:
+            raise ValueError(
+                f"{policy.name}: token-bucket scheduling caps grants by "
+                "the Eq. 8 feedback, which this policy does not use"
+            )
+
         gains = policy.controller_gains(dt) if self.uses_feedback else None
         if self.uses_feedback:
             # feedback policies always provide controller gains.
@@ -156,29 +186,10 @@ class ControlPlane:
             recorder=self.recorder,
         )
 
-        # The policy's schedulers are always built normally; in vector
-        # mode they become parameter donors (bucket depths/levels) for
-        # the engine's state arrays and are then replaced by the
-        # engine's per-node views.
-        donors: _t.List[_t.Any] = [
-            policy.make_scheduler(
-                group.pes, targets.cpu, group.cpu_capacity, dt
-            )
-            for group in self.groups
-        ]
-        #: Why a requested vector path fell back to scalar (None when
-        #: vector is active or scalar was requested).
-        self.vector_fallback_reason = (
-            fallback_reason(donors, self.uses_feedback)
-            if control_impl == "vector"
-            else None
-        )
         engine = self._engine = (
-            VectorEngine(self, donors, gains)
-            if control_impl == "vector" and self.vector_fallback_reason is None
-            else None
+            VectorEngine(self, gains) if control_impl == "vector" else None
         )
-        self.control_impl = "vector" if engine is not None else "scalar"
+        self.control_impl = control_impl
 
         # Per-PE Tier-2 state is created here, once.  The PE set is fixed
         # for the life of a plane (nodes join empty, migrations only move
@@ -201,12 +212,15 @@ class ControlPlane:
                         engine, engine.registry.index[pe.pe_id], pe.pe_id
                     )
                 )
-        #: pe_id -> the Section V-D token bucket of a scalar plane, handed
-        #: to every epoch's freshly built schedulers.
-        self.token_buckets: _t.Dict[str, TokenBucket] = {}
-        if engine is None:
-            for donor in donors:
-                self.token_buckets.update(getattr(donor, "buckets", {}))
+        #: pe_id -> the Section V-D token bucket of a scalar token plane
+        #: (a vector plane keeps its tokens in the engine's arrays),
+        #: handed to every epoch's schedulers.
+        intervals = self.token_depth_intervals
+        self.token_buckets: _t.Dict[str, TokenBucket] = (
+            make_token_buckets(pes, targets.cpu, dt, intervals)
+            if engine is None and intervals is not None
+            else {}
+        )
         self.gates: _t.Dict[str, _t.Optional[GateFn]] = {}
         self.admission_filters: _t.Dict[str, AdmissionFn] = {}
         for pe in pes:
@@ -226,7 +240,7 @@ class ControlPlane:
         #: capture this list object; mutate it, never rebind it.
         self.paused: _t.List[bool] = []
         self.node_controllers: _t.List[_t.Any] = []
-        self._build(donors if engine is None else None)
+        self._build()
 
         #: Number of Tier-1 refreshes adopted during the run.
         self.reoptimizations = 0
@@ -239,12 +253,12 @@ class ControlPlane:
 
     # -- per-node wiring (construction and every epoch) ----------------------
 
-    def _build(self, schedulers: _t.Optional[_t.List[_t.Any]] = None) -> None:
+    def _build(self) -> None:
         """Wire the per-PE state into one node controller per group.
 
-        Called at construction (with a scalar plane's donor schedulers)
-        and at every epoch boundary.  Only per-node objects are built:
-        schedulers (or the engine's views), tick records and node
+        Called at construction and at every epoch boundary.  Only
+        per-node objects are built: schedulers (or the engine's views)
+        over the plane's buckets and targets, tick records and node
         controllers.  The per-node state that outlives an epoch (pause
         flag, tick count, gate decisions, and the live scheduler
         capacity that fault injection may have lowered) is read, by
@@ -260,28 +274,29 @@ class ControlPlane:
         engine = self._engine
         if engine is not None:
             engine.regroup()
-            schedulers = [
+            schedulers: _t.List[_t.Any] = [
                 VectorNodeView(engine, index, group.pes, capacity)
                 for index, (group, capacity) in enumerate(
                     zip(self.groups, capacities)
                 )
             ]
-        elif schedulers is None:
+        else:
             schedulers = []
+            tokens = self.token_depth_intervals is not None
             for group, capacity in zip(self.groups, capacities):
-                scheduler = self.policy.make_scheduler(
-                    group.pes, self.targets.cpu, group.cpu_capacity, self.dt
+                scheduler = (
+                    AcesCpuScheduler(
+                        group.pes, self.token_buckets, group.cpu_capacity
+                    )
+                    if tokens
+                    else StrictProportionalScheduler(
+                        group.pes, self.targets.cpu, group.cpu_capacity
+                    )
                 )
-                # The surviving buckets replace the fresh ones, whose
-                # rate and depth come from the same targets by the same
-                # formula.
-                buckets = getattr(scheduler, "buckets", None)
-                if buckets:
-                    for pe_id in buckets:
-                        buckets[pe_id] = self.token_buckets[pe_id]
+                # The live capacity, which a slowdown may have set to 0.
                 scheduler.capacity = capacity
                 schedulers.append(scheduler)
-        self.schedulers: _t.List[_t.Any] = schedulers
+        self.schedulers = schedulers
         self._index_of = {
             group.node_id: index for index, group in enumerate(self.groups)
         }
@@ -570,8 +585,17 @@ class ControlPlane:
         engine's one target array) and the tick records."""
         self.targets = targets
         self.targets_node_of = self._node_of_snapshot()
+        intervals = self.token_depth_intervals
         if self._engine is not None:
             self._engine.adopt_targets(targets.cpu)
+        elif intervals is not None:
+            # New fill rates and depths; banked tokens are kept up to
+            # the new depth, so a refresh confiscates no banked CPU.
+            for pe_id, bucket in self.token_buckets.items():
+                rate = float(targets.cpu.get(pe_id, 0.0))
+                bucket.rate = rate
+                bucket.depth = bucket_depth(rate, self.dt, intervals)
+                bucket.level = min(bucket.level, bucket.depth)
         else:
             for scheduler in self.schedulers:
                 scheduler.update_targets(targets.cpu)
@@ -626,19 +650,11 @@ class ControlPlane:
         ``pe_order`` fixes the r_max registration (hence trace-emission)
         order; by default controllers register in node-placement order.
         """
-        engine = self._engine
-        for scheduler in self.schedulers:
-            # Token-capable schedulers (AcesCpuScheduler, or any node of
-            # a token-bucket engine) have token levels; strict ones
-            # don't.  The gauge closes over the plane, not the scheduler
-            # object: an epoch replaces schedulers, never the per-PE
-            # tokens.
-            if (
-                engine.is_aces
-                if engine is not None
-                else hasattr(scheduler, "token_level")
-            ):
-                for pe in scheduler.pes:
+        if self.token_depth_intervals is not None:
+            # The gauge closes over the plane, not a scheduler: an epoch
+            # replaces schedulers, never the per-PE tokens.
+            for group in self.groups:
+                for pe in group.pes:
                     gauges.register(
                         "token_level",
                         lambda s=self, p=pe.pe_id: s.token_level(p),

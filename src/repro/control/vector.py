@@ -35,27 +35,16 @@ while element-wise math relies on IEEE-754 f64 ops being identical in
 numpy and CPython.  The differential tests in
 ``tests/test_control_vector.py`` hold scalar and vector decision
 sequences bit-equal across policies and substrates.
-
-Fallback
---------
-``fallback_reason`` reports why the vector path cannot be used
-(``REPRO_FORCE_SCALAR`` set, unknown scheduler types...); the plane
-then silently runs the scalar implementation, so ``control_impl=
-"vector"`` is always safe to request.
 """
 
 from __future__ import annotations
 
-import os
 import typing as _t
 
 import numpy as np
 
 from repro.control.node import ControlRecord, occupancy_rows
-from repro.core.cpu_control import (
-    AcesCpuScheduler,
-    StrictProportionalScheduler,
-)
+from repro.core.cpu_control import bucket_depth
 from repro.obs.recorder import (
     BUFFER_OCCUPANCY,
     CPU_GRANT,
@@ -77,32 +66,8 @@ __all__ = [
     "VectorEngine",
     "VectorFlowView",
     "VectorNodeView",
-    "fallback_reason",
     "vector_proportional_fill",
 ]
-
-
-def fallback_reason(
-    schedulers: _t.Sequence[_t.Any], uses_feedback: bool
-) -> _t.Optional[str]:
-    """Why ``control_impl="vector"`` must fall back to scalar, or None.
-
-    The vector engine mirrors exactly the two stock schedulers; custom
-    policy scheduler types (or a mix) get the scalar path so their
-    behaviour is preserved rather than silently approximated.
-    """
-    if os.environ.get("REPRO_FORCE_SCALAR"):
-        return "REPRO_FORCE_SCALAR is set"
-    kinds = {type(scheduler) for scheduler in schedulers}
-    unknown = kinds - {AcesCpuScheduler, StrictProportionalScheduler}
-    if unknown:
-        names = ", ".join(sorted(k.__name__ for k in unknown))
-        return f"unsupported scheduler type(s): {names}"
-    if len(kinds) > 1:
-        return "mixed scheduler types across nodes"
-    if AcesCpuScheduler in kinds and not uses_feedback:
-        return "token scheduler without feedback is not vectorizable"
-    return None
 
 
 class PEIndexRegistry:
@@ -390,19 +355,18 @@ class VectorEngine:
     """Owns the flat control-state arrays and the fused tick kernels.
 
     One engine per :class:`~repro.control.plane.ControlPlane` in vector
-    mode, built once with the plane.  Token state is seeded from the
-    policy's *donor* schedulers (built normally, then shelved), so
-    bucket depths and levels match the scalar path bit-for-bit.  The
-    Tier-1 targets are one array, ``cpu_target``: the Eq. 7 rho floor,
-    the token fill rates and the strict water-fill weights alike.  The
-    state arrays are never reallocated: an epoch only regroups each
-    node's selection of them (:meth:`regroup`).
+    mode, built once with the plane.  Token depths come from
+    :func:`~repro.core.cpu_control.bucket_depth` and levels start half
+    full, as the scalar plane's buckets do, so both match bit-for-bit.
+    The Tier-1 targets are one array, ``cpu_target``: the Eq. 7 rho
+    floor, the token fill rates and the strict water-fill weights
+    alike.  The state arrays are never reallocated: an epoch only
+    regroups each node's selection of them (:meth:`regroup`).
     """
 
     def __init__(
         self,
         plane: "ControlPlane",
-        donors: _t.Sequence[_t.Any],
         gains: _t.Optional["LQRGains"],
     ):
         self.plane = plane
@@ -437,23 +401,13 @@ class VectorEngine:
             [plane.targets.cpu.get(pe.pe_id, 0.0) for pe in flat_pes],
             dtype=np.float64,
         )
-
-        # Each donor's ``pes`` is its group's, so donor-then-pes order is
-        # the registry's node-major index order.  A bucket's rate and a
-        # strict scheduler's target are the PE's cpu_target.
-        donor = donors[0] if donors else None
-        self.is_aces = type(donor) is AcesCpuScheduler
+        # A bucket's rate and a strict scheduler's target are the PE's
+        # cpu_target.
+        self.depth_intervals = plane.token_depth_intervals
+        self.is_aces = self.depth_intervals is not None
         if self.is_aces:
-            self.depth_intervals = float(donor._depth_intervals)
-            buckets = [d.buckets[pe.pe_id] for d in donors for pe in d.pes]
-            self.tok_depth = np.array(
-                [bucket.depth for bucket in buckets], dtype=np.float64
-            )
-            self.tok_level = np.array(
-                [bucket.level for bucket in buckets], dtype=np.float64
-            )
-        else:
-            self.depth_intervals = 0.0
+            self.tok_depth = self._depths(self.cpu_target.tolist())
+            self.tok_level = self.tok_depth * 0.5
 
         self.gains = gains
         if self.uses_feedback:
@@ -509,16 +463,24 @@ class VectorEngine:
     def adopt_targets(self, cpu: _t.Mapping[str, float]) -> None:
         """Install refreshed Tier-1 targets: the fill rates, and with
         them the bucket depths, clamping levels to the new depth with
-        :meth:`AcesCpuScheduler.update_targets`'s comparisons so banked
-        CPU survives a refresh bit-for-bit."""
+        :meth:`ControlPlane.adopt_targets`'s comparison so banked CPU
+        survives a refresh bit-for-bit."""
         target = self.cpu_target
         target[:] = [cpu.get(pe_id, 0.0) for pe_id in self.registry.index]
         if self.is_aces:
-            depth = target * self.dt * self.depth_intervals
-            depth = np.where(1e-9 > depth, 1e-9, depth)
+            depth = self._depths(target.tolist())
             self.tok_depth[:] = depth
             level = self.tok_level
             level[:] = np.where(depth < level, depth, level)
+
+    def _depths(self, targets: _t.Sequence[float]) -> _t.Any:
+        """:func:`~repro.core.cpu_control.bucket_depth` of each target."""
+        dt, intervals = self.dt, self.depth_intervals
+        assert intervals is not None
+        return np.array(
+            [bucket_depth(target, dt, intervals) for target in targets],
+            dtype=np.float64,
+        )
 
     # -- the fused tick ----------------------------------------------------
 

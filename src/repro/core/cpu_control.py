@@ -19,12 +19,16 @@ CPU-seconds of work in the interval.  ``settle`` reports back the work
 actually performed so token balances reflect reality.  Both travel as
 lists in the scheduler's placement (``pes``) order, as do the per-tick
 inputs of ``allocate``: a node tick builds no pe_id-keyed mapping.
+
+The schedulers hold no per-PE state of their own.  The control plane
+creates each PE's :class:`TokenBucket` once, sized by
+:func:`bucket_depth`, and hands the buckets to every epoch's
+schedulers.
 """
 
 from __future__ import annotations
 
 import typing as _t
-from functools import cached_property
 from operator import sub
 
 from repro.obs.recorder import (
@@ -38,6 +42,17 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.adapter import PELike
 
 _INF = float("inf")
+
+
+def bucket_depth(target: float, dt: float, intervals: float) -> float:
+    """Depth of a Section V-D token bucket: ``intervals`` control
+    intervals' fill at the PE's Tier-1 target ``c̄_j``, floored at 1e-9
+    so a zero-target PE still has a bucket.
+
+    The one depth rule of both Tier-2 engines, at construction and at
+    every target refresh.
+    """
+    return max(target * dt * intervals, 1e-9)
 
 
 class TokenBucket:
@@ -132,15 +147,11 @@ class AcesCpuScheduler:
     ----------
     pes:
         PE runtimes resident on this node.
-    cpu_targets:
-        Long-term targets ``c̄_j`` (token fill rates), from Tier 1.
+    buckets:
+        pe_id -> the PE's token bucket, filling at its Tier-1 target
+        ``c̄_j``; the plane's one map, which outlives this scheduler.
     capacity:
         Node CPU capacity (1.0 normalized).
-    bucket_depth_intervals:
-        Token accumulation cap, expressed in multiples of ``c̄_j * dt``
-        per control interval — how much unused allocation a PE may bank.
-    dt:
-        Control interval length (needed to size the bucket depth).
 
     Tracing: after :meth:`attach_tracing`, every :meth:`allocate` publishes
     one ``token_bucket`` and one ``cpu_grant`` event per resident PE, as
@@ -157,38 +168,17 @@ class AcesCpuScheduler:
     def __init__(
         self,
         pes: _t.Sequence["PELike"],
-        cpu_targets: _t.Mapping[str, float],
+        buckets: _t.Mapping[str, TokenBucket],
         capacity: float = 1.0,
-        bucket_depth_intervals: float = 20.0,
-        dt: float = 0.01,
     ):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.pes = list(pes)
         self.capacity = capacity
-        self.dt = dt
-        self._depth_intervals = bucket_depth_intervals
-        self.buckets: _t.Dict[str, TokenBucket] = {}
-        for pe in self.pes:
-            target = float(cpu_targets.get(pe.pe_id, 0.0))
-            depth = max(target * dt * bucket_depth_intervals, 1e-9)
-            self.buckets[pe.pe_id] = TokenBucket(
-                rate=target, depth=depth, level=depth * 0.5
-            )
-
-    # Resolved at the first tick, not at construction: a vector plane
-    # builds these schedulers only as parameter donors, and never ticks
-    # them.
-
-    @cached_property
-    def _buckets(self) -> _t.List[TokenBucket]:
-        """The buckets in placement (``pes``) order, the order
-        :meth:`allocate` and :meth:`settle` take their inputs in."""
-        return [self.buckets[pe.pe_id] for pe in self.pes]
-
-    @cached_property
-    def _order(self) -> _t.List[int]:
-        return _fill_order(self.pes)
+        #: The buckets in placement (``pes``) order, the order
+        #: :meth:`allocate` and :meth:`settle` take their inputs in.
+        self.buckets = [buckets[pe.pe_id] for pe in self.pes]
+        self._order = _fill_order(self.pes)
 
     def allocate(
         self,
@@ -227,7 +217,7 @@ class AcesCpuScheduler:
         capped_work = []
         weights = []
         for pe, bucket, cap_rate, occupancy, service_time in zip(
-            self.pes, self._buckets, output_rate_caps, occupancies,
+            self.pes, self.buckets, output_rate_caps, occupancies,
             service_times,
         ):
             # Inlined bucket.fill(dt): this is the per-tick fast path.
@@ -294,7 +284,7 @@ class AcesCpuScheduler:
                     (pe.pe_id, bucket.level, bucket.rate, bucket.depth,
                      cpu, dt, None if cap_rate == _INF else cap_rate)
                     for pe, bucket, cpu, cap_rate in zip(
-                        self.pes, self._buckets, fractions,
+                        self.pes, self.buckets, fractions,
                         output_rate_caps,
                     )
                 ],
@@ -312,7 +302,7 @@ class AcesCpuScheduler:
     def settle(self, cpu_seconds_used: _t.Sequence[float]) -> None:
         """Charge tokens for work actually performed (CPU-seconds per
         PE, in placement order)."""
-        for bucket, used in zip(self._buckets, cpu_seconds_used):
+        for bucket, used in zip(self.buckets, cpu_seconds_used):
             # bucket.spend(min(level, used)), inlined: the min makes
             # spend's overspend check unreachable, and spending the
             # whole level leaves exactly 0.0.
@@ -322,24 +312,6 @@ class AcesCpuScheduler:
                 bucket.level = level if level > 0.0 else 0.0
             else:
                 bucket.level = 0.0
-
-    def token_level(self, pe_id: str) -> float:
-        return self.buckets[pe_id].level
-
-    def update_targets(self, cpu_targets: _t.Mapping[str, float]) -> None:
-        """Adopt refreshed Tier-1 targets (periodic re-optimization).
-
-        Fill rates and depths change; accumulated balances are preserved
-        up to the new depth so a refresh does not confiscate banked CPU.
-        """
-        for pe in self.pes:
-            bucket = self.buckets[pe.pe_id]
-            target = float(cpu_targets.get(pe.pe_id, 0.0))
-            bucket.rate = target
-            bucket.depth = max(
-                target * self.dt * self._depth_intervals, 1e-9
-            )
-            bucket.level = min(bucket.level, bucket.depth)
 
 
 class StrictProportionalScheduler:
@@ -361,12 +333,8 @@ class StrictProportionalScheduler:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.pes = list(pes)
         self.capacity = capacity
+        self._order = _fill_order(self.pes)
         self.update_targets(cpu_targets)
-
-    @cached_property
-    def _order(self) -> _t.List[int]:
-        # At the first tick: see AcesCpuScheduler._buckets.
-        return _fill_order(self.pes)
 
     def allocate(
         self,

@@ -22,18 +22,10 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.core.cpu_control import (
-    AcesCpuScheduler,
-    StrictProportionalScheduler,
-)
 from repro.core.lqr import LQRGains, design_gains, proportional_gains
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.control.adapter import PELike
-
-#: Scheduler protocol: .allocate(dt, ...) -> [cpu fraction per PE],
-#: .settle([cpu-seconds used per PE]), both in the order of ``pes``.
-Scheduler = _t.Any
 
 
 class Policy:
@@ -42,15 +34,10 @@ class Policy:
     name: str = "abstract"
     #: Does the system run Eq. 7 flow control and publish r_max feedback?
     uses_feedback: bool = False
-
-    def make_scheduler(
-        self,
-        pes: _t.Sequence["PELike"],
-        cpu_targets: _t.Mapping[str, float],
-        capacity: float,
-        dt: float,
-    ) -> Scheduler:
-        raise NotImplementedError
+    #: The node CPU scheduler: the Section V-D token buckets, this many
+    #: intervals' fill deep (``AcesCpuScheduler``), or None for strict
+    #: proportional enforcement (``StrictProportionalScheduler``).
+    token_depth_intervals: _t.Optional[float] = None
 
     def make_gate(
         self, pe: "PELike"
@@ -121,11 +108,18 @@ class AcesPolicy(Policy):
         bucket_depth_intervals: float = 20.0,
     ):
         if aggregation not in ("max", "min"):
-            raise ValueError(f"aggregation must be 'max' or 'min'")
+            raise ValueError(
+                f"aggregation must be 'max' or 'min', got {aggregation!r}"
+            )
         if scheduler not in ("tokens", "strict"):
-            raise ValueError(f"scheduler must be 'tokens' or 'strict'")
+            raise ValueError(
+                f"scheduler must be 'tokens' or 'strict', got {scheduler!r}"
+            )
         if controller not in ("lqr", "proportional"):
-            raise ValueError("controller must be 'lqr' or 'proportional'")
+            raise ValueError(
+                "controller must be 'lqr' or 'proportional', "
+                f"got {controller!r}"
+            )
         self.q = q
         self.r = r
         self.buffer_lags = buffer_lags
@@ -137,22 +131,11 @@ class AcesPolicy(Policy):
         self.proportional_gain = proportional_gain
         self.bucket_depth_intervals = bucket_depth_intervals
 
-    def make_scheduler(
-        self,
-        pes: _t.Sequence["PELike"],
-        cpu_targets: _t.Mapping[str, float],
-        capacity: float,
-        dt: float,
-    ) -> Scheduler:
-        if self.scheduler == "tokens":
-            return AcesCpuScheduler(
-                pes,
-                cpu_targets,
-                capacity=capacity,
-                bucket_depth_intervals=self.bucket_depth_intervals,
-                dt=dt,
-            )
-        return StrictProportionalScheduler(pes, cpu_targets, capacity=capacity)
+    @property
+    def token_depth_intervals(self) -> _t.Optional[float]:
+        return (
+            self.bucket_depth_intervals if self.scheduler == "tokens" else None
+        )
 
     def controller_gains(self, dt: float) -> LQRGains:
         if self.controller == "proportional":
@@ -182,15 +165,6 @@ class UdpPolicy(Policy):
     name = "udp"
     uses_feedback = False
 
-    def make_scheduler(
-        self,
-        pes: _t.Sequence["PELike"],
-        cpu_targets: _t.Mapping[str, float],
-        capacity: float,
-        dt: float,
-    ) -> Scheduler:
-        return StrictProportionalScheduler(pes, cpu_targets, capacity=capacity)
-
 
 class LockStepPolicy(Policy):
     """System 3: min-flow blocking back-pressure (reliable delivery).
@@ -202,15 +176,6 @@ class LockStepPolicy(Policy):
 
     name = "lockstep"
     uses_feedback = False
-
-    def make_scheduler(
-        self,
-        pes: _t.Sequence["PELike"],
-        cpu_targets: _t.Mapping[str, float],
-        capacity: float,
-        dt: float,
-    ) -> Scheduler:
-        return StrictProportionalScheduler(pes, cpu_targets, capacity=capacity)
 
     def make_gate(
         self, pe: "PELike"
@@ -246,15 +211,6 @@ class LoadSheddingPolicy(Policy):
             raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
         self.threshold = threshold
         self.seed = seed
-
-    def make_scheduler(
-        self,
-        pes: _t.Sequence["PELike"],
-        cpu_targets: _t.Mapping[str, float],
-        capacity: float,
-        dt: float,
-    ) -> Scheduler:
-        return StrictProportionalScheduler(pes, cpu_targets, capacity=capacity)
 
     def make_admission_filter(
         self, pe: "PELike"

@@ -23,11 +23,5 @@ class LogUtility:
             raise ValueError(f"utility argument must be >= 0, got {x}")
         return math.log1p(x)
 
-    def derivative(self, x: float) -> float:
-        """U'(x) for x >= 0 (positive, non-increasing)."""
-        if x < 0:
-            raise ValueError(f"utility argument must be >= 0, got {x}")
-        return 1.0 / (x + 1.0)
-
     def __call__(self, x: float) -> float:
         return self.value(x)

@@ -7,8 +7,6 @@ sequences, CPU-grant sequences, and gate decisions.  The substrates
 differ only in how grants are *acted on*, never in what is decided.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -134,12 +132,7 @@ def test_node_controllers_are_shared_type():
                 policy_factory, topology, control_impl
             )
             for plane in (system.plane, runtime.plane):
-                if control_impl == "vector" and not os.environ.get(
-                    "REPRO_FORCE_SCALAR"
-                ):
-                    assert plane.control_impl == "vector", (
-                        plane.vector_fallback_reason
-                    )
+                assert plane.control_impl == control_impl
                 types = {type(c) for c in plane.node_controllers}
                 assert types == {NodeController}, (control_impl, types)
 

@@ -128,6 +128,15 @@ class TestGateHookPoint:
                 assert record.gate is system.plane.gates[record.pe_id]
 
 
+def test_token_scheduler_without_feedback_is_refused():
+    # The token scheduler caps each grant by the Eq. 8 downstream bound.
+    class TokenUdp(UdpPolicy):
+        token_depth_intervals = 20.0
+
+    with pytest.raises(ValueError, match="Eq. 8 feedback"):
+        build_system(TokenUdp())
+
+
 class TestAdmissionHookPoint:
     def test_shedding_filter_installed_for_every_pe(self):
         system = build_system(LoadSheddingPolicy(threshold=0.5))

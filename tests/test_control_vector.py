@@ -4,13 +4,11 @@
 substrate, bucket layout, and fault scenario produces bit-identical
 decisions (r_max floats, CPU grants, gate/blocked sets) and byte-identical
 traces compared to the scalar per-PE loops.  These tests pin that
-contract, the scalar-fallback conditions, and the array kernels
-themselves (water-fill, index registry).
+contract and the array kernels themselves (water-fill, index registry).
 """
 
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
@@ -19,17 +17,10 @@ from hypothesis import strategies as st
 
 from repro.check.conservation import check_conservation
 from repro.check.oracles import OracleRecorder
-from repro.control.vector import (
-    PEIndexRegistry,
-    fallback_reason,
-    vector_proportional_fill,
-)
-from repro.core.cpu_control import (
-    AcesCpuScheduler,
-    StrictProportionalScheduler,
-    _proportional_fill,
-)
+from repro.control.vector import PEIndexRegistry, vector_proportional_fill
+from repro.core.cpu_control import _proportional_fill
 from repro.core.global_opt import solve_global_allocation
+from repro.core.targets import AllocationTargets
 from repro.core.policies import AcesPolicy, LockStepPolicy, UdpPolicy
 from repro.experiments.fuzzing import drive_plane
 from repro.graph.topology import TopologySpec, generate_topology
@@ -87,10 +78,7 @@ def test_scripted_drive_parity_simulated(variant):
                 control_impl=impl,
             ),
         )
-        if impl == "vector" and not os.environ.get("REPRO_FORCE_SCALAR"):
-            assert system.plane.control_impl == "vector", (
-                system.plane.vector_fallback_reason
-            )
+        assert system.plane.control_impl == impl
         decisions[impl] = drive_plane(system.plane, system.runtimes, STEPS, DT)
     assert len(decisions["scalar"]) == len(decisions["vector"]) > 0
     assert decisions["scalar"] == decisions["vector"]
@@ -204,38 +192,7 @@ def test_buckets_allowed_without_feedback():
     assert report.total_output_sdos >= 0
 
 
-# -- fallback ------------------------------------------------------------
-
-
-def test_force_scalar_env_falls_back(monkeypatch):
-    monkeypatch.setenv("REPRO_FORCE_SCALAR", "1")
-    system = SimulatedSystem(
-        parity_topology(),
-        AcesPolicy(),
-        config=SystemConfig(dt=0.01, warmup=0.1, seed=3, control_impl="vector"),
-    )
-    assert system.plane.control_impl == "scalar"
-    assert "REPRO_FORCE_SCALAR" in system.plane.vector_fallback_reason
-
-
-def test_fallback_reason_unknown_scheduler(monkeypatch):
-    monkeypatch.delenv("REPRO_FORCE_SCALAR", raising=False)
-
-    class WeirdScheduler:
-        pass
-
-    reason = fallback_reason([WeirdScheduler()], uses_feedback=True)
-    assert reason is not None and "WeirdScheduler" in reason
-
-
-def test_fallback_reason_mixed_and_gated_tokens(monkeypatch):
-    monkeypatch.delenv("REPRO_FORCE_SCALAR", raising=False)
-    aces = object.__new__(AcesCpuScheduler)
-    strict = object.__new__(StrictProportionalScheduler)
-    assert fallback_reason([aces, strict], uses_feedback=True) is not None
-    assert fallback_reason([aces], uses_feedback=False) is not None
-    assert fallback_reason([aces], uses_feedback=True) is None
-    assert fallback_reason([strict], uses_feedback=False) is None
+# -- configuration -----------------------------------------------------
 
 
 def test_config_rejects_unknown_impl():
@@ -380,9 +337,11 @@ def membership_drive(policy_factory, impl):
 
     def buckets_of(plane):
         return {
-            pe_id: bucket
+            pe.pe_id: bucket
             for scheduler in plane.schedulers
-            for pe_id, bucket in getattr(scheduler, "buckets", {}).items()
+            for pe, bucket in zip(
+                scheduler.pes, getattr(scheduler, "buckets", ())
+            )
         }
 
     controllers = dict(plane.controllers)
@@ -443,6 +402,64 @@ def test_every_membership_op_keeps_state_and_parity(variant):
     assert (
         len(runs["scalar"]), hashlib.sha256(payload).hexdigest()
     ) == MEMBERSHIP_GOLDEN[variant]
+
+
+def test_engine_tokens_equal_the_scalar_buckets_bit_for_bit():
+    """The vector engine's token arrays hold exactly the scalar plane's
+    bucket depths and levels: at construction, where a zero-target PE
+    takes the 1e-9 depth floor, and after a Tier-1 refresh that lowers
+    every depth below its banked level, which clamps the level."""
+    topology = parity_topology()
+    cpu = dict(
+        solve_global_allocation(
+            topology.graph, topology.placement, topology.source_rates
+        ).targets.cpu
+    )
+    zero = sorted(cpu)[0]
+    cpu[zero] = 0.0
+    planes = {
+        impl: SimulatedSystem(
+            topology,
+            AcesPolicy(),
+            targets=AllocationTargets(dict(cpu)),
+            config=SystemConfig(dt=DT, seed=5, control_impl=impl),
+        )
+        for impl in ("scalar", "vector")
+    }
+
+    def tokens(impl):
+        plane = planes[impl].plane
+        engine = plane._engine
+        if engine is None:
+            buckets = [plane.token_buckets[p] for p in ids]
+            depths = [bucket.depth for bucket in buckets]
+            levels = [bucket.level for bucket in buckets]
+        else:
+            index = [engine.registry.index[p] for p in ids]
+            depths = engine.tok_depth[index].tolist()
+            levels = engine.tok_level[index].tolist()
+        return [x.hex() for x in depths], [x.hex() for x in levels]
+
+    ids = sorted(cpu)
+    built = tokens("scalar")
+    assert built == tokens("vector")
+    assert built[0][0] == (1e-9).hex()
+
+    for system in planes.values():
+        system.env.run(until=0.3)
+    banked = tokens("scalar")
+    assert banked == tokens("vector")
+    lowered = AllocationTargets({p: share * 0.1 for p, share in cpu.items()})
+    for system in planes.values():
+        system.plane.adopt_targets(lowered)
+    refreshed = tokens("scalar")
+    assert refreshed == tokens("vector")
+    clamped = [
+        k for k, (before, depth) in enumerate(zip(banked[1], refreshed[0]))
+        if float.fromhex(before) > float.fromhex(depth)
+    ]
+    assert clamped
+    assert all(refreshed[1][k] == refreshed[0][k] for k in clamped)
 
 
 def test_index_registry_is_node_major():

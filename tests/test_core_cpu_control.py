@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.control.plane import make_token_buckets
 from repro.core.cpu_control import (
     AcesCpuScheduler,
     StrictProportionalScheduler,
@@ -28,6 +29,18 @@ def make_pe(pe_id, buffered=0, t0=0.002, t1=0.002, **kwargs):
     for i in range(buffered):
         pe.ingest(SDO(stream_id="s", origin_time=0.0), 0.0)
     return pe
+
+
+def token_scheduler(pes, targets, capacity=1.0, dt=0.01, depth=20.0):
+    """An ``AcesCpuScheduler`` over buckets made as a control plane
+    makes them, ``depth`` intervals of fill deep."""
+    return AcesCpuScheduler(
+        pes, make_token_buckets(pes, targets, dt, depth), capacity
+    )
+
+
+def token_levels(scheduler):
+    return [bucket.level for bucket in scheduler.buckets]
 
 
 def allocate(scheduler, dt, caps=None):
@@ -115,21 +128,17 @@ class TestProportionalFill:
 class TestAcesCpuScheduler:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            AcesCpuScheduler([], {}, capacity=0.0)
+            token_scheduler([], {}, capacity=0.0)
 
     def test_allocations_respect_node_capacity(self):
         pes = [make_pe("a", buffered=50), make_pe("b", buffered=50)]
-        scheduler = AcesCpuScheduler(
-            pes, {"a": 0.5, "b": 0.5}, capacity=1.0, dt=0.01
-        )
+        scheduler = token_scheduler(pes, {"a": 0.5, "b": 0.5})
         allocations = allocate(scheduler, 0.01)
         assert sum(allocations.values()) <= 1.0 + 1e-9
 
     def test_idle_pe_gets_nothing(self):
         pes = [make_pe("a", buffered=0), make_pe("b", buffered=50)]
-        scheduler = AcesCpuScheduler(
-            pes, {"a": 0.5, "b": 0.5}, capacity=1.0, dt=0.01
-        )
+        scheduler = token_scheduler(pes, {"a": 0.5, "b": 0.5})
         allocations = allocate(scheduler, 0.01)
         assert allocations["a"] == 0.0
         assert allocations["b"] > 0.0
@@ -137,25 +146,22 @@ class TestAcesCpuScheduler:
     def test_occupancy_weighting_favours_congested(self):
         pes = [make_pe("a", buffered=5), make_pe("b", buffered=50)]
         # Give both big targets so tokens aren't binding.
-        scheduler = AcesCpuScheduler(
-            pes, {"a": 0.5, "b": 0.5}, capacity=0.2, dt=0.01,
-            bucket_depth_intervals=1000.0,
+        scheduler = token_scheduler(
+            pes, {"a": 0.5, "b": 0.5}, capacity=0.2, depth=1000.0
         )
         allocations = allocate(scheduler, 0.01)
         assert allocations["b"] > allocations["a"]
 
     def test_eq8_cap_bounds_allocation(self):
         pe = make_pe("a", buffered=100)
-        scheduler = AcesCpuScheduler(
-            [pe], {"a": 1.0}, capacity=1.0, dt=0.01
-        )
+        scheduler = token_scheduler([pe], {"a": 1.0})
         # Output cap 100 SDO/s at t=2 ms and lambda_m=1 -> cpu cap 0.2.
         allocations = allocate(scheduler, 0.01, {"a": 100.0})
         assert allocations["a"] <= 0.2 + 1e-9
 
     def test_zero_cap_blocks_pe(self):
         pe = make_pe("a", buffered=100)
-        scheduler = AcesCpuScheduler([pe], {"a": 1.0}, dt=0.01)
+        scheduler = token_scheduler([pe], {"a": 1.0})
         allocations = allocate(scheduler, 0.01, {"a": 0.0})
         assert allocations["a"] == 0.0
 
@@ -163,16 +169,16 @@ class TestAcesCpuScheduler:
         # 'a' is token-poor (tiny target) but has lots of work; with
         # work conservation it should receive most of the node.
         pe = make_pe("a", buffered=100)
-        scheduler = AcesCpuScheduler([pe], {"a": 0.01}, capacity=1.0, dt=0.01)
+        scheduler = token_scheduler([pe], {"a": 0.01})
         allocations = allocate(scheduler, 0.01)
         assert allocations["a"] > 0.5
 
     def test_settle_spends_tokens(self):
         pe = make_pe("a", buffered=100)
-        scheduler = AcesCpuScheduler([pe], {"a": 0.5}, dt=0.01)
-        before = scheduler.token_level("a")
+        scheduler = token_scheduler([pe], {"a": 0.5})
+        [before] = token_levels(scheduler)
         scheduler.settle([before / 2])
-        assert scheduler.token_level("a") == pytest.approx(before / 2)
+        assert token_levels(scheduler) == [pytest.approx(before / 2)]
 
     def test_long_term_average_tracks_target_under_contention(self):
         """Two always-busy PEs with unequal targets split the node 50/50
@@ -204,9 +210,7 @@ def run_backlogged(targets, depth, ticks=500, dt=0.01):
     """CPU-seconds granted to each of a set of always-backlogged PEs on
     one capacity-1 node over ``ticks`` intervals, tokens settled."""
     pes = [make_pe(pe_id, buffered=100) for pe_id in targets]
-    scheduler = AcesCpuScheduler(
-        pes, targets, capacity=1.0, dt=dt, bucket_depth_intervals=depth
-    )
+    scheduler = token_scheduler(pes, targets, dt=dt, depth=depth)
     totals = dict.fromkeys(targets, 0.0)
     for _ in range(ticks):
         allocations = allocate(scheduler, dt)
@@ -308,8 +312,7 @@ def reference_allocate(scheduler, dt, output_rate_caps):
     capacity = scheduler.capacity
     budget = capacity * dt
     demands, capped_work, weights = {}, {}, {}
-    for pe in scheduler.pes:
-        bucket = scheduler.buckets[pe.pe_id]
+    for pe, bucket in zip(scheduler.pes, scheduler.buckets):
         bucket.fill(dt)
         level = bucket.level
         pe_id = pe.pe_id
@@ -401,7 +404,7 @@ def test_property_allocate_equals_the_dict_reference(
             pe.pe_id: float(rng_profile.uniform(0.0, 1.0 / n_pes))
             for pe in pes
         }
-        return pes, AcesCpuScheduler(pes, targets, capacity=capacity, dt=0.01)
+        return pes, token_scheduler(pes, targets, capacity=capacity)
 
     rng_profile = np.random.default_rng(seed)
     pes, scheduler = build()
@@ -432,9 +435,6 @@ def test_property_allocate_equals_the_dict_reference(
             for cpu in fractions.values()
         ]
         scheduler.settle(used)
-        for pe, amount in zip(twin_pes, used):
-            bucket = twin.buckets[pe.pe_id]
+        for bucket, amount in zip(twin.buckets, used):
             bucket.spend(min(bucket.level, amount))
-        assert [scheduler.token_level(pe.pe_id) for pe in pes] == [
-            twin.token_level(pe.pe_id) for pe in twin_pes
-        ]
+        assert token_levels(scheduler) == token_levels(twin)

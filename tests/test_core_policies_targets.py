@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.control.plane import ControlPlane, NodeGroup
 from repro.core.cpu_control import (
     AcesCpuScheduler,
     StrictProportionalScheduler,
 )
 from repro.core.policies import (
     AcesPolicy,
+    LoadSheddingPolicy,
     LockStepPolicy,
     UdpPolicy,
     policy_by_name,
@@ -41,6 +43,15 @@ class TestPolicyConstruction:
         with pytest.raises(ValueError):
             AcesPolicy(controller="pid")
 
+    @pytest.mark.parametrize(
+        "argument", ["aggregation", "scheduler", "controller"]
+    )
+    def test_aces_validation_names_the_rejected_value(self, argument):
+        with pytest.raises(
+            ValueError, match=rf"^{argument} must be .*, got 'bogus'$"
+        ):
+            AcesPolicy(**{argument: "bogus"})
+
     def test_policy_by_name(self):
         assert isinstance(policy_by_name("aces"), AcesPolicy)
         assert isinstance(policy_by_name("udp"), UdpPolicy)
@@ -60,24 +71,35 @@ class TestPolicyConstruction:
         assert not LockStepPolicy().uses_feedback
 
 
+def scheduler_of(policy):
+    """The one scheduler a one-PE control plane builds for ``policy``."""
+    plane = ControlPlane(
+        policy, None, [NodeGroup("n0", [make_runtime()])],
+        AllocationTargets({"pe-0": 0.5}), dt=0.01, b0=2.0,
+    )
+    [scheduler] = plane.schedulers
+    return scheduler
+
+
 class TestPolicySchedulers:
     def test_aces_makes_token_scheduler(self):
-        pe = make_runtime()
-        scheduler = AcesPolicy().make_scheduler([pe], {"pe-0": 0.5}, 1.0, 0.01)
-        assert isinstance(scheduler, AcesCpuScheduler)
+        assert AcesPolicy().token_depth_intervals == 20.0
+        assert AcesPolicy(
+            bucket_depth_intervals=5.0
+        ).token_depth_intervals == 5.0
+        assert isinstance(scheduler_of(AcesPolicy()), AcesCpuScheduler)
 
     def test_aces_strict_ablation(self):
-        pe = make_runtime()
-        scheduler = AcesPolicy(scheduler="strict").make_scheduler(
-            [pe], {"pe-0": 0.5}, 1.0, 0.01
-        )
-        assert isinstance(scheduler, StrictProportionalScheduler)
+        policy = AcesPolicy(scheduler="strict")
+        assert policy.token_depth_intervals is None
+        assert isinstance(scheduler_of(policy), StrictProportionalScheduler)
 
     def test_baselines_make_strict_scheduler(self):
-        pe = make_runtime()
-        for policy in (UdpPolicy(), LockStepPolicy()):
-            scheduler = policy.make_scheduler([pe], {"pe-0": 0.5}, 1.0, 0.01)
-            assert isinstance(scheduler, StrictProportionalScheduler)
+        for policy in (UdpPolicy(), LockStepPolicy(), LoadSheddingPolicy()):
+            assert policy.token_depth_intervals is None
+            assert isinstance(
+                scheduler_of(policy), StrictProportionalScheduler
+            )
 
 
 class TestControllers:

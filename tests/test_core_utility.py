@@ -27,27 +27,12 @@ class TestCommonProperties:
             chord = 0.5 * (utility.value(x) + utility.value(x + 1.0))
             assert mid >= chord - 1e-12
 
-    def test_derivative_positive_non_increasing(self, utility):
-        derivatives = [utility.derivative(x) for x in (0.0, 1.0, 3.0)]
-        assert all(d > 0 for d in derivatives)
-        assert derivatives == sorted(derivatives, reverse=True)
-
     def test_negative_argument_rejected(self, utility):
         with pytest.raises(ValueError):
             utility.value(-1.0)
-        with pytest.raises(ValueError):
-            utility.derivative(-1.0)
 
     def test_callable(self, utility):
         assert utility(2.0) == utility.value(2.0)
-
-    def test_derivative_matches_finite_difference(self, utility):
-        eps = 1e-6
-        for x in (0.5, 2.0, 7.0):
-            numeric = (utility.value(x + eps) - utility.value(x - eps)) / (
-                2 * eps
-            )
-            assert utility.derivative(x) == pytest.approx(numeric, rel=1e-4)
 
 
 class TestSpecifics:

@@ -133,6 +133,7 @@ def test_property_flow_controller_output_always_admissible(occupancies, rho):
     capacity=st.floats(min_value=0.1, max_value=1.0),
 )
 def test_property_scheduler_never_oversubscribes(n_pes, seed, capacity):
+    from repro.control.plane import make_token_buckets
     from repro.core.cpu_control import AcesCpuScheduler
     from repro.model.params import PEProfile
     from repro.model.pe import PERuntime
@@ -152,7 +153,9 @@ def test_property_scheduler_never_oversubscribes(n_pes, seed, capacity):
         pes.append(pe)
         targets[pe.pe_id] = float(rng.uniform(0.0, 1.0 / n_pes))
 
-    scheduler = AcesCpuScheduler(pes, targets, capacity=capacity, dt=0.01)
+    scheduler = AcesCpuScheduler(
+        pes, make_token_buckets(pes, targets, 0.01, 20.0), capacity
+    )
     caps = [
         float(rng.choice([np.inf, rng.uniform(0.0, 500.0)])) for _ in pes
     ]

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.cpu_control import AcesCpuScheduler, StrictProportionalScheduler
+from repro.control.plane import ControlPlane, NodeGroup
+from repro.core.cpu_control import StrictProportionalScheduler
 from repro.core.policies import AcesPolicy, UdpPolicy
+from repro.core.targets import AllocationTargets
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.model.params import PEProfile
 from repro.model.pe import PERuntime
@@ -33,21 +35,27 @@ class TestSchedulerTargetUpdates:
             rng=np.random.default_rng(0),
         )
 
+    def token_plane(self, target):
+        """A one-PE ACES control plane (no substrate: nothing ticks)."""
+        return ControlPlane(
+            AcesPolicy(), None, [NodeGroup("n0", [self.make_pe("a")])],
+            AllocationTargets({"a": target}), dt=0.01, b0=5.0,
+        )
+
     def test_aces_scheduler_update(self):
-        pe = self.make_pe("a")
-        scheduler = AcesCpuScheduler([pe], {"a": 0.2}, dt=0.01)
-        scheduler.update_targets({"a": 0.8})
-        bucket = scheduler.buckets["a"]
+        plane = self.token_plane(0.2)
+        plane.adopt_targets(AllocationTargets({"a": 0.8}))
+        [bucket] = plane.schedulers[0].buckets
+        assert bucket is plane.token_buckets["a"]
         assert bucket.rate == 0.8
         assert bucket.depth == pytest.approx(0.8 * 0.01 * 20.0)
 
     def test_aces_update_clamps_banked_tokens(self):
-        pe = self.make_pe("a")
-        scheduler = AcesCpuScheduler([pe], {"a": 0.8}, dt=0.01)
-        scheduler.buckets["a"].level = scheduler.buckets["a"].depth
-        scheduler.update_targets({"a": 0.01})
-        bucket = scheduler.buckets["a"]
-        assert bucket.level <= bucket.depth
+        plane = self.token_plane(0.8)
+        bucket = plane.token_buckets["a"]
+        bucket.level = bucket.depth
+        plane.adopt_targets(AllocationTargets({"a": 0.01}))
+        assert bucket.level == bucket.depth == pytest.approx(0.01 * 0.01 * 20)
 
     def test_strict_scheduler_update(self):
         pe = self.make_pe("a")
@@ -97,9 +105,9 @@ class TestReoptimizeLoop:
         )
         system.env.run(until=2.5)
         scheduler = system.plane.schedulers[0]
-        for pe in scheduler.pes:
+        for pe, bucket in zip(scheduler.pes, scheduler.buckets):
             expected = system.plane.targets.cpu.get(pe.pe_id, 0.0)
-            assert scheduler.buckets[pe.pe_id].rate == pytest.approx(expected)
+            assert bucket.rate == pytest.approx(expected)
 
     def test_adapts_to_surged_workload(self):
         """After a sustained source surge, the refreshed ingress target of

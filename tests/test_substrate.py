@@ -242,3 +242,45 @@ def test_every_allowed_asker_still_asks():
     asking = {scope for scope, _, _ in substrate_questions()}
     stale = set(ASKS_ALLOWED) - asking
     assert not stale, f"stale ASKS_ALLOWED entries: {stale}"
+
+
+# -- Tier-2 state is built in one module --------------------------------------
+
+#: The classes of Tier-2 state: per-PE token buckets, per-node schedulers.
+TIER2_STATE = {"TokenBucket", "AcesCpuScheduler", "StrictProportionalScheduler"}
+#: The one module that constructs them, once per plane (buckets) or per
+#: epoch (schedulers).
+TIER2_HOME = "repro.control.plane"
+
+
+def tier2_constructions():
+    """``(module, line, class)`` for every call of a Tier-2 state class
+    under ``src/repro``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = ".".join(("repro",) + parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (
+                func.id if isinstance(func, ast.Name)
+                else getattr(func, "attr", "")
+            )
+            if name in TIER2_STATE:
+                found.append((module, node.lineno, name))
+    return found
+
+
+def test_tier2_state_is_constructed_only_by_the_plane():
+    found = tier2_constructions()
+    elsewhere = [call for call in found if call[0] != TIER2_HOME]
+    assert not elsewhere, (
+        f"build Tier-2 state in {TIER2_HOME} and hand it over: "
+        f"{elsewhere}"
+    )
+    built = {name for _, _, name in found}
+    assert built == TIER2_STATE, f"stale TIER2_STATE: {TIER2_STATE - built}"

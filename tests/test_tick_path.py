@@ -94,8 +94,7 @@ def test_a_tick_is_one_call_per_layer(calibration, control_impl, monkeypatch):
     ]
 
     system = build(calibration, "aces", control_impl)
-    if system.plane.control_impl != control_impl:
-        pytest.skip(system.plane.vector_fallback_reason)
+    assert system.plane.control_impl == control_impl
     system.run(0.5)
 
     ticks = sum(c.ticks for c in system.plane.node_controllers)
@@ -142,8 +141,7 @@ GOLDEN = {
 def test_golden_trace(calibration, policy, control_impl):
     recorder = MemoryRecorder()
     system = build(calibration, policy, control_impl, recorder)
-    if system.plane.control_impl != control_impl:
-        pytest.skip(system.plane.vector_fallback_reason)
+    assert system.plane.control_impl == control_impl
     system.run(2.0)
     payload = json.dumps(recorder.events, sort_keys=True).encode()
     assert (
