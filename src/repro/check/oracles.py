@@ -73,7 +73,6 @@ from repro.obs.recorder import (
     R_MAX,
     TOKEN_GRANT,
     RowFamily,
-    TraceFilter,
     TraceRecorder,
 )
 
@@ -144,38 +143,29 @@ class OracleRecorder(TraceRecorder):
 
     Parameters
     ----------
-    plane:
-        Control plane to check against; may also be attached later via
-        :meth:`attach_plane` (required for anything beyond payload-level
-        checks, since systems emit a few bootstrap events — the initial
-        Tier-1 solve — before their plane exists).
     strict:
         Enable the serialized-execution-only checks (see module docs).
-    tolerance:
-        Relative floating-point slack for the arithmetic comparisons.
     sink:
-        Optional downstream recorder each admitted event is forwarded to
-        after checking (so one run can be both checked and recorded).
-    max_violations:
-        Detail-retention cap; past it violations are still *counted*
-        (:attr:`violation_counts`) but their records are dropped.
+        Optional downstream recorder each event is forwarded to after
+        checking (so one run can be both checked and recorded).
+
+    Anything beyond payload-level checks needs a plane, bound with
+    :meth:`attach` or :meth:`attach_plane` (systems emit a few bootstrap
+    events — the initial Tier-1 solve — before their plane exists).
     """
 
+    #: Relative floating-point slack for the arithmetic comparisons.
+    TOLERANCE = 1e-9
+    #: Detail-retention cap; past it violations are still *counted*
+    #: (:attr:`violation_counts`) but their records are dropped.
+    MAX_VIOLATIONS = 1000
+
     def __init__(
-        self,
-        plane: _t.Optional["ControlPlane"] = None,
-        strict: bool = True,
-        tolerance: float = 1e-9,
-        clock: _t.Optional[_t.Callable[[], float]] = None,
-        trace_filter: _t.Optional[TraceFilter] = None,
-        sink: _t.Optional[TraceRecorder] = None,
-        max_violations: int = 1000,
+        self, strict: bool = True, sink: _t.Optional[TraceRecorder] = None
     ):
-        super().__init__(clock=clock, trace_filter=trace_filter)
+        super().__init__()
         self.strict = strict
-        self.tolerance = tolerance
         self.sink = sink
-        self.max_violations = max_violations
         self.violations: _t.List[InvariantViolation] = []
         self.violation_counts: Counter = Counter()
         self._plane: _t.Optional["ControlPlane"] = None
@@ -203,8 +193,6 @@ class OracleRecorder(TraceRecorder):
         self._adm_last_rank = 0
         #: The plane's forecasting tier, when armed.
         self._forecast: _t.Optional["ForecastController"] = None
-        if plane is not None:
-            self.attach_plane(plane)
 
     # -- wiring --------------------------------------------------------------
 
@@ -307,7 +295,7 @@ class OracleRecorder(TraceRecorder):
 
     def _keep(self, violation: InvariantViolation) -> None:
         self.violation_counts[violation.invariant] += 1
-        if len(self.violations) < self.max_violations:
+        if len(self.violations) < self.MAX_VIOLATIONS:
             self.violations.append(violation)
 
     def summary(self) -> str:
@@ -345,12 +333,8 @@ class OracleRecorder(TraceRecorder):
         """Check one tick's batch in place; build events only for a sink.
 
         Same counts, violations and forwarded events as the per-event
-        calls the rows stand for (the base implementation, which a
-        keep-filter still goes through: it decides event by event).
+        calls the rows stand for.
         """
-        if self._admits is not None:
-            super().emit_rows(family, node, rows)
-            return
         if not rows:
             return
         with self._emit_lock:
@@ -391,7 +375,7 @@ class OracleRecorder(TraceRecorder):
         """Eq. 7 over ``(pe, r_max, occupancy, rho)`` rows: finite,
         clipped at zero, and equal to the reference LQR law evaluated on
         the row's own measurements."""
-        tolerance = self.tolerance
+        tolerance = self.TOLERANCE
         shadows_get = self._shadows.get
         for pe, r_max, occupancy, rho in rows:
             if not 0.0 <= r_max < _INF:
@@ -470,7 +454,7 @@ class OracleRecorder(TraceRecorder):
         cpu, dt)``.  ``cap_rate`` is the Eq. 8 bound the grant was capped
         under (None when downstream left the PE unconstrained).
         """
-        tolerance = self.tolerance
+        tolerance = self.TOLERANCE
         strict = self.strict
         info_get = self._grant_info.get
         # What is per node in _grant_info is read once per run of rows
@@ -597,7 +581,7 @@ class OracleRecorder(TraceRecorder):
         low-rate kinds are checked inline below.
         """
         kind = event["kind"]
-        tolerance = self.tolerance
+        tolerance = self.TOLERANCE
         self._batch_t = event["t"]
 
         if kind == "buffer_occupancy":

@@ -117,7 +117,7 @@ def _add_run_arguments(
     )
     parser.add_argument(
         "--link-bandwidth", dest="link_bandwidth", type=float, default=None,
-        help="finite inter-node link bandwidth (SDO sizes / second)",
+        help="finite inter-node link bandwidth (SDOs / second)",
     )
     if policy:
         parser.add_argument(
@@ -588,8 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help=(
             "validate paper invariants (Eqs. 4/7/8, token bounds, SDO "
-            "conservation) on every recorded event; exit 1 on violation. "
-            "A --trace-filter limits which events are checked."
+            "conservation) on every event; exit 1 on violation. "
+            "A --trace-filter limits which events the file stores, "
+            "not which are checked."
         ),
     )
     trace.add_argument(

@@ -314,13 +314,9 @@ class AdmissionController:
     up-to-date adaptive level rather than a stale one.
     """
 
-    def __init__(
-        self,
-        config: AdmissionConfig,
-        recorder: _t.Optional[TraceRecorder] = None,
-    ):
+    def __init__(self, config: AdmissionConfig):
         self.config = config
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self.recorder: TraceRecorder = NULL_RECORDER
         self.ladder = DegradationLadder(config)
         self.kill_switch = False
         self.manual_level: _t.Optional[AdmissionLevel] = None

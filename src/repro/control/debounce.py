@@ -30,12 +30,12 @@ class Debounce:
         "firings",
     )
 
-    def __init__(
-        self, dwell: int, cooldown: float, not_before: float = float("-inf")
-    ) -> None:
+    def __init__(self, dwell: int, cooldown: float) -> None:
         self.dwell = dwell
         self.cooldown = cooldown
-        self.not_before = not_before
+        #: No firing before this instant; a tier that warms up sets it
+        #: when it binds.
+        self.not_before = float("-inf")
         #: The action the current streak wants (None: nothing).
         self.want: _t.Any = None
         #: Consecutive observations wanting :attr:`want` since the last

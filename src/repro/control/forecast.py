@@ -254,13 +254,9 @@ class ForecastController:
     and trigger sequences on any substrate.
     """
 
-    def __init__(
-        self,
-        config: ForecastConfig,
-        recorder: _t.Optional[TraceRecorder] = None,
-    ) -> None:
+    def __init__(self, config: ForecastConfig) -> None:
         self.config = config
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self.recorder: TraceRecorder = NULL_RECORDER
         #: pe_id -> forecaster, one per bound source stream.
         self.forecasters: _t.Dict[str, HoltWintersForecaster] = {}
         self.ticks = 0

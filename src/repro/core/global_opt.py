@@ -226,6 +226,10 @@ _MAX_ITERATIONS = 100
 #: constraints pin a PE (a zero-rate source and all downstream of it)
 #: still has an interior and bounded multipliers.
 _RELAXATION = 1e-14
+#: Relative diagonal jitter for a Newton solve whose reduced matrix is
+#: singular in floating point (ratios ``lam/s`` spread over ~20 decades
+#: near the optimum); only that one solve is regularized.
+_JITTER = 1e-12
 
 
 def _solve_interior_point(
@@ -286,9 +290,12 @@ def _solve_interior_point(
         reduced[np.diag_indices_from(reduced)] += weight * (gain / margin) ** 2
 
         def direction(r_comp):
-            dc = np.linalg.solve(
-                reduced, -r_dual + matrix.T @ ((r_comp - lam * r_primal) / s)
-            )
+            rhs = -r_dual + matrix.T @ ((r_comp - lam * r_primal) / s)
+            try:
+                dc = np.linalg.solve(reduced, rhs)
+            except np.linalg.LinAlgError:
+                jitter = _JITTER * np.diag(reduced)
+                dc = np.linalg.solve(reduced + np.diag(jitter), rhs)
             dlam = ratio * (matrix @ dc + r_primal) - r_comp / s
             return dc, -(r_comp + s * dlam) / lam, dlam
 

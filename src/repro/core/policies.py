@@ -215,11 +215,12 @@ class LoadSheddingPolicy(Policy):
     def make_admission_filter(
         self, pe: "PELike"
     ) -> _t.Callable[["PELike", object], bool]:
+        import zlib
+
         import numpy as np
 
-        rng = np.random.default_rng(
-            self.seed + sum(ord(ch) for ch in pe.pe_id)
-        )
+        # Keyed on the whole id, so distinct PEs draw distinct streams.
+        rng = np.random.default_rng([self.seed, zlib.crc32(pe.pe_id.encode())])
         threshold = self.threshold
 
         def admit(runtime: "PELike", sdo: object) -> bool:

@@ -116,21 +116,20 @@ def measure_mttr(
     rates: _t.Sequence[_t.Tuple[float, float]],
     fault_end: float,
     pre_fault_rate: float,
-    tolerance: float = RECOVERY_TOLERANCE,
-    smoothing: int = SMOOTHING_BINS,
 ) -> float:
-    """Time from fault end until the smoothed rate re-enters the
-    ``(1 - tolerance)``-band around the pre-fault steady state.
+    """Time from fault end until the rate, smoothed over
+    :data:`SMOOTHING_BINS`, re-enters the :data:`RECOVERY_TOLERANCE` band
+    around the pre-fault steady state.
 
     Returns 0.0 when there was nothing to recover (pre-fault rate zero),
     ``inf`` when the run ends still degraded.
     """
     if pre_fault_rate <= 0:
         return 0.0
-    threshold = (1.0 - tolerance) * pre_fault_rate
+    threshold = (1.0 - RECOVERY_TOLERANCE) * pre_fault_rate
     tail = [(time, rate) for time, rate in rates if time > fault_end]
     for index in range(len(tail)):
-        lo = max(0, index - smoothing + 1)
+        lo = max(0, index - SMOOTHING_BINS + 1)
         window = [rate for _, rate in tail[lo : index + 1]]
         if sum(window) / len(window) >= threshold:
             return tail[index][0] - fault_end
@@ -250,18 +249,17 @@ class ChaosCellResult:
 
 
 def chaos_system_config(
-    seed: int, dt: float = 0.01, warmup: float = 2.0, admission: bool = False
+    seed: int, warmup: float = 2.0, admission: bool = False
 ) -> SystemConfig:
     """System config the chaos matrix runs under: degradation guards on
     (a staleness TTL of 10 control intervals, past which feedback reads
-    0) and
-    periodic Tier-1 re-solves so solver outages are actually exercised.
-    With ``admission`` the tuned SLO-aware front end is armed too."""
+    0) and periodic Tier-1 re-solves so solver outages are actually
+    exercised.  With ``admission`` the tuned SLO-aware front end is armed
+    too."""
     return SystemConfig(
         seed=seed,
-        dt=dt,
         warmup=warmup,
-        feedback_staleness_ttl=10 * dt,
+        feedback_staleness_ttl=10 * SystemConfig.dt,
         reoptimize_interval=1.0,
         admission=bench_admission_config() if admission else None,
     )

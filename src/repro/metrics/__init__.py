@@ -10,17 +10,12 @@ The paper's two headline metrics are implemented here:
 """
 
 from repro.metrics.collectors import EgressCollector, EgressRecord, MetricsReport
-from repro.metrics.stats import (
-    SummaryStats,
-    confidence_interval,
-    summarize,
-)
+from repro.metrics.stats import SummaryStats, summarize
 
 __all__ = [
     "EgressCollector",
     "EgressRecord",
     "MetricsReport",
     "SummaryStats",
-    "confidence_interval",
     "summarize",
 ]

@@ -40,17 +40,6 @@ def summarize(values: _t.Sequence[float]) -> SummaryStats:
     )
 
 
-def confidence_interval(
-    values: _t.Sequence[float], z: float = 1.96
-) -> _t.Tuple[float, float]:
-    """Normal-approximation CI half-widths around the sample mean."""
-    stats = summarize(values)
-    if stats.count < 2:
-        return (stats.mean, stats.mean)
-    half = z * stats.std / math.sqrt(stats.count)
-    return (stats.mean - half, stats.mean + half)
-
-
 class StreamingMoments:
     """Welford online mean/variance — O(1) memory for long runs."""
 

@@ -186,11 +186,6 @@ class InputBuffer:
         """The oldest SDO without removing it, or None when empty."""
         return self._items[0] if self._items else None
 
-    def drain(self, now: float, limit: _t.Optional[int] = None) -> _t.List[SDO]:
-        """Pop up to ``limit`` SDOs (all when limit is None)."""
-        count = len(self._items) if limit is None else min(limit, len(self._items))
-        return [self.pop(now) for _ in range(count)]
-
     def flush(self, now: float, cause: str = "flush") -> int:
         """Discard every buffered SDO, counting each as a drop.
 

@@ -2,9 +2,10 @@
 
 The paper manages "processor and network" resources; its evaluation is
 intra-cluster, where transfer cost is small but not zero.  This module
-models each producer->consumer stream as a serializing link: an SDO of
-size ``s`` occupies the link for ``s / bandwidth`` seconds (FIFO, one SDO
-at a time), then arrives after a further fixed ``latency``.
+models each producer->consumer stream as a serializing link.  SDOs are
+fixed-size, so ``bandwidth`` is in SDOs per second: each SDO occupies the
+link for ``1 / bandwidth`` seconds (FIFO, one SDO at a time), then arrives
+after a further fixed ``latency``.
 
 Links are optional: :class:`~repro.systems.simulated.SystemConfig` keeps
 ``link_bandwidth = None`` (infinite) by default, matching the paper's
@@ -29,7 +30,6 @@ class LinkStats:
     """Telemetry for one link."""
 
     transferred: int = 0
-    bytes_moved: float = 0.0
     busy_time: float = 0.0
 
 
@@ -62,11 +62,6 @@ class Link:
         self._busy_until = 0.0
         self.stats = LinkStats()
 
-    @property
-    def busy_until(self) -> float:
-        """Time at which the link's serializer frees up."""
-        return self._busy_until
-
     def transfer_completion(self, sdo: SDO, now: float) -> float:
         """Reserve the link for ``sdo`` and return its arrival time.
 
@@ -76,10 +71,9 @@ class Link:
         if now < 0:
             raise ValueError("now must be >= 0")
         start = max(now, self._busy_until)
-        serialization = sdo.size / self.bandwidth
+        serialization = 1.0 / self.bandwidth
         self._busy_until = start + serialization
         self.stats.transferred += 1
-        self.stats.bytes_moved += sdo.size
         self.stats.busy_time += serialization
         arrival = self._busy_until + self.latency
         spans = self.spans

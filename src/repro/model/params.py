@@ -77,8 +77,6 @@ class PEProfile:
         part is emitted, so the long-run ratio is exactly ``lambda_m``
         with minimal variance.  When False, ``M`` is Poisson with mean
         ``lambda_m``.
-    sdo_size:
-        Bytes per output SDO.
     overhead:
         The ``b`` constant of the paper's rate model ``h(c) = a*c - b``
         (SDO/s of fixed overhead); ``a`` is derived from the mean service
@@ -93,7 +91,6 @@ class PEProfile:
     rho: float = DEFAULTS.rho
     lambda_m: float = DEFAULTS.lambda_m
     deterministic_m: bool = True
-    sdo_size: float = 1.0
     overhead: float = 0.0
     #: Empirically measured ``a`` constant of ``h(c) = a c - b`` (SDO/s per
     #: CPU unit).  When set (see :mod:`repro.model.calibration`) it replaces

@@ -8,14 +8,15 @@ Every SDO carries provenance needed for the paper's metrics:
   processing chain.
 * ``hops`` — number of PEs that have processed ancestors of this SDO, used
   as a sanity check on the processing-graph depth.
+
+SDOs are fixed-size: the paper measures rates in SDOs per second, so an
+SDO carries no size or payload, and a link serializes each one in
+``1 / bandwidth`` seconds.
 """
 
 from __future__ import annotations
 
-import itertools
 import typing as _t
-
-_SDO_IDS = itertools.count()
 
 
 class SDO:
@@ -31,13 +32,8 @@ class SDO:
         Identifier of the stream (source or producing PE) this SDO belongs to.
     origin_time:
         Virtual time at which the ancestral system-input SDO was created.
-    size:
-        Size in bytes (the paper measures rates in bytes; with fixed-size
-        SDOs the two units are interchangeable).
     hops:
         Number of PE processing steps applied to this SDO's lineage.
-    payload:
-        Optional application payload (unused by the control algorithms).
     span:
         Latency-span accumulator, ``None`` unless a
         :class:`~repro.obs.spans.SpanTracker` is armed; then a 5-slot
@@ -47,38 +43,27 @@ class SDO:
         default slot.
     """
 
-    __slots__ = (
-        "stream_id", "origin_time", "size", "hops", "payload", "sdo_id",
-        "span",
-    )
+    __slots__ = ("stream_id", "origin_time", "hops", "span")
 
     def __init__(
         self,
         stream_id: str,
         origin_time: float,
-        size: float = 1.0,
         hops: int = 0,
-        payload: object = None,
-        sdo_id: _t.Optional[int] = None,
         span: _t.Optional[_t.List[float]] = None,
     ):
         self.stream_id = stream_id
         self.origin_time = origin_time
-        self.size = size
         self.hops = hops
-        self.payload = payload
-        self.sdo_id = next(_SDO_IDS) if sdo_id is None else sdo_id
         self.span = span
 
     def __repr__(self) -> str:
         return (
             f"SDO(stream_id={self.stream_id!r}, "
-            f"origin_time={self.origin_time!r}, size={self.size!r}, "
-            f"hops={self.hops!r}, payload={self.payload!r}, "
-            f"sdo_id={self.sdo_id!r})"
+            f"origin_time={self.origin_time!r}, hops={self.hops!r})"
         )
 
-    def derive(self, stream_id: str, size: _t.Optional[float] = None) -> "SDO":
+    def derive(self, stream_id: str) -> "SDO":
         """Create an output SDO descended from this one.
 
         The derived SDO inherits the origin time (for end-to-end latency)
@@ -87,7 +72,6 @@ class SDO:
         return SDO(
             stream_id=stream_id,
             origin_time=self.origin_time,
-            size=self.size if size is None else size,
             hops=self.hops + 1,
         )
 
@@ -103,7 +87,6 @@ class SDO:
         return SDO(
             stream_id=stream_id,
             origin_time=min(parent.origin_time for parent in parents),
-            size=max(parent.size for parent in parents),
             hops=max(parent.hops for parent in parents) + 1,
         )
 
@@ -119,9 +102,7 @@ class SDO:
         return SDO(
             stream_id=self.stream_id,
             origin_time=self.origin_time,
-            size=self.size,
             hops=self.hops,
-            payload=self.payload,
             span=None if span is None else list(span),
         )
 

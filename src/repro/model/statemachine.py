@@ -28,19 +28,14 @@ class TwoStateMachine:
         The PE profile supplying ``t0``, ``t1``, ``lambda_s`` and ``rho``.
     rng:
         Dedicated random generator (one per PE for reproducibility).
-    initial_time:
-        Virtual time at which the machine starts.
+
+    The machine starts at virtual time 0.
     """
 
-    def __init__(
-        self,
-        profile: PEProfile,
-        rng: np.random.Generator,
-        initial_time: float = 0.0,
-    ):
+    def __init__(self, profile: PEProfile, rng: np.random.Generator):
         self.profile = profile
         self._rng = rng
-        self._time = float(initial_time)
+        self._time = 0.0
         self._dwell_means = profile.dwell_means()
         self.transitions = 0
 

@@ -102,17 +102,10 @@ class SourceStats:
 class _SourceBase:
     """Common machinery: the arrival loop and admission accounting."""
 
-    def __init__(
-        self,
-        env: Env,
-        stream_id: str,
-        sink: Sink,
-        sdo_size: float = 1.0,
-    ):
+    def __init__(self, env: Env, stream_id: str, sink: Sink):
         self.env = env
         self.stream_id = stream_id
         self.sink = sink
-        self.sdo_size = sdo_size
         self.stats = SourceStats()
         self._held_until = 0.0
         self.process = env.process(self._run())
@@ -144,7 +137,7 @@ class _SourceBase:
         if now < self._held_until:
             self.stats.deferred += 1
             return
-        sdo = SDO(stream_id=self.stream_id, origin_time=now, size=self.sdo_size)
+        sdo = SDO(stream_id=self.stream_id, origin_time=now)
         self.stats.generated += 1
         if self.sink(sdo, now):
             self.stats.admitted += 1
@@ -155,18 +148,11 @@ class _SourceBase:
 class ConstantRateSource(_SourceBase):
     """Deterministic arrivals at ``rate`` SDO/s."""
 
-    def __init__(
-        self,
-        env: Env,
-        stream_id: str,
-        sink: Sink,
-        rate: float,
-        sdo_size: float = 1.0,
-    ):
+    def __init__(self, env: Env, stream_id: str, sink: Sink, rate: float):
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = rate
-        super().__init__(env, stream_id, sink, sdo_size)
+        super().__init__(env, stream_id, sink)
 
     def _interarrival(self) -> float:
         return 1.0 / self.rate
@@ -192,7 +178,6 @@ class PoissonSource(_SourceBase):
         sink: Sink,
         rate: float,
         rng: np.random.Generator,
-        sdo_size: float = 1.0,
         shape: _t.Optional[RateShape] = None,
     ):
         if rate <= 0:
@@ -200,7 +185,7 @@ class PoissonSource(_SourceBase):
         self.rate = rate
         self.shape = shape
         self._rng = rng
-        super().__init__(env, stream_id, sink, sdo_size)
+        super().__init__(env, stream_id, sink)
 
     def current_rate(self, now: float) -> float:
         """Instantaneous mean arrival rate at ``now``."""
@@ -318,7 +303,6 @@ class OnOffSource(_SourceBase):
         mean_on: float,
         mean_off: float,
         rng: np.random.Generator,
-        sdo_size: float = 1.0,
     ):
         if peak_rate <= 0:
             raise ValueError(f"peak_rate must be positive, got {peak_rate}")
@@ -329,7 +313,7 @@ class OnOffSource(_SourceBase):
         self.mean_off = mean_off
         self._rng = rng
         self._on_until = 0.0
-        super().__init__(env, stream_id, sink, sdo_size)
+        super().__init__(env, stream_id, sink)
 
     @property
     def mean_rate(self) -> float:
@@ -380,7 +364,6 @@ class SquareWaveSource(_SourceBase):
         period: float,
         duty: float,
         drift: float = 0.0,
-        sdo_size: float = 1.0,
     ):
         if peak_rate <= 0:
             raise ValueError(f"peak_rate must be positive, got {peak_rate}")
@@ -392,7 +375,7 @@ class SquareWaveSource(_SourceBase):
         self.period = period
         self.duty = duty
         self.drift = drift
-        super().__init__(env, stream_id, sink, sdo_size)
+        super().__init__(env, stream_id, sink)
 
     @property
     def mean_rate(self) -> float:

@@ -3,16 +3,16 @@
 The paper reports latency as mean ± std (Fig. 3); per-stream *percentiles*
 are what SLO-aware control needs (ROADMAP items 4/5).  Retaining raw
 samples is not an option at simulation scale, so :class:`LogHistogram`
-buckets values on a logarithmic grid: bucket ``i`` covers
-``[min_value * growth**i, min_value * growth**(i+1))`` with
-``growth = 10**(1/buckets_per_decade)``.  With the default 20 buckets per
-decade every quantile estimate is within one bucket of the exact value —
-a bounded ~12% relative error — while storage stays a sparse dict of
-occupied buckets.
+buckets values on one logarithmic grid: bucket ``i`` covers
+``[MIN_VALUE * GROWTH**i, MIN_VALUE * GROWTH**(i+1))`` with
+``GROWTH = 10**(1/BUCKETS_PER_DECADE)``.  At 20 buckets per decade every
+quantile estimate is within one bucket of the exact value — a bounded
+~12% relative error — while storage stays a sparse dict of occupied
+buckets.
 
-Histograms over the same grid merge associatively (bucket-wise count
-addition), so per-stream and per-hop histograms pool into run totals
-without any loss beyond the original bucketing.
+Every histogram shares the grid, so any two merge associatively
+(bucket-wise count addition), and per-stream and per-hop histograms pool
+into run totals without any loss beyond the original bucketing.
 """
 
 from __future__ import annotations
@@ -24,59 +24,38 @@ __all__ = ["LogHistogram"]
 
 _log = math.log
 
+#: Lower edge of bucket 0; values below it (including zero — a real case
+#: for same-instant hops) land in the underflow bucket, whose reported
+#: upper edge is ``MIN_VALUE``.
+MIN_VALUE = 1e-6
+#: Grid resolution; the maximum relative quantile error is
+#: ``10**(1/BUCKETS_PER_DECADE) - 1``.
+BUCKETS_PER_DECADE = 20
+#: Ratio of consecutive bucket edges.
+GROWTH = 10.0 ** (1.0 / BUCKETS_PER_DECADE)
+_INV_MIN = 1.0 / MIN_VALUE
+_INV_LOG_GROWTH = BUCKETS_PER_DECADE / math.log(10.0)
+
 
 class LogHistogram:
-    """Streaming log-bucketed histogram with percentile queries.
+    """Streaming log-bucketed histogram with percentile queries."""
 
-    Parameters
-    ----------
-    min_value:
-        Lower edge of bucket 0; values below it (including zero — a real
-        case for same-instant hops) land in the underflow bucket, whose
-        reported upper edge is ``min_value``.
-    buckets_per_decade:
-        Grid resolution; the maximum relative quantile error is
-        ``10**(1/buckets_per_decade) - 1``.
-    """
+    __slots__ = ("count", "total", "_counts")
 
-    __slots__ = (
-        "min_value",
-        "buckets_per_decade",
-        "growth",
-        "count",
-        "total",
-        "_counts",
-        "_inv_log_growth",
-        "_inv_min",
-    )
-
-    def __init__(
-        self, min_value: float = 1e-6, buckets_per_decade: int = 20
-    ):
-        if min_value <= 0:
-            raise ValueError(f"min_value must be positive, got {min_value}")
-        if buckets_per_decade <= 0:
-            raise ValueError(
-                f"buckets_per_decade must be positive, got {buckets_per_decade}"
-            )
-        self.min_value = float(min_value)
-        self.buckets_per_decade = int(buckets_per_decade)
-        self.growth = 10.0 ** (1.0 / buckets_per_decade)
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         #: bucket index -> count; index -1 is the underflow bucket.
         self._counts: _t.Dict[int, int] = {}
-        self._inv_log_growth = buckets_per_decade / math.log(10.0)
-        self._inv_min = 1.0 / self.min_value
 
     # -- recording ---------------------------------------------------------
 
     def add(self, value: float, count: int = 1) -> None:
         """Record ``value`` (``count`` times)."""
-        if value < self.min_value:
+        if value < MIN_VALUE:
             index = -1
         else:
-            index = int(_log(value * self._inv_min) * self._inv_log_growth)
+            index = int(_log(value * _INV_MIN) * _INV_LOG_GROWTH)
         counts = self._counts
         counts[index] = counts.get(index, 0) + count
         self.count += count
@@ -85,18 +64,9 @@ class LogHistogram:
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold ``other`` into this histogram (in place; associative).
 
-        Both histograms must share the same bucket grid — merging is then
-        exact bucket-wise addition, so ``(a + b) + c == a + (b + c)``.
+        Merging is exact bucket-wise addition on the shared grid, so
+        ``(a + b) + c == a + (b + c)``.
         """
-        if (
-            other.min_value != self.min_value
-            or other.buckets_per_decade != self.buckets_per_decade
-        ):
-            raise ValueError(
-                "cannot merge histograms with different bucket grids: "
-                f"({self.min_value}, {self.buckets_per_decade}) vs "
-                f"({other.min_value}, {other.buckets_per_decade})"
-            )
         counts = self._counts
         for index, count in other._counts.items():
             counts[index] = counts.get(index, 0) + count
@@ -111,15 +81,15 @@ class LogHistogram:
         return self.total / self.count if self.count else 0.0
 
     def bucket_upper_edge(self, index: int) -> float:
-        """Upper edge of bucket ``index`` (``min_value`` for underflow)."""
-        return self.min_value * self.growth ** (index + 1) if index >= 0 else (
-            self.min_value
+        """Upper edge of bucket ``index`` (``MIN_VALUE`` for underflow)."""
+        return MIN_VALUE * GROWTH ** (index + 1) if index >= 0 else (
+            MIN_VALUE
         )
 
     def percentile(self, q: float) -> float:
         """Quantile estimate: the upper edge of the bucket holding the
         rank-``ceil(q * count)`` sample (so ``exact <= estimate <=
-        exact * growth`` up to float rounding).  Returns 0.0 when empty.
+        exact * GROWTH`` up to float rounding).  Returns 0.0 when empty.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {q}")

@@ -205,24 +205,16 @@ class TraceFilter:
 class TraceRecorder:
     """Base event bus: stamps, filters, counts, and hands events to a sink.
 
-    Parameters
-    ----------
-    clock:
-        Zero-argument callable returning the current virtual time; bound
-        by the owning system via :meth:`bind_clock` when not given here.
-    trace_filter:
-        Optional keep-filter applied before the event dict is built.
+    ``trace_filter`` is an optional keep-filter applied before the event
+    dict is built.  The owning system binds the virtual-time source with
+    :meth:`bind_clock`; until then events are stamped ``t = 0``.
     """
 
     #: Hot paths check this before building any event payload.
     enabled: bool = True
 
-    def __init__(
-        self,
-        clock: _t.Optional[_t.Callable[[], float]] = None,
-        trace_filter: _t.Optional[TraceFilter] = None,
-    ):
-        self._clock = clock
+    def __init__(self, trace_filter: _t.Optional[TraceFilter] = None):
+        self._clock: _t.Optional[_t.Callable[[], float]] = None
         self.filter = trace_filter or TraceFilter()
         #: The filter's predicate, or None when it admits everything (the
         #: usual case, resolved once so ``emit`` skips the call).
@@ -338,12 +330,8 @@ NULL_RECORDER = NullRecorder()
 class MemoryRecorder(TraceRecorder):
     """Collects events in memory — the test/analysis recorder."""
 
-    def __init__(
-        self,
-        clock: _t.Optional[_t.Callable[[], float]] = None,
-        trace_filter: _t.Optional[TraceFilter] = None,
-    ):
-        super().__init__(clock=clock, trace_filter=trace_filter)
+    def __init__(self, trace_filter: _t.Optional[TraceFilter] = None):
+        super().__init__(trace_filter)
         self.events: _t.List[_t.Dict[str, object]] = []
 
     def _write(self, event: _t.Dict[str, object]) -> None:
@@ -369,10 +357,9 @@ class JsonlRecorder(TraceRecorder):
     def __init__(
         self,
         target: _t.Union[str, _t.TextIO],
-        clock: _t.Optional[_t.Callable[[], float]] = None,
         trace_filter: _t.Optional[TraceFilter] = None,
     ):
-        super().__init__(clock=clock, trace_filter=trace_filter)
+        super().__init__(trace_filter)
         self._path: _t.Optional[str] = None
         self._file: _t.Optional[_t.TextIO] = None
         if isinstance(target, str):

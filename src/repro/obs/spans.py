@@ -64,25 +64,15 @@ class SpanTracker:
     recorder:
         Trace bus for the per-egress ``span`` events; the null default
         keeps histogram accumulation without event emission.
-    min_value / buckets_per_decade:
-        Bucket grid shared by every histogram the tracker owns.
-    tolerance:
-        Relative float tolerance of the closure check
-        ``queue + service + transit == e2e``.
     """
 
-    def __init__(
-        self,
-        recorder: TraceRecorder = NULL_RECORDER,
-        min_value: float = 1e-6,
-        buckets_per_decade: int = 20,
-        tolerance: float = 1e-9,
-    ):
+    #: Relative float tolerance of the closure check
+    #: ``queue + service + transit == e2e``.
+    TOLERANCE = 1e-9
+
+    def __init__(self, recorder: TraceRecorder = NULL_RECORDER):
         self.recorder = recorder
         self._recording = recorder.enabled
-        self.min_value = min_value
-        self.buckets_per_decade = buckets_per_decade
-        self.tolerance = tolerance
         #: Armed by :meth:`ensure_locked` on the threaded substrate, where
         #: worker threads update the shared histograms concurrently.
         self._lock: _t.Optional[threading.Lock] = None
@@ -90,12 +80,12 @@ class SpanTracker:
         # Tables create a key's histogram on first touch, so the hot
         # hooks below are one subscript and one ``add`` each.
         #: pe_id -> queue-wait / service histograms (seconds).
-        self.queue_wait: _t.Dict[str, LogHistogram] = defaultdict(self._hist)
-        self.service: _t.Dict[str, LogHistogram] = defaultdict(self._hist)
+        self.queue_wait: _t.Dict[str, LogHistogram] = defaultdict(LogHistogram)
+        self.service: _t.Dict[str, LogHistogram] = defaultdict(LogHistogram)
         #: stream_id -> transit histogram (seconds, per delivery hop).
-        self.transit: _t.Dict[str, LogHistogram] = defaultdict(self._hist)
+        self.transit: _t.Dict[str, LogHistogram] = defaultdict(LogHistogram)
         #: link name -> full link delay histogram (queue+serialize+propagate).
-        self.link: _t.Dict[str, LogHistogram] = defaultdict(self._hist)
+        self.link: _t.Dict[str, LogHistogram] = defaultdict(LogHistogram)
         #: Egress SDOs whose closure identity failed (plain dicts so the
         #: conservation checker can lift them into InvariantViolations
         #: without an import cycle).
@@ -108,12 +98,6 @@ class SpanTracker:
         """Arm thread-safety after construction (threaded substrate)."""
         if self._lock is None:
             self._lock = threading.Lock()
-
-    def _hist(self) -> LogHistogram:
-        return LogHistogram(
-            min_value=self.min_value,
-            buckets_per_decade=self.buckets_per_decade,
-        )
 
     # -- hot observation hooks ---------------------------------------------
 
@@ -200,7 +184,7 @@ class SpanTracker:
         self.egress_spans += 1
 
         error = (queue + service + transit) - e2e
-        bound = self.tolerance * max(1.0, abs(e2e))
+        bound = self.TOLERANCE * max(1.0, abs(e2e))
         if error > bound or -error > bound:
             self.violations.append(
                 {

@@ -28,16 +28,11 @@ class StopSimulation(Exception):
 
 
 class Environment:
-    """Execution environment for a single simulation run.
+    """Execution environment for a single simulation run; the virtual
+    clock starts at ``0.0``."""
 
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the virtual clock (default ``0.0``).
-    """
-
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: _t.List[_t.Tuple[float, int, int, Event]] = []
         self._eid = count()
         #: Total events dispatched by this environment (for perf benches
@@ -57,9 +52,9 @@ class Environment:
         """Create a fresh, untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: object = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create a :class:`Timeout` that fires after ``delay``."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: _t.Generator) -> "Process":
         """Start a new :class:`Process` running ``generator``."""

@@ -105,17 +105,18 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers automatically after ``delay`` time units."""
+    """An event that triggers automatically after ``delay`` time units;
+    its value is ``None``."""
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: object = None):
+    def __init__(self, env: "Environment", delay: float):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
         self.delay = delay
         self._ok = True
-        self._value = value
+        self._value = None
         env.schedule(self, delay=delay)
 
     def __repr__(self) -> str:

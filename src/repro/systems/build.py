@@ -72,7 +72,7 @@ class SystemConfig(ControlConfig):
     warmup: float = 5.0
     #: Feedback propagation delay; None means one control interval.
     feedback_delay: _t.Optional[float] = None
-    #: Finite bandwidth (size units / second) for links between PEs on
+    #: Finite bandwidth (SDOs / second) for links between PEs on
     #: *different* nodes; None models the paper's instantaneous
     #: intra-cluster transport.  Co-located PEs always communicate
     #: through memory.

@@ -333,14 +333,8 @@ def run_system(
     duration: float = 30.0,
     targets: _t.Optional[AllocationTargets] = None,
     config: _t.Optional[ControlConfig] = None,
-    recorder: _t.Optional[TraceRecorder] = None,
-    profiler: _t.Optional[PhaseProfiler] = None,
-    gauge_cadence: _t.Optional[float] = None,
-    spans: _t.Optional["SpanTracker"] = None,
 ) -> MetricsReport:
-    """Build and run one system on the substrate its config selects
-    (see :func:`build_system`); the one-call experiment API."""
-    return build_system(
-        topology, policy, targets, config, recorder, profiler,
-        gauge_cadence, spans,
-    ).run(duration)
+    """Build and run one system on the substrate its config selects;
+    the one-call experiment API.  An instrumented run (recorder,
+    profiler, gauges, spans) calls ``build_system(...).run(duration)``."""
+    return build_system(topology, policy, targets, config).run(duration)

@@ -203,7 +203,8 @@ class TestDegradationLadder:
 class TestPriorityResolution:
     def make(self):
         recorder = MemoryRecorder()
-        controller = AdmissionController(ladder_config(), recorder=recorder)
+        controller = AdmissionController(ladder_config())
+        controller.recorder = recorder
         return controller, recorder
 
     def test_kill_beats_manual_beats_adaptive(self):
@@ -298,9 +299,8 @@ class TestDeterministicShedding:
 class TestRejectAndBackoff:
     def test_reject_invokes_backoff_with_retry_after(self):
         recorder = MemoryRecorder()
-        controller = AdmissionController(
-            ladder_config(retry_after=0.75), recorder=recorder
-        )
+        controller = AdmissionController(ladder_config(retry_after=0.75))
+        controller.recorder = recorder
         deadlines = []
         controller.register_backoff("src:a", deadlines.append)
         controller.set_manual_level(AdmissionLevel.REJECT)
@@ -326,7 +326,8 @@ class TestRejectAndBackoff:
 class TestTraceEvents:
     def test_level_events_carry_transition_fields(self):
         recorder = MemoryRecorder()
-        controller = AdmissionController(ladder_config(), recorder=recorder)
+        controller = AdmissionController(ladder_config())
+        controller.recorder = recorder
         controller.observe(1.05, 0.0)
         controller.observe(2.0, 1.0)
         controller.observe(0.1, 2.0)
@@ -344,7 +345,8 @@ class TestTraceEvents:
 
     def test_shed_events_name_stream_and_level(self):
         recorder = MemoryRecorder()
-        controller = AdmissionController(ladder_config(), recorder=recorder)
+        controller = AdmissionController(ladder_config())
+        controller.recorder = recorder
         controller.set_manual_level(AdmissionLevel.SHED_HIGH)
         for i in range(10):
             controller.admit_ingress("src:a", float(i))

@@ -254,20 +254,22 @@ class TestSyntheticEvents:
         )
         assert recorder.violation_counts["paused_node_silent"] == 1
         # Non-strict (live threaded) mode skips the racy pause check.
-        relaxed = OracleRecorder(plane=system.plane, strict=False)
+        relaxed = OracleRecorder(strict=False)
+        relaxed.attach_plane(system.plane)
         relaxed.emit(
             "cpu_grant", pe=pe_id, node=node_id, cpu=0.1, dt=0.02
         )
         assert relaxed.violation_counts["paused_node_silent"] == 0
 
     def test_max_violations_cap_keeps_counting(self):
-        recorder = OracleRecorder(max_violations=3)
-        for _ in range(10):
+        recorder = OracleRecorder()
+        emitted = OracleRecorder.MAX_VIOLATIONS + 10
+        for _ in range(emitted):
             recorder.emit(
                 "cpu_grant", pe="pe-0", node="node-0", cpu=-1.0, dt=0.02
             )
-        assert len(recorder.violations) == 3
-        assert recorder.violation_counts["cpu_grant_nonnegative"] == 10
+        assert len(recorder.violations) == OracleRecorder.MAX_VIOLATIONS
+        assert recorder.violation_counts["cpu_grant_nonnegative"] == emitted
 
     def test_violation_serialization(self):
         violation = InvariantViolation(

@@ -31,6 +31,7 @@ from repro.model.sdo import SDO
 from repro.model.workload import SOURCE_KINDS
 from repro.obs.profiler import PhaseProfiler
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
+from repro.systems import simulated
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
 
@@ -256,10 +257,6 @@ class TestOperationalSurface:
             "duration",
             "targets",
             "config",
-            "recorder",
-            "profiler",
-            "gauge_cadence",
-            "spans",
         ]
 
     @pytest.mark.parametrize(
@@ -278,8 +275,9 @@ class TestOperationalSurface:
         assert report.total_output_sdos > 0
 
     def test_run_system_refuses_a_profiler_on_the_runtime(self):
+        # Instruments reach a run through build_system.
         with pytest.raises(ValueError, match="profiler"):
-            run_system(
+            simulated.build_system(
                 small_topology(), AcesPolicy(), config=RuntimeConfig(),
                 profiler=PhaseProfiler(),
             )

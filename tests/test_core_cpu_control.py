@@ -418,7 +418,8 @@ def test_property_allocate_equals_the_dict_reference(
             in_service = float(rng.choice([0.0, rng.uniform(0.0, 0.02)]))
             state = int(rng.integers(0, 2))
             for each in (pe, twin_pe):
-                each.buffer.drain(0.0)
+                while not each.buffer.is_empty:
+                    each.buffer.pop(0.0)
                 for _ in range(buffered):
                     each.ingest(SDO(stream_id="s", origin_time=0.0), 0.0)
                 each.work_in_service = in_service

@@ -157,6 +157,21 @@ class TestGates:
         assert not gate(producer)
 
 
+class TestShedding:
+    def test_pes_shed_from_their_own_streams(self):
+        """pe-15 and pe-24 have equal character sums; on equal
+        occupancies they still shed different SDOs."""
+        policy = LoadSheddingPolicy(threshold=0.0)
+        decisions = {}
+        for pe_id in ("pe-15", "pe-24"):
+            pe = make_runtime(pe_id)
+            for _ in range(2):  # half full: drop probability 1/2
+                pe.ingest(SDO(stream_id="s", origin_time=0.0), 0.0)
+            admit = policy.make_admission_filter(pe)
+            decisions[pe_id] = [admit(pe, None) for _ in range(64)]
+        assert decisions["pe-15"] != decisions["pe-24"]
+
+
 class TestAllocationTargets:
     def chain(self):
         graph = ProcessingGraph()

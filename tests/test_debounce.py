@@ -73,7 +73,8 @@ def test_debounce_matches_the_reference_model(
     data, dwell, cooldown, not_before
 ):
     walk = data.draw(walks(wants, cooldown))
-    debounce = Debounce(dwell, cooldown, not_before)
+    debounce = Debounce(dwell, cooldown)
+    debounce.not_before = not_before
     for want, now in walk:
         if debounce.observe(want, now):
             debounce.fire(now)

@@ -182,9 +182,9 @@ class TestStateUpdateAssociativity:
 
         recorder = MemoryRecorder()
         controller = ForecastController(
-            ForecastConfig(sample_interval=interval, headroom=1e9),
-            recorder=recorder,
+            ForecastConfig(sample_interval=interval, headroom=1e9)
         )
+        controller.recorder = recorder
         controller.bind(
             counters={"pe-0": lambda: counts[position["index"]]},
             baseline={"pe-0": 1.0},

@@ -359,6 +359,21 @@ def test_one_pe_program():
     assert result.targets.rate_in["only"] == pytest.approx(30.0, rel=1e-9)
 
 
+def test_sensor_network_example_is_certified():
+    """The sensor-network example's query drives the reduced Newton
+    matrix singular in floating point (condition ~2e19 at the twelfth
+    step); the jittered retry of that one solve still reaches a certified
+    optimum."""
+    from examples.sensor_network_query import build_query
+
+    topology = build_query()
+    result = solve_global_allocation(
+        topology.graph, topology.placement, topology.source_rates
+    )
+    assert_certified(topology, result)
+    assert result.objective == pytest.approx(8.0956256086, abs=1e-9)
+
+
 def test_iteration_cap_returns_unconverged_and_is_never_installed_invalid(
     monkeypatch,
 ):

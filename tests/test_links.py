@@ -10,8 +10,8 @@ from repro.model.sdo import SDO
 from repro.systems.simulated import SimulatedSystem, SystemConfig, run_system
 
 
-def sdo(size=1.0):
-    return SDO(stream_id="s", origin_time=0.0, size=size)
+def sdo():
+    return SDO(stream_id="s", origin_time=0.0)
 
 
 class TestLink:
@@ -22,33 +22,32 @@ class TestLink:
             Link("l", bandwidth=10.0, latency=-1.0)
 
     def test_serialization_time(self):
-        link = Link("l", bandwidth=10.0)
-        arrival = link.transfer_completion(sdo(size=5.0), now=1.0)
+        link = Link("l", bandwidth=2.0)
+        arrival = link.transfer_completion(sdo(), now=1.0)
         assert arrival == pytest.approx(1.5)
 
     def test_latency_added(self):
-        link = Link("l", bandwidth=10.0, latency=0.25)
-        arrival = link.transfer_completion(sdo(size=5.0), now=0.0)
+        link = Link("l", bandwidth=2.0, latency=0.25)
+        arrival = link.transfer_completion(sdo(), now=0.0)
         assert arrival == pytest.approx(0.75)
 
     def test_fifo_serialization_queues(self):
-        link = Link("l", bandwidth=1.0)
-        first = link.transfer_completion(sdo(size=2.0), now=0.0)
-        second = link.transfer_completion(sdo(size=2.0), now=0.0)
+        link = Link("l", bandwidth=0.5)
+        first = link.transfer_completion(sdo(), now=0.0)
+        second = link.transfer_completion(sdo(), now=0.0)
         assert first == pytest.approx(2.0)
         assert second == pytest.approx(4.0)
 
     def test_idle_gap_not_accumulated(self):
         link = Link("l", bandwidth=1.0)
-        link.transfer_completion(sdo(size=1.0), now=0.0)
-        arrival = link.transfer_completion(sdo(size=1.0), now=10.0)
+        link.transfer_completion(sdo(), now=0.0)
+        arrival = link.transfer_completion(sdo(), now=10.0)
         assert arrival == pytest.approx(11.0)
 
     def test_stats(self):
-        link = Link("l", bandwidth=2.0)
-        link.transfer_completion(sdo(size=4.0), now=0.0)
+        link = Link("l", bandwidth=0.5)
+        link.transfer_completion(sdo(), now=0.0)
         assert link.stats.transferred == 1
-        assert link.stats.bytes_moved == 4.0
         assert link.stats.busy_time == pytest.approx(2.0)
         assert link.utilization(4.0) == pytest.approx(0.5)
 

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from repro.core.policies import AcesPolicy
 from repro.graph.topology import TopologySpec, generate_topology
 from repro.metrics.collectors import EgressCollector, MetricsReport
-from repro.metrics.stats import (
-    StreamingMoments,
-    SummaryStats,
-    confidence_interval,
-    summarize,
-)
+from repro.metrics.stats import StreamingMoments, SummaryStats, summarize
 from repro.model.sdo import SDO
 from repro.runtime.spc import RuntimeConfig, SPCRuntime
 from repro.systems.simulated import SimulatedSystem, SystemConfig
@@ -38,13 +33,6 @@ class TestSummarize:
         assert stats.std == pytest.approx(math.sqrt(1.25))
         assert stats.minimum == 1.0
         assert stats.maximum == 4.0
-
-    def test_confidence_interval_brackets_mean(self):
-        low, high = confidence_interval([1.0, 2.0, 3.0])
-        assert low < 2.0 < high
-
-    def test_confidence_interval_degenerate(self):
-        assert confidence_interval([5.0]) == (5.0, 5.0)
 
 
 class TestStreamingMoments:

@@ -31,7 +31,7 @@ class TestBasics:
         for item in items:
             buffer.offer(item, 0.0)
         popped = [buffer.pop(1.0) for _ in range(4)]
-        assert [p.sdo_id for p in popped] == [i.sdo_id for i in items]
+        assert all(p is i for p, i in zip(popped, items, strict=True))
 
     def test_pop_empty_raises(self):
         buffer = InputBuffer(2)
@@ -51,21 +51,6 @@ class TestBasics:
         buffer.offer(sdo(), 0.0)
         assert buffer.free == 4
         assert not buffer.is_empty
-
-    def test_drain_all(self):
-        buffer = InputBuffer(5)
-        for i in range(3):
-            buffer.offer(sdo(i), 0.0)
-        drained = buffer.drain(1.0)
-        assert len(drained) == 3
-        assert buffer.is_empty
-
-    def test_drain_with_limit(self):
-        buffer = InputBuffer(5)
-        for i in range(3):
-            buffer.offer(sdo(i), 0.0)
-        assert len(buffer.drain(1.0, limit=2)) == 2
-        assert buffer.occupancy == 1
 
     def test_len(self):
         buffer = InputBuffer(5)

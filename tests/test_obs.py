@@ -83,7 +83,8 @@ class TestTraceFilter:
 class TestMemoryRecorder:
     def test_emit_stamps_clock_and_counts(self):
         clock = iter([1.5, 2.5])
-        recorder = MemoryRecorder(clock=lambda: next(clock))
+        recorder = MemoryRecorder()
+        recorder.bind_clock(lambda: next(clock))
         recorder.emit("drop", pe="pe-1", cause="buffer_full")
         recorder.emit("r_max", pe="pe-1", r_max=3.0)
         assert [e["t"] for e in recorder.events] == [1.5, 2.5]
@@ -106,7 +107,8 @@ class TestMemoryRecorder:
         assert recorder.counts == {"drop": 1}
 
     def test_events_are_valid(self):
-        recorder = MemoryRecorder(clock=lambda: 0.25)
+        recorder = MemoryRecorder()
+        recorder.bind_clock(lambda: 0.25)
         recorder.emit("tier1_resolve", reason="initial", objective=1.0)
         assert validate_event(recorder.events[0]) == []
 
@@ -144,7 +146,8 @@ class TestNullRecorder:
 class TestJsonlRecorder:
     def test_lazy_open_and_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        recorder = JsonlRecorder(str(path), clock=lambda: 0.5)
+        recorder = JsonlRecorder(str(path))
+        recorder.bind_clock(lambda: 0.5)
         assert not path.exists()  # opened lazily on the first event
         recorder.emit("drop", pe="pe-1", cause="shed")
         recorder.emit("gauge", pe="pe-2", name="occupancy", value=4.0)
@@ -162,7 +165,8 @@ class TestJsonlRecorder:
 
     def test_accepts_open_file_object(self):
         sink = io.StringIO()
-        recorder = JsonlRecorder(sink, clock=lambda: 1.0)
+        recorder = JsonlRecorder(sink)
+        recorder.bind_clock(lambda: 1.0)
         recorder.emit("r_max", pe="pe-1", r_max=2.0)
         sink.seek(0)
         events = read_events_jsonl(sink, validate=True)
@@ -316,7 +320,8 @@ class TestGaugeRegistry:
 
     def test_recorder_receives_gauge_events(self):
         env = Environment()
-        recorder = MemoryRecorder(clock=lambda: env.now)
+        recorder = MemoryRecorder()
+        recorder.bind_clock(lambda: env.now)
         registry = GaugeRegistry(env, cadence=1.0, recorder=recorder)
         registry.register("level", lambda: 7.0, node="node-0")
         registry.start()

@@ -50,7 +50,7 @@ class TestChannel:
         for item in items:
             channel.offer(item)
         popped = [channel.get(timeout=0.1) for _ in range(3)]
-        assert [p.sdo_id for p in popped] == [i.sdo_id for i in items]
+        assert all(p is i for p, i in zip(popped, items, strict=True))
 
     def test_get_timeout_returns_none(self):
         channel = Channel(2)

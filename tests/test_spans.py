@@ -155,7 +155,7 @@ class TestDisarmed:
 class TestFanout:
     def test_fanout_copy_is_independent(self):
         sdo = SDO(
-            stream_id="s-1", origin_time=0.5, size=2.0, hops=3,
+            stream_id="s-1", origin_time=0.5, hops=3,
             span=[0.1, 0.2, 0.3, 1.0, 1.1],
         )
         clone = sdo.fanout_copy()
