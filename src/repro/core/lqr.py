@@ -20,6 +20,17 @@ We therefore design ``G`` as the infinite-horizon LQR for the augmented
 system with cost ``sum_n q (b(n)-b0)^2 + r u(n)^2``, solving the discrete
 algebraic Riccati equation.  ``lambda_k = G_k`` and ``mu_l = G_{K+l}``.
 
+The Riccati equation is solved in numpy by the structured doubling
+algorithm (:func:`solve_dare`): from ``G = B R^-1 B^T`` and ``H = Q``,
+each step sets ``W = I + G H`` and
+
+    A <- A W^-1 A,   G <- G + A W^-1 G A^T,   H <- H + A^T H W^-1 A,
+
+so ``H`` doubles the horizon of the Riccati recursion and converges
+quadratically to the stabilising solution ``P``.  It stops once
+``||H_{k+1} - H_k||_1 <= 1e-14 ||H_{k+1}||_1`` and raises if that has
+not happened within a fixed number of steps.
+
 LQR guarantees the closed loop is asymptotically stable (all eigenvalues of
 ``A - B G`` strictly inside the unit circle); :func:`closed_loop_poles`
 exposes them so tests can assert the guarantee.
@@ -31,7 +42,9 @@ import typing as _t
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
+
+_DOUBLING_TOLERANCE = 1e-14
+_DOUBLING_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,38 @@ def _augmented_system(
     return A, B
 
 
+def solve_dare(
+    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray
+) -> np.ndarray:
+    """The stabilising solution ``P`` of the discrete algebraic Riccati
+    equation ``P = A^T P A - A^T P B (R + B^T P B)^-1 B^T P A + Q``.
+
+    Structured doubling (module docstring).  Raises
+    :class:`numpy.linalg.LinAlgError` when the iteration has not met its
+    stopping rule within ``_DOUBLING_STEPS`` steps, as it cannot when
+    ``(A, B)`` is not stabilisable.
+    """
+    eye = np.eye(A.shape[0])
+    G = B @ np.linalg.solve(R, B.T)
+    H = Q
+    # An unstabilisable pair drives A and H to inf and then nan; the
+    # stopping rule never holds on those, so the cap below raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_DOUBLING_STEPS):
+            W = eye + G @ H
+            W_inv_A = np.linalg.solve(W, A)
+            H_next = H + A.T @ H @ W_inv_A
+            G = G + A @ np.linalg.solve(W, G) @ A.T
+            A = A @ W_inv_A
+            change = np.linalg.norm(H_next - H, 1)
+            H = H_next
+            if change <= _DOUBLING_TOLERANCE * np.linalg.norm(H, 1):
+                return H
+    raise np.linalg.LinAlgError(
+        f"Riccati doubling did not converge in {_DOUBLING_STEPS} steps"
+    )
+
+
 def design_gains(
     dt: float,
     q: float = 1.0,
@@ -138,12 +183,12 @@ def design_gains(
     Q = np.zeros((dim, dim))
     Q[0, 0] = q
     # A vanishing penalty on the history slots keeps Q positive definite,
-    # which the Riccati solver requires for detectability.
+    # so (A, Q) is detectable and the Riccati solution stabilising.
     for index in range(1, dim):
         Q[index, index] = 1e-9 * q
     R = np.array([[r]])
 
-    P = solve_discrete_are(A, B, Q, R)
+    P = solve_dare(A, B, Q, R)
     gain = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A).ravel()
 
     lambdas = tuple(float(g) for g in gain[: buffer_lags + 1])

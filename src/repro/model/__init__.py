@@ -14,7 +14,7 @@ This package implements the paper's Section III model:
 """
 
 from repro.model.buffers import BufferTelemetry, InputBuffer
-from repro.model.links import Link, LinkStats
+from repro.model.links import Link
 from repro.model.operators import (
     aggregate_pe,
     fanout_pe,
@@ -40,7 +40,6 @@ __all__ = [
     "ExperimentDefaults",
     "InputBuffer",
     "Link",
-    "LinkStats",
     "OnOffSource",
     "PERuntime",
     "PEProfile",

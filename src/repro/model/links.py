@@ -17,20 +17,11 @@ instantaneous).
 from __future__ import annotations
 
 import typing as _t
-from dataclasses import dataclass
 
 from repro.model.sdo import SDO
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.spans import SpanTracker
-
-
-@dataclass
-class LinkStats:
-    """Telemetry for one link."""
-
-    transferred: int = 0
-    busy_time: float = 0.0
 
 
 class Link:
@@ -60,7 +51,6 @@ class Link:
         self.bandwidth = bandwidth
         self.latency = latency
         self._busy_until = 0.0
-        self.stats = LinkStats()
 
     def transfer_completion(self, sdo: SDO, now: float) -> float:
         """Reserve the link for ``sdo`` and return its arrival time.
@@ -71,21 +61,12 @@ class Link:
         if now < 0:
             raise ValueError("now must be >= 0")
         start = max(now, self._busy_until)
-        serialization = 1.0 / self.bandwidth
-        self._busy_until = start + serialization
-        self.stats.transferred += 1
-        self.stats.busy_time += serialization
+        self._busy_until = start + 1.0 / self.bandwidth
         arrival = self._busy_until + self.latency
         spans = self.spans
         if spans is not None:
             spans.observe_link(self.name, arrival - now)
         return arrival
-
-    def utilization(self, now: float) -> float:
-        """Fraction of elapsed time the link spent serializing."""
-        if now <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / now)
 
     def __repr__(self) -> str:
         return (

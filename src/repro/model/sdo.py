@@ -3,9 +3,9 @@
 Every SDO carries provenance needed for the paper's metrics:
 
 * ``origin_time`` — the virtual time the *original* system-input SDO entered
-  the system.  Derived SDOs inherit the earliest origin time of their inputs,
-  so the end-to-end latency measured at an egress PE spans the whole
-  processing chain.
+  the system.  A PE consumes one SDO at a time, and every SDO it emits
+  inherits that SDO's origin time (:meth:`SDO.derive`), so the end-to-end
+  latency measured at an egress PE spans the whole processing chain.
 * ``hops`` — number of PEs that have processed ancestors of this SDO, used
   as a sanity check on the processing-graph depth.
 
@@ -73,21 +73,6 @@ class SDO:
             stream_id=stream_id,
             origin_time=self.origin_time,
             hops=self.hops + 1,
-        )
-
-    @staticmethod
-    def merge(parents: _t.Sequence["SDO"], stream_id: str) -> "SDO":
-        """Create an SDO derived from several parents (multi-input PEs).
-
-        The earliest parent origin time is inherited so latency reflects the
-        slowest input path.
-        """
-        if not parents:
-            raise ValueError("merge requires at least one parent SDO")
-        return SDO(
-            stream_id=stream_id,
-            origin_time=min(parent.origin_time for parent in parents),
-            hops=max(parent.hops for parent in parents) + 1,
         )
 
     def fanout_copy(self) -> "SDO":

@@ -298,11 +298,14 @@ def test_a_feedback_fault_spanning_an_epoch_keeps_scalar_parity():
 #: which moved the weighted PEs' targets by up to 2.5e-6 and slid
 #: zero-weight PEs along the optimal face; fed SLSQP's targets, the drive
 #: still reproduces the earlier hashes (e3c1c378... and c3d33bcf...).
+#: ACES was re-pinned again when the Eq. 7 gains moved from SciPy's
+#: Riccati solve to the numpy doubling solve; fed SciPy's solution, the
+#: drive reproduces the earlier 705f6425....
 #: The hashes are the same at one and two OpenBLAS threads.
 MEMBERSHIP_GOLDEN = {
     "aces": (
         3380,
-        "705f6425d29a833c9739932b5911066ead0bd19cde3522ec49358b169678fa0e",
+        "28a49b254da6b43527bdabf36966c0a8fbd3ace47a0044633b110883ea553be2",
     ),
     "lockstep": (
         1130,

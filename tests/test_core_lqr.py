@@ -1,14 +1,18 @@
 """Tests for the LQR gain design (Eq. 7 / Appendix A)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.lqr import (
     LQRGains,
+    _augmented_system,
     closed_loop_poles,
     design_gains,
     is_stable,
     proportional_gains,
+    solve_dare,
 )
 
 
@@ -63,6 +67,65 @@ class TestDesign:
         gains = design_gains(dt=0.01, r=1e-9)
         assert gains.lambdas[0] == pytest.approx(100.0, rel=0.01)
         assert gains.mus[0] == pytest.approx(1.0, rel=0.01)
+
+
+# dt, q, r, buffer lags, rate lags, delay steps: 288 designs.
+DESIGN_GRID = list(
+    itertools.product(
+        (0.005, 0.01, 0.05, 0.1),
+        (1.0, 10.0),
+        (1e-3, 3e-2, 1.0),
+        (0, 1, 2),
+        (1, 2),
+        (0, 1),
+    )
+)
+
+
+def riccati_problem(dt=0.01, q=1.0, r=0.001, buffer_lags=1, rate_lags=1,
+                    delay_steps=1):
+    """The (A, B, Q, R) that :func:`design_gains` hands to the solver."""
+    A, B = _augmented_system(dt, buffer_lags, rate_lags, delay_steps)
+    Q = np.diag([q] + [1e-9 * q] * (A.shape[0] - 1))
+    return A, B, Q, np.array([[r]])
+
+
+class TestRiccatiSolve:
+    def test_gains_match_scipy_on_the_design_grid(self):
+        """SciPy's Schur-based ``solve_discrete_are`` is the oracle: the
+        doubling solve's gains agree to round-off on every design, and
+        every closed loop is stable."""
+        from scipy.linalg import solve_discrete_are
+
+        worst = 0.0
+        for design in DESIGN_GRID:
+            A, B, Q, R = riccati_problem(*design)
+            P = solve_discrete_are(A, B, Q, R)
+            expected = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A).ravel()
+            gains = design_gains(*design)
+            actual = np.array(gains.lambdas + gains.mus)
+            error = np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+            worst = max(worst, error)
+            assert np.all(np.abs(closed_loop_poles(gains)) < 1.0), design
+        assert worst <= 1e-12
+
+    def test_riccati_residual_on_the_default_design(self):
+        A, B, Q, R = riccati_problem()
+        P = solve_dare(A, B, Q, R)
+        residual = (
+            A.T @ P @ A
+            - P
+            - A.T @ P @ B @ np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+            + Q
+        )
+        assert np.linalg.norm(residual, 1) <= 1e-10 * np.linalg.norm(P, 1)
+
+    def test_unstabilisable_pair_raises(self):
+        """With ``A = 2I`` and no actuation the cost grows without bound:
+        the iteration never meets its stopping rule and the cap raises."""
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            solve_dare(2.0 * np.eye(2), np.zeros((2, 1)), np.eye(2),
+                       np.array([[1.0]]))
 
 
 class TestStability:

@@ -44,15 +44,14 @@ class TestLink:
         arrival = link.transfer_completion(sdo(), now=10.0)
         assert arrival == pytest.approx(11.0)
 
-    def test_stats(self):
+    def test_transfer_holds_link_for_one_serialization(self):
+        """One SDO occupies the link for ``1 / bandwidth`` seconds: a
+        transfer queued behind it starts when it ends, and one requested
+        after the link frees starts at once."""
         link = Link("l", bandwidth=0.5)
-        link.transfer_completion(sdo(), now=0.0)
-        assert link.stats.transferred == 1
-        assert link.stats.busy_time == pytest.approx(2.0)
-        assert link.utilization(4.0) == pytest.approx(0.5)
-
-    def test_utilization_zero_time(self):
-        assert Link("l", bandwidth=1.0).utilization(0.0) == 0.0
+        assert link.transfer_completion(sdo(), now=0.0) == 2.0
+        assert link.transfer_completion(sdo(), now=1.0) == 4.0
+        assert link.transfer_completion(sdo(), now=5.0) == 7.0
 
     def test_negative_now_rejected(self):
         link = Link("l", bandwidth=1.0)
